@@ -20,10 +20,9 @@
 //! Everything is deterministic; the assertions below are the regression
 //! contract for the engine's performance claims.
 
-use pdc_bench::harness::{csv_flag, run_pclouds, run_pclouds_engine, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, write_results_csv, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::{Cluster, MachineConfig};
-use pdc_dnc::Strategy;
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
 
 /// One row of the sweep.
@@ -90,14 +89,14 @@ fn main() {
     let csv = csv_flag();
     let n = scale.records(1_200_000);
     let p = 4;
-    let strategy = Strategy::Mixed;
     eprintln!("ablation_cache: n={n} p={p}");
     let mut rows: Vec<Row> = Vec::new();
 
     // --- Regression: the disabled engine is the synchronous path, bit for
     // bit.
-    let baseline = run_pclouds(n, p, scale, strategy);
-    let disabled = run_pclouds_engine(n, p, scale, strategy, &EngineConfig::disabled());
+    let experiment = Experiment::new(n, p, scale);
+    let baseline = experiment.run();
+    let disabled = experiment.clone().engine(&EngineConfig::disabled()).run();
     assert_eq!(baseline.tree, disabled.tree);
     for (a, b) in baseline.run.stats.iter().zip(&disabled.run.stats) {
         assert_eq!(
@@ -141,7 +140,7 @@ fn main() {
                     policy,
                     prefetch,
                 };
-                let out = run_pclouds_engine(n, p, scale, strategy, &engine);
+                let out = experiment.clone().engine(&engine).run();
                 assert_eq!(
                     out.tree, baseline.tree,
                     "the engine must never change the computed tree"
@@ -288,9 +287,8 @@ fn main() {
         table.row(cells);
     }
     table.print();
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/ablation_cache.csv", csv_text).expect("write csv");
-    eprintln!("  wrote results/ablation_cache.csv ({} rows)", rows.len());
+    let csv_path = write_results_csv("ablation_cache", scale, &csv_text);
+    eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
 
     // Machine-readable summary for the perf gate. Makespans are banded;
     // hit/miss counts come from the deterministic cache model, so they

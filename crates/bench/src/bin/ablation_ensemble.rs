@@ -19,7 +19,9 @@
 //! Writes `results/ablation_ensemble.csv` (section column distinguishes
 //! accuracy rows from sweep rows) and a `BenchSummary` for the perf gate.
 
-use pdc_bench::harness::{csv_flag, experiment_config, machine_config, Scale, TableWriter};
+use pdc_bench::harness::{
+    csv_flag, experiment_config, machine_config, write_results_csv, Scale, TableWriter,
+};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::Cluster;
 use pdc_clouds::{accuracy_of, holdout_pair};
@@ -163,9 +165,8 @@ fn main() {
         table.row(cells);
     }
     table.print();
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/ablation_ensemble.csv", csv_text).expect("write csv");
-    eprintln!("  wrote results/ablation_ensemble.csv ({} rows)", rows.len());
+    let csv_path = write_results_csv("ablation_ensemble", scale, &csv_text);
+    eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
     let path = summary.write();
     eprintln!("  wrote {}", path.display());
 }

@@ -22,10 +22,9 @@
 //!   configuration reproduces the same virtual times bit for bit (checked
 //!   below).
 
-use pdc_bench::harness::{ascii_chart, csv_flag, run_pclouds_faulty, Scale, TableWriter};
+use pdc_bench::harness::{ascii_chart, csv_flag, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::FaultPlan;
-use pdc_dnc::Strategy;
 
 /// Switch to task parallelism at 40 intervals instead of the paper's 10:
 /// the small-node phase — the phase recovery can reschedule — then carries
@@ -53,8 +52,18 @@ fn main() {
     let csv = csv_flag();
     let n = scale.records(1_200_000);
     let p = 8;
-    let strategy = Strategy::Mixed;
     eprintln!("ablation_faults: n={n} p={p}");
+    // One training run under `faults`, with fault-aware small-task
+    // recovery (speed-weighted LPT + task retry) on or off.
+    let run = |faults: FaultPlan, recover: bool| {
+        Experiment::new(n, p, scale)
+            .machine(|m| m.faults = faults)
+            .config(|c| {
+                c.recover_small_tasks = recover;
+                c.switch_threshold_intervals = SWITCH_THRESHOLD;
+            })
+            .run()
+    };
 
     let mut table = TableWriter::new(
         &[
@@ -73,9 +82,8 @@ fn main() {
     // Determinism: the same seeded configuration must reproduce the same
     // virtual times exactly.
     let probe = plan(0.01, 2.0, p);
-    let once =
-        run_pclouds_faulty(n, p, scale, strategy, probe.clone(), true, Some(SWITCH_THRESHOLD));
-    let twice = run_pclouds_faulty(n, p, scale, strategy, probe, true, Some(SWITCH_THRESHOLD));
+    let once = run(probe.clone(), true);
+    let twice = run(probe, true);
     assert_eq!(
         once.run.stats.iter().map(|s| s.finish_time).collect::<Vec<_>>(),
         twice.run.stats.iter().map(|s| s.finish_time).collect::<Vec<_>>(),
@@ -84,29 +92,13 @@ fn main() {
     eprintln!("  determinism: identical virtual times across reruns");
 
     // Graceful degradation: runtime vs fault rate at no skew.
-    let healthy = run_pclouds_faulty(
-        n,
-        p,
-        scale,
-        strategy,
-        FaultPlan::default(),
-        false,
-        Some(SWITCH_THRESHOLD),
-    );
+    let healthy = run(FaultPlan::default(), false);
     let base = healthy.runtime();
     let mut summary = BenchSummary::new("ablation_faults", scale);
     summary.metric("healthy_runtime_s", base);
     let mut degradation = Vec::new();
     for rate in [0.0, 0.001, 0.005, 0.02] {
-        let out = run_pclouds_faulty(
-            n,
-            p,
-            scale,
-            strategy,
-            plan(rate, 1.0, p),
-            false,
-            Some(SWITCH_THRESHOLD),
-        );
+        let out = run(plan(rate, 1.0, p), false);
         let totals = out.run.total_counters();
         table.row(vec![
             format!("{rate}"),
@@ -139,15 +131,7 @@ fn main() {
     for skew in [1.0, 2.0, 4.0, 8.0] {
         let mut runtimes = [0.0f64; 2];
         for (i, recover) in [false, true].into_iter().enumerate() {
-            let out = run_pclouds_faulty(
-                n,
-                p,
-                scale,
-                strategy,
-                plan(0.0, skew, p),
-                recover,
-                Some(SWITCH_THRESHOLD),
-            );
+            let out = run(plan(0.0, skew, p), recover);
             let totals = out.run.total_counters();
             runtimes[i] = out.runtime();
             table.row(vec![

@@ -12,7 +12,7 @@
 //!   batching) and shares memory across a level — the paper's reason to
 //!   prefer plain data parallelism out-of-core.
 
-use pdc_bench::harness::{csv_flag, run_pclouds, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_dnc::Strategy;
 
@@ -39,7 +39,7 @@ fn main() {
         ("data-parallel", Strategy::DataParallel),
         ("concatenated", Strategy::Concatenated),
     ] {
-        let out = run_pclouds(n, p, scale, strategy);
+        let out = Experiment::new(n, p, scale).strategy(strategy).run();
         let totals = out.run.total_counters();
         let key = name.replace('-', "_");
         summary.metric(&format!("{key}_runtime_s"), out.runtime());

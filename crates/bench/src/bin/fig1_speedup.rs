@@ -24,9 +24,8 @@
 //! checked-in `fig1_speedup` perf-gate baseline (taken on the default
 //! grid) is never clobbered by exploratory runs.
 
-use pdc_bench::harness::{ascii_chart, csv_flag, run_pclouds, Scale, TableWriter};
+use pdc_bench::harness::{ascii_chart, csv_flag, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_dnc::Strategy;
 
 fn parse_list<T: std::str::FromStr>(var: &str) -> Option<Vec<T>>
 where
@@ -80,7 +79,7 @@ fn main() {
         let mut t_base = 0.0;
         let mut points = Vec::new();
         for &p in &procs {
-            let out = run_pclouds(n, p, scale, Strategy::Mixed);
+            let out = Experiment::new(n, p, scale).run();
             let t = out.runtime();
             if p == p_base {
                 t_base = t;

@@ -6,9 +6,8 @@
 //! p = 16 — computation grows with the data while the message-startup cost
 //! of exchanging count matrices and split points does not.
 
-use pdc_bench::harness::{csv_flag, run_pclouds, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_dnc::Strategy;
 
 fn main() {
     let scale = Scale::from_env();
@@ -22,8 +21,8 @@ fn main() {
     for &p in &procs {
         for paper_n in paper_sizes {
             let n = scale.records(paper_n);
-            let t1 = run_pclouds(n, 1, scale, Strategy::Mixed).runtime();
-            let tp = run_pclouds(n, p, scale, Strategy::Mixed).runtime();
+            let t1 = Experiment::new(n, 1, scale).run().runtime();
+            let tp = Experiment::new(n, p, scale).run().runtime();
             let speedup = t1 / tp;
             let mk = paper_n / 100_000;
             summary.metric(&format!("runtime_s_n{mk}_p{p}"), tp);

@@ -7,9 +7,8 @@
 //! processors", i.e. a slow, roughly linear increase — message startups
 //! plus the unregrouped small-node task parallelism.
 
-use pdc_bench::harness::{csv_flag, run_pclouds, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_dnc::Strategy;
 
 fn main() {
     let scale = Scale::from_env();
@@ -27,7 +26,7 @@ fn main() {
         let density = scale.records(paper_density);
         for &p in &procs {
             let n = density * p as u64;
-            let out = run_pclouds(n, p, scale, Strategy::Mixed);
+            let out = Experiment::new(n, p, scale).run();
             let t = out.runtime();
             let dk = paper_density / 100_000;
             summary.metric(&format!("runtime_s_d{dk}_p{p}"), t);

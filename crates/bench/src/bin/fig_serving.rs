@@ -9,20 +9,18 @@
 //!
 //! Expected shape, asserted below as the regression contract:
 //!
-//! * **Predictions are byte-identical** across all three layouts at every
+//! * **Predictions are byte-identical** across both layouts at every
 //!   cell — compilation changes cost, never answers.
 //! * **Flat beats pointer** at every batch size and engine setting: the
 //!   flat array drops the dependent pointer-chase charge per visited node
 //!   and its 16-byte nodes keep the working set inside the CPU cache.
-//! * The **predicated** layout pays exactly `depth` padded steps per
-//!   record — cheapest per step, but the padding makes it a genuine
-//!   trade-off rather than a free win; the figure reports where it lands.
 
-use pdc_bench::harness::{csv_flag, machine_config, run_pclouds, Scale, TableWriter};
+use pdc_bench::harness::{
+    csv_flag, machine_config, write_results_csv, Experiment, Scale, TableWriter,
+};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::Cluster;
 use pdc_datagen::GeneratorConfig;
-use pdc_dnc::Strategy;
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, ServeReport, ALL_LAYOUTS};
 
@@ -48,7 +46,7 @@ fn main() {
     eprintln!("fig_serving: train_n={train_n} requests={requests} p={p}");
 
     // --- Train the model once; serving ablates the scoring side only.
-    let trained = run_pclouds(train_n, p, scale, Strategy::Mixed);
+    let trained = Experiment::new(train_n, p, scale).run();
     let tree = trained.tree;
     assert!(
         tree.depth() >= 1,
@@ -200,9 +198,8 @@ fn main() {
         table.row(cells);
     }
     table.print();
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/fig_serving.csv", csv_text).expect("write csv");
-    eprintln!("  wrote results/fig_serving.csv ({} rows)", rows.len());
+    let csv_path = write_results_csv("fig_serving", scale, &csv_text);
+    eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
 
     // Machine-readable summary for the perf gate: one metric per
     // (engine, batch, layout) cell plus the exact correctness invariants.

@@ -15,10 +15,10 @@
 //!   summaries are already in `results/` (useful locally after a manual
 //!   quick-scale run, and for testing the gate itself).
 //! * `--bins` — comma-separated gated set; default
-//!   `fig_serving,ablation_cache,ablation_comm,ablation_ensemble,`
-//!   `fig1_speedup,ablation_faults` (the fastest bins that still cover
-//!   serving, caching, communication, ensemble scheduling, end-to-end
-//!   speedup, and fault-injection overheads).
+//!   `fig_serving,ablation_cache,ablation_ensemble,fig1_speedup,`
+//!   `ablation_faults` (the fastest bins that still cover serving,
+//!   caching, ensemble scheduling, end-to-end speedup, and
+//!   fault-injection overheads).
 //! * `--tol` — relative band for non-`_exact` metrics (default 0.25).
 //! * `--abs-tol` — absolute floor of the band (default 1e-6), so a 0.0
 //!   baseline does not become a bitwise gate; see [`pdc_bench::gate`].
@@ -37,7 +37,6 @@ use pdc_bench::summary::BenchSummary;
 const DEFAULT_BINS: &[&str] = &[
     "fig_serving",
     "ablation_cache",
-    "ablation_comm",
     "ablation_ensemble",
     "fig1_speedup",
     "ablation_faults",

@@ -16,9 +16,8 @@
 //! bytes, sampled on the virtual clock of a gauge-enabled, engine-backed
 //! run (see [`pdc_cgm::gauge`]).
 
-use pdc_bench::harness::{csv_flag, run_pclouds_profiled, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
 use pdc_cgm::{resolve_series, GaugeSeries};
-use pdc_dnc::Strategy;
 use pdc_pario::{EngineConfig, ReplacementPolicy};
 
 const PHASES: [&str; 5] = [
@@ -43,7 +42,7 @@ fn main() {
     let p = 8;
     eprintln!("phase_breakdown: n={n} p={p}");
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let out = run_pclouds_profiled(n, p, scale, Strategy::Mixed, &engine);
+    let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let reg = out.span_metrics();
 
     let mut table = TableWriter::new(

@@ -29,11 +29,10 @@
 //! Usage: `profile_run [name] [--p N] [--serve]` (default name `profile`,
 //! p = 4); workload scale via `PCLOUDS_SCALE` as usual.
 
-use pdc_bench::harness::{machine_config, run_pclouds, run_pclouds_profiled, Scale};
+use pdc_bench::harness::{machine_config, Experiment, Scale};
 use pdc_cgm::export::validate_json;
 use pdc_cgm::{chrome_trace_json, critical_path, gauges_csv, BuildReport, Cluster};
 use pdc_datagen::GeneratorConfig;
-use pdc_dnc::Strategy;
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, SloSpec, TelemetryConfig};
 
@@ -62,7 +61,7 @@ fn main() {
     let n = scale.records(4_800_000);
     eprintln!("profile_run: n={n} p={p} name={name}");
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let out = run_pclouds_profiled(n, p, scale, Strategy::Mixed, &engine);
+    let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let stats = &out.run.stats;
 
     std::fs::create_dir_all("results").expect("create results/");
@@ -98,7 +97,7 @@ fn profile_serve(name: &str, p: usize, scale: Scale) {
     let train_n = scale.records(600_000);
     let requests = scale.records(2_400_000);
     eprintln!("profile_run --serve: train_n={train_n} requests={requests} p={p} name={name}");
-    let tree = run_pclouds(train_n, p, scale, Strategy::Mixed).tree;
+    let tree = Experiment::new(train_n, p, scale).run().tree;
     let request_gen = GeneratorConfig {
         seed: 0x5e21_e5ed,
         ..GeneratorConfig::default()

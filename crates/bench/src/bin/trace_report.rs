@@ -14,10 +14,9 @@
 //! Usage: `trace_report [name] [--p N]` (default name `report`, p = 4);
 //! workload scale via `PCLOUDS_SCALE` as usual.
 
-use pdc_bench::harness::{run_pclouds_traced, Scale};
+use pdc_bench::harness::{Experiment, Scale};
 use pdc_cgm::export::validate_json;
 use pdc_cgm::{chrome_trace_json, critical_path, metrics_jsonl};
-use pdc_dnc::Strategy;
 
 fn main() {
     let mut name = String::from("report");
@@ -37,7 +36,7 @@ fn main() {
     let scale = Scale::from_env();
     let n = scale.records(4_800_000);
     eprintln!("trace_report: n={n} p={p} name={name}");
-    let out = run_pclouds_traced(n, p, scale, Strategy::Mixed);
+    let out = Experiment::new(n, p, scale).traced().run();
     let stats = &out.run.stats;
 
     std::fs::create_dir_all("results").expect("create results/");

@@ -30,11 +30,10 @@
 //! modern latency 2 us -> 0.05, link 12.5 GB/s -> 0.0028,
 //! NVMe access 20 us -> 0.002, NVMe 3.5 GB/s -> 0.003.
 
-use pdc_bench::harness::{csv_flag, run_pclouds_recorded, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, write_results_csv, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::replay::{identity_check, replay, CostOverride};
 use pdc_cgm::{Ev, EventGraph};
-use pdc_dnc::Strategy;
 use std::path::Path;
 
 /// Scale factors for the combined "modern box" override.
@@ -74,7 +73,7 @@ fn main() {
     let p = 4;
 
     eprintln!("whatif: recording one n={n} p={p} training run ({scale:?})");
-    let out = run_pclouds_recorded(n, p, scale, Strategy::Mixed);
+    let out = Experiment::new(n, p, scale).recorded().run();
     let graph = EventGraph::from_stats(&out.run.stats);
     let base = graph.makespan();
     let evg_path = Path::new("results/whatif_run.evg");
@@ -152,8 +151,8 @@ fn main() {
         eprintln!("  {name:>14}: T={t:.4}s saving={saving:.2}% [{verdict}]");
     }
     table.print();
-    std::fs::write("results/fig_whatif.csv", &csv_text).expect("write csv");
-    eprintln!("  wrote results/fig_whatif.csv ({} rungs)", rungs.len());
+    let csv_path = write_results_csv("fig_whatif", scale, &csv_text);
+    eprintln!("  wrote {} ({} rungs)", csv_path.display(), rungs.len());
 
     // Figure 1 under modern constants: record p in {1,2,4,8} once, replay
     // each under the combined modern override, and compare speedup curves.
@@ -165,7 +164,7 @@ fn main() {
     );
     let (mut t1_rec, mut t1_mod) = (0.0, 0.0);
     for p in [1usize, 2, 4, 8] {
-        let out = run_pclouds_recorded(n, p, scale, Strategy::Mixed);
+        let out = Experiment::new(n, p, scale).recorded().run();
         let g = EventGraph::from_stats(&out.run.stats);
         let rec = identity_check(&g).makespan();
         let m = replay(&g, &modern).makespan();

@@ -1,11 +1,13 @@
 //! Shared machinery of the figure/table harnesses: workload scaling,
 //! pCLOUDS experiment runs, text/CSV table output and model fitting.
 
-use pdc_cgm::{Cluster, FaultPlan, MachineConfig};
+use std::path::{Path, PathBuf};
+
+use pdc_cgm::{Cluster, MachineConfig};
 use pdc_clouds::CloudsParams;
 use pdc_datagen::{GeneratorConfig, RecordStream};
 use pdc_dnc::Strategy;
-use pdc_pario::DiskFarm;
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 use pdc_pclouds::{load_dataset_stream, train, PcloudsConfig, TrainOutput};
 
 /// Workload scale, selected by the `PCLOUDS_SCALE` environment variable:
@@ -63,245 +65,122 @@ impl Scale {
 }
 
 /// One pCLOUDS experiment: generate `n` records (streamed — never all in
-/// memory), load them onto `p` disks, train, return the output (virtual
-/// runtime = `output.runtime()`).
-pub fn run_pclouds(n: u64, p: usize, scale: Scale, strategy: Strategy) -> TrainOutput {
-    run_pclouds_on(n, p, scale, strategy, machine_config(scale))
-}
-
-/// [`run_pclouds`] with span tracing and the event trace enabled, for the
-/// observability harnesses ([`pdc_cgm::chrome_trace_json`],
-/// [`pdc_cgm::critical_path`], span rollups). Spans and the trace are pure
-/// observation, so the virtual times are bit-identical to [`run_pclouds`].
-pub fn run_pclouds_traced(n: u64, p: usize, scale: Scale, strategy: Strategy) -> TrainOutput {
-    let mut machine = machine_config(scale);
-    machine.spans = true;
-    machine.trace = true;
-    run_pclouds_on(n, p, scale, strategy, machine)
-}
-
-/// [`run_pclouds`] with span tracing and event-DAG recording enabled (see
-/// [`pdc_cgm::evg`]): the returned stats carry the complete causal event
-/// graph, ready for [`pdc_cgm::EventGraph::from_stats`] and what-if replay
-/// via [`pdc_cgm::replay()`]. Recording is pure observation, so the virtual
-/// times are bit-identical to [`run_pclouds`].
-pub fn run_pclouds_recorded(n: u64, p: usize, scale: Scale, strategy: Strategy) -> TrainOutput {
-    let mut machine = machine_config(scale);
-    machine.spans = true;
-    machine.record = true;
-    run_pclouds_on(n, p, scale, strategy, machine)
-}
-
-/// Fully composed recorded run: the given [`FaultPlan`] and asynchronous
-/// engine, optionally the whole telemetry stack (trace + gauges) on top,
-/// all with the event DAG recorded. Used by the replay identity tests to
-/// prove bit-exact what-if replay for every harness configuration.
-pub fn run_pclouds_recorded_full(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    faults: FaultPlan,
-    engine: &pdc_pario::EngineConfig,
-    telemetry: bool,
-) -> TrainOutput {
-    let mut machine = machine_config(scale);
-    machine.spans = true;
-    machine.record = true;
-    machine.faults = faults;
-    if telemetry {
-        machine.trace = true;
-        machine.gauges = true;
-    }
-    run_pclouds_on_engine(n, p, scale, strategy, machine, engine)
-}
-
-/// [`run_pclouds`] on an explicitly configured machine. This is how the
-/// backend-identity suite runs the *same* experiment on both execution
-/// backends ([`pdc_cgm::Backend`]) — everything else in the machine held
-/// fixed — to assert bit-identical outputs.
-pub fn run_pclouds_machine(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    machine: MachineConfig,
-) -> TrainOutput {
-    let engine = pdc_pario::EngineConfig::disabled();
-    run_pclouds_machine_engine(n, p, scale, strategy, machine, &engine)
-}
-
-fn run_pclouds_on(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    machine: MachineConfig,
-) -> TrainOutput {
-    run_pclouds_machine(n, p, scale, strategy, machine)
-}
-
-/// [`run_pclouds_engine`] with the full observability stack on — event
-/// trace, spans, and resource gauges ([`pdc_cgm::gauge`]) — for the
-/// profiling harnesses ([`pdc_cgm::BuildReport`], `profile_run`). All three
-/// are pure observation, so the virtual times are bit-identical to
-/// [`run_pclouds_engine`] with the same engine.
-pub fn run_pclouds_profiled(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    engine: &pdc_pario::EngineConfig,
-) -> TrainOutput {
-    let mut machine = machine_config(scale);
-    machine.spans = true;
-    machine.trace = true;
-    machine.gauges = true;
-    run_pclouds_on_engine(n, p, scale, strategy, machine, engine)
-}
-
-/// [`run_pclouds`] on a disk farm with the asynchronous engine configured
-/// by `engine` (buffer pool, replacement policy, write-back, prefetch —
-/// see [`pdc_pario::EngineConfig`]). With [`pdc_pario::EngineConfig::disabled`]
-/// this is bit-identical to [`run_pclouds`].
-pub fn run_pclouds_engine(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    engine: &pdc_pario::EngineConfig,
-) -> TrainOutput {
-    run_pclouds_on_engine(n, p, scale, strategy, machine_config(scale), engine)
-}
-
-/// [`run_pclouds`] with an explicit communication setup: `comm` selects the
-/// batched/sparse statistics combines ([`pdc_pclouds::CommConfig`]) and
-/// `adaptive` enables size-adaptive collective-algorithm selection
-/// ([`pdc_cgm::CollectiveTuning`]). With everything off this is
-/// bit-identical to [`run_pclouds`]; the computed tree is identical in
-/// every configuration.
-pub fn run_pclouds_comm(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    comm: pdc_pclouds::CommConfig,
-    adaptive: bool,
-) -> TrainOutput {
-    let mut machine = machine_config(scale);
-    if adaptive {
-        machine.collectives = pdc_cgm::CollectiveTuning::adaptive();
-    }
-    let mut config = experiment_config(n, scale);
-    config.comm = comm;
-    run_pclouds_custom(n, p, strategy, machine, &pdc_pario::EngineConfig::disabled(), config)
-}
-
-/// [`run_pclouds_machine`] with an explicit asynchronous-engine
-/// configuration on the disk farm.
-pub fn run_pclouds_machine_engine(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    machine: MachineConfig,
-    engine: &pdc_pario::EngineConfig,
-) -> TrainOutput {
-    run_pclouds_custom(n, p, strategy, machine, engine, experiment_config(n, scale))
-}
-
-fn run_pclouds_on_engine(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    machine: MachineConfig,
-    engine: &pdc_pario::EngineConfig,
-) -> TrainOutput {
-    run_pclouds_machine_engine(n, p, scale, strategy, machine, engine)
-}
-
-fn run_pclouds_custom(
+/// memory), load them onto `p` disks, train. Starts from the paper's setup
+/// at `scale` ([`machine_config`], [`experiment_config`], mixed
+/// parallelism, engine off); every deviation is a value set on the builder
+/// before the single [`Experiment::run`].
+///
+/// The observability presets ([`Experiment::traced`],
+/// [`Experiment::profiled`], [`Experiment::recorded`]) only flip
+/// pure-observation switches of the machine, so their runs are
+/// bit-identical in virtual times and counters to the bare run.
+#[derive(Debug, Clone)]
+pub struct Experiment {
     n: u64,
     p: usize,
     strategy: Strategy,
     machine: MachineConfig,
-    engine: &pdc_pario::EngineConfig,
     config: PcloudsConfig,
-) -> TrainOutput {
-    let stream = RecordStream::new(GeneratorConfig::default()).take(n as usize);
-    let farm = DiskFarm::with_engine(p, pdc_pario::BackendKind::InMemory, engine);
-    let root = load_dataset_stream(
-        &farm,
-        stream,
-        config.clouds.sample_size,
-        config.clouds.sample_seed,
-    );
-    let cluster = Cluster::with_config(p, machine);
-    train(&cluster, &farm, &root, &config, strategy)
+    engine: EngineConfig,
 }
 
-/// [`run_pclouds`] on a machine with the given [`FaultPlan`], optionally
-/// with fault-aware small-task recovery (speed-weighted LPT + task retry,
-/// see [`pdc_dnc::DncOptions`]). `switch_threshold` overrides the
-/// data-to-task-parallelism switch point (in intervals; `None` keeps the
-/// paper's value of ten) — the fault ablation raises it so the small-node
-/// phase recovery acts on carries a meaningful share of the runtime. With
-/// an inert plan and `recover` off this is bit-identical to
-/// [`run_pclouds`].
-pub fn run_pclouds_faulty(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    faults: FaultPlan,
-    recover: bool,
-    switch_threshold: Option<usize>,
-) -> TrainOutput {
-    run_pclouds_faulty_engine(
-        n,
-        p,
-        scale,
-        strategy,
-        faults,
-        recover,
-        switch_threshold,
-        &pdc_pario::EngineConfig::disabled(),
-    )
-}
-
-/// [`run_pclouds_faulty`] on a disk farm with the asynchronous engine
-/// configured by `engine` — faults and the engine's overlap/write-back
-/// accounting composed in one run. With [`pdc_pario::EngineConfig::disabled`]
-/// this is exactly [`run_pclouds_faulty`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pclouds_faulty_engine(
-    n: u64,
-    p: usize,
-    scale: Scale,
-    strategy: Strategy,
-    faults: FaultPlan,
-    recover: bool,
-    switch_threshold: Option<usize>,
-    engine: &pdc_pario::EngineConfig,
-) -> TrainOutput {
-    let mut config = experiment_config(n, scale);
-    config.recover_small_tasks = recover;
-    if let Some(t) = switch_threshold {
-        config.switch_threshold_intervals = t;
+impl Experiment {
+    /// The paper's experiment on `n` records and `p` processors at `scale`.
+    pub fn new(n: u64, p: usize, scale: Scale) -> Self {
+        Experiment {
+            n,
+            p,
+            strategy: Strategy::Mixed,
+            machine: machine_config(scale),
+            config: experiment_config(n, scale),
+            engine: EngineConfig::disabled(),
+        }
     }
-    let stream = RecordStream::new(GeneratorConfig::default()).take(n as usize);
-    let farm = DiskFarm::with_engine(p, pdc_pario::BackendKind::InMemory, engine);
-    let root = load_dataset_stream(
-        &farm,
-        stream,
-        config.clouds.sample_size,
-        config.clouds.sample_seed,
-    );
-    let mut machine = machine_config(scale);
-    machine.faults = faults;
-    let cluster = Cluster::with_config(p, machine);
-    train(&cluster, &farm, &root, &config, strategy)
+
+    /// Parallelization strategy of the divide-and-conquer driver.
+    pub fn strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// Adjust the simulated machine (faults, backend, cost model, ...).
+    pub fn machine(mut self, tweak: impl FnOnce(&mut MachineConfig)) -> Self {
+        tweak(&mut self.machine);
+        self
+    }
+
+    /// Adjust the pCLOUDS configuration (thresholds, recovery, ...).
+    pub fn config(mut self, tweak: impl FnOnce(&mut PcloudsConfig)) -> Self {
+        tweak(&mut self.config);
+        self
+    }
+
+    /// Run the disk farm on the asynchronous engine configured by `engine`
+    /// (buffer pool, replacement policy, write-back, prefetch — see
+    /// [`pdc_pario::EngineConfig`]).
+    pub fn engine(mut self, engine: &EngineConfig) -> Self {
+        self.engine = engine.clone();
+        self
+    }
+
+    /// Spans + event trace on, for [`pdc_cgm::chrome_trace_json`],
+    /// [`pdc_cgm::critical_path`] and span rollups.
+    pub fn traced(self) -> Self {
+        self.machine(|m| {
+            m.spans = true;
+            m.trace = true;
+        })
+    }
+
+    /// The full observability stack — spans, event trace and resource
+    /// gauges ([`pdc_cgm::gauge`]) — for [`pdc_cgm::BuildReport`].
+    pub fn profiled(self) -> Self {
+        self.traced().machine(|m| m.gauges = true)
+    }
+
+    /// Spans + event-DAG recording on (see [`pdc_cgm::evg`]): the returned
+    /// stats carry the causal event graph, ready for
+    /// [`pdc_cgm::EventGraph::from_stats`] and [`pdc_cgm::replay()`].
+    pub fn recorded(self) -> Self {
+        self.machine(|m| {
+            m.spans = true;
+            m.record = true;
+        })
+    }
+
+    /// Build the farm, stream the data set onto it, build the cluster,
+    /// train. Virtual runtime = `output.runtime()`.
+    pub fn run(&self) -> TrainOutput {
+        let stream = RecordStream::new(GeneratorConfig::default()).take(self.n as usize);
+        let farm = DiskFarm::with_engine(self.p, BackendKind::InMemory, &self.engine);
+        let root = load_dataset_stream(
+            &farm,
+            stream,
+            self.config.clouds.sample_size,
+            self.config.clouds.sample_seed,
+        );
+        let cluster = Cluster::with_config(self.p, self.machine.clone());
+        train(&cluster, &farm, &root, &self.config, self.strategy)
+    }
+}
+
+fn results_csv_path(name: &str, scale: Scale) -> PathBuf {
+    let file = match scale {
+        Scale::Default => format!("{name}.csv"),
+        _ => format!("{name}.{}.csv", scale.name()),
+    };
+    Path::new("results").join(file)
+}
+
+/// Write a bench binary's CSV artifact and return where it went. Only a
+/// default-scale run may overwrite the committed `results/<name>.csv`;
+/// other scales get `results/<name>.<scale>.csv` (git-ignored), so a
+/// quick-scale smoke or perf-gate run never dirties the work tree.
+pub fn write_results_csv(name: &str, scale: Scale, text: &str) -> PathBuf {
+    let path = results_csv_path(name, scale);
+    std::fs::create_dir_all("results").expect("create results dir");
+    std::fs::write(&path, text).expect("write csv");
+    path
 }
 
 /// The simulated machine for a given workload scale. Cache capacities (CPU
@@ -494,6 +373,37 @@ mod tests {
         assert_eq!(Scale::Default.records(7_200_000), 360_000);
         assert_eq!(Scale::Quick.records(7_200_000), 72_000);
         assert_eq!(Scale::Quick.records(10_000), 1_000, "floor");
+    }
+
+    #[test]
+    fn observability_presets_do_not_move_the_run() {
+        let bare = Experiment::new(12_000, 4, Scale::Quick);
+        let reference = bare.run();
+        for (name, preset) in [
+            ("traced", bare.clone().traced()),
+            ("profiled", bare.clone().profiled()),
+            ("recorded", bare.clone().recorded()),
+        ] {
+            let out = preset.run();
+            assert_eq!(out.tree, reference.tree, "{name}: tree changed");
+            for (a, b) in reference.run.stats.iter().zip(&out.run.stats) {
+                assert!(a.spans.is_empty() && !b.spans.is_empty(), "{name}: spans");
+                assert_eq!(
+                    a.finish_time.to_bits(),
+                    b.finish_time.to_bits(),
+                    "{name}: rank {} finish bits moved",
+                    a.rank
+                );
+                assert_eq!(a.counters, b.counters, "{name}: rank {} counters moved", a.rank);
+            }
+        }
+    }
+
+    #[test]
+    fn only_default_scale_writes_the_committed_artifact_name() {
+        assert_eq!(results_csv_path("x", Scale::Default), Path::new("results/x.csv"));
+        assert_eq!(results_csv_path("x", Scale::Quick), Path::new("results/x.quick.csv"));
+        assert_eq!(results_csv_path("x", Scale::Full), Path::new("results/x.full.csv"));
     }
 
     #[test]

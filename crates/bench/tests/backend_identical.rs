@@ -8,12 +8,9 @@
 //! baselines and large-`p` sweeps switch backends freely (the thread
 //! backend stays the baseline of record).
 
-use pdc_bench::harness::{
-    machine_config, run_pclouds_machine, run_pclouds_machine_engine, Scale,
-};
+use pdc_bench::harness::{machine_config, Experiment, Scale};
 use pdc_cgm::replay::identity_check;
 use pdc_cgm::{chrome_trace_json, Backend, Cluster, EventGraph, FaultPlan, MachineConfig};
-use pdc_dnc::Strategy;
 use pdc_ensemble::{train_ensemble_on, EnsembleConfig};
 use pdc_pario::{EngineConfig, ReplacementPolicy};
 use pdc_pclouds::TrainOutput;
@@ -21,14 +18,16 @@ use pdc_pclouds::TrainOutput;
 const N: u64 = 20_000;
 const P: usize = 4;
 
-fn on_backend(backend: Backend) -> MachineConfig {
-    let mut machine = machine_config(Scale::Quick);
+/// Select `backend` on `machine`, with the admission width pinned so the
+/// test does not depend on the host's core count (any width must give the
+/// same bits; 2 exercises real multiplexing at p=4).
+fn pin_backend(machine: &mut MachineConfig, backend: Backend) {
     machine.backend = backend;
-    // Pin the admission width so the test does not depend on the host's
-    // core count (any width must give the same bits; 2 exercises real
-    // multiplexing at p=4).
     machine.event_workers = 2;
-    machine
+}
+
+fn on_backend(backend: Backend) -> Experiment {
+    Experiment::new(N, P, Scale::Quick).machine(|m| pin_backend(m, backend))
 }
 
 fn assert_outputs_identical(thread: &TrainOutput, event: &TrainOutput, what: &str) {
@@ -51,8 +50,8 @@ fn assert_outputs_identical(thread: &TrainOutput, event: &TrainOutput, what: &st
 
 #[test]
 fn backend_identical_plain() {
-    let thread = run_pclouds_machine(N, P, Scale::Quick, Strategy::Mixed, on_backend(Backend::Thread));
-    let event = run_pclouds_machine(N, P, Scale::Quick, Strategy::Mixed, on_backend(Backend::Event));
+    let thread = on_backend(Backend::Thread).run();
+    let event = on_backend(Backend::Event).run();
     assert_outputs_identical(&thread, &event, "plain");
 }
 
@@ -62,32 +61,20 @@ fn backend_identical_under_faults() {
     plan.link.drop_prob = 0.01;
     plan.link.delay_prob = 0.02;
     plan.disk.read_error_prob = 0.01;
-    let run = |backend| {
-        let mut machine = on_backend(backend);
-        machine.faults = plan.clone();
-        run_pclouds_machine(N, P, Scale::Quick, Strategy::Mixed, machine)
-    };
+    let run = |backend| on_backend(backend).machine(|m| m.faults = plan.clone()).run();
     assert_outputs_identical(&run(Backend::Thread), &run(Backend::Event), "faults");
 }
 
 #[test]
 fn backend_identical_with_engine() {
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let run = |backend| {
-        run_pclouds_machine_engine(N, P, Scale::Quick, Strategy::Mixed, on_backend(backend), &engine)
-    };
+    let run = |backend| on_backend(backend).engine(&engine).run();
     assert_outputs_identical(&run(Backend::Thread), &run(Backend::Event), "engine");
 }
 
 #[test]
 fn backend_identical_with_full_telemetry() {
-    let run = |backend| {
-        let mut machine = on_backend(backend);
-        machine.trace = true;
-        machine.spans = true;
-        machine.gauges = true;
-        run_pclouds_machine(N, P, Scale::Quick, Strategy::Mixed, machine)
-    };
+    let run = |backend| on_backend(backend).profiled().run();
     let thread = run(Backend::Thread);
     let event = run(Backend::Event);
     assert_outputs_identical(&thread, &event, "telemetry");
@@ -102,12 +89,7 @@ fn backend_identical_with_full_telemetry() {
 
 #[test]
 fn backend_identical_recorded_and_replayable() {
-    let run = |backend| {
-        let mut machine = on_backend(backend);
-        machine.spans = true;
-        machine.record = true;
-        run_pclouds_machine(N, P, Scale::Quick, Strategy::Mixed, machine)
-    };
+    let run = |backend| on_backend(backend).recorded().run();
     let thread = run(Backend::Thread);
     let event = run(Backend::Event);
     assert_outputs_identical(&thread, &event, "recorded");
@@ -132,7 +114,8 @@ fn backend_identical_ensemble_subgroups() {
         cfg.base = pdc_bench::harness::experiment_config(n as u64, Scale::Quick);
         cfg.trees = 4;
         cfg.subgroup_width = 2;
-        let mut machine = on_backend(backend);
+        let mut machine = machine_config(Scale::Quick);
+        pin_backend(&mut machine, backend);
         machine.gauges = true;
         train_ensemble_on(&Cluster::with_config(P, machine), &records, &cfg)
     };

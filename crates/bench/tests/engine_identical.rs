@@ -3,16 +3,15 @@
 //! lets the engine ship wired through every layer while staying inert by
 //! default.
 
-use pdc_bench::harness::{run_pclouds, run_pclouds_engine, Scale};
-use pdc_dnc::Strategy;
+use pdc_bench::harness::{Experiment, Scale};
 use pdc_pario::{EngineConfig, ReplacementPolicy};
 
 #[test]
 fn disabled_engine_run_is_bit_identical() {
     let n = 20_000;
     let p = 4;
-    let plain = run_pclouds(n, p, Scale::Quick, Strategy::Mixed);
-    let disabled = run_pclouds_engine(n, p, Scale::Quick, Strategy::Mixed, &EngineConfig::disabled());
+    let plain = Experiment::new(n, p, Scale::Quick).run();
+    let disabled = Experiment::new(n, p, Scale::Quick).engine(&EngineConfig::disabled()).run();
     assert_eq!(plain.tree, disabled.tree);
     for (a, b) in plain.run.stats.iter().zip(&disabled.run.stats) {
         assert_eq!(
@@ -29,9 +28,9 @@ fn disabled_engine_run_is_bit_identical() {
 fn enabled_engine_keeps_the_tree_and_the_accounting_identity() {
     let n = 20_000;
     let p = 4;
-    let plain = run_pclouds(n, p, Scale::Quick, Strategy::Mixed);
+    let plain = Experiment::new(n, p, Scale::Quick).run();
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let engined = run_pclouds_engine(n, p, Scale::Quick, Strategy::Mixed, &engine);
+    let engined = Experiment::new(n, p, Scale::Quick).engine(&engine).run();
     assert_eq!(plain.tree, engined.tree, "the engine must not change results");
     for s in &engined.run.stats {
         let c = &s.counters;

@@ -3,11 +3,8 @@
 //! must be byte-deterministic across identical runs, and the per-rank time
 //! identity must survive faults and the asynchronous engine composed.
 
-use pdc_bench::harness::{
-    run_pclouds_engine, run_pclouds_faulty_engine, run_pclouds_profiled, Scale,
-};
+use pdc_bench::harness::{Experiment, Scale};
 use pdc_cgm::{chrome_trace_json, gauges_csv, metrics_csv, metrics_jsonl, FaultPlan};
-use pdc_dnc::Strategy;
 use pdc_pario::{EngineConfig, ReplacementPolicy};
 
 fn engine() -> EngineConfig {
@@ -18,8 +15,8 @@ fn engine() -> EngineConfig {
 fn profiled_run_is_bit_identical_to_plain() {
     let n = 20_000;
     let p = 4;
-    let plain = run_pclouds_engine(n, p, Scale::Quick, Strategy::Mixed, &engine());
-    let profiled = run_pclouds_profiled(n, p, Scale::Quick, Strategy::Mixed, &engine());
+    let plain = Experiment::new(n, p, Scale::Quick).engine(&engine()).run();
+    let profiled = Experiment::new(n, p, Scale::Quick).engine(&engine()).profiled().run();
     assert_eq!(plain.tree, profiled.tree);
     for (a, b) in plain.run.stats.iter().zip(&profiled.run.stats) {
         assert!(a.gauges.is_empty() && a.spans.is_empty());
@@ -38,8 +35,9 @@ fn profiled_run_is_bit_identical_to_plain() {
 fn profiled_exports_are_byte_identical_across_runs() {
     let n = 20_000;
     let p = 4;
-    let a = run_pclouds_profiled(n, p, Scale::Quick, Strategy::Mixed, &engine());
-    let b = run_pclouds_profiled(n, p, Scale::Quick, Strategy::Mixed, &engine());
+    let experiment = Experiment::new(n, p, Scale::Quick).engine(&engine()).profiled();
+    let a = experiment.run();
+    let b = experiment.run();
     assert_eq!(
         chrome_trace_json(&a.run.stats),
         chrome_trace_json(&b.run.stats),
@@ -74,16 +72,14 @@ fn faults_and_engine_compose_with_the_accounting_identity() {
     faults.disk.read_error_prob = 0.02;
     faults.skew = vec![1.0, 1.0, 1.0, 1.4];
     assert!(!faults.is_inert());
-    let out = run_pclouds_faulty_engine(
-        n,
-        p,
-        Scale::Quick,
-        Strategy::Mixed,
-        faults,
-        true,
-        Some(40),
-        &engine(),
-    );
+    let out = Experiment::new(n, p, Scale::Quick)
+        .machine(|m| m.faults = faults)
+        .config(|c| {
+            c.recover_small_tasks = true;
+            c.switch_threshold_intervals = 40;
+        })
+        .engine(&engine())
+        .run();
     let mut fault_seconds = 0.0;
     for s in &out.run.stats {
         let c = &s.counters;

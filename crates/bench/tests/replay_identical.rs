@@ -5,12 +5,9 @@
 //! subsystem — if the identity replay drifts, every hypothetical predicted
 //! from the event graph is untrustworthy.
 
-use pdc_bench::harness::{
-    machine_config, run_pclouds, run_pclouds_recorded, run_pclouds_recorded_full, Scale,
-};
+use pdc_bench::harness::{machine_config, Experiment, Scale};
 use pdc_cgm::replay::{identity_check, replay, CostOverride};
 use pdc_cgm::{Cluster, EventGraph, FaultPlan};
-use pdc_dnc::Strategy;
 use pdc_ensemble::{train_ensemble_on, EnsembleConfig};
 use pdc_pario::{EngineConfig, ReplacementPolicy};
 
@@ -27,8 +24,8 @@ fn faulty_plan() -> FaultPlan {
 
 #[test]
 fn recording_does_not_perturb_the_run() {
-    let plain = run_pclouds(N, P, Scale::Quick, Strategy::Mixed);
-    let recorded = run_pclouds_recorded(N, P, Scale::Quick, Strategy::Mixed);
+    let plain = Experiment::new(N, P, Scale::Quick).run();
+    let recorded = Experiment::new(N, P, Scale::Quick).recorded().run();
     assert_eq!(plain.tree, recorded.tree);
     for (a, b) in plain.run.stats.iter().zip(&recorded.run.stats) {
         assert_eq!(
@@ -43,51 +40,37 @@ fn recording_does_not_perturb_the_run() {
 
 #[test]
 fn identity_replay_bit_exact_plain() {
-    let out = run_pclouds_recorded(N, P, Scale::Quick, Strategy::Mixed);
+    let out = Experiment::new(N, P, Scale::Quick).recorded().run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
 #[test]
 fn identity_replay_bit_exact_with_faults() {
-    let out = run_pclouds_recorded_full(
-        N,
-        P,
-        Scale::Quick,
-        Strategy::Mixed,
-        faulty_plan(),
-        &EngineConfig::disabled(),
-        false,
-    );
+    let out = Experiment::new(N, P, Scale::Quick)
+        .machine(|m| m.faults = faulty_plan())
+        .recorded()
+        .run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
 #[test]
 fn identity_replay_bit_exact_with_engine() {
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let out = run_pclouds_recorded_full(
-        N,
-        P,
-        Scale::Quick,
-        Strategy::Mixed,
-        FaultPlan::default(),
-        &engine,
-        false,
-    );
+    let out = Experiment::new(N, P, Scale::Quick).engine(&engine).recorded().run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
 #[test]
 fn identity_replay_bit_exact_with_telemetry_and_everything() {
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let out = run_pclouds_recorded_full(
-        N,
-        P,
-        Scale::Quick,
-        Strategy::Mixed,
-        faulty_plan(),
-        &engine,
-        true,
-    );
+    // Everything at once: faults, the engine, and the whole telemetry
+    // stack (trace + gauges) on top of the recording.
+    let out = Experiment::new(N, P, Scale::Quick)
+        .machine(|m| m.faults = faulty_plan())
+        .engine(&engine)
+        .profiled()
+        .recorded()
+        .run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
@@ -107,7 +90,7 @@ fn identity_replay_bit_exact_ensemble_subgroups() {
 
 #[test]
 fn replay_overrides_behave_on_a_real_training_run() {
-    let out = run_pclouds_recorded(N, P, Scale::Quick, Strategy::Mixed);
+    let out = Experiment::new(N, P, Scale::Quick).recorded().run();
     let graph = EventGraph::from_stats(&out.run.stats);
     let base = graph.makespan();
 

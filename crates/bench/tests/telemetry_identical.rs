@@ -4,11 +4,10 @@
 //! rank's finish time bit-identical and every counter identical, at both
 //! the serving layer and the training (pclouds) layer.
 
-use pdc_bench::harness::{run_pclouds_engine, run_pclouds_profiled, Scale};
+use pdc_bench::harness::{Experiment, Scale};
 use pdc_cgm::Cluster;
 use pdc_clouds::{DecisionTree, Splitter};
 use pdc_datagen::GeneratorConfig;
-use pdc_dnc::Strategy;
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, SloSpec, TelemetryConfig};
 
@@ -110,9 +109,9 @@ fn pclouds_run_is_bit_identical_with_full_observability_on() {
     let p = 4;
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
     // Same workload, same engine; the only difference is spans + trace +
-    // gauges (run_pclouds_profiled flips exactly those three).
-    let off = run_pclouds_engine(n, p, scale, Strategy::Mixed, &engine);
-    let on = run_pclouds_profiled(n, p, scale, Strategy::Mixed, &engine);
+    // gauges (the `profiled` preset flips exactly those three).
+    let off = Experiment::new(n, p, scale).engine(&engine).run();
+    let on = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     assert_eq!(on.tree, off.tree, "observability must not change the tree");
     for (a, b) in off.run.stats.iter().zip(&on.run.stats) {
         assert_eq!(

@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cost::{CollectiveTuning, CostModel};
+use crate::cost::CostModel;
 use crate::counters::ProcStats;
 use crate::exec::{host_parallelism, Backend, ExecMode, Scheduler, WaitBoard, ABORT_SENTINEL};
 use crate::fault::FaultPlan;
@@ -48,10 +48,6 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan (see [`crate::fault`]); the
     /// default plan is inert and changes nothing.
     pub faults: FaultPlan,
-    /// Collective-algorithm tuning (see [`crate::cost::CollectiveTuning`]).
-    /// The default keeps every collective on its single historical schedule,
-    /// so runs stay bit-identical with earlier versions.
-    pub collectives: CollectiveTuning,
     /// Record the replayable event DAG (see [`crate::evg`]), enabling
     /// what-if replay via [`mod@crate::replay`]. Pure observation, like spans
     /// and gauges: enabling recording never changes a run's virtual times
@@ -71,7 +67,6 @@ impl Default for MachineConfig {
             spans: false,
             gauges: false,
             faults: FaultPlan::default(),
-            collectives: CollectiveTuning::default(),
             record: false,
         }
     }
@@ -180,7 +175,6 @@ impl Cluster {
             gauges: self.config.gauges,
             faults: self.config.faults.clone(),
             faults_inert: self.config.faults.is_inert(),
-            collectives: self.config.collectives,
             record: self.config.record,
         });
         let f = &f;

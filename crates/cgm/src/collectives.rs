@@ -427,22 +427,10 @@ impl Proc {
             return vec![value];
         }
         let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
-        // Under adaptive tuning the schedule is picked by modeled cost. The
-        // comparison is size-independent on this machine (both schedules
-        // share the `tw·m·(p-1)` bandwidth term and the ring pays `p - 1`
-        // startups against doubling's `log p`), so for power-of-two `p` it
-        // always resolves to recursive doubling — the check documents the
-        // decision rather than ever flipping it.
-        let use_doubling = is_pow2(p) && {
-            if self.collective_tuning().adaptive {
-                let net = self.cost_model().network;
-                let bytes = acc[0].1.len();
-                net.doubling_all_gather_cost(bytes, p) <= net.ring_all_gather_cost(bytes, p)
-            } else {
-                true
-            }
-        };
-        if use_doubling {
+        // Doubling whenever it applies: both schedules share the
+        // `tw·m·(p-1)` bandwidth term and the ring pays `p - 1` startups
+        // against doubling's `log p`, so no payload size favors the ring.
+        if is_pow2(p) {
             let d = log2ceil(p);
             for i in 0..d {
                 let peer = partner(self.rank(), i);
@@ -473,11 +461,9 @@ impl Proc {
     /// All-gather on an explicit ring schedule (`p - 1` rounds, each
     /// forwarding the previous round's receipt): `(p-1)·(ts + tw·m)`. This
     /// is the bandwidth-optimal large-message schedule on machines where
-    /// recursive doubling does not apply; on power-of-two `p` under the
-    /// default cost model doubling has the same `tw·m·(p-1)` bandwidth term
-    /// with fewer startups, which is why the adaptive [`Proc::all_gather`]
-    /// keeps picking doubling there (see
-    /// [`crate::cost::NetworkParams::ring_all_gather_cost`]).
+    /// recursive doubling does not apply; on power-of-two `p` doubling has
+    /// the same `tw·m·(p-1)` bandwidth term with fewer startups, which is
+    /// why [`Proc::all_gather`] uses doubling there.
     pub fn all_gather_ring<T: Wire>(&mut self, value: T) -> Vec<T> {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.all_gather.ring", &[("bytes", bytes)]);
@@ -518,11 +504,10 @@ impl Proc {
     // multi-attribute histograms of the stats phase. The collectives below
     // operate on splittable payloads and can switch to recursive halving
     // (Rabenseifner-style), which moves only `m·(p-1)/p` bytes per phase.
-    // Selection is driven by the machine's [`crate::cost::NetworkParams`]
-    // and gated on [`crate::cost::CollectiveTuning::adaptive`]; with the
-    // default (non-adaptive) tuning every call uses the single historical
-    // schedule. Either way the *values* produced are identical for exactly
-    // associative and commutative combines — only virtual time changes.
+    // Selection is driven by the machine's [`crate::cost::NetworkParams`],
+    // the advertised payload size and `p`. Whichever schedule runs, the
+    // *values* produced are identical for exactly associative and
+    // commutative combines — only virtual time changes.
     //
     // `approx_bytes` is the payload size used for selection. It must be
     // computed identically on every rank (SPMD discipline: all ranks have to
@@ -530,22 +515,22 @@ impl Proc {
     // information — e.g. the dense encoded size — not from a rank-local
     // (possibly sparse) encoding.
 
-    /// Whether the adaptive tuning picks recursive halving for a
-    /// reduce-scatter of `approx_bytes` total payload.
+    /// Whether the cost model picks recursive halving for a reduce-scatter
+    /// of `approx_bytes` total payload.
     fn pick_halving_reduce_scatter(&self, approx_bytes: usize) -> bool {
         let p = self.nprocs();
-        if !self.collective_tuning().adaptive || !is_pow2(p) || p == 1 {
+        if !is_pow2(p) || p == 1 {
             return false;
         }
         let net = self.cost_model().network;
         net.halving_reduce_scatter_cost(approx_bytes, p) < net.fanin_scatter_cost(approx_bytes, p)
     }
 
-    /// Whether the adaptive tuning picks reduce-scatter + (all)gather for a
+    /// Whether the cost model picks reduce-scatter + (all)gather for a
     /// reduce or allreduce of `approx_bytes` total payload.
     fn pick_halving_combine(&self, approx_bytes: usize) -> bool {
         let p = self.nprocs();
-        if !self.collective_tuning().adaptive || !is_pow2(p) || p == 1 {
+        if !is_pow2(p) || p == 1 {
             return false;
         }
         let net = self.cost_model().network;
@@ -558,10 +543,10 @@ impl Proc {
     /// combined over all ranks. `combine` must be associative and
     /// commutative.
     ///
-    /// Non-adaptive schedule: binomial fan-in of the whole payload to rank 0
-    /// followed by a scatter. Adaptive + power-of-two `p`: recursive halving
-    /// when the cost model favors it (the payload halves every round, so
-    /// only `m·(p-1)/p` bytes cross the network).
+    /// Power-of-two `p` and a payload the cost model calls bandwidth-bound:
+    /// recursive halving (the payload halves every round, so only
+    /// `m·(p-1)/p` bytes cross the network). Otherwise: binomial fan-in of
+    /// the whole payload to rank 0 followed by a scatter.
     pub fn reduce_scatter_blocks<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
@@ -669,7 +654,7 @@ impl Proc {
 
     /// All-to-one reduction of an element vector, combined element-wise.
     /// Semantically identical to [`Proc::reduce`] with a zipped combine;
-    /// under adaptive tuning large payloads switch to recursive-halving
+    /// large payloads on power-of-two `p` switch to recursive-halving
     /// reduce-scatter followed by a binomial block gather to `root`, moving
     /// `2·m·(p-1)/p` bytes instead of `m·log p`.
     pub fn reduce_elems<T: Wire>(
@@ -708,7 +693,7 @@ impl Proc {
 
     /// All-to-all reduction of an element vector, combined element-wise.
     /// Semantically identical to [`Proc::allreduce`] with a zipped combine;
-    /// under adaptive tuning large payloads switch to recursive-halving
+    /// large payloads on power-of-two `p` switch to recursive-halving
     /// reduce-scatter followed by a recursive-doubling all-gather of the
     /// combined blocks (Rabenseifner's allreduce).
     pub fn allreduce_elems<T: Wire>(

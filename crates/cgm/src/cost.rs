@@ -160,45 +160,6 @@ impl NetworkParams {
         self.binomial_combine_cost(bytes, p)
             + p.saturating_sub(1) as f64 * self.message_cost(blk)
     }
-
-    /// Critical-path estimate of a ring all_gather: `p - 1` rounds each
-    /// forwarding one rank's `bytes` contribution:
-    /// `(p - 1) * (alpha + beta * m)`.
-    pub fn ring_all_gather_cost(&self, bytes: usize, p: usize) -> f64 {
-        p.saturating_sub(1) as f64 * self.message_cost(bytes)
-    }
-
-    /// Critical-path estimate of a recursive-doubling all_gather whose
-    /// exchanged payload doubles each round:
-    /// `log2(p) * alpha + beta * m * (p - 1)`.
-    pub fn doubling_all_gather_cost(&self, bytes: usize, p: usize) -> f64 {
-        crate::topology::log2ceil(p.max(1)) as f64 * self.alpha
-            + self.beta * bytes as f64 * p.saturating_sub(1) as f64
-    }
-}
-
-/// Tuning knobs for the collective algorithms in `cgm::collectives`.
-///
-/// With `adaptive` off (the default) every collective uses the single
-/// schedule it always used, so existing runs stay bit-identical. With it
-/// on, the large-message collectives compare the [`NetworkParams`] cost of
-/// the candidate schedules for the advertised payload size and pick the
-/// cheaper one — binomial/doubling for latency-bound small messages,
-/// recursive halving (power-of-two machines) or ring for bandwidth-bound
-/// large ones. Results are bit-identical either way; only virtual time and
-/// message counts change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CollectiveTuning {
-    /// Select collective schedules by modeled cost instead of always using
-    /// the default schedule.
-    pub adaptive: bool,
-}
-
-impl CollectiveTuning {
-    /// Cost-driven selection on (default off).
-    pub fn adaptive() -> Self {
-        CollectiveTuning { adaptive: true }
-    }
 }
 
 /// Local disk parameters (each processor owns one, shared-nothing).
@@ -392,12 +353,6 @@ mod tests {
                 net.halving_reduce_scatter_cost(1 << 20, p) < net.fanin_scatter_cost(1 << 20, p),
                 "halving reduce-scatter must beat fan-in + scatter at p={p}"
             );
-            // On this cost model recursive doubling never loses to the ring
-            // for power-of-two p (same bandwidth term, fewer startups).
-            assert!(
-                net.doubling_all_gather_cost(1 << 20, p)
-                    <= net.ring_all_gather_cost(1 << 20, p)
-            );
         }
         // The allreduce crossover for p = 8: m* = L*alpha / (beta*(L - 2(p-1)/p)).
         let l = 3.0;
@@ -406,12 +361,6 @@ mod tests {
         let above = (m_star * 1.1) as usize;
         assert!(net.binomial_combine_cost(below, 8) < net.halving_allreduce_cost(below, 8));
         assert!(net.halving_allreduce_cost(above, 8) < net.binomial_combine_cost(above, 8));
-    }
-
-    #[test]
-    fn collective_tuning_defaults_off() {
-        assert!(!CollectiveTuning::default().adaptive);
-        assert!(CollectiveTuning::adaptive().adaptive);
     }
 
     #[test]

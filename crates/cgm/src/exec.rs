@@ -399,7 +399,8 @@ impl WaitBoard {
         self.waits.lock()[rank] = Some((src, tag));
     }
 
-    /// The wait ended (matched or timed out).
+    /// The wait ended with a match. A timed-out wait keeps its entry: that
+    /// rank is still blocked when the timeout panic takes its snapshot.
     pub(crate) fn exit(&self, rank: usize) {
         self.waits.lock()[rank] = None;
     }

@@ -65,7 +65,7 @@ pub mod wire;
 
 pub use cluster::{Cluster, MachineConfig, RunOutput};
 pub use exec::Backend;
-pub use cost::{CacheParams, CollectiveTuning, ComputeRates, CostModel, DiskParams, NetworkParams, OpKind};
+pub use cost::{CacheParams, ComputeRates, CostModel, DiskParams, NetworkParams, OpKind};
 pub use counters::{Counters, ProcStats};
 pub use evg::{Breakdown, Ev, EventGraph};
 pub use export::{

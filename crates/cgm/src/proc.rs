@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::cost::{CollectiveTuning, CostModel, OpKind};
+use crate::cost::{CostModel, OpKind};
 use crate::counters::Counters;
 use crate::evg::{Ev, COMPUTE_RAW, FAULT_DISK, FAULT_LINK};
 use crate::exec::ExecMode;
@@ -76,8 +76,6 @@ pub struct SharedMachine {
     /// path is skipped and virtual times are bit-identical to a machine
     /// without fault injection.
     pub faults_inert: bool,
-    /// Collective-algorithm tuning (see [`CollectiveTuning`]).
-    pub collectives: CollectiveTuning,
     /// Whether processors record the replayable event DAG (see
     /// [`crate::evg`]). Pure observation: record-on runs stay
     /// bit-identical to record-off runs.
@@ -254,11 +252,6 @@ impl Proc {
     /// Current virtual time, seconds.
     pub fn clock(&self) -> f64 {
         self.clock
-    }
-
-    /// The machine's collective-algorithm tuning.
-    pub fn collective_tuning(&self) -> CollectiveTuning {
-        self.shared.collectives
     }
 
     /// The machine's cost model.
@@ -815,16 +808,17 @@ impl Proc {
                     return msg;
                 }
                 board.enter(self.rank, src, tag);
-                let got = mailbox.recv_timeout(src, tag, *timeout);
-                board.exit(self.rank);
-                match got {
-                    Some(msg) => msg,
+                match mailbox.recv_timeout(src, tag, *timeout) {
+                    Some(msg) => {
+                        board.exit(self.rank);
+                        msg
+                    }
                     None => {
-                        let mut blocked = board.blocked_now();
-                        blocked.push((self.rank, src, tag));
-                        blocked.sort_unstable();
-                        blocked.dedup();
-                        let waiting: Vec<String> = blocked
+                        // A timed-out rank is still blocked: its entry
+                        // stays, so ranks timing out together all see
+                        // each other in the snapshot.
+                        let waiting: Vec<String> = board
+                            .blocked_now()
                             .iter()
                             .map(|&(r, s, t)| format!("rank {r} <- recv(src={s}, tag={t:#x})"))
                             .collect();

@@ -1,29 +1,24 @@
-//! Equivalence suite for the large-message collectives: every new schedule
+//! Equivalence suite for the large-message collectives: every schedule
 //! (recursive-halving reduce-scatter, reduce-scatter + (all)gather, ring
 //! all-gather) must produce results identical to the binomial/doubling
-//! baseline, at power-of-two and non-power-of-two machine sizes, under
-//! adaptive and non-adaptive tuning, and — via the `try_*` variants — under
-//! fault plans. Every run is also checked against the accounting identity
-//! `compute + comm + io + fault + io_stall + idle == finish_time`.
+//! baseline, at power-of-two and non-power-of-two machine sizes, on both
+//! sides of the cost-model crossover, and — via the `try_*` variants —
+//! under fault plans. Every run is also checked against the accounting
+//! identity `compute + comm + io + fault + io_stall + idle == finish_time`.
 
-use pdc_cgm::{Cluster, CollectiveTuning, FaultPlan, MachineConfig, OpKind, RunOutput};
+use pdc_cgm::{Cluster, FaultPlan, MachineConfig, OpKind, RunOutput};
 
 const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
 
-/// A payload size far past every adaptive crossover, so power-of-two
-/// machines take the halving schedules, expressed per test via element count
-/// (u64 vectors of a few thousand elements are tens of kilobytes).
+/// A payload size far past every crossover, so power-of-two machines take
+/// the halving schedules, expressed per test via element count (u64 vectors
+/// of a few thousand elements are tens of kilobytes).
 const BIG: usize = 4096;
-/// A payload hint far below every crossover: adaptive tuning must keep the
-/// binomial schedule.
+/// A payload hint far below every crossover: selection must keep the
+/// binomial / fan-in schedule.
 const TINY_HINT: usize = 8;
-
-fn adaptive_config() -> MachineConfig {
-    MachineConfig {
-        collectives: CollectiveTuning::adaptive(),
-        ..MachineConfig::default()
-    }
-}
+/// One hint on each side of the crossover.
+const HINTS: [usize; 2] = [TINY_HINT, BIG * 8];
 
 fn assert_counters_identity<T>(out: &RunOutput<T>, what: &str) {
     for (rank, s) in out.stats.iter().enumerate() {
@@ -62,19 +57,12 @@ fn expected_sum(p: usize, len: usize) -> Vec<u64> {
 #[test]
 fn reduce_scatter_blocks_matches_per_destination_reduces() {
     for p in SIZES {
-        for adaptive in [false, true] {
-            let config = if adaptive {
-                adaptive_config()
-            } else {
-                MachineConfig::default()
-            };
-            let cluster = Cluster::with_config(p, config);
+        for hint in HINTS {
             let len = 64; // per-destination block length
-            let out = cluster.run(|proc| {
+            let out = Cluster::new(p).run(|proc| {
                 let blocks: Vec<Vec<u64>> = (0..proc.nprocs())
                     .map(|j| contribution(proc.rank() * proc.nprocs() + j, len))
                     .collect();
-                let hint = if adaptive { BIG * 8 } else { 0 };
                 proc.reduce_scatter_blocks(blocks, hint, |a, b| a + b)
             });
             assert_counters_identity(&out, &format!("reduce_scatter p={p}"));
@@ -85,7 +73,7 @@ fn reduce_scatter_blocks_matches_per_destination_reduces() {
                         *t += v;
                     }
                 }
-                assert_eq!(got, &want, "p={p} adaptive={adaptive} dest={j}");
+                assert_eq!(got, &want, "p={p} hint={hint} dest={j}");
             }
         }
     }
@@ -101,20 +89,15 @@ fn reduce_elems_matches_binomial_reduce_for_every_schedule() {
                     a.into_iter().zip(b).map(|(x, y)| x + y).collect()
                 })
             });
-            for (adaptive, hint) in [(false, BIG * 8), (true, TINY_HINT), (true, BIG * 8)] {
-                let config = if adaptive {
-                    adaptive_config()
-                } else {
-                    MachineConfig::default()
-                };
-                let out = Cluster::with_config(p, config).run(|proc| {
+            for hint in HINTS {
+                let out = Cluster::new(p).run(|proc| {
                     proc.reduce_elems(root, contribution(proc.rank(), BIG), hint, |a, b| a + b)
                 });
                 assert_counters_identity(&out, &format!("reduce_elems p={p}"));
                 for rank in 0..p {
                     assert_eq!(
                         out.results[rank], baseline.results[rank],
-                        "p={p} root={root} adaptive={adaptive} hint={hint} rank={rank}"
+                        "p={p} root={root} hint={hint} rank={rank}"
                     );
                     if rank == root {
                         assert_eq!(out.results[rank].as_deref(), Some(&expected_sum(p, BIG)[..]));
@@ -133,20 +116,15 @@ fn allreduce_elems_matches_doubling_allreduce_for_every_schedule() {
                 a.into_iter().zip(b).map(|(x, y)| x + y).collect()
             })
         });
-        for (adaptive, hint) in [(false, BIG * 8), (true, TINY_HINT), (true, BIG * 8)] {
-            let config = if adaptive {
-                adaptive_config()
-            } else {
-                MachineConfig::default()
-            };
-            let out = Cluster::with_config(p, config).run(|proc| {
+        for hint in HINTS {
+            let out = Cluster::new(p).run(|proc| {
                 proc.allreduce_elems(contribution(proc.rank(), BIG), hint, |a, b| a + b)
             });
             assert_counters_identity(&out, &format!("allreduce_elems p={p}"));
             for rank in 0..p {
                 assert_eq!(
                     out.results[rank], baseline.results[rank],
-                    "p={p} adaptive={adaptive} hint={hint} rank={rank}"
+                    "p={p} hint={hint} rank={rank}"
                 );
                 assert_eq!(out.results[rank], expected_sum(p, BIG));
             }
@@ -155,46 +133,54 @@ fn allreduce_elems_matches_doubling_allreduce_for_every_schedule() {
 }
 
 #[test]
-fn adaptive_halving_is_cheaper_for_large_payloads() {
-    // The whole point of the adaptive schedules: same values, strictly less
-    // virtual communication time on bandwidth-bound payloads.
+fn halving_is_cheaper_for_large_payloads() {
+    // The whole point of the halving schedules: same values, strictly less
+    // virtual communication time on bandwidth-bound payloads than the
+    // doubling allreduce of the whole vector.
     for p in [4usize, 8] {
-        let classic = Cluster::new(p).run(|proc| {
+        let doubling = Cluster::new(p).run(|proc| {
+            proc.allreduce(contribution(proc.rank(), BIG), |a: Vec<u64>, b| {
+                a.into_iter().zip(b).map(|(x, y)| x + y).collect()
+            })
+        });
+        let halving = Cluster::new(p).run(|proc| {
             proc.allreduce_elems(contribution(proc.rank(), BIG), BIG * 8, |a, b| a + b)
         });
-        let adaptive = Cluster::with_config(p, adaptive_config()).run(|proc| {
-            proc.allreduce_elems(contribution(proc.rank(), BIG), BIG * 8, |a, b| a + b)
-        });
-        assert_eq!(adaptive.results, classic.results, "identical values at p={p}");
+        assert_eq!(halving.results, doubling.results, "identical values at p={p}");
         assert!(
-            adaptive.total_counters().comm_time < classic.total_counters().comm_time,
+            halving.total_counters().comm_time < doubling.total_counters().comm_time,
             "p={p}: halving comm {} must beat doubling comm {}",
-            adaptive.total_counters().comm_time,
-            classic.total_counters().comm_time
+            halving.total_counters().comm_time,
+            doubling.total_counters().comm_time
         );
     }
 }
 
 #[test]
-fn adaptive_tuning_keeps_small_payloads_bit_identical() {
-    // Below the crossover the adaptive machine must take the identical
-    // schedule — finish times agree to the bit.
+fn small_payloads_keep_the_binomial_schedule() {
+    // Below the crossover the element collectives must run the very
+    // schedule of the plain reduce/allreduce — finish times agree to the bit.
+    fn zip_sum(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+        a.into_iter().zip(b).map(|(x, y)| x + y).collect()
+    }
     for p in SIZES {
-        let run = |config: MachineConfig| {
-            Cluster::with_config(p, config).run(|proc| {
-                proc.charge(OpKind::Misc, proc.rank() as u64 + 1);
-                let r = proc.allreduce_elems(vec![proc.rank() as u64], TINY_HINT, |a, b| a + b);
-                let s = proc.reduce_elems(0, vec![1u64, 2], TINY_HINT, |a, b| a + b);
-                (r, s)
-            })
-        };
-        let classic = run(MachineConfig::default());
-        let adaptive = run(adaptive_config());
-        assert_eq!(adaptive.results, classic.results);
+        let plain = Cluster::new(p).run(|proc| {
+            proc.charge(OpKind::Misc, proc.rank() as u64 + 1);
+            let r = proc.allreduce(vec![proc.rank() as u64], zip_sum);
+            let s = proc.reduce(0, vec![1u64, 2], zip_sum);
+            (r, s)
+        });
+        let elems = Cluster::new(p).run(|proc| {
+            proc.charge(OpKind::Misc, proc.rank() as u64 + 1);
+            let r = proc.allreduce_elems(vec![proc.rank() as u64], TINY_HINT, |a, b| a + b);
+            let s = proc.reduce_elems(0, vec![1u64, 2], TINY_HINT, |a, b| a + b);
+            (r, s)
+        });
+        assert_eq!(elems.results, plain.results);
         for rank in 0..p {
             assert_eq!(
-                adaptive.stats[rank].finish_time.to_bits(),
-                classic.stats[rank].finish_time.to_bits(),
+                elems.stats[rank].finish_time.to_bits(),
+                plain.stats[rank].finish_time.to_bits(),
                 "p={p} rank={rank}: small-payload schedule must not change"
             );
         }
@@ -206,18 +192,9 @@ fn ring_all_gather_matches_all_gather() {
     for p in SIZES {
         let baseline = Cluster::new(p).run(|proc| proc.all_gather(contribution(proc.rank(), 97)));
         let ring = Cluster::new(p).run(|proc| proc.all_gather_ring(contribution(proc.rank(), 97)));
-        let adaptive = Cluster::with_config(p, adaptive_config())
-            .run(|proc| proc.all_gather(contribution(proc.rank(), 97)));
         assert_counters_identity(&ring, &format!("all_gather_ring p={p}"));
         for rank in 0..p {
             assert_eq!(ring.results[rank], baseline.results[rank], "p={p} rank={rank}");
-            // On this cost model the adaptive selection keeps recursive
-            // doubling (it dominates the ring for power-of-two p), so the
-            // adaptive machine stays bit-identical.
-            assert_eq!(
-                adaptive.stats[rank].finish_time.to_bits(),
-                baseline.stats[rank].finish_time.to_bits()
-            );
         }
     }
 }
@@ -258,10 +235,9 @@ fn min_loc_ignores_nan_scores() {
 // Fault-plan coverage for the try_* variants
 // ---------------------------------------------------------------------
 
-fn faulty_config(plan: FaultPlan, adaptive: bool) -> MachineConfig {
+fn faulty_config(plan: FaultPlan) -> MachineConfig {
     MachineConfig {
         faults: plan,
-        collectives: CollectiveTuning { adaptive },
         ..MachineConfig::default()
     }
 }
@@ -269,40 +245,35 @@ fn faulty_config(plan: FaultPlan, adaptive: bool) -> MachineConfig {
 #[test]
 fn try_variants_match_plain_when_healthy() {
     for p in SIZES {
-        for adaptive in [false, true] {
-            let config = if adaptive {
-                adaptive_config()
-            } else {
-                MachineConfig::default()
-            };
-            let run_plain = Cluster::with_config(p, config.clone()).run(|proc| {
+        for hint in HINTS {
+            let run_plain = Cluster::new(p).run(|proc| {
                 let rs = proc.reduce_scatter_blocks(
                     (0..proc.nprocs())
                         .map(|j| contribution(proc.rank() + j, 32))
                         .collect(),
-                    BIG * 8,
+                    hint,
                     |a, b| a + b,
                 );
-                let re = proc.reduce_elems(0, contribution(proc.rank(), BIG), BIG * 8, |a, b| a + b);
-                let ar = proc.allreduce_elems(contribution(proc.rank(), BIG), BIG * 8, |a, b| a + b);
+                let re = proc.reduce_elems(0, contribution(proc.rank(), BIG), hint, |a, b| a + b);
+                let ar = proc.allreduce_elems(contribution(proc.rank(), BIG), hint, |a, b| a + b);
                 let rg = proc.all_gather_ring(proc.rank() as u64);
                 (rs, re, ar, rg)
             });
-            let run_try = Cluster::with_config(p, config).run(|proc| {
+            let run_try = Cluster::new(p).run(|proc| {
                 let rs = proc
                     .try_reduce_scatter_blocks(
                         (0..proc.nprocs())
                             .map(|j| contribution(proc.rank() + j, 32))
                             .collect(),
-                        BIG * 8,
+                        hint,
                         |a, b| a + b,
                     )
                     .expect("healthy try_reduce_scatter");
                 let re = proc
-                    .try_reduce_elems(0, contribution(proc.rank(), BIG), BIG * 8, |a, b| a + b)
+                    .try_reduce_elems(0, contribution(proc.rank(), BIG), hint, |a, b| a + b)
                     .expect("healthy try_reduce_elems");
                 let ar = proc
-                    .try_allreduce_elems(contribution(proc.rank(), BIG), BIG * 8, |a, b| a + b)
+                    .try_allreduce_elems(contribution(proc.rank(), BIG), hint, |a, b| a + b)
                     .expect("healthy try_allreduce_elems");
                 let rg = proc
                     .try_all_gather_ring(proc.rank() as u64)
@@ -310,7 +281,7 @@ fn try_variants_match_plain_when_healthy() {
                 (rs, re, ar, rg)
             });
             assert_counters_identity(&run_try, &format!("try variants p={p}"));
-            assert_eq!(run_try.results, run_plain.results, "p={p} adaptive={adaptive}");
+            assert_eq!(run_try.results, run_plain.results, "p={p} hint={hint}");
         }
     }
 }
@@ -320,23 +291,23 @@ fn try_variants_surface_errors_instead_of_hanging() {
     // Every transmission drops and retries are exhausted immediately: every
     // rank must come back with Err from every schedule, not hang.
     for p in [2usize, 3, 4, 5, 8] {
-        for adaptive in [false, true] {
+        for hint in HINTS {
             let mut plan = FaultPlan::with_seed(97);
             plan.link.drop_prob = 1.0;
             plan.link.max_retries = 0;
-            let out = Cluster::with_config(p, faulty_config(plan, adaptive)).run(|proc| {
+            let out = Cluster::with_config(p, faulty_config(plan)).run(|proc| {
                 let rs = proc
                     .try_reduce_scatter_blocks(
                         (0..proc.nprocs()).map(|_| vec![1u64; 16]).collect(),
-                        BIG * 8,
+                        hint,
                         |a, b| a + b,
                     )
                     .is_err();
                 let re = proc
-                    .try_reduce_elems(0, vec![1u64; 64], BIG * 8, |a, b| a + b)
+                    .try_reduce_elems(0, vec![1u64; 64], hint, |a, b| a + b)
                     .is_err();
                 let ar = proc
-                    .try_allreduce_elems(vec![1u64; 64], BIG * 8, |a, b| a + b)
+                    .try_allreduce_elems(vec![1u64; 64], hint, |a, b| a + b)
                     .is_err();
                 let rg = proc.try_all_gather_ring(7u64).is_err();
                 (rs, re, ar, rg)
@@ -345,7 +316,7 @@ fn try_variants_surface_errors_instead_of_hanging() {
             for (rank, &(rs, re, ar, rg)) in out.results.iter().enumerate() {
                 assert!(
                     rs && re && ar && rg,
-                    "p={p} adaptive={adaptive} rank={rank}: every schedule must surface the fault"
+                    "p={p} hint={hint} rank={rank}: every schedule must surface the fault"
                 );
             }
         }
@@ -357,20 +328,20 @@ fn try_variants_recover_under_retried_drops() {
     // Drops with generous retries: the collectives must succeed and agree
     // with the fault-free values (retries only cost virtual time).
     for p in SIZES {
-        for adaptive in [false, true] {
+        for hint in HINTS {
             let mut plan = FaultPlan::with_seed(41);
             plan.link.drop_prob = 0.2;
             plan.link.max_retries = 50;
-            let out = Cluster::with_config(p, faulty_config(plan, adaptive)).run(|proc| {
+            let out = Cluster::with_config(p, faulty_config(plan)).run(|proc| {
                 let ar = proc
-                    .try_allreduce_elems(contribution(proc.rank(), 256), 256 * 8, |a, b| a + b)
+                    .try_allreduce_elems(contribution(proc.rank(), 256), hint, |a, b| a + b)
                     .expect("retried allreduce_elems");
                 let rs = proc
                     .try_reduce_scatter_blocks(
                         (0..proc.nprocs())
                             .map(|j| contribution(j, 16))
                             .collect(),
-                        256 * 8,
+                        hint,
                         |a, b| a + b,
                     )
                     .expect("retried reduce_scatter");

@@ -159,22 +159,27 @@ fn event_backend_propagates_rank_panic_not_bystander_abort() {
 fn thread_backend_timeout_names_every_blocked_rank() {
     // Satellite: the wall-clock detector's panic must say *which* ranks
     // were blocked on what, not just "timed out".
-    let config = MachineConfig {
-        recv_timeout: Duration::from_millis(50),
-        ..MachineConfig::default()
-    };
-    let msg = run_panic_message(2, config, |proc| {
-        // Both ranks wait on each other with mismatched tags: a deadlock
-        // the wall-clock detector must catch and describe.
-        let peer = 1 - proc.rank();
-        let tag = 0x50 + proc.rank() as u32;
-        let _: u64 = proc.recv(peer, tag);
-    });
-    assert!(msg.contains("receive timed out"), "{msg}");
-    assert!(msg.contains("Ranks blocked at timeout"), "{msg}");
-    assert!(msg.contains("rank 0 <- recv(src=1, tag=0x50)"), "{msg}");
-    assert!(msg.contains("rank 1 <- recv(src=0, tag=0x51)"), "{msg}");
-    assert!(msg.contains("event backend"), "{msg}");
+    // Both ranks time out together, so each must still be on the wait
+    // board when the other snapshots it; loop so a regression that only
+    // loses the race sometimes cannot hide.
+    for round in 0..50 {
+        let config = MachineConfig {
+            recv_timeout: Duration::from_millis(50),
+            ..MachineConfig::default()
+        };
+        let msg = run_panic_message(2, config, |proc| {
+            // Both ranks wait on each other with mismatched tags: a deadlock
+            // the wall-clock detector must catch and describe.
+            let peer = 1 - proc.rank();
+            let tag = 0x50 + proc.rank() as u32;
+            let _: u64 = proc.recv(peer, tag);
+        });
+        assert!(msg.contains("receive timed out"), "round {round}: {msg}");
+        assert!(msg.contains("Ranks blocked at timeout"), "round {round}: {msg}");
+        assert!(msg.contains("rank 0 <- recv(src=1, tag=0x50)"), "round {round}: {msg}");
+        assert!(msg.contains("rank 1 <- recv(src=0, tag=0x51)"), "round {round}: {msg}");
+        assert!(msg.contains("event backend"), "round {round}: {msg}");
+    }
 }
 
 #[test]

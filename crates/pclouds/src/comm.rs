@@ -1,16 +1,15 @@
 //! Batched histogram messages for the replication method (§5.1.1).
 //!
 //! The stats phase of pCLOUDS combines every attribute's statistics to an
-//! owning processor. Historically that was one global combine *per
-//! attribute* — `A` message startups per node. [`HistMsg`] lets all
-//! attributes of a node (or of a whole concatenated level) travel in **one**
-//! batched reduce-scatter: each destination's attributes form one block, the
-//! collective merges blocks element-wise, and every owner receives exactly
-//! the statistics it would have obtained from the per-attribute combines.
+//! owning processor. All attributes of a node (or of a whole concatenated
+//! level) travel in **one** batched reduce-scatter of [`HistMsg`] entries:
+//! each destination's attributes form one block, the collective merges
+//! blocks element-wise, and every owner receives the combined statistics of
+//! the attributes it owns.
 //!
-//! The wire format optionally stores the interval count arrays **sparsely**
-//! (varint gap/value pairs over the non-zero entries): local partitions of
-//! deep nodes leave most interval × class cells at zero, so the sparse form
+//! On the wire the interval count arrays are stored **sparsely** (varint
+//! gap/value pairs over the non-zero entries): local partitions of deep
+//! nodes leave most interval × class cells at zero, so the sparse form
 //! shrinks `beta * m` without changing any decoded value. Because encoded
 //! sizes then differ between ranks, collective-algorithm selection must
 //! never look at a local encoding — [`HistMsg::dense_hint`] supplies a
@@ -21,85 +20,45 @@ use pdc_clouds::{AttrIntervalStats, ClassCounts, CountMatrix};
 
 /// One attribute's statistics inside a batched histogram message.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HistPayload {
+pub enum HistMsg {
     /// Interval class frequencies of a numeric attribute.
     Numeric(AttrIntervalStats),
     /// Count matrix of a categorical attribute.
     Categorical(CountMatrix),
 }
 
-/// A batched histogram entry: one attribute's statistics plus the wire
-/// representation it travels in (dense or sparse counts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistMsg {
-    /// Encode the count arrays sparsely (varint gap/value pairs). Pure wire
-    /// representation: decoding restores the exact dense values.
-    pub sparse: bool,
-    /// The attribute statistics carried by this entry.
-    pub payload: HistPayload,
-}
+const TAG_NUMERIC: u8 = 0;
+const TAG_CATEGORICAL: u8 = 1;
 
-// Wire tags: dense/sparse × numeric/categorical.
-const TAG_DENSE_NUMERIC: u8 = 0;
-const TAG_SPARSE_NUMERIC: u8 = 1;
-const TAG_DENSE_CATEGORICAL: u8 = 2;
-const TAG_SPARSE_CATEGORICAL: u8 = 3;
+/// Largest count table (rows, and rows × columns) the decoder will
+/// allocate for. The paper's largest table is `q_root = 10,000` intervals ×
+/// 2 classes; a header claiming more than fifty times that is corrupt, and
+/// is rejected before any allocation is sized from it.
+const MAX_SPARSE_CELLS: usize = 1 << 20;
 
 impl HistMsg {
-    /// Wrap a numeric attribute's statistics.
-    pub fn numeric(stats: AttrIntervalStats, sparse: bool) -> Self {
-        HistMsg {
-            sparse,
-            payload: HistPayload::Numeric(stats),
-        }
-    }
-
-    /// Wrap a categorical attribute's count matrix.
-    pub fn categorical(matrix: CountMatrix, sparse: bool) -> Self {
-        HistMsg {
-            sparse,
-            payload: HistPayload::Categorical(matrix),
-        }
-    }
-
     /// Merge two entries for the same attribute (element-wise sum), the
     /// combine function of the batched reduce-scatter. Panics when the two
     /// entries describe different attributes — that would mean the batched
     /// blocks were assembled in different orders on different ranks.
     pub fn merged(mut a: HistMsg, b: HistMsg) -> HistMsg {
-        match (&mut a.payload, &b.payload) {
-            (HistPayload::Numeric(x), HistPayload::Numeric(y)) => x.merge(y),
-            (HistPayload::Categorical(x), HistPayload::Categorical(y)) => x.merge(y),
+        match (&mut a, &b) {
+            (HistMsg::Numeric(x), HistMsg::Numeric(y)) => x.merge(y),
+            (HistMsg::Categorical(x), HistMsg::Categorical(y)) => x.merge(y),
             _ => panic!("batched histogram blocks misaligned: numeric/categorical mismatch"),
         }
         a
-    }
-
-    /// Unwrap a numeric entry; panics on a categorical one.
-    pub fn into_numeric(self) -> AttrIntervalStats {
-        match self.payload {
-            HistPayload::Numeric(s) => s,
-            HistPayload::Categorical(_) => panic!("expected numeric histogram entry"),
-        }
-    }
-
-    /// Unwrap a categorical entry; panics on a numeric one.
-    pub fn into_categorical(self) -> CountMatrix {
-        match self.payload {
-            HistPayload::Categorical(m) => m,
-            HistPayload::Numeric(_) => panic!("expected categorical histogram entry"),
-        }
     }
 
     /// Size of the **dense** encoding of this entry, derived from the shape
     /// only (interval count, class count, cardinality) — never from the
     /// values. Every rank holds the same shapes for a node, so this hint is
     /// identical on every rank and safe to feed into collective-algorithm
-    /// selection (unlike a locally encoded — possibly sparse — size).
+    /// selection (unlike the locally encoded sparse size).
     pub fn dense_hint(&self) -> usize {
         // 1 tag byte + the fixed-width field layout of the dense form.
-        match &self.payload {
-            HistPayload::Numeric(s) => {
+        match self {
+            HistMsg::Numeric(s) => {
                 let q = s.counts.len();
                 let nclasses = s.counts.first().map_or(0, |c| c.len());
                 let boundaries = s.intervals.boundaries().len();
@@ -107,7 +66,7 @@ impl HistMsg {
                 // (len + nclasses u64s)) + ranges(len + q Some(min,max)).
                 1 + 8 + (8 + boundaries * 8) + (8 + q * (8 + nclasses * 8)) + (8 + q * 17)
             }
-            HistPayload::Categorical(m) => {
+            HistMsg::Categorical(m) => {
                 let card = m.counts.len();
                 let nclasses = m.counts.first().map_or(0, |c| c.len());
                 1 + 8 + (8 + card * (8 + nclasses * 8))
@@ -136,36 +95,33 @@ fn encode_sparse_counts(buf: &mut Vec<u8>, counts: &[ClassCounts]) {
 
 /// Decode the sparse count table back into its exact dense form.
 fn decode_sparse_counts(buf: &mut &[u8]) -> DecodeResult<Vec<ClassCounts>> {
-    let rows = decode_varint(buf)? as usize;
-    let cols = decode_varint(buf)? as usize;
-    let cells = rows.checked_mul(cols).ok_or(DecodeError {
-        what: "sparse histogram shape overflows",
+    let err = |what: &'static str, buf: &[u8]| DecodeError {
+        what,
         remaining: buf.len(),
         trailing: false,
-    })?;
+    };
+    let rows = usize::try_from(decode_varint(buf)?).unwrap_or(usize::MAX);
+    let cols = usize::try_from(decode_varint(buf)?).unwrap_or(usize::MAX);
+    // Bound both what is allocated (`rows` vectors of `cols` counts) and
+    // what is indexed, before allocating anything.
+    let cells = rows
+        .checked_mul(cols)
+        .filter(|&cells| cells.max(rows) <= MAX_SPARSE_CELLS)
+        .ok_or_else(|| err("sparse histogram shape out of range", buf))?;
     // A corrupt length cannot claim more cells than one varint byte each
     // could have produced non-zeros for.
-    let nonzero = decode_varint(buf)? as usize;
-    if nonzero > cells || nonzero > buf.len() {
-        return Err(DecodeError {
-            what: "sparse histogram non-zero count out of range",
-            remaining: buf.len(),
-            trailing: false,
-        });
+    let nonzero = decode_varint(buf)?;
+    if nonzero > cells as u64 || nonzero > buf.len() as u64 {
+        return Err(err("sparse histogram non-zero count out of range", buf));
     }
     let mut counts = vec![vec![0u64; cols]; rows];
     let mut next = 0u64;
     for _ in 0..nonzero {
-        let idx = next + decode_varint(buf)?;
-        let v = decode_varint(buf)?;
-        if idx as usize >= cells {
-            return Err(DecodeError {
-                what: "sparse histogram index out of range",
-                remaining: buf.len(),
-                trailing: false,
-            });
-        }
-        counts[idx as usize / cols][idx as usize % cols] = v;
+        let idx = next
+            .checked_add(decode_varint(buf)?)
+            .filter(|&idx| idx < cells as u64)
+            .ok_or_else(|| err("sparse histogram index out of range", buf))?;
+        counts[idx as usize / cols][idx as usize % cols] = decode_varint(buf)?;
         next = idx + 1;
     }
     Ok(counts)
@@ -173,24 +129,16 @@ fn decode_sparse_counts(buf: &mut &[u8]) -> DecodeResult<Vec<ClassCounts>> {
 
 impl Wire for HistMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match (&self.payload, self.sparse) {
-            (HistPayload::Numeric(s), false) => {
-                buf.push(TAG_DENSE_NUMERIC);
-                s.encode(buf);
-            }
-            (HistPayload::Numeric(s), true) => {
-                buf.push(TAG_SPARSE_NUMERIC);
+        match self {
+            HistMsg::Numeric(s) => {
+                buf.push(TAG_NUMERIC);
                 encode_varint(buf, s.attr as u64);
                 s.intervals.encode(buf);
                 encode_sparse_counts(buf, &s.counts);
                 s.ranges.encode(buf);
             }
-            (HistPayload::Categorical(m), false) => {
-                buf.push(TAG_DENSE_CATEGORICAL);
-                m.encode(buf);
-            }
-            (HistPayload::Categorical(m), true) => {
-                buf.push(TAG_SPARSE_CATEGORICAL);
+            HistMsg::Categorical(m) => {
+                buf.push(TAG_CATEGORICAL);
                 encode_varint(buf, m.attr as u64);
                 encode_sparse_counts(buf, &m.counts);
             }
@@ -198,32 +146,17 @@ impl Wire for HistMsg {
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        let tag = u8::decode(bytes)?;
-        match tag {
-            TAG_DENSE_NUMERIC => Ok(HistMsg::numeric(AttrIntervalStats::decode(bytes)?, false)),
-            TAG_SPARSE_NUMERIC => {
-                let attr = decode_varint(bytes)? as usize;
-                let intervals = pdc_clouds::IntervalSet::decode(bytes)?;
-                let counts = decode_sparse_counts(bytes)?;
-                let ranges = Vec::<Option<(f64, f64)>>::decode(bytes)?;
-                Ok(HistMsg::numeric(
-                    AttrIntervalStats {
-                        attr,
-                        intervals,
-                        counts,
-                        ranges,
-                    },
-                    true,
-                ))
-            }
-            TAG_DENSE_CATEGORICAL => {
-                Ok(HistMsg::categorical(CountMatrix::decode(bytes)?, false))
-            }
-            TAG_SPARSE_CATEGORICAL => {
-                let attr = decode_varint(bytes)? as usize;
-                let counts = decode_sparse_counts(bytes)?;
-                Ok(HistMsg::categorical(CountMatrix { attr, counts }, true))
-            }
+        match u8::decode(bytes)? {
+            TAG_NUMERIC => Ok(HistMsg::Numeric(AttrIntervalStats {
+                attr: decode_varint(bytes)? as usize,
+                intervals: pdc_clouds::IntervalSet::decode(bytes)?,
+                counts: decode_sparse_counts(bytes)?,
+                ranges: Vec::<Option<(f64, f64)>>::decode(bytes)?,
+            })),
+            TAG_CATEGORICAL => Ok(HistMsg::Categorical(CountMatrix {
+                attr: decode_varint(bytes)? as usize,
+                counts: decode_sparse_counts(bytes)?,
+            })),
             _ => Err(DecodeError {
                 what: "histogram message tag out of range",
                 remaining: bytes.len(),
@@ -255,14 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_decode_to_identical_values() {
-        for sparse in [false, true] {
-            let n = HistMsg::numeric(sample_numeric(), sparse);
-            let back = HistMsg::from_bytes(&n.to_bytes()).unwrap();
-            assert_eq!(back.payload, n.payload, "sparse={sparse}");
-            let c = HistMsg::categorical(sample_categorical(), sparse);
-            let back = HistMsg::from_bytes(&c.to_bytes()).unwrap();
-            assert_eq!(back.payload, c.payload, "sparse={sparse}");
+    fn sparse_wire_decodes_to_identical_values() {
+        for msg in [
+            HistMsg::Numeric(sample_numeric()),
+            HistMsg::Categorical(sample_categorical()),
+        ] {
+            assert_eq!(HistMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
         }
     }
 
@@ -280,8 +211,8 @@ mod tests {
             },
             ranges: vec![None; 64],
         };
-        let dense = HistMsg::numeric(stats.clone(), false).to_bytes();
-        let sparse = HistMsg::numeric(stats, true).to_bytes();
+        let dense = stats.to_bytes();
+        let sparse = HistMsg::Numeric(stats).to_bytes();
         assert!(
             sparse.len() < dense.len() / 2,
             "sparse {} vs dense {}",
@@ -291,64 +222,78 @@ mod tests {
     }
 
     #[test]
-    fn dense_hint_matches_dense_encoding_and_ignores_values() {
+    fn dense_hint_prices_the_dense_layout_and_ignores_values() {
         let full = sample_numeric();
         let mut empty = full.clone();
         for row in &mut empty.counts {
             row.iter_mut().for_each(|v| *v = 0);
         }
-        let dense_full = HistMsg::numeric(full.clone(), false);
-        let sparse_empty = HistMsg::numeric(empty, true);
-        // Same shape => same hint, regardless of values or wire form...
-        assert_eq!(dense_full.dense_hint(), sparse_empty.dense_hint());
-        // ...and the hint prices the dense layout (ranges at worst case).
+        // Same shape => same hint, regardless of values...
+        assert_eq!(
+            HistMsg::Numeric(full.clone()).dense_hint(),
+            HistMsg::Numeric(empty).dense_hint()
+        );
+        // ...and the hint prices tag + dense layout (ranges at worst case).
         let mut worst = full;
         worst.ranges = vec![Some((0.0, 1.0)); worst.ranges.len()];
-        let encoded = HistMsg::numeric(worst.clone(), false).to_bytes();
-        assert_eq!(HistMsg::numeric(worst, false).dense_hint(), encoded.len());
-        let cat = HistMsg::categorical(sample_categorical(), false);
-        assert_eq!(cat.dense_hint(), cat.to_bytes().len());
+        let dense = 1 + worst.to_bytes().len();
+        assert_eq!(HistMsg::Numeric(worst).dense_hint(), dense);
+        let cat = sample_categorical();
+        let dense = 1 + cat.to_bytes().len();
+        assert_eq!(HistMsg::Categorical(cat).dense_hint(), dense);
     }
 
     #[test]
     fn merged_matches_per_attribute_merge() {
         let mut a = sample_numeric();
         let b = sample_numeric();
-        let merged = HistMsg::merged(
-            HistMsg::numeric(a.clone(), true),
-            HistMsg::numeric(b.clone(), false),
-        );
+        let merged = HistMsg::merged(HistMsg::Numeric(a.clone()), HistMsg::Numeric(b.clone()));
         a.merge(&b);
-        assert_eq!(merged.into_numeric(), a);
+        assert_eq!(merged, HistMsg::Numeric(a));
         let mut x = sample_categorical();
         let y = sample_categorical();
-        let merged = HistMsg::merged(
-            HistMsg::categorical(x.clone(), false),
-            HistMsg::categorical(y.clone(), false),
-        );
+        let merged =
+            HistMsg::merged(HistMsg::Categorical(x.clone()), HistMsg::Categorical(y.clone()));
         x.merge(&y);
-        assert_eq!(merged.into_categorical(), x);
+        assert_eq!(merged, HistMsg::Categorical(x));
+    }
+
+    /// A categorical message with the given table header and (gap, value)
+    /// varints — the shortest frame around `decode_sparse_counts`.
+    fn categorical_frame(rows: u64, cols: u64, nnz: u64, pairs: &[(u64, u64)]) -> Vec<u8> {
+        let mut buf = vec![TAG_CATEGORICAL];
+        encode_varint(&mut buf, 0); // attr
+        encode_varint(&mut buf, rows);
+        encode_varint(&mut buf, cols);
+        encode_varint(&mut buf, nnz);
+        for &(gap, value) in pairs {
+            encode_varint(&mut buf, gap);
+            encode_varint(&mut buf, value);
+        }
+        buf
     }
 
     #[test]
     fn corrupt_sparse_payloads_error_instead_of_panicking() {
         // Index beyond the table.
-        let mut buf = vec![TAG_SPARSE_CATEGORICAL];
-        encode_varint(&mut buf, 0); // attr
-        encode_varint(&mut buf, 2); // rows
-        encode_varint(&mut buf, 2); // cols
-        encode_varint(&mut buf, 1); // nnz
-        encode_varint(&mut buf, 9); // gap -> index 9 >= 4 cells
-        encode_varint(&mut buf, 1); // value
-        assert!(HistMsg::from_bytes(&buf).is_err());
+        assert!(HistMsg::from_bytes(&categorical_frame(2, 2, 1, &[(9, 1)])).is_err());
         // Non-zero count larger than the table.
-        let mut buf = vec![TAG_SPARSE_CATEGORICAL];
-        encode_varint(&mut buf, 0);
-        encode_varint(&mut buf, 1);
-        encode_varint(&mut buf, 1);
-        encode_varint(&mut buf, 1000);
-        assert!(HistMsg::from_bytes(&buf).is_err());
+        assert!(HistMsg::from_bytes(&categorical_frame(1, 1, 1000, &[])).is_err());
         // Unknown tag.
         assert!(HistMsg::from_bytes(&[99]).is_err());
+        // A gap that overflows the running index after one valid entry.
+        let overflow = categorical_frame(2, 2, 2, &[(0, 1), (u64::MAX, 1)]);
+        assert!(HistMsg::from_bytes(&overflow).is_err());
+        // A header asking for terabytes with no entries to back it, by
+        // rows alone, by columns alone and by their product.
+        for (rows, cols) in [(1 << 40, 1), (1, 1 << 40), (1 << 40, 0), (1 << 11, 1 << 11)] {
+            assert!(
+                HistMsg::from_bytes(&categorical_frame(rows, cols, 0, &[])).is_err(),
+                "rows={rows} cols={cols}"
+            );
+        }
+        // The documented bound itself is accepted.
+        let at_bound = categorical_frame(MAX_SPARSE_CELLS as u64 / 2, 2, 0, &[]);
+        assert!(HistMsg::from_bytes(&at_bound).is_ok());
     }
 }

@@ -16,34 +16,6 @@ pub enum BoundaryEval {
     IntervalBased,
 }
 
-/// Communication strategy of the stats/SSE combine phases.
-///
-/// Both switches default **off**, which keeps the historical per-attribute
-/// combines and clones — runs stay bit-identical with earlier versions.
-/// [`CommConfig::efficient`] turns on the batched single-collective path
-/// with sparse wire encoding (see `crates/pclouds/src/comm.rs`); the
-/// resulting trees are identical, only the communication schedule changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CommConfig {
-    /// Fuse the per-attribute global combines of the stats and SSE phases
-    /// into one batched reduce-scatter per node (or per concatenated
-    /// level): a single collective instead of `A` of them.
-    pub batched_stats: bool,
-    /// Encode interval count arrays sparsely on the wire (varint gap/value
-    /// pairs over the non-zero cells). Decoded values are unchanged.
-    pub sparse_histograms: bool,
-}
-
-impl CommConfig {
-    /// Everything on: batched combines with sparse encoding.
-    pub fn efficient() -> Self {
-        CommConfig {
-            batched_stats: true,
-            sparse_histograms: true,
-        }
-    }
-}
-
 /// Parameters of a pCLOUDS training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcloudsConfig {
@@ -66,8 +38,6 @@ pub struct PcloudsConfig {
     /// Off by default — the paper's implementation does not regroup idle
     /// processors, and with an inert fault plan the setting changes nothing.
     pub recover_small_tasks: bool,
-    /// Communication strategy of the combine phases (see [`CommConfig`]).
-    pub comm: CommConfig,
 }
 
 impl Default for PcloudsConfig {
@@ -78,7 +48,6 @@ impl Default for PcloudsConfig {
             switch_threshold_intervals: 10,
             boundary_eval: BoundaryEval::AttributeBased,
             recover_small_tasks: false,
-            comm: CommConfig::default(),
         }
     }
 }

@@ -43,7 +43,7 @@ pub use builder::{
     load_dataset, load_dataset_stream, train, train_in_group, train_in_memory, RootInfo,
     TrainOutput,
 };
-pub use comm::{HistMsg, HistPayload};
-pub use config::{BoundaryEval, CommConfig, PcloudsConfig};
+pub use comm::HistMsg;
+pub use config::{BoundaryEval, PcloudsConfig};
 pub use problem::{NodeMeta, OwnedSlice, PcloudsProblem};
 pub use state::{BuildMetrics, SharedBuild};

@@ -8,9 +8,10 @@
 //!    streaming pass, or for free when the parent's partition pass fused
 //!    them in).
 //! 2. *Deriving the splitting point* — the **replication method** with the
-//!    **attribute-based approach**: each attribute's statistics are
-//!    combined to an owning processor (global combine); owners prefix-sum
-//!    the frequency vectors and evaluate gini at the interval boundaries;
+//!    **attribute-based approach**: all attributes' statistics are
+//!    combined to their owning processors in one batched reduce-scatter
+//!    (see [`crate::comm`]); owners prefix-sum the frequency vectors and
+//!    evaluate gini at the interval boundaries;
 //!    a min-loc reduction yields `gini_min`; owners determine the **alive
 //!    intervals** (SSE lower bound) and the statuses are broadcast
 //!    (all-gather); alive intervals are LPT-assigned, their points shipped
@@ -37,7 +38,7 @@ use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_dnc::{lpt_assign, Outcome, OocProblem, Task};
 use pdc_pario::{DiskFarm, Rec};
 
-use crate::comm::{HistMsg, HistPayload};
+use crate::comm::HistMsg;
 use crate::config::{BoundaryEval, PcloudsConfig};
 use crate::state::SharedBuild;
 
@@ -155,113 +156,80 @@ impl PcloudsProblem<'_> {
         stats
     }
 
-    /// Phase 2a: replication method (attribute-based). Combines each
-    /// attribute's statistics to its owner; owners evaluate boundary and
-    /// categorical ginis. Returns this processor's best owned candidate and
-    /// the attribute statistics it owns (for alive-interval determination).
+    /// Phase 2a, communication: the replication method (attribute-based).
+    /// Every attribute's statistics of every node in `stats` travel in
+    /// **one** reduce-scatter — destination `a % p` (numeric) /
+    /// `(A_num + a) % p` (categorical) gets one block with all its
+    /// attributes. The collective's schedule (fan-in vs. recursive halving)
+    /// is picked from the cost model; the size hint is derived from the
+    /// histogram *shapes*, which every rank agrees on, never from a local
+    /// (sparse) encoding. Returns this rank's block: its owned attributes in
+    /// ascending global order, `stats.len()` consecutive entries per
+    /// attribute, in `stats` order.
+    fn combine_statistics(&self, proc: &mut Proc, stats: &mut [NodeStats]) -> Vec<HistMsg> {
+        let p = proc.nprocs();
+        let mut blocks: Vec<Vec<HistMsg>> = vec![Vec::new(); p];
+        let mut hint = 0usize;
+        for a in 0..NUM_NUMERIC {
+            for s in stats.iter_mut() {
+                let msg = HistMsg::Numeric(take_numeric(s, a));
+                hint += msg.dense_hint();
+                blocks[a % p].push(msg);
+            }
+        }
+        for a in 0..NUM_CATEGORICAL {
+            for s in stats.iter_mut() {
+                let msg = HistMsg::Categorical(take_categorical(s, a));
+                hint += msg.dense_hint();
+                blocks[(NUM_NUMERIC + a) % p].push(msg);
+            }
+        }
+        proc.reduce_scatter_blocks(blocks, hint, HistMsg::merged)
+    }
+
+    /// Phase 2a, owner side: evaluate boundary (numeric) or subset
+    /// (categorical) ginis of one combined attribute — "completely local to
+    /// the processor". Returns the attribute's best candidate and, for a
+    /// numeric attribute, its statistics (for alive-interval determination).
+    fn evaluate_owned(
+        &self,
+        proc: &mut Proc,
+        msg: HistMsg,
+        node_total: &ClassCounts,
+    ) -> (Option<Candidate>, Option<pdc_clouds::AttrIntervalStats>) {
+        match msg {
+            HistMsg::Numeric(attr_stats) => {
+                // Prefix sums over the boundary frequency vectors + one
+                // gini evaluation per boundary.
+                let nb = attr_stats.intervals.boundaries().len() as u64;
+                proc.charge(OpKind::HistUpdate, nb * node_total.len() as u64);
+                proc.charge(OpKind::GiniEval, nb);
+                (attr_stats.best_boundary(node_total), Some(attr_stats))
+            }
+            HistMsg::Categorical(matrix) => {
+                proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
+                let cand = matrix.best_split(node_total, self.params().cat_exhaustive_limit);
+                (cand, None)
+            }
+        }
+    }
+
+    /// Phase 2a for one node: returns this processor's best owned candidate
+    /// and the attribute statistics it owns.
     fn derive_boundary_candidates(
         &self,
         proc: &mut Proc,
         stats: &mut NodeStats,
         node_total: &ClassCounts,
     ) -> (Option<Candidate>, Vec<pdc_clouds::AttrIntervalStats>) {
-        if self.config.comm.batched_stats {
-            return self.derive_boundary_candidates_batched(proc, stats, node_total);
-        }
-        let p = proc.nprocs();
         let mut local_best: Option<Candidate> = None;
         let mut owned = Vec::new();
-        for a in 0..NUM_NUMERIC {
-            let owner = a % p;
-            let combined = proc.reduce(owner, take_numeric(stats, a), |mut x, y| {
-                x.merge(&y);
-                x
-            });
-            if let Some(attr_stats) = combined {
-                let nb = attr_stats.intervals.boundaries().len() as u64;
-                let c = node_total.len() as u64;
-                // Prefix sums over the boundary frequency vectors + one gini
-                // evaluation per boundary — "completely local to the
-                // processor".
-                proc.charge(OpKind::HistUpdate, nb * c);
-                proc.charge(OpKind::GiniEval, nb);
-                if let Some(cand) = attr_stats.best_boundary(node_total) {
-                    local_best = Candidate::better(local_best, cand);
-                }
-                owned.push(attr_stats);
+        for msg in self.combine_statistics(proc, std::slice::from_mut(stats)) {
+            let (cand, attr_stats) = self.evaluate_owned(proc, msg, node_total);
+            if let Some(cand) = cand {
+                local_best = Candidate::better(local_best, cand);
             }
-        }
-        for a in 0..NUM_CATEGORICAL {
-            let owner = (NUM_NUMERIC + a) % p;
-            let combined = proc.reduce(owner, take_categorical(stats, a), |mut x, y| {
-                x.merge(&y);
-                x
-            });
-            if let Some(matrix) = combined {
-                proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
-                if let Some(cand) =
-                    matrix.best_split(node_total, self.params().cat_exhaustive_limit)
-                {
-                    local_best = Candidate::better(local_best, cand);
-                }
-            }
-        }
-        (local_best, owned)
-    }
-
-    /// Batched variant of [`Self::derive_boundary_candidates`]
-    /// ([`crate::config::CommConfig::batched_stats`]): every attribute's
-    /// statistics travel in **one** reduce-scatter — destination `a % p`
-    /// (numeric) / `(A_num + a) % p` (categorical) gets one block with all
-    /// its attributes — instead of `A` separate combines. The collective's
-    /// algorithm (fan-in vs. recursive halving) is picked from the cost
-    /// model under [`pdc_cgm::CollectiveTuning`]; the size hint is derived
-    /// from the histogram *shapes*, which every rank agrees on, never from
-    /// a local (possibly sparse) encoding.
-    fn derive_boundary_candidates_batched(
-        &self,
-        proc: &mut Proc,
-        stats: &mut NodeStats,
-        node_total: &ClassCounts,
-    ) -> (Option<Candidate>, Vec<pdc_clouds::AttrIntervalStats>) {
-        let p = proc.nprocs();
-        let sparse = self.config.comm.sparse_histograms;
-        let mut blocks: Vec<Vec<HistMsg>> = vec![Vec::new(); p];
-        let mut hint = 0usize;
-        for a in 0..NUM_NUMERIC {
-            let msg = HistMsg::numeric(take_numeric(stats, a), sparse);
-            hint += msg.dense_hint();
-            blocks[a % p].push(msg);
-        }
-        for a in 0..NUM_CATEGORICAL {
-            let msg = HistMsg::categorical(take_categorical(stats, a), sparse);
-            hint += msg.dense_hint();
-            blocks[(NUM_NUMERIC + a) % p].push(msg);
-        }
-        let mine = proc.reduce_scatter_blocks(blocks, hint, HistMsg::merged);
-        let mut local_best: Option<Candidate> = None;
-        let mut owned = Vec::new();
-        for msg in mine {
-            match msg.payload {
-                HistPayload::Numeric(attr_stats) => {
-                    let nb = attr_stats.intervals.boundaries().len() as u64;
-                    let c = node_total.len() as u64;
-                    proc.charge(OpKind::HistUpdate, nb * c);
-                    proc.charge(OpKind::GiniEval, nb);
-                    if let Some(cand) = attr_stats.best_boundary(node_total) {
-                        local_best = Candidate::better(local_best, cand);
-                    }
-                    owned.push(attr_stats);
-                }
-                HistPayload::Categorical(matrix) => {
-                    proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
-                    if let Some(cand) =
-                        matrix.best_split(node_total, self.params().cat_exhaustive_limit)
-                    {
-                        local_best = Candidate::better(local_best, cand);
-                    }
-                }
-            }
+            owned.extend(attr_stats);
         }
         (local_best, owned)
     }
@@ -1097,7 +1065,7 @@ impl OocProblem for PcloudsProblem<'_> {
 
         // --- Phase 1: per-task local statistics under the shared budget.
         let stats_span = proc.span("pclouds.stats", &[("tasks", active.len() as i64)]);
-        let mut stats_of: HashMap<usize, NodeStats> = HashMap::new();
+        let mut level_stats: Vec<NodeStats> = Vec::with_capacity(active.len());
         for &i in &active {
             let id = tasks[i].id;
             let q = self.params().q_for_node(tasks[i].meta.n(), self.n_root);
@@ -1115,120 +1083,22 @@ impl OocProblem for PcloudsProblem<'_> {
                     self.local_stats_pass(proc, id, &sample, q, chunk)
                 }
             };
-            stats_of.insert(i, stats);
+            level_stats.push(stats);
         }
         proc.span_end(stats_span);
 
-        // --- Phase 2a: ONE combine per attribute for the whole level —
-        // or, with batched stats on, ONE reduce-scatter for the whole
-        // level: blocks hold (attribute × task) entries in a deterministic
-        // attribute-major order, so every owner recovers exactly the
-        // statistics the per-attribute combines would have delivered.
+        // --- Phase 2a: ONE reduce-scatter for the whole level; this rank's
+        // block holds `active.len()` consecutive entries per owned
+        // attribute, in `active` order.
         let derive_span = proc.span("pclouds.derive", &[("tasks", active.len() as i64)]);
         let mut my_candidates: Vec<(u64, Candidate)> = Vec::new();
         let mut owned_stats: Vec<(usize, pdc_clouds::AttrIntervalStats)> = Vec::new();
-        if self.config.comm.batched_stats {
-            let sparse = self.config.comm.sparse_histograms;
-            let mut blocks: Vec<Vec<HistMsg>> = vec![Vec::new(); p];
-            let mut hint = 0usize;
-            for a in 0..NUM_NUMERIC {
-                for &i in &active {
-                    let s = stats_of.get_mut(&i).expect("active task has stats");
-                    let msg = HistMsg::numeric(take_numeric(s, a), sparse);
-                    hint += msg.dense_hint();
-                    blocks[a % p].push(msg);
-                }
-            }
-            for a in 0..NUM_CATEGORICAL {
-                for &i in &active {
-                    let s = stats_of.get_mut(&i).expect("active task has stats");
-                    let msg = HistMsg::categorical(take_categorical(s, a), sparse);
-                    hint += msg.dense_hint();
-                    blocks[(NUM_NUMERIC + a) % p].push(msg);
-                }
-            }
-            let mine = proc.reduce_scatter_blocks(blocks, hint, HistMsg::merged);
-            // This rank's block: its owned attributes in ascending global
-            // order, `active.len()` consecutive entries per attribute, in
-            // `active` order — mirror the assembly loops above.
-            for (k, msg) in mine.into_iter().enumerate() {
-                let i = active[k % active.len()];
-                match msg.payload {
-                    HistPayload::Numeric(attr_stats) => {
-                        let node_total = &tasks[i].meta.counts;
-                        let nb = attr_stats.intervals.boundaries().len() as u64;
-                        proc.charge(OpKind::HistUpdate, nb * node_total.len() as u64);
-                        proc.charge(OpKind::GiniEval, nb);
-                        if let Some(c) = attr_stats.best_boundary(node_total) {
-                            my_candidates.push((i as u64, c));
-                        }
-                        owned_stats.push((i, attr_stats));
-                    }
-                    HistPayload::Categorical(matrix) => {
-                        proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
-                        if let Some(c) = matrix
-                            .best_split(&tasks[i].meta.counts, self.params().cat_exhaustive_limit)
-                        {
-                            my_candidates.push((i as u64, c));
-                        }
-                    }
-                }
-            }
-        } else {
-            for a in 0..NUM_NUMERIC {
-                let owner = a % p;
-                let batch: Vec<pdc_clouds::AttrIntervalStats> = active
-                    .iter()
-                    .map(|&i| {
-                        take_numeric(stats_of.get_mut(&i).expect("active task has stats"), a)
-                    })
-                    .collect();
-                let combined = proc.reduce(owner, batch, |mut xs, ys| {
-                    for (x, y) in xs.iter_mut().zip(&ys) {
-                        x.merge(y);
-                    }
-                    xs
-                });
-                if let Some(combined) = combined {
-                    for (k, attr_stats) in combined.into_iter().enumerate() {
-                        let i = active[k];
-                        let node_total = &tasks[i].meta.counts;
-                        let nb = attr_stats.intervals.boundaries().len() as u64;
-                        proc.charge(OpKind::HistUpdate, nb * node_total.len() as u64);
-                        proc.charge(OpKind::GiniEval, nb);
-                        if let Some(c) = attr_stats.best_boundary(node_total) {
-                            my_candidates.push((i as u64, c));
-                        }
-                        owned_stats.push((i, attr_stats));
-                    }
-                }
-            }
-            for a in 0..NUM_CATEGORICAL {
-                let owner = (NUM_NUMERIC + a) % p;
-                let batch: Vec<pdc_clouds::CountMatrix> = active
-                    .iter()
-                    .map(|&i| {
-                        take_categorical(stats_of.get_mut(&i).expect("active task has stats"), a)
-                    })
-                    .collect();
-                let combined = proc.reduce(owner, batch, |mut xs, ys| {
-                    for (x, y) in xs.iter_mut().zip(&ys) {
-                        x.merge(y);
-                    }
-                    xs
-                });
-                if let Some(combined) = combined {
-                    for (k, matrix) in combined.into_iter().enumerate() {
-                        let i = active[k];
-                        proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
-                        if let Some(c) = matrix
-                            .best_split(&tasks[i].meta.counts, self.params().cat_exhaustive_limit)
-                        {
-                            my_candidates.push((i as u64, c));
-                        }
-                    }
-                }
-            }
+        let mine = self.combine_statistics(proc, &mut level_stats);
+        for (k, msg) in mine.into_iter().enumerate() {
+            let i = active[k % active.len()];
+            let (cand, attr_stats) = self.evaluate_owned(proc, msg, &tasks[i].meta.counts);
+            my_candidates.extend(cand.map(|c| (i as u64, c)));
+            owned_stats.extend(attr_stats.map(|s| (i, s)));
         }
         // ONE election for the whole level.
         let ss_best = self.elect_batch(proc, &my_candidates);

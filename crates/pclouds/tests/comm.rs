@@ -1,14 +1,16 @@
-//! Communication-efficient split aggregation: the batched histogram
-//! reduce-scatter, the size-adaptive collective algorithms, and the sparse
-//! wire encoding must never change the computed tree — and with every
-//! switch off, must never move a bit of virtual time.
+//! Split aggregation runs on one communication path — the batched,
+//! sparse-encoded histogram reduce-scatter with a cost-model-selected
+//! schedule. These tests pin what that path must keep true: the trained
+//! tree is byte-for-byte the tree the per-attribute combines built, every
+//! node (or concatenated level) spends exactly one collective on its
+//! statistics, and the time accounting closes on every rank.
 
-use pdc_cgm::{Cluster, CollectiveTuning, MachineConfig};
+use pdc_cgm::{Cluster, MachineConfig, Wire};
 use pdc_clouds::CloudsParams;
 use pdc_datagen::{generate, GeneratorConfig};
 use pdc_dnc::Strategy;
 use pdc_pario::DiskFarm;
-use pdc_pclouds::{load_dataset, train, BoundaryEval, CommConfig, PcloudsConfig, TrainOutput};
+use pdc_pclouds::{load_dataset, train, BoundaryEval, PcloudsConfig, TrainOutput};
 
 fn test_config() -> PcloudsConfig {
     PcloudsConfig {
@@ -28,19 +30,19 @@ fn build(
     records: &[pdc_datagen::Record],
     p: usize,
     strategy: Strategy,
-    mutate: impl FnOnce(&mut PcloudsConfig),
-    adaptive: bool,
+    boundary_eval: BoundaryEval,
 ) -> TrainOutput {
-    let mut cfg = test_config();
-    mutate(&mut cfg);
+    let cfg = PcloudsConfig {
+        boundary_eval,
+        ..test_config()
+    };
     let farm = DiskFarm::in_memory(p);
     let root = load_dataset(&farm, records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
-    let mut machine = MachineConfig::default();
-    if adaptive {
-        machine.collectives = CollectiveTuning::adaptive();
-    }
-    let cluster = Cluster::with_config(p, machine);
-    train(&cluster, &farm, &root, &cfg, strategy)
+    let machine = MachineConfig {
+        spans: true,
+        ..MachineConfig::default()
+    };
+    train(&Cluster::with_config(p, machine), &farm, &root, &cfg, strategy)
 }
 
 /// Per-rank accounting identity: the five time counters plus idle cover the
@@ -63,128 +65,91 @@ fn assert_counters_partition(out: &TrainOutput) {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the trained tree's `Wire` bytes, computed at commit fade3b8
+/// with the per-attribute combines that this path replaced (6 000 default
+/// records, `test_config`; 407 nodes, 17 086 bytes).
+const GOLDEN_TREE_HASH: [(Strategy, u64); 2] = [
+    (Strategy::Mixed, 0x92a6_c5fb_15b4_98f0),
+    (Strategy::Concatenated, 0x395b_e22d_3292_c68c),
+];
+
 #[test]
-fn batched_sparse_and_adaptive_produce_identical_trees() {
-    // p = 4 exercises the recursive-halving reduce-scatter under adaptive
-    // tuning; p = 5 (non-power-of-two) keeps the fan-in schedule; both must
-    // agree with the per-attribute baseline on every strategy that reaches
-    // the combine phases.
+fn trained_tree_bytes_match_the_golden_hash() {
+    // p = 3 keeps the fan-in schedule, p ∈ {4, 8} take recursive halving,
+    // p = 1 has no communication at all: the bytes must not notice.
     let records = generate(6_000, GeneratorConfig::default());
-    for p in [4usize, 5] {
+    for (strategy, golden) in GOLDEN_TREE_HASH {
+        for p in [1usize, 3, 4, 8] {
+            let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+            assert_eq!(
+                fnv1a(&out.tree.to_bytes()),
+                golden,
+                "{strategy:?} p={p}: trained tree bytes changed"
+            );
+            assert_counters_partition(&out);
+        }
+    }
+}
+
+#[test]
+fn every_derive_phase_issues_exactly_one_reduce_scatter() {
+    // Under each `pclouds.derive` span (one per large node, or one per
+    // concatenated level) the statistics travel in exactly one
+    // `cgm.reduce_scatter.*` and never in a per-attribute `cgm.reduce`;
+    // the schedule is the one the cost model picks for that `p`.
+    let records = generate(6_000, GeneratorConfig::default());
+    for (p, schedule) in [(3usize, "cgm.reduce_scatter.fanin"), (4, "cgm.reduce_scatter.halving")] {
         for strategy in [Strategy::Mixed, Strategy::Concatenated] {
-            let baseline = build(&records, p, strategy, |_| {}, false);
-            for (comm, adaptive) in [
-                (CommConfig { batched_stats: true, sparse_histograms: false }, false),
-                (CommConfig { batched_stats: true, sparse_histograms: false }, true),
-                (CommConfig::efficient(), false),
-                (CommConfig::efficient(), true),
-            ] {
-                let out = build(&records, p, strategy, |c| c.comm = comm, adaptive);
-                assert_eq!(
-                    out.tree, baseline.tree,
-                    "p={p} {strategy:?} comm={comm:?} adaptive={adaptive}: tree changed"
-                );
-                assert_counters_partition(&out);
+            let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+            for s in &out.run.stats {
+                let mut derives = 0;
+                for (d, derive) in s.spans.iter().enumerate() {
+                    if derive.name != "pclouds.derive" {
+                        continue;
+                    }
+                    derives += 1;
+                    let children: Vec<&str> = s
+                        .spans
+                        .iter()
+                        .filter(|c| c.parent == Some(d as u32))
+                        .map(|c| c.name)
+                        .collect();
+                    let scatters: Vec<&&str> = children
+                        .iter()
+                        .filter(|n| n.starts_with("cgm.reduce_scatter"))
+                        .collect();
+                    assert_eq!(
+                        scatters,
+                        [&schedule],
+                        "p={p} {strategy:?} rank {}: derive span {d} children {children:?}",
+                        s.rank
+                    );
+                    assert!(
+                        !children.iter().any(|n| *n == "cgm.reduce" || n.starts_with("cgm.reduce.")),
+                        "p={p} {strategy:?} rank {}: per-attribute combine under derive: {children:?}",
+                        s.rank
+                    );
+                }
+                assert!(derives > 0, "p={p} {strategy:?} rank {}: no derive span", s.rank);
             }
         }
     }
 }
 
 #[test]
-fn batched_aggregation_strictly_reduces_comm_time() {
-    // Fusing A per-attribute combines into one reduce-scatter removes
-    // A − 1 message startups per node; the total communication time must
-    // strictly drop, and the adaptive + sparse ladder must drop further.
-    let records = generate(6_000, GeneratorConfig::default());
-    let p = 4;
-    let baseline = build(&records, p, Strategy::Mixed, |_| {}, false);
-    let batched = build(
-        &records,
-        p,
-        Strategy::Mixed,
-        |c| c.comm.batched_stats = true,
-        false,
-    );
-    let full = build(&records, p, Strategy::Mixed, |c| c.comm = CommConfig::efficient(), true);
-    let (t0, t1, t2) = (
-        baseline.run.total_counters().comm_time,
-        batched.run.total_counters().comm_time,
-        full.run.total_counters().comm_time,
-    );
-    assert!(t1 < t0, "batched comm {t1} !< baseline {t0}");
-    assert!(t2 < t1, "adaptive+sparse comm {t2} !< batched {t1}");
-    assert!(
-        batched.run.total_counters().messages_sent < baseline.run.total_counters().messages_sent,
-        "batching must send fewer messages"
-    );
-}
-
-#[test]
-fn disabled_comm_paths_are_bit_identical() {
-    // CommConfig::default() is all-off, and sparse_histograms without
-    // batched_stats has nothing to encode — both must reproduce the
-    // historical schedule bit for bit, counter for counter.
-    assert_eq!(
-        CommConfig::default(),
-        CommConfig { batched_stats: false, sparse_histograms: false }
-    );
-    let records = generate(4_000, GeneratorConfig::default());
-    let baseline = build(&records, 4, Strategy::Mixed, |_| {}, false);
-    let explicit = build(
-        &records,
-        4,
-        Strategy::Mixed,
-        |c| c.comm = CommConfig::default(),
-        false,
-    );
-    let sparse_only = build(
-        &records,
-        4,
-        Strategy::Mixed,
-        |c| c.comm.sparse_histograms = true,
-        false,
-    );
-    for other in [&explicit, &sparse_only] {
-        assert_eq!(other.tree, baseline.tree);
-        for (a, b) in baseline.run.stats.iter().zip(&other.run.stats) {
-            assert_eq!(
-                a.finish_time.to_bits(),
-                b.finish_time.to_bits(),
-                "rank {}: finish time moved",
-                a.rank
-            );
-            assert_eq!(a.counters, b.counters, "rank {}: counters moved", a.rank);
-        }
-    }
-}
-
-#[test]
-fn interval_based_replication_tolerates_batched_comm() {
+fn interval_based_replication_matches_attribute_based() {
     // The interval-based approach keeps its all-to-all for numeric
-    // attributes (only the categorical combine batches differently), and
-    // its trees must stay identical to the attribute-based ones whatever
-    // the comm config.
+    // attributes and a per-attribute combine for the tiny categorical
+    // matrices; its trees must stay identical to the attribute-based ones.
     let records = generate(6_000, GeneratorConfig::default());
-    let reference = build(&records, 4, Strategy::Mixed, |_| {}, false);
-    for (comm, adaptive) in [
-        (CommConfig::default(), false),
-        (CommConfig::efficient(), true),
-    ] {
-        let out = build(
-            &records,
-            4,
-            Strategy::Mixed,
-            |c| {
-                c.boundary_eval = BoundaryEval::IntervalBased;
-                c.comm = comm;
-            },
-            adaptive,
-        );
-        assert_eq!(
-            out.tree.render(),
-            reference.tree.render(),
-            "interval-based comm={comm:?} adaptive={adaptive}"
-        );
-        assert_counters_partition(&out);
-    }
+    let reference = build(&records, 4, Strategy::Mixed, BoundaryEval::AttributeBased);
+    let out = build(&records, 4, Strategy::Mixed, BoundaryEval::IntervalBased);
+    assert_eq!(out.tree.render(), reference.tree.render());
+    assert_counters_partition(&out);
 }

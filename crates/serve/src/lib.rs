@@ -2,14 +2,12 @@
 //!
 //! The paper's pipeline ends when the tree is built; this crate opens the
 //! second half of the production story. A trained
-//! [`pdc_clouds::DecisionTree`] is **compiled** into one of three serving
+//! [`pdc_clouds::DecisionTree`] is **compiled** into one of two serving
 //! layouts behind a single [`Predictor`] trait:
 //!
 //! * [`PointerPredictor`] — the training arena as-is (baseline),
 //! * [`FlatTree`] — a contiguous breadth-first node array with `u32` child
-//!   indices and 16-byte nodes,
-//! * [`PredicatedTree`] — a branch-free padded-depth variant of the flat
-//!   array (conditional moves instead of branches, QuickScorer-style).
+//!   indices and 16-byte nodes.
 //!
 //! Every layout returns **bit-identical predictions** to the pointer tree
 //! on every record — layouts change cost, never answers — and the
@@ -49,7 +47,6 @@ pub mod ensemble;
 pub mod flat;
 pub mod harness;
 pub mod model;
-pub mod predicated;
 pub mod predictor;
 pub mod telemetry;
 
@@ -60,7 +57,6 @@ pub use harness::{
     ServeConfig, ServeReport, REQUESTS_FILE,
 };
 pub use model::{assert_equivalent, CompiledModel, Layout, ALL_LAYOUTS};
-pub use predicated::{PredNode, PredicatedTree};
 pub use predictor::{PointerPredictor, Predictor};
 pub use telemetry::{
     evaluate_slo, merge_windows, SloReport, SloSpec, TelemetryConfig, TelemetryReport,

@@ -6,7 +6,6 @@ use pdc_clouds::DecisionTree;
 use pdc_datagen::Record;
 
 use crate::flat::FlatTree;
-use crate::predicated::PredicatedTree;
 use crate::predictor::{PointerPredictor, Predictor};
 
 /// The serving layouts, in ascending order of compilation effort.
@@ -16,12 +15,10 @@ pub enum Layout {
     Pointer,
     /// Breadth-first contiguous node array, `u32` children.
     Flat,
-    /// Branch-free padded traversal over the flat array.
-    Predicated,
 }
 
 /// Every layout, for sweeps.
-pub const ALL_LAYOUTS: [Layout; 3] = [Layout::Pointer, Layout::Flat, Layout::Predicated];
+pub const ALL_LAYOUTS: [Layout; 2] = [Layout::Pointer, Layout::Flat];
 
 impl Layout {
     /// Short name used in span attributes, CSV columns and reports.
@@ -29,7 +26,6 @@ impl Layout {
         match self {
             Layout::Pointer => "pointer",
             Layout::Flat => "flat",
-            Layout::Predicated => "predicated",
         }
     }
 
@@ -38,7 +34,6 @@ impl Layout {
         match self {
             Layout::Pointer => CompiledModel::Pointer(PointerPredictor::new(tree.clone())),
             Layout::Flat => CompiledModel::Flat(FlatTree::compile(tree)),
-            Layout::Predicated => CompiledModel::Predicated(PredicatedTree::compile(tree)),
         }
     }
 }
@@ -56,8 +51,6 @@ pub enum CompiledModel {
     Pointer(PointerPredictor),
     /// The flat array.
     Flat(FlatTree),
-    /// The predicated flat array.
-    Predicated(PredicatedTree),
 }
 
 impl CompiledModel {
@@ -66,7 +59,6 @@ impl CompiledModel {
         match self {
             CompiledModel::Pointer(_) => Layout::Pointer,
             CompiledModel::Flat(_) => Layout::Flat,
-            CompiledModel::Predicated(_) => Layout::Predicated,
         }
     }
 
@@ -74,7 +66,6 @@ impl CompiledModel {
         match self {
             CompiledModel::Pointer(p) => p,
             CompiledModel::Flat(f) => f,
-            CompiledModel::Predicated(p) => p,
         }
     }
 }
@@ -112,10 +103,6 @@ impl Wire for CompiledModel {
                 buf.push(1);
                 f.encode(buf);
             }
-            CompiledModel::Predicated(p) => {
-                buf.push(2);
-                p.encode(buf);
-            }
         }
     }
 
@@ -125,7 +112,6 @@ impl Wire for CompiledModel {
                 DecisionTree::decode(bytes)?,
             ))),
             1 => Ok(CompiledModel::Flat(FlatTree::decode(bytes)?)),
-            2 => Ok(CompiledModel::Predicated(PredicatedTree::decode(bytes)?)),
             _ => Err(DecodeError {
                 what: "compiled-model layout tag out of range",
                 remaining: bytes.len(),

@@ -7,9 +7,7 @@
 //! the charged cost on the simulated machine: the pointer tree pays a
 //! dependent-load charge per visited node on top of the split test and the
 //! branch, the flat array drops the dependent load (children are computed
-//! indices into one contiguous slice), and the predicated array additionally
-//! drops the branch by walking every record through exactly `depth`
-//! conditional-move steps.
+//! indices into one contiguous slice).
 
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::{DecisionTree, Node};
@@ -43,7 +41,7 @@ use pdc_datagen::Record;
 /// }
 /// ```
 pub trait Predictor {
-    /// Short layout name (`"pointer"`, `"flat"`, `"predicated"`).
+    /// Short layout name (`"pointer"`, `"flat"`).
     fn layout_name(&self) -> &'static str;
 
     /// Classify one record. Must equal the source tree's

@@ -8,7 +8,7 @@ use pdc_clouds::{CloudsParams, DecisionTree, Splitter};
 use pdc_datagen::record::{CATEGORICAL_CARDINALITY, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_datagen::{generate, ClassifyFn, GeneratorConfig, Record, ALL_FUNCTIONS};
 use pdc_pclouds::{train_in_memory, PcloudsConfig};
-use pdc_serve::{assert_equivalent, Layout, Predictor, ALL_LAYOUTS};
+use pdc_serve::{assert_equivalent, Predictor, ALL_LAYOUTS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,9 +166,6 @@ fn single_leaf_tree_agrees() {
         let tree = DecisionTree::single_leaf(counts);
         let records = generate(500, GeneratorConfig::default());
         check_parity(&tree, &records);
-        // The predicated layout pads to depth 0 here: zero loop iterations.
-        let pred = Layout::Predicated.compile(&tree);
-        assert_eq!(pred.predict(&records[0]), tree.predict(&records[0]));
     }
 }
 

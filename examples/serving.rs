@@ -1,7 +1,7 @@
 //! The full production pipeline: **train → compile → serve**.
 //!
 //! Trains a pCLOUDS tree on a simulated 4-processor machine, compiles it
-//! into the three serving layouts, verifies they predict bit-identically,
+//! into the two serving layouts, verifies they predict bit-identically,
 //! then deploys each by broadcast and scores a 100k-request stream,
 //! comparing footprint, throughput and tail latency.
 //!
