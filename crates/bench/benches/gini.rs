@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the gini machinery: the index itself, the weighted
 //! split score, and the SSE concave-relaxation lower bound.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pdc_clouds::gini::{gini, interval_gini_lower_bound, split_gini};
 
 fn bench_gini(c: &mut Criterion) {
@@ -45,9 +45,28 @@ fn bench_boundary_sweep(c: &mut Criterion) {
     });
 }
 
+/// The large-node statistics pass on resident records: q = 10,000 intervals
+/// from a 10 % sample, every attribute of every record accumulated through
+/// the batched (attribute-major) kernel.
+fn bench_accumulate(c: &mut Criterion) {
+    use pdc_clouds::accumulate_stats;
+    use pdc_datagen::{generate, ClassifyFn, GeneratorConfig};
+    let config = GeneratorConfig {
+        function: ClassifyFn::F6,
+        ..GeneratorConfig::default()
+    };
+    let records = generate(200_000, config);
+    let mut group = c.benchmark_group("stats");
+    group.throughput(Throughput::Elements(records.len() as u64));
+    group.bench_function("accumulate_q10000", |b| {
+        b.iter(|| accumulate_stats(black_box(&records), &records[..20_000], 10_000))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gini, bench_boundary_sweep
+    targets = bench_gini, bench_boundary_sweep, bench_accumulate
 }
 criterion_main!(benches);

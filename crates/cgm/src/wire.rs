@@ -27,6 +27,17 @@ pub struct DecodeError {
     pub trailing: bool,
 }
 
+impl DecodeError {
+    /// Malformed (not merely trailing) input, detected with `buf` left.
+    pub fn malformed(what: &'static str, buf: &[u8]) -> Self {
+        DecodeError {
+            what,
+            remaining: buf.len(),
+            trailing: false,
+        }
+    }
+}
+
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.trailing {

@@ -10,58 +10,71 @@
 //!   al., 1984) — exact at any cardinality;
 //! * **greedy hill climbing** otherwise (the SPRINT fallback).
 
-use pdc_cgm::wire::{DecodeResult, Wire};
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 
-use crate::gini::{add_assign, split_gini, sub, ClassCounts};
+use crate::gini::{add_assign, split_gini, sub, ClassCounts, CountTable};
 use crate::split::{Candidate, Splitter};
 
-/// Count matrix of one categorical attribute at one node:
-/// `counts[v][k]` = records with attribute value `v` and class `k`.
+/// Largest categorical cardinality: value subsets are `u64` bitmasks.
+const MAX_CARDINALITY: usize = 64;
+
+/// Count matrix of one categorical attribute at one node: row `v`, column
+/// `k` = records with attribute value `v` and class `k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountMatrix {
     /// Categorical attribute index.
     pub attr: usize,
     /// `cardinality × nclasses` counts.
-    pub counts: Vec<ClassCounts>,
+    counts: CountTable,
 }
 
 impl CountMatrix {
     /// Empty matrix for `attr` with the given shape.
     pub fn new(attr: usize, cardinality: usize, nclasses: usize) -> Self {
-        assert!(cardinality <= 64, "categorical cardinality above bitmask width");
+        assert!(
+            cardinality <= MAX_CARDINALITY,
+            "categorical cardinality above bitmask width"
+        );
         CountMatrix {
             attr,
-            counts: vec![vec![0u64; nclasses]; cardinality],
+            counts: CountTable::new(cardinality, nclasses),
         }
     }
 
+    /// Matrix with the given counts, one row per attribute value. Errors
+    /// when there are more rows than a value bitmask can address — decoders
+    /// pass outside input through here.
+    pub fn from_table(attr: usize, counts: CountTable) -> Result<Self, &'static str> {
+        if counts.rows() > MAX_CARDINALITY {
+            return Err("categorical cardinality above bitmask width");
+        }
+        Ok(CountMatrix { attr, counts })
+    }
+
+    /// Class counts per attribute value.
+    pub fn counts(&self) -> &CountTable {
+        &self.counts
+    }
+
     /// Record one value/class observation.
+    #[inline]
     pub fn add_value(&mut self, value: u8, class: u8) {
-        self.counts[value as usize][class as usize] += 1;
+        self.counts.increment(value as usize, class as usize);
     }
 
     /// Merge another processor's matrix (element-wise sum).
     pub fn merge(&mut self, other: &CountMatrix) {
         assert_eq!(self.attr, other.attr);
-        assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            add_assign(a, b);
-        }
+        self.counts.add_assign(&other.counts);
     }
 
     /// Total class counts across all values.
     pub fn totals(&self) -> ClassCounts {
-        let nclasses = self.counts.first().map_or(0, |c| c.len());
-        let mut t = vec![0u64; nclasses];
-        for c in &self.counts {
-            add_assign(&mut t, c);
-        }
-        t
+        self.counts.totals()
     }
 
     fn left_counts(&self, mask: u64) -> ClassCounts {
-        let nclasses = self.counts.first().map_or(0, |c| c.len());
-        let mut left = vec![0u64; nclasses];
+        let mut left = vec![0u64; self.counts.cols()];
         for (v, c) in self.counts.iter().enumerate() {
             if mask & (1u64 << v) != 0 {
                 add_assign(&mut left, c);
@@ -95,7 +108,7 @@ impl CountMatrix {
     /// `None` when no non-degenerate split exists (all records share one
     /// value).
     pub fn best_split(&self, node_total: &ClassCounts, exhaustive_limit: u32) -> Option<Candidate> {
-        let card = self.counts.len() as u32;
+        let card = self.counts.rows() as u32;
         let nclasses = node_total.len();
         if card <= 1 {
             return None;
@@ -112,7 +125,7 @@ impl CountMatrix {
     /// Enumerate all `2^(card-1) − 1` non-trivial partitions (value 0 fixed
     /// on the left to kill the mirror symmetry).
     fn best_split_exhaustive(&self, node_total: &ClassCounts) -> Option<Candidate> {
-        let card = self.counts.len();
+        let card = self.counts.rows();
         let mut best: Option<Candidate> = None;
         // Masks over values 1..card, with value 0 always on the left.
         for rest in 0..(1u64 << (card - 1)) {
@@ -128,20 +141,21 @@ impl CountMatrix {
     /// prefix splits.
     fn best_split_breiman(&self, node_total: &ClassCounts) -> Option<Candidate> {
         debug_assert_eq!(node_total.len(), 2);
-        let mut order: Vec<usize> = (0..self.counts.len()).collect();
+        let mut order: Vec<usize> = (0..self.counts.rows()).collect();
         let proportion = |v: usize| -> f64 {
-            let n = self.counts[v][0] + self.counts[v][1];
+            let row = self.counts.row(v);
+            let n = row[0] + row[1];
             if n == 0 {
                 // Empty values are inert; park them at one end.
                 -1.0
             } else {
-                self.counts[v][0] as f64 / n as f64
+                row[0] as f64 / n as f64
             }
         };
         order.sort_by(|&a, &b| proportion(a).partial_cmp(&proportion(b)).unwrap());
         let mut best: Option<Candidate> = None;
         let mut mask = 0u64;
-        for &v in order.iter().take(self.counts.len() - 1) {
+        for &v in order.iter().take(self.counts.rows() - 1) {
             mask |= 1u64 << v;
             if let Some(c) = self.candidate(mask, node_total) {
                 best = Candidate::better(best, c);
@@ -153,7 +167,7 @@ impl CountMatrix {
     /// Greedy hill climbing: start from the single best value on the left,
     /// then keep moving the value that most improves gini.
     fn best_split_greedy(&self, node_total: &ClassCounts) -> Option<Candidate> {
-        let card = self.counts.len();
+        let card = self.counts.rows();
         let mut best: Option<Candidate> = None;
         // Seed: best singleton.
         for v in 0..card {
@@ -197,10 +211,9 @@ impl Wire for CountMatrix {
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(CountMatrix {
-            attr: usize::decode(bytes)?,
-            counts: Vec::<ClassCounts>::decode(bytes)?,
-        })
+        let attr = usize::decode(bytes)?;
+        let counts = CountTable::decode(bytes)?;
+        CountMatrix::from_table(attr, counts).map_err(|what| DecodeError::malformed(what, bytes))
     }
 }
 
@@ -209,10 +222,7 @@ mod tests {
     use super::*;
 
     fn matrix(counts: &[[u64; 2]]) -> CountMatrix {
-        CountMatrix {
-            attr: 0,
-            counts: counts.iter().map(|c| c.to_vec()).collect(),
-        }
+        CountMatrix::from_table(0, CountTable::from_rows(counts).unwrap()).unwrap()
     }
 
     #[test]
@@ -225,7 +235,7 @@ mod tests {
         let mut other = CountMatrix::new(1, 4, 2);
         other.add_value(3, 1);
         m.merge(&other);
-        assert_eq!(m.counts[3], vec![0, 2]);
+        assert_eq!(m.counts.row(3), [0, 2]);
     }
 
     #[test]
@@ -290,17 +300,8 @@ mod tests {
     fn greedy_finds_reasonable_split_multiclass() {
         // 3 classes, 6 values; greedy should find the clean partition
         // {0,1} vs rest where {0,1} is pure class 0.
-        let m = CountMatrix {
-            attr: 2,
-            counts: vec![
-                vec![8, 0, 0],
-                vec![7, 0, 0],
-                vec![0, 5, 1],
-                vec![0, 4, 2],
-                vec![0, 1, 6],
-                vec![0, 0, 7],
-            ],
-        };
+        let rows = [[8, 0, 0], [7, 0, 0], [0, 5, 1], [0, 4, 2], [0, 1, 6], [0, 0, 7]];
+        let m = CountMatrix::from_table(2, CountTable::from_rows(&rows).unwrap()).unwrap();
         let total = m.totals();
         let greedy = m.best_split_greedy(&total).unwrap();
         let exhaustive = m.best_split_exhaustive(&total).unwrap();
@@ -326,5 +327,10 @@ mod tests {
     fn wire_roundtrip() {
         let m = matrix(&[[1, 2], [3, 4]]);
         assert_eq!(CountMatrix::from_bytes(&m.to_bytes()).unwrap(), m);
+        // More values than a subset bitmask addresses: refused, not shifted.
+        let mut wide = Vec::new();
+        0usize.encode(&mut wide);
+        CountTable::new(MAX_CARDINALITY + 1, 2).encode(&mut wide);
+        assert!(CountMatrix::from_bytes(&wide).is_err());
     }
 }

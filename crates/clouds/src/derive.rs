@@ -43,14 +43,24 @@ impl NodeStats {
         }
     }
 
-    /// Account one record in every attribute's statistics.
-    pub fn add_record(&mut self, r: &Record) {
-        self.total[r.class as usize] += 1;
+    /// Account a batch of records in every attribute's statistics,
+    /// **attribute-major**: the batch is walked once per attribute, so only
+    /// that attribute's boundaries and cells (≈ 0.4 MB at `q = 10,000`) are
+    /// live in cache at a time instead of every attribute's at every record.
+    /// Callers pass batches that themselves fit in cache (a streaming chunk).
+    pub fn add_records(&mut self, records: &[Record]) {
+        for r in records {
+            self.total[r.class as usize] += 1;
+        }
         for stats in &mut self.numeric {
-            stats.add_value(r.num(stats.attr), r.class);
+            for r in records {
+                stats.add_value(r.num(stats.attr), r.class);
+            }
         }
         for m in &mut self.categorical {
-            m.add_value(r.cat(m.attr), r.class);
+            for r in records {
+                m.add_value(r.cat(m.attr), r.class);
+            }
         }
     }
 
@@ -108,11 +118,15 @@ impl NodeStats {
     }
 }
 
+/// Records per [`NodeStats::add_records`] batch when accumulating a resident
+/// record set: ≈ 0.2 MB of records, re-read from cache once per attribute.
+const ACCUMULATE_BLOCK: usize = 4096;
+
 /// Accumulate [`NodeStats`] for `records` with intervals from `sample`.
 pub fn accumulate_stats(records: &[Record], sample: &[Record], q: usize) -> NodeStats {
     let mut stats = NodeStats::from_sample(sample, q);
-    for r in records {
-        stats.add_record(r);
+    for block in records.chunks(ACCUMULATE_BLOCK) {
+        stats.add_records(block);
     }
     stats
 }
@@ -237,13 +251,9 @@ mod tests {
         let sample = draw_sample(&records, 80, 2);
         let mut a = NodeStats::from_sample(&sample, 10);
         let mut b = NodeStats::from_sample(&sample, 10);
-        for (i, r) in records.iter().enumerate() {
-            if i % 2 == 0 {
-                a.add_record(r);
-            } else {
-                b.add_record(r);
-            }
-        }
+        let (even, odd): (Vec<_>, Vec<_>) = records.chunks(2).map(|c| (c[0], c[1])).unzip();
+        a.add_records(&even);
+        b.add_records(&odd);
         a.merge(&b);
         let whole = accumulate_stats(&records, &sample, 10);
         assert_eq!(a, whole);

@@ -7,8 +7,123 @@
 //! the size-weighted gini of the two sides, and the split with the minimum
 //! weighted gini wins.
 
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
+
 /// Class frequency vector: `counts[k]` records of class `k`.
 pub type ClassCounts = Vec<u64>;
+
+/// A `rows × classes` table of class counts in **one** contiguous
+/// row-major allocation — the per-interval cells of a numeric attribute or
+/// the per-value cells of a categorical one. (A `Vec<ClassCounts>` would
+/// cost one heap allocation per row: 10,000 of them per attribute at
+/// `q = 10,000`.) On the wire it is indistinguishable from the nested
+/// `Vec<ClassCounts>` it replaces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountTable {
+    rows: usize,
+    cols: usize,
+    cells: Vec<u64>,
+}
+
+impl CountTable {
+    /// All-zero table. A table without rows has no columns either, like the
+    /// empty nested vector it stands for.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        let cols = if rows == 0 { 0 } else { cols };
+        CountTable {
+            rows,
+            cols,
+            cells: vec![0u64; rows * cols],
+        }
+    }
+
+    /// Table holding the given rows; `None` when they differ in length.
+    pub fn from_rows<R: AsRef<[u64]>>(rows: &[R]) -> Option<Self> {
+        let cols = rows.first().map_or(0, |r| r.as_ref().len());
+        if rows.iter().any(|r| r.as_ref().len() != cols) {
+            return None;
+        }
+        Some(CountTable {
+            rows: rows.len(),
+            cols,
+            cells: rows.iter().flat_map(|r| r.as_ref()).copied().collect(),
+        })
+    }
+
+    /// Number of rows (intervals or categorical values).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns (classes).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Class counts of row `i`.
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.cells[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// All cells, row-major.
+    pub fn cells(&self) -> &[u64] {
+        &self.cells
+    }
+
+    /// All cells, row-major, for in-place updates.
+    pub fn cells_mut(&mut self) -> &mut [u64] {
+        &mut self.cells
+    }
+
+    /// Count one record of class `class` in row `row`.
+    #[inline]
+    pub fn increment(&mut self, row: usize, class: usize) {
+        assert!(class < self.cols, "class {class} out of range");
+        self.cells[row * self.cols + class] += 1;
+    }
+
+    /// Element-wise sum with a table of the same shape.
+    pub fn add_assign(&mut self, other: &CountTable) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+            "count table shape mismatch"
+        );
+        add_assign(&mut self.cells, &other.cells);
+    }
+
+    /// Column sums: the class counts over all rows.
+    pub fn totals(&self) -> ClassCounts {
+        let mut t = vec![0u64; self.cols];
+        for row in self.iter() {
+            add_assign(&mut t, row);
+        }
+        t
+    }
+}
+
+impl Wire for CountTable {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.rows as u64).encode(buf);
+        for row in self.iter() {
+            (self.cols as u64).encode(buf);
+            for v in row {
+                v.encode(buf);
+            }
+        }
+    }
+
+    fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
+        let rows = Vec::<ClassCounts>::decode(bytes)?;
+        CountTable::from_rows(&rows)
+            .ok_or_else(|| DecodeError::malformed("count table rows differ in length", bytes))
+    }
+}
 
 /// Total records in a frequency vector.
 pub fn total(counts: &[u64]) -> u64 {
@@ -149,6 +264,25 @@ pub fn purity(counts: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_table_is_the_nested_vector_on_the_wire() {
+        let rows = vec![vec![1u64, 2], vec![0, 0], vec![7, 9]];
+        let table = CountTable::from_rows(&rows).unwrap();
+        assert_eq!((table.rows(), table.cols()), (3, 2));
+        assert_eq!(table.row(2), [7, 9]);
+        assert_eq!(table.totals(), vec![8, 11]);
+        assert_eq!(table.to_bytes(), rows.to_bytes());
+        assert_eq!(CountTable::from_bytes(&rows.to_bytes()).unwrap(), table);
+        // No rows: no columns either, like `Vec::<ClassCounts>::new()`.
+        let empty = CountTable::new(0, 2);
+        assert_eq!(empty.to_bytes(), Vec::<ClassCounts>::new().to_bytes());
+        assert_eq!(CountTable::from_bytes(&empty.to_bytes()).unwrap(), empty);
+        // Rows of different lengths are not a table.
+        let ragged = vec![vec![1u64, 2], vec![3]];
+        assert!(CountTable::from_rows(&ragged).is_none());
+        assert!(CountTable::from_bytes(&ragged.to_bytes()).is_err());
+    }
 
     #[test]
     fn gini_pure_and_balanced() {

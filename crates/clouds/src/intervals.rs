@@ -10,9 +10,78 @@
 /// `b_{-1} = -inf`, `b_{q-1} = +inf`. A record exactly on a boundary lies in
 /// the interval to its **left**, matching the convention that a numeric
 /// split at threshold `t` sends `value <= t` left.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and the wire form see the boundaries only; the lookup index of
+/// [`IntervalSet::from_sample`] is derived data.
+#[derive(Debug, Clone)]
 pub struct IntervalSet {
     boundaries: Vec<f64>,
+    /// Lookup index, built by [`IntervalSet::from_sample`] only: sets made
+    /// by [`IntervalSet::from_boundaries`] or decoded from the wire belong
+    /// to owners, which never look values up.
+    grid: Option<Grid>,
+}
+
+impl PartialEq for IntervalSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.boundaries == other.boundaries
+    }
+}
+
+/// Sets with fewer boundaries than this are searched directly.
+const GRID_MIN_BOUNDARIES: usize = 16;
+
+/// A uniform grid over `[lo, hi]` = `[first, last boundary]`, one cell per
+/// boundary, mapping a cell to the first boundary lying in it or beyond.
+///
+/// `cell(v) = min(floor((v − lo) · scale), cells − 1)` is monotone
+/// non-decreasing in `v`: IEEE subtraction and multiplication by a positive
+/// constant round monotonically, and so do the saturating float-to-integer
+/// cast and `min`. Hence a boundary in a lower cell than `v` is `< v` and a
+/// boundary in a higher cell is `> v`, so the number of boundaries `< v` is
+/// `first[cell(v)]` plus a search **inside that one cell** — exactly what
+/// the full binary search returns.
+#[derive(Debug, Clone)]
+struct Grid {
+    lo: f64,
+    scale: f64,
+    /// `first[c]` = boundaries in cells below `c`; `cells + 1` entries.
+    /// `u16` keeps the index at a quarter of the boundaries' own size.
+    first: Vec<u16>,
+}
+
+impl Grid {
+    fn build(boundaries: &[f64]) -> Option<Grid> {
+        let cells = boundaries.len();
+        if !(GRID_MIN_BOUNDARIES..=usize::from(u16::MAX)).contains(&cells) {
+            return None;
+        }
+        let (lo, hi) = (boundaries[0], boundaries[cells - 1]);
+        let scale = cells as f64 / (hi - lo);
+        // `hi − lo` overflowing gives scale 0, a subnormal spread gives inf.
+        if !(scale.is_finite() && scale > 0.0) {
+            return None;
+        }
+        let mut grid = Grid {
+            lo,
+            scale,
+            first: vec![0u16; cells + 1],
+        };
+        for &b in boundaries {
+            let c = grid.cell(b);
+            grid.first[c + 1] += 1;
+        }
+        for c in 0..cells {
+            grid.first[c + 1] += grid.first[c];
+        }
+        Some(grid)
+    }
+
+    /// Cell of a value `v >= lo` (also `+inf`: the cast saturates).
+    #[inline]
+    fn cell(&self, v: f64) -> usize {
+        (((v - self.lo) * self.scale) as usize).min(self.first.len() - 2)
+    }
 }
 
 impl pdc_cgm::Wire for IntervalSet {
@@ -22,6 +91,7 @@ impl pdc_cgm::Wire for IntervalSet {
     fn decode(bytes: &mut &[u8]) -> pdc_cgm::wire::DecodeResult<Self> {
         Ok(IntervalSet {
             boundaries: Vec::<f64>::decode(bytes)?,
+            grid: None,
         })
     }
 }
@@ -33,7 +103,10 @@ impl IntervalSet {
             boundaries.windows(2).all(|w| w[0] < w[1]),
             "boundaries must be strictly ascending"
         );
-        IntervalSet { boundaries }
+        IntervalSet {
+            boundaries,
+            grid: None,
+        }
     }
 
     /// Build interval boundaries from the sample's values for one attribute
@@ -43,9 +116,7 @@ impl IntervalSet {
     pub fn from_sample(values: &[f64], q: usize) -> IntervalSet {
         assert!(q >= 1, "need at least one interval");
         if values.is_empty() || q == 1 {
-            return IntervalSet {
-                boundaries: Vec::new(),
-            };
+            return IntervalSet::from_boundaries(Vec::new());
         }
         let mut sorted: Vec<f64> = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN attribute value"));
@@ -63,7 +134,8 @@ impl IntervalSet {
         while boundaries.last() == sorted.last() {
             boundaries.pop();
         }
-        IntervalSet { boundaries }
+        let grid = Grid::build(&boundaries);
+        IntervalSet { boundaries, grid }
     }
 
     /// Number of intervals (`boundaries + 1`).
@@ -78,8 +150,20 @@ impl IntervalSet {
 
     /// Index of the interval containing `v` (boundary values belong to the
     /// left interval).
+    #[inline]
     pub fn interval_of(&self, v: f64) -> usize {
-        self.boundaries.partition_point(|&b| b < v)
+        let Some(grid) = &self.grid else {
+            return self.boundaries.partition_point(|&b| b < v);
+        };
+        if v <= grid.lo || v.is_nan() {
+            return 0; // no boundary is below the first one, or below NaN
+        }
+        let cell = grid.cell(v);
+        let (start, end) = (
+            usize::from(grid.first[cell]),
+            usize::from(grid.first[cell + 1]),
+        );
+        start + self.boundaries[start..end].partition_point(|&b| b < v)
     }
 
     /// The open lower edge of interval `i` (`None` for the first interval).
@@ -115,9 +199,7 @@ mod tests {
 
     #[test]
     fn interval_of_respects_left_closed_boundaries() {
-        let set = IntervalSet {
-            boundaries: vec![10.0, 20.0],
-        };
+        let set = IntervalSet::from_boundaries(vec![10.0, 20.0]);
         assert_eq!(set.interval_of(5.0), 0);
         assert_eq!(set.interval_of(10.0), 0, "boundary belongs left");
         assert_eq!(set.interval_of(10.5), 1);
@@ -143,14 +225,39 @@ mod tests {
 
     #[test]
     fn edges_are_consistent() {
-        let set = IntervalSet {
-            boundaries: vec![1.0, 2.0, 3.0],
-        };
+        let set = IntervalSet::from_boundaries(vec![1.0, 2.0, 3.0]);
         assert_eq!(set.lower_edge(0), None);
         assert_eq!(set.upper_edge(0), Some(1.0));
         assert_eq!(set.lower_edge(2), Some(2.0));
         assert_eq!(set.upper_edge(3), None);
         assert_eq!(set.num_intervals(), 4);
+    }
+
+    #[test]
+    fn lookup_index_is_built_only_where_it_is_exact_and_useful() {
+        let values: Vec<f64> = (0..1000).map(|i| i as f64).collect();
+        let indexed = IntervalSet::from_sample(&values, 100);
+        assert!(indexed.grid.is_some());
+        for v in [-1.0, 0.0, 9.5, 10.0, 10.5, 500.0, 989.9, 990.0, 2_000.0] {
+            let plain = indexed.boundaries().partition_point(|&b| b < v);
+            assert_eq!(indexed.interval_of(v), plain, "value {v}");
+        }
+        // Too few boundaries to pay for an index.
+        assert!(IntervalSet::from_sample(&values, 8).grid.is_none());
+        // `hi - lo` overflows: no finite scale, plain search.
+        let stretch = f64::MAX / 600.0;
+        let wide: Vec<f64> = values.iter().map(|v| (v - 500.0) * stretch).collect();
+        let set = IntervalSet::from_sample(&wide, 100);
+        assert!(set.grid.is_none() && set.num_intervals() > 50);
+        // Owners' sets (explicit boundaries, wire) carry no index and
+        // compare equal to the indexed set with the same boundaries.
+        let plain = IntervalSet::from_boundaries(indexed.boundaries().to_vec());
+        assert!(plain.grid.is_none());
+        assert_eq!(plain, indexed);
+        use pdc_cgm::Wire;
+        assert_eq!(plain.to_bytes(), indexed.to_bytes());
+        let decoded = IntervalSet::from_bytes(&indexed.to_bytes()).unwrap();
+        assert!(decoded.grid.is_none());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use derive::{
     accumulate_stats, derive_split_in_memory, direct_best_split, evaluate_alive_in_memory,
     NodeStats,
 };
-pub use gini::{gini, split_gini, ClassCounts};
+pub use gini::{gini, split_gini, ClassCounts, CountTable};
 pub use intervals::IntervalSet;
 pub use metrics::{accuracy, accuracy_of, confusion_matrix, error_rate, holdout_pair};
 pub use numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};

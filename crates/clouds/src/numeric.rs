@@ -8,26 +8,36 @@
 //! intervals with the *single-assignment* approach — all through the same
 //! functions.
 
-use pdc_cgm::wire::{DecodeResult, Wire};
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 
-use crate::gini::{add_assign, gini, interval_gini_lower_bound, split_gini, sub, ClassCounts};
+use crate::gini::{
+    add_assign, gini, interval_gini_lower_bound, split_gini, sub, ClassCounts, CountTable,
+};
 use crate::intervals::IntervalSet;
 use crate::split::{Candidate, Splitter};
 
+/// An interval no value has fallen into: `min > max`.
+const EMPTY_RANGE: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
 /// Per-interval class frequencies of one numeric attribute at one node.
+///
+/// The cells are flat: one `q × classes` [`CountTable`] and one `(min, max)`
+/// pair per interval, so accumulating a value touches two cache lines and
+/// allocating the statistics of an attribute is two allocations whatever
+/// `q` is. The wire form is that of the nested
+/// `Vec<ClassCounts>` / `Vec<Option<(f64, f64)>>` layout it replaced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrIntervalStats {
     /// Numeric attribute index.
     pub attr: usize,
-    /// Interval boundaries.
-    pub intervals: IntervalSet,
-    /// `counts[i][k]`: records of class `k` falling in interval `i`.
-    pub counts: Vec<ClassCounts>,
-    /// Observed `(min, max)` value per interval (`None` if empty). Lets the
-    /// SSE pruning discard single-valued intervals — e.g. the huge
+    intervals: IntervalSet,
+    /// Row `i`, column `k`: records of class `k` falling in interval `i`.
+    counts: CountTable,
+    /// Observed `(min, max)` value per interval ([`EMPTY_RANGE`] if empty).
+    /// Lets the SSE pruning discard single-valued intervals — e.g. the huge
     /// `commission == 0` spike of the benchmark data — whose only interior
     /// threshold is equivalent to the boundary split.
-    pub ranges: Vec<Option<(f64, f64)>>,
+    ranges: Vec<(f64, f64)>,
 }
 
 impl AttrIntervalStats {
@@ -37,19 +47,61 @@ impl AttrIntervalStats {
         AttrIntervalStats {
             attr,
             intervals,
-            counts: vec![vec![0u64; nclasses]; q],
-            ranges: vec![None; q],
+            counts: CountTable::new(q, nclasses),
+            ranges: vec![EMPTY_RANGE; q],
         }
     }
 
-    /// Record one attribute value with its class.
+    /// Statistics with the given cells: one row of `counts` and one entry of
+    /// `ranges` (`None` = empty) per interval. Errors when the shapes
+    /// disagree or a range is inverted or NaN — decoders pass outside input
+    /// through here.
+    pub fn from_parts(
+        attr: usize,
+        intervals: IntervalSet,
+        counts: CountTable,
+        ranges: &[Option<(f64, f64)>],
+    ) -> Result<Self, &'static str> {
+        let q = intervals.num_intervals();
+        if counts.rows() != q || ranges.len() != q {
+            return Err("interval statistics shape disagrees with the interval set");
+        }
+        let invalid = |&(lo, hi): &(f64, f64)| lo > hi || lo.is_nan() || hi.is_nan();
+        if ranges.iter().flatten().any(invalid) {
+            return Err("interval range inverted or NaN");
+        }
+        Ok(AttrIntervalStats {
+            attr,
+            intervals,
+            counts,
+            ranges: ranges.iter().map(|r| r.unwrap_or(EMPTY_RANGE)).collect(),
+        })
+    }
+
+    /// Interval boundaries.
+    pub fn intervals(&self) -> &IntervalSet {
+        &self.intervals
+    }
+
+    /// Class counts per interval.
+    pub fn counts(&self) -> &CountTable {
+        &self.counts
+    }
+
+    /// Observed `(min, max)` value of interval `i` (`None` if empty).
+    pub fn range(&self, i: usize) -> Option<(f64, f64)> {
+        let (lo, hi) = self.ranges[i];
+        (lo <= hi).then_some((lo, hi))
+    }
+
+    /// Record one attribute value with its class. Values must not be NaN.
+    #[inline]
     pub fn add_value(&mut self, value: f64, class: u8) {
         let i = self.intervals.interval_of(value);
-        self.counts[i][class as usize] += 1;
-        self.ranges[i] = Some(match self.ranges[i] {
-            None => (value, value),
-            Some((lo, hi)) => (lo.min(value), hi.max(value)),
-        });
+        self.counts.increment(i, class as usize);
+        let range = &mut self.ranges[i];
+        range.0 = range.0.min(value);
+        range.1 = range.1.max(value);
     }
 
     /// Merge another processor's statistics over the same intervals
@@ -57,26 +109,15 @@ impl AttrIntervalStats {
     pub fn merge(&mut self, other: &AttrIntervalStats) {
         assert_eq!(self.attr, other.attr);
         assert_eq!(self.intervals, other.intervals, "interval mismatch in merge");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            add_assign(a, b);
-        }
+        self.counts.add_assign(&other.counts);
         for (a, b) in self.ranges.iter_mut().zip(&other.ranges) {
-            *a = match (*a, *b) {
-                (None, r) => r,
-                (r, None) => r,
-                (Some((alo, ahi)), Some((blo, bhi))) => Some((alo.min(blo), ahi.max(bhi))),
-            };
+            *a = (a.0.min(b.0), a.1.max(b.1));
         }
     }
 
     /// Total class counts across all intervals.
     pub fn totals(&self) -> ClassCounts {
-        let nclasses = self.counts.first().map_or(0, |c| c.len());
-        let mut t = vec![0u64; nclasses];
-        for c in &self.counts {
-            add_assign(&mut t, c);
-        }
-        t
+        self.counts.totals()
     }
 
     /// Weighted gini of the split at every internal boundary. Entry `i` is
@@ -86,7 +127,7 @@ impl AttrIntervalStats {
         let mut out = Vec::with_capacity(nb);
         let mut left = vec![0u64; node_total.len()];
         for i in 0..nb {
-            add_assign(&mut left, &self.counts[i]);
+            add_assign(&mut left, self.counts.row(i));
             let right = sub(node_total, &left);
             out.push(split_gini(&left, &right));
         }
@@ -101,7 +142,7 @@ impl AttrIntervalStats {
         let mut best: Option<Candidate> = None;
         let mut left = vec![0u64; node_total.len()];
         for (i, &g) in ginis.iter().enumerate() {
-            add_assign(&mut left, &self.counts[i]);
+            add_assign(&mut left, self.counts.row(i));
             let left_n: u64 = left.iter().sum();
             if left_n == 0 || left_n == n {
                 continue; // degenerate: one side empty, cannot partition
@@ -132,7 +173,7 @@ impl AttrIntervalStats {
             // A single-valued interval (min == max) offers only one interior
             // threshold, equivalent to its upper-boundary split, which the
             // boundary pass already evaluated — never alive.
-            let multi_valued = matches!(self.ranges[i], Some((lo, hi)) if lo < hi);
+            let multi_valued = self.ranges[i].0 < self.ranges[i].1;
             if count >= 2 && multi_valued {
                 let est = interval_gini_lower_bound(&cum_before, interior, node_total);
                 if est < gini_min {
@@ -153,21 +194,32 @@ impl AttrIntervalStats {
     }
 }
 
+impl AttrIntervalStats {
+    /// Append the per-interval ranges in their wire form (that of a
+    /// `Vec<Option<(f64, f64)>>`); shared with pCLOUDS' sparse message.
+    pub fn encode_ranges(&self, buf: &mut Vec<u8>) {
+        (self.ranges.len() as u64).encode(buf);
+        for i in 0..self.ranges.len() {
+            self.range(i).encode(buf);
+        }
+    }
+}
+
 impl Wire for AttrIntervalStats {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.attr.encode(buf);
         self.intervals.encode(buf);
         self.counts.encode(buf);
-        self.ranges.encode(buf);
+        self.encode_ranges(buf);
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(AttrIntervalStats {
-            attr: usize::decode(bytes)?,
-            intervals: crate::intervals::IntervalSet::decode(bytes)?,
-            counts: Vec::<ClassCounts>::decode(bytes)?,
-            ranges: Vec::<Option<(f64, f64)>>::decode(bytes)?,
-        })
+        let attr = usize::decode(bytes)?;
+        let intervals = IntervalSet::decode(bytes)?;
+        let counts = CountTable::decode(bytes)?;
+        let ranges = Vec::<Option<(f64, f64)>>::decode(bytes)?;
+        AttrIntervalStats::from_parts(attr, intervals, counts, &ranges)
+            .map_err(|what| DecodeError::malformed(what, bytes))
     }
 }
 
@@ -336,7 +388,7 @@ mod tests {
         let values = synthetic_values(500);
         let (stats, total) = stats_from(&values, 8);
         assert_eq!(stats.totals(), total);
-        let per_interval: u64 = stats.counts.iter().flatten().sum();
+        let per_interval: u64 = stats.counts.cells().iter().sum();
         assert_eq!(per_interval, 500);
     }
 
@@ -428,7 +480,7 @@ mod tests {
             let hi = stats.intervals.upper_edge(i);
             let mut cum_before = vec![0u64; 2];
             for j in 0..i {
-                add_assign(&mut cum_before, &stats.counts[j]);
+                add_assign(&mut cum_before, stats.counts.row(j));
             }
             let fake = AliveInterval {
                 attr: 0,
@@ -437,7 +489,7 @@ mod tests {
                 upper: hi,
                 cum_before,
                 est: 0.0,
-                count: stats.counts[i].iter().sum(),
+                count: stats.counts.row(i).iter().sum(),
             };
             let mut points: Vec<(f64, u8)> =
                 values.iter().copied().filter(|&(v, _)| fake.contains(v)).collect();
@@ -466,6 +518,33 @@ mod tests {
         assert!(a.contains(10.0001));
         assert!(a.contains(20.0));
         assert!(!a.contains(20.0001));
+    }
+
+    #[test]
+    fn from_parts_refuses_inconsistent_cells() {
+        let intervals = || IntervalSet::from_boundaries(vec![1.0, 2.0]);
+        let ranges = [Some((0.0, 0.5)), None, Some((3.0, 3.0))];
+        let ok =
+            AttrIntervalStats::from_parts(0, intervals(), CountTable::new(3, 2), &ranges).unwrap();
+        assert_eq!((ok.range(0), ok.range(1)), (Some((0.0, 0.5)), None));
+        assert_eq!(AttrIntervalStats::from_bytes(&ok.to_bytes()).unwrap(), ok);
+        // Shapes that disagree with the interval set.
+        assert!(
+            AttrIntervalStats::from_parts(0, intervals(), CountTable::new(2, 2), &ranges).is_err()
+        );
+        assert!(
+            AttrIntervalStats::from_parts(0, intervals(), CountTable::new(3, 2), &ranges[..2])
+                .is_err()
+        );
+        // An inverted or NaN range would read as "empty" in the flat cells.
+        for bad in [(1.0, 0.0), (f64::NAN, 1.0), (0.0, f64::NAN)] {
+            let ranges = [Some(bad), None, None];
+            assert!(
+                AttrIntervalStats::from_parts(0, intervals(), CountTable::new(3, 2), &ranges)
+                    .is_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,34 @@
 //! Property-based tests of the CLOUDS machinery's core invariants.
 
 use pdc_clouds::gini::{gini, interval_gini_lower_bound, split_gini, sub};
-use pdc_clouds::{exact_interval_scan, AliveInterval, CountMatrix, IntervalSet};
+use pdc_clouds::{
+    accumulate_stats, exact_interval_scan, AliveInterval, CountMatrix, CountTable, IntervalSet,
+    NodeStats,
+};
 use proptest::prelude::*;
+
+/// Samples that stress the lookup index of `IntervalSet::from_sample`.
+fn adversarial_sample(kind: u8, raw: &[f64]) -> Vec<f64> {
+    let spread = |f: &dyn Fn(usize, f64) -> f64| -> Vec<f64> {
+        raw.iter().enumerate().map(|(i, &v)| f(i, v)).collect()
+    };
+    match kind {
+        // Smooth.
+        0 => raw.to_vec(),
+        // Half the mass on one value (the `commission == 0` spike).
+        1 => spread(&|i, v| if i % 2 == 0 { 0.0 } else { v.abs() + 1.0 }),
+        // Exponentially spaced: almost every boundary in the first cell.
+        2 => spread(&|i, _| 2f64.powi(i as i32 % 500 - 250)),
+        // Two distinct values; all equal.
+        3 => spread(&|i, _| if i % 3 == 0 { -7.5 } else { 7.5 }),
+        4 => vec![raw[0]; raw.len()],
+        // `hi - lo` overflows (scale 0) / is subnormal (scale infinite).
+        5 => spread(&|_, v| v * (f64::MAX / 1_000.0)),
+        6 => spread(&|i, _| i as f64 * f64::MIN_POSITIVE),
+        // One far outlier: every other boundary shares a cell.
+        _ => spread(&|i, v| if i == 0 { 1e300 } else { v }),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -66,6 +92,75 @@ proptest! {
         }
     }
 
+    /// `interval_of` on a `from_sample` set is the number of boundaries
+    /// strictly below the value — the plain binary search — for every
+    /// input, whatever the sample did to the lookup index.
+    #[test]
+    fn interval_of_on_sampled_sets_equals_the_plain_search(
+        kind in 0u8..8,
+        raw in proptest::collection::vec(-1_000.0f64..1_000.0, 40..600),
+        q in 2usize..300,
+    ) {
+        let sample = adversarial_sample(kind, &raw);
+        let set = IntervalSet::from_sample(&sample, q);
+        let bounds = set.boundaries();
+        let mut probes = sample.clone();
+        for &b in bounds {
+            probes.extend([b, b.next_down(), b.next_up()]);
+        }
+        if let (Some(&lo), Some(&hi)) = (bounds.first(), bounds.last()) {
+            probes.extend([lo - 1.0, lo * 2.0, -lo, hi + 1.0, hi * 2.0, (lo + hi) / 2.0]);
+        }
+        probes.extend([
+            f64::NEG_INFINITY, f64::INFINITY, f64::MIN, f64::MAX, 0.0, -0.0,
+            f64::MIN_POSITIVE, f64::NAN,
+        ]);
+        for v in probes {
+            prop_assert_eq!(
+                set.interval_of(v),
+                bounds.partition_point(|&b| b < v),
+                "value {:e}, kind {}, {} boundaries", v, kind, bounds.len()
+            );
+        }
+    }
+
+    /// Batched accumulation equals one-value-at-a-time accumulation,
+    /// however the records are cut into batches.
+    #[test]
+    fn add_records_equals_one_at_a_time(
+        seed in any::<u64>(),
+        n in 1usize..700,
+        q in 1usize..120,
+        cuts in proptest::collection::vec(0usize..700, 0..12),
+    ) {
+        use pdc_datagen::{generate, ClassifyFn, GeneratorConfig};
+        let records = generate(n, GeneratorConfig {
+            seed,
+            function: ClassifyFn::F6,
+            ..GeneratorConfig::default()
+        });
+        let sample = &records[..n.div_ceil(3)];
+        let mut oracle = NodeStats::from_sample(sample, q);
+        for r in &records {
+            oracle.total[r.class as usize] += 1;
+            for stats in &mut oracle.numeric {
+                stats.add_value(r.num(stats.attr), r.class);
+            }
+            for m in &mut oracle.categorical {
+                m.add_value(r.cat(m.attr), r.class);
+            }
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
+        cuts.extend([0, n]);
+        cuts.sort_unstable();
+        let mut batched = NodeStats::from_sample(sample, q);
+        for w in cuts.windows(2) {
+            batched.add_records(&records[w[0]..w[1]]);
+        }
+        prop_assert_eq!(&batched, &oracle);
+        prop_assert_eq!(&accumulate_stats(&records, sample, q), &oracle);
+    }
+
     /// Equi-depth construction: on distinct values every interval holds a
     /// fair share of the sample.
     #[test]
@@ -118,10 +213,8 @@ proptest! {
     fn breiman_optimal_for_two_classes(
         counts in proptest::collection::vec((0u64..30, 0u64..30), 2..9),
     ) {
-        let m = CountMatrix {
-            attr: 0,
-            counts: counts.iter().map(|&(a, b)| vec![a, b]).collect(),
-        };
+        let rows: Vec<[u64; 2]> = counts.iter().map(|&(a, b)| [a, b]).collect();
+        let m = CountMatrix::from_table(0, CountTable::from_rows(&rows).unwrap()).unwrap();
         let total = m.totals();
         // exhaustive_limit high -> exhaustive; 0 -> Breiman path.
         let exhaustive = m.best_split(&total, 16);

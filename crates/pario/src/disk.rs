@@ -14,7 +14,7 @@ use pdc_cgm::Proc;
 use crate::backend::{Backend, BackendKind};
 use crate::engine::{EngineConfig, IoEngine};
 use crate::prefetch::ReadAhead;
-use crate::rec::{decode_batch, encode_batch, Rec};
+use crate::rec::{decode_batch, encode_batch, encode_batch_into, Rec};
 
 /// Typed handle to a file on some [`NodeDisk`]. Cheap to clone; the data
 /// lives on the disk, not in the handle.
@@ -63,7 +63,8 @@ pub struct NodeDisk {
     /// routes every request through the legacy synchronous path.
     engine: Option<IoEngine>,
     next_file_id: u64,
-    /// Reusable read buffer so chunked scans do not allocate per chunk.
+    /// Reusable byte buffer so chunked scans and appends do not allocate
+    /// per chunk.
     scratch: Vec<u8>,
 }
 
@@ -210,7 +211,9 @@ impl NodeDisk {
         if records.is_empty() {
             return;
         }
-        let bytes = encode_batch(records);
+        self.scratch.clear();
+        encode_batch_into(records, &mut self.scratch);
+        let bytes = &self.scratch;
         let entry = self
             .files
             .get_mut(&file.name)
@@ -223,7 +226,7 @@ impl NodeDisk {
                 proc.disk_write_ws(bytes.len(), ws);
             }
         }
-        entry.backend.append(&bytes);
+        entry.backend.append(bytes);
         entry.records += records.len();
     }
 

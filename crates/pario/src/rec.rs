@@ -38,17 +38,24 @@ impl<A: Rec, B: Rec, C: Rec> Rec for (A, B, C) {
 
 /// Encode a batch of records into one contiguous buffer.
 pub fn encode_batch<R: Rec>(records: &[R]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(records.len() * R::ENCODED_BYTES);
+    let mut buf = Vec::new();
+    encode_batch_into(records, &mut buf);
+    buf
+}
+
+/// Append the encoding of a batch of records to `buf` (callers that encode
+/// chunk after chunk reuse one buffer).
+pub fn encode_batch_into<R: Rec>(records: &[R], buf: &mut Vec<u8>) {
+    buf.reserve(records.len() * R::ENCODED_BYTES);
     for r in records {
         let before = buf.len();
-        r.encode(&mut buf);
+        r.encode(buf);
         debug_assert_eq!(
             buf.len() - before,
             R::ENCODED_BYTES,
             "record type violated its fixed ENCODED_BYTES contract"
         );
     }
-    buf
 }
 
 /// Decode a contiguous buffer of back-to-back records.

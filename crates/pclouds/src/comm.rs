@@ -16,7 +16,7 @@
 //! shape-derived size that is identical on every rank.
 
 use pdc_cgm::wire::{decode_varint, encode_varint, DecodeError, DecodeResult, Wire};
-use pdc_clouds::{AttrIntervalStats, ClassCounts, CountMatrix};
+use pdc_clouds::{AttrIntervalStats, CountMatrix, CountTable, IntervalSet};
 
 /// One attribute's statistics inside a batched histogram message.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,16 +59,14 @@ impl HistMsg {
         // 1 tag byte + the fixed-width field layout of the dense form.
         match self {
             HistMsg::Numeric(s) => {
-                let q = s.counts.len();
-                let nclasses = s.counts.first().map_or(0, |c| c.len());
-                let boundaries = s.intervals.boundaries().len();
+                let (q, nclasses) = (s.counts().rows(), s.counts().cols());
+                let boundaries = s.intervals().boundaries().len();
                 // attr + intervals(len + f64s) + counts(len + q rows of
                 // (len + nclasses u64s)) + ranges(len + q Some(min,max)).
                 1 + 8 + (8 + boundaries * 8) + (8 + q * (8 + nclasses * 8)) + (8 + q * 17)
             }
             HistMsg::Categorical(m) => {
-                let card = m.counts.len();
-                let nclasses = m.counts.first().map_or(0, |c| c.len());
+                let (card, nclasses) = (m.counts().rows(), m.counts().cols());
                 1 + 8 + (8 + card * (8 + nclasses * 8))
             }
         }
@@ -77,14 +75,13 @@ impl HistMsg {
 
 /// Encode a count table sparsely: dimensions, then varint (gap, value)
 /// pairs over the non-zero cells in row-major order.
-fn encode_sparse_counts(buf: &mut Vec<u8>, counts: &[ClassCounts]) {
-    let cols = counts.first().map_or(0, |c| c.len());
-    encode_varint(buf, counts.len() as u64);
-    encode_varint(buf, cols as u64);
-    let nonzero = counts.iter().flatten().filter(|&&v| v != 0).count();
+fn encode_sparse_counts(buf: &mut Vec<u8>, counts: &CountTable) {
+    encode_varint(buf, counts.rows() as u64);
+    encode_varint(buf, counts.cols() as u64);
+    let nonzero = counts.cells().iter().filter(|&&v| v != 0).count();
     encode_varint(buf, nonzero as u64);
     let mut prev = 0u64;
-    for (idx, &v) in counts.iter().flatten().enumerate() {
+    for (idx, &v) in counts.cells().iter().enumerate() {
         if v != 0 {
             encode_varint(buf, idx as u64 - prev);
             encode_varint(buf, v);
@@ -94,34 +91,29 @@ fn encode_sparse_counts(buf: &mut Vec<u8>, counts: &[ClassCounts]) {
 }
 
 /// Decode the sparse count table back into its exact dense form.
-fn decode_sparse_counts(buf: &mut &[u8]) -> DecodeResult<Vec<ClassCounts>> {
-    let err = |what: &'static str, buf: &[u8]| DecodeError {
-        what,
-        remaining: buf.len(),
-        trailing: false,
-    };
+fn decode_sparse_counts(buf: &mut &[u8]) -> DecodeResult<CountTable> {
     let rows = usize::try_from(decode_varint(buf)?).unwrap_or(usize::MAX);
     let cols = usize::try_from(decode_varint(buf)?).unwrap_or(usize::MAX);
-    // Bound both what is allocated (`rows` vectors of `cols` counts) and
-    // what is indexed, before allocating anything.
+    // Bound both what is allocated (`rows × cols` counts) and what is
+    // indexed, before allocating anything.
     let cells = rows
         .checked_mul(cols)
         .filter(|&cells| cells.max(rows) <= MAX_SPARSE_CELLS)
-        .ok_or_else(|| err("sparse histogram shape out of range", buf))?;
+        .ok_or_else(|| DecodeError::malformed("sparse histogram shape out of range", buf))?;
     // A corrupt length cannot claim more cells than one varint byte each
     // could have produced non-zeros for.
     let nonzero = decode_varint(buf)?;
     if nonzero > cells as u64 || nonzero > buf.len() as u64 {
-        return Err(err("sparse histogram non-zero count out of range", buf));
+        return Err(DecodeError::malformed("sparse histogram non-zero count out of range", buf));
     }
-    let mut counts = vec![vec![0u64; cols]; rows];
+    let mut counts = CountTable::new(rows, cols);
     let mut next = 0u64;
     for _ in 0..nonzero {
         let idx = next
             .checked_add(decode_varint(buf)?)
             .filter(|&idx| idx < cells as u64)
-            .ok_or_else(|| err("sparse histogram index out of range", buf))?;
-        counts[idx as usize / cols][idx as usize % cols] = decode_varint(buf)?;
+            .ok_or_else(|| DecodeError::malformed("sparse histogram index out of range", buf))?;
+        counts.cells_mut()[idx as usize] = decode_varint(buf)?;
         next = idx + 1;
     }
     Ok(counts)
@@ -133,35 +125,36 @@ impl Wire for HistMsg {
             HistMsg::Numeric(s) => {
                 buf.push(TAG_NUMERIC);
                 encode_varint(buf, s.attr as u64);
-                s.intervals.encode(buf);
-                encode_sparse_counts(buf, &s.counts);
-                s.ranges.encode(buf);
+                s.intervals().encode(buf);
+                encode_sparse_counts(buf, s.counts());
+                s.encode_ranges(buf);
             }
             HistMsg::Categorical(m) => {
                 buf.push(TAG_CATEGORICAL);
                 encode_varint(buf, m.attr as u64);
-                encode_sparse_counts(buf, &m.counts);
+                encode_sparse_counts(buf, m.counts());
             }
         }
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
         match u8::decode(bytes)? {
-            TAG_NUMERIC => Ok(HistMsg::Numeric(AttrIntervalStats {
-                attr: decode_varint(bytes)? as usize,
-                intervals: pdc_clouds::IntervalSet::decode(bytes)?,
-                counts: decode_sparse_counts(bytes)?,
-                ranges: Vec::<Option<(f64, f64)>>::decode(bytes)?,
-            })),
-            TAG_CATEGORICAL => Ok(HistMsg::Categorical(CountMatrix {
-                attr: decode_varint(bytes)? as usize,
-                counts: decode_sparse_counts(bytes)?,
-            })),
-            _ => Err(DecodeError {
-                what: "histogram message tag out of range",
-                remaining: bytes.len(),
-                trailing: false,
-            }),
+            TAG_NUMERIC => {
+                let attr = decode_varint(bytes)? as usize;
+                let intervals = IntervalSet::decode(bytes)?;
+                let counts = decode_sparse_counts(bytes)?;
+                let ranges = Vec::<Option<(f64, f64)>>::decode(bytes)?;
+                AttrIntervalStats::from_parts(attr, intervals, counts, &ranges)
+                    .map(HistMsg::Numeric)
+                    .map_err(|what| DecodeError::malformed(what, bytes))
+            }
+            TAG_CATEGORICAL => {
+                let attr = decode_varint(bytes)? as usize;
+                CountMatrix::from_table(attr, decode_sparse_counts(bytes)?)
+                    .map(HistMsg::Categorical)
+                    .map_err(|what| DecodeError::malformed(what, bytes))
+            }
+            _ => Err(DecodeError::malformed("histogram message tag out of range", bytes)),
         }
     }
 }
@@ -169,22 +162,23 @@ impl Wire for HistMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdc_clouds::IntervalSet;
+
+    fn table(rows: &[[u64; 2]]) -> CountTable {
+        CountTable::from_rows(rows).unwrap()
+    }
 
     fn sample_numeric() -> AttrIntervalStats {
-        AttrIntervalStats {
-            attr: 3,
-            intervals: IntervalSet::from_boundaries(vec![1.0, 2.5, 7.0]),
-            counts: vec![vec![0, 5], vec![0, 0], vec![12, 0], vec![0, 1]],
-            ranges: vec![Some((0.1, 0.9)), None, Some((3.0, 6.0)), Some((9.0, 9.0))],
-        }
+        AttrIntervalStats::from_parts(
+            3,
+            IntervalSet::from_boundaries(vec![1.0, 2.5, 7.0]),
+            table(&[[0, 5], [0, 0], [12, 0], [0, 1]]),
+            &[Some((0.1, 0.9)), None, Some((3.0, 6.0)), Some((9.0, 9.0))],
+        )
+        .unwrap()
     }
 
     fn sample_categorical() -> CountMatrix {
-        CountMatrix {
-            attr: 1,
-            counts: vec![vec![0, 0], vec![7, 0], vec![0, 0], vec![0, 300]],
-        }
+        CountMatrix::from_table(1, table(&[[0, 0], [7, 0], [0, 0], [0, 300]])).unwrap()
     }
 
     #[test]
@@ -200,17 +194,16 @@ mod tests {
     #[test]
     fn sparse_encoding_is_smaller_for_sparse_counts() {
         // A mostly-zero table: the sparse form must beat the dense form.
-        let stats = AttrIntervalStats {
-            attr: 0,
-            intervals: IntervalSet::from_boundaries((1..64).map(f64::from).collect()),
-            counts: {
-                let mut c = vec![vec![0u64, 0u64]; 64];
-                c[5][1] = 3;
-                c[40][0] = 17;
-                c
-            },
-            ranges: vec![None; 64],
-        };
+        let mut counts = CountTable::new(64, 2);
+        counts.cells_mut()[5 * 2 + 1] = 3;
+        counts.cells_mut()[40 * 2] = 17;
+        let stats = AttrIntervalStats::from_parts(
+            0,
+            IntervalSet::from_boundaries((1..64).map(f64::from).collect()),
+            counts,
+            &[None; 64],
+        )
+        .unwrap();
         let dense = stats.to_bytes();
         let sparse = HistMsg::Numeric(stats).to_bytes();
         assert!(
@@ -224,18 +217,18 @@ mod tests {
     #[test]
     fn dense_hint_prices_the_dense_layout_and_ignores_values() {
         let full = sample_numeric();
-        let mut empty = full.clone();
-        for row in &mut empty.counts {
-            row.iter_mut().for_each(|v| *v = 0);
-        }
+        let with_cells = |counts: CountTable, ranges: &[Option<(f64, f64)>]| {
+            AttrIntervalStats::from_parts(full.attr, full.intervals().clone(), counts, ranges)
+                .unwrap()
+        };
+        let empty = with_cells(CountTable::new(4, 2), &[None; 4]);
         // Same shape => same hint, regardless of values...
         assert_eq!(
             HistMsg::Numeric(full.clone()).dense_hint(),
             HistMsg::Numeric(empty).dense_hint()
         );
         // ...and the hint prices tag + dense layout (ranges at worst case).
-        let mut worst = full;
-        worst.ranges = vec![Some((0.0, 1.0)); worst.ranges.len()];
+        let worst = with_cells(full.counts().clone(), &[Some((0.0, 1.0)); 4]);
         let dense = 1 + worst.to_bytes().len();
         assert_eq!(HistMsg::Numeric(worst).dense_hint(), dense);
         let cat = sample_categorical();
@@ -292,8 +285,13 @@ mod tests {
                 "rows={rows} cols={cols}"
             );
         }
-        // The documented bound itself is accepted.
-        let at_bound = categorical_frame(MAX_SPARSE_CELLS as u64 / 2, 2, 0, &[]);
-        assert!(HistMsg::from_bytes(&at_bound).is_ok());
+        // The documented bound itself is accepted by the table decoder
+        // (a categorical message still refuses more than 64 values).
+        let mut at_bound = Vec::new();
+        for v in [MAX_SPARSE_CELLS as u64 / 2, 2, 0] {
+            encode_varint(&mut at_bound, v);
+        }
+        assert!(decode_sparse_counts(&mut &at_bound[..]).is_ok());
+        assert!(HistMsg::from_bytes(&categorical_frame(65, 2, 0, &[])).is_err());
     }
 }

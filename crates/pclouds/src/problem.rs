@@ -49,12 +49,11 @@ use crate::state::SharedBuild;
 fn take_numeric(stats: &mut NodeStats, a: usize) -> pdc_clouds::AttrIntervalStats {
     std::mem::replace(
         &mut stats.numeric[a],
-        pdc_clouds::AttrIntervalStats {
-            attr: a,
-            intervals: pdc_clouds::IntervalSet::from_boundaries(Vec::new()),
-            counts: Vec::new(),
-            ranges: Vec::new(),
-        },
+        pdc_clouds::AttrIntervalStats::new(
+            a,
+            pdc_clouds::IntervalSet::from_boundaries(Vec::new()),
+            0,
+        ),
     )
 }
 
@@ -63,10 +62,7 @@ fn take_numeric(stats: &mut NodeStats, a: usize) -> pdc_clouds::AttrIntervalStat
 fn take_categorical(stats: &mut NodeStats, a: usize) -> pdc_clouds::CountMatrix {
     std::mem::replace(
         &mut stats.categorical[a],
-        pdc_clouds::CountMatrix {
-            attr: a,
-            counts: Vec::new(),
-        },
+        pdc_clouds::CountMatrix::new(a, 0, 0),
     )
 }
 
@@ -131,26 +127,21 @@ impl PcloudsProblem<'_> {
         &self.config.clouds
     }
 
-    /// One streaming pass accumulating this processor's node statistics.
-    fn local_stats_pass(
-        &self,
-        proc: &mut Proc,
-        id: u64,
-        sample: &[Record],
-        q: usize,
-        chunk: usize,
-    ) -> NodeStats {
+    /// One streaming pass accumulating this processor's node statistics,
+    /// over the intervals its replica of the node's sample gives.
+    fn local_stats_pass(&self, proc: &mut Proc, id: u64, q: usize, chunk: usize) -> NodeStats {
         let span = proc.span("pclouds.attr_scan", &[("node", id as i64)]);
-        let mut stats = NodeStats::from_sample(sample, q);
+        let mut stats = {
+            let st = self.build.rank(proc.rank());
+            NodeStats::from_sample(st.samples.get(&id).map_or(&[], Vec::as_slice), q)
+        };
         let mut disk = self.farm.lock(proc.rank());
         let f = disk.open::<Record>(&Self::node_file(id));
         let local_bytes = disk.num_records(&f) * Record::ENCODED_BYTES;
         let mut reader = disk.reader(&f, chunk);
         while let Some(chunk) = reader.next_chunk(&mut disk, proc) {
             proc.charge_ws(OpKind::RecordScan, chunk.len() as u64, local_bytes);
-            for r in &chunk {
-                stats.add_record(r);
-            }
+            stats.add_records(&chunk);
         }
         proc.span_end(span);
         stats
@@ -201,13 +192,13 @@ impl PcloudsProblem<'_> {
             HistMsg::Numeric(attr_stats) => {
                 // Prefix sums over the boundary frequency vectors + one
                 // gini evaluation per boundary.
-                let nb = attr_stats.intervals.boundaries().len() as u64;
+                let nb = attr_stats.intervals().boundaries().len() as u64;
                 proc.charge(OpKind::HistUpdate, nb * node_total.len() as u64);
                 proc.charge(OpKind::GiniEval, nb);
                 (attr_stats.best_boundary(node_total), Some(attr_stats))
             }
             HistMsg::Categorical(matrix) => {
-                proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
+                proc.charge(OpKind::GiniEval, matrix.counts().rows() as u64);
                 let cand = matrix.best_split(node_total, self.params().cat_exhaustive_limit);
                 (cand, None)
             }
@@ -274,15 +265,15 @@ impl PcloudsProblem<'_> {
         // Route local slice statistics to their owners.
         let mut parts: Vec<Vec<SliceWire>> = vec![Vec::new(); p];
         for attr_stats in &stats.numeric {
-            let q = attr_stats.intervals.num_intervals();
+            let q = attr_stats.intervals().num_intervals();
             for (j, part) in parts.iter_mut().enumerate() {
                 let (lo, hi) = slice_range(q, j);
                 if lo < hi {
                     part.push((
                         attr_stats.attr as u64,
                         lo as u64,
-                        attr_stats.counts[lo..hi].to_vec(),
-                        attr_stats.ranges[lo..hi].to_vec(),
+                        (lo..hi).map(|i| attr_stats.counts().row(i).to_vec()).collect(),
+                        (lo..hi).map(|i| attr_stats.range(i)).collect(),
                     ));
                 }
             }
@@ -349,7 +340,7 @@ impl PcloudsProblem<'_> {
         let n: u64 = node_total.iter().sum();
         let mut local_best: Option<Candidate> = None;
         for s in &owned {
-            let boundaries = stats.numeric[s.attr].intervals.boundaries();
+            let boundaries = stats.numeric[s.attr].intervals().boundaries();
             let mut left = s.cum_before.clone();
             proc.charge(OpKind::GiniEval, s.counts.len() as u64);
             for (k, interior) in s.counts.iter().enumerate() {
@@ -387,7 +378,7 @@ impl PcloudsProblem<'_> {
                 x
             });
             if let Some(matrix) = combined {
-                proc.charge(OpKind::GiniEval, matrix.counts.len() as u64);
+                proc.charge(OpKind::GiniEval, matrix.counts().rows() as u64);
                 if let Some(cand) =
                     matrix.best_split(node_total, self.params().cat_exhaustive_limit)
                 {
@@ -411,7 +402,7 @@ impl PcloudsProblem<'_> {
         let mut alive = Vec::new();
         for s in owned {
             proc.charge(OpKind::GiniEval, s.counts.len() as u64);
-            let intervals = &stats.numeric[s.attr].intervals;
+            let intervals = stats.numeric[s.attr].intervals();
             let mut cum = s.cum_before.clone();
             for (k, interior) in s.counts.iter().enumerate() {
                 let idx = s.start + k;
@@ -452,7 +443,7 @@ impl PcloudsProblem<'_> {
         for attr_stats in owned {
             proc.charge(
                 OpKind::GiniEval,
-                attr_stats.intervals.num_intervals() as u64,
+                attr_stats.intervals().num_intervals() as u64,
             );
             local_alive.extend(attr_stats.alive_intervals(node_total, gini_min));
         }
@@ -586,33 +577,25 @@ impl PcloudsProblem<'_> {
         let q_left = self.params().q_for_node(n_left, self.n_root);
         let q_right = self.params().q_for_node(n_right, self.n_root);
 
-        // Split the sample replica first: the children's interval
-        // boundaries come from their sample slices, which lets the data
-        // pass below fuse the children's statistics.
-        let (sample_left, sample_right) = {
-            let mut st = self.build.rank(proc.rank());
-            let sample = st.samples.remove(&id).unwrap_or_default();
-            proc.charge(OpKind::SplitTest, sample.len() as u64);
-            let (mut ls, mut rs) = (Vec::new(), Vec::new());
-            for s in sample {
-                if cand.splitter.goes_left(&s) {
-                    ls.push(s);
-                } else {
-                    rs.push(s);
-                }
-            }
-            st.samples.insert(lid, ls.clone());
-            st.samples.insert(rid, rs.clone());
-            (ls, rs)
-        };
-
         // Fused child statistics only pay off for children that will be
         // processed as large nodes; small children go to the direct method.
         let fuse_left = !self.is_small_n(n_left);
         let fuse_right = !self.is_small_n(n_right);
-        let mut stats_left = fuse_left.then(|| NodeStats::from_sample(&sample_left, q_left));
-        let mut stats_right =
-            fuse_right.then(|| NodeStats::from_sample(&sample_right, q_right));
+        // Split the sample replica first: the children's interval
+        // boundaries come from their sample slices, which lets the data
+        // pass below fuse the children's statistics.
+        let (mut stats_left, mut stats_right) = {
+            let mut st = self.build.rank(proc.rank());
+            let sample = st.samples.remove(&id).unwrap_or_default();
+            proc.charge(OpKind::SplitTest, sample.len() as u64);
+            let (ls, rs): (Vec<Record>, Vec<Record>) =
+                sample.into_iter().partition(|s| cand.splitter.goes_left(s));
+            let stats_left = fuse_left.then(|| NodeStats::from_sample(&ls, q_left));
+            let stats_right = fuse_right.then(|| NodeStats::from_sample(&rs, q_right));
+            st.samples.insert(lid, ls);
+            st.samples.insert(rid, rs);
+            (stats_left, stats_right)
+        };
 
         {
             let mut disk = self.farm.lock(proc.rank());
@@ -624,18 +607,20 @@ impl PcloudsProblem<'_> {
             let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
             while let Some(chunk) = reader.next_chunk(&mut disk, proc) {
                 proc.charge_ws(OpKind::SplitTest, chunk.len() as u64, local_bytes);
+                // Route first, accumulate per side afterwards: each child's
+                // statistics see one contiguous batch (attribute-major).
                 for r in chunk {
                     if cand.splitter.goes_left(&r) {
-                        if let Some(stats) = stats_left.as_mut() {
-                            stats.add_record(&r);
-                        }
                         lbuf.push(r);
                     } else {
-                        if let Some(stats) = stats_right.as_mut() {
-                            stats.add_record(&r);
-                        }
                         rbuf.push(r);
                     }
+                }
+                if let Some(stats) = stats_left.as_mut() {
+                    stats.add_records(&lbuf);
+                }
+                if let Some(stats) = stats_right.as_mut() {
+                    stats.add_records(&rbuf);
                 }
                 // The fused statistics update is the cost the separate pass
                 // would have paid.
@@ -778,13 +763,7 @@ impl OocProblem for PcloudsProblem<'_> {
         };
         let mut local_stats = match cached {
             Some(stats) => stats,
-            None => {
-                let sample = {
-                    let st = self.build.rank(proc.rank());
-                    st.samples.get(&id).cloned().unwrap_or_default()
-                };
-                self.local_stats_pass(proc, id, &sample, q, self.chunk())
-            }
+            None => self.local_stats_pass(proc, id, q, self.chunk()),
         };
         proc.span_end(stats_span);
         {
@@ -1075,13 +1054,7 @@ impl OocProblem for PcloudsProblem<'_> {
             };
             let stats = match cached {
                 Some(s) => s,
-                None => {
-                    let sample = {
-                        let st = self.build.rank(proc.rank());
-                        st.samples.get(&id).cloned().unwrap_or_default()
-                    };
-                    self.local_stats_pass(proc, id, &sample, q, chunk)
-                }
+                None => self.local_stats_pass(proc, id, q, chunk),
             };
             level_stats.push(stats);
         }
@@ -1108,7 +1081,7 @@ impl OocProblem for PcloudsProblem<'_> {
         if self.params().method == SplitMethod::SSE {
             for (i, attr_stats) in &owned_stats {
                 let gini_min = ss_best.get(&(*i as u64)).map_or(f64::INFINITY, |c| c.gini);
-                proc.charge(OpKind::GiniEval, attr_stats.intervals.num_intervals() as u64);
+                proc.charge(OpKind::GiniEval, attr_stats.intervals().num_intervals() as u64);
                 for alive in attr_stats.alive_intervals(&tasks[*i].meta.counts, gini_min) {
                     local_alive.push((*i as u64, alive));
                 }

@@ -2,8 +2,9 @@
 //! seeds: machine-size independence of the tree, determinism, and disk
 //! conservation — and of the histogram wire decoder over hostile bytes.
 
+use pdc_cgm::wire::encode_varint;
 use pdc_cgm::{Cluster, Wire};
-use pdc_clouds::{AttrIntervalStats, CloudsParams, CountMatrix, IntervalSet};
+use pdc_clouds::{AttrIntervalStats, CloudsParams, CountMatrix, CountTable, IntervalSet};
 use pdc_datagen::{generate, ClassifyFn, GeneratorConfig};
 use pdc_dnc::Strategy;
 use pdc_pario::DiskFarm;
@@ -80,21 +81,94 @@ proptest! {
     }
 }
 
-/// A valid numeric or categorical histogram message with `rows` rows whose
-/// cells come from `cells` (zero-heavy, like a deep node's local counts).
-fn valid_hist_msg(numeric: bool, rows: usize, cells: &[u64]) -> HistMsg {
-    let counts: Vec<Vec<u64>> = (0..rows)
-        .map(|r| (0..2).map(|c| cells[(2 * r + c) % cells.len()] % 3).collect())
-        .collect();
-    if numeric {
-        HistMsg::Numeric(AttrIntervalStats {
+/// One attribute's statistics in the **nested** layout they had before the
+/// cells went flat (`Vec<ClassCounts>`, `Vec<Option<(f64, f64)>>`), with the
+/// encoders that layout had — the reference the flat layout's bytes are
+/// pinned against.
+struct Nested {
+    attr: usize,
+    boundaries: Vec<f64>,
+    counts: Vec<Vec<u64>>,
+    ranges: Vec<Option<(f64, f64)>>,
+}
+
+impl Nested {
+    /// `rows` rows whose cells come from `cells` (zero-heavy, like a deep
+    /// node's local counts).
+    fn new(rows: usize, cells: &[u64]) -> Nested {
+        Nested {
             attr: 2,
-            intervals: IntervalSet::from_boundaries((1..rows).map(|b| b as f64).collect()),
-            counts,
-            ranges: (0..rows).map(|r| (r % 2 == 0).then_some((r as f64, r as f64 + 0.5))).collect(),
-        })
+            boundaries: (1..rows).map(|b| b as f64).collect(),
+            counts: (0..rows)
+                .map(|r| (0..2).map(|c| cells[(2 * r + c) % cells.len()] % 3).collect())
+                .collect(),
+            ranges: (0..rows)
+                .map(|r| (r % 2 == 0).then_some((r as f64, r as f64 + 0.5)))
+                .collect(),
+        }
+    }
+
+    fn numeric(&self) -> AttrIntervalStats {
+        let intervals = IntervalSet::from_boundaries(self.boundaries.clone());
+        let counts = CountTable::from_rows(&self.counts).unwrap();
+        AttrIntervalStats::from_parts(self.attr, intervals, counts, &self.ranges).unwrap()
+    }
+
+    fn categorical(&self) -> CountMatrix {
+        CountMatrix::from_table(self.attr, CountTable::from_rows(&self.counts).unwrap()).unwrap()
+    }
+
+    /// The old sparse table: dimensions, then varint (gap, value) pairs.
+    fn encode_sparse_counts(&self, buf: &mut Vec<u8>) {
+        let cols = self.counts.first().map_or(0, |c| c.len());
+        encode_varint(buf, self.counts.len() as u64);
+        encode_varint(buf, cols as u64);
+        let nonzero = self.counts.iter().flatten().filter(|&&v| v != 0).count();
+        encode_varint(buf, nonzero as u64);
+        let mut prev = 0u64;
+        for (idx, &v) in self.counts.iter().flatten().enumerate() {
+            if v != 0 {
+                encode_varint(buf, idx as u64 - prev);
+                encode_varint(buf, v);
+                prev = idx as u64 + 1;
+            }
+        }
+    }
+
+    /// (dense `AttrIntervalStats`, sparse `HistMsg::Numeric`) bytes.
+    fn numeric_bytes(&self) -> (Vec<u8>, Vec<u8>) {
+        let mut dense = Vec::new();
+        self.attr.encode(&mut dense);
+        self.boundaries.encode(&mut dense);
+        self.counts.encode(&mut dense);
+        self.ranges.encode(&mut dense);
+        let mut sparse = vec![0u8];
+        encode_varint(&mut sparse, self.attr as u64);
+        self.boundaries.encode(&mut sparse);
+        self.encode_sparse_counts(&mut sparse);
+        self.ranges.encode(&mut sparse);
+        (dense, sparse)
+    }
+
+    /// (dense `CountMatrix`, sparse `HistMsg::Categorical`) bytes.
+    fn categorical_bytes(&self) -> (Vec<u8>, Vec<u8>) {
+        let mut dense = Vec::new();
+        self.attr.encode(&mut dense);
+        self.counts.encode(&mut dense);
+        let mut sparse = vec![1u8];
+        encode_varint(&mut sparse, self.attr as u64);
+        self.encode_sparse_counts(&mut sparse);
+        (dense, sparse)
+    }
+}
+
+/// A valid numeric or categorical histogram message (see [`Nested::new`]).
+fn valid_hist_msg(numeric: bool, rows: usize, cells: &[u64]) -> HistMsg {
+    let nested = Nested::new(rows, cells);
+    if numeric {
+        HistMsg::Numeric(nested.numeric())
     } else {
-        HistMsg::Categorical(CountMatrix { attr: 1, counts })
+        HistMsg::Categorical(nested.categorical())
     }
 }
 
@@ -111,6 +185,30 @@ proptest! {
         let mut bytes = vec![tag];
         bytes.extend(body);
         let _ = HistMsg::from_bytes(&bytes);
+    }
+
+    /// The flat cell layout is invisible on the wire: dense and sparse
+    /// encodings equal those of the nested layout byte for byte — also for
+    /// all-zero tables and a categorical table without rows — so message
+    /// sizes, and with them the virtual clock, cannot move.
+    #[test]
+    fn flat_cells_encode_like_the_nested_layout(
+        rows in 0usize..40,
+        cells in proptest::collection::vec(any::<u64>(), 1..48),
+        all_zero in any::<bool>(),
+    ) {
+        let cells = if all_zero { vec![0] } else { cells };
+        let nested = Nested::new(rows, &cells);
+        let (dense, sparse) = nested.categorical_bytes();
+        prop_assert_eq!(nested.categorical().to_bytes(), dense.clone());
+        prop_assert_eq!(CountMatrix::from_bytes(&dense).unwrap(), nested.categorical());
+        prop_assert_eq!(HistMsg::Categorical(nested.categorical()).to_bytes(), sparse);
+        if rows > 0 {
+            let (dense, sparse) = nested.numeric_bytes();
+            prop_assert_eq!(nested.numeric().to_bytes(), dense.clone());
+            prop_assert_eq!(AttrIntervalStats::from_bytes(&dense).unwrap(), nested.numeric());
+            prop_assert_eq!(HistMsg::Numeric(nested.numeric()).to_bytes(), sparse);
+        }
     }
 
     /// Valid encodings roundtrip; the same bytes truncated, or with any one

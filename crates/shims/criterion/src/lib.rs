@@ -41,6 +41,14 @@ impl BenchmarkId {
             name: format!("{}/{}", function_name.into(), parameter),
         }
     }
+
+    /// Identifier made of the displayed parameter alone (the group names
+    /// the function).
+    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
+        BenchmarkId {
+            name: parameter.to_string(),
+        }
+    }
 }
 
 /// The timing loop handed to every benchmark closure.
