@@ -1,21 +1,25 @@
 //! **Extension — resource-gauge profiling run.**
 //!
-//! Runs one pCLOUDS experiment with the full observability stack on (event
-//! trace, spans, gauges — see [`pdc_cgm::gauge`]) and the asynchronous disk
-//! engine enabled, then writes the profiling artifacts under `results/`:
+//! Runs one pCLOUDS experiment with the full observability stack on (spans,
+//! the recorded event DAG, gauges — see [`pdc_cgm::gauge`]) and the
+//! asynchronous disk engine enabled, then writes the profiling artifacts
+//! under `results/`:
 //!
 //! * `results/profile_<name>.json` — Chrome trace-event JSON including the
 //!   gauge counter tracks (`"ph":"C"`); open it in Perfetto
 //!   (<https://ui.perfetto.dev>) to see queue depths, buffer-pool occupancy
 //!   and resident task bytes as time series under each rank.
+//! * `results/profile_<name>.jsonl` — one metrics row per rank × span
+//!   (inclusive/self time plus counter deltas).
 //! * `results/profile_<name>.csv` — the gauge step functions as a flat
 //!   `rank,gauge,time_s,value` table ([`pdc_cgm::gauges_csv`]).
 //! * `results/profile_<name>.txt` — the rendered [`pdc_cgm::BuildReport`]
 //!   (per-rank utilization, per-level attribution with imbalance factors,
 //!   hotspots, gauge peaks).
 //!
-//! and prints the level-wise build table plus the report summary to the
-//! terminal.
+//! and prints the level-wise build table plus the report summary, the
+//! per-span rollups and the cross-rank critical path (the span chain that
+//! bounds the makespan) to the terminal.
 //!
 //! With `--serve`, profiles the **serving path** instead: trains a model,
 //! then runs the scoring harness with the full observability stack *and*
@@ -31,7 +35,9 @@
 
 use pdc_bench::harness::{machine_config, Experiment, Scale};
 use pdc_cgm::export::validate_json;
-use pdc_cgm::{chrome_trace_json, critical_path, gauges_csv, BuildReport, Cluster};
+use pdc_cgm::{
+    chrome_trace_json, critical_path, gauges_csv, metrics_jsonl, BuildReport, Cluster,
+};
 use pdc_datagen::GeneratorConfig;
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, SloSpec, TelemetryConfig};
@@ -74,6 +80,13 @@ fn main() {
     let trace_path = format!("results/profile_{name}.json");
     std::fs::write(&trace_path, &trace).expect("write trace JSON");
 
+    let jsonl = metrics_jsonl(stats);
+    for (i, line) in jsonl.lines().enumerate() {
+        validate_json(line).unwrap_or_else(|e| panic!("metrics JSONL line {i}: {e}"));
+    }
+    let jsonl_path = format!("results/profile_{name}.jsonl");
+    std::fs::write(&jsonl_path, &jsonl).expect("write metrics JSONL");
+
     let csv = gauges_csv(stats);
     let csv_path = format!("results/profile_{name}.csv");
     std::fs::write(&csv_path, &csv).expect("write gauges CSV");
@@ -84,15 +97,35 @@ fn main() {
     std::fs::write(&txt_path, &rendered).expect("write build report");
 
     println!("{rendered}");
+    println!("== span rollups (all ranks) ==");
     println!(
-        "wrote {trace_path} ({} bytes), {csv_path} ({} samples), {txt_path}",
+        "{:<28} {:>6} {:>12} {:>12} {:>12}",
+        "span", "count", "total_s", "self_s", "max_s"
+    );
+    for s in out.span_metrics().by_name() {
+        println!(
+            "{:<28} {:>6} {:>12.3} {:>12.3} {:>12.3}",
+            s.name, s.count, s.total_seconds, s.total_self_seconds, s.max_seconds
+        );
+    }
+    let cp = critical_path(stats);
+    assert!(
+        !cp.segments.is_empty(),
+        "critical path must be non-empty for a recorded run"
+    );
+    println!();
+    println!("{}", cp.render());
+    println!(
+        "wrote {trace_path} ({} bytes), {jsonl_path} ({} rows), {csv_path} ({} samples), {txt_path}",
         trace.len(),
+        jsonl.lines().count(),
         csv.lines().count().saturating_sub(1)
     );
 }
 
 /// Profile the serving path: train, probe once to size the windows and the
-/// SLO deterministically, then re-run with trace + gauges + telemetry on.
+/// SLO deterministically, then re-run with spans + event DAG + gauges +
+/// telemetry on.
 fn profile_serve(name: &str, p: usize, scale: Scale) {
     let train_n = scale.records(600_000);
     let requests = scale.records(2_400_000);
@@ -130,7 +163,7 @@ fn profile_serve(name: &str, p: usize, scale: Scale) {
     // Pass 2 — same run, full observability stack + telemetry.
     let mut machine = machine_config(scale);
     machine.spans = true;
-    machine.trace = true;
+    machine.record = true;
     machine.gauges = true;
     let cluster = Cluster::with_config(p, machine);
     let cfg = ServeConfig::new(Layout::Flat, 1_024)
@@ -139,7 +172,7 @@ fn profile_serve(name: &str, p: usize, scale: Scale) {
     assert_eq!(
         report.makespan.to_bits(),
         probe.makespan.to_bits(),
-        "telemetry and tracing must not perturb the serving run"
+        "telemetry and recording must not perturb the serving run"
     );
     let telemetry = report.telemetry.as_ref().expect("telemetry was configured");
     let stats = &report.stats;

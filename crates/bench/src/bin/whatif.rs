@@ -73,7 +73,7 @@ fn main() {
     let p = 4;
 
     eprintln!("whatif: recording one n={n} p={p} training run ({scale:?})");
-    let out = Experiment::new(n, p, scale).recorded().run();
+    let out = Experiment::new(n, p, scale).traced().run();
     let graph = EventGraph::from_stats(&out.run.stats);
     let base = graph.makespan();
     let evg_path = Path::new("results/whatif_run.evg");
@@ -164,7 +164,7 @@ fn main() {
     );
     let (mut t1_rec, mut t1_mod) = (0.0, 0.0);
     for p in [1usize, 2, 4, 8] {
-        let out = Experiment::new(n, p, scale).recorded().run();
+        let out = Experiment::new(n, p, scale).traced().run();
         let g = EventGraph::from_stats(&out.run.stats);
         let rec = identity_check(&g).makespan();
         let m = replay(&g, &modern).makespan();

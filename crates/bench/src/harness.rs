@@ -71,9 +71,9 @@ impl Scale {
 /// before the single [`Experiment::run`].
 ///
 /// The observability presets ([`Experiment::traced`],
-/// [`Experiment::profiled`], [`Experiment::recorded`]) only flip
-/// pure-observation switches of the machine, so their runs are
-/// bit-identical in virtual times and counters to the bare run.
+/// [`Experiment::profiled`]) only flip pure-observation switches of the
+/// machine, so their runs are bit-identical in virtual times and counters
+/// to the bare run.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     n: u64,
@@ -123,29 +123,22 @@ impl Experiment {
         self
     }
 
-    /// Spans + event trace on, for [`pdc_cgm::chrome_trace_json`],
-    /// [`pdc_cgm::critical_path`] and span rollups.
-    pub fn traced(self) -> Self {
-        self.machine(|m| {
-            m.spans = true;
-            m.trace = true;
-        })
-    }
-
-    /// The full observability stack — spans, event trace and resource
-    /// gauges ([`pdc_cgm::gauge`]) — for [`pdc_cgm::BuildReport`].
-    pub fn profiled(self) -> Self {
-        self.traced().machine(|m| m.gauges = true)
-    }
-
     /// Spans + event-DAG recording on (see [`pdc_cgm::evg`]): the returned
-    /// stats carry the causal event graph, ready for
-    /// [`pdc_cgm::EventGraph::from_stats`] and [`pdc_cgm::replay()`].
-    pub fn recorded(self) -> Self {
+    /// stats carry the causal event graph every view is derived from —
+    /// [`pdc_cgm::chrome_trace_json`], [`pdc_cgm::critical_path`], span
+    /// rollups, and [`pdc_cgm::EventGraph::from_stats`] for what-if
+    /// [`pdc_cgm::replay()`].
+    pub fn traced(self) -> Self {
         self.machine(|m| {
             m.spans = true;
             m.record = true;
         })
+    }
+
+    /// The full observability stack — spans, the event DAG and resource
+    /// gauges ([`pdc_cgm::gauge`]) — for [`pdc_cgm::BuildReport`].
+    pub fn profiled(self) -> Self {
+        self.traced().machine(|m| m.gauges = true)
     }
 
     /// Build the farm, stream the data set onto it, build the cluster,
@@ -382,7 +375,6 @@ mod tests {
         for (name, preset) in [
             ("traced", bare.clone().traced()),
             ("profiled", bare.clone().profiled()),
-            ("recorded", bare.clone().recorded()),
         ] {
             let out = preset.run();
             assert_eq!(out.tree, reference.tree, "{name}: tree changed");

@@ -14,11 +14,13 @@
 //! `from_json(to_json(s)) == s` exactly), and the recorded
 //! [`Scale`] name keeps quick-scale baselines from
 //! being compared against default-scale runs. No serde — the format is
-//! small enough to read and write by hand, and this crate takes no new
-//! dependencies.
+//! small enough to write by hand, and it is read back through the
+//! workspace's one JSON parser ([`pdc_cgm::json`]).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use pdc_cgm::json::{self, Value};
 
 use crate::harness::Scale;
 
@@ -100,19 +102,44 @@ impl BenchSummary {
     /// hand-edited to the same shape). Returns a description of the first
     /// problem found.
     pub fn from_json(text: &str) -> Result<BenchSummary, String> {
-        let mut p = Parser { s: text.as_bytes(), at: 0 };
-        let summary = p.summary()?;
-        p.skip_ws();
-        if p.at != p.s.len() {
-            return Err(format!("trailing content at byte {}", p.at));
-        }
-        if summary.schema != BENCH_SCHEMA {
+        let Value::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
+            return Err("summary must be a JSON object".to_string());
+        };
+        // Key order is fixed so hand-written baselines stay canonical.
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        if keys != ["schema", "bin", "scale", "metrics"] {
             return Err(format!(
-                "schema {:?} is not the supported {BENCH_SCHEMA:?}",
-                summary.schema
+                "expected keys [schema, bin, scale, metrics] in that order, found {keys:?}"
             ));
         }
-        Ok(summary)
+        let mut values = members.into_iter().map(|(_, v)| v);
+        let mut string = |key: &str| match values.next() {
+            Some(Value::String(s)) => Ok(s),
+            _ => Err(format!("{key:?} must be a string")),
+        };
+        let (schema, bin, scale) = (string("schema")?, string("bin")?, string("scale")?);
+        if schema != BENCH_SCHEMA {
+            return Err(format!(
+                "schema {schema:?} is not the supported {BENCH_SCHEMA:?}"
+            ));
+        }
+        let Some(Value::Object(entries)) = values.next() else {
+            return Err("\"metrics\" must be an object".to_string());
+        };
+        let mut metrics: Vec<(String, f64)> = Vec::with_capacity(entries.len());
+        for (name, value) in entries {
+            let Value::Number(v) = value else {
+                return Err(format!("metric {name:?} must be a number"));
+            };
+            if !v.is_finite() {
+                return Err(format!("non-finite value for metric {name:?}"));
+            }
+            if metrics.iter().any(|(n, _)| *n == name) {
+                return Err(format!("duplicate metric {name:?}"));
+            }
+            metrics.push((name, v));
+        }
+        Ok(BenchSummary { schema, bin, scale, metrics })
     }
 
     /// Canonical on-disk location for `bin`'s summary under `dir`
@@ -139,200 +166,16 @@ impl BenchSummary {
     }
 }
 
-/// Escape a string for JSON. Metric and context names are ASCII in
-/// practice; the escaper is still complete for control characters.
+/// Quote and escape a string for JSON.
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json::escape(s))
 }
 
-/// Shortest-roundtrip `f64` formatting, kept JSON-legal (JSON has no
-/// `inf`/`nan`, but [`BenchSummary::metric`] already rejects those).
+/// Shortest-roundtrip `f64` formatting; `{:?}` prints integral floats as
+/// `1.0`, which JSON accepts (JSON has no `inf`/`nan`, but
+/// [`BenchSummary::metric`] already rejects those).
 fn json_f64(v: f64) -> String {
-    let s = format!("{v:?}");
-    // `{:?}` prints integral floats as `1.0`, which JSON accepts; nothing
-    // further to normalize.
-    s
-}
-
-/// Minimal recursive-descent parser for exactly the object shape
-/// [`BenchSummary::to_json`] emits (whitespace-insensitive, key order
-/// fixed so hand-written baselines stay canonical).
-struct Parser<'a> {
-    s: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.at < self.s.len() && self.s[self.at].is_ascii_whitespace() {
-            self.at += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.s.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.at,
-                self.s.get(self.at).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.s.get(self.at) else {
-                return Err("unterminated string".to_string());
-            };
-            self.at += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.s.get(self.at) else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.at..self.at + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.at += 4;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                b => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    let start = self.at - 1;
-                    let len = match b {
-                        _ if b < 0x80 => 1,
-                        _ if b >> 5 == 0b110 => 2,
-                        _ if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .s
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.at = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.at;
-        while self
-            .s
-            .get(self.at)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.at += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.at]).map_err(|e| e.to_string())?;
-        let v: f64 = text
-            .parse()
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
-        if !v.is_finite() {
-            return Err(format!("non-finite metric value {text:?}"));
-        }
-        Ok(v)
-    }
-
-    fn key(&mut self, expected: &str) -> Result<(), String> {
-        let k = self.string()?;
-        if k != expected {
-            return Err(format!("expected key {expected:?}, found {k:?}"));
-        }
-        self.expect(b':')
-    }
-
-    fn summary(&mut self) -> Result<BenchSummary, String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        self.key("schema")?;
-        let schema = self.string()?;
-        self.expect(b',')?;
-        self.skip_ws();
-        self.key("bin")?;
-        let bin = self.string()?;
-        self.expect(b',')?;
-        self.skip_ws();
-        self.key("scale")?;
-        let scale = self.string()?;
-        self.expect(b',')?;
-        self.skip_ws();
-        self.key("metrics")?;
-        self.expect(b'{')?;
-        let mut metrics = Vec::new();
-        self.skip_ws();
-        if self.s.get(self.at) != Some(&b'}') {
-            loop {
-                let name = self.string()?;
-                self.expect(b':')?;
-                let value = self.number()?;
-                if metrics.iter().any(|(n, _): &(String, f64)| *n == name) {
-                    return Err(format!("duplicate metric {name:?}"));
-                }
-                metrics.push((name, value));
-                self.skip_ws();
-                match self.s.get(self.at) {
-                    Some(&b',') => {
-                        self.at += 1;
-                        self.skip_ws();
-                    }
-                    _ => break,
-                }
-            }
-        }
-        self.expect(b'}')?;
-        self.expect(b'}')?;
-        Ok(BenchSummary {
-            schema,
-            bin,
-            scale,
-            metrics,
-        })
-    }
+    format!("{v:?}")
 }
 
 #[cfg(test)]

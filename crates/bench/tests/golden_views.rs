@@ -51,10 +51,13 @@ fn render(stats: &[ProcStats]) -> String {
 /// words that both parse as decimal floats may differ by 1e-9.
 fn assert_matches(got: &str, want: &str, what: &str) {
     let (g, w): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
-    assert_eq!(g.len(), w.len(), "{what}: line count moved\n--- got ---\n{got}");
+    assert_eq!(
+        g.len(),
+        w.len(),
+        "{what}: line count moved\n--- got ---\n{got}"
+    );
     for (n, (gl, wl)) in g.iter().zip(&w).enumerate() {
-        let (gw, ww): (Vec<&str>, Vec<&str>) =
-            (gl.split(' ').collect(), wl.split(' ').collect());
+        let (gw, ww): (Vec<&str>, Vec<&str>) = (gl.split(' ').collect(), wl.split(' ').collect());
         let same = gw.len() == ww.len()
             && gw.iter().zip(&ww).all(|(a, b)| {
                 a == b
@@ -90,7 +93,7 @@ fn faulty_ring() -> Vec<ProcStats> {
     faults.disk.read_error_prob = 0.3;
     faults.disk.max_retries = 8;
     let cfg = MachineConfig {
-        trace: true,
+        record: true,
         spans: true,
         gauges: true,
         faults,
@@ -151,6 +154,9 @@ fn faulty_ring_views_are_pinned() {
     });
     assert!(total.link_failures > 0, "no send failed permanently");
     assert!(total.link_retries > 0 && total.link_delays > 0 && total.disk_retries > 0);
-    assert_matches(&render(&stats), include_str!("golden/faulty_ring.txt"), "faulty ring");
+    assert_matches(
+        &render(&stats),
+        include_str!("golden/faulty_ring.txt"),
+        "faulty ring",
+    );
 }
-

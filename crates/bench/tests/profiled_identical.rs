@@ -1,4 +1,4 @@
-//! The profiled harness run (trace + spans + gauges, engine on) must
+//! The profiled harness run (spans + event DAG + gauges, engine on) must
 //! reproduce the plain engine run's virtual times bit for bit, its exports
 //! must be byte-deterministic across identical runs, and the per-rank time
 //! identity must survive faults and the asynchronous engine composed.

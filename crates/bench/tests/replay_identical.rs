@@ -25,7 +25,7 @@ fn faulty_plan() -> FaultPlan {
 #[test]
 fn recording_does_not_perturb_the_run() {
     let plain = Experiment::new(N, P, Scale::Quick).run();
-    let recorded = Experiment::new(N, P, Scale::Quick).recorded().run();
+    let recorded = Experiment::new(N, P, Scale::Quick).traced().run();
     assert_eq!(plain.tree, recorded.tree);
     for (a, b) in plain.run.stats.iter().zip(&recorded.run.stats) {
         assert_eq!(
@@ -40,7 +40,7 @@ fn recording_does_not_perturb_the_run() {
 
 #[test]
 fn identity_replay_bit_exact_plain() {
-    let out = Experiment::new(N, P, Scale::Quick).recorded().run();
+    let out = Experiment::new(N, P, Scale::Quick).traced().run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
@@ -48,7 +48,7 @@ fn identity_replay_bit_exact_plain() {
 fn identity_replay_bit_exact_with_faults() {
     let out = Experiment::new(N, P, Scale::Quick)
         .machine(|m| m.faults = faulty_plan())
-        .recorded()
+        .traced()
         .run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
@@ -56,7 +56,7 @@ fn identity_replay_bit_exact_with_faults() {
 #[test]
 fn identity_replay_bit_exact_with_engine() {
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    let out = Experiment::new(N, P, Scale::Quick).engine(&engine).recorded().run();
+    let out = Experiment::new(N, P, Scale::Quick).engine(&engine).traced().run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
@@ -64,12 +64,11 @@ fn identity_replay_bit_exact_with_engine() {
 fn identity_replay_bit_exact_with_telemetry_and_everything() {
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
     // Everything at once: faults, the engine, and the whole telemetry
-    // stack (trace + gauges) on top of the recording.
+    // stack (spans + gauges) on top of the recording.
     let out = Experiment::new(N, P, Scale::Quick)
         .machine(|m| m.faults = faulty_plan())
         .engine(&engine)
         .profiled()
-        .recorded()
         .run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
@@ -90,7 +89,7 @@ fn identity_replay_bit_exact_ensemble_subgroups() {
 
 #[test]
 fn replay_overrides_behave_on_a_real_training_run() {
-    let out = Experiment::new(N, P, Scale::Quick).recorded().run();
+    let out = Experiment::new(N, P, Scale::Quick).traced().run();
     let graph = EventGraph::from_stats(&out.run.stats);
     let base = graph.makespan();
 

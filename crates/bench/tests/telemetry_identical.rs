@@ -1,5 +1,5 @@
-//! Regression contract: the whole observability stack — spans, event
-//! trace, gauges, latency histograms, windowed telemetry, SLO monitors —
+//! Regression contract: the whole observability stack — spans, the
+//! recorded event DAG, gauges, latency histograms, windowed telemetry, SLO monitors —
 //! is **pure observation**. Turning all of it on at once must leave every
 //! rank's finish time bit-identical and every counter identical, at both
 //! the serving layer and the training (pclouds) layer.
@@ -54,12 +54,12 @@ fn serving_run_is_bit_identical_with_full_telemetry_on() {
     let plain = Cluster::new(p);
     let off = serve(&plain, &stage(), &tree, &ServeConfig::new(Layout::Flat, 200));
 
-    // Everything on: spans + event trace + gauges at the machine level,
+    // Everything on: spans + event DAG + gauges at the machine level,
     // histogram + exact validation + tumbling windows + SLO at the
     // harness level.
     let mut machine = pdc_cgm::MachineConfig::default();
     machine.spans = true;
-    machine.trace = true;
+    machine.record = true;
     machine.gauges = true;
     let observed = Cluster::with_config(p, machine);
     let telemetry = TelemetryConfig::new((off.makespan / 10.0).max(1e-6))
@@ -108,7 +108,7 @@ fn pclouds_run_is_bit_identical_with_full_observability_on() {
     let n = 12_000;
     let p = 4;
     let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
-    // Same workload, same engine; the only difference is spans + trace +
+    // Same workload, same engine; the only difference is spans + record +
     // gauges (the `profiled` preset flips exactly those three).
     let off = Experiment::new(n, p, scale).engine(&engine).run();
     let on = Experiment::new(n, p, scale).engine(&engine).profiled().run();

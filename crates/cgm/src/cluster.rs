@@ -36,8 +36,6 @@ pub struct MachineConfig {
     /// event backend has no wall-clock mechanism at all — its deadlock
     /// detection is structural (see [`crate::exec`]).
     pub recv_timeout: Duration,
-    /// Record a per-processor event trace (see [`crate::trace`]).
-    pub trace: bool,
     /// Record hierarchical spans (see [`crate::span`]). Pure observation:
     /// enabling spans never changes a run's virtual times.
     pub spans: bool,
@@ -48,11 +46,13 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan (see [`crate::fault`]); the
     /// default plan is inert and changes nothing.
     pub faults: FaultPlan,
-    /// Record the replayable event DAG (see [`crate::evg`]), enabling
-    /// what-if replay via [`mod@crate::replay`]. Pure observation, like spans
-    /// and gauges: enabling recording never changes a run's virtual times
-    /// or counters. Record with spans on if span-name cost overrides
-    /// should apply during replay.
+    /// Record the replayable event DAG (see [`crate::evg`]) — the source
+    /// of every timestamped view ([`crate::export`], [`crate::trace`]) and
+    /// of what-if replay via [`mod@crate::replay`]. Pure observation, like
+    /// spans and gauges: enabling recording never changes a run's virtual
+    /// times or counters. Record with spans on if views should attribute
+    /// events to spans and span-name cost overrides should apply during
+    /// replay.
     pub record: bool,
 }
 
@@ -63,7 +63,6 @@ impl Default for MachineConfig {
             backend: Backend::Thread,
             event_workers: 0,
             recv_timeout: Duration::from_secs(120),
-            trace: false,
             spans: false,
             gauges: false,
             faults: FaultPlan::default(),
@@ -170,7 +169,6 @@ impl Cluster {
             cost: self.config.cost.clone(),
             mailboxes: (0..self.nprocs).map(|_| Mailbox::new()).collect(),
             exec,
-            trace: self.config.trace,
             spans: self.config.spans,
             gauges: self.config.gauges,
             faults: self.config.faults.clone(),

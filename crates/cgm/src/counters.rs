@@ -148,8 +148,6 @@ pub struct ProcStats {
     pub finish_time: f64,
     /// Accumulated counters.
     pub counters: Counters,
-    /// Event trace (empty unless [`crate::MachineConfig::trace`] is set).
-    pub trace: Vec<crate::trace::TraceEvent>,
     /// Recorded spans in open order (empty unless
     /// [`crate::MachineConfig::spans`] is set).
     pub spans: Vec<crate::span::SpanRecord>,
@@ -158,8 +156,10 @@ pub struct ProcStats {
     /// with [`crate::gauge::resolve_series`].
     pub gauges: Vec<crate::gauge::GaugePoint>,
     /// Replayable event DAG in program order (empty unless
-    /// [`crate::MachineConfig::record`] is set). Assemble across ranks
-    /// with [`crate::evg::EventGraph::from_stats`].
+    /// [`crate::MachineConfig::record`] is set) — the one thing a
+    /// processor records about time. Assemble across ranks with
+    /// [`crate::evg::EventGraph::from_stats`]; every timestamped view
+    /// ([`crate::export`], [`crate::trace`]) is a replay of it.
     pub events: Vec<crate::evg::Ev>,
     /// Span-name table referenced by [`crate::evg::Ev::Enter`] events.
     pub event_names: Vec<&'static str>,
@@ -302,7 +302,6 @@ mod tests {
                 compute_time: 2.0,
                 ..Counters::default()
             },
-            trace: Vec::new(),
             spans: Vec::new(),
             gauges: Vec::new(),
             events: Vec::new(),
@@ -323,7 +322,6 @@ mod tests {
                 fault_time: 0.5,
                 ..Counters::default()
             },
-            trace: Vec::new(),
             spans: Vec::new(),
             gauges: Vec::new(),
             events: Vec::new(),
@@ -346,7 +344,6 @@ mod tests {
                 io_device_time: 7.0,
                 ..Counters::default()
             },
-            trace: Vec::new(),
             spans: Vec::new(),
             gauges: Vec::new(),
             events: Vec::new(),

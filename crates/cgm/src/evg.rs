@@ -1,8 +1,10 @@
 //! Replayable event graphs: the complete causal record of one run.
 //!
-//! The trace/span/gauge layers describe what a run *did*; this module
-//! records enough to answer what a run *would have done* on different
-//! hardware. When [`crate::MachineConfig::record`] is on, every virtual
+//! This is the one thing a processor records about time. Spans and gauges
+//! describe what a run *did*; the event DAG additionally answers what it
+//! *would have done* on different hardware, and every timestamped view of
+//! a run (Chrome trace, critical path, ASCII timeline) is derived from it
+//! by replay. When [`crate::MachineConfig::record`] is on, every virtual
 //! processor appends one [`Ev`] per clock-affecting primitive — compute
 //! charges, disk requests, message pushes and receives, asynchronous device
 //! submissions and waits — in program order. The per-rank event lists form
@@ -126,6 +128,8 @@ pub enum Ev {
         /// Transient-retry penalty component of `service`; the rest
         /// (`service - seek - fault`) is transfer.
         fault: f64,
+        /// Transient read errors retried on the device before success.
+        retries: u32,
     },
     /// A blocking wait for device request `req`: the exposed stall
     /// (`completion - clock`, when positive) charges the clock.
@@ -186,13 +190,14 @@ impl Wire for Ev {
                 src.encode(buf);
                 tag.encode(buf);
             }
-            Ev::Submit { read, bytes, service, seek, fault } => {
+            Ev::Submit { read, bytes, service, seek, fault, retries } => {
                 5u8.encode(buf);
                 read.encode(buf);
                 bytes.encode(buf);
                 service.encode(buf);
                 seek.encode(buf);
                 fault.encode(buf);
+                retries.encode(buf);
             }
             Ev::Wait { req, service } => {
                 6u8.encode(buf);
@@ -235,6 +240,7 @@ impl Wire for Ev {
                 service: f64::decode(buf)?,
                 seek: f64::decode(buf)?,
                 fault: f64::decode(buf)?,
+                retries: u32::decode(buf)?,
             },
             6 => Ev::Wait { req: u64::decode(buf)?, service: f64::decode(buf)? },
             7 => Ev::SyncDev,
@@ -321,7 +327,7 @@ impl Wire for Breakdown {
 }
 
 /// Format version written at the head of every encoded graph.
-pub const EVG_VERSION: u32 = 1;
+pub const EVG_VERSION: u32 = 2;
 
 /// The complete recorded event DAG of one run: per-rank event lists, a
 /// shared span-name table, and the recorded finish times / busy breakdowns
@@ -408,6 +414,92 @@ impl EventGraph {
         self.ranks.iter().map(Vec::len).sum()
     }
 
+    /// Check that the graph is one a run could have recorded — everything
+    /// [`mod@crate::replay`] indexes by is in range, every receive has a
+    /// push to pair with and the receives can be scheduled — naming the
+    /// rank and event index of the first violation. Graphs from
+    /// [`EventGraph::from_stats`] pass by construction; bytes from outside
+    /// the program ([`EventGraph::load`]) are checked before use. A valid
+    /// graph replays without panicking under any [`crate::CostOverride`].
+    pub fn validate(&self) -> Result<(), String> {
+        crate::replay::try_replay(self, &crate::CostOverride::identity()).map(|_| ())
+    }
+
+    /// The rank-local half of [`EventGraph::validate`]: shapes, index
+    /// ranges, span balance and durations.
+    pub(crate) fn check_events(&self) -> Result<(), String> {
+        let p = self.nprocs;
+        if self.ranks.len() != p || self.finish.len() != p || self.recorded.len() != p {
+            return Err(format!(
+                "nprocs is {p} but ranks/finish/recorded hold {}/{}/{} entries",
+                self.ranks.len(),
+                self.finish.len(),
+                self.recorded.len()
+            ));
+        }
+        for (r, evs) in self.ranks.iter().enumerate() {
+            let (mut submits, mut depth) = (0u64, 0usize);
+            for (i, ev) in evs.iter().enumerate() {
+                let at = |what: String| format!("rank {r} event {i}: {what}");
+                let ensure = |ok: bool, what: &dyn Fn() -> String| {
+                    if ok {
+                        Ok(())
+                    } else {
+                        Err(at(what()))
+                    }
+                };
+                let durations = match *ev {
+                    Ev::Compute { kind, seconds } => {
+                        ensure(kind <= COMPUTE_RAW, &|| format!("compute kind {kind}"))?;
+                        [seconds, 0.0, 0.0]
+                    }
+                    Ev::Disk { seconds, seek, .. } => [seconds, seek, 0.0],
+                    Ev::Fault { kind, seconds } => {
+                        ensure(kind <= FAULT_LINK, &|| format!("fault kind {kind}"))?;
+                        [seconds, 0.0, 0.0]
+                    }
+                    Ev::Push { dst, seconds, lat, delay, .. } => {
+                        ensure((dst as usize) < p, &|| format!("push to rank {dst} of {p}"))?;
+                        [seconds, lat, delay]
+                    }
+                    Ev::Recv { src, .. } => {
+                        ensure((src as usize) < p, &|| format!("receive from rank {src} of {p}"))?;
+                        [0.0; 3]
+                    }
+                    Ev::Submit { service, seek, fault, .. } => {
+                        submits += 1;
+                        [service, seek, fault]
+                    }
+                    Ev::Wait { req, service } => {
+                        ensure(req < submits, &|| {
+                            format!("waits on request {req} of {submits} submitted")
+                        })?;
+                        [service, 0.0, 0.0]
+                    }
+                    Ev::SyncDev => {
+                        ensure(submits > 0, &|| "device sync before any submission".into())?;
+                        [0.0; 3]
+                    }
+                    Ev::Enter { name } => {
+                        let known = self.names.len();
+                        ensure((name as usize) < known, &|| format!("span name {name} of {known}"))?;
+                        depth += 1;
+                        [0.0; 3]
+                    }
+                    Ev::Exit => {
+                        ensure(depth > 0, &|| "closes a span that was never opened".into())?;
+                        depth -= 1;
+                        [0.0; 3]
+                    }
+                };
+                if let Some(d) = durations.iter().find(|d| !(d.is_finite() && **d >= 0.0)) {
+                    return Err(at(format!("duration {d} is not a finite non-negative number")));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Write the graph to `path` in its [`Wire`] encoding.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
@@ -416,11 +508,21 @@ impl EventGraph {
         std::fs::write(path, self.to_bytes())
     }
 
-    /// Read a graph previously written by [`EventGraph::save`].
+    /// Decode and [`EventGraph::validate`] a graph from bytes produced
+    /// outside this process.
+    pub fn from_untrusted(bytes: &[u8]) -> Result<EventGraph, String> {
+        let graph = EventGraph::from_bytes(bytes).map_err(|e| e.to_string())?;
+        graph.validate()?;
+        Ok(graph)
+    }
+
+    /// Read and validate a graph previously written by
+    /// [`EventGraph::save`].
     pub fn load(path: &Path) -> Result<EventGraph, String> {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        EventGraph::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+        std::fs::read(path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| EventGraph::from_untrusted(&bytes))
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -473,7 +575,7 @@ mod tests {
                 poison: false,
             },
             Ev::Recv { src: 1, tag: 9 },
-            Ev::Submit { read: false, bytes: 1 << 16, service: 0.02, seek: 0.01, fault: 0.0 },
+            Ev::Submit { read: false, bytes: 1 << 16, service: 0.02, seek: 0.01, fault: 0.0, retries: 2 },
             Ev::Wait { req: 5, service: 0.004 },
             Ev::SyncDev,
             Ev::Enter { name: 2 },
@@ -517,4 +619,46 @@ mod tests {
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-12);
         assert_eq!(a.max_abs_diff(&a), 0.0);
     }
+    #[test]
+    fn validate_names_the_rank_and_event_of_each_violation() {
+        let push = |dst| Ev::Push { dst, tag: 1, bytes: 8, seconds: 0.1, lat: 0.0, delay: 0.0, poison: false };
+        let submit = Ev::Submit { read: true, bytes: 8, service: 0.1, seek: 0.0, fault: 0.0, retries: 0 };
+        let graph = |ranks: Vec<Vec<Ev>>| EventGraph {
+            nprocs: 2,
+            names: vec!["a".into()],
+            ranks,
+            finish: vec![0.0; 2],
+            recorded: vec![Breakdown::default(); 2],
+        };
+        let ok = graph(vec![
+            vec![Ev::Enter { name: 0 }, push(1), submit, Ev::Wait { req: 0, service: 0.1 }, Ev::SyncDev, Ev::Exit],
+            vec![Ev::Recv { src: 0, tag: 1 }],
+        ]);
+        assert_eq!(ok.validate(), Ok(()));
+        for (rank0, rank1, at, what) in [
+            (vec![Ev::Compute { kind: 8, seconds: 1.0 }], vec![], "rank 0 event 0", "compute kind"),
+            (vec![Ev::Compute { kind: 0, seconds: f64::NAN }], vec![], "rank 0 event 0", "duration"),
+            (vec![Ev::Compute { kind: 0, seconds: -1.0 }], vec![], "rank 0 event 0", "duration"),
+            (vec![Ev::Fault { kind: 2, seconds: 0.0 }], vec![], "rank 0 event 0", "fault kind"),
+            (vec![], vec![push(2)], "rank 1 event 0", "push to rank 2"),
+            (vec![], vec![Ev::Recv { src: 7, tag: 1 }], "rank 1 event 0", "receive from rank 7"),
+            (vec![push(1)], vec![Ev::Recv { src: 0, tag: 1 }, Ev::Recv { src: 0, tag: 1 }], "rank 1 event 1", "no unmatched push"),
+            (vec![submit, Ev::Wait { req: 1, service: 0.0 }], vec![], "rank 0 event 1", "request 1 of 1"),
+            (vec![Ev::SyncDev], vec![], "rank 0 event 0", "before any submission"),
+            (vec![Ev::Enter { name: 1 }], vec![], "rank 0 event 0", "span name 1 of 1"),
+            (vec![Ev::Enter { name: 0 }, Ev::Exit, Ev::Exit], vec![], "rank 0 event 2", "never opened"),
+            // Each rank receives before it pushes: the order cannot be scheduled.
+            (vec![Ev::Recv { src: 1, tag: 1 }, push(1)], vec![Ev::Recv { src: 0, tag: 1 }, push(0)], "event 0", "receive cycle"),
+        ] {
+            let err = graph(vec![rank0, rank1]).validate().unwrap_err();
+            assert!(err.contains(at) && err.contains(what), "{err}");
+        }
+        let mut short = ok.clone();
+        short.finish.pop();
+        assert!(short.validate().unwrap_err().contains("nprocs is 2"));
+        // Decoding untrusted bytes runs the same checks.
+        assert!(EventGraph::from_untrusted(&short.to_bytes()).is_err());
+        assert_eq!(EventGraph::from_untrusted(&ok.to_bytes()), Ok(ok));
+    }
+
 }

@@ -2,10 +2,15 @@
 //! (loadable in Perfetto / `chrome://tracing`), a JSONL metrics dump, and a
 //! cross-rank critical-path report.
 //!
-//! All JSON is hand-rolled (the repo is offline-vendored; no serde). The
-//! exporters are pure functions of [`crate::ProcStats`] — run the machine
-//! with [`crate::MachineConfig::trace`] and [`crate::MachineConfig::spans`]
-//! enabled, then feed [`crate::RunOutput::stats`] to any of them.
+//! The exporters are pure functions of [`crate::ProcStats`] and only
+//! format: everything timestamped comes from replaying the run's recorded
+//! event DAG ([`crate::replay()`] of [`EventGraph::from_stats`]). Run the
+//! machine with [`crate::MachineConfig::spans`] and
+//! [`crate::MachineConfig::record`] enabled, then feed
+//! [`crate::RunOutput::stats`] to any of them; without `record` the span
+//! and gauge parts still render and the event-derived parts are empty.
+//! JSON is written by hand (the repo is offline-vendored; no serde) and
+//! read back through [`crate::json`].
 //!
 //! # Chrome trace schema
 //!
@@ -26,41 +31,25 @@
 //!
 //! The makespan of a run is bounded by a chain of dependent events: within
 //! a rank each event depends on its predecessor; across ranks a receive
-//! that actually waited depends on the matching send. [`critical_path`]
-//! walks that chain backward from the last event of the slowest rank
-//! (matching sends to receives FIFO per `(src, dst, tag)`, exactly the
-//! mailbox discipline), then compresses it into per-span segments. It also
-//! computes per-event *slack* — how much later an event could finish
-//! without growing the makespan — by a reverse-topological pass, and
-//! reports the spans with the least slack (the next bottlenecks).
+//! that actually waited depends on the matching push; an exposed device
+//! stall depends on the device's busy period. The replay walks that chain
+//! backward from the last event of the slowest rank
+//! ([`crate::ReplayOutput::chain`]); [`critical_path`] compresses it into
+//! per-span segments. It also reports per-span *slack* — how much later a
+//! span's events could finish without growing the makespan
+//! ([`crate::ReplayOutput::latest_end`]) — and lists the spans with the
+//! least (the next bottlenecks).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::counters::ProcStats;
-use crate::trace::EventKind;
+use crate::evg::{Ev, EventGraph, FAULT_DISK};
+use crate::json::escape as esc;
+use crate::replay::{identity_check, ReplayOutput};
 
 // ----------------------------------------------------------------------
 // JSON building blocks
 // ----------------------------------------------------------------------
-
-/// Escape `s` as the body of a JSON string (no surrounding quotes).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Format an `f64` as a JSON number. Rust's `Display` for `f64` never uses
 /// exponent notation and round-trips, which is exactly what JSON wants;
@@ -81,6 +70,20 @@ fn attrs_json(attrs: &[(&'static str, i64)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
+/// The recorded event DAG of `stats` (one run's complete
+/// [`crate::RunOutput::stats`]) and its identity replay — the timed view
+/// every exporter below formats, checked to land on the recorded finish
+/// times bit for bit. `None` for a run that recorded no events (`record`
+/// off, or nothing happened).
+fn timed_view(stats: &[ProcStats]) -> Option<(EventGraph, ReplayOutput)> {
+    if stats.iter().all(|s| s.events.is_empty()) {
+        return None;
+    }
+    let graph = EventGraph::from_stats(stats);
+    let view = identity_check(&graph);
+    Some((graph, view))
+}
+
 // ----------------------------------------------------------------------
 // Chrome trace-event JSON
 // ----------------------------------------------------------------------
@@ -90,6 +93,7 @@ fn attrs_json(attrs: &[(&'static str, i64)]) -> String {
 /// rank; spans become `B`/`E` pairs, faults become instant events, gauges
 /// become counter tracks (`ph: "C"`).
 pub fn chrome_trace_json(stats: &[ProcStats]) -> String {
+    let timed = timed_view(stats);
     let mut events: Vec<String> = Vec::new();
     for s in stats {
         events.push(format!(
@@ -135,51 +139,64 @@ pub fn chrome_trace_json(stats: &[ProcStats]) -> String {
                 s.rank
             ));
         }
-        let mut device_lane_named = false;
-        for e in &s.trace {
-            match &e.kind {
-                EventKind::Fault { kind, seconds } => {
-                    events.push(format!(
-                        "{{\"name\":\"fault:{}\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\
-                         \"tid\":0,\"s\":\"t\",\"args\":{{\"seconds\":{}}}}}",
-                        esc(kind),
-                        num(e.time * 1e6),
-                        s.rank,
-                        num(*seconds)
-                    ));
-                }
-                EventKind::DeviceIo { read, bytes, start, end, retries } => {
-                    if !device_lane_named {
-                        events.push(format!(
-                            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\
-                             \"tid\":1,\"args\":{{\"name\":\"io device\"}}}}",
-                            s.rank
-                        ));
-                        device_lane_named = true;
+        if let Some((graph, view)) = &timed {
+            let r = s.rank;
+            let fault = |name: &str, at: f64, seconds: f64| {
+                format!(
+                    "{{\"name\":\"fault:{name}\",\"ph\":\"i\",\"ts\":{},\"pid\":{r},\
+                     \"tid\":0,\"s\":\"t\",\"args\":{{\"seconds\":{}}}}}",
+                    num(at * 1e6),
+                    num(seconds)
+                )
+            };
+            let mut requests = view.device[r].iter().enumerate();
+            for (i, ev) in graph.ranks[r].iter().enumerate() {
+                let at = view.end[r][i];
+                match *ev {
+                    Ev::Fault { kind, seconds } => {
+                        let name = if kind == FAULT_DISK { "disk-error" } else { "link-drop" };
+                        events.push(fault(name, at, seconds));
                     }
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"device\",\"ph\":\"X\",\
-                         \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":1,\
-                         \"args\":{{\"bytes\":{},\"retries\":{}}}}}",
-                        if *read { "device.read" } else { "device.write" },
-                        num(start * 1e6),
-                        num((end - start) * 1e6),
-                        s.rank,
-                        bytes,
-                        retries
-                    ));
-                    if *retries > 0 {
+                    // A delayed delivery is marked on the sender.
+                    Ev::Push { delay, .. } if delay > 0.0 => {
+                        events.push(fault("link-delay", at, delay));
+                    }
+                    // A poisoned receive (the sender gave up) is marked on
+                    // the receiver with how long it waited to learn that.
+                    Ev::Recv { .. } => {
+                        let (sr, si) = view.sender[&(r, i)];
+                        if matches!(graph.ranks[sr][si], Ev::Push { poison: true, .. }) {
+                            events.push(fault("link-drop", at, at - view.start(r, i)));
+                        }
+                    }
+                    Ev::Submit { read, bytes, retries, .. } => {
+                        let (k, &(start, end)) =
+                            requests.next().expect("one service window per submission");
+                        if k == 0 {
+                            events.push(format!(
+                                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{r},\
+                                 \"tid\":1,\"args\":{{\"name\":\"io device\"}}}}"
+                            ));
+                        }
                         events.push(format!(
-                            "{{\"name\":\"fault:disk-error-async\",\"ph\":\"i\",\
-                             \"ts\":{},\"pid\":{},\"tid\":1,\"s\":\"t\",\
-                             \"args\":{{\"retries\":{}}}}}",
+                            "{{\"name\":\"{}\",\"cat\":\"device\",\"ph\":\"X\",\
+                             \"ts\":{},\"dur\":{},\"pid\":{r},\"tid\":1,\
+                             \"args\":{{\"bytes\":{bytes},\"retries\":{retries}}}}}",
+                            if read { "device.read" } else { "device.write" },
                             num(start * 1e6),
-                            s.rank,
-                            retries
+                            num((end - start) * 1e6),
                         ));
+                        if retries > 0 {
+                            events.push(format!(
+                                "{{\"name\":\"fault:disk-error-async\",\"ph\":\"i\",\
+                                 \"ts\":{},\"pid\":{r},\"tid\":1,\"s\":\"t\",\
+                                 \"args\":{{\"retries\":{retries}}}}}",
+                                num(start * 1e6),
+                            ));
+                        }
                     }
+                    _ => {}
                 }
-                _ => {}
             }
         }
         // Gauges as Perfetto counter tracks: one "C" event per resolved
@@ -372,7 +389,7 @@ pub struct CriticalPathReport {
     /// The run's makespan (maximum finish time), seconds.
     pub makespan: f64,
     /// The critical chain from time 0 to the makespan, compressed into
-    /// per-(rank, span) segments. Empty when the run recorded no trace.
+    /// per-(rank, span) segments. Empty when the run recorded no events.
     pub segments: Vec<CpSegment>,
     /// Critical-path seconds aggregated by span name, descending.
     pub by_span: Vec<(String, f64)>,
@@ -384,24 +401,9 @@ pub struct CriticalPathReport {
     pub classes: crate::replay::CriticalSummary,
 }
 
-enum Link {
-    Send { dst: usize, tag: u32 },
-    Recv { src: usize, tag: u32, waited: f64 },
-    IoStall { seconds: f64 },
-    DeviceIo { start: f64, end: f64 },
-    Other,
-}
-
-struct CpEvent {
-    start: f64,
-    end: f64,
-    span: Option<u32>,
-    link: Link,
-}
-
-/// Walk Send→Recv edges and within-rank ordering to identify the chain of
-/// events bounding the makespan, and compute per-span slack. Requires a
-/// run with [`crate::MachineConfig::trace`] enabled (returns an empty
+/// Identify the chain of events bounding the makespan and compute
+/// per-span slack, by replaying the run's recorded event DAG. Requires a
+/// run with [`crate::MachineConfig::record`] enabled (returns an empty
 /// report otherwise); span attribution additionally needs
 /// [`crate::MachineConfig::spans`].
 pub fn critical_path(stats: &[ProcStats]) -> CriticalPathReport {
@@ -413,276 +415,45 @@ pub fn critical_path(stats: &[ProcStats]) -> CriticalPathReport {
         top_slack: Vec::new(),
         classes: crate::replay::CriticalSummary::default(),
     };
-
-    // Flatten each rank's trace into events with [start, end] extents.
-    let events: Vec<Vec<CpEvent>> = stats
-        .iter()
-        .map(|s| {
-            s.trace
-                .iter()
-                .map(|e| {
-                    let extent = e.kind.extent();
-                    let link = match &e.kind {
-                        EventKind::Send { dst, tag, .. } => {
-                            Link::Send { dst: *dst, tag: *tag }
-                        }
-                        EventKind::Recv { src, tag, waited, .. } => Link::Recv {
-                            src: *src,
-                            tag: *tag,
-                            waited: *waited,
-                        },
-                        EventKind::IoStall { seconds } => {
-                            Link::IoStall { seconds: *seconds }
-                        }
-                        EventKind::DeviceIo { start, end, .. } => {
-                            Link::DeviceIo { start: *start, end: *end }
-                        }
-                        _ => Link::Other,
-                    };
-                    CpEvent {
-                        start: e.time - extent,
-                        end: e.time,
-                        span: e.span,
-                        link,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    // Match sends to receives: the mailbox delivers FIFO per (src, tag),
-    // so the k-th send (src → dst, tag) pairs with the k-th receive of
-    // (src, tag) on dst. Poisoned/dropped transfers emit Fault events, not
-    // Send/Recv, so this pairing is exact even under fault injection.
-    let mut queues: HashMap<(usize, usize, u32), VecDeque<(usize, usize)>> =
-        HashMap::new();
-    for (rank, evs) in events.iter().enumerate() {
-        for (i, e) in evs.iter().enumerate() {
-            if let Link::Send { dst, tag } = e.link {
-                queues.entry((rank, dst, tag)).or_default().push_back((rank, i));
-            }
-        }
-    }
-    let mut recv_match: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    let mut send_match: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    for (rank, evs) in events.iter().enumerate() {
-        for (i, e) in evs.iter().enumerate() {
-            if let Link::Recv { src, tag, .. } = e.link {
-                if let Some(q) = queues.get_mut(&(src, rank, tag)) {
-                    if let Some(send) = q.pop_front() {
-                        recv_match.insert((rank, i), send);
-                        send_match.insert(send, (rank, i));
-                    }
-                }
-            }
-        }
-    }
-
-    // Per-rank device request timeline, in submission (= service) order:
-    // (trace index, device start, device completion). Used to chase an
-    // exposed stall back through the contiguous device busy chain that
-    // bounded it.
-    let device: Vec<Vec<(usize, f64, f64)>> = events
-        .iter()
-        .map(|evs| {
-            evs.iter()
-                .enumerate()
-                .filter_map(|(i, e)| match e.link {
-                    Link::DeviceIo { start, end } => Some((i, start, end)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
-
-    // Backward walk from the last event of the slowest rank. At a receive
-    // that actually waited, the bound is the matching send on the source
-    // rank; at an exposed device stall, the bound is the device busy chain
-    // ending at the awaited completion, so the walk resumes at the
-    // submission of that chain's first request; otherwise it is the local
-    // predecessor.
-    let Some(start_rank) = stats
-        .iter()
-        .filter(|s| !s.trace.is_empty())
-        .max_by(|a, b| a.finish_time.partial_cmp(&b.finish_time).unwrap())
-        .map(|s| s.rank)
-    else {
-        return report; // no trace recorded
+    let Some((graph, view)) = timed_view(stats) else {
+        return report; // nothing recorded
     };
-    let total_events: usize = events.iter().map(Vec::len).sum();
-    let mut chain: Vec<(usize, usize)> = Vec::new();
-    let mut cur = (start_rank, events[start_rank].len() - 1);
-    loop {
-        chain.push(cur);
-        if chain.len() > total_events {
-            break; // safety net; the walk is finite by construction
-        }
-        // Attribute the event's rank-timeline extent to a resource class
-        // for the verdict line (exposed device stalls count as io: that
-        // time is device service).
-        let kind = &stats[cur.0].trace[cur.1].kind;
-        let extent = kind.extent();
-        match kind {
-            EventKind::Compute { .. } => report.classes.compute += extent,
-            EventKind::Send { .. } | EventKind::Recv { .. } => {
-                report.classes.comm += extent
-            }
-            EventKind::Disk { .. } | EventKind::IoStall { .. } => {
-                report.classes.io += extent
-            }
-            EventKind::Fault { .. } => report.classes.fault += extent,
-            EventKind::DeviceIo { .. } => {}
-        }
-        let e = &events[cur.0][cur.1];
-        if let Link::Recv { waited, .. } = e.link {
-            if waited > 0.0 {
-                if let Some(&send) = recv_match.get(&cur) {
-                    cur = send;
-                    continue;
-                }
-            }
-        }
-        if let Link::IoStall { seconds } = e.link {
-            if seconds > 0.0 {
-                // The stall ended exactly at the awaited request's device
-                // completion (the clock jumped to it), so the comparison is
-                // exact. Requests complete in submission order; take the
-                // latest request with that completion and extend backward
-                // while each request started exactly when its predecessor
-                // completed (a contiguous busy period).
-                let devs = &device[cur.0];
-                if let Some(mut k) =
-                    devs.iter().rposition(|&(i, _, end)| i < cur.1 && end == e.end)
-                {
-                    while k > 0 && devs[k].1 == devs[k - 1].2 {
-                        k -= 1;
-                    }
-                    // Device service before the exposed stall began is also
-                    // on the critical path (the walk resumes at the chain's
-                    // submission, skipping the overlapped local events).
-                    report.classes.io +=
-                        ((e.end - seconds) - devs[k].1).max(0.0);
-                    cur = (cur.0, devs[k].0);
-                    continue;
-                }
-            }
-        }
-        if cur.1 > 0 {
-            cur = (cur.0, cur.1 - 1);
-        } else {
-            break;
-        }
-    }
-    chain.reverse();
+    report.classes = view.critical;
 
     // Compress the chain into per-(rank, span) segments.
-    let span_name = |rank: usize, span: Option<u32>| -> Option<&'static str> {
-        span.map(|i| stats[rank].spans[i as usize].name)
-    };
-    for &(rank, i) in &chain {
-        let e = &events[rank][i];
-        let name = span_name(rank, e.span);
+    for &(rank, i) in &view.chain {
+        let span = view.span[rank][i].map(|sp| stats[rank].spans[sp as usize].name);
+        let (start, end) = (view.start(rank, i), view.end[rank][i]);
         match report.segments.last_mut() {
-            Some(seg) if seg.rank == rank && seg.span == name => {
-                seg.end = e.end;
-            }
-            _ => report.segments.push(CpSegment {
-                rank,
-                span: name,
-                start: e.start,
-                end: e.end,
-            }),
+            Some(seg) if seg.rank == rank && seg.span == span => seg.end = end,
+            _ => report.segments.push(CpSegment { rank, span, start, end }),
         }
     }
     for seg in &report.segments {
-        let key = seg.span.unwrap_or("<untracked>").to_string();
-        match report.by_span.iter_mut().find(|(n, _)| *n == key) {
+        let key = seg.span.unwrap_or("<untracked>");
+        match report.by_span.iter_mut().find(|(n, _)| n == key) {
             Some((_, secs)) => *secs += seg.seconds(),
-            None => report.by_span.push((key, seg.seconds())),
+            None => report.by_span.push((key.to_string(), seg.seconds())),
         }
     }
     report
         .by_span
         .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
 
-    // Slack: latest completion time each event could have without growing
-    // the makespan, by a reverse-topological (Kahn) pass. Successors: the
-    // local next event, and for a matched send, its receive. A receive's
-    // own wait is shrinkable, so it does not propagate its extent.
-    let offsets: Vec<usize> = {
-        let mut off = Vec::with_capacity(events.len());
-        let mut acc = 0;
-        for evs in &events {
-            off.push(acc);
-            acc += evs.len();
-        }
-        off
-    };
-    let gid = |(rank, i): (usize, usize)| offsets[rank] + i;
-    let mut gid_rank = vec![0usize; total_events];
-    for (rank, evs) in events.iter().enumerate() {
-        for i in 0..evs.len() {
-            gid_rank[gid((rank, i))] = rank;
-        }
-    }
-    let mut latest = vec![f64::INFINITY; total_events];
-    let mut out_deg = vec![0u32; total_events];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); total_events];
-    for (rank, evs) in events.iter().enumerate() {
-        for i in 0..evs.len() {
-            let g = gid((rank, i));
-            if i + 1 < evs.len() {
-                out_deg[g] += 1;
-                preds[gid((rank, i + 1))].push(g);
-            }
-            if let Some(&recv) = send_match.get(&(rank, i)) {
-                out_deg[g] += 1;
-                preds[gid(recv)].push(g);
-            }
-        }
-    }
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    for (rank, evs) in events.iter().enumerate() {
-        for i in 0..evs.len() {
-            if out_deg[gid((rank, i))] == 0 {
-                latest[gid((rank, i))] = makespan;
-                queue.push_back((rank, i));
-            }
-        }
-    }
-    while let Some((rank, i)) = queue.pop_front() {
-        let g = gid((rank, i));
-        // Tighten: a predecessor must finish early enough for this event's
-        // own (unshrinkable) work to still fit before `latest[g]`.
-        let e = &events[rank][i];
-        let active = match e.link {
-            Link::Recv { .. } => 0.0,
-            _ => e.end - e.start,
-        };
-        let bound = latest[g] - active;
-        for &p in &preds[g] {
-            if bound < latest[p] {
-                latest[p] = bound;
-            }
-            out_deg[p] -= 1;
-            if out_deg[p] == 0 {
-                let pr = gid_rank[p];
-                queue.push_back((pr, p - offsets[pr]));
-            }
-        }
-    }
-
-    // Per-span slack: the minimum over the span's attributed events.
+    // Per-span slack: the minimum over the span's own events.
+    let latest = view.latest_end(&graph);
     let mut span_slack: HashMap<(usize, u32), f64> = HashMap::new();
-    for (rank, evs) in events.iter().enumerate() {
-        for (i, e) in evs.iter().enumerate() {
-            if let Some(sp) = e.span {
-                let slack = (latest[gid((rank, i))] - e.end).max(0.0);
-                span_slack
-                    .entry((rank, sp))
-                    .and_modify(|s| *s = s.min(slack))
-                    .or_insert(slack);
-            }
+    for (rank, evs) in graph.ranks.iter().enumerate() {
+        for (i, ev) in evs.iter().enumerate() {
+            let (Some(sp), false) = (view.span[rank][i], matches!(ev, Ev::Enter { .. } | Ev::Exit))
+            else {
+                continue;
+            };
+            let slack = (latest[rank][i] - view.end[rank][i]).max(0.0);
+            span_slack
+                .entry((rank, sp))
+                .and_modify(|s| *s = s.min(slack))
+                .or_insert(slack);
         }
     }
     let mut slack_rows: Vec<SpanSlack> = span_slack
@@ -768,222 +539,11 @@ impl CriticalPathReport {
     }
 }
 
-// ----------------------------------------------------------------------
-// JSON validation (for tests and the trace_report smoke check)
-// ----------------------------------------------------------------------
-
-/// Check that `s` is one syntactically valid JSON value (RFC 8259 subset:
-/// objects, arrays, strings, numbers, `true`/`false`/`null`). Returns the
-/// byte offset and a message on the first error. Used by tests and the
-/// `trace_report` smoke check; not a general-purpose parser.
+/// Check that `s` is one syntactically valid JSON value: it parses with
+/// [`crate::json::parse`]. Returns the message and byte offset of the
+/// first error.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = Parser { b: s.as_bytes(), i: 0 };
-    p.ws();
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len()
-            && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Result<(), String> {
-        if depth > 256 {
-            return Err(format!("nesting too deep at byte {}", self.i));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.i
-            )),
-        }
-    }
-
-    fn object(&mut self, depth: u32) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            self.value(depth + 1)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: u32) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value(depth + 1)?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(c) = self.peek() {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    match self.peek() {
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => {
-                                        return Err(format!(
-                                            "bad \\u escape at byte {}",
-                                            self.i
-                                        ))
-                                    }
-                                }
-                            }
-                        }
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                }
-                c if c < 0x20 => {
-                    return Err(format!("raw control char in string at byte {}", self.i))
-                }
-                _ => {}
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("expected digits at byte {}", self.i));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("expected fraction digits at byte {}", self.i));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("expected exponent digits at byte {}", self.i));
-            }
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
+    crate::json::parse(s).map(|_| ()).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -993,7 +553,7 @@ mod tests {
 
     fn traced_stats() -> Vec<ProcStats> {
         let mut cfg = MachineConfig::default();
-        cfg.trace = true;
+        cfg.record = true;
         cfg.spans = true;
         Cluster::with_config(2, cfg)
             .run(|proc| {
@@ -1061,7 +621,7 @@ mod tests {
     #[test]
     fn chrome_trace_renders_device_lane() {
         let mut cfg = MachineConfig::default();
-        cfg.trace = true;
+        cfg.record = true;
         let stats = Cluster::with_config(1, cfg)
             .run(|proc| {
                 let t = proc.io_device_submit(1 << 20, true);
@@ -1077,21 +637,59 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_on_untraced_run_is_empty() {
-        let stats = Cluster::new(2)
+    fn unrecorded_run_renders_spans_only() {
+        // Spans on, recording off: the run charged time but carries no
+        // event DAG. The exporters must not try to assemble one.
+        let mut cfg = MachineConfig::default();
+        cfg.spans = true;
+        let stats = Cluster::with_config(2, cfg)
             .run(|proc| {
-                proc.charge(OpKind::Misc, 100);
+                proc.in_span("test.phase", &[], |p| p.charge(OpKind::Misc, 100));
                 proc.barrier();
             })
             .stats;
         let cp = critical_path(&stats);
-        assert!(cp.segments.is_empty());
+        assert!(cp.segments.is_empty() && cp.top_slack.is_empty());
         assert!(cp.makespan > 0.0);
+        let json = chrome_trace_json(&stats);
+        validate_json(&json).expect("chrome trace must be valid JSON");
+        assert!(json.contains("test.phase"));
+        assert!(!json.contains("\"ph\":\"i\"") && !json.contains("\"tid\":1"));
+    }
+
+    #[test]
+    fn poisoned_receive_wait_is_charged_to_the_sender() {
+        // Rank 0's only send drops on every attempt, so rank 1 waits for a
+        // tombstone. The wait is rank 0's retry timeouts: the critical
+        // chain must cross to rank 0 and classify them as fault time.
+        let mut cfg = MachineConfig::default();
+        cfg.record = true;
+        cfg.spans = true;
+        cfg.faults.link.drop_prob = 1.0;
+        let stats = Cluster::with_config(2, cfg)
+            .run(|proc| {
+                if proc.rank() == 0 {
+                    let sent = proc.in_span("test.send", &[], |p| p.try_send(1, 7, &1u64));
+                    assert!(sent.is_err());
+                } else {
+                    let got = proc.in_span("test.recv", &[], |p| p.try_recv::<u64>(0, 7));
+                    assert!(got.is_err());
+                }
+            })
+            .stats;
+        let cp = critical_path(&stats);
+        assert!(cp.segments.iter().any(|s| s.rank == 0 && s.span == Some("test.send")));
+        assert!((cp.classes.fault - cp.makespan).abs() < 1e-12, "{:?}", cp.classes);
+        // One instant per dropped attempt on the sender, one on the
+        // receiver for the tombstone.
+        let json = chrome_trace_json(&stats);
+        assert_eq!(json.matches("fault:link-drop").count(), 4 + 1);
+        assert_eq!(json.matches("\"pid\":1,\"tid\":0,\"s\":\"t\"").count(), 1);
     }
 
     fn gauged_stats() -> Vec<ProcStats> {
         let mut cfg = MachineConfig::default();
-        cfg.trace = true;
+        cfg.record = true;
         cfg.spans = true;
         cfg.gauges = true;
         Cluster::with_config(2, cfg)

@@ -53,6 +53,7 @@ pub mod fault;
 pub mod gauge;
 pub mod group;
 pub mod hist;
+pub mod json;
 pub mod mailbox;
 pub mod metrics;
 pub mod proc;

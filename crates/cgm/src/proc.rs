@@ -27,7 +27,6 @@ use crate::gauge::GaugePoint;
 use crate::group::Group;
 use crate::mailbox::{Mailbox, Message};
 use crate::span::{SpanAttr, SpanRecord, SpanToken, SPAN_DISABLED};
-use crate::trace::{EventKind, TraceEvent};
 use crate::wire::Wire;
 
 /// Tags below this bound are free for application use; tags at or above it
@@ -64,8 +63,6 @@ pub struct SharedMachine {
     /// backend's wall-clock deadlock detector, or the event backend's
     /// scheduler.
     pub(crate) exec: ExecMode,
-    /// Whether processors record event traces.
-    pub trace: bool,
     /// Whether processors record spans (see [`crate::span`]).
     pub spans: bool,
     /// Whether processors record gauges (see [`crate::gauge`]).
@@ -103,7 +100,6 @@ pub struct Proc {
     /// Accounting counters (public so substrates like the I/O layer can
     /// record domain-specific totals through helper methods).
     pub counters: Counters,
-    trace: Vec<TraceEvent>,
     /// Recorded spans (open order) and the stack of currently open ones.
     spans: Vec<SpanRecord>,
     span_stack: Vec<u32>,
@@ -146,7 +142,6 @@ impl Proc {
             clock: 0.0,
             shared,
             counters: Counters::default(),
-            trace: Vec::new(),
             spans: Vec::new(),
             span_stack: Vec::new(),
             gauges: Vec::new(),
@@ -172,7 +167,7 @@ impl Proc {
     }
 
     /// This processor's physical (machine-wide) rank, independent of any
-    /// active communicator scope. Fault plans, disks and trace events are
+    /// active communicator scope. Fault plans, disks and recorded events are
     /// keyed on this identity.
     pub fn world_rank(&self) -> usize {
         self.rank
@@ -299,18 +294,7 @@ impl Proc {
         let secs = self.scaled(self.shared.cost.compute_cost(kind, count));
         self.clock += secs;
         self.counters.compute_time += secs;
-        self.trace_event(EventKind::Compute { kind, count, seconds: secs });
         self.record_ev(Ev::Compute { kind: kind.index() as u8, seconds: secs });
-    }
-
-    fn trace_event(&mut self, kind: EventKind) {
-        if self.shared.trace {
-            self.trace.push(TraceEvent {
-                time: self.clock,
-                span: self.span_stack.last().copied(),
-                kind,
-            });
-        }
     }
 
     /// Append one replayable event (pure observation — never reads or
@@ -517,7 +501,6 @@ impl Proc {
         );
         self.clock += secs;
         self.counters.compute_time += secs;
-        self.trace_event(EventKind::Compute { kind, count, seconds: secs });
         self.record_ev(Ev::Compute { kind: kind.index() as u8, seconds: secs });
     }
 
@@ -563,7 +546,6 @@ impl Proc {
                 self.clock += penalty;
                 self.counters.fault_time += penalty;
                 self.counters.disk_retries += 1;
-                self.trace_event(EventKind::Fault { kind: "disk-error", seconds: penalty });
                 self.record_ev(Ev::Fault { kind: FAULT_DISK, seconds: penalty });
                 if attempt >= max_retries {
                     return Err(FaultError::Disk { rank: self.rank });
@@ -580,7 +562,6 @@ impl Proc {
         self.counters.io_time += secs;
         self.counters.disk_reads += 1;
         self.counters.disk_read_bytes += bytes as u64;
-        self.trace_event(EventKind::Disk { read: true, bytes, seconds: secs });
         Ok(())
     }
 
@@ -603,7 +584,6 @@ impl Proc {
         self.counters.io_time += secs;
         self.counters.disk_writes += 1;
         self.counters.disk_write_bytes += bytes as u64;
-        self.trace_event(EventKind::Disk { read: false, bytes, seconds: secs });
     }
 
     /// Transfer seconds for one disk request, with degraded-bandwidth
@@ -724,7 +704,6 @@ impl Proc {
             self.counters.disk_writes += 1;
             self.counters.disk_write_bytes += bytes as u64;
         }
-        self.trace_event(EventKind::DeviceIo { read, bytes, start, end: completion, retries });
         let req = self.submit_seq;
         self.submit_seq += 1;
         self.record_ev(Ev::Submit {
@@ -733,6 +712,7 @@ impl Proc {
             service,
             seek,
             fault: fault_secs,
+            retries,
         });
         Ok(IoTicket { completion, service, req })
     }
@@ -748,7 +728,6 @@ impl Proc {
         if stall > 0.0 {
             self.clock += stall;
             self.counters.io_stall_time += stall;
-            self.trace_event(EventKind::IoStall { seconds: stall });
         }
         self.counters.io_overlapped_time += (ticket.service - stall).max(0.0);
     }
@@ -765,7 +744,6 @@ impl Proc {
         if stall > 0.0 {
             self.clock += stall;
             self.counters.io_stall_time += stall;
-            self.trace_event(EventKind::IoStall { seconds: stall });
         }
     }
 
@@ -882,12 +860,6 @@ impl Proc {
             self.counters.comm_time += cost;
             self.counters.messages_sent += 1;
             self.counters.bytes_sent += payload.len() as u64;
-            self.trace_event(EventKind::Send {
-                dst,
-                tag,
-                bytes: payload.len(),
-                seconds: cost,
-            });
             self.record_ev(Ev::Push {
                 dst: dst as u32,
                 tag,
@@ -925,7 +897,6 @@ impl Proc {
                 let penalty = cost + retry_timeout;
                 self.clock += penalty;
                 self.counters.fault_time += penalty;
-                self.trace_event(EventKind::Fault { kind: "link-drop", seconds: penalty });
                 self.record_ev(Ev::Fault { kind: FAULT_LINK, seconds: penalty });
                 if attempt >= max_retries {
                     self.counters.link_failures += 1;
@@ -958,12 +929,6 @@ impl Proc {
             self.counters.comm_time += cost;
             self.counters.messages_sent += 1;
             self.counters.bytes_sent += payload.len() as u64;
-            self.trace_event(EventKind::Send {
-                dst,
-                tag,
-                bytes: payload.len(),
-                seconds: cost,
-            });
             let mut arrive_time = self.clock;
             let mut delay = 0.0;
             let delay_stream = [STREAM_LINK_DELAY, src_w, dst_w, seq, attempt as u64];
@@ -973,10 +938,6 @@ impl Proc {
                 arrive_time += delay_seconds;
                 delay = delay_seconds;
                 self.counters.link_delays += 1;
-                self.trace_event(EventKind::Fault {
-                    kind: "link-delay",
-                    seconds: delay_seconds,
-                });
             }
             self.record_ev(Ev::Push {
                 dst: dst as u32,
@@ -1047,13 +1008,11 @@ impl Proc {
         assert_ne!(src, self.rank, "self-recv is not modeled");
         let msg = self.blocking_recv(src, tag);
         self.record_ev(Ev::Recv { src: src as u32, tag });
-        let waited = (msg.arrive_time - self.clock).max(0.0);
         if msg.arrive_time > self.clock {
             self.counters.comm_time += msg.arrive_time - self.clock;
             self.clock = msg.arrive_time;
         }
         if msg.poisoned {
-            self.trace_event(EventKind::Fault { kind: "link-drop", seconds: waited });
             return Err(FaultError::Poisoned { src });
         }
         if self.shared.gauges {
@@ -1072,12 +1031,6 @@ impl Proc {
         }
         self.counters.messages_received += 1;
         self.counters.bytes_received += msg.payload.len() as u64;
-        self.trace_event(EventKind::Recv {
-            src,
-            tag,
-            bytes: msg.payload.len(),
-            waited,
-        });
         Ok(msg.payload)
     }
 
@@ -1145,7 +1098,6 @@ impl Proc {
             rank: self.rank,
             finish_time: self.clock,
             counters: self.counters,
-            trace: self.trace,
             spans: self.spans,
             gauges: self.gauges,
             events: self.events,

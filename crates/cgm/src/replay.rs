@@ -1,13 +1,18 @@
-//! Re-time a recorded [`EventGraph`] under hypothetical hardware.
+//! Turn a recorded [`EventGraph`] into timestamps — the only code that
+//! does — on the recorded hardware or a hypothetical one.
 //!
 //! [`replay`] re-executes a run's recorded event DAG without re-running the
 //! simulation: per-rank cursors walk the event lists, every *primitive*
 //! duration (compute charge, disk request, message push, fault penalty,
 //! device service) is rescaled by a [`CostOverride`], and every *wait*
 //! (receive arrival gaps, device stalls) is recomputed from the replayed
-//! dependency times. The output is the predicted per-rank finish times and
-//! busy breakdowns, plus a critical-path summary classifying the predicted
-//! makespan as compute-, comm-, io- or fault-bound.
+//! dependency times. The output ([`ReplayOutput`]) is the timed view of
+//! the run: the rank clock after every event with its innermost span, the
+//! device service windows, the message edges, per-rank finish times and
+//! busy breakdowns, and the critical chain with its classification of the
+//! makespan as compute-, comm-, io- or fault-bound. Under the identity
+//! override that view *is* the run's timestamped trace; the exporters in
+//! [`crate::export`] and [`crate::trace`] only format it.
 //!
 //! ## Replay guarantees
 //!
@@ -163,36 +168,6 @@ fn sc3(total: f64, seek: f64, fault: f64, fs: f64, ft: f64, ff: f64) -> f64 {
     }
 }
 
-/// Resource class of one replayed time interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Class {
-    Compute,
-    Comm,
-    Io,
-    Fault,
-}
-
-/// Cross-rank / cross-timeline dependency of one interval.
-#[derive(Debug, Clone, Copy)]
-enum Dep {
-    /// Rank-local work.
-    None,
-    /// A receive wait: the message's sender finished pushing at `end` on
-    /// rank `rank` (arrival may be later by an in-flight delay).
-    Msg { rank: usize, end: f64 },
-    /// A device stall that ended when request `req` completed.
-    Dev { req: usize },
-}
-
-/// One replayed interval of one rank (intervals tile `[0, finish]`).
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    start: f64,
-    end: f64,
-    class: Class,
-    dep: Dep,
-}
-
 /// Per-class attribution of the replayed critical path: one causal chain
 /// from time 0 to the predicted makespan, with receive waits charged to
 /// the sending rank's activity and device stalls to device service.
@@ -244,8 +219,15 @@ impl CriticalSummary {
     }
 }
 
-/// Result of one replay: predicted per-rank finish times and busy
-/// breakdowns, plus the critical-path classification.
+/// Cross-rank edges between events, each named `(rank, event index)`.
+pub type Edges = HashMap<(usize, usize), (usize, usize)>;
+
+/// Result of one replay — the timed view of the event DAG. Besides the
+/// predicted finish times and busy breakdowns it carries the rank clock
+/// after every event, so every timestamped rendering of a run (Chrome
+/// trace, critical path, ASCII timeline) is a function of an
+/// [`EventGraph`] and this view. All per-event vectors are indexed
+/// `[rank][event]`, parallel to [`EventGraph::ranks`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutput {
     /// Predicted per-rank finish times, virtual seconds.
@@ -254,6 +236,25 @@ pub struct ReplayOutput {
     pub breakdown: Vec<Breakdown>,
     /// Per-class attribution of the predicted critical path.
     pub critical: CriticalSummary,
+    /// The critical chain in time order: `(rank, event)` of every event
+    /// that took time on one causal path from time 0 to the makespan. A
+    /// receive wait is followed backward to its sender; a device stall
+    /// through the device's contiguous busy period to the [`Ev::Submit`]
+    /// that started it, which is on the chain too (the time between it
+    /// and the stall is device service).
+    pub chain: Vec<(usize, usize)>,
+    /// Rank clock after each event. An event starts where its
+    /// predecessor ended (see [`ReplayOutput::start`]).
+    pub end: Vec<Vec<f64>>,
+    /// Innermost span open at each event, as the ordinal of its
+    /// [`Ev::Enter`] among the rank's — which is the span's index in
+    /// [`crate::ProcStats::spans`].
+    pub span: Vec<Vec<Option<u32>>>,
+    /// Device service window `(start, completion)` of every
+    /// [`Ev::Submit`], indexed `[rank][submission]`.
+    pub device: Vec<Vec<(f64, f64)>>,
+    /// Message edges: each [`Ev::Recv`] → the [`Ev::Push`] it consumed.
+    pub sender: Edges,
 }
 
 impl ReplayOutput {
@@ -274,6 +275,91 @@ impl ReplayOutput {
             0.0
         }
     }
+
+    /// Rank clock before event `i` of `rank`: the clock only moves
+    /// through events, so this is the previous event's end.
+    pub fn start(&self, rank: usize, i: usize) -> f64 {
+        if i == 0 {
+            0.0
+        } else {
+            self.end[rank][i - 1]
+        }
+    }
+
+    /// Latest time each event could end without growing the makespan,
+    /// given that an event must end before its successors' own work
+    /// starts. Successors are the rank's next event and, for a push, the
+    /// receive that consumed it; a receive's wait is slack, not work.
+    pub fn latest_end(&self, graph: &EventGraph) -> Vec<Vec<f64>> {
+        let makespan = self.makespan();
+        let work = |r: usize, i: usize| match graph.ranks[r][i] {
+            Ev::Recv { .. } => 0.0,
+            _ => self.end[r][i] - self.start(r, i),
+        };
+        let receiver: Edges = self.sender.iter().map(|(&recv, &push)| (push, recv)).collect();
+        let mut latest: Vec<Vec<f64>> =
+            graph.ranks.iter().map(|evs| vec![makespan; evs.len()]).collect();
+        // Per-rank cursors run backward; a push waits until the receive
+        // it feeds is final. The replay proved the graph acyclic, so the
+        // sweep stalls only once every event is final.
+        let mut todo: Vec<usize> = graph.ranks.iter().map(Vec::len).collect();
+        loop {
+            let mut progress = false;
+            for r in 0..graph.nprocs {
+                while todo[r] > 0 {
+                    let i = todo[r] - 1;
+                    let mut bound = match latest[r].get(i + 1) {
+                        Some(next) => next - work(r, i + 1),
+                        None => makespan,
+                    };
+                    if let Some(&(d, j)) = receiver.get(&(r, i)) {
+                        if todo[d] > j {
+                            break;
+                        }
+                        bound = bound.min(latest[d][j] - work(d, j));
+                    }
+                    latest[r][i] = bound;
+                    todo[r] = i;
+                    progress = true;
+                }
+            }
+            if !progress {
+                return latest;
+            }
+        }
+    }
+}
+
+/// Pair every receive with the push it consumed: the mailbox delivers
+/// per-(src, tag) FIFO in sender program order, so the k-th receive of
+/// `(src, tag)` on rank `d` pairs with the k-th push `(src → d, tag)`.
+fn match_receives(graph: &EventGraph) -> Result<Edges, String> {
+    let mut queues: HashMap<(usize, usize, u32), VecDeque<usize>> = HashMap::new();
+    for (r, evs) in graph.ranks.iter().enumerate() {
+        for (i, ev) in evs.iter().enumerate() {
+            if let Ev::Push { dst, tag, .. } = ev {
+                queues.entry((r, *dst as usize, *tag)).or_default().push_back(i);
+            }
+        }
+    }
+    let mut matches = HashMap::new();
+    for (d, evs) in graph.ranks.iter().enumerate() {
+        for (i, ev) in evs.iter().enumerate() {
+            if let Ev::Recv { src, tag } = ev {
+                let push = queues
+                    .get_mut(&(*src as usize, d, *tag))
+                    .and_then(VecDeque::pop_front)
+                    .ok_or_else(|| {
+                        format!(
+                            "rank {d} event {i}: receives from {src} tag {tag:#x} \
+                             but no unmatched push exists"
+                        )
+                    })?;
+                matches.insert((d, i), (*src as usize, push));
+            }
+        }
+    }
+    Ok(matches)
 }
 
 struct Replayer<'a> {
@@ -283,133 +369,102 @@ struct Replayer<'a> {
     device_free: Vec<f64>,
     bd: Vec<Breakdown>,
     cursor: Vec<usize>,
-    /// Stack of combined span factors per rank (bottom is the constant 1.0).
-    span_prod: Vec<Vec<f64>>,
-    /// Replayed message arrival times, indexed `[rank][event]` (NaN until
-    /// the push replays).
-    arrive: Vec<Vec<f64>>,
-    /// Sender clock when each push completed (arrival minus delay).
-    push_end: Vec<Vec<f64>>,
-    /// Receive matching: `(rank, event index)` → sender `(rank, event
-    /// index)`, built positionally from per-(src, dst, tag) FIFO order.
-    matches: HashMap<(usize, usize), (usize, usize)>,
-    /// Per-rank device request timelines, indexed by submission order.
-    sub_clock: Vec<Vec<f64>>,
-    starts: Vec<Vec<f64>>,
-    completions: Vec<Vec<f64>>,
-    /// `(recorded, replayed)` service seconds per request.
+    /// Per rank: combined span factor and [`Ev::Enter`] ordinal of every
+    /// open span, innermost last.
+    open: Vec<Vec<(f64, u32)>>,
+    /// Spans opened so far per rank (the next [`Ev::Enter`]'s ordinal).
+    entered: Vec<u32>,
+    /// Rank clock after each replayed event (NaN until it replays). A
+    /// push's message arrives at its `end` plus the in-flight delay.
+    end: Vec<Vec<f64>>,
+    span: Vec<Vec<Option<u32>>>,
+    matches: Edges,
+    /// Per-rank device requests by submission order: event index of the
+    /// [`Ev::Submit`], service window, `(recorded, replayed)` service.
+    submit_at: Vec<Vec<usize>>,
+    device: Vec<Vec<(f64, f64)>>,
     services: Vec<Vec<(f64, f64)>>,
-    segs: Vec<Vec<Seg>>,
 }
 
 impl<'a> Replayer<'a> {
-    fn new(graph: &'a EventGraph, ov: &'a CostOverride) -> Replayer<'a> {
+    /// Validate `graph` and set up its replay. Everything `step` and the
+    /// critical walk index by is checked here, once.
+    fn new(graph: &'a EventGraph, ov: &'a CostOverride) -> Result<Replayer<'a>, String> {
+        graph.check_events()?;
         let p = graph.nprocs;
-        assert_eq!(graph.ranks.len(), p, "event graph rank count mismatch");
-        // Positional receive matching: the mailbox delivers per-(src, tag)
-        // FIFO in sender program order, so the k-th receive of (src, tag)
-        // on rank d pairs with the k-th push (src → d, tag).
-        let mut queues: HashMap<(usize, usize, u32), VecDeque<usize>> = HashMap::new();
-        for (r, evs) in graph.ranks.iter().enumerate() {
-            for (i, ev) in evs.iter().enumerate() {
-                if let Ev::Push { dst, tag, .. } = ev {
-                    queues.entry((r, *dst as usize, *tag)).or_default().push_back(i);
-                }
-            }
-        }
-        let mut matches = HashMap::new();
-        for (d, evs) in graph.ranks.iter().enumerate() {
-            for (i, ev) in evs.iter().enumerate() {
-                if let Ev::Recv { src, tag } = ev {
-                    let push = queues
-                        .get_mut(&(*src as usize, d, *tag))
-                        .and_then(VecDeque::pop_front)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "cgm replay: rank {d} event {i} receives from \
-                                 {src} tag {tag:#x} but no unmatched push exists \
-                                 — corrupt event graph"
-                            )
-                        });
-                    matches.insert((d, i), (*src as usize, push));
-                }
-            }
-        }
-        Replayer {
+        Ok(Replayer {
             graph,
             ov,
             clock: vec![0.0; p],
             device_free: vec![0.0; p],
             bd: vec![Breakdown::default(); p],
             cursor: vec![0; p],
-            span_prod: vec![vec![1.0]; p],
-            arrive: graph.ranks.iter().map(|e| vec![f64::NAN; e.len()]).collect(),
-            push_end: graph.ranks.iter().map(|e| vec![f64::NAN; e.len()]).collect(),
-            matches,
-            sub_clock: vec![Vec::new(); p],
-            starts: vec![Vec::new(); p],
-            completions: vec![Vec::new(); p],
+            open: vec![Vec::new(); p],
+            entered: vec![0; p],
+            end: graph.ranks.iter().map(|e| vec![f64::NAN; e.len()]).collect(),
+            span: graph.ranks.iter().map(|e| vec![None; e.len()]).collect(),
+            matches: match_receives(graph)?,
+            submit_at: vec![Vec::new(); p],
+            device: vec![Vec::new(); p],
             services: vec![Vec::new(); p],
-            segs: vec![Vec::new(); p],
+        })
+    }
+
+    /// When the message pushed by event `si` of rank `sr` arrives (NaN
+    /// until the push has replayed).
+    fn arrival(&self, sr: usize, si: usize) -> f64 {
+        let pushed = self.end[sr][si];
+        match self.graph.ranks[sr][si] {
+            Ev::Push { delay, .. } if delay != 0.0 => pushed + sc(delay, self.ov.fault),
+            _ => pushed,
         }
     }
 
-    /// Advance rank `r`'s clock by `d` seconds of `class` work.
-    fn advance(&mut self, r: usize, d: f64, class: Class) {
-        if d == 0.0 {
-            return;
+    /// Stall rank `r` until `until` (no-op when already past it).
+    fn stall(&mut self, r: usize, until: f64) -> f64 {
+        let stall = (until - self.clock[r]).max(0.0);
+        if stall > 0.0 {
+            self.clock[r] += stall;
+            self.bd[r].io_stall += stall;
         }
-        let start = self.clock[r];
-        self.clock[r] += d;
-        match class {
-            Class::Compute => self.bd[r].compute += d,
-            Class::Comm => self.bd[r].comm += d,
-            Class::Io => self.bd[r].io += d,
-            Class::Fault => self.bd[r].fault += d,
-        }
-        self.segs[r].push(Seg { start, end: self.clock[r], class, dep: Dep::None });
+        stall
     }
 
     /// Replay one event of rank `r`.
     fn step(&mut self, r: usize, idx: usize, ev: Ev) {
-        let prod = *self.span_prod[r].last().expect("span stack bottom");
+        let (prod, span) = match self.open[r].last() {
+            Some(&(f, ordinal)) => (f, Some(ordinal)),
+            None => (1.0, None),
+        };
+        self.span[r][idx] = span;
         let ov = self.ov;
         match ev {
             Ev::Compute { kind, seconds } => {
-                assert!((kind as usize) < ov.op.len(), "bad compute kind {kind}");
                 let d = sc(sc(sc(seconds, ov.op[kind as usize]), ov.compute), prod);
-                self.advance(r, d, Class::Compute);
+                self.clock[r] += d;
+                self.bd[r].compute += d;
             }
             Ev::Disk { seconds, seek, .. } => {
                 let d = sc(sc2(seconds, seek, ov.disk_seek, ov.disk_transfer), prod);
-                self.advance(r, d, Class::Io);
+                self.clock[r] += d;
+                self.bd[r].io += d;
             }
             Ev::Fault { seconds, .. } => {
                 let d = sc(sc(seconds, ov.fault), prod);
-                self.advance(r, d, Class::Fault);
+                self.clock[r] += d;
+                self.bd[r].fault += d;
             }
-            Ev::Push { seconds, lat, delay, .. } => {
+            Ev::Push { seconds, lat, .. } => {
                 let d = sc(sc2(seconds, lat, ov.comm_latency, ov.comm_transfer), prod);
-                self.advance(r, d, Class::Comm);
-                let end = self.clock[r];
-                let a = if delay == 0.0 { end } else { end + sc(delay, ov.fault) };
-                self.push_end[r][idx] = end;
-                self.arrive[r][idx] = a;
+                self.clock[r] += d;
+                self.bd[r].comm += d;
             }
             Ev::Recv { .. } => {
                 let (sr, si) = self.matches[&(r, idx)];
-                let arrive = self.arrive[sr][si];
-                debug_assert!(!arrive.is_nan(), "recv stepped before its push");
-                let clock = self.clock[r];
-                if arrive > clock {
-                    self.bd[r].comm += arrive - clock;
+                let arrive = self.arrival(sr, si);
+                if arrive > self.clock[r] {
+                    self.bd[r].comm += arrive - self.clock[r];
                     self.clock[r] = arrive;
-                    self.segs[r].push(Seg {
-                        start: clock,
-                        end: arrive,
-                        class: Class::Comm,
-                        dep: Dep::Msg { rank: sr, end: self.push_end[sr][si] },
-                    });
                 }
             }
             Ev::Submit { service, seek, fault, .. } => {
@@ -418,68 +473,42 @@ impl<'a> Replayer<'a> {
                 let completion = start + new;
                 self.device_free[r] = completion;
                 self.bd[r].io_device += new;
-                self.sub_clock[r].push(self.clock[r]);
-                self.starts[r].push(start);
-                self.completions[r].push(completion);
+                self.submit_at[r].push(idx);
+                self.device[r].push((start, completion));
                 self.services[r].push((service, new));
             }
             Ev::Wait { req, service } => {
                 let req = req as usize;
-                let completion = self.completions[r][req];
-                let clock = self.clock[r];
-                let stall = (completion - clock).max(0.0);
-                if stall > 0.0 {
-                    self.clock[r] += stall;
-                    self.bd[r].io_stall += stall;
-                    self.segs[r].push(Seg {
-                        start: clock,
-                        end: self.clock[r],
-                        class: Class::Io,
-                        dep: Dep::Dev { req },
-                    });
-                }
+                let stall = self.stall(r, self.device[r][req].1);
                 let (old, new) = self.services[r][req];
                 let share = if new == old { service } else { service * (new / old) };
                 self.bd[r].io_overlapped += (share - stall).max(0.0);
             }
             Ev::SyncDev => {
-                let clock = self.clock[r];
-                let stall = (self.device_free[r] - clock).max(0.0);
-                if stall > 0.0 {
-                    self.clock[r] += stall;
-                    self.bd[r].io_stall += stall;
-                    let req = self.completions[r].len() - 1;
-                    self.segs[r].push(Seg {
-                        start: clock,
-                        end: self.clock[r],
-                        class: Class::Io,
-                        dep: Dep::Dev { req },
-                    });
-                }
+                self.stall(r, self.device_free[r]);
             }
             Ev::Enter { name } => {
-                let f = self.ov.span_factor(&self.graph.names[name as usize]);
-                let top = *self.span_prod[r].last().expect("span stack bottom");
-                self.span_prod[r].push(if f == 1.0 { top } else { top * f });
+                let f = ov.span_factor(&self.graph.names[name as usize]);
+                let ordinal = self.entered[r];
+                self.entered[r] += 1;
+                self.open[r].push((if f == 1.0 { prod } else { prod * f }, ordinal));
+                self.span[r][idx] = Some(ordinal);
             }
             Ev::Exit => {
-                assert!(
-                    self.span_prod[r].len() > 1,
-                    "cgm replay: rank {r} closes a span that was never opened — \
-                     corrupt event graph"
-                );
-                self.span_prod[r].pop();
+                self.open[r].pop();
             }
         }
+        self.end[r][idx] = self.clock[r];
     }
 
     /// Run every rank to completion (round-robin; a rank blocks only at a
-    /// receive whose matching push has not replayed yet).
-    fn run(&mut self) {
+    /// receive whose matching push has not replayed yet). Fails when the
+    /// receives wait on each other in a cycle.
+    fn run(&mut self) -> Result<(), String> {
         let p = self.graph.nprocs;
         loop {
             let mut progress = false;
-            let mut done = true;
+            let mut blocked = None;
             for r in 0..p {
                 let evs = &self.graph.ranks[r];
                 while self.cursor[r] < evs.len() {
@@ -487,93 +516,110 @@ impl<'a> Replayer<'a> {
                     let ev = evs[idx];
                     if let Ev::Recv { .. } = ev {
                         let (sr, si) = self.matches[&(r, idx)];
-                        if self.arrive[sr][si].is_nan() {
-                            break; // blocked on a push not yet replayed
+                        if self.end[sr][si].is_nan() {
+                            blocked = Some((r, idx));
+                            break; // its push has not replayed yet
                         }
                     }
                     self.step(r, idx, ev);
                     self.cursor[r] += 1;
                     progress = true;
                 }
-                if self.cursor[r] < evs.len() {
-                    done = false;
+            }
+            match blocked {
+                None => return Ok(()),
+                Some((r, i)) if !progress => {
+                    return Err(format!(
+                        "rank {r} event {i}: no rank can make progress (receive cycle)"
+                    ))
                 }
+                Some(_) => {}
             }
-            if done {
-                return;
-            }
-            assert!(
-                progress,
-                "cgm replay: no rank can make progress (receive cycle) — \
-                 corrupt event graph"
-            );
         }
     }
 
-    /// Walk the critical path backward from the slowest rank's finish,
-    /// jumping to the sender at receive waits and through device service
-    /// chains at stalls, attributing each causal second to its resource.
-    fn critical_summary(&self) -> CriticalSummary {
+    /// Walk the critical path backward from the slowest rank's last
+    /// event, jumping to the sender at receive waits and through device
+    /// service chains at stalls, attributing each causal second to its
+    /// resource. Returns the per-class totals and the chain in time order.
+    fn critical_walk(&self) -> (CriticalSummary, Vec<(usize, usize)>) {
         let mut acc = CriticalSummary::default();
-        let Some((mut r, &finish)) = self
-            .clock
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite clocks"))
+        let mut chain = Vec::new();
+        let Some((mut r, _)) = self.clock.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))
         else {
-            return acc;
+            return (acc, chain);
         };
-        let mut t = finish;
-        while t > 0.0 {
-            let segs = &self.segs[r];
-            let i = segs.partition_point(|s| s.end <= t);
-            if i == 0 {
-                break; // no activity before t on this rank
+        let mut i = self.graph.ranks[r].len();
+        while i > 0 {
+            i -= 1;
+            let end = self.end[r][i];
+            let secs = end - if i == 0 { 0.0 } else { self.end[r][i - 1] };
+            if secs <= 0.0 || secs.is_nan() {
+                continue; // no time passed: not on the path
             }
-            let seg = segs[i - 1];
-            match seg.dep {
-                Dep::None => {
-                    let span = seg.end.min(t) - seg.start;
-                    match seg.class {
-                        Class::Compute => acc.compute += span,
-                        Class::Comm => acc.comm += span,
-                        Class::Io => acc.io += span,
-                        Class::Fault => acc.fault += span,
-                    }
-                    t = seg.start;
-                }
-                Dep::Msg { rank, end } => {
+            chain.push((r, i));
+            match self.graph.ranks[r][i] {
+                Ev::Compute { .. } => acc.compute += secs,
+                Ev::Push { .. } => acc.comm += secs,
+                Ev::Disk { .. } => acc.io += secs,
+                Ev::Fault { .. } => acc.fault += secs,
+                Ev::Recv { .. } => {
                     // The wait is the sender's time: in-flight delay counts
                     // as communication, the rest re-walks on the sender.
-                    acc.comm += (seg.end.min(t) - end).max(0.0);
-                    r = rank;
-                    t = end;
+                    let (sr, si) = self.matches[&(r, i)];
+                    acc.comm += (end - self.end[sr][si]).max(0.0);
+                    (r, i) = (sr, si + 1);
                 }
-                Dep::Dev { req } => {
+                Ev::Wait { .. } | Ev::SyncDev => {
                     // Follow the device's busy chain backward from the
-                    // completion that released the stall.
-                    let mut j = req;
+                    // completion that released the stall, and resume where
+                    // the chain's first request was submitted.
+                    let mut j = match self.graph.ranks[r][i] {
+                        Ev::Wait { req, .. } => req as usize,
+                        _ => self.submit_at[r].partition_point(|&at| at < i) - 1,
+                    };
                     loop {
-                        acc.io += self.completions[r][j] - self.starts[r][j];
-                        if j == 0 || self.starts[r][j] != self.completions[r][j - 1] {
+                        let (start, completion) = self.device[r][j];
+                        acc.io += completion - start;
+                        if j == 0 || start != self.device[r][j - 1].1 {
                             break;
                         }
                         j -= 1;
                     }
-                    t = self.starts[r][j];
+                    i = self.submit_at[r][j];
+                    chain.push((r, i));
                 }
+                // Submissions and span marks never advance the clock.
+                Ev::Submit { .. } | Ev::Enter { .. } | Ev::Exit => {}
             }
         }
-        acc
+        chain.reverse();
+        (acc, chain)
     }
 }
 
+/// Validate and re-time `graph` under `ov`: `Err` names the rank and event
+/// index that make the graph one no run could have recorded.
+pub(crate) fn try_replay(graph: &EventGraph, ov: &CostOverride) -> Result<ReplayOutput, String> {
+    let mut rp = Replayer::new(graph, ov)?;
+    rp.run()?;
+    let (critical, chain) = rp.critical_walk();
+    Ok(ReplayOutput {
+        finish: rp.clock,
+        breakdown: rp.bd,
+        critical,
+        chain,
+        end: rp.end,
+        span: rp.span,
+        device: rp.device,
+        sender: rp.matches,
+    })
+}
+
 /// Re-time `graph` under `ov`. See the module docs for the guarantees.
+/// Panics on a graph that fails [`EventGraph::validate`].
 pub fn replay(graph: &EventGraph, ov: &CostOverride) -> ReplayOutput {
-    let mut rp = Replayer::new(graph, ov);
-    rp.run();
-    let critical = rp.critical_summary();
-    ReplayOutput { finish: rp.clock, breakdown: rp.bd, critical }
+    try_replay(graph, ov).unwrap_or_else(|e| panic!("cgm replay: corrupt event graph — {e}"))
 }
 
 /// Replay `graph` under the identity override and panic unless every
@@ -659,7 +705,7 @@ mod tests {
     #[test]
     fn device_stall_recomputes_under_override() {
         let evs = vec![
-            Ev::Submit { read: true, bytes: 100, service: 2.0, seek: 0.5, fault: 0.0 },
+            Ev::Submit { read: true, bytes: 100, service: 2.0, seek: 0.5, fault: 0.0, retries: 0 },
             Ev::Compute { kind: 0, seconds: 1.0 },
             Ev::Wait { req: 0, service: 2.0 },
         ];

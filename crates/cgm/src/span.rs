@@ -9,9 +9,10 @@
 //!
 //! Each record captures the span's start/end clock values and the delta of
 //! the processor's [`Counters`] over the span (inclusive of nested child
-//! spans). Trace events recorded while a span is open carry the index of
-//! the innermost open span (see [`crate::trace::TraceEvent::span`]), which
-//! is what the exporters in [`crate::export`] use to attribute work.
+//! spans). With [`crate::MachineConfig::record`] on, every open and close
+//! is also an event of the recorded DAG, so replay knows the innermost
+//! span open at each event (see [`crate::ReplayOutput::span`]) — which is
+//! what the exporters in [`crate::export`] use to attribute work.
 
 use crate::counters::Counters;
 

@@ -1,140 +1,23 @@
-//! Optional event tracing of a cluster run.
-//!
-//! When [`crate::MachineConfig::trace`] is enabled, every virtual processor
-//! records a timestamped event per message, compute charge and disk
-//! request. Traces come back in [`crate::ProcStats::trace`] and can be
-//! summarized into a per-processor utilization timeline — handy for seeing
-//! where a run's load imbalance lives — or exported as a Chrome trace via
-//! [`crate::export`].
+//! ASCII utilization timeline of one rank — a coarse Gantt chart that shows
+//! at a glance where a run's load imbalance lives. Like every timestamped
+//! rendering it is a view of the recorded event DAG: run with
+//! [`crate::MachineConfig::record`], assemble the
+//! [`crate::EventGraph`], [`crate::replay()`] it, and pass both here.
 
-use crate::cost::OpKind;
+use crate::evg::{Ev, EventGraph, FAULT_DISK};
+use crate::replay::ReplayOutput;
 
-/// One traced event (timestamp = virtual clock *after* the event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Virtual time at event completion, seconds.
-    pub time: f64,
-    /// Index (into [`crate::ProcStats::spans`]) of the innermost span open
-    /// when the event happened, if spans are enabled and one was open.
-    pub span: Option<u32>,
-    /// What happened.
-    pub kind: EventKind,
-}
-
-/// The kinds of traced events.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// Sent a message.
-    Send {
-        /// Destination rank.
-        dst: usize,
-        /// Message tag.
-        tag: u32,
-        /// Payload bytes.
-        bytes: usize,
-        /// Seconds charged for the transmission (`alpha + beta * bytes`).
-        seconds: f64,
-    },
-    /// Received a message.
-    Recv {
-        /// Source rank.
-        src: usize,
-        /// Message tag.
-        tag: u32,
-        /// Payload bytes.
-        bytes: usize,
-        /// Seconds spent waiting for the message to arrive.
-        waited: f64,
-    },
-    /// Charged computation.
-    Compute {
-        /// Operation kind.
-        kind: OpKind,
-        /// Operation count.
-        count: u64,
-        /// Seconds charged.
-        seconds: f64,
-    },
-    /// A disk request.
-    Disk {
-        /// True for reads, false for writes.
-        read: bool,
-        /// Bytes transferred.
-        bytes: usize,
-        /// Seconds charged.
-        seconds: f64,
-    },
-    /// An injected fault charged to this processor (see [`crate::fault`]).
-    Fault {
-        /// Fault kind: `"link-drop"`, `"link-delay"` or `"disk-error"`.
-        kind: &'static str,
-        /// Seconds charged for the retry, timeout or delay.
-        seconds: f64,
-    },
-    /// An asynchronous request serviced on the rank's I/O device timeline
-    /// (see `Proc::io_device_submit`). Recorded at submission; `start`/`end`
-    /// are device-clock times and may lie arbitrarily far ahead of the
-    /// compute clock, so the event's extent on the rank timeline is zero.
-    DeviceIo {
-        /// True for reads, false for writes.
-        read: bool,
-        /// Bytes transferred.
-        bytes: usize,
-        /// Device-clock time service began.
-        start: f64,
-        /// Device-clock completion time.
-        end: f64,
-        /// Transient read errors retried on the device before success.
-        retries: u32,
-    },
-    /// The compute clock stalled waiting for a device request to complete.
-    IoStall {
-        /// Seconds the consumer waited past its own clock.
-        seconds: f64,
-    },
-}
-
-impl EventKind {
-    /// Seconds of the rank's timeline this event occupies (a receive's
-    /// extent is its wait; a link-delay fault charges the receiver, not the
-    /// sender, so its extent here is zero).
-    pub fn extent(&self) -> f64 {
-        match self {
-            EventKind::Send { seconds, .. } => *seconds,
-            EventKind::Recv { waited, .. } => *waited,
-            EventKind::Compute { seconds, .. } => *seconds,
-            EventKind::Disk { seconds, .. } => *seconds,
-            EventKind::Fault { kind, seconds } => {
-                if *kind == "link-delay" {
-                    0.0
-                } else {
-                    *seconds
-                }
-            }
-            // Device service runs on the device timeline, not the rank's.
-            EventKind::DeviceIo { .. } => 0.0,
-            EventKind::IoStall { seconds } => *seconds,
-        }
-    }
-}
-
-/// Activity classes for timeline summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activity {
-    /// Computing.
-    Compute,
-    /// Communicating (send cost or waiting on a receive).
-    Comm,
-    /// Local disk I/O.
-    Io,
-    /// Idle (nothing attributed).
-    Idle,
-}
-
-/// Summarize a trace into `buckets` equal time slices of `[0, horizon]`,
-/// reporting the dominant activity per slice. Useful as a coarse ASCII
-/// Gantt chart: `C` compute, `M` message, `D` disk, `.` idle.
-pub fn timeline(trace: &[TraceEvent], horizon: f64, buckets: usize) -> String {
+/// Summarize rank `rank`'s replayed timeline into `buckets` equal slices
+/// of `[0, horizon]`, reporting the dominant activity per slice: `C`
+/// compute, `M` message (send cost, receive wait, link-fault penalty), `D`
+/// disk (synchronous request, device stall, disk-fault penalty), `.` idle.
+pub fn timeline(
+    graph: &EventGraph,
+    view: &ReplayOutput,
+    rank: usize,
+    horizon: f64,
+    buckets: usize,
+) -> String {
     assert!(buckets > 0);
     if horizon <= 0.0 {
         return ".".repeat(buckets);
@@ -142,10 +25,24 @@ pub fn timeline(trace: &[TraceEvent], horizon: f64, buckets: usize) -> String {
     // Accumulate attributed seconds per bucket per class.
     let mut acc = vec![[0.0f64; 3]; buckets]; // [compute, comm, io]
     let width = horizon / buckets as f64;
-    let mut add = |start: f64, end: f64, class: usize| {
-        let (start, end) = (start.max(0.0), end.min(horizon));
+    for (i, ev) in graph.ranks[rank].iter().enumerate() {
+        let class = match ev {
+            Ev::Compute { .. } => 0,
+            Ev::Push { .. } | Ev::Recv { .. } => 1,
+            Ev::Disk { .. } | Ev::Wait { .. } | Ev::SyncDev => 2,
+            Ev::Fault { kind, .. } => {
+                if *kind == FAULT_DISK {
+                    2
+                } else {
+                    1
+                }
+            }
+            // Off the rank's timeline.
+            Ev::Submit { .. } | Ev::Enter { .. } | Ev::Exit => continue,
+        };
+        let (start, end) = (view.start(rank, i).max(0.0), view.end[rank][i].min(horizon));
         if end <= start {
-            return;
+            continue;
         }
         let first = ((start / width) as usize).min(buckets - 1);
         let last = ((end / width) as usize).min(buckets - 1);
@@ -156,20 +53,6 @@ pub fn timeline(trace: &[TraceEvent], horizon: f64, buckets: usize) -> String {
             if overlap > 0.0 {
                 slot[class] += overlap;
             }
-        }
-    };
-    for e in trace {
-        match &e.kind {
-            EventKind::Send { seconds, .. } => add(e.time - seconds, e.time, 1),
-            EventKind::Recv { waited, .. } => add(e.time - waited, e.time, 1),
-            EventKind::Compute { seconds, .. } => add(e.time - seconds, e.time, 0),
-            EventKind::Disk { seconds, .. } => add(e.time - seconds, e.time, 2),
-            EventKind::Fault { kind, seconds } => {
-                let class = if kind.starts_with("disk") { 2 } else { 1 };
-                add(e.time - seconds, e.time, class);
-            }
-            EventKind::DeviceIo { .. } => {} // off the rank timeline
-            EventKind::IoStall { seconds } => add(e.time - seconds, e.time, 2),
         }
     }
     acc.iter()
@@ -191,128 +74,119 @@ pub fn timeline(trace: &[TraceEvent], horizon: f64, buckets: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evg::{Breakdown, FAULT_LINK};
+    use crate::replay::{replay, CostOverride};
 
-    fn ev(time: f64, kind: EventKind) -> TraceEvent {
-        TraceEvent { time, span: None, kind }
+    /// Render rank 0 of a hand-built graph.
+    fn line(ranks: Vec<Vec<Ev>>, horizon: f64, buckets: usize) -> String {
+        let p = ranks.len();
+        let graph = EventGraph {
+            nprocs: p,
+            names: vec![],
+            ranks,
+            finish: vec![0.0; p],
+            recorded: vec![Breakdown::default(); p],
+        };
+        timeline(
+            &graph,
+            &replay(&graph, &CostOverride::identity()),
+            0,
+            horizon,
+            buckets,
+        )
+    }
+
+    fn push(dst: u32, seconds: f64) -> Ev {
+        Ev::Push {
+            dst,
+            tag: 0,
+            bytes: 8,
+            seconds,
+            lat: 0.0,
+            delay: 0.0,
+            poison: false,
+        }
     }
 
     #[test]
     fn timeline_classifies_dominant_activity() {
-        let trace = vec![
-            ev(
-                1.0,
-                EventKind::Compute {
-                    kind: OpKind::Misc,
-                    count: 1,
-                    seconds: 1.0,
-                },
-            ),
-            ev(
-                2.0,
-                EventKind::Disk {
-                    read: true,
-                    bytes: 100,
-                    seconds: 1.0,
-                },
-            ),
-            ev(
-                4.0,
-                EventKind::Recv {
-                    src: 0,
-                    tag: 0,
-                    bytes: 8,
-                    waited: 1.0,
-                },
-            ),
+        // Rank 0 computes, reads, then waits for rank 1's push to land at
+        // t=3; the last bucket is end-of-run idle.
+        let rank0 = vec![
+            Ev::Compute {
+                kind: 6,
+                seconds: 1.0,
+            },
+            Ev::Disk {
+                read: true,
+                bytes: 100,
+                seconds: 1.0,
+                seek: 0.0,
+            },
+            Ev::Recv { src: 1, tag: 0 },
         ];
-        let line = timeline(&trace, 4.0, 4);
-        assert_eq!(line, "CD.M");
+        let rank1 = vec![
+            Ev::Compute {
+                kind: 6,
+                seconds: 2.5,
+            },
+            push(0, 0.5),
+        ];
+        assert_eq!(line(vec![rank0, rank1], 4.0, 4), "CDM.");
     }
 
     #[test]
     fn send_events_fill_their_full_duration() {
-        // One send that spans the whole first bucket: with the recorded
-        // duration it must dominate, not register as a sliver.
-        let trace = vec![ev(
-            1.0,
-            EventKind::Send {
-                dst: 1,
-                tag: 0,
-                bytes: 1 << 20,
-                seconds: 1.0,
-            },
-        )];
-        assert_eq!(timeline(&trace, 2.0, 2), "M.");
+        // One send that spans the whole first bucket must dominate it,
+        // not register as a sliver.
+        assert_eq!(line(vec![vec![push(1, 1.0)], vec![]], 2.0, 2), "M.");
     }
 
     #[test]
     fn timeline_classifies_fault_events() {
         // Disk faults count as I/O, link faults as communication.
-        let trace = vec![
-            ev(
-                1.0,
-                EventKind::Fault {
-                    kind: "disk-error",
-                    seconds: 1.0,
-                },
-            ),
-            ev(
-                2.0,
-                EventKind::Fault {
-                    kind: "link-drop",
-                    seconds: 1.0,
-                },
-            ),
+        let evs = vec![
+            Ev::Fault {
+                kind: FAULT_DISK,
+                seconds: 1.0,
+            },
+            Ev::Fault {
+                kind: FAULT_LINK,
+                seconds: 1.0,
+            },
         ];
-        assert_eq!(timeline(&trace, 2.0, 2), "DM");
+        assert_eq!(line(vec![evs], 2.0, 2), "DM");
     }
 
     #[test]
-    fn event_extent_matches_charged_seconds() {
-        assert_eq!(
-            ev(1.0, EventKind::Send { dst: 0, tag: 0, bytes: 4, seconds: 0.5 })
-                .kind
-                .extent(),
-            0.5
-        );
-        assert_eq!(
-            ev(1.0, EventKind::Recv { src: 0, tag: 0, bytes: 4, waited: 0.25 })
-                .kind
-                .extent(),
-            0.25
-        );
-        // A link delay is charged to the receiver's wait, not the sender.
-        assert_eq!(
-            ev(1.0, EventKind::Fault { kind: "link-delay", seconds: 3.0 })
-                .kind
-                .extent(),
-            0.0
-        );
-    }
-
-    #[test]
-    fn device_io_has_zero_extent_and_stall_counts_as_io() {
-        let dev = ev(
-            1.0,
-            EventKind::DeviceIo {
+    fn device_service_is_off_the_timeline_and_stalls_count_as_io() {
+        // The device serves [0, 2] in the background: bucket 0 is the
+        // overlapped compute, and only the exposed stall [1, 2] shows up
+        // as disk activity.
+        let evs = vec![
+            Ev::Submit {
                 read: true,
                 bytes: 4096,
-                start: 1.0,
-                end: 5.0,
+                service: 2.0,
+                seek: 0.0,
+                fault: 0.0,
                 retries: 0,
             },
-        );
-        assert_eq!(dev.kind.extent(), 0.0);
-        let stall = ev(2.0, EventKind::IoStall { seconds: 1.0 });
-        assert_eq!(stall.kind.extent(), 1.0);
-        // A stall dominates its bucket as disk activity; the device event
-        // contributes nothing to the rank's own timeline.
-        assert_eq!(timeline(&[dev, stall], 2.0, 2), ".D");
+            Ev::Compute {
+                kind: 6,
+                seconds: 1.0,
+            },
+            Ev::Wait {
+                req: 0,
+                service: 2.0,
+            },
+        ];
+        assert_eq!(line(vec![evs], 2.0, 2), "CD");
     }
 
     #[test]
-    fn empty_trace_is_idle() {
-        assert_eq!(timeline(&[], 10.0, 5), ".....");
-        assert_eq!(timeline(&[], 0.0, 3), "...");
+    fn empty_run_is_idle() {
+        assert_eq!(line(vec![vec![]], 10.0, 5), ".....");
+        assert_eq!(line(vec![vec![]], 0.0, 3), "...");
     }
 }

@@ -333,10 +333,10 @@ fn single_proc_machine_collectives_are_identity() {
 }
 
 #[test]
-fn trace_records_events_when_enabled() {
-    use pdc_cgm::trace::{timeline, EventKind};
+fn events_are_recorded_when_enabled() {
+    use pdc_cgm::{trace::timeline, Ev};
     let cfg = MachineConfig {
-        trace: true,
+        record: true,
         ..MachineConfig::default()
     };
     let cluster = Cluster::with_config(2, cfg);
@@ -349,29 +349,29 @@ fn trace_records_events_when_enabled() {
             let _: u8 = proc.recv(0, 3);
         }
     });
-    let t0 = &out.stats[0].trace;
-    assert!(t0
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::Compute { .. })));
-    assert!(t0.iter().any(|e| matches!(e.kind, EventKind::Disk { .. })));
-    assert!(t0.iter().any(|e| matches!(e.kind, EventKind::Send { .. })));
-    let t1 = &out.stats[1].trace;
-    assert!(t1.iter().any(|e| matches!(e.kind, EventKind::Recv { .. })));
-    // Timestamps are nondecreasing.
-    for trace in [t0, t1] {
-        assert!(trace.windows(2).all(|w| w[0].time <= w[1].time));
+    let e0 = &out.stats[0].events;
+    assert!(e0.iter().any(|e| matches!(e, Ev::Compute { .. })));
+    assert!(e0.iter().any(|e| matches!(e, Ev::Disk { .. })));
+    assert!(e0.iter().any(|e| matches!(e, Ev::Push { .. })));
+    let e1 = &out.stats[1].events;
+    assert!(e1.iter().any(|e| matches!(e, Ev::Recv { .. })));
+    // Replayed timestamps are nondecreasing.
+    let graph = pdc_cgm::EventGraph::from_stats(&out.stats);
+    let view = pdc_cgm::replay(&graph, &pdc_cgm::CostOverride::identity());
+    for times in &view.end {
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
-    let line = timeline(t0, out.makespan(), 20);
+    let line = timeline(&graph, &view, 0, out.makespan(), 20);
     assert_eq!(line.len(), 20);
     assert!(line.contains('C') || line.contains('D'));
 }
 
 #[test]
-fn trace_is_empty_when_disabled() {
+fn no_events_are_recorded_when_disabled() {
     let cluster = Cluster::new(2);
     let out = cluster.run(|proc| {
         proc.charge(OpKind::Misc, 10);
         let _ = proc.all_gather(proc.rank() as u64);
     });
-    assert!(out.stats.iter().all(|s| s.trace.is_empty()));
+    assert!(out.stats.iter().all(|s| s.events.is_empty()));
 }

@@ -179,7 +179,7 @@ fn critical_path_follows_device_busy_chains() {
     // walk must chase the exposed stall through the busy chain back to the
     // first submission and report the run as io-bound.
     let cfg = MachineConfig {
-        trace: true,
+        record: true,
         spans: true,
         ..MachineConfig::default()
     };

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pdc_cgm::replay::{identity_check, replay, CostOverride};
-use pdc_cgm::{Cluster, EventGraph, FaultPlan, MachineConfig, OpKind, Proc};
+use pdc_cgm::{Cluster, EventGraph, FaultPlan, MachineConfig, OpKind, Proc, Wire};
 use proptest::prelude::*;
 
 /// A mixed workload touching every recorded primitive: compute charges,
@@ -212,4 +212,38 @@ proptest! {
         prop_assert!(apply(up) >= base, "scaling up decreased finish");
         prop_assert!(apply(down) <= base, "scaling down increased finish");
     }
+    /// Bytes from outside the program never panic the decoder, the
+    /// validator or the replayer: arbitrary bytes, and a valid graph
+    /// truncated anywhere or with any one byte changed, either fail with
+    /// an error or yield a graph that validates and therefore replays.
+    #[test]
+    fn hostile_graph_bytes_never_panic(
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        cut in any::<usize>(),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let mut faults = FaultPlan::with_seed(11);
+        faults.link.drop_prob = 0.05;
+        let valid = record(3, faults).to_bytes();
+        let mut mutated = valid.clone();
+        mutated[at % valid.len()] ^= flip;
+        // An honest version word in front of the noise gets it past the
+        // version gate and into the length prefixes.
+        let mut versioned = pdc_cgm::evg::EVG_VERSION.to_bytes();
+        versioned.extend_from_slice(&noise);
+        for bytes in [&noise[..], &versioned, &valid[..cut % valid.len()], &mutated] {
+            if let Ok(graph) = EventGraph::from_untrusted(bytes) {
+                let out = replay(&graph, &CostOverride::identity());
+                prop_assert_eq!(out.finish.len(), graph.nprocs);
+                // The views are functions of a replay: they cannot panic either.
+                let _ = out.latest_end(&graph);
+                if graph.nprocs > 0 {
+                    let _ = pdc_cgm::trace::timeline(&graph, &out, 0, out.makespan(), 8);
+                }
+            }
+        }
+        prop_assert!(EventGraph::from_untrusted(&valid).is_ok());
+    }
+
 }

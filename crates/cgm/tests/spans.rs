@@ -74,10 +74,10 @@ fn leaking_an_open_span_panics_at_run_end() {
 #[test]
 fn spans_enabled_is_bit_identical_to_disabled() {
     // Spans are pure observation: enabling them must not move a single
-    // virtual clock bit, on any rank, with or without tracing.
+    // virtual clock bit, on any rank, with or without event recording.
     let baseline = Cluster::new(6).run(workload);
     let mut cfg = spans_config();
-    cfg.trace = true;
+    cfg.record = true;
     let observed = Cluster::with_config(6, cfg).run(|proc| {
         proc.in_span("all", &[], workload)
     });
@@ -102,9 +102,9 @@ fn disabled_spans_record_nothing() {
 }
 
 #[test]
-fn trace_events_carry_the_innermost_span() {
+fn events_carry_the_innermost_span() {
     let mut cfg = spans_config();
-    cfg.trace = true;
+    cfg.record = true;
     let out = Cluster::with_config(2, cfg).run(|proc| {
         proc.charge(OpKind::Misc, 100); // outside any span
         proc.in_span("outer", &[], |p| {
@@ -112,13 +112,17 @@ fn trace_events_carry_the_innermost_span() {
             p.in_span("inner", &[], |p| p.charge(OpKind::Misc, 100));
         });
     });
+    // The replayed view attributes every event to the span open around it.
+    let graph = pdc_cgm::EventGraph::from_stats(&out.stats);
+    let view = pdc_cgm::replay(&graph, &pdc_cgm::CostOverride::identity());
     let s = &out.stats[0];
-    let spans_of = |e: &pdc_cgm::trace::TraceEvent| {
-        e.span.map(|i| s.spans[i as usize].name)
-    };
-    assert_eq!(spans_of(&s.trace[0]), None);
-    assert_eq!(spans_of(&s.trace[1]), Some("outer"));
-    assert_eq!(spans_of(&s.trace[2]), Some("inner"));
+    let charges: Vec<Option<&str>> = graph.ranks[0]
+        .iter()
+        .enumerate()
+        .filter(|(_, ev)| matches!(ev, pdc_cgm::Ev::Compute { .. }))
+        .map(|(i, _)| view.span[0][i].map(|sp| s.spans[sp as usize].name))
+        .collect();
+    assert_eq!(charges, [None, Some("outer"), Some("inner")]);
 }
 
 #[test]

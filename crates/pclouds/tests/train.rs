@@ -332,8 +332,8 @@ fn interval_based_matches_attribute_based() {
 
 #[test]
 fn spans_do_not_perturb_virtual_time() {
-    // Observability must be free: enabling spans and tracing cannot move a
-    // single bit of any rank's virtual clock.
+    // Observability must be free: enabling spans and event recording cannot
+    // move a single bit of any rank's virtual clock.
     use pdc_cgm::MachineConfig;
     let records = generate(5_000, GeneratorConfig::default());
     let cfg = test_config();
@@ -346,7 +346,7 @@ fn spans_do_not_perturb_virtual_time() {
     let baseline = build(MachineConfig::default());
     let observed = build(MachineConfig {
         spans: true,
-        trace: true,
+        record: true,
         ..MachineConfig::default()
     });
     assert_eq!(baseline.tree, observed.tree);
@@ -356,7 +356,7 @@ fn spans_do_not_perturb_virtual_time() {
         assert_eq!(
             a.finish_time.to_bits(),
             b.finish_time.to_bits(),
-            "rank {}: finish time diverged with spans/trace enabled",
+            "rank {}: finish time diverged with spans/record enabled",
             a.rank
         );
     }
@@ -527,7 +527,7 @@ fn engine_span_rollups_still_partition_the_run() {
 
 #[test]
 fn gauges_do_not_perturb_virtual_time() {
-    // The full observability stack — spans, trace, and resource gauges —
+    // The full observability stack — spans, event DAG and resource gauges —
     // must stay pure observation end to end: identical tree, identical
     // finish-time bits, identical counters.
     use pdc_cgm::MachineConfig;
@@ -542,7 +542,7 @@ fn gauges_do_not_perturb_virtual_time() {
     let baseline = build(MachineConfig::default());
     let observed = build(MachineConfig {
         spans: true,
-        trace: true,
+        record: true,
         gauges: true,
         ..MachineConfig::default()
     });

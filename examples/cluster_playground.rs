@@ -6,7 +6,7 @@
 //! ```
 
 use pdc_cgm::trace::timeline;
-use pdc_cgm::{Cluster, MachineConfig, OpKind};
+use pdc_cgm::{replay, Cluster, CostOverride, EventGraph, MachineConfig, OpKind};
 
 fn main() {
     let cfg = MachineConfig::default();
@@ -47,25 +47,28 @@ fn main() {
         );
     }
 
-    // Event tracing: a coarse Gantt chart of one unbalanced run
-    // (C = compute, M = messages/waiting, D = disk, . = idle).
-    println!("\ntraced timeline of an unbalanced run (p = 4):");
-    let traced = Cluster::with_config(
+    // Event recording: the run records its causal event DAG, and replaying
+    // it yields the timestamps — here as a coarse Gantt chart of one
+    // unbalanced run (C = compute, M = messages/waiting, D = disk,
+    // . = idle).
+    println!("\nreplayed timeline of an unbalanced run (p = 4):");
+    let recorded = Cluster::with_config(
         4,
         MachineConfig {
-            trace: true,
+            record: true,
             ..MachineConfig::default()
         },
     );
-    let out = traced.run(|proc| {
+    let out = recorded.run(|proc| {
         proc.charge(OpKind::RecordScan, 200_000 * (proc.rank() as u64 + 1));
         proc.disk_write(((proc.rank() + 1) * 4) << 20);
         proc.barrier();
         let _ = proc.all_gather(vec![0u8; 64 * 1024]);
     });
-    let horizon = out.makespan();
-    for s in &out.stats {
-        println!("  p{}: {}", s.rank, timeline(&s.trace, horizon, 60));
+    let graph = EventGraph::from_stats(&out.stats);
+    let view = replay(&graph, &CostOverride::identity());
+    for rank in 0..graph.nprocs {
+        println!("  p{rank}: {}", timeline(&graph, &view, rank, out.makespan(), 60));
     }
 
     // Collective scaling: one all-gather, growing message size.
