@@ -6,7 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdc_baselines::build_tree_sprint;
 use pdc_clouds::{
-    build_tree, derive_split_in_memory, direct_best_split, draw_sample, CloudsParams, SplitMethod,
+    build_tree, derive_split_in_memory, direct_best_split, draw_sample, CloudsParams, SortedSample,
+    SplitMethod,
 };
 use pdc_datagen::{generate, GeneratorConfig};
 
@@ -23,7 +24,7 @@ fn bench_single_split(c: &mut Criterion) {
     group.sample_size(10);
     for n in [10_000usize, 50_000] {
         let records = generate(n, GeneratorConfig::default());
-        let sample = draw_sample(&records, 2_000, 7);
+        let sample = SortedSample::new(draw_sample(&records, 2_000, 7));
         for (name, method) in [
             ("ss", SplitMethod::SS),
             ("sse", SplitMethod::SSE),

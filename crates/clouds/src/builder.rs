@@ -11,7 +11,8 @@ use pdc_datagen::{Record, NUM_CLASSES};
 use crate::derive::derive_split_in_memory;
 use crate::gini::ClassCounts;
 use crate::params::CloudsParams;
-use crate::sample::draw_sample;
+use crate::params::SplitMethod;
+use crate::sample::{draw_sample, SortedSample};
 use crate::tree::{DecisionTree, NodeId};
 
 /// Counting statistics of one build.
@@ -47,13 +48,21 @@ pub fn build_tree_with_stats(
     params: &CloudsParams,
 ) -> (DecisionTree, BuildStats) {
     let n_root = records.len() as u64;
-    let sample = draw_sample(records, params.sample_size, params.sample_seed);
+    // The direct method reads no sample: draw (and sort) none.
+    let sample = match params.method {
+        SplitMethod::Direct => SortedSample::default(),
+        SplitMethod::SS | SplitMethod::SSE => SortedSample::new(draw_sample(
+            records,
+            params.sample_size,
+            params.sample_seed,
+        )),
+    };
     let mut tree = DecisionTree::single_leaf(class_counts(records));
     let mut stats = BuildStats::default();
     // Explicit work stack: (node id, records, sample, depth). Order of
     // processing is irrelevant to the result — the paper exploits the same
     // freedom ("the tree can be built in an arbitrary order").
-    let mut stack: Vec<(NodeId, Vec<Record>, Vec<Record>, usize)> =
+    let mut stack: Vec<(NodeId, Vec<Record>, SortedSample, usize)> =
         vec![(tree.root(), records.to_vec(), sample, 0)];
     while let Some((id, recs, samp, depth)) = stack.pop() {
         stats.nodes += 1;
@@ -77,14 +86,7 @@ pub fn build_tree_with_stats(
         if left_recs.is_empty() || right_recs.is_empty() {
             continue; // degenerate split: stay a leaf
         }
-        let (mut left_samp, mut right_samp) = (Vec::new(), Vec::new());
-        for s in samp {
-            if cand.splitter.goes_left(&s) {
-                left_samp.push(s);
-            } else {
-                right_samp.push(s);
-            }
-        }
+        let (left_samp, right_samp) = samp.split(&cand.splitter);
         let (lc, rc) = (class_counts(&left_recs), class_counts(&right_recs));
         let (l, r) = tree.split_leaf(id, cand.splitter, lc, rc);
         stats.splits += 1;

@@ -3,13 +3,13 @@
 //! same pieces with communication in between (accumulate locally → combine
 //! globally → evaluate).
 
-use pdc_datagen::{Record, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
+use pdc_datagen::{Record, RecordBatch, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
 
 use crate::categorical::CountMatrix;
 use crate::gini::ClassCounts;
-use crate::intervals::IntervalSet;
 use crate::numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};
 use crate::params::{CloudsParams, SplitMethod};
+use crate::sample::SortedSample;
 use crate::split::Candidate;
 
 /// All statistics the SS/SSE methods need for one node, accumulated in a
@@ -25,13 +25,11 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Empty statistics with interval boundaries derived from `sample`.
-    pub fn from_sample(sample: &[Record], q: usize) -> NodeStats {
+    /// Empty statistics with interval boundaries read off `sample`'s
+    /// sorted columns.
+    pub fn from_sample(sample: &SortedSample, q: usize) -> NodeStats {
         let numeric = (0..NUM_NUMERIC)
-            .map(|attr| {
-                let values: Vec<f64> = sample.iter().map(|r| r.num(attr)).collect();
-                AttrIntervalStats::new(attr, IntervalSet::from_sample(&values, q), NUM_CLASSES)
-            })
+            .map(|attr| AttrIntervalStats::new(attr, sample.intervals(attr, q), NUM_CLASSES))
             .collect();
         let categorical = (0..CATEGORICAL_CARDINALITY.len())
             .map(|attr| CountMatrix::new(attr, CATEGORICAL_CARDINALITY[attr], NUM_CLASSES))
@@ -47,20 +45,18 @@ impl NodeStats {
     /// **attribute-major**: the batch is walked once per attribute, so only
     /// that attribute's boundaries and cells (≈ 0.4 MB at `q = 10,000`) are
     /// live in cache at a time instead of every attribute's at every record.
-    /// Callers pass batches that themselves fit in cache (a streaming chunk).
-    pub fn add_records(&mut self, records: &[Record]) {
-        for r in records {
-            self.total[r.class as usize] += 1;
+    /// Callers pass batches that themselves fit in cache (a streaming
+    /// chunk) — resident records or a view of a page, where each attribute
+    /// walk is a strided read of the page's bytes.
+    pub fn add_records(&mut self, records: &(impl RecordBatch + ?Sized)) {
+        for i in 0..records.len() {
+            self.total[records.class(i) as usize] += 1;
         }
         for stats in &mut self.numeric {
-            for r in records {
-                stats.add_value(r.num(stats.attr), r.class);
-            }
+            records.for_each_num(stats.attr, |value, class| stats.add_value(value, class));
         }
         for m in &mut self.categorical {
-            for r in records {
-                m.add_value(r.cat(m.attr), r.class);
-            }
+            records.for_each_cat(m.attr, |value, class| m.add_value(value, class));
         }
     }
 
@@ -122,8 +118,14 @@ impl NodeStats {
 /// record set: ≈ 0.2 MB of records, re-read from cache once per attribute.
 const ACCUMULATE_BLOCK: usize = 4096;
 
-/// Accumulate [`NodeStats`] for `records` with intervals from `sample`.
+/// Accumulate [`NodeStats`] for `records` with intervals from `sample`
+/// (sorted here; a builder that splits its sample down a tree keeps a
+/// [`SortedSample`] and sorts once).
 pub fn accumulate_stats(records: &[Record], sample: &[Record], q: usize) -> NodeStats {
+    accumulate(records, &SortedSample::new(sample.to_vec()), q)
+}
+
+fn accumulate(records: &[Record], sample: &SortedSample, q: usize) -> NodeStats {
     let mut stats = NodeStats::from_sample(sample, q);
     for block in records.chunks(ACCUMULATE_BLOCK) {
         stats.add_records(block);
@@ -195,18 +197,18 @@ pub fn direct_best_split(records: &[Record], params: &CloudsParams) -> Option<Ca
 /// Derive the splitter for an in-memory node with the configured method.
 pub fn derive_split_in_memory(
     records: &[Record],
-    sample: &[Record],
+    sample: &SortedSample,
     q: usize,
     params: &CloudsParams,
 ) -> Option<Candidate> {
     match params.method {
         SplitMethod::Direct => direct_best_split(records, params),
         SplitMethod::SS => {
-            let stats = accumulate_stats(records, sample, q);
+            let stats = accumulate(records, sample, q);
             stats.best_ss_split(params)
         }
         SplitMethod::SSE => {
-            let stats = accumulate_stats(records, sample, q);
+            let stats = accumulate(records, sample, q);
             let ss_best = stats.best_ss_split(params);
             let gini_min = ss_best.as_ref().map_or(f64::INFINITY, |c| c.gini);
             let alive = stats.alive_intervals(gini_min);
@@ -249,11 +251,12 @@ mod tests {
     fn merge_equals_whole() {
         let records = dataset(400);
         let sample = draw_sample(&records, 80, 2);
-        let mut a = NodeStats::from_sample(&sample, 10);
-        let mut b = NodeStats::from_sample(&sample, 10);
+        let sorted = SortedSample::new(sample.clone());
+        let mut a = NodeStats::from_sample(&sorted, 10);
+        let mut b = NodeStats::from_sample(&sorted, 10);
         let (even, odd): (Vec<_>, Vec<_>) = records.chunks(2).map(|c| (c[0], c[1])).unzip();
-        a.add_records(&even);
-        b.add_records(&odd);
+        a.add_records(even.as_slice());
+        b.add_records(odd.as_slice());
         a.merge(&b);
         let whole = accumulate_stats(&records, &sample, 10);
         assert_eq!(a, whole);
@@ -264,7 +267,7 @@ mod tests {
         // SSE must find the exact best split (its bound is sound and the
         // alive scan is exact); the direct method is the reference.
         let records = dataset(2_000);
-        let sample = draw_sample(&records, 500, 3);
+        let sample = SortedSample::new(draw_sample(&records, 500, 3));
         let params = CloudsParams::default();
         let sse = derive_split_in_memory(&records, &sample, 50, &params).unwrap();
         let direct = direct_best_split(&records, &params).unwrap();
@@ -279,7 +282,7 @@ mod tests {
     #[test]
     fn ss_is_no_better_than_sse() {
         let records = dataset(2_000);
-        let sample = draw_sample(&records, 300, 4);
+        let sample = SortedSample::new(draw_sample(&records, 300, 4));
         let params = CloudsParams::default();
         let ss = derive_split_in_memory(
             &records,

@@ -12,11 +12,11 @@
 /// split at threshold `t` sends `value <= t` left.
 ///
 /// Equality and the wire form see the boundaries only; the lookup index of
-/// [`IntervalSet::from_sample`] is derived data.
+/// [`IntervalSet::from_sorted`] is derived data.
 #[derive(Debug, Clone)]
 pub struct IntervalSet {
     boundaries: Vec<f64>,
-    /// Lookup index, built by [`IntervalSet::from_sample`] only: sets made
+    /// Lookup index, built by [`IntervalSet::from_sorted`] only: sets made
     /// by [`IntervalSet::from_boundaries`] or decoded from the wire belong
     /// to owners, which never look values up.
     grid: Option<Grid>,
@@ -110,28 +110,34 @@ impl IntervalSet {
     }
 
     /// Build interval boundaries from the sample's values for one attribute
-    /// (equi-depth quantiles of the sample). Duplicates are removed, so the
-    /// result may have fewer than `q` intervals when the sample has few
-    /// distinct values.
+    /// (equi-depth quantiles of the sample): sort, then
+    /// [`IntervalSet::from_sorted`].
     pub fn from_sample(values: &[f64], q: usize) -> IntervalSet {
-        assert!(q >= 1, "need at least one interval");
-        if values.is_empty() || q == 1 {
-            return IntervalSet::from_boundaries(Vec::new());
-        }
         let mut sorted: Vec<f64> = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN attribute value"));
-        let n = sorted.len();
+        IntervalSet::from_sorted(sorted.len(), |i| sorted[i], q)
+    }
+
+    /// Pick the boundaries of `q` equi-depth intervals out of a column that
+    /// is already sorted ascending: `n` values, the `i`-th read by
+    /// `value(i)` — `O(q)` reads, whatever `n` is. Duplicates are removed,
+    /// so the result may have fewer than `q` intervals when the column has
+    /// few distinct values.
+    pub fn from_sorted(n: usize, value: impl Fn(usize) -> f64, q: usize) -> IntervalSet {
+        assert!(q >= 1, "need at least one interval");
+        if n == 0 || q == 1 {
+            return IntervalSet::from_boundaries(Vec::new());
+        }
         let mut boundaries = Vec::with_capacity(q - 1);
         for i in 1..q {
             // The i-th q-quantile of the sample.
-            let idx = (i * n) / q;
-            let idx = idx.min(n - 1);
-            boundaries.push(sorted[idx]);
+            boundaries.push(value(((i * n) / q).min(n - 1)));
         }
         boundaries.dedup();
         // A boundary equal to the maximum value would create an empty last
         // interval; harmless, keep it simple and drop it.
-        while boundaries.last() == sorted.last() {
+        let max = value(n - 1);
+        while boundaries.last() == Some(&max) {
             boundaries.pop();
         }
         let grid = Grid::build(&boundaries);

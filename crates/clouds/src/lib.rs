@@ -55,6 +55,6 @@ pub use metrics::{accuracy, accuracy_of, confusion_matrix, error_rate, holdout_p
 pub use numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};
 pub use params::{CloudsParams, SplitMethod};
 pub use prune::{mdl_prune, MdlParams};
-pub use sample::{draw_sample, Reservoir};
+pub use sample::{draw_sample, Reservoir, SortedSample};
 pub use split::{Candidate, Splitter};
 pub use tree::{DecisionTree, Node, NodeId};

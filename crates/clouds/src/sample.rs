@@ -5,7 +5,10 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
-use pdc_datagen::Record;
+use pdc_datagen::{Record, NUM_NUMERIC};
+
+use crate::intervals::IntervalSet;
+use crate::split::Splitter;
 
 /// Draw `size` records uniformly without replacement (or all of them when
 /// `size >= records.len()`), deterministically for a given seed.
@@ -16,6 +19,115 @@ pub fn draw_sample(records: &[Record], size: usize, seed: u64) -> Vec<Record> {
     let mut rng = StdRng::seed_from_u64(seed);
     let idx = index_sample(&mut rng, records.len(), size);
     idx.into_iter().map(|i| records[i]).collect()
+}
+
+/// An integer that orders as `value` does under `partial_cmp`: −0.0 and 0.0
+/// are one key, NaN is refused. Integer keys sort several times faster than
+/// a float comparator.
+fn sort_key(value: f64) -> u64 {
+    assert!(!value.is_nan(), "NaN attribute value");
+    let bits = (value + 0.0).to_bits(); // −0.0 + 0.0 is 0.0
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// A node's sample points with every numeric attribute **sorted once**: the
+/// records in drawing order plus, per numeric attribute, the record indices
+/// in ascending value order. The root's columns are sorted when the sample
+/// is drawn; [`SortedSample::split`] routes them *stably* down the tree, so
+/// a child's columns are sorted without sorting and its interval boundaries
+/// are read off by index ([`SortedSample::intervals`]). This is the
+/// pre-sorted attribute list of SLIQ/SPRINT — which CLOUDS avoids for the
+/// data — applied to the sample, which is small and replicated.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SortedSample {
+    records: Vec<Record>,
+    /// `columns[a][k]` indexes the record with the `k`-th smallest value of
+    /// numeric attribute `a` (ties in record order).
+    columns: [Vec<u32>; NUM_NUMERIC],
+}
+
+impl SortedSample {
+    /// Sort every numeric attribute of `records` (the one sort of a build).
+    pub fn new(records: Vec<Record>) -> SortedSample {
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "sample of {} points exceeds the u32 column index",
+            records.len()
+        );
+        let columns = std::array::from_fn(|attr| {
+            // Ties in record order, as a stable sort of the values leaves
+            // them — so a column equals what sorting the child from scratch
+            // would give, bit for bit.
+            let mut keyed: Vec<(u64, u32)> =
+                records.iter().zip(0..).map(|(r, i)| (sort_key(r.num(attr)), i)).collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, i)| i).collect()
+        });
+        SortedSample { records, columns }
+    }
+
+    /// The sample points, in drawing order.
+    pub fn records(&self) -> &[Record] {
+        &self.records
+    }
+
+    /// Number of sample points.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the sample is empty.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Boundaries of `q` equi-depth intervals of numeric attribute `attr`,
+    /// equal to `IntervalSet::from_sample` over the points' raw values.
+    pub fn intervals(&self, attr: usize, q: usize) -> IntervalSet {
+        let column = &self.columns[attr];
+        IntervalSet::from_sorted(column.len(), |k| self.records[column[k] as usize].num(attr), q)
+    }
+
+    /// Partition the sample on `splitter` into (left, right). Stable in the
+    /// records and in every column, so both children are sorted samples.
+    pub fn split(self, splitter: &Splitter) -> (SortedSample, SortedSample) {
+        let SortedSample { records, columns } = self;
+        // Where each point goes: its side (right?) and its index there.
+        let mut counts = [0u32; 2];
+        let placed: Vec<(bool, u32)> = records
+            .iter()
+            .map(|r| {
+                let right = !splitter.goes_left(r);
+                counts[usize::from(right)] += 1;
+                (right, counts[usize::from(right)] - 1)
+            })
+            .collect();
+        let mut sides = counts.map(|n| SortedSample {
+            records: Vec::with_capacity(n as usize),
+            columns: Default::default(),
+        });
+        for (r, &(right, _)) in records.iter().zip(&placed) {
+            sides[usize::from(right)].records.push(*r);
+        }
+        // Every rank of a machine splits its replica at the same moment:
+        // let go of each piece of the parent as soon as it is routed.
+        drop(records);
+        for (attr, column) in columns.into_iter().enumerate() {
+            for (side, n) in sides.iter_mut().zip(counts) {
+                side.columns[attr].reserve_exact(n as usize);
+            }
+            for i in column {
+                let (right, at) = placed[i as usize];
+                sides[usize::from(right)].columns[attr].push(at);
+            }
+        }
+        let [left, right] = sides;
+        (left, right)
+    }
 }
 
 /// Reservoir sampling over a streaming source (used by the out-of-core

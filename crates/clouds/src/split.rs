@@ -1,7 +1,7 @@
 //! Split predicates ("splitter points" in the paper's terminology).
 
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
-use pdc_datagen::Record;
+use pdc_datagen::{Record, RecordBatch};
 
 /// A binary split test stored at an internal tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +30,18 @@ impl Splitter {
             Splitter::Numeric { attr, threshold } => r.num(attr) <= threshold,
             Splitter::Categorical { attr, left_values } => {
                 left_values & (1u64 << r.cat(attr)) != 0
+            }
+        }
+    }
+
+    /// [`Splitter::goes_left`] for record `i` of a batch, reading only the
+    /// tested attribute.
+    #[inline]
+    pub fn goes_left_at(&self, records: &(impl RecordBatch + ?Sized), i: usize) -> bool {
+        match *self {
+            Splitter::Numeric { attr, threshold } => records.num(i, attr) <= threshold,
+            Splitter::Categorical { attr, left_values } => {
+                left_values & (1u64 << records.cat(i, attr)) != 0
             }
         }
     }

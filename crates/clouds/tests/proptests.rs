@@ -3,8 +3,10 @@
 use pdc_clouds::gini::{gini, interval_gini_lower_bound, split_gini, sub};
 use pdc_clouds::{
     accumulate_stats, exact_interval_scan, AliveInterval, CountMatrix, CountTable, IntervalSet,
-    NodeStats,
+    NodeStats, SortedSample, Splitter,
 };
+use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
+use pdc_pario::RecBuf;
 use proptest::prelude::*;
 
 /// Samples that stress the lookup index of `IntervalSet::from_sample`.
@@ -27,6 +29,39 @@ fn adversarial_sample(kind: u8, raw: &[f64]) -> Vec<f64> {
         6 => spread(&|i, _| i as f64 * f64::MIN_POSITIVE),
         // One far outlier: every other boundary shares a cell.
         _ => spread(&|i, v| if i == 0 { 1e300 } else { v }),
+    }
+}
+
+/// Columns that stress a stable split of sorted columns: ties, all-equal,
+/// infinities, signed zeros.
+fn adversarial_value(kind: u8, i: usize, v: f64) -> f64 {
+    match kind {
+        0 => v,
+        1 => (v / 25_000.0).floor(), // a handful of distinct values
+        2 => 7.5,
+        3 if i.is_multiple_of(5) => f64::INFINITY,
+        3 if i.is_multiple_of(7) => f64::NEG_INFINITY,
+        4 if i.is_multiple_of(2) => -0.0,
+        4 => (i % 3) as f64 * 0.0,
+        _ => v,
+    }
+}
+
+/// `node` holds `raw` in order, and reads off the interval sets that
+/// sorting `raw`'s values gives.
+fn check_node(node: &SortedSample, raw: &[Record]) {
+    assert_eq!(node.records(), raw);
+    for attr in 0..NUM_NUMERIC {
+        let values: Vec<f64> = raw.iter().map(|r| r.num(attr)).collect();
+        for q in [1, 2, 10, 10_000] {
+            // Debug shows the boundaries' bits (−0.0 ≠ 0.0) and the index.
+            assert_eq!(
+                format!("{:?}", node.intervals(attr, q)),
+                format!("{:?}", IntervalSet::from_sample(&values, q)),
+                "attr {attr}, q {q}, {} points",
+                raw.len()
+            );
+        }
     }
 }
 
@@ -125,7 +160,8 @@ proptest! {
     }
 
     /// Batched accumulation equals one-value-at-a-time accumulation,
-    /// however the records are cut into batches.
+    /// however the records are cut into batches and whether a batch is
+    /// resident records or a view of their file bytes.
     #[test]
     fn add_records_equals_one_at_a_time(
         seed in any::<u64>(),
@@ -140,7 +176,8 @@ proptest! {
             ..GeneratorConfig::default()
         });
         let sample = &records[..n.div_ceil(3)];
-        let mut oracle = NodeStats::from_sample(sample, q);
+        let sorted = SortedSample::new(sample.to_vec());
+        let mut oracle = NodeStats::from_sample(&sorted, q);
         for r in &records {
             oracle.total[r.class as usize] += 1;
             for stats in &mut oracle.numeric {
@@ -153,12 +190,61 @@ proptest! {
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
         cuts.extend([0, n]);
         cuts.sort_unstable();
-        let mut batched = NodeStats::from_sample(sample, q);
+        let mut batched = NodeStats::from_sample(&sorted, q);
+        let mut viewed = NodeStats::from_sample(&sorted, q);
         for w in cuts.windows(2) {
             batched.add_records(&records[w[0]..w[1]]);
+            viewed.add_records(&RecBuf::from_records(&records[w[0]..w[1]]).view());
         }
         prop_assert_eq!(&batched, &oracle);
+        prop_assert_eq!(&viewed, &oracle);
         prop_assert_eq!(&accumulate_stats(&records, sample, q), &oracle);
+    }
+
+    /// A sample sorted once and split stably down a chain of numeric and
+    /// categorical splits gives, at every node and for every attribute, the
+    /// interval set (boundaries and lookup index) that sorting the node's
+    /// raw values from scratch gives.
+    #[test]
+    fn presorted_sample_equals_sort_from_scratch(
+        seed in any::<u64>(),
+        kinds in proptest::collection::vec(0u8..6, NUM_NUMERIC),
+        n in 0usize..400,
+        chain in proptest::collection::vec((any::<bool>(), 0usize..6, any::<u64>()), 0..6),
+    ) {
+        use pdc_datagen::{generate, GeneratorConfig};
+        let mut raw = generate(n, GeneratorConfig { seed, ..GeneratorConfig::default() });
+        for (i, r) in raw.iter_mut().enumerate() {
+            for (attr, kind) in kinds.iter().enumerate() {
+                r.numeric[attr] = adversarial_value(*kind, i, r.numeric[attr]);
+            }
+        }
+        let mut node = SortedSample::new(raw.clone());
+        check_node(&node, &raw);
+        for (numeric, attr, bits) in chain {
+            let splitter = if numeric {
+                // A value of the node (or, on an empty node, anything):
+                // below the minimum and at the maximum one child is empty.
+                let threshold = match raw.len() {
+                    0 => 0.0,
+                    len => raw[bits as usize % len].numeric[attr],
+                };
+                Splitter::Numeric { attr, threshold: threshold - (bits % 2) as f64 }
+            } else {
+                Splitter::Categorical { attr: attr % NUM_CATEGORICAL, left_values: bits }
+            };
+            let (left, right) = node.split(&splitter);
+            let (raw_left, raw_right): (Vec<Record>, Vec<Record>) =
+                raw.iter().partition(|r| splitter.goes_left(r));
+            check_node(&left, &raw_left);
+            check_node(&right, &raw_right);
+            // Descend into the larger child.
+            (node, raw) = if raw_left.len() >= raw_right.len() {
+                (left, raw_left)
+            } else {
+                (right, raw_right)
+            };
+        }
     }
 
     /// Equi-depth construction: on distinct values every interval holds a

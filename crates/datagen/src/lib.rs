@@ -27,6 +27,7 @@ pub use generator::{
     class_histogram, generate, train_test_split, GeneratorConfig, RecordStream,
 };
 pub use record::{
-    categorical, numeric, Record, CATEGORICAL_CARDINALITY, CATEGORICAL_NAMES, NUM_CATEGORICAL,
+    categorical, numeric, Record, RecordBatch, CATEGORICAL_CARDINALITY, CATEGORICAL_NAMES,
+    NUM_CATEGORICAL,
     NUM_CLASSES, NUM_NUMERIC, NUMERIC_NAMES,
 };

@@ -41,10 +41,19 @@ pub trait Backend: Send {
     }
 }
 
-/// Heap-backed storage.
+/// Bytes per extent of an [`InMemory`] file. Large enough that a streaming
+/// chunk spans a handful of extents, small enough that the unused tail of
+/// a file's last extent does not show in the resident set.
+const EXTENT_BYTES: usize = 1 << 18;
+
+/// Heap-backed storage: a list of fixed-size extents. Appending never moves
+/// bytes already stored — a file that grows allocates one more extent where
+/// a single `Vec` would reallocate and copy everything written so far.
 #[derive(Default)]
 pub struct InMemory {
-    data: Vec<u8>,
+    /// Every extent but the last holds exactly [`EXTENT_BYTES`].
+    extents: Vec<Vec<u8>>,
+    len: usize,
 }
 
 impl InMemory {
@@ -55,25 +64,52 @@ impl InMemory {
 }
 
 impl Backend for InMemory {
-    fn append(&mut self, bytes: &[u8]) {
-        self.data.extend_from_slice(bytes);
+    fn append(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len();
+        while !bytes.is_empty() {
+            if self.extents.last().is_none_or(|tail| tail.len() == EXTENT_BYTES) {
+                self.extents.push(Vec::new());
+            }
+            let first = self.extents.len() == 1;
+            let tail = self.extents.last_mut().expect("pushed above");
+            let (head, rest) = bytes.split_at(bytes.len().min(EXTENT_BYTES - tail.len()));
+            // A file's first extent grows with what arrives (most files of
+            // a wide machine are a few kB); once it is full the file is
+            // large and every further extent is cut whole.
+            let capacity = if first {
+                (tail.len() + head.len()).next_power_of_two().min(EXTENT_BYTES)
+            } else {
+                EXTENT_BYTES
+            };
+            tail.reserve_exact(capacity - tail.len());
+            tail.extend_from_slice(head);
+            bytes = rest;
+        }
     }
 
-    fn read_into(&mut self, offset: u64, buf: &mut [u8]) {
-        let start = offset as usize;
+    fn read_into(&mut self, offset: u64, mut buf: &mut [u8]) {
+        let start = usize::try_from(offset).expect("read range overflow");
         let end = start
             .checked_add(buf.len())
             .expect("read range overflow");
-        assert!(end <= self.data.len(), "read past end of in-memory file");
-        buf.copy_from_slice(&self.data[start..end]);
+        assert!(end <= self.len, "read past end of in-memory file");
+        let (mut extent, mut at) = (start / EXTENT_BYTES, start % EXTENT_BYTES);
+        while !buf.is_empty() {
+            let src = &self.extents[extent][at..];
+            let (head, rest) = buf.split_at_mut(src.len().min(buf.len()));
+            head.copy_from_slice(&src[..head.len()]);
+            buf = rest;
+            (extent, at) = (extent + 1, 0);
+        }
     }
 
     fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.len as u64
     }
 
     fn clear(&mut self) {
-        self.data.clear();
+        self.extents.clear();
+        self.len = 0;
     }
 }
 
@@ -218,6 +254,23 @@ mod tests {
         let b = BackendKind::OnDisk(dir.clone()).open(1, "weird/name");
         drop(b);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn in_memory_extents_hold_the_bytes_appended_across_their_edges() {
+        let data: Vec<u8> = (0..3 * EXTENT_BYTES + 777).map(|i| (i % 251) as u8).collect();
+        let mut b = InMemory::new();
+        // A small first append, one that crosses two extent edges, the rest.
+        let cuts = [0, 100, 2 * EXTENT_BYTES + 5, data.len()];
+        for w in cuts.windows(2) {
+            b.append(&data[w[0]..w[1]]);
+        }
+        assert_eq!(b.len(), data.len() as u64);
+        assert!(b.extents[..3].iter().all(|e| e.len() == EXTENT_BYTES));
+        assert_eq!(b.read(0, data.len()), data);
+        for (at, len) in [(EXTENT_BYTES - 3, 7), (EXTENT_BYTES, EXTENT_BYTES), (data.len(), 0)] {
+            assert_eq!(b.read(at as u64, len), data[at..at + len], "[{at}, +{len})");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use pdc_cgm::Proc;
 use crate::backend::{Backend, BackendKind};
 use crate::engine::{EngineConfig, IoEngine};
 use crate::prefetch::ReadAhead;
-use crate::rec::{decode_batch, encode_batch, encode_batch_into, Rec};
+use crate::rec::{Rec, RecBuf, RecChunk};
 
 /// Typed handle to a file on some [`NodeDisk`]. Cheap to clone; the data
 /// lives on the disk, not in the handle.
@@ -63,9 +63,6 @@ pub struct NodeDisk {
     /// routes every request through the legacy synchronous path.
     engine: Option<IoEngine>,
     next_file_id: u64,
-    /// Reusable byte buffer so chunked scans and appends do not allocate
-    /// per chunk.
-    scratch: Vec<u8>,
 }
 
 impl NodeDisk {
@@ -85,7 +82,6 @@ impl NodeDisk {
             files: HashMap::new(),
             engine: cfg.is_enabled().then(|| IoEngine::new(cfg)),
             next_file_id: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -204,16 +200,25 @@ impl NodeDisk {
     }
 
     /// Append a batch of records as one write request, charging `proc`.
-    /// With an engine the pages go dirty in the buffer pool (write-back:
-    /// the device is charged asynchronously on eviction or sync); without
-    /// one the write is charged synchronously.
+    /// Encodes, then [`NodeDisk::append_chunk`].
     pub fn append<R: Rec>(&mut self, proc: &mut Proc, file: &TypedFile<R>, records: &[R]) {
-        if records.is_empty() {
+        self.append_chunk(proc, file, RecBuf::from_records(records).view());
+    }
+
+    /// Append records that are already bytes as one write request, charging
+    /// `proc`. With an engine the pages go dirty in the buffer pool
+    /// (write-back: the device is charged asynchronously on eviction or
+    /// sync); without one the write is charged synchronously.
+    pub fn append_chunk<R: Rec>(
+        &mut self,
+        proc: &mut Proc,
+        file: &TypedFile<R>,
+        chunk: RecChunk<'_, R>,
+    ) {
+        if chunk.is_empty() {
             return;
         }
-        self.scratch.clear();
-        encode_batch_into(records, &mut self.scratch);
-        let bytes = &self.scratch;
+        let bytes = chunk.bytes();
         let entry = self
             .files
             .get_mut(&file.name)
@@ -227,12 +232,13 @@ impl NodeDisk {
             }
         }
         entry.backend.append(bytes);
-        entry.records += records.len();
+        entry.records += chunk.len();
     }
 
     /// Read `count` records starting at index `start` as one read request,
-    /// charging `proc`. Panics if fault injection makes the read fail
-    /// permanently — use [`NodeDisk::try_read_range`] in fault-aware code.
+    /// charging `proc`, decoded. Panics if fault injection makes the read
+    /// fail permanently — use [`NodeDisk::try_read_range_into`] in
+    /// fault-aware code.
     pub fn read_range<R: Rec>(
         &mut self,
         proc: &mut Proc,
@@ -240,47 +246,65 @@ impl NodeDisk {
         start: usize,
         count: usize,
     ) -> Vec<R> {
-        self.try_read_range(proc, file, start, count)
-            .unwrap_or_else(|e| {
-                panic!("pario: rank {} reading {:?}: {e}", self.rank, file.name)
-            })
+        self.read_range_into(proc, file, start, count, &mut RecBuf::new())
+            .to_vec()
     }
 
-    /// Fault-aware [`NodeDisk::read_range`]: transient read errors from the
-    /// machine's [`pdc_cgm::FaultPlan`] are retried (each retry charging
-    /// the virtual clock); when all attempts fail the error surfaces
-    /// instead of panicking. With an inert fault plan this is exactly
-    /// `read_range` and always succeeds.
-    pub fn try_read_range<R: Rec>(
+    /// [`NodeDisk::try_read_range_into`], panicking with the rank and the
+    /// file when fault injection makes the read fail permanently.
+    pub fn read_range_into<'b, R: Rec>(
         &mut self,
         proc: &mut Proc,
         file: &TypedFile<R>,
         start: usize,
         count: usize,
-    ) -> Result<Vec<R>, pdc_cgm::FaultError> {
+        buf: &'b mut RecBuf<R>,
+    ) -> RecChunk<'b, R> {
+        let rank = self.rank;
+        self.try_read_range_into(proc, file, start, count, buf)
+            .unwrap_or_else(|e| panic!("pario: rank {rank} reading {:?}: {e}", file.name))
+    }
+
+    /// Read `count` records starting at index `start` into `buf` as one
+    /// read request, charging `proc`, and view them there — the page is the
+    /// records, nothing is decoded. `buf` is overwritten; callers that read
+    /// chunk after chunk pass the same one. Transient read errors from the
+    /// machine's [`pdc_cgm::FaultPlan`] are retried (each retry charging
+    /// the virtual clock); when all attempts fail the error surfaces
+    /// instead of panicking. A range past the end of the file, or one whose
+    /// byte size overflows, is a caller bug and panics naming rank and file.
+    pub fn try_read_range_into<'b, R: Rec>(
+        &mut self,
+        proc: &mut Proc,
+        file: &TypedFile<R>,
+        start: usize,
+        count: usize,
+        buf: &'b mut RecBuf<R>,
+    ) -> Result<RecChunk<'b, R>, pdc_cgm::FaultError> {
         if count == 0 {
-            return Ok(Vec::new());
+            buf.clear();
+            return Ok(buf.view());
         }
         let entry = self
             .files
             .get_mut(&file.name)
             .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name));
-        assert!(
-            start + count <= entry.records,
-            "read_range [{start}, {}) past end ({} records) of {:?}",
-            start + count,
-            entry.records,
-            file.name
-        );
-        let nbytes = count * R::ENCODED_BYTES;
+        let in_file = start.checked_add(count).is_some_and(|end| end <= entry.records);
+        let (Some(nbytes), true) = (count.checked_mul(R::ENCODED_BYTES), in_file) else {
+            panic!(
+                "pario: rank {} read_range [{start}, {start} + {count}) past end ({} records) of {:?}",
+                self.rank, entry.records, file.name
+            );
+        };
+        // `start < records` and the file's bytes fit `usize`, so neither
+        // product below can wrap.
         let offset = (start * R::ENCODED_BYTES) as u64;
         match &mut self.engine {
             Some(engine) => engine.read(proc, entry.id, offset, nbytes)?,
             None => proc.try_disk_read_ws(nbytes, entry.records * R::ENCODED_BYTES)?,
         }
-        self.scratch.resize(nbytes, 0);
-        entry.backend.read_into(offset, &mut self.scratch[..nbytes]);
-        Ok(decode_batch(&self.scratch[..nbytes]))
+        entry.backend.read_into(offset, buf.fill_target(count));
+        Ok(buf.view())
     }
 
     /// Read the whole file in one request (callers use this only for files
@@ -296,16 +320,20 @@ impl NodeDisk {
     /// initial data or inspecting results outside a cluster run (the paper
     /// assumes the training data is already resident on the disks).
     pub fn append_uncharged<R: Rec>(&mut self, file: &TypedFile<R>, records: &[R]) {
-        if records.is_empty() {
+        self.append_chunk_uncharged(file, RecBuf::from_records(records).view());
+    }
+
+    /// [`NodeDisk::append_uncharged`] for records that are already bytes.
+    pub fn append_chunk_uncharged<R: Rec>(&mut self, file: &TypedFile<R>, chunk: RecChunk<'_, R>) {
+        if chunk.is_empty() {
             return;
         }
-        let bytes = encode_batch(records);
         let entry = self
             .files
             .get_mut(&file.name)
             .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name));
-        entry.backend.append(&bytes);
-        entry.records += records.len();
+        entry.backend.append(chunk.bytes());
+        entry.records += chunk.len();
         if let Some(engine) = &mut self.engine {
             // Keep the engine's length map accurate; pre-loaded data is not
             // dirty (it was never "written" on the virtual machine).
@@ -316,13 +344,11 @@ impl NodeDisk {
     /// Read the whole file **without charging any virtual time** — for
     /// verification outside a cluster run.
     pub fn read_all_uncharged<R: Rec>(&mut self, file: &TypedFile<R>) -> Vec<R> {
-        let n = self.num_records(file);
-        if n == 0 {
-            return Vec::new();
-        }
+        let mut buf = RecBuf::<R>::new();
         let entry = self.entry_mut(file);
-        let bytes = entry.backend.read(0, n * R::ENCODED_BYTES);
-        decode_batch(&bytes)
+        let n = entry.records;
+        entry.backend.read_into(0, buf.fill_target(n));
+        buf.view().to_vec()
     }
 
     /// Chunked sequential reader over `file` with a bounded per-chunk record
@@ -336,6 +362,7 @@ impl NodeDisk {
             cursor: 0,
             chunk_records,
             ahead: ReadAhead::new(chunk_records),
+            buf: RecBuf::new(),
         }
     }
 
@@ -387,12 +414,16 @@ impl NodeDisk {
 }
 
 /// Streaming reader: yields chunks of at most `chunk_records` records, each
-/// as one charged disk request.
+/// as one charged disk request. The reader owns the one buffer every chunk
+/// is read into; a chunk is a view of it and is gone — the borrow ends —
+/// before the next one is read. The bytes are a copy: appending to,
+/// renaming or deleting files on the disk while a chunk is held is fine.
 pub struct ChunkedReader<R> {
     file: TypedFile<R>,
     cursor: usize,
     chunk_records: usize,
     ahead: ReadAhead,
+    buf: RecBuf<R>,
 }
 
 impl<R: Rec> ChunkedReader<R> {
@@ -400,18 +431,22 @@ impl<R: Rec> ChunkedReader<R> {
     /// engine the following chunk is requested speculatively before this
     /// one is returned, overlapping its device time with the caller's
     /// processing of the current chunk.
-    pub fn next_chunk(&mut self, disk: &mut NodeDisk, proc: &mut Proc) -> Option<Vec<R>> {
+    pub fn next_chunk(
+        &mut self,
+        disk: &mut NodeDisk,
+        proc: &mut Proc,
+    ) -> Option<RecChunk<'_, R>> {
         let total = disk.num_records(&self.file);
         if self.cursor >= total {
             return None;
         }
         let count = self.chunk_records.min(total - self.cursor);
-        let out = disk.read_range(proc, &self.file, self.cursor, count);
+        disk.read_range_into(proc, &self.file, self.cursor, count, &mut self.buf);
         self.cursor += count;
         if let Some((start, ahead)) = self.ahead.next_window(self.cursor, total) {
             disk.prefetch_range(proc, &self.file, start, ahead);
         }
-        Some(out)
+        Some(self.buf.view())
     }
 
     /// Records read so far.
@@ -437,7 +472,7 @@ impl<R: Rec> ChunkedReader<R> {
 /// write requests. Call [`BufferedWriter::flush`] before dropping.
 pub struct BufferedWriter<R> {
     file: TypedFile<R>,
-    buf: Vec<R>,
+    buf: RecBuf<R>,
     chunk_records: usize,
 }
 
@@ -447,14 +482,14 @@ impl<R: Rec> BufferedWriter<R> {
         assert!(chunk_records > 0, "chunk_records must be positive");
         BufferedWriter {
             file,
-            buf: Vec::with_capacity(chunk_records),
+            buf: RecBuf::new(),
             chunk_records,
         }
     }
 
     /// Buffer one record, flushing if the buffer is full.
     pub fn push(&mut self, disk: &mut NodeDisk, proc: &mut Proc, record: R) {
-        self.buf.push(record);
+        self.buf.push(&record);
         if self.buf.len() >= self.chunk_records {
             self.flush(disk, proc);
         }
@@ -462,10 +497,8 @@ impl<R: Rec> BufferedWriter<R> {
 
     /// Write out any buffered records.
     pub fn flush(&mut self, disk: &mut NodeDisk, proc: &mut Proc) {
-        if !self.buf.is_empty() {
-            disk.append(proc, &self.file, &self.buf);
-            self.buf.clear();
-        }
+        disk.append_chunk(proc, &self.file, self.buf.view());
+        self.buf.clear();
     }
 
     /// Records currently buffered (not yet on disk).

@@ -8,7 +8,7 @@
 //!
 //! Fault injection (see [`pdc_cgm::fault`]) acts on the charging side: a
 //! machine with disk faults configured makes [`NodeDisk::read_range`] /
-//! [`NodeDisk::try_read_range`] retry transient errors and slow down inside
+//! [`NodeDisk::try_read_range_into`] retry transient errors and slow down inside
 //! degraded-bandwidth windows, charged through the owning processor's
 //! virtual clock. The stored bytes themselves are never corrupted — the
 //! simulator models *time*, not data loss.
@@ -107,9 +107,10 @@ mod tests {
             let data: Vec<u64> = (0..512).collect();
             disk.append(proc, &f, &data);
             let mut total = 0u64;
+            let mut page = crate::RecBuf::new();
             for chunk in 0..32 {
                 let recs = disk
-                    .try_read_range(proc, &f, chunk * 16, 16)
+                    .try_read_range_into(proc, &f, chunk * 16, 16, &mut page)
                     .expect("bounded retries should recover");
                 total += recs.iter().sum::<u64>();
             }

@@ -10,6 +10,9 @@
 //!   ([`TypedFile`]) with chunked, *cost-charged* reads and writes;
 //! * [`ChunkedReader`] / [`BufferedWriter`] — streaming access within a
 //!   memory budget (the paper's "memory limit");
+//! * [`Rec`] / [`RecChunk`] / [`RecBuf`] — records have one fixed byte
+//!   layout, a page read from a file *is* the records, and passes walk
+//!   borrowed views of it instead of decoding into a `Vec` of structs;
 //! * [`fn@redistribute`] — compute-dependent parallel I/O: read → personalized
 //!   all-to-all → write, the operation that moves a subtask's data to its
 //!   assigned processor group;
@@ -54,5 +57,5 @@ pub use disk::{BufferedWriter, ChunkedReader, NodeDisk, TypedFile};
 pub use engine::{EngineConfig, IoEngine};
 pub use farm::DiskFarm;
 pub use prefetch::ReadAhead;
-pub use rec::{decode_batch, encode_batch, Rec};
+pub use rec::{RaggedChunk, Rec, RecBuf, RecChunk};
 pub use redistribute::redistribute;

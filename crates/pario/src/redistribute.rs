@@ -10,7 +10,7 @@ use pdc_cgm::{OpKind, Proc};
 
 use crate::disk::TypedFile;
 use crate::farm::DiskFarm;
-use crate::rec::Rec;
+use crate::rec::{Rec, RecBuf};
 
 /// SPMD chunked redistribution: every processor streams its local `src`
 /// file in chunks of `chunk_records`, routes each record with `route`
@@ -45,34 +45,28 @@ where
 
     let mut received_total = 0usize;
     let mut cursor = 0usize;
+    let mut page = RecBuf::new();
     for _ in 0..rounds {
         // Read the next chunk of the local source file (possibly empty).
-        let chunk: Vec<R> = {
-            let mut disk = farm.lock(proc.rank());
-            let remaining = local_records - cursor;
-            let count = chunk_records.min(remaining);
-            let recs = if count > 0 {
-                disk.read_range(proc, src, cursor, count)
-            } else {
-                Vec::new()
-            };
-            cursor += count;
-            recs
-        };
-        // Route records into per-destination buckets.
-        let mut buckets: Vec<Vec<R>> = (0..p).map(|_| Vec::new()).collect();
+        let count = chunk_records.min(local_records - cursor);
+        let chunk = farm
+            .lock(proc.rank())
+            .read_range_into(proc, src, cursor, count, &mut page);
+        cursor += count;
+        // Route records into per-destination buckets, as bytes.
+        let mut buckets: Vec<RecBuf<R>> = (0..p).map(|_| RecBuf::new()).collect();
         proc.charge(OpKind::SplitTest, chunk.len() as u64);
-        for r in chunk {
+        for (i, r) in chunk.iter().enumerate() {
             let dst_rank = route(&r);
             assert!(dst_rank < p, "route() returned rank {dst_rank} of {p}");
-            buckets[dst_rank].push(r);
+            buckets[dst_rank].push_from(&chunk, i);
         }
         // Exchange and write.
         let incoming = proc.all_to_all(buckets);
         let mut disk = farm.lock(proc.rank());
         for batch in incoming {
             received_total += batch.len();
-            disk.append(proc, dst, &batch);
+            disk.append_chunk(proc, dst, batch.view());
         }
     }
     proc.span_end(span);

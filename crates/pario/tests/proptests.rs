@@ -1,10 +1,28 @@
 //! Property-based tests: redistribution conserves and correctly places
 //! records for arbitrary routing functions, chunk sizes and machine sizes;
-//! the record codec round-trips arbitrary batches.
+//! the fixed record layout round-trips every `Rec` type, equals its `Wire`
+//! bytes, and hostile buffers are refused with an error, never a panic.
 
-use pdc_cgm::Cluster;
-use pdc_pario::{decode_batch, encode_batch, redistribute, DiskFarm};
+use pdc_cgm::{Cluster, Wire};
+use pdc_pario::{redistribute, DiskFarm, RaggedChunk, Rec, RecBuf, RecChunk};
 use proptest::prelude::*;
+
+/// `store` → `load` round-trips `value`, `store` writes its `Wire` bytes,
+/// and buffers one byte short or long of a batch of them are refused.
+fn check_layout<R: Rec + PartialEq + std::fmt::Debug>(value: R) {
+    let mut bytes = vec![0xAA; R::ENCODED_BYTES];
+    value.store(&mut bytes);
+    assert_eq!(bytes, value.to_bytes(), "file bytes differ from message bytes");
+    assert_eq!(R::load(&bytes), value);
+    let batch = RecBuf::from_records(&[value.clone(), value.clone(), value.clone()]);
+    let whole = batch.view().bytes();
+    assert_eq!(RecChunk::<R>::new(whole).unwrap().to_vec(), vec![value; 3]);
+    for ragged in [&whole[..whole.len() - 1], &whole[1..]] {
+        let err = RaggedChunk { len: whole.len() - 1, stride: R::ENCODED_BYTES };
+        // A one-byte record type has no ragged length.
+        assert_eq!(RecChunk::<R>::new(ragged).err(), (R::ENCODED_BYTES > 1).then_some(err));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -60,11 +78,40 @@ proptest! {
     }
 
     #[test]
-    fn codec_roundtrips_arbitrary_batches(
-        values in proptest::collection::vec(any::<u64>(), 0..200),
+    fn every_rec_type_roundtrips_through_its_fixed_layout(
+        a in any::<u64>(),
+        b in any::<u32>(),
+        c in any::<u8>(),
+        x in -1e300f64..1e300,
     ) {
-        let bytes = encode_batch(&values);
-        prop_assert_eq!(decode_batch::<u64>(&bytes), values);
+        check_layout(c);
+        check_layout(b);
+        check_layout(a);
+        check_layout(a as i64);
+        check_layout(x);
+        check_layout((a, x));
+        check_layout((c, b));
+        check_layout((c, a as i64, x));
+        check_layout(((b, c), (x, a), c));
+    }
+
+    #[test]
+    fn views_and_batches_refuse_hostile_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        cut in 0usize..300,
+    ) {
+        let bytes = &bytes[..cut.min(bytes.len())];
+        // A view exists exactly when the length is a whole number of records.
+        prop_assert_eq!(RecChunk::<u64>::new(bytes).is_ok(), bytes.len() % 8 == 0);
+        prop_assert_eq!(RecChunk::<(u8, u32, f64)>::new(bytes).is_ok(), bytes.len() % 13 == 0);
+        if let Ok(view) = RecChunk::<(u8, u32, f64)>::new(bytes) {
+            prop_assert_eq!(view.iter().count(), view.len());
+        }
+        // A batch message is a count and that many records, nothing else.
+        match RecBuf::<(u32, u8)>::from_bytes(bytes) {
+            Ok(batch) => prop_assert_eq!(bytes.len(), 8 + batch.len() * 5),
+            Err(e) => prop_assert!(!e.what.is_empty()),
+        }
     }
 
     #[test]

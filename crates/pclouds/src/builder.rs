@@ -4,7 +4,7 @@ use pdc_cgm::{Cluster, RunOutput};
 use pdc_clouds::{class_counts, ClassCounts, DecisionTree, Reservoir};
 use pdc_datagen::Record;
 use pdc_dnc::{run_with_options, DncOptions, DncReport, Strategy};
-use pdc_pario::DiskFarm;
+use pdc_pario::{DiskFarm, RecBuf};
 
 use crate::config::PcloudsConfig;
 use crate::problem::{NodeMeta, PcloudsProblem};
@@ -55,24 +55,21 @@ pub fn load_dataset_stream(
     }
     let mut reservoir = Reservoir::new(sample_size, sample_seed);
     let mut counts = vec![0u64; pdc_datagen::NUM_CLASSES];
-    let mut buffers: Vec<Vec<Record>> = vec![Vec::new(); p];
+    // Each record is encoded once, into its rank's buffer of file bytes.
+    let mut buffers: Vec<RecBuf<Record>> = vec![RecBuf::new(); p];
     const FLUSH: usize = 8_192;
     for (i, r) in records.into_iter().enumerate() {
         counts[r.class as usize] += 1;
         reservoir.offer(r);
         let rank = i % p;
-        buffers[rank].push(r);
+        buffers[rank].push(&r);
         if buffers[rank].len() >= FLUSH {
-            let mut disk = farm.lock(rank);
-            disk.append_uncharged(&files[rank], &buffers[rank]);
+            farm.lock(rank).append_chunk_uncharged(&files[rank], buffers[rank].view());
             buffers[rank].clear();
         }
     }
     for rank in 0..p {
-        if !buffers[rank].is_empty() {
-            let mut disk = farm.lock(rank);
-            disk.append_uncharged(&files[rank], &buffers[rank]);
-        }
+        farm.lock(rank).append_chunk_uncharged(&files[rank], buffers[rank].view());
     }
     RootInfo {
         counts,

@@ -32,11 +32,11 @@ use pdc_clouds::derive::NodeStats;
 use pdc_clouds::gini::total;
 use pdc_clouds::{
     build_tree_with_stats, exact_interval_scan, AliveInterval, Candidate, ClassCounts,
-    CloudsParams, SplitMethod,
+    CloudsParams, SortedSample, SplitMethod,
 };
-use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
+use pdc_datagen::{Record, RecordBatch, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_dnc::{lpt_assign, Outcome, OocProblem, Task};
-use pdc_pario::{DiskFarm, Rec};
+use pdc_pario::{DiskFarm, Rec, RecBuf};
 
 use crate::comm::HistMsg;
 use crate::config::{BoundaryEval, PcloudsConfig};
@@ -133,7 +133,8 @@ impl PcloudsProblem<'_> {
         let span = proc.span("pclouds.attr_scan", &[("node", id as i64)]);
         let mut stats = {
             let st = self.build.rank(proc.rank());
-            NodeStats::from_sample(st.samples.get(&id).map_or(&[], Vec::as_slice), q)
+            let no_sample = SortedSample::default();
+            NodeStats::from_sample(st.samples.get(&id).unwrap_or(&no_sample), q)
         };
         let mut disk = self.farm.lock(proc.rank());
         let f = disk.open::<Record>(&Self::node_file(id));
@@ -494,30 +495,27 @@ impl PcloudsProblem<'_> {
         };
         let mut mine: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); alive.len()];
         let mut cursor = 0usize;
+        let mut page = RecBuf::new();
         for _ in 0..rounds {
-            let chunk: Vec<Record> = {
+            let chunk = {
                 let mut disk = self.farm.lock(proc.rank());
                 let f = disk.open::<Record>(&Self::node_file(id));
                 let n = disk.num_records(&f);
                 let take = self.chunk().min(n.saturating_sub(cursor));
-                let recs = if take > 0 {
-                    disk.read_range(proc, &f, cursor, take)
-                } else {
-                    Vec::new()
-                };
+                let chunk = disk.read_range_into(proc, &f, cursor, take, &mut page);
                 cursor += take;
-                recs
+                chunk
             };
             proc.charge(
                 OpKind::SplitTest,
                 (chunk.len() * alive.len().max(1)) as u64,
             );
             let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
-            for r in &chunk {
+            for i in 0..chunk.len() {
                 for (k, interval) in alive.iter().enumerate() {
-                    let v = r.num(interval.attr);
+                    let v = chunk.num(i, interval.attr);
                     if interval.contains(v) {
-                        buckets[owners[k]].push((k as u64, v, r.class));
+                        buckets[owners[k]].push((k as u64, v, chunk.class(i)));
                     }
                 }
             }
@@ -588,8 +586,7 @@ impl PcloudsProblem<'_> {
             let mut st = self.build.rank(proc.rank());
             let sample = st.samples.remove(&id).unwrap_or_default();
             proc.charge(OpKind::SplitTest, sample.len() as u64);
-            let (ls, rs): (Vec<Record>, Vec<Record>) =
-                sample.into_iter().partition(|s| cand.splitter.goes_left(s));
+            let (ls, rs) = sample.split(&cand.splitter);
             let stats_left = fuse_left.then(|| NodeStats::from_sample(&ls, q_left));
             let stats_right = fuse_right.then(|| NodeStats::from_sample(&rs, q_right));
             st.samples.insert(lid, ls);
@@ -604,31 +601,32 @@ impl PcloudsProblem<'_> {
             let right = disk.create::<Record>(&Self::node_file(rid));
             let local_bytes = disk.num_records(&src) * Record::ENCODED_BYTES;
             let mut reader = disk.reader(&src, chunk);
-            let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
+            let (mut lbuf, mut rbuf) = (RecBuf::new(), RecBuf::new());
             while let Some(chunk) = reader.next_chunk(&mut disk, proc) {
                 proc.charge_ws(OpKind::SplitTest, chunk.len() as u64, local_bytes);
-                // Route first, accumulate per side afterwards: each child's
-                // statistics see one contiguous batch (attribute-major).
-                for r in chunk {
-                    if cand.splitter.goes_left(&r) {
-                        lbuf.push(r);
+                // Route first — whole records, as bytes — and accumulate per
+                // side afterwards: each child's statistics see one
+                // contiguous batch (attribute-major).
+                for i in 0..chunk.len() {
+                    if cand.splitter.goes_left_at(&chunk, i) {
+                        lbuf.push_from(&chunk, i);
                     } else {
-                        rbuf.push(r);
+                        rbuf.push_from(&chunk, i);
                     }
                 }
                 if let Some(stats) = stats_left.as_mut() {
-                    stats.add_records(&lbuf);
+                    stats.add_records(&lbuf.view());
                 }
                 if let Some(stats) = stats_right.as_mut() {
-                    stats.add_records(&rbuf);
+                    stats.add_records(&rbuf.view());
                 }
                 // The fused statistics update is the cost the separate pass
                 // would have paid.
                 let fused = lbuf.len() as u64 * u64::from(fuse_left)
                     + rbuf.len() as u64 * u64::from(fuse_right);
                 proc.charge_ws(OpKind::RecordScan, fused, local_bytes);
-                disk.append(proc, &left, &lbuf);
-                disk.append(proc, &right, &rbuf);
+                disk.append_chunk(proc, &left, lbuf.view());
+                disk.append_chunk(proc, &right, rbuf.view());
                 lbuf.clear();
                 rbuf.clear();
             }
@@ -884,6 +882,7 @@ impl OocProblem for PcloudsProblem<'_> {
         let rounds = proc.allreduce(local_total.div_ceil(chunk) as u64, u64::max) as usize;
         let mut task_idx = 0usize;
         let mut offset = 0usize;
+        let mut page = RecBuf::new();
         for _ in 0..rounds {
             // Fill up to `chunk` records from the concatenated small files.
             let mut buckets: Vec<Vec<(u64, Record)>> = vec![Vec::new(); p];
@@ -900,27 +899,27 @@ impl OocProblem for PcloudsProblem<'_> {
                         continue;
                     }
                     let take = budget.min(remaining);
-                    let recs = disk.read_range(proc, &f, offset, take);
+                    let recs = disk.read_range_into(proc, &f, offset, take, &mut page);
                     offset += take;
                     budget -= take;
-                    buckets[*owner].extend(recs.into_iter().map(|r| (task.id, r)));
+                    buckets[*owner].extend(recs.iter().map(|r| (task.id, r)));
                 }
             }
             let received = proc.all_to_all(buckets);
             let mut disk = self.farm.lock(proc.rank());
             // Group arrivals by task to write few, large requests.
-            let mut by_task: std::collections::HashMap<u64, Vec<Record>> =
+            let mut by_task: std::collections::HashMap<u64, RecBuf<Record>> =
                 std::collections::HashMap::new();
             for batch in received {
                 for (tid, rec) in batch {
-                    by_task.entry(tid).or_default().push(rec);
+                    by_task.entry(tid).or_default().push(&rec);
                 }
             }
             let mut tids: Vec<u64> = by_task.keys().copied().collect();
             tids.sort_unstable();
             for tid in tids {
                 let f = disk.open::<Record>(&Self::owned_file(tid));
-                disk.append(proc, &f, &by_task[&tid]);
+                disk.append_chunk(proc, &f, by_task[&tid].view());
             }
         }
         // Drop the source files.
@@ -1121,6 +1120,7 @@ impl OocProblem for PcloudsProblem<'_> {
             let mut mine: HashMap<usize, Vec<(f64, u8)>> = HashMap::new();
             let mut task_pos = 0usize;
             let mut cursor = 0usize;
+            let mut page = RecBuf::new();
             for _ in 0..rounds {
                 // Fill up to `chunk` records from the level's files.
                 let mut records: Vec<(usize, Record)> = Vec::new();
@@ -1137,9 +1137,8 @@ impl OocProblem for PcloudsProblem<'_> {
                             continue;
                         }
                         let take = budget.min(remaining);
-                        for r in disk.read_range(proc, &f, cursor, take) {
-                            records.push((i, r));
-                        }
+                        let chunk = disk.read_range_into(proc, &f, cursor, take, &mut page);
+                        records.extend(chunk.iter().map(|r| (i, r)));
                         cursor += take;
                         budget -= take;
                     }

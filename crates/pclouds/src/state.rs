@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use pdc_clouds::{ClassCounts, DecisionTree, NodeId, NodeStats};
+use pdc_clouds::{ClassCounts, DecisionTree, NodeId, NodeStats, SortedSample};
 use pdc_datagen::Record;
 
 /// Mutable state of one processor during a build.
@@ -19,8 +19,9 @@ pub struct RankState {
     pub tree: Option<DecisionTree>,
     /// Task id → node id in the skeleton.
     pub node_of: HashMap<u64, NodeId>,
-    /// Task id → this processor's replica of the task's sample points.
-    pub samples: HashMap<u64, Vec<Record>>,
+    /// Task id → this processor's replica of the task's sample points,
+    /// sorted once at the root and split stably on the way down.
+    pub samples: HashMap<u64, SortedSample>,
     /// Task id → node statistics fused into the parent's partition pass
     /// (saves the separate statistics pass, as in the paper).
     pub stats_cache: HashMap<u64, NodeStats>,
@@ -71,6 +72,7 @@ impl SharedBuild {
     /// Fresh state for a `p`-processor build. Every rank starts with the
     /// same replicated root sample and a single-leaf skeleton.
     pub fn new(p: usize, root_counts: ClassCounts, root_sample: Vec<Record>) -> Self {
+        let root_sample = SortedSample::new(root_sample);
         let ranks = (0..p)
             .map(|_| {
                 let mut st = RankState {
@@ -141,7 +143,7 @@ mod tests {
         let sample = pdc_datagen::generate(5, Default::default());
         let build = SharedBuild::new(3, vec![1, 1], sample.clone());
         for r in 0..3 {
-            assert_eq!(build.rank(r).samples.get(&1), Some(&sample));
+            assert_eq!(build.rank(r).samples[&1].records(), sample);
         }
     }
 }

@@ -11,7 +11,7 @@
 use pdc_cgm::wire::{DecodeResult, Wire};
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::DecisionTree;
-use pdc_datagen::{Record, NUM_CLASSES};
+use pdc_datagen::{Record, RecordBatch, NUM_CLASSES};
 
 use crate::model::{CompiledModel, Layout};
 use crate::predictor::Predictor;
@@ -70,7 +70,12 @@ impl Predictor for EnsemblePredictor {
         self.members.iter().map(Predictor::footprint_bytes).sum()
     }
 
-    fn score_batch(&self, proc: &mut Proc, records: &[Record], out: &mut Vec<u8>) {
+    fn score_batch(
+        &self,
+        proc: &mut Proc,
+        records: &(impl RecordBatch + ?Sized),
+        out: &mut Vec<u8>,
+    ) {
         // Tree-at-a-time batch scoring: each member sweeps the whole batch
         // (charging its own traversal cost), then the votes are folded —
         // one accumulate per (record, member) against the vote table.
@@ -165,7 +170,7 @@ mod tests {
             Cluster::new(1)
                 .run(|proc| {
                     let mut out = Vec::new();
-                    ens.score_batch(proc, &records, &mut out);
+                    ens.score_batch(proc, records.as_slice(), &mut out);
                     out
                 })
                 .makespan()

@@ -13,7 +13,7 @@
 use pdc_cgm::wire::{DecodeResult, Wire};
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::{DecisionTree, Node, Splitter};
-use pdc_datagen::{Record, NUM_NUMERIC};
+use pdc_datagen::{Record, RecordBatch, NUM_NUMERIC};
 
 use crate::predictor::Predictor;
 
@@ -150,6 +150,7 @@ impl FlatTree {
     }
 
     /// Split tests on the root-to-leaf path of `r`.
+    #[inline]
     fn path_len(&self, r: &Record) -> u64 {
         let mut i = 0usize;
         let mut steps = 0;
@@ -180,6 +181,10 @@ impl Predictor for FlatTree {
         "flat"
     }
 
+    // `score_batch` is generic over the batch type, so it is instantiated
+    // in the caller's crate: without the hint the two walks per record
+    // become out-of-line calls there.
+    #[inline]
     fn predict(&self, r: &Record) -> u8 {
         let mut i = 0usize;
         loop {
@@ -199,12 +204,17 @@ impl Predictor for FlatTree {
         self.nodes.len() * std::mem::size_of::<FlatNode>()
     }
 
-    fn score_batch(&self, proc: &mut Proc, records: &[Record], out: &mut Vec<u8>) {
+    fn score_batch(
+        &self,
+        proc: &mut Proc,
+        records: &(impl RecordBatch + ?Sized),
+        out: &mut Vec<u8>,
+    ) {
         let mut steps = 0u64;
-        for r in records {
+        records.for_each(|r| {
             steps += self.path_len(r);
             out.push(self.predict(r));
-        }
+        });
         // Same split tests and branches as the pointer tree, but no
         // dependent-load charge, against a far smaller working set.
         let ws = self.footprint_bytes();

@@ -30,7 +30,7 @@
 use pdc_cgm::{Cluster, Histogram, HistogramSpec, ProcStats, Wire};
 use pdc_clouds::DecisionTree;
 use pdc_datagen::{GeneratorConfig, Record, RecordStream};
-use pdc_pario::{DiskFarm, Rec};
+use pdc_pario::{DiskFarm, Rec, RecBuf};
 
 use crate::ensemble::EnsemblePredictor;
 use crate::model::Layout;
@@ -183,12 +183,14 @@ pub fn stage_requests(farm: &DiskFarm, total: u64, config: GeneratorConfig) -> V
         let mut disk = farm.lock(rank);
         let file = disk.create::<Record>(REQUESTS_FILE);
         let mut left = share as usize;
-        let mut buf = Vec::with_capacity(left.min(8_192));
+        let mut buf = RecBuf::new();
         while left > 0 {
             let take = left.min(8_192);
             buf.clear();
-            buf.extend(stream.by_ref().take(take));
-            disk.append_uncharged(&file, &buf);
+            for r in stream.by_ref().take(take) {
+                buf.push(&r);
+            }
+            disk.append_chunk_uncharged(&file, buf.view());
             left -= take;
         }
         shares.push(share);

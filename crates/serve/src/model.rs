@@ -3,7 +3,7 @@
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 use pdc_cgm::Proc;
 use pdc_clouds::DecisionTree;
-use pdc_datagen::Record;
+use pdc_datagen::{Record, RecordBatch};
 
 use crate::flat::FlatTree;
 use crate::predictor::{PointerPredictor, Predictor};
@@ -87,8 +87,16 @@ impl Predictor for CompiledModel {
         self.inner().footprint_bytes()
     }
 
-    fn score_batch(&self, proc: &mut Proc, records: &[Record], out: &mut Vec<u8>) {
-        self.inner().score_batch(proc, records, out)
+    fn score_batch(
+        &self,
+        proc: &mut Proc,
+        records: &(impl RecordBatch + ?Sized),
+        out: &mut Vec<u8>,
+    ) {
+        match self {
+            CompiledModel::Pointer(p) => p.score_batch(proc, records, out),
+            CompiledModel::Flat(f) => f.score_batch(proc, records, out),
+        }
     }
 }
 

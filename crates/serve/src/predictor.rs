@@ -11,7 +11,7 @@
 
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::{DecisionTree, Node};
-use pdc_datagen::Record;
+use pdc_datagen::{Record, RecordBatch};
 
 /// A compiled model that classifies records and knows how to charge the
 /// simulated machine for doing so.
@@ -55,9 +55,16 @@ pub trait Predictor {
     /// cache model sees while scoring ([`pdc_cgm::CacheParams`]).
     fn footprint_bytes(&self) -> usize;
 
-    /// Classify a batch, appending one class byte per record to `out` and
-    /// charging `proc` this layout's traversal cost.
-    fn score_batch(&self, proc: &mut Proc, records: &[Record], out: &mut Vec<u8>);
+    /// Classify a batch — resident records or a view of a page — appending
+    /// one class byte per record to `out` and charging `proc` this layout's
+    /// traversal cost.
+    fn score_batch(
+        &self,
+        proc: &mut Proc,
+        records: &(impl RecordBatch + ?Sized),
+        out: &mut Vec<u8>,
+    ) where
+        Self: Sized;
 
     /// Classify a batch without a simulated machine (tests, offline use).
     fn predict_all(&self, records: &[Record]) -> Vec<u8> {
@@ -98,6 +105,7 @@ impl PointerPredictor {
 
     /// Split tests on the root-to-leaf path of `r` (the number of internal
     /// nodes visited).
+    #[inline]
     fn path_len(&self, r: &Record) -> u64 {
         let mut id = self.tree.root();
         let mut steps = 0;
@@ -135,12 +143,17 @@ impl Predictor for PointerPredictor {
         self.footprint
     }
 
-    fn score_batch(&self, proc: &mut Proc, records: &[Record], out: &mut Vec<u8>) {
+    fn score_batch(
+        &self,
+        proc: &mut Proc,
+        records: &(impl RecordBatch + ?Sized),
+        out: &mut Vec<u8>,
+    ) {
         let mut steps = 0u64;
-        for r in records {
+        records.for_each(|r| {
             steps += self.path_len(r);
             out.push(self.tree.predict(r));
-        }
+        });
         let ws = self.footprint;
         proc.charge_ws(OpKind::SplitTest, steps, ws);
         proc.charge_ws(OpKind::Compare, steps, ws);
@@ -198,7 +211,7 @@ mod tests {
         let records = generate(64, GeneratorConfig::default());
         let out = Cluster::new(1).run(|proc| {
             let mut preds = Vec::new();
-            p.score_batch(proc, &records, &mut preds);
+            p.score_batch(proc, records.as_slice(), &mut preds);
             preds
         });
         assert_eq!(out.results[0], p.predict_all(&records));
