@@ -27,15 +27,16 @@ fn bench_gini(c: &mut Criterion) {
 }
 
 fn bench_boundary_sweep(c: &mut Criterion) {
-    use pdc_clouds::{AttrIntervalStats, IntervalSet};
+    use pdc_clouds::{AttrAccumulator, IntervalSet};
     // 10,000 intervals (the paper's q_root) over synthetic frequencies.
     let boundaries: Vec<f64> = (1..10_000).map(|i| i as f64).collect();
     let intervals = IntervalSet::from_boundaries(boundaries);
-    let mut stats = AttrIntervalStats::new(0, intervals, 2);
+    let mut stats = AttrAccumulator::new(0, intervals);
     for i in 0..1_000_000u64 {
         let v = (i % 10_000) as f64 + 0.5;
         stats.add_value(v, (i % 2) as u8);
     }
+    let stats = stats.finish();
     let total = stats.totals();
     c.bench_function("gini/boundary_sweep_q10000", |b| {
         b.iter(|| stats.best_boundary(black_box(&total)))

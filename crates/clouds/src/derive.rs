@@ -7,7 +7,9 @@ use pdc_datagen::{Record, RecordBatch, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM
 
 use crate::categorical::CountMatrix;
 use crate::gini::ClassCounts;
-use crate::numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};
+use crate::numeric::{
+    exact_interval_scan, AliveInterval, AliveRouter, AttrAccumulator, AttrIntervalStats,
+};
 use crate::params::{CloudsParams, SplitMethod};
 use crate::sample::SortedSample;
 use crate::split::Candidate;
@@ -24,17 +26,26 @@ pub struct NodeStats {
     pub categorical: Vec<CountMatrix>,
 }
 
-impl NodeStats {
+/// A node's statistics while its records are being counted; numeric
+/// attributes in their accumulation form ([`AttrAccumulator`]).
+#[derive(Debug)]
+pub struct NodeAccumulator {
+    total: ClassCounts,
+    numeric: Vec<AttrAccumulator>,
+    categorical: Vec<CountMatrix>,
+}
+
+impl NodeAccumulator {
     /// Empty statistics with interval boundaries read off `sample`'s
     /// sorted columns.
-    pub fn from_sample(sample: &SortedSample, q: usize) -> NodeStats {
+    pub fn from_sample(sample: &SortedSample, q: usize) -> NodeAccumulator {
         let numeric = (0..NUM_NUMERIC)
-            .map(|attr| AttrIntervalStats::new(attr, sample.intervals(attr, q), NUM_CLASSES))
+            .map(|attr| AttrAccumulator::new(attr, sample.intervals(attr, q)))
             .collect();
         let categorical = (0..CATEGORICAL_CARDINALITY.len())
             .map(|attr| CountMatrix::new(attr, CATEGORICAL_CARDINALITY[attr], NUM_CLASSES))
             .collect();
-        NodeStats {
+        NodeAccumulator {
             total: vec![0u64; NUM_CLASSES],
             numeric,
             categorical,
@@ -60,6 +71,17 @@ impl NodeStats {
         }
     }
 
+    /// The counted statistics, ready to merge, send and evaluate.
+    pub fn finish(self) -> NodeStats {
+        NodeStats {
+            total: self.total,
+            numeric: self.numeric.into_iter().map(AttrAccumulator::finish).collect(),
+            categorical: self.categorical,
+        }
+    }
+}
+
+impl NodeStats {
     /// Merge another processor's statistics (pCLOUDS' global combine).
     pub fn merge(&mut self, other: &NodeStats) {
         crate::gini::add_assign(&mut self.total, &other.total);
@@ -114,7 +136,7 @@ impl NodeStats {
     }
 }
 
-/// Records per [`NodeStats::add_records`] batch when accumulating a resident
+/// Records per [`NodeAccumulator::add_records`] batch when accumulating a resident
 /// record set: ≈ 0.2 MB of records, re-read from cache once per attribute.
 const ACCUMULATE_BLOCK: usize = 4096;
 
@@ -126,28 +148,26 @@ pub fn accumulate_stats(records: &[Record], sample: &[Record], q: usize) -> Node
 }
 
 fn accumulate(records: &[Record], sample: &SortedSample, q: usize) -> NodeStats {
-    let mut stats = NodeStats::from_sample(sample, q);
+    let mut stats = NodeAccumulator::from_sample(sample, q);
     for block in records.chunks(ACCUMULATE_BLOCK) {
         stats.add_records(block);
     }
-    stats
+    stats.finish()
 }
 
 /// SSE second pass over in-memory records: exact scans of the alive
-/// intervals, returning the best candidate found (if any beats `best`).
+/// intervals (sorted by `(attr, index)`, as [`NodeStats::alive_intervals`]
+/// lists them), returning the best candidate found (if any beats `best`).
 pub fn evaluate_alive_in_memory(
     records: &[Record],
     alive: &[AliveInterval],
     total: &ClassCounts,
     mut best: Option<Candidate>,
 ) -> Option<Candidate> {
-    for interval in alive {
-        let mut points: Vec<(f64, u8)> = records
-            .iter()
-            .filter(|r| interval.contains(r.num(interval.attr)))
-            .map(|r| (r.num(interval.attr), r.class))
-            .collect();
-        if let Some(c) = exact_interval_scan(&mut points, interval, total) {
+    let mut points: Vec<Vec<(f64, u8)>> = vec![Vec::new(); alive.len()];
+    AliveRouter::new(alive).for_each_hit(records, |k, value, class| points[k].push((value, class)));
+    for (interval, points) in alive.iter().zip(&mut points) {
+        if let Some(c) = exact_interval_scan(points, interval, total) {
             best = Candidate::better(best, c);
         }
     }
@@ -252,12 +272,13 @@ mod tests {
         let records = dataset(400);
         let sample = draw_sample(&records, 80, 2);
         let sorted = SortedSample::new(sample.clone());
-        let mut a = NodeStats::from_sample(&sorted, 10);
-        let mut b = NodeStats::from_sample(&sorted, 10);
+        let mut a = NodeAccumulator::from_sample(&sorted, 10);
+        let mut b = NodeAccumulator::from_sample(&sorted, 10);
         let (even, odd): (Vec<_>, Vec<_>) = records.chunks(2).map(|c| (c[0], c[1])).unzip();
         a.add_records(even.as_slice());
         b.add_records(odd.as_slice());
-        a.merge(&b);
+        let mut a = a.finish();
+        a.merge(&b.finish());
         let whole = accumulate_stats(&records, &sample, 10);
         assert_eq!(a, whole);
     }

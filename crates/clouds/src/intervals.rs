@@ -6,7 +6,7 @@
 //! sample set S."
 
 /// Internal boundaries of `q` intervals over one numeric attribute.
-/// `boundaries.len() == q - 1`; interval `i` covers `(b_{i-1}, b_i]` with
+/// `boundaries().len() == q - 1`; interval `i` covers `(b_{i-1}, b_i]` with
 /// `b_{-1} = -inf`, `b_{q-1} = +inf`. A record exactly on a boundary lies in
 /// the interval to its **left**, matching the convention that a numeric
 /// split at threshold `t` sends `value <= t` left.
@@ -15,7 +15,10 @@
 /// [`IntervalSet::from_sorted`] is derived data.
 #[derive(Debug, Clone)]
 pub struct IntervalSet {
-    boundaries: Vec<f64>,
+    /// The boundaries, ascending — followed by [`WINDOW`] × `+inf` when
+    /// `grid` is set, so that a lookup window starting at any boundary
+    /// (or just past the last) stays inside the array.
+    padded: Vec<f64>,
     /// Lookup index, built by [`IntervalSet::from_sorted`] only: sets made
     /// by [`IntervalSet::from_boundaries`] or decoded from the wire belong
     /// to owners, which never look values up.
@@ -24,23 +27,33 @@ pub struct IntervalSet {
 
 impl PartialEq for IntervalSet {
     fn eq(&self, other: &Self) -> bool {
-        self.boundaries == other.boundaries
+        self.boundaries() == other.boundaries()
     }
 }
 
 /// Sets with fewer boundaries than this are searched directly.
 const GRID_MIN_BOUNDARIES: usize = 16;
 
-/// A uniform grid over `[lo, hi]` = `[first, last boundary]`, one cell per
-/// boundary, mapping a cell to the first boundary lying in it or beyond.
+/// Boundaries one indexed lookup compares against, and so the most a grid
+/// cell may hold. Fixed by measurement: on the host benchmark's training
+/// runs the fullest cell of any set, at one cell per boundary, holds four
+/// (EXPERIMENTS.md, "Host-clock: one lookup per value"), and four compares
+/// fill one 32-byte vector.
+const WINDOW: usize = 4;
+
+/// A uniform grid over `[lo, hi]` = `[first, last boundary]`, mapping a
+/// cell to the first boundary lying in it or beyond.
 ///
 /// `cell(v) = min(floor((v − lo) · scale), cells − 1)` is monotone
 /// non-decreasing in `v`: IEEE subtraction and multiplication by a positive
 /// constant round monotonically, and so do the saturating float-to-integer
 /// cast and `min`. Hence a boundary in a lower cell than `v` is `< v` and a
 /// boundary in a higher cell is `> v`, so the number of boundaries `< v` is
-/// `first[cell(v)]` plus a search **inside that one cell** — exactly what
-/// the full binary search returns.
+/// `first[cell(v)]` plus the number of boundaries `< v` **among the next
+/// [`WINDOW`]**: those of `v`'s own cell are all there (no cell holds
+/// more), and whatever the window takes in from higher cells, or from the
+/// `+inf` padding, compares `> v` and counts nothing — exactly what the
+/// full binary search returns, without a data-dependent branch.
 #[derive(Debug, Clone)]
 struct Grid {
     lo: f64,
@@ -51,12 +64,23 @@ struct Grid {
 }
 
 impl Grid {
+    /// The index of `boundaries`, or `None` where it would be useless (few
+    /// boundaries) or inexact (no finite positive scale): those sets keep
+    /// the plain binary search. One cell per boundary holds an evenly
+    /// spread set; a set bunched so that some cell would be overfull gets
+    /// 2, 4 or 8 cells per boundary, and past that the plain search too.
     fn build(boundaries: &[f64]) -> Option<Grid> {
-        let cells = boundaries.len();
-        if !(GRID_MIN_BOUNDARIES..=usize::from(u16::MAX)).contains(&cells) {
+        let n = boundaries.len();
+        if !(GRID_MIN_BOUNDARIES..=usize::from(u16::MAX)).contains(&n) {
             return None;
         }
-        let (lo, hi) = (boundaries[0], boundaries[cells - 1]);
+        [1, 2, 4, 8].into_iter().find_map(|per| Grid::with_cells(boundaries, n * per))
+    }
+
+    /// The `cells`-cell index, unless a cell would hold more than
+    /// [`WINDOW`] boundaries.
+    fn with_cells(boundaries: &[f64], cells: usize) -> Option<Grid> {
+        let (lo, hi) = (boundaries[0], boundaries[boundaries.len() - 1]);
         let scale = cells as f64 / (hi - lo);
         // `hi − lo` overflowing gives scale 0, a subnormal spread gives inf.
         if !(scale.is_finite() && scale > 0.0) {
@@ -71,13 +95,17 @@ impl Grid {
             let c = grid.cell(b);
             grid.first[c + 1] += 1;
         }
+        if grid.first.iter().any(|&held| usize::from(held) > WINDOW) {
+            return None;
+        }
         for c in 0..cells {
             grid.first[c + 1] += grid.first[c];
         }
         Some(grid)
     }
 
-    /// Cell of a value `v >= lo` (also `+inf`: the cast saturates).
+    /// Cell of a value. The cast saturates: `+inf` lands in the last cell,
+    /// anything `<= lo` — and NaN — in cell 0.
     #[inline]
     fn cell(&self, v: f64) -> usize {
         (((v - self.lo) * self.scale) as usize).min(self.first.len() - 2)
@@ -85,12 +113,17 @@ impl Grid {
 }
 
 impl pdc_cgm::Wire for IntervalSet {
+    /// The wire form of the `Vec<f64>` of boundaries.
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.boundaries.encode(buf);
+        let boundaries = self.boundaries();
+        (boundaries.len() as u64).encode(buf);
+        for b in boundaries {
+            b.encode(buf);
+        }
     }
     fn decode(bytes: &mut &[u8]) -> pdc_cgm::wire::DecodeResult<Self> {
         Ok(IntervalSet {
-            boundaries: Vec::<f64>::decode(bytes)?,
+            padded: Vec::<f64>::decode(bytes)?,
             grid: None,
         })
     }
@@ -104,7 +137,7 @@ impl IntervalSet {
             "boundaries must be strictly ascending"
         );
         IntervalSet {
-            boundaries,
+            padded: boundaries,
             grid: None,
         }
     }
@@ -128,7 +161,7 @@ impl IntervalSet {
         if n == 0 || q == 1 {
             return IntervalSet::from_boundaries(Vec::new());
         }
-        let mut boundaries = Vec::with_capacity(q - 1);
+        let mut boundaries = Vec::with_capacity(q - 1 + WINDOW);
         for i in 1..q {
             // The i-th q-quantile of the sample.
             boundaries.push(value(((i * n) / q).min(n - 1)));
@@ -141,35 +174,36 @@ impl IntervalSet {
             boundaries.pop();
         }
         let grid = Grid::build(&boundaries);
-        IntervalSet { boundaries, grid }
+        if grid.is_some() {
+            boundaries.extend([f64::INFINITY; WINDOW]);
+        }
+        IntervalSet {
+            padded: boundaries,
+            grid,
+        }
     }
 
     /// Number of intervals (`boundaries + 1`).
     pub fn num_intervals(&self) -> usize {
-        self.boundaries.len() + 1
+        self.boundaries().len() + 1
     }
 
     /// The internal boundary values, ascending.
     pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
+        let padding = if self.grid.is_some() { WINDOW } else { 0 };
+        &self.padded[..self.padded.len() - padding]
     }
 
     /// Index of the interval containing `v` (boundary values belong to the
-    /// left interval).
+    /// left interval): the number of boundaries below `v`, 0 for NaN.
     #[inline]
     pub fn interval_of(&self, v: f64) -> usize {
         let Some(grid) = &self.grid else {
-            return self.boundaries.partition_point(|&b| b < v);
+            return self.padded.partition_point(|&b| b < v);
         };
-        if v <= grid.lo || v.is_nan() {
-            return 0; // no boundary is below the first one, or below NaN
-        }
-        let cell = grid.cell(v);
-        let (start, end) = (
-            usize::from(grid.first[cell]),
-            usize::from(grid.first[cell + 1]),
-        );
-        start + self.boundaries[start..end].partition_point(|&b| b < v)
+        let start = usize::from(grid.first[grid.cell(v)]);
+        let window = &self.padded[start..start + WINDOW];
+        start + window.iter().map(|&b| usize::from(b < v)).sum::<usize>()
     }
 
     /// The open lower edge of interval `i` (`None` for the first interval).
@@ -177,13 +211,13 @@ impl IntervalSet {
         if i == 0 {
             None
         } else {
-            Some(self.boundaries[i - 1])
+            Some(self.boundaries()[i - 1])
         }
     }
 
     /// The closed upper edge of interval `i` (`None` for the last interval).
     pub fn upper_edge(&self, i: usize) -> Option<f64> {
-        self.boundaries.get(i).copied()
+        self.boundaries().get(i).copied()
     }
 }
 
@@ -250,6 +284,30 @@ mod tests {
         }
         // Too few boundaries to pay for an index.
         assert!(IntervalSet::from_sample(&values, 8).grid.is_none());
+        // A cell may hold as many boundaries as a lookup compares — here
+        // 5.0 and `extra` more in cell 6 of a ladder 0..20 — and not one
+        // more: that set gets finer cells.
+        let clustered = |extra: usize| {
+            let mut sample: Vec<f64> = (-1..=20).map(f64::from).collect();
+            sample.extend((1..=extra).map(|j| 5.0 + j as f64 / 10.0));
+            let set = IntervalSet::from_sample(&sample, sample.len());
+            assert_eq!(set.boundaries().len(), 20 + extra);
+            for v in [4.9, 5.0, 5.05, 5.1, 5.25, 5.3, 5.4, 5.45, 6.0, 19.0, 25.0, f64::NAN] {
+                let plain = set.boundaries().partition_point(|&b| b < v);
+                assert_eq!(set.interval_of(v), plain, "value {v}, {extra} extra");
+            }
+            set
+        };
+        let cells = |set: &IntervalSet| set.grid.as_ref().map(|g| g.first.len() - 1);
+        let full = clustered(WINDOW - 1);
+        assert_eq!(cells(&full), Some(20 + WINDOW - 1));
+        assert_eq!(full.padded[20 + WINDOW - 1..], [f64::INFINITY; WINDOW]);
+        assert_eq!(cells(&clustered(WINDOW)), Some(2 * (20 + WINDOW)));
+        // Bunched beyond eight cells per boundary: the plain search.
+        let bunched: Vec<f64> = (0..100).map(|i| 2f64.powi(i - 50)).collect();
+        let set = IntervalSet::from_sample(&bunched, 50);
+        assert!(set.grid.is_none() && set.num_intervals() > 40);
+        assert_eq!(set.padded, set.boundaries());
         // `hi - lo` overflows: no finite scale, plain search.
         let stretch = f64::MAX / 600.0;
         let wide: Vec<f64> = values.iter().map(|v| (v - 500.0) * stretch).collect();

@@ -47,12 +47,14 @@ pub use builder::{build_tree, build_tree_with_stats, class_counts, BuildStats};
 pub use categorical::CountMatrix;
 pub use derive::{
     accumulate_stats, derive_split_in_memory, direct_best_split, evaluate_alive_in_memory,
-    NodeStats,
+    NodeAccumulator, NodeStats,
 };
 pub use gini::{gini, split_gini, ClassCounts, CountTable};
 pub use intervals::IntervalSet;
 pub use metrics::{accuracy, accuracy_of, confusion_matrix, error_rate, holdout_pair};
-pub use numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};
+pub use numeric::{
+    exact_interval_scan, AliveInterval, AliveRouter, AttrAccumulator, AttrIntervalStats,
+};
 pub use params::{CloudsParams, SplitMethod};
 pub use prune::{mdl_prune, MdlParams};
 pub use sample::{draw_sample, Reservoir, SortedSample};

@@ -9,6 +9,7 @@
 //! functions.
 
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
+use pdc_datagen::{RecordBatch, NUM_CLASSES};
 
 use crate::gini::{
     add_assign, gini, interval_gini_lower_bound, split_gini, sub, ClassCounts, CountTable,
@@ -19,13 +20,14 @@ use crate::split::{Candidate, Splitter};
 /// An interval no value has fallen into: `min > max`.
 const EMPTY_RANGE: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
 
-/// Per-interval class frequencies of one numeric attribute at one node.
+/// Per-interval class frequencies of one numeric attribute at one node —
+/// the form statistics are merged, sent and evaluated in;
+/// [`AttrAccumulator`] is the form they are counted in.
 ///
 /// The cells are flat: one `q × classes` [`CountTable`] and one `(min, max)`
-/// pair per interval, so accumulating a value touches two cache lines and
-/// allocating the statistics of an attribute is two allocations whatever
-/// `q` is. The wire form is that of the nested
-/// `Vec<ClassCounts>` / `Vec<Option<(f64, f64)>>` layout it replaced.
+/// pair per interval, two allocations whatever `q` is. The wire form is
+/// that of the nested `Vec<ClassCounts>` / `Vec<Option<(f64, f64)>>` layout
+/// it replaced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrIntervalStats {
     /// Numeric attribute index.
@@ -92,16 +94,6 @@ impl AttrIntervalStats {
     pub fn range(&self, i: usize) -> Option<(f64, f64)> {
         let (lo, hi) = self.ranges[i];
         (lo <= hi).then_some((lo, hi))
-    }
-
-    /// Record one attribute value with its class. Values must not be NaN.
-    #[inline]
-    pub fn add_value(&mut self, value: f64, class: u8) {
-        let i = self.intervals.interval_of(value);
-        self.counts.increment(i, class as usize);
-        let range = &mut self.ranges[i];
-        range.0 = range.0.min(value);
-        range.1 = range.1.max(value);
     }
 
     /// Merge another processor's statistics over the same intervals
@@ -223,6 +215,70 @@ impl Wire for AttrIntervalStats {
     }
 }
 
+/// One interval while a node's records are being counted: class counts and
+/// observed range side by side, so that accounting a value touches **one**
+/// cache line (a cell never straddles two).
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct Cell {
+    counts: [u64; NUM_CLASSES],
+    min: f64,
+    max: f64,
+}
+
+/// The statistics of one numeric attribute while they are being counted:
+/// [`AttrIntervalStats`] with each interval's counts and range interleaved
+/// in one 32-byte cell. [`AttrAccumulator::finish`] lays them out flat.
+#[derive(Debug)]
+pub struct AttrAccumulator {
+    /// Numeric attribute index.
+    pub attr: usize,
+    intervals: IntervalSet,
+    cells: Vec<Cell>,
+}
+
+impl AttrAccumulator {
+    /// Empty statistics for `attr` over `intervals`.
+    pub fn new(attr: usize, intervals: IntervalSet) -> Self {
+        let empty = Cell {
+            counts: [0; NUM_CLASSES],
+            min: EMPTY_RANGE.0,
+            max: EMPTY_RANGE.1,
+        };
+        AttrAccumulator {
+            attr,
+            cells: vec![empty; intervals.num_intervals()],
+            intervals,
+        }
+    }
+
+    /// Record one attribute value with its class. Values must not be NaN.
+    #[inline]
+    pub fn add_value(&mut self, value: f64, class: u8) {
+        let cell = &mut self.cells[self.intervals.interval_of(value)];
+        cell.counts[usize::from(class)] += 1;
+        // Selects (one `minsd` / `maxsd` each), not `f64::min` / `max`,
+        // which also cater for a NaN receiver — a range never is one. A NaN
+        // value compares false and leaves the range alone either way.
+        cell.min = if value < cell.min { value } else { cell.min };
+        cell.max = if value > cell.max { value } else { cell.max };
+    }
+
+    /// The counted statistics in their flat form.
+    pub fn finish(self) -> AttrIntervalStats {
+        let mut counts = CountTable::new(self.cells.len(), NUM_CLASSES);
+        for (row, cell) in counts.cells_mut().chunks_exact_mut(NUM_CLASSES).zip(&self.cells) {
+            row.copy_from_slice(&cell.counts);
+        }
+        AttrIntervalStats {
+            attr: self.attr,
+            intervals: self.intervals,
+            counts,
+            ranges: self.cells.iter().map(|cell| (cell.min, cell.max)).collect(),
+        }
+    }
+}
+
 /// One interval that survived the SSE pruning and must be scanned exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AliveInterval {
@@ -242,10 +298,114 @@ pub struct AliveInterval {
     pub count: u64,
 }
 
+/// Does `value` lie in `(lower, upper]`, a missing edge being infinite?
+#[inline]
+fn within((lower, upper): (Option<f64>, Option<f64>), value: f64) -> bool {
+    lower.is_none_or(|lo| value > lo) && upper.is_none_or(|hi| value <= hi)
+}
+
 impl AliveInterval {
     /// Does `value` fall inside this interval `(lower, upper]`?
     pub fn contains(&self, value: f64) -> bool {
-        self.lower.is_none_or(|lo| value > lo) && self.upper.is_none_or(|hi| value <= hi)
+        within((self.lower, self.upper), value)
+    }
+}
+
+/// Routes attribute values to the alive intervals containing them: the
+/// SSE second pass asks of every record "which alive interval, if any?",
+/// and the answer is *none* for most records and most attributes.
+///
+/// Built once per node from the node's alive list **sorted by
+/// `(attr, index)`** (so an attribute's intervals are ascending and
+/// disjoint). Per attribute that has alive intervals it keeps their hull
+/// `(lowest lower edge, highest upper edge]`, so a value costs one hull
+/// test and — inside the hull — one search for the first interval ending
+/// at or above it plus one `(lower, upper]` test of that interval; no
+/// other interval of the attribute can contain it.
+#[derive(Debug, Clone)]
+pub struct AliveRouter {
+    groups: Vec<AttrGroup>,
+    /// `(lower, upper)` of alive interval `k`.
+    edges: Vec<(Option<f64>, Option<f64>)>,
+}
+
+/// The alive intervals `start..end` of one attribute.
+#[derive(Debug, Clone)]
+struct AttrGroup {
+    attr: usize,
+    start: usize,
+    end: usize,
+    hull: (Option<f64>, Option<f64>),
+}
+
+impl AliveRouter {
+    /// Router over `alive`, sorted by `(attr, index)`; hits report an
+    /// interval by its position `k` in `alive`.
+    pub fn new<'a>(alive: impl IntoIterator<Item = &'a AliveInterval>) -> AliveRouter {
+        let mut router = AliveRouter {
+            groups: Vec::new(),
+            edges: Vec::new(),
+        };
+        for (k, interval) in alive.into_iter().enumerate() {
+            match router.groups.last_mut() {
+                Some(group) if group.attr == interval.attr => {
+                    debug_assert!(
+                        matches!((router.edges[k - 1].1, interval.lower), (Some(hi), Some(lo)) if hi <= lo),
+                        "alive intervals of attribute {} overlap or descend",
+                        interval.attr
+                    );
+                    group.end = k + 1;
+                    group.hull.1 = interval.upper;
+                }
+                _ => router.groups.push(AttrGroup {
+                    attr: interval.attr,
+                    start: k,
+                    end: k + 1,
+                    hull: (interval.lower, interval.upper),
+                }),
+            }
+            router.edges.push((interval.lower, interval.upper));
+        }
+        router
+    }
+
+    /// The alive interval of `group` containing `value`, if any.
+    #[inline]
+    fn locate(&self, group: &AttrGroup, value: f64) -> Option<usize> {
+        if !within(group.hull, value) {
+            return None;
+        }
+        let ends_below = |&(_, upper): &(_, Option<f64>)| upper.is_some_and(|hi| hi < value);
+        let k = group.start + self.edges[group.start..group.end].partition_point(ends_below);
+        (k < group.end && within(self.edges[k], value)).then_some(k)
+    }
+
+    /// `hit(k, value, class)` for every record of `batch` and every alive
+    /// interval `k` containing the record's value of `k`'s attribute — in
+    /// `(record, k)` order, the order of
+    /// `for record { for (k, interval) in alive { if interval.contains(..) } }`.
+    pub fn for_each_hit(
+        &self,
+        batch: &(impl RecordBatch + ?Sized),
+        mut hit: impl FnMut(usize, f64, u8),
+    ) {
+        if let [group] = self.groups.as_slice() {
+            // One attribute (most nodes): its column walk.
+            batch.for_each_num(group.attr, |value, class| {
+                if let Some(k) = self.locate(group, value) {
+                    hit(k, value, class);
+                }
+            });
+            return;
+        }
+        for i in 0..batch.len() {
+            for group in &self.groups {
+                let value = batch.num(i, group.attr);
+                if let Some(k) = self.locate(group, value) {
+                    hit(k, value, batch.class(i));
+                }
+            }
+        }
     }
 }
 
@@ -336,13 +496,13 @@ mod tests {
     fn stats_from(values: &[(f64, u8)], q: usize) -> (AttrIntervalStats, ClassCounts) {
         let sample: Vec<f64> = values.iter().map(|&(v, _)| v).collect();
         let intervals = IntervalSet::from_sample(&sample, q);
-        let mut stats = AttrIntervalStats::new(0, intervals, 2);
+        let mut stats = AttrAccumulator::new(0, intervals);
         let mut total = vec![0u64; 2];
         for &(v, c) in values {
             stats.add_value(v, c);
             total[c as usize] += 1;
         }
-        (stats, total)
+        (stats.finish(), total)
     }
 
     /// Brute-force best split over all distinct thresholds.
@@ -398,9 +558,9 @@ mod tests {
         // Build with the same interval set for both halves.
         let sample: Vec<f64> = values.iter().map(|&(v, _)| v).collect();
         let intervals = IntervalSet::from_sample(&sample, 6);
-        let mut a = AttrIntervalStats::new(0, intervals.clone(), 2);
-        let mut b = AttrIntervalStats::new(0, intervals.clone(), 2);
-        let mut whole = AttrIntervalStats::new(0, intervals, 2);
+        let mut a = AttrAccumulator::new(0, intervals.clone());
+        let mut b = AttrAccumulator::new(0, intervals.clone());
+        let mut whole = AttrAccumulator::new(0, intervals.clone());
         for (i, &(v, c)) in values.iter().enumerate() {
             if i % 2 == 0 {
                 a.add_value(v, c);
@@ -409,8 +569,11 @@ mod tests {
             }
             whole.add_value(v, c);
         }
-        a.merge(&b);
-        assert_eq!(a, whole);
+        // Merging into empty statistics changes nothing either.
+        let mut merged = AttrIntervalStats::new(0, intervals, 2);
+        merged.merge(&a.finish());
+        merged.merge(&b.finish());
+        assert_eq!(merged, whole.finish());
     }
 
     #[test]

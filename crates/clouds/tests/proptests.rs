@@ -2,8 +2,8 @@
 
 use pdc_clouds::gini::{gini, interval_gini_lower_bound, split_gini, sub};
 use pdc_clouds::{
-    accumulate_stats, exact_interval_scan, AliveInterval, CountMatrix, CountTable, IntervalSet,
-    NodeStats, SortedSample, Splitter,
+    accumulate_stats, exact_interval_scan, AliveInterval, AliveRouter, AttrIntervalStats,
+    CountMatrix, CountTable, IntervalSet, NodeAccumulator, SortedSample, Splitter,
 };
 use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_pario::RecBuf;
@@ -30,6 +30,38 @@ fn adversarial_sample(kind: u8, raw: &[f64]) -> Vec<f64> {
         // One far outlier: every other boundary shares a cell.
         _ => spread(&|i, v| if i == 0 { 1e300 } else { v }),
     }
+}
+
+/// Boundary ladders around the edges of the lookup index: the smallest and
+/// the largest indexed set, a subnormal spread through zero, and an even
+/// ladder with `extra` more boundaries packed into one cell (a lookup
+/// compares a window of four, so 1 + `extra` ∈ 1..=8 straddles it).
+fn adversarial_ladder(kind: u8, pick: usize, (at, extra): (usize, usize)) -> Vec<f64> {
+    match kind {
+        0 => (0..15 + pick % 3).map(|i| i as f64 - 8.0).collect(),
+        1 => (0..65_535 + pick % 2).map(|i| i as f64 * 0.25).collect(),
+        2 => (-20..20 + (pick % 40) as i32)
+            .map(|i| f64::from(i) * (f64::MIN_POSITIVE / 8.0) + 0.0)
+            .collect(),
+        _ => {
+            let len = 16 + pick % 500;
+            let mut ladder: Vec<f64> = (0..len).map(|i| i as f64).collect();
+            ladder.extend((1..=extra).map(|j| (at % len) as f64 + j as f64 / 16.0));
+            ladder.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            ladder
+        }
+    }
+}
+
+/// The set whose boundaries are exactly `ladder` (ascending, distinct),
+/// built the way workers build theirs: from a sample.
+fn set_with_boundaries(ladder: &[f64]) -> IntervalSet {
+    let mut sample = vec![ladder[0] - 1.0];
+    sample.extend(ladder);
+    sample.push(ladder[ladder.len() - 1] + 1.0);
+    let set = IntervalSet::from_sample(&sample, sample.len());
+    assert_eq!(set.boundaries(), ladder);
+    set
 }
 
 /// Columns that stress a stable split of sorted columns: ties, all-equal,
@@ -132,14 +164,19 @@ proptest! {
     /// input, whatever the sample did to the lookup index.
     #[test]
     fn interval_of_on_sampled_sets_equals_the_plain_search(
-        kind in 0u8..8,
+        kind in 0u8..12,
         raw in proptest::collection::vec(-1_000.0f64..1_000.0, 40..600),
         q in 2usize..300,
+        cluster in (0usize..600, 0usize..8),
     ) {
-        let sample = adversarial_sample(kind, &raw);
-        let set = IntervalSet::from_sample(&sample, q);
+        let (set, mut probes) = match kind {
+            0..8 => {
+                let sample = adversarial_sample(kind, &raw);
+                (IntervalSet::from_sample(&sample, q), sample)
+            }
+            _ => (set_with_boundaries(&adversarial_ladder(kind - 8, raw.len(), cluster)), raw),
+        };
         let bounds = set.boundaries();
-        let mut probes = sample.clone();
         for &b in bounds {
             probes.extend([b, b.next_down(), b.next_up()]);
         }
@@ -148,7 +185,7 @@ proptest! {
         }
         probes.extend([
             f64::NEG_INFINITY, f64::INFINITY, f64::MIN, f64::MAX, 0.0, -0.0,
-            f64::MIN_POSITIVE, f64::NAN,
+            f64::MIN_POSITIVE, -f64::MIN_POSITIVE / 4.0, f64::NAN,
         ]);
         for v in probes {
             prop_assert_eq!(
@@ -157,48 +194,151 @@ proptest! {
                 "value {:e}, kind {}, {} boundaries", v, kind, bounds.len()
             );
         }
+        prop_assert_eq!(set.interval_of(f64::NAN), 0);
     }
 
-    /// Batched accumulation equals one-value-at-a-time accumulation,
-    /// however the records are cut into batches and whether a batch is
-    /// resident records or a view of their file bytes.
+    /// Batched accumulation equals counting one value at a time with the
+    /// plain search and `f64::min`/`max`, however the records are cut into
+    /// batches and whether a batch is resident records or a view of their
+    /// file bytes — also for values on every boundary, infinite,
+    /// signed-zero, subnormal or NaN (counted in interval 0, leaving its
+    /// range alone).
     #[test]
     fn add_records_equals_one_at_a_time(
         seed in any::<u64>(),
         n in 1usize..700,
         q in 1usize..120,
         cuts in proptest::collection::vec(0usize..700, 0..12),
+        spice in 0usize..4,
     ) {
         use pdc_datagen::{generate, ClassifyFn, GeneratorConfig};
-        let records = generate(n, GeneratorConfig {
+        let mut records = generate(n, GeneratorConfig {
             seed,
             function: ClassifyFn::F6,
             ..GeneratorConfig::default()
         });
-        let sample = &records[..n.div_ceil(3)];
-        let sorted = SortedSample::new(sample.to_vec());
-        let mut oracle = NodeStats::from_sample(&sorted, q);
+        let sample = records[..n.div_ceil(3)].to_vec();
+        let sorted = SortedSample::new(sample.clone());
+        let mut oracle = NodeAccumulator::from_sample(&sorted, q).finish();
+        // Every `spice + 1`-th value (none when `spice` is 0) becomes one
+        // of the attribute's boundaries or a special value.
+        for stats in &oracle.numeric {
+            let mut specials = stats.intervals().boundaries().to_vec();
+            specials.extend([
+                f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, f64::NAN,
+                f64::MIN_POSITIVE / 2.0, -f64::MIN_POSITIVE / 2.0,
+            ]);
+            for (i, r) in records.iter_mut().enumerate().skip(stats.attr) {
+                if spice > 0 && i.is_multiple_of(spice + 1) {
+                    r.numeric[stats.attr] = specials[(i / (spice + 1)) % specials.len()];
+                }
+            }
+        }
         for r in &records {
             oracle.total[r.class as usize] += 1;
-            for stats in &mut oracle.numeric {
-                stats.add_value(r.num(stats.attr), r.class);
-            }
             for m in &mut oracle.categorical {
                 m.add_value(r.cat(m.attr), r.class);
             }
         }
+        for stats in &mut oracle.numeric {
+            let bounds = stats.intervals().boundaries();
+            let mut counts = vec![[0u64; 2]; bounds.len() + 1];
+            let mut ranges: Vec<Option<(f64, f64)>> = vec![None; bounds.len() + 1];
+            for r in &records {
+                let v = r.num(stats.attr);
+                let i = bounds.partition_point(|&b| b < v);
+                counts[i][r.class as usize] += 1;
+                if !v.is_nan() {
+                    let (lo, hi) = ranges[i].unwrap_or((v, v));
+                    ranges[i] = Some((lo.min(v), hi.max(v)));
+                }
+            }
+            *stats = AttrIntervalStats::from_parts(
+                stats.attr,
+                stats.intervals().clone(),
+                CountTable::from_rows(&counts).unwrap(),
+                &ranges,
+            ).unwrap();
+        }
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
         cuts.extend([0, n]);
         cuts.sort_unstable();
-        let mut batched = NodeStats::from_sample(&sorted, q);
-        let mut viewed = NodeStats::from_sample(&sorted, q);
+        let mut batched = NodeAccumulator::from_sample(&sorted, q);
+        let mut viewed = NodeAccumulator::from_sample(&sorted, q);
         for w in cuts.windows(2) {
             batched.add_records(&records[w[0]..w[1]]);
             viewed.add_records(&RecBuf::from_records(&records[w[0]..w[1]]).view());
         }
-        prop_assert_eq!(&batched, &oracle);
-        prop_assert_eq!(&viewed, &oracle);
-        prop_assert_eq!(&accumulate_stats(&records, sample, q), &oracle);
+        prop_assert_eq!(&batched.finish(), &oracle);
+        prop_assert_eq!(&viewed.finish(), &oracle);
+        prop_assert_eq!(&accumulate_stats(&records, &sample, q), &oracle);
+    }
+
+    /// The alive router reports the hits of the nested
+    /// `for record { for interval { contains } }` scan, in its order — for
+    /// any number of attributes with alive intervals, the whole-range
+    /// interval, neighbours sharing an edge, an attribute's first and last
+    /// interval, and values on edges, infinite or NaN.
+    #[test]
+    fn alive_router_equals_nested_contains(
+        seed in any::<u64>(),
+        n in 0usize..200,
+        attrs in proptest::collection::vec(
+            (proptest::collection::vec(0u8..100, 0..12), any::<u64>()),
+            NUM_NUMERIC,
+        ),
+    ) {
+        use pdc_datagen::{generate, GeneratorConfig};
+        // Per attribute: distinct ascending edges cut the line into
+        // `edges + 1` intervals; `mask` picks the alive ones.
+        let mut alive: Vec<AliveInterval> = Vec::new();
+        let mut specials = vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0];
+        for (attr, (edges, mask)) in attrs.iter().enumerate() {
+            let mut edges: Vec<f64> = edges.iter().map(|&e| f64::from(e) / 2.0 - 25.0).collect();
+            edges.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            edges.dedup();
+            for index in 0..=edges.len() {
+                if mask >> index & 1 == 1 {
+                    alive.push(AliveInterval {
+                        attr,
+                        index,
+                        lower: index.checked_sub(1).map(|i| edges[i]),
+                        upper: edges.get(index).copied(),
+                        cum_before: vec![0; 2],
+                        est: 0.0,
+                        count: 0,
+                    });
+                }
+            }
+            specials.extend(edges.iter().flat_map(|&e| [e, e.next_down(), e.next_up()]));
+        }
+        let mut records = generate(n, GeneratorConfig { seed, ..GeneratorConfig::default() });
+        for (i, r) in records.iter_mut().enumerate() {
+            for (attr, v) in r.numeric.iter_mut().enumerate() {
+                *v = match (i + attr) % 3 {
+                    0 => specials[(i * NUM_NUMERIC + attr) % specials.len()],
+                    _ => *v % 60.0 - 30.0,
+                };
+            }
+        }
+        let mut nested = Vec::new();
+        for r in &records {
+            for (k, interval) in alive.iter().enumerate() {
+                let v = r.num(interval.attr);
+                if interval.contains(v) {
+                    nested.push((k, v.to_bits(), r.class));
+                }
+            }
+        }
+        let router = AliveRouter::new(&alive);
+        let mut routed = Vec::new();
+        router.for_each_hit(records.as_slice(), |k, v, class| routed.push((k, v.to_bits(), class)));
+        prop_assert_eq!(&routed, &nested);
+        let mut viewed = Vec::new();
+        router.for_each_hit(&RecBuf::from_records(&records).view(), |k, v, class| {
+            viewed.push((k, v.to_bits(), class));
+        });
+        prop_assert_eq!(&viewed, &nested);
     }
 
     /// A sample sorted once and split stably down a chain of numeric and

@@ -28,13 +28,13 @@
 //! I/O, and each owner builds the subtree in memory with the direct method.
 
 use pdc_cgm::{OpKind, Proc};
-use pdc_clouds::derive::NodeStats;
+use pdc_clouds::derive::{NodeAccumulator, NodeStats};
 use pdc_clouds::gini::total;
 use pdc_clouds::{
-    build_tree_with_stats, exact_interval_scan, AliveInterval, Candidate, ClassCounts,
-    CloudsParams, SortedSample, SplitMethod,
+    build_tree_with_stats, exact_interval_scan, AliveInterval, AliveRouter, Candidate,
+    ClassCounts, CloudsParams, SplitMethod,
 };
-use pdc_datagen::{Record, RecordBatch, NUM_CATEGORICAL, NUM_NUMERIC};
+use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_dnc::{lpt_assign, Outcome, OocProblem, Task};
 use pdc_pario::{DiskFarm, Rec, RecBuf};
 
@@ -128,14 +128,10 @@ impl PcloudsProblem<'_> {
     }
 
     /// One streaming pass accumulating this processor's node statistics,
-    /// over the intervals its replica of the node's sample gives.
+    /// over the intervals the node's sample gives.
     fn local_stats_pass(&self, proc: &mut Proc, id: u64, q: usize, chunk: usize) -> NodeStats {
         let span = proc.span("pclouds.attr_scan", &[("node", id as i64)]);
-        let mut stats = {
-            let st = self.build.rank(proc.rank());
-            let no_sample = SortedSample::default();
-            NodeStats::from_sample(st.samples.get(&id).unwrap_or(&no_sample), q)
-        };
+        let mut stats = NodeAccumulator::from_sample(&self.build.sample(id), q);
         let mut disk = self.farm.lock(proc.rank());
         let f = disk.open::<Record>(&Self::node_file(id));
         let local_bytes = disk.num_records(&f) * Record::ENCODED_BYTES;
@@ -145,7 +141,7 @@ impl PcloudsProblem<'_> {
             stats.add_records(&chunk);
         }
         proc.span_end(span);
-        stats
+        stats.finish()
     }
 
     /// Phase 2a, communication: the replication method (attribute-based).
@@ -493,7 +489,8 @@ impl PcloudsProblem<'_> {
             let n = disk.num_records(&f);
             proc.allreduce(n.div_ceil(self.chunk()) as u64, u64::max)
         };
-        let mut mine: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); alive.len()];
+        let router = AliveRouter::new(alive);
+        let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); alive.len()];
         let mut cursor = 0usize;
         let mut page = RecBuf::new();
         for _ in 0..rounds {
@@ -506,23 +503,20 @@ impl PcloudsProblem<'_> {
                 cursor += take;
                 chunk
             };
+            // The modelled machine tests every record against every
+            // interval; the host asks the router once per attribute.
             proc.charge(
                 OpKind::SplitTest,
                 (chunk.len() * alive.len().max(1)) as u64,
             );
             let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
-            for i in 0..chunk.len() {
-                for (k, interval) in alive.iter().enumerate() {
-                    let v = chunk.num(i, interval.attr);
-                    if interval.contains(v) {
-                        buckets[owners[k]].push((k as u64, v, chunk.class(i)));
-                    }
-                }
-            }
+            router.for_each_hit(&chunk, |k, v, class| {
+                buckets[owners[k]].push((k as u64, v, class));
+            });
             let received = proc.all_to_all(buckets);
             for batch in received {
                 for (k, v, class) in batch {
-                    mine[k as usize].push((k, v, class));
+                    mine[k as usize].push((v, class));
                 }
             }
         }
@@ -535,15 +529,14 @@ impl PcloudsProblem<'_> {
             if owners[k] != proc.rank() {
                 continue;
             }
-            let mut points: Vec<(f64, u8)> =
-                mine[k].iter().map(|&(_, v, c)| (v, c)).collect();
+            let points = &mut mine[k];
             metrics_points += points.len() as u64;
             metrics_intervals += 1;
             let n = points.len().max(2) as u64;
             let ws = points.len() * 16;
             proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
             proc.charge_ws(OpKind::GiniEval, n, ws);
-            if let Some(c) = exact_interval_scan(&mut points, interval, node_total) {
+            if let Some(c) = exact_interval_scan(points, interval, node_total) {
                 local_best = Candidate::better(local_best, c);
             }
         }
@@ -579,20 +572,14 @@ impl PcloudsProblem<'_> {
         // processed as large nodes; small children go to the direct method.
         let fuse_left = !self.is_small_n(n_left);
         let fuse_right = !self.is_small_n(n_right);
-        // Split the sample replica first: the children's interval
-        // boundaries come from their sample slices, which lets the data
-        // pass below fuse the children's statistics.
-        let (mut stats_left, mut stats_right) = {
-            let mut st = self.build.rank(proc.rank());
-            let sample = st.samples.remove(&id).unwrap_or_default();
-            proc.charge(OpKind::SplitTest, sample.len() as u64);
-            let (ls, rs) = sample.split(&cand.splitter);
-            let stats_left = fuse_left.then(|| NodeStats::from_sample(&ls, q_left));
-            let stats_right = fuse_right.then(|| NodeStats::from_sample(&rs, q_right));
-            st.samples.insert(lid, ls);
-            st.samples.insert(rid, rs);
-            (stats_left, stats_right)
-        };
+        // Split the sample first: the children's interval boundaries come
+        // from their sample slices, which lets the data pass below fuse the
+        // children's statistics. Every modelled processor splits its own
+        // replica and is charged for it; the host splits once.
+        let (ls, rs) = self.build.split_sample(id, &cand.splitter);
+        proc.charge(OpKind::SplitTest, (ls.len() + rs.len()) as u64);
+        let mut stats_left = fuse_left.then(|| NodeAccumulator::from_sample(&ls, q_left));
+        let mut stats_right = fuse_right.then(|| NodeAccumulator::from_sample(&rs, q_right));
 
         {
             let mut disk = self.farm.lock(proc.rank());
@@ -646,11 +633,18 @@ impl PcloudsProblem<'_> {
         st.node_of.insert(lid, l);
         st.node_of.insert(rid, r);
         if let Some(stats) = stats_left {
-            st.stats_cache.insert(lid, stats);
+            st.stats_cache.insert(lid, stats.finish());
         }
         if let Some(stats) = stats_right {
-            st.stats_cache.insert(rid, stats);
+            st.stats_cache.insert(rid, stats.finish());
         }
+    }
+
+    /// Node `id` is a leaf on this processor: drop its data file and this
+    /// processor's hold on its sample.
+    fn retire(&self, proc: &Proc, id: u64) {
+        self.farm.lock(proc.rank()).delete(&Self::node_file(id));
+        self.build.release_sample(id);
     }
 
     fn is_small_n(&self, n: u64) -> bool {
@@ -689,15 +683,13 @@ impl PcloudsProblem<'_> {
         let node_total = &task.meta.counts;
         let phase_start = proc.clock();
         let Some(cand) = best else {
-            let mut disk = self.farm.lock(proc.rank());
-            disk.delete(&Self::node_file(id));
+            self.retire(proc, id);
             return Outcome::Solved;
         };
         let left_counts = cand.left_counts.clone();
         let right_counts = pdc_clouds::gini::sub(node_total, &left_counts);
         if total(&left_counts) == 0 || total(&right_counts) == 0 {
-            let mut disk = self.farm.lock(proc.rank());
-            disk.delete(&Self::node_file(id));
+            self.retire(proc, id);
             return Outcome::Solved;
         }
         self.partition(proc, task, &cand, &left_counts, &right_counts, chunk);
@@ -744,8 +736,7 @@ impl OocProblem for PcloudsProblem<'_> {
         // Stopping criteria are evaluated on global counts — identical on
         // every rank, no communication needed.
         if self.params().should_stop(&node_total, task.depth) {
-            let mut disk = self.farm.lock(proc.rank());
-            disk.delete(&Self::node_file(id));
+            self.retire(proc, id);
             return Outcome::Solved;
         }
 
@@ -863,9 +854,8 @@ impl OocProblem for PcloudsProblem<'_> {
                 if *owner == proc.rank() {
                     disk.create::<Record>(&Self::owned_file(task.id));
                 }
-                // Sample replicas of small tasks are no longer needed.
-                let mut st = self.build.rank(proc.rank());
-                st.samples.remove(&task.id);
+                // Small tasks are solved exactly: no sample needed.
+                self.build.release_sample(task.id);
             }
         }
         // Total local records across all small files fixes the round count.
@@ -1029,12 +1019,9 @@ impl OocProblem for PcloudsProblem<'_> {
         let active: Vec<usize> = (0..level)
             .filter(|&i| !self.params().should_stop(&tasks[i].meta.counts, tasks[i].depth))
             .collect();
-        {
-            let mut disk = self.farm.lock(proc.rank());
-            for (i, task) in tasks.iter().enumerate() {
-                if !active.contains(&i) {
-                    disk.delete(&Self::node_file(task.id));
-                }
+        for (i, task) in tasks.iter().enumerate() {
+            if !active.contains(&i) {
+                self.retire(proc, task.id);
             }
         }
         if active.is_empty() {
@@ -1117,13 +1104,24 @@ impl OocProblem for PcloudsProblem<'_> {
                     .sum();
                 proc.allreduce(total_chunks as u64, u64::max) as usize
             };
+            // One router per task: over the task's run of `all_alive`,
+            // with the position where that run starts.
+            let mut routers: HashMap<usize, (usize, AliveRouter)> = HashMap::new();
+            let mut base = 0usize;
+            for run in all_alive.chunk_by(|a, b| a.0 == b.0) {
+                let router = AliveRouter::new(run.iter().map(|(_, interval)| interval));
+                routers.insert(run[0].0 as usize, (base, router));
+                base += run.len();
+            }
             let mut mine: HashMap<usize, Vec<(f64, u8)>> = HashMap::new();
             let mut task_pos = 0usize;
             let mut cursor = 0usize;
             let mut page = RecBuf::new();
             for _ in 0..rounds {
-                // Fill up to `chunk` records from the level's files.
-                let mut records: Vec<(usize, Record)> = Vec::new();
+                // Up to `chunk` records from the level's files, each piece
+                // routed through its task's router as it is read.
+                let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
+                let mut scanned = 0usize;
                 {
                     let mut disk = self.farm.lock(proc.rank());
                     let mut budget = chunk;
@@ -1137,28 +1135,22 @@ impl OocProblem for PcloudsProblem<'_> {
                             continue;
                         }
                         let take = budget.min(remaining);
-                        let chunk = disk.read_range_into(proc, &f, cursor, take, &mut page);
-                        records.extend(chunk.iter().map(|r| (i, r)));
+                        let piece = disk.read_range_into(proc, &f, cursor, take, &mut page);
+                        if let Some((base, router)) = routers.get(&i) {
+                            router.for_each_hit(&piece, |k, v, class| {
+                                let k = base + k;
+                                buckets[owners[k]].push((k as u64, v, class));
+                            });
+                        }
+                        scanned += piece.len();
                         cursor += take;
                         budget -= take;
                     }
                 }
-                let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
                 proc.charge(
                     OpKind::SplitTest,
-                    (records.len() * all_alive.len().max(1)) as u64,
+                    (scanned * all_alive.len().max(1)) as u64,
                 );
-                for (i, r) in &records {
-                    for (k, (t, interval)) in all_alive.iter().enumerate() {
-                        if *t as usize != *i {
-                            continue;
-                        }
-                        let v = r.num(interval.attr);
-                        if interval.contains(v) {
-                            buckets[owners[k]].push((k as u64, v, r.class));
-                        }
-                    }
-                }
                 let received = proc.all_to_all(buckets);
                 for batch in received {
                     for (k, v, class) in batch {

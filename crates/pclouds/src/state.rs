@@ -1,15 +1,19 @@
 //! Per-processor build state shared across the SPMD closure invocations.
 //!
 //! Every processor keeps a **replica** of the tree skeleton (identical on
-//! all ranks because every data-parallel decision is made collectively) and
-//! a per-task slice of the pre-drawn sample. Small-node subtrees are built
-//! only on their owning processor and grafted into the skeleton afterwards.
+//! all ranks because every data-parallel decision is made collectively).
+//! The pre-drawn sample is replicated too on the modelled machine, but its
+//! replicas are equal by construction, so the simulator keeps **one**
+//! allocation per live task and hands every rank an `Arc` of it.
+//! Small-node subtrees are built only on their owning processor and grafted
+//! into the skeleton afterwards.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pdc_clouds::{ClassCounts, DecisionTree, NodeId, NodeStats, SortedSample};
+use pdc_clouds::{ClassCounts, DecisionTree, NodeId, NodeStats, SortedSample, Splitter};
 use pdc_datagen::Record;
 
 /// Mutable state of one processor during a build.
@@ -19,9 +23,6 @@ pub struct RankState {
     pub tree: Option<DecisionTree>,
     /// Task id → node id in the skeleton.
     pub node_of: HashMap<u64, NodeId>,
-    /// Task id → this processor's replica of the task's sample points,
-    /// sorted once at the root and split stably on the way down.
-    pub samples: HashMap<u64, SortedSample>,
     /// Task id → node statistics fused into the parent's partition pass
     /// (saves the separate statistics pass, as in the paper).
     pub stats_cache: HashMap<u64, NodeStats>,
@@ -63,16 +64,27 @@ pub struct BuildMetrics {
     pub time_small_solve: f64,
 }
 
+/// The sample points of one live task, shared by all ranks.
+struct TaskSample {
+    /// Sorted once at the root and split stably on the way down; emptied
+    /// by the first rank that splits it.
+    sample: Arc<SortedSample>,
+    /// Ranks that have not yet finished with the task.
+    pending: usize,
+}
+
 /// All processors' states for one build.
 pub struct SharedBuild {
     ranks: Vec<Mutex<RankState>>,
+    /// Task id → the task's sample points. Never locked across a
+    /// communication call, so a rank holding it always makes progress.
+    samples: Mutex<HashMap<u64, TaskSample>>,
 }
 
 impl SharedBuild {
-    /// Fresh state for a `p`-processor build. Every rank starts with the
-    /// same replicated root sample and a single-leaf skeleton.
+    /// Fresh state for a `p`-processor build. Every rank starts with a
+    /// single-leaf skeleton; the root sample is sorted here, once.
     pub fn new(p: usize, root_counts: ClassCounts, root_sample: Vec<Record>) -> Self {
-        let root_sample = SortedSample::new(root_sample);
         let ranks = (0..p)
             .map(|_| {
                 let mut st = RankState {
@@ -80,16 +92,75 @@ impl SharedBuild {
                     ..RankState::default()
                 };
                 st.node_of.insert(1, 0);
-                st.samples.insert(1, root_sample.clone());
                 Mutex::new(st)
             })
             .collect();
-        SharedBuild { ranks }
+        let root = TaskSample {
+            sample: Arc::new(SortedSample::new(root_sample)),
+            pending: p,
+        };
+        SharedBuild {
+            ranks,
+            samples: Mutex::new(HashMap::from([(1, root)])),
+        }
     }
 
     /// Lock rank `r`'s state.
     pub fn rank(&self, r: usize) -> parking_lot::MutexGuard<'_, RankState> {
         self.ranks[r].lock()
+    }
+
+    /// The sample points of live task `id`.
+    pub fn sample(&self, id: u64) -> Arc<SortedSample> {
+        Arc::clone(&self.samples.lock()[&id].sample)
+    }
+
+    /// The samples of the two children `splitter` divides task `id` into.
+    /// The first rank to ask splits the task's sample; the others are
+    /// handed the same two allocations. Counts as the calling rank's
+    /// [`SharedBuild::release_sample`] of `id`.
+    pub fn split_sample(
+        &self,
+        id: u64,
+        splitter: &Splitter,
+    ) -> (Arc<SortedSample>, Arc<SortedSample>) {
+        let (lid, rid) = (2 * id, 2 * id + 1);
+        let mut samples = self.samples.lock();
+        // A child is live until every rank has released it, and no rank
+        // releases a child before it has split the parent.
+        if !samples.contains_key(&lid) {
+            let parent = samples.get_mut(&id).expect("sample of a live task");
+            let parent = Arc::try_unwrap(std::mem::take(&mut parent.sample))
+                .unwrap_or_else(|shared| (*shared).clone());
+            let (left, right) = parent.split(splitter);
+            for (child, sample) in [(lid, left), (rid, right)] {
+                let sample = TaskSample {
+                    sample: Arc::new(sample),
+                    pending: self.nprocs(),
+                };
+                samples.insert(child, sample);
+            }
+        }
+        let children = (
+            Arc::clone(&samples[&lid].sample),
+            Arc::clone(&samples[&rid].sample),
+        );
+        Self::release(&mut samples, id);
+        children
+    }
+
+    /// The calling rank has finished with task `id` (it became a leaf or a
+    /// small task); the last rank's call frees the sample.
+    pub fn release_sample(&self, id: u64) {
+        Self::release(&mut self.samples.lock(), id);
+    }
+
+    fn release(samples: &mut HashMap<u64, TaskSample>, id: u64) {
+        let task = samples.get_mut(&id).expect("sample of a live task");
+        task.pending -= 1;
+        if task.pending == 0 {
+            samples.remove(&id);
+        }
     }
 
     /// Number of ranks.
@@ -139,11 +210,26 @@ mod tests {
     }
 
     #[test]
-    fn root_sample_replicated_on_every_rank() {
+    fn every_rank_holds_the_same_allocation_of_a_task_sample() {
         let sample = pdc_datagen::generate(5, Default::default());
         let build = SharedBuild::new(3, vec![1, 1], sample.clone());
-        for r in 0..3 {
-            assert_eq!(build.rank(r).samples[&1].records(), sample);
+        assert_eq!(build.sample(1).records(), sample);
+        assert!(Arc::ptr_eq(&build.sample(1), &build.sample(1)));
+        // The first rank splits; the others get the same two children.
+        let splitter = Splitter::Categorical { attr: 0, left_values: 0b0101 };
+        let first = build.split_sample(1, &splitter);
+        assert_eq!(first.0.len() + first.1.len(), 5);
+        assert!(first.0.records().iter().all(|r| splitter.goes_left(r)));
+        for _ in 1..3 {
+            let other = build.split_sample(1, &splitter);
+            assert!(Arc::ptr_eq(&first.0, &other.0) && Arc::ptr_eq(&first.1, &other.1));
         }
+        // A task's entry goes with its last rank.
+        assert!(!build.samples.lock().contains_key(&1));
+        for r in 0..3 {
+            assert_eq!(build.samples.lock()[&2].pending, 3 - r);
+            build.release_sample(2);
+        }
+        assert_eq!(build.samples.lock().keys().collect::<Vec<_>>(), [&3]);
     }
 }

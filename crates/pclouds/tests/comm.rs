@@ -5,7 +5,7 @@
 //! node (or concatenated level) spends exactly one collective on its
 //! statistics, and the time accounting closes on every rank.
 
-use pdc_cgm::{Cluster, MachineConfig, Wire};
+use pdc_cgm::{Backend, Cluster, MachineConfig, Wire};
 use pdc_clouds::CloudsParams;
 use pdc_datagen::{generate, GeneratorConfig};
 use pdc_dnc::Strategy;
@@ -27,6 +27,7 @@ fn test_config() -> PcloudsConfig {
 }
 
 fn build(
+    backend: Backend,
     records: &[pdc_datagen::Record],
     p: usize,
     strategy: Strategy,
@@ -40,6 +41,7 @@ fn build(
     let root = load_dataset(&farm, records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
     let machine = MachineConfig {
         spans: true,
+        backend,
         ..MachineConfig::default()
     };
     train(&Cluster::with_config(p, machine), &farm, &root, &cfg, strategy)
@@ -79,20 +81,51 @@ const GOLDEN_TREE_HASH: [(Strategy, u64); 2] = [
     (Strategy::Concatenated, 0x395b_e22d_3292_c68c),
 ];
 
+/// What the same runs put on the wire and on the clock at commit 40351fa,
+/// when the SSE second pass tested every record against every alive
+/// interval: `(strategy, p, bytes sent, alive intervals evaluated, alive
+/// points scanned, finish-time bits)`, the counters summed over the ranks
+/// (a concatenated level's batched pass sends its points but does not
+/// count them).
+const GOLDEN_ALIVE_PASS: [(Strategy, usize, u64, usize, u64, u64); 9] = [
+    (Strategy::Mixed, 1, 0, 612, 20_333, 0x3fe5_20d3_02e0_9ee0),
+    (Strategy::Mixed, 3, 820_832, 612, 20_333, 0x3fd0_35e4_ffe7_be5d),
+    (Strategy::Mixed, 4, 981_495, 612, 20_333, 0x3fc8_e7cc_fcfc_5afc),
+    (Strategy::Mixed, 8, 1_971_778, 612, 20_333, 0x3fc0_63e5_5bca_41b7),
+    (Strategy::Mixed, 64, 18_842_887, 612, 20_333, 0x3fc1_9b9b_15fb_8dc7),
+    (Strategy::Concatenated, 1, 0, 3, 111, 0x3ff4_633b_6e6b_18cb),
+    (Strategy::Concatenated, 3, 2_124_386, 3, 111, 0x3fe0_1516_fd2f_08ad),
+    (Strategy::Concatenated, 4, 2_652_978, 3, 111, 0x3fd9_53a3_cd3b_1ca3),
+    (Strategy::Concatenated, 8, 5_567_585, 3, 111, 0x3fd1_9f9e_b0ef_1c3f),
+];
+
 #[test]
 fn trained_tree_bytes_match_the_golden_hash() {
-    // p = 3 keeps the fan-in schedule, p ∈ {4, 8} take recursive halving,
-    // p = 1 has no communication at all: the bytes must not notice.
+    // p = 3 keeps the fan-in schedule, p ∈ {4, 8, 64} take recursive
+    // halving, p = 1 has no communication at all: the bytes must not
+    // notice, and neither may either executor.
     let records = generate(6_000, GeneratorConfig::default());
-    for (strategy, golden) in GOLDEN_TREE_HASH {
-        for p in [1usize, 3, 4, 8] {
-            let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+    for (strategy, p, bytes_sent, intervals, points, finish_bits) in GOLDEN_ALIVE_PASS {
+        let golden = GOLDEN_TREE_HASH.iter().find(|g| g.0 == strategy).expect("strategy").1;
+        for backend in [Backend::Thread, Backend::Event] {
+            let out = build(backend, &records, p, strategy, BoundaryEval::AttributeBased);
             assert_eq!(
                 fnv1a(&out.tree.to_bytes()),
                 golden,
-                "{strategy:?} p={p}: trained tree bytes changed"
+                "{strategy:?} p={p} {backend:?}: trained tree bytes changed"
             );
             assert_counters_partition(&out);
+            let observed = (
+                out.run.stats.iter().map(|s| s.counters.bytes_sent).sum::<u64>(),
+                out.metrics.iter().map(|m| m.alive_intervals_evaluated).sum::<usize>(),
+                out.metrics.iter().map(|m| m.alive_points_scanned).sum::<u64>(),
+                out.runtime().to_bits(),
+            );
+            assert_eq!(
+                observed,
+                (bytes_sent, intervals, points, finish_bits),
+                "{strategy:?} p={p} {backend:?}: wire bytes, alive counters or finish time moved"
+            );
         }
     }
 }
@@ -106,7 +139,7 @@ fn every_derive_phase_issues_exactly_one_reduce_scatter() {
     let records = generate(6_000, GeneratorConfig::default());
     for (p, schedule) in [(3usize, "cgm.reduce_scatter.fanin"), (4, "cgm.reduce_scatter.halving")] {
         for strategy in [Strategy::Mixed, Strategy::Concatenated] {
-            let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+            let out = build(Backend::Thread, &records, p, strategy, BoundaryEval::AttributeBased);
             for s in &out.run.stats {
                 let mut derives = 0;
                 for (d, derive) in s.spans.iter().enumerate() {
@@ -148,8 +181,9 @@ fn interval_based_replication_matches_attribute_based() {
     // attributes and a per-attribute combine for the tiny categorical
     // matrices; its trees must stay identical to the attribute-based ones.
     let records = generate(6_000, GeneratorConfig::default());
-    let reference = build(&records, 4, Strategy::Mixed, BoundaryEval::AttributeBased);
-    let out = build(&records, 4, Strategy::Mixed, BoundaryEval::IntervalBased);
+    let reference =
+        build(Backend::Thread, &records, 4, Strategy::Mixed, BoundaryEval::AttributeBased);
+    let out = build(Backend::Thread, &records, 4, Strategy::Mixed, BoundaryEval::IntervalBased);
     assert_eq!(out.tree.render(), reference.tree.render());
     assert_counters_partition(&out);
 }
