@@ -2,7 +2,7 @@
 //! replacement.
 //!
 //! The pool is **timing metadata only**: the simulated machine's data always
-//! lives in the [`crate::backend::Backend`], so a page here records whether a
+//! lives in the [`crate::backend::Store`], so a page here records whether a
 //! byte range would have been resident in a real node's buffer cache — a hit
 //! costs nothing on the device timeline, a miss is charged by the
 //! [`crate::engine::IoEngine`]. Pages are keyed by `(file id, page index)`;

@@ -11,7 +11,7 @@ use std::marker::PhantomData;
 
 use pdc_cgm::Proc;
 
-use crate::backend::{Backend, BackendKind};
+use crate::backend::{BackendKind, Store};
 use crate::engine::{EngineConfig, IoEngine};
 use crate::prefetch::ReadAhead;
 use crate::rec::{Rec, RecBuf, RecChunk};
@@ -46,19 +46,20 @@ impl<R> TypedFile<R> {
 }
 
 struct FileEntry {
-    backend: Box<dyn Backend>,
     rec_bytes: usize,
     records: usize,
-    /// Engine page-cache key: survives renames, never reused, so stale
-    /// pages cannot alias a recreated file.
+    /// The file's name in the store and in the engine's page cache:
+    /// survives renames, never reused, so neither bytes nor stale pages can
+    /// alias a recreated file.
     id: u64,
 }
 
 /// The local disk of one virtual processor.
 pub struct NodeDisk {
     rank: usize,
-    kind: BackendKind,
     files: HashMap<String, FileEntry>,
+    /// The bytes of every file, by [`FileEntry::id`].
+    store: Box<dyn Store>,
     /// Asynchronous disk engine (buffer pool + device timeline); `None`
     /// routes every request through the legacy synchronous path.
     engine: Option<IoEngine>,
@@ -78,8 +79,8 @@ impl NodeDisk {
     pub fn with_engine(rank: usize, kind: BackendKind, cfg: &EngineConfig) -> Self {
         NodeDisk {
             rank,
-            kind,
             files: HashMap::new(),
+            store: kind.store(rank),
             engine: cfg.is_enabled().then(|| IoEngine::new(cfg)),
             next_file_id: 0,
         }
@@ -97,22 +98,18 @@ impl NodeDisk {
 
     /// Create (or truncate) a typed file.
     pub fn create<R: Rec>(&mut self, name: &str) -> TypedFile<R> {
-        let backend = self.kind.open(self.rank, name);
+        self.delete(name);
         let id = self.next_file_id;
         self.next_file_id += 1;
-        let replaced = self.files.insert(
+        self.files.insert(
             name.to_string(),
             FileEntry {
-                backend,
                 rec_bytes: R::ENCODED_BYTES,
                 records: 0,
                 id,
             },
         );
         if let Some(engine) = &mut self.engine {
-            if let Some(old) = &replaced {
-                engine.invalidate_file(old.id);
-            }
             engine.note_file_len(id, 0);
         }
         TypedFile {
@@ -152,28 +149,23 @@ impl NodeDisk {
     /// dirty pages of a deleted scratch file never pay write-back.
     pub fn delete(&mut self, name: &str) {
         if let Some(entry) = self.files.remove(name) {
+            self.store.delete(entry.id);
             if let Some(engine) = &mut self.engine {
                 engine.invalidate_file(entry.id);
             }
         }
     }
 
-    /// Rename a file (destination is overwritten if present). The physical
-    /// backend moves its storage too, so a file later created under the old
-    /// name cannot collide with this one's bytes.
+    /// Rename a file (a destination that exists is deleted). Only the
+    /// namespace changes: the store knows the file by its id, so a file
+    /// later created under the old name cannot collide with this one's
+    /// bytes.
     pub fn rename(&mut self, old: &str, new: &str) {
-        let mut entry = self
+        let entry = self
             .files
             .remove(old)
             .unwrap_or_else(|| panic!("rename: no file named {old:?}"));
-        // Drop any displaced destination first: its backend cleans up its
-        // own storage, which must not race with the file we move in.
-        if let Some(displaced) = self.files.remove(new) {
-            if let Some(engine) = &mut self.engine {
-                engine.invalidate_file(displaced.id);
-            }
-        }
-        entry.backend.rename(new);
+        self.delete(new);
         self.files.insert(new.to_string(), entry);
     }
 
@@ -184,18 +176,12 @@ impl NodeDisk {
 
     /// Total bytes across all files (space accounting).
     pub fn used_bytes(&self) -> u64 {
-        self.files.values().map(|e| e.backend.len()).sum()
+        self.files.values().map(|e| self.store.len(e.id)).sum()
     }
 
     fn entry<R: Rec>(&self, file: &TypedFile<R>) -> &FileEntry {
         self.files
             .get(&file.name)
-            .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name))
-    }
-
-    fn entry_mut<R: Rec>(&mut self, file: &TypedFile<R>) -> &mut FileEntry {
-        self.files
-            .get_mut(&file.name)
             .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name))
     }
 
@@ -223,7 +209,7 @@ impl NodeDisk {
             .files
             .get_mut(&file.name)
             .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name));
-        let old_len = entry.backend.len();
+        let old_len = self.store.len(entry.id);
         match &mut self.engine {
             Some(engine) => engine.append(proc, entry.id, old_len, bytes.len()),
             None => {
@@ -231,7 +217,9 @@ impl NodeDisk {
                 proc.disk_write_ws(bytes.len(), ws);
             }
         }
-        entry.backend.append(bytes);
+        self.store
+            .append(entry.id, bytes)
+            .unwrap_or_else(|e| store_failed(self.rank, &file.name, "append", old_len, e));
         entry.records += chunk.len();
     }
 
@@ -303,7 +291,9 @@ impl NodeDisk {
             Some(engine) => engine.read(proc, entry.id, offset, nbytes)?,
             None => proc.try_disk_read_ws(nbytes, entry.records * R::ENCODED_BYTES)?,
         }
-        entry.backend.read_into(offset, buf.fill_target(count));
+        self.store
+            .read_into(entry.id, offset, buf.fill_target(count))
+            .unwrap_or_else(|e| store_failed(self.rank, &file.name, "read", offset, e));
         Ok(buf.view())
     }
 
@@ -332,12 +322,15 @@ impl NodeDisk {
             .files
             .get_mut(&file.name)
             .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name));
-        entry.backend.append(chunk.bytes());
+        let old_len = self.store.len(entry.id);
+        self.store
+            .append(entry.id, chunk.bytes())
+            .unwrap_or_else(|e| store_failed(self.rank, &file.name, "append", old_len, e));
         entry.records += chunk.len();
         if let Some(engine) = &mut self.engine {
             // Keep the engine's length map accurate; pre-loaded data is not
             // dirty (it was never "written" on the virtual machine).
-            engine.note_file_len(entry.id, entry.backend.len());
+            engine.note_file_len(entry.id, old_len + chunk.bytes().len() as u64);
         }
     }
 
@@ -345,9 +338,10 @@ impl NodeDisk {
     /// verification outside a cluster run.
     pub fn read_all_uncharged<R: Rec>(&mut self, file: &TypedFile<R>) -> Vec<R> {
         let mut buf = RecBuf::<R>::new();
-        let entry = self.entry_mut(file);
-        let n = entry.records;
-        entry.backend.read_into(0, buf.fill_target(n));
+        let entry = self.entry(file);
+        self.store
+            .read_into(entry.id, 0, buf.fill_target(entry.records))
+            .unwrap_or_else(|e| store_failed(self.rank, &file.name, "read", 0, e));
         buf.view().to_vec()
     }
 
@@ -395,7 +389,7 @@ impl NodeDisk {
             return;
         }
         let Some(entry) = self.files.get(name) else { return };
-        let len = entry.backend.len();
+        let len = self.store.len(entry.id);
         if len > 0 {
             engine.prefetch(proc, entry.id, 0, len as usize);
         }
@@ -411,6 +405,13 @@ impl NodeDisk {
             proc.span_end(token);
         }
     }
+}
+
+/// Where every error of the [`Store`] ends: the rank's scratch storage is
+/// gone or full, which no caller can repair. One site, so the message always
+/// names who failed at what.
+fn store_failed(rank: usize, file: &str, op: &str, offset: u64, e: std::io::Error) -> ! {
+    panic!("pario: rank {rank} {op} of {file:?} at byte {offset} failed: {e}")
 }
 
 /// Streaming reader: yields chunks of at most `chunk_records` records, each

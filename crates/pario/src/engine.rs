@@ -1,5 +1,5 @@
 //! Per-rank asynchronous disk engine: the layer between [`crate::NodeDisk`]
-//! and the raw [`crate::backend::Backend`].
+//! and the raw [`crate::backend::Store`].
 //!
 //! The engine owns a [`crate::cache::BufferPool`] and drives the rank's
 //! **I/O device timeline** (see [`pdc_cgm::Proc::io_device_submit`]):

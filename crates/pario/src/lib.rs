@@ -21,8 +21,9 @@
 //!   compute-independent prefetch on the machine's I/O device timeline
 //!   (off by default; [`EngineConfig::disabled`] keeps the synchronous
 //!   path bit-identical);
-//! * two physical backends — RAM-backed (default) and real files — that
-//!   charge identical virtual I/O costs.
+//! * two physical stores per disk ([`Store`]) — RAM (default) and one real
+//!   scratch file cut into extents — that charge identical virtual I/O
+//!   costs.
 
 //!
 //! ```
@@ -51,7 +52,7 @@ pub mod prefetch;
 pub mod rec;
 pub mod redistribute;
 
-pub use backend::{Backend, BackendKind, InMemory, OnDisk};
+pub use backend::{BackendKind, Store, EXTENT_BYTES};
 pub use cache::{BufferPool, ReplacementPolicy};
 pub use disk::{BufferedWriter, ChunkedReader, NodeDisk, TypedFile};
 pub use engine::{EngineConfig, IoEngine};

@@ -5,6 +5,12 @@
 use pdc_cgm::{Cluster, FaultPlan, MachineConfig};
 use pdc_pario::{BackendKind, BufferedWriter, DiskFarm, EngineConfig, ReplacementPolicy};
 
+/// Both kinds of farm over a scratch directory of the calling test's own.
+fn both_kinds(test: &str) -> (std::path::PathBuf, [BackendKind; 2]) {
+    let dir = std::env::temp_dir().join(format!("pario-{test}-{}", std::process::id()));
+    (dir.clone(), [BackendKind::InMemory, BackendKind::OnDisk(dir)])
+}
+
 #[test]
 fn read_write_roundtrip_and_ranges() {
     let farm = DiskFarm::in_memory(1);
@@ -173,6 +179,70 @@ fn rename_on_disk_backend() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// With one physical file per logical file, the replaced file's clean-up
+/// unlinked the path its successor had just taken and the rename found no
+/// file. Bytes are held by id now: a name is only a key of the namespace.
+#[test]
+fn a_recreated_file_renames_with_its_second_contents() {
+    let (dir, kinds) = both_kinds("recreate");
+    for kind in kinds {
+        let farm = DiskFarm::new(1, kind.clone());
+        let mut disk = farm.lock(0);
+        let first = disk.create::<u64>("a");
+        disk.append_uncharged(&first, &[1, 2, 3]);
+        let second = disk.create::<u64>("a");
+        assert_eq!(disk.used_bytes(), 0, "{kind:?}: re-creating reclaims the first contents");
+        disk.append_uncharged(&second, &[4, 5]);
+        disk.rename("a", "b");
+        let b = disk.open::<u64>("b");
+        assert_eq!(disk.read_all_uncharged(&b), vec![4, 5], "{kind:?}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Logical names used to be mapped to file names by replacing path-hostile
+/// characters, so `x/y` and `x_y` were one physical file.
+#[test]
+fn names_differing_only_in_path_hostile_characters_hold_independent_data() {
+    let (dir, kinds) = both_kinds("names");
+    for kind in kinds {
+        let farm = DiskFarm::new(1, kind.clone());
+        let mut disk = farm.lock(0);
+        let slash = disk.create::<u64>("x/y");
+        disk.append_uncharged(&slash, &[1, 2, 3]);
+        let underscore = disk.create::<u64>("x_y");
+        disk.append_uncharged(&underscore, &[9]);
+        let dots = disk.create::<u64>("../x y");
+        assert_eq!(disk.read_all_uncharged(&slash), vec![1, 2, 3], "{kind:?}");
+        assert_eq!(disk.read_all_uncharged(&underscore), vec![9], "{kind:?}");
+        assert_eq!(disk.read_all_uncharged(&dots), Vec::<u64>::new(), "{kind:?}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A store error is reported once, by the disk, naming who failed at what.
+#[test]
+fn a_failing_store_names_rank_file_operation_and_offset() {
+    // The farm's directory is a regular file: no rank can create its
+    // scratch file under it. Nothing fails before the first append.
+    let not_a_dir = std::env::temp_dir().join(format!("pario-notdir-{}", std::process::id()));
+    std::fs::write(&not_a_dir, b"in the way").expect("temp dir is writable");
+    let farm = DiskFarm::new(3, BackendKind::OnDisk(not_a_dir.clone()));
+    let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut disk = farm.lock(2);
+        let f = disk.create::<u64>("node-7");
+        assert!(disk.read_all_uncharged(&f).is_empty());
+        disk.append_uncharged(&f, &[1]);
+    }));
+    std::fs::remove_file(&not_a_dir).expect("the file in the way is still there");
+    let payload = failure.expect_err("the append cannot succeed");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic");
+    assert!(
+        message.starts_with("pario: rank 2 append of \"node-7\" at byte 0 failed: "),
+        "{message}"
+    );
+}
+
 #[test]
 fn streaming_roundtrip_under_transient_disk_faults() {
     // ChunkedReader + BufferedWriter under injected transient read errors:
@@ -288,9 +358,9 @@ fn partition_pattern_reads_what_it_wrote_and_charges_what_it_did() {
     // whose buffer a chunk sits in is invisible to the virtual machine.
     let plain = (4591870180066957724, [19, 800_000, 34, 400_000, 0, 0, 0, 0]);
     let pooled = (4598467312208468561, [12, 862_144, 2, 400_000, 22, 9, 22, 6]);
-    let dir = std::env::temp_dir().join(format!("pario-pattern-{}", std::process::id()));
+    let (dir, kinds) = both_kinds("pattern");
     let small_pool = EngineConfig::new(4 * 64 * 1024, ReplacementPolicy::Lru, true);
-    for kind in [BackendKind::InMemory, BackendKind::OnDisk(dir.clone())] {
+    for kind in kinds {
         assert_eq!(partition_pattern(kind.clone(), &EngineConfig::disabled()), plain, "{kind:?}");
         assert_eq!(partition_pattern(kind.clone(), &small_pool), pooled, "{kind:?}, 4-page pool");
     }
@@ -299,8 +369,8 @@ fn partition_pattern_reads_what_it_wrote_and_charges_what_it_did() {
 
 #[test]
 fn a_chunk_is_a_copy_that_outlives_rename_and_delete_of_its_file() {
-    let dir = std::env::temp_dir().join(format!("pario-view-{}", std::process::id()));
-    for kind in [BackendKind::InMemory, BackendKind::OnDisk(dir.clone())] {
+    let (dir, kinds) = both_kinds("view");
+    for kind in kinds {
         let farm = DiskFarm::new(1, kind);
         Cluster::new(1).run(|proc| {
             let mut disk = farm.lock(0);

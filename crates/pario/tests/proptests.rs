@@ -3,8 +3,13 @@
 //! the fixed record layout round-trips every `Rec` type, equals its `Wire`
 //! bytes, and hostile buffers are refused with an error, never a panic.
 
-use pdc_cgm::{Cluster, Wire};
-use pdc_pario::{redistribute, DiskFarm, RaggedChunk, Rec, RecBuf, RecChunk};
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+
+use pdc_cgm::{Cluster, Proc, Wire};
+use pdc_pario::{
+    redistribute, BackendKind, DiskFarm, NodeDisk, RaggedChunk, Rec, RecBuf, RecChunk, EXTENT_BYTES,
+};
 use proptest::prelude::*;
 
 /// `store` → `load` round-trips `value`, `store` writes its `Wire` bytes,
@@ -24,8 +29,144 @@ fn check_layout<R: Rec + PartialEq + std::fmt::Debug>(value: R) {
     }
 }
 
+/// A scratch directory of the calling test's own.
+fn scratch_dir(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("pario-{test}-{}", std::process::id()))
+}
+
+/// Lengths of the regular files under `dir` (none if it does not exist).
+fn file_lens(dir: &Path) -> Vec<u64> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    entries.map(|e| e.expect("entry").metadata().expect("metadata").len()).collect()
+}
+
+/// `n` bytes that differ from append to append and from position to position.
+fn pattern(tag: u64, n: usize) -> Vec<u8> {
+    (0..n as u64).map(|i| ((i ^ tag << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).collect()
+}
+
+/// Byte sizes of the model's appends: nothing, one byte, a typical chunk,
+/// and one byte short of, exactly, and one byte over 1, 2 and 3 extents.
+fn append_sizes() -> Vec<usize> {
+    let edges = (1..=3).flat_map(|k| [k * EXTENT_BYTES - 1, k * EXTENT_BYTES, k * EXTENT_BYTES + 1]);
+    [0, 1, 50_000].into_iter().chain(edges).collect()
+}
+
+/// A read range of a `len`-byte file chosen by `pick`: around one of the
+/// file's extent edges where it has any, else anywhere, at most to its end.
+fn read_range(len: usize, pick: u64) -> (usize, usize) {
+    let (a, b) = ((pick >> 8) as usize % 4_000, (pick >> 24) as usize % (2 * EXTENT_BYTES));
+    let edges = len / EXTENT_BYTES;
+    let start = if edges > 0 {
+        ((1 + pick as usize % edges) * EXTENT_BYTES).saturating_sub(a)
+    } else {
+        a % (len + 1)
+    };
+    (start, b.min(len - start))
+}
+
+/// Both disks agree with the model on every live file; returns the number
+/// of extents the live files need.
+fn check_against_model(
+    model: &HashMap<&str, Vec<u8>>,
+    disks: &mut [&mut NodeDisk; 2],
+    proc: &mut Proc,
+    step: usize,
+) -> usize {
+    let mut page = RecBuf::new();
+    for disk in disks.iter_mut() {
+        let mut names = disk.file_names();
+        names.sort();
+        let mut expected: Vec<&str> = model.keys().copied().collect();
+        expected.sort();
+        assert_eq!(names, expected, "step {step}: namespace");
+        assert_eq!(disk.used_bytes(), model.values().map(|v| v.len() as u64).sum::<u64>(), "step {step}");
+        for (name, bytes) in model {
+            let file = disk.open::<u8>(name);
+            assert_eq!(disk.num_records(&file), bytes.len(), "step {step}: {name}");
+            let stored = disk.read_range_into(proc, &file, 0, bytes.len(), &mut page);
+            assert!(stored.bytes() == bytes, "step {step}: bytes of {name}");
+        }
+    }
+    model.values().map(|v| v.len().div_ceil(EXTENT_BYTES)).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The real-file disk and the RAM disk are one machine to their callers,
+    /// and the scratch file is as long as the peak of live extents, no more.
+    #[test]
+    fn real_file_disk_equals_ram_disk_within_the_peak_of_live_extents(
+        ops in proptest::collection::vec((0u8..8, 0usize..3, any::<u64>()), 1..24),
+    ) {
+        let dir = scratch_dir("model");
+        let farms = [DiskFarm::in_memory(1), DiskFarm::new(1, BackendKind::OnDisk(dir.clone()))];
+        let sizes = append_sizes();
+        // Three names the per-file layout mapped to one path.
+        let names = ["node-1", "node/1", "node_1"];
+        Cluster::new(1).run(|proc| {
+            let (mut ram, mut real) = (farms[0].lock(0), farms[1].lock(0));
+            let mut disks = [&mut *ram, &mut *real];
+            let mut model: HashMap<&str, Vec<u8>> = HashMap::new();
+            let mut peak = 0;
+            for (step, &(op, name, pick)) in ops.iter().enumerate() {
+                let name = names[name];
+                match op {
+                    0 => {
+                        disks.iter_mut().for_each(|d| drop(d.create::<u8>(name)));
+                        model.insert(name, Vec::new());
+                    }
+                    1 => {
+                        disks.iter_mut().for_each(|d| d.delete(name));
+                        model.remove(name);
+                    }
+                    2 if model.contains_key(name) => {
+                        let to = names[pick as usize % names.len()];
+                        disks.iter_mut().for_each(|d| d.rename(name, to));
+                        let moved = model.remove(name).expect("checked");
+                        model.insert(to, moved);
+                    }
+                    3 | 4 if model.contains_key(name) => {
+                        let (start, count) = read_range(model[name].len(), pick);
+                        for disk in disks.iter_mut() {
+                            let file = disk.open::<u8>(name);
+                            let mut page = RecBuf::new();
+                            let got = disk.read_range_into(proc, &file, start, count, &mut page);
+                            assert!(
+                                got.bytes() == &model[name][start..start + count],
+                                "step {step}: [{start}, +{count}) of {name}"
+                            );
+                        }
+                    }
+                    5.. => {
+                        let bytes = pattern(step as u64, sizes[pick as usize % sizes.len()]);
+                        for disk in disks.iter_mut() {
+                            if !disk.exists(name) {
+                                disk.create::<u8>(name);
+                            }
+                            let file = disk.open::<u8>(name);
+                            // One-byte records: the bytes are the chunk.
+                            disk.append_chunk(proc, &file, RecChunk::new(&bytes).expect("whole records"));
+                        }
+                        model.entry(name).or_default().extend_from_slice(&bytes);
+                    }
+                    _ => {}
+                }
+                peak = peak.max(check_against_model(&model, &mut disks, proc, step));
+                // One scratch file once a byte was written; the free list is
+                // used before it grows, and its last extent is not padded.
+                let scratch = file_lens(&dir);
+                assert_eq!(scratch.len(), usize::from(peak > 0), "step {step}");
+                let len = scratch.first().map_or(0, |&len| len as usize);
+                assert!(len <= peak * EXTENT_BYTES, "step {step}: {len} bytes for a peak of {peak} extents");
+                assert!(len + EXTENT_BYTES > peak * EXTENT_BYTES, "step {step}: {len} bytes, peak {peak}");
+            }
+        });
+        drop(farms);
+        prop_assert_eq!(file_lens(&dir), Vec::<u64>::new(), "a dropped farm leaves no file");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn redistribute_conserves_and_places(
@@ -135,4 +276,30 @@ proptest! {
         });
         prop_assert!(out.results[0]);
     }
+}
+
+/// What a caller must not ask of a disk panics on both kinds, naming the
+/// rank, before anything is charged or read: a range past the end, and one
+/// whose end overflows.
+#[test]
+fn out_of_range_reads_panic_on_both_kinds_of_disk() {
+    let dir = scratch_dir("range");
+    for kind in [BackendKind::InMemory, BackendKind::OnDisk(dir.clone())] {
+        for (start, count) in [(EXTENT_BYTES, 2), (3, usize::MAX - 1)] {
+            let farm = DiskFarm::new(1, kind.clone());
+            let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Cluster::new(1).run(|proc| {
+                    let mut disk = farm.lock(0);
+                    let file = disk.create::<u8>("x");
+                    let bytes = pattern(0, EXTENT_BYTES + 1);
+                    disk.append_chunk(proc, &file, RecChunk::new(&bytes).expect("whole records"));
+                    disk.read_range_into(proc, &file, start, count, &mut RecBuf::new()).len()
+                })
+            }));
+            let payload = failure.err().unwrap_or_else(|| panic!("{kind:?} [{start}, +{count}) was read"));
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("pario: rank 0 read_range"), "{kind:?}: {message}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

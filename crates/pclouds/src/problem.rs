@@ -540,12 +540,16 @@ impl PcloudsProblem<'_> {
                 local_best = Candidate::better(local_best, c);
             }
         }
-        {
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.alive_intervals_evaluated += metrics_intervals;
-            st.metrics.alive_points_scanned += metrics_points;
-        }
+        self.count_alive_scans(proc, metrics_intervals, metrics_points);
         self.elect_candidate(proc, local_best)
+    }
+
+    /// Instrumentation: this rank scanned `points` points of `intervals`
+    /// alive intervals exactly.
+    fn count_alive_scans(&self, proc: &Proc, intervals: usize, points: u64) {
+        let mut st = self.build.rank(proc.rank());
+        st.metrics.alive_intervals_evaluated += intervals;
+        st.metrics.alive_points_scanned += points;
     }
 
     /// Phase 3: partition data and sample points; fuse the children's
@@ -1160,11 +1164,15 @@ impl OocProblem for PcloudsProblem<'_> {
             }
             // Exact scans of the intervals this processor owns.
             let mut local_exact: Vec<(u64, Candidate)> = Vec::new();
+            let mut metrics_points = 0u64;
+            let mut metrics_intervals = 0usize;
             for (k, (t, interval)) in all_alive.iter().enumerate() {
                 if owners[k] != proc.rank() {
                     continue;
                 }
                 let mut points = mine.remove(&k).unwrap_or_default();
+                metrics_points += points.len() as u64;
+                metrics_intervals += 1;
                 let n = points.len().max(2) as u64;
                 let ws = points.len() * 16;
                 proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
@@ -1175,6 +1183,7 @@ impl OocProblem for PcloudsProblem<'_> {
                     local_exact.push((*t, c));
                 }
             }
+            self.count_alive_scans(proc, metrics_intervals, metrics_points);
             self.elect_batch(proc, &local_exact)
         };
         proc.span_end(derive_span);

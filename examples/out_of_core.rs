@@ -1,7 +1,8 @@
 //! Genuinely out-of-core training: the training set is streamed onto
-//! **real files** (one scratch directory per virtual processor) and never
-//! held in memory; every pass of the algorithm streams it back through a
-//! bounded buffer.
+//! **real files** (one scratch file per virtual processor, holding every
+//! node file of that processor as a list of extents) and never held in
+//! memory; every pass of the algorithm streams it back through a bounded
+//! buffer.
 //!
 //! ```sh
 //! cargo run --release --example out_of_core
@@ -69,5 +70,7 @@ fn main() {
     );
     println!("holdout accuracy: {:.4}", accuracy(&out.tree, &test));
 
+    // The farm unlinks its scratch files; the directory is ours.
+    drop(farm);
     let _ = std::fs::remove_dir_all(&scratch);
 }

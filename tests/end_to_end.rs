@@ -2,7 +2,7 @@
 //! pipeline (generator → disk farm → simulated cluster → pCLOUDS → pruning
 //! → evaluation) plus the paper's statistical load-balance argument.
 
-use pdc_cgm::Cluster;
+use pdc_cgm::{Cluster, Wire};
 use pdc_clouds::{accuracy, mdl_prune, CloudsParams, MdlParams};
 use pdc_datagen::{generate, train_test_split, GeneratorConfig};
 use pdc_dnc::Strategy;
@@ -51,17 +51,30 @@ fn full_pipeline_in_memory() {
     }
 }
 
-/// Same workflow against real scratch files (the OnDisk backend).
+/// Same workflow against real scratch files (the OnDisk backend): the same
+/// machine to the algorithm, one scratch file per rank to the file system.
 #[test]
 fn full_pipeline_on_real_files() {
     let scratch = std::env::temp_dir().join(format!("pclouds-e2e-{}", std::process::id()));
+    let files_under_scratch = || std::fs::read_dir(&scratch).map_or(0, |entries| entries.count());
     let records = generate(6_000, GeneratorConfig::default());
     let cfg = config();
-    let farm = DiskFarm::new(4, BackendKind::OnDisk(scratch.clone()));
+    let p = 4;
+    let cluster = Cluster::new(p);
+    let farm = DiskFarm::new(p, BackendKind::OnDisk(scratch.clone()));
     let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
-    let cluster = Cluster::new(4);
+    assert_eq!(files_under_scratch(), p, "one scratch file per rank");
     let out = train(&cluster, &farm, &root, &cfg, Strategy::Mixed);
     assert!(accuracy(&out.tree, &records) > 0.95);
+    assert_eq!(files_under_scratch(), p, "one scratch file per rank, however many node files");
+    // What the virtual machine saw does not depend on where the bytes were.
+    let ram = DiskFarm::in_memory(p);
+    let ram_root = load_dataset(&ram, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
+    let in_ram = train(&cluster, &ram, &ram_root, &cfg, Strategy::Mixed);
+    assert_eq!(out.tree.to_bytes(), in_ram.tree.to_bytes());
+    assert_eq!(out.runtime().to_bits(), in_ram.runtime().to_bits());
+    drop(farm);
+    assert_eq!(files_under_scratch(), 0, "a dropped farm leaves no file");
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
