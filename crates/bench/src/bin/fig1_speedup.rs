@@ -14,9 +14,7 @@
 //! Sweep overrides, for runs beyond the paper's 16-node SP2:
 //!
 //! * `FIG1_PROCS` — comma-separated processor counts (e.g.
-//!   `FIG1_PROCS=1,64,256`). Large counts want `PDC_BACKEND=event`, which
-//!   multiplexes the ranks on a small worker pool instead of spawning `p`
-//!   free-running OS threads.
+//!   `FIG1_PROCS=1,64,256`).
 //! * `FIG1_SIZES` — comma-separated paper-scale record counts (scaled by
 //!   `PCLOUDS_SCALE` like the defaults).
 //!

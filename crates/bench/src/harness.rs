@@ -180,16 +180,8 @@ pub fn write_results_csv(name: &str, scale: Scale, text: &str) -> PathBuf {
 /// cache, per-node disk buffer cache) shrink with the workload so the
 /// cache-crossover processor counts — the source of the paper's superlinear
 /// speedups — land at the same p as at full scale.
-///
-/// The execution backend is read from `PDC_BACKEND`
-/// ([`pdc_cgm::Backend::from_env`]): `PDC_BACKEND=event` flips every
-/// machine a harness builds onto the event-driven executor — outputs are
-/// bit-identical (the backend-identity suite asserts it), so figures and
-/// perf-gate baselines are backend-independent; the thread backend stays
-/// the baseline of record.
 pub fn machine_config(scale: Scale) -> MachineConfig {
     let mut cfg = MachineConfig::default();
-    cfg.backend = pdc_cgm::Backend::from_env();
     let div = scale.divisor() as usize;
     cfg.cost.disk.cache_bytes = (cfg.cost.disk.cache_bytes / div).max(64 * 1024);
     cfg.cost.cache.capacity_bytes = (cfg.cost.cache.capacity_bytes / div).max(16 * 1024);

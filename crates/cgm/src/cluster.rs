@@ -1,41 +1,22 @@
 //! The cluster driver: runs an SPMD closure on every virtual processor,
-//! on one of two execution backends (see [`crate::exec`]): free-running
-//! thread-per-rank, or the event-driven executor that multiplexes ranks on
-//! a small admission pool with structural deadlock detection.
+//! one carrier thread per rank (see [`crate::exec`] for how a receive
+//! blocks and how a deadlock or a rank's panic ends the run).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::cost::CostModel;
 use crate::counters::ProcStats;
-use crate::exec::{host_parallelism, Backend, ExecMode, Scheduler, WaitBoard, ABORT_SENTINEL};
+use crate::exec::{Exec, ABORT_SENTINEL};
 use crate::fault::FaultPlan;
-use crate::mailbox::Mailbox;
 use crate::proc::{Proc, SharedMachine};
 
-/// Configuration of one simulated machine.
-#[derive(Debug, Clone)]
+/// Configuration of one simulated machine. The default is the paper's SP2
+/// cost model with every observation off and an inert fault plan.
+#[derive(Debug, Clone, Default)]
 pub struct MachineConfig {
     /// Cost model (network, disk, compute, cache).
     pub cost: CostModel,
-    /// Execution backend (see [`crate::exec`]): [`Backend::Thread`]
-    /// (default, the historical baseline of record) or [`Backend::Event`]
-    /// (event-driven executor, required for large `p` sweeps). Both are
-    /// bit-identical in every observable output.
-    pub backend: Backend,
-    /// Admission width of the event-driven executor: how many rank tasks
-    /// may run concurrently (0 = auto: the host's available parallelism).
-    /// Ignored by the thread backend. Any width produces identical
-    /// outputs; width only trades wall-clock speed against memory traffic.
-    pub event_workers: usize,
-    /// Real-time receive timeout used as a deadlock detector **by the
-    /// thread backend only**. At run start it is scaled by the machine's
-    /// thread oversubscription (`ceil(p / host cores)`), so a correct run
-    /// on a slow or oversubscribed host is not spuriously killed. The
-    /// event backend has no wall-clock mechanism at all — its deadlock
-    /// detection is structural (see [`crate::exec`]).
-    pub recv_timeout: Duration,
     /// Record hierarchical spans (see [`crate::span`]). Pure observation:
     /// enabling spans never changes a run's virtual times.
     pub spans: bool,
@@ -54,21 +35,6 @@ pub struct MachineConfig {
     /// events to spans and span-name cost overrides should apply during
     /// replay.
     pub record: bool,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            cost: CostModel::default(),
-            backend: Backend::Thread,
-            event_workers: 0,
-            recv_timeout: Duration::from_secs(120),
-            spans: false,
-            gauges: false,
-            faults: FaultPlan::default(),
-            record: false,
-        }
-    }
 }
 
 /// A simulated coarse-grained machine of `p` processors.
@@ -141,34 +107,17 @@ impl Cluster {
     }
 
     /// Run `f` on every processor (SPMD). Blocks until all processors
-    /// return; panics (propagating the payload) if any processor panics.
-    /// The execution backend ([`MachineConfig::backend`]) decides how
-    /// ranks map onto OS threads; outputs are bit-identical either way.
+    /// return; panics if any processor panics or the run deadlocks, with
+    /// the failing rank's own message (not that of a peer that was only
+    /// woken to unwind).
     pub fn run<T, F>(&self, f: F) -> RunOutput<T>
     where
         T: Send,
         F: Fn(&mut Proc) -> T + Sync,
     {
-        let exec = match self.config.backend {
-            Backend::Thread => ExecMode::Thread {
-                timeout: self.scaled_timeout(),
-                board: WaitBoard::new(self.nprocs),
-            },
-            Backend::Event => {
-                let workers = if self.config.event_workers > 0 {
-                    self.config.event_workers
-                } else {
-                    host_parallelism()
-                };
-                ExecMode::Event {
-                    sched: Scheduler::new(self.nprocs, workers),
-                }
-            }
-        };
         let shared = Arc::new(SharedMachine {
             cost: self.config.cost.clone(),
-            mailboxes: (0..self.nprocs).map(|_| Mailbox::new()).collect(),
-            exec,
+            exec: Exec::new(self.nprocs),
             spans: self.config.spans,
             gauges: self.config.gauges,
             faults: self.config.faults.clone(),
@@ -176,43 +125,35 @@ impl Cluster {
             record: self.config.record,
         });
         let f = &f;
-        let event = matches!(self.config.backend, Backend::Event);
-        let mut out: Vec<Option<(T, ProcStats)>> = (0..self.nprocs).map(|_| None).collect();
+        let nprocs = self.nprocs;
+        let mut out: Vec<Option<(T, ProcStats)>> = (0..nprocs).map(|_| None).collect();
         let mut panics: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.nprocs)
+            let handles: Vec<_> = (0..nprocs)
                 .map(|rank| {
                     let shared = Arc::clone(&shared);
                     scope.spawn(move || {
-                        if event {
-                            // Event backend: the carrier thread is the
-                            // resumable task's stack. Wait for an admission
-                            // slot, run the body (blocking points inside
-                            // hand the slot back), and tear the whole run
-                            // down on a panic so no rank parks forever
-                            // waiting for a message that will never come.
-                            let sched = shared.exec.scheduler();
-                            sched.admit(rank);
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                let mut proc =
-                                    Proc::new(rank, shared.mailboxes.len(), Arc::clone(&shared));
-                                let r = f(&mut proc);
-                                (r, proc.into_stats())
-                            }));
-                            match result {
-                                Ok(pair) => {
-                                    shared.exec.scheduler().finish(rank);
-                                    pair
-                                }
-                                Err(payload) => {
-                                    shared.exec.scheduler().abort_for_panic(rank);
-                                    resume_unwind(payload);
-                                }
+                        // Catch a panic of the body (or of closing its
+                        // statistics) here, on the carrier: the run must be
+                        // torn down before this thread is joined, or peers
+                        // parked on a message this rank will never send
+                        // would sleep forever.
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            let mut proc = Proc::new(rank, nprocs, Arc::clone(&shared));
+                            let r = f(&mut proc);
+                            (r, proc.into_stats())
+                        }));
+                        match result {
+                            Ok(pair) => {
+                                shared.exec.finish(rank);
+                                pair
                             }
-                        } else {
-                            let mut proc = Proc::new(rank, shared.mailboxes.len(), shared);
-                            let result = f(&mut proc);
-                            (result, proc.into_stats())
+                            Err(payload) => {
+                                shared.exec.abort(format!(
+                                    "virtual processor {rank} panicked; aborting the remaining ranks"
+                                ));
+                                resume_unwind(payload);
+                            }
                         }
                     })
                 })
@@ -248,15 +189,5 @@ impl Cluster {
         let (results, stats): (Vec<T>, Vec<ProcStats>) =
             out.into_iter().map(Option::unwrap).unzip();
         RunOutput { results, stats }
-    }
-
-    /// Effective wall-clock receive timeout of the thread backend: the
-    /// configured [`MachineConfig::recv_timeout`] scaled by thread
-    /// oversubscription (`ceil(p / host cores)`), so p=64 ranks on a
-    /// 4-core host get 16x the time before the deadlock detector fires.
-    fn scaled_timeout(&self) -> Duration {
-        let cores = host_parallelism();
-        let factor = self.nprocs.div_ceil(cores).max(1) as u32;
-        self.config.recv_timeout.saturating_mul(factor)
     }
 }

@@ -1,41 +1,46 @@
-//! Execution backends for the cluster driver: how virtual processors are
-//! mapped onto OS threads, and how a blocked receive is detected as a
-//! deadlock.
+//! The executor: how a run's virtual processors share the host, how a
+//! receive blocks, and how a run that can no longer finish is found out.
 //!
-//! # The two backends
+//! Every rank's SPMD closure runs on its own carrier thread. A receive
+//! (and everything built on it: `wait`, `barrier`, the collectives) is the
+//! *only* operation that can physically block on another rank — device
+//! waits and I/O stalls are pure virtual-time arithmetic — and it blocks on
+//! the rank's own [`Mailbox`]: one lock per message, nothing shared between
+//! ranks on that path. Receives match messages per `(src, tag)` in sender
+//! program order and every virtual-time quantity is a pure function of the
+//! matched messages, so how the host schedules the carriers cannot leak
+//! into any observable.
 //!
-//! * [`Backend::Thread`] — the historical model: every rank's SPMD closure
-//!   runs on its own free-running OS thread; a receive with no matching
-//!   message parks on the mailbox's condition variable. The only deadlock
-//!   detector is a **wall-clock** timeout, scaled by the machine's thread
-//!   oversubscription (`p` ranks on `c` cores multiply the configured
-//!   timeout by `ceil(p / c)`), so a slow or oversubscribed host does not
-//!   spuriously kill a correct run.
-//! * [`Backend::Event`] — the event-driven executor: rank bodies become
-//!   resumable tasks multiplexed on a small admission pool. The virtual
-//!   clock discipline makes every blocking point explicit — `recv` (and
-//!   everything built on it: `wait`, `barrier`, the collectives) is the
-//!   *only* operation that can physically block on another rank; device
-//!   waits and I/O stalls are pure virtual-time arithmetic. A task that
-//!   blocks hands its run slot back to the scheduler and parks; a
-//!   matching send re-enqueues it. At most `workers` tasks are ever
-//!   runnable, so `p = 1024` ranks run comfortably on one core with no
-//!   thread thrash, and **no wall-clock timer exists at all**: deadlock
-//!   detection is structural. When the machine reaches global quiescence
-//!   (no task running or ready) while some tasks still wait for messages,
-//!   no future send can ever occur — the scheduler reports every blocked
-//!   rank with the `(src, tag)` it waits on and names the wait-for cycle.
+//! # Liveness
 //!
-//! Both backends produce bit-identical outputs: finish-time bits, counters,
-//! spans, gauges and recorded event DAGs. Receives match messages per
-//! `(src, tag)` in sender program order, and every virtual-time quantity is
-//! a pure function of the matched messages, so physical scheduling — free
-//! running threads or cooperative multiplexing — cannot leak into any
-//! observable. The identity suites in `crates/bench/tests` assert this for
-//! every harness configuration.
+//! One counter, `active`, holds the number of ranks that are neither
+//! finished nor parked on a receive with no match queued. A rank gives up
+//! its count when it parks or finishes, *after* publishing its wait (or
+//! that it is done) under its mailbox lock; a parked rank is handed its
+//! count back **by the sender whose push is the match it waits for, on the
+//! sender's thread, before the receiver's mailbox lock is released**. A
+//! sender is counted while it pushes (it is running), and hands over that
+//! count before it can reach its own next park or finish, so the counter
+//! never drops to 0 while any rank is running or about to wake; and when it
+//! *is* 0 every rank is finished or parked with no match and no push is
+//! under way — no message can ever be sent again. That state is a deadlock,
+//! detected the moment it forms by the rank whose decrement reached 0, with
+//! no timer anywhere: it reports the blocked ranks with what each waits on
+//! and what sits unmatched in its mailbox, and names the wait-for cycle.
+//!
+//! # Abort
+//!
+//! A deadlock report or a rank's panic aborts the run: the reason is
+//! stored once (the first wins) and every mailbox's owner is woken. A rank
+//! checks for it before every park and after every wake and unwinds with
+//! a sentinel payload, which the driver uses to tell the root cause from
+//! the bystanders.
 
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::OnceLock;
+
+use crate::mailbox::{Mailbox, Message};
 
 /// Sentinel prefix on panic payloads raised by ranks that were *aborted*
 /// (woken from a park because another rank panicked or a structural
@@ -43,399 +48,263 @@ use std::collections::VecDeque;
 /// it to surface the root cause instead of a bystander's unwind.
 pub(crate) const ABORT_SENTINEL: &str = "cgm-exec-abort: ";
 
-/// How the cluster driver maps virtual processors onto OS threads. See the
-/// [module docs](self) for the full story.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// One free-running OS thread per rank; wall-clock deadlock detector
-    /// (scaled by oversubscription). The historical baseline of record.
-    #[default]
-    Thread,
-    /// Event-driven executor: ranks are resumable tasks multiplexed on a
-    /// small worker-admission pool; structural (quiescence-based) deadlock
-    /// detection with no wall-clock mechanism.
-    Event,
+/// The blocked ranks a deadlock report lists one by one (a p = 1024 cycle
+/// would otherwise be a 1 024-line panic); the cycle is always whole.
+const REPORTED_RANKS: usize = 16;
+/// The unmatched messages listed per blocked rank.
+const REPORTED_PENDING: usize = 8;
+
+/// Per-run execution state: the mailboxes and what decides whether the run
+/// can still make progress. See the [module docs](self).
+pub(crate) struct Exec {
+    mailboxes: Vec<Mailbox>,
+    /// Ranks that are neither finished nor parked without a match; why 0
+    /// means deadlock and nothing less is "Liveness" in the module docs.
+    active: AtomicUsize,
+    /// Why the run was aborted; set at most once.
+    abort: OnceLock<String>,
 }
 
-impl Backend {
-    /// Read the backend from the `PDC_BACKEND` environment variable
-    /// (`"event"` selects [`Backend::Event`]; anything else, including
-    /// unset, keeps the default [`Backend::Thread`]). The bench harness
-    /// routes every machine it builds through this, so one variable flips
-    /// a whole figure run.
-    pub fn from_env() -> Backend {
-        match std::env::var("PDC_BACKEND").as_deref() {
-            Ok("event") => Backend::Event,
-            _ => Backend::Thread,
+/// What one mailbox held when the run went quiescent.
+struct Quiesced {
+    waiting: Option<(usize, u32)>,
+    done: bool,
+    pending: Vec<(usize, u32)>,
+}
+
+impl Exec {
+    /// Execution state of a run of `nprocs` ranks, every one of them
+    /// counted active before its carrier thread exists.
+    pub(crate) fn new(nprocs: usize) -> Exec {
+        Exec {
+            mailboxes: (0..nprocs).map(|_| Mailbox::default()).collect(),
+            active: AtomicUsize::new(nprocs),
+            abort: OnceLock::new(),
         }
     }
 
-    /// Stable lowercase name (for logs and bench summaries).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Thread => "thread",
-            Backend::Event => "event",
-        }
-    }
-}
-
-/// Host parallelism used for timeout scaling and worker-pool sizing
-/// (1 when the platform cannot report it).
-pub(crate) fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Per-run execution machinery, held by the shared machine state: the
-/// thread backend's wall-clock detector (pre-scaled timeout plus the wait
-/// board that makes its panic message name every blocked rank), or the
-/// event backend's scheduler.
-pub(crate) enum ExecMode {
-    /// Free-running threads; wall-clock deadlock detector.
-    Thread {
-        /// Effective (oversubscription-scaled) receive timeout.
-        timeout: std::time::Duration,
-        /// Who is parked on what, for the timeout diagnostic.
-        board: WaitBoard,
-    },
-    /// Event-driven executor.
-    Event {
-        /// Admission control + structural deadlock detection.
-        sched: Scheduler,
-    },
-}
-
-impl ExecMode {
-    /// The event scheduler; panics if called on the thread mode (driver
-    /// bug, not a user error).
-    pub(crate) fn scheduler(&self) -> &Scheduler {
-        match self {
-            ExecMode::Event { sched } => sched,
-            ExecMode::Thread { .. } => unreachable!("thread backend has no scheduler"),
-        }
-    }
-}
-
-/// One rank's execution state, as seen by the [`Scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RankState {
-    /// Waiting for an admission slot (either freshly spawned or re-enqueued
-    /// after a matching message arrived).
-    Ready,
-    /// Admitted: the rank's body is executing on its carrier thread.
-    Running,
-    /// Parked inside a receive, waiting for a message matching
-    /// `(src, tag)` from physical rank `src`.
-    Blocked { src: usize, tag: u32 },
-    /// The body returned (or the rank was torn down by an abort).
-    Done,
-}
-
-struct SchedState {
-    states: Vec<RankState>,
-    /// FIFO of ranks waiting for an admission slot.
-    ready: VecDeque<usize>,
-    /// Number of currently admitted (Running) ranks.
-    running: usize,
-    /// Admission width: at most this many ranks run concurrently.
-    workers: usize,
-    /// Wake-pending flags: a message was pushed to this rank's mailbox
-    /// while it was Running (racing with its own blocking decision). The
-    /// next `block` call consumes the flag and re-checks the mailbox
-    /// instead of parking, which closes the lost-wakeup window.
-    signaled: Vec<bool>,
-    /// Set exactly once, on structural deadlock or a rank panic; every
-    /// parked rank wakes and unwinds with this reason.
-    abort: Option<String>,
-}
-
-/// The event-driven executor's scheduler: admission control plus
-/// structural deadlock detection. One instance per cluster run.
-pub(crate) struct Scheduler {
-    state: Mutex<SchedState>,
-    /// Per-rank parking spot (all paired with the one `state` mutex).
-    cvs: Vec<Condvar>,
-}
-
-impl Scheduler {
-    pub(crate) fn new(nprocs: usize, workers: usize) -> Scheduler {
-        assert!(workers >= 1, "the event executor needs at least one worker");
-        Scheduler {
-            state: Mutex::new(SchedState {
-                states: vec![RankState::Ready; nprocs],
-                ready: VecDeque::new(),
-                running: 0,
-                workers,
-                signaled: vec![false; nprocs],
-                abort: None,
-            }),
-            cvs: (0..nprocs).map(|_| Condvar::new()).collect(),
+    /// Deliver `msg` into rank `dst`'s mailbox; if it is what `dst` is
+    /// parked on, hand `dst` its count back and wake it. Every delivery —
+    /// payload, delayed payload, poison tombstone — goes through here.
+    pub(crate) fn push(&self, dst: usize, msg: Message) {
+        let mailbox = &self.mailboxes[dst];
+        let mut inbox = mailbox.inbox.lock();
+        let key = (msg.src, msg.tag);
+        inbox.enqueue(msg);
+        if inbox.waiting == Some(key) {
+            inbox.waiting = None;
+            self.active.fetch_add(1, SeqCst);
+            mailbox.cond.notify_one();
         }
     }
 
-    /// Hand the caller's run slot to the next ready rank, or retire it.
-    /// Caller must hold the state lock and must already have left the
-    /// Running state.
-    fn release_slot(&self, st: &mut SchedState) {
-        if let Some(next) = st.ready.pop_front() {
-            st.states[next] = RankState::Running;
-            self.cvs[next].notify_all();
-        } else {
-            st.running -= 1;
+    /// Take the earliest message matching `(src, tag)` from `rank`'s own
+    /// mailbox, parking until a push delivers it. Unwinds with the abort
+    /// sentinel if the run is aborted before the match arrives — including
+    /// when this very park completes a deadlock.
+    pub(crate) fn recv(&self, rank: usize, src: usize, tag: u32) -> Message {
+        let mailbox = &self.mailboxes[rank];
+        let mut inbox = mailbox.inbox.lock();
+        // At most two turns: the push that ends the wait queued its match.
+        loop {
+            if let Some(msg) = inbox.take(src, tag) {
+                return msg;
+            }
+            self.check_abort();
+            inbox.waiting = Some((src, tag));
+            if self.active.fetch_sub(1, SeqCst) == 1 {
+                // Nobody is left to send. The snapshot locks every
+                // mailbox, this one included.
+                drop(inbox);
+                self.quiescent();
+                inbox = mailbox.inbox.lock();
+            }
+            // Wait until the *sender* says so, not until the condvar
+            // returns: `std`'s wakes spuriously, and a rank that left with
+            // its wait still registered would run uncounted — `active`
+            // could reach 0 under a live rank (a false deadlock), and the
+            // push that does match would count it a second time.
+            while inbox.waiting.is_some() {
+                self.check_abort();
+                mailbox.cond.wait(&mut inbox);
+            }
         }
     }
 
-    /// Global-quiescence check, run whenever a slot retires without a
-    /// successor: if nothing is running or ready but some ranks still wait
-    /// for messages, no future send can occur — structural deadlock.
-    /// Caller must hold the state lock.
-    fn check_quiescence(&self, st: &mut SchedState) {
-        // A rank is Ready both while queued for a slot *and* before its
-        // carrier thread has called `admit` at all (the initial state), so
-        // testing the state vector — not just the ready queue — is what
-        // makes this safe against carriers that have not started yet.
-        if st.abort.is_some()
-            || st.running > 0
-            || st.states.iter().any(|s| *s == RankState::Ready)
-        {
+    /// The rank's body returned. A peer still parked when the last count
+    /// goes waits on a rank that already finished.
+    pub(crate) fn finish(&self, rank: usize) {
+        self.mailboxes[rank].inbox.lock().done = true;
+        if self.active.fetch_sub(1, SeqCst) == 1 {
+            self.quiescent();
+        }
+    }
+
+    /// Tear the run down: store `reason` (the first one wins) and wake
+    /// every parked rank so it unwinds instead of waiting for a message
+    /// that will never come. A rank that panicked keeps its count, so no
+    /// deadlock is ever reported on top of a panic.
+    pub(crate) fn abort(&self, reason: String) {
+        if self.abort.set(reason).is_err() {
             return;
         }
-        let blocked: Vec<(usize, usize, u32)> = st
-            .states
+        for mailbox in &self.mailboxes {
+            // Notify with the lock held. A rank about to park holds it from
+            // its abort check to its wait, so this either precedes the
+            // check (the rank sees the reason) or follows the wait (the
+            // rank is woken); without the lock the wake could fall between
+            // the two and that rank would sleep forever.
+            let _inbox = mailbox.inbox.lock();
+            mailbox.cond.notify_one();
+        }
+    }
+
+    /// What `rank` is parked on, if it is.
+    #[cfg(test)]
+    pub(crate) fn waiting(&self, rank: usize) -> Option<(usize, u32)> {
+        self.mailboxes[rank].inbox.lock().waiting
+    }
+
+    /// Unwind the calling rank if the run is aborted — past the panic
+    /// hook: the failure is printed once, by the rank that caused it or by
+    /// the driver, not once per bystander.
+    fn check_abort(&self) {
+        if let Some(reason) = self.abort.get() {
+            resume_unwind(Box::new(format!("{ABORT_SENTINEL}{reason}")));
+        }
+    }
+
+    /// `active` reached 0: every rank is finished or parked for good and
+    /// nothing changes any more. A normal end if nobody is parked; a
+    /// deadlock, reported and aborted, otherwise.
+    fn quiescent(&self) {
+        let snapshot: Vec<Quiesced> = self
+            .mailboxes
             .iter()
-            .enumerate()
-            .filter_map(|(r, s)| match *s {
-                RankState::Blocked { src, tag } => Some((r, src, tag)),
-                _ => None,
+            .map(|mailbox| {
+                let inbox = mailbox.inbox.lock();
+                Quiesced {
+                    waiting: inbox.waiting,
+                    done: inbox.done,
+                    pending: inbox.pending(),
+                }
             })
             .collect();
-        if blocked.is_empty() {
-            return; // everything Done: a normal finish
-        }
-        st.abort = Some(deadlock_report(&st.states, &blocked));
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
-    }
-
-    /// Carrier entry: wait for an admission slot before running the body.
-    /// Panics (with the abort sentinel) if the run was aborted first.
-    pub(crate) fn admit(&self, rank: usize) {
-        let mut st = self.state.lock();
-        if st.running < st.workers && st.abort.is_none() {
-            st.states[rank] = RankState::Running;
-            st.running += 1;
-            return;
-        }
-        st.ready.push_back(rank);
-        loop {
-            if let Some(reason) = &st.abort {
-                panic!("{ABORT_SENTINEL}{reason}");
-            }
-            if st.states[rank] == RankState::Running {
-                return;
-            }
-            self.cvs[rank].wait(&mut st);
-        }
-    }
-
-    /// Blocking point: the rank found no matching message in its mailbox.
-    /// Consumes a pending signal (meaning: re-check the mailbox, a message
-    /// raced in) or parks until a matching push re-admits the rank. On
-    /// return the caller must re-check its mailbox. Panics (with the abort
-    /// sentinel) if the run aborts while parked — including when this very
-    /// call completes the quiescent wait set.
-    pub(crate) fn block(&self, rank: usize, src: usize, tag: u32) {
-        let mut st = self.state.lock();
-        if st.signaled[rank] {
-            st.signaled[rank] = false;
-            return;
-        }
-        st.states[rank] = RankState::Blocked { src, tag };
-        self.release_slot(&mut st);
-        self.check_quiescence(&mut st);
-        loop {
-            if let Some(reason) = &st.abort {
-                panic!("{ABORT_SENTINEL}{reason}");
-            }
-            if st.states[rank] == RankState::Running {
-                return;
-            }
-            self.cvs[rank].wait(&mut st);
-        }
-    }
-
-    /// A message for `dst` matching `(src, tag)` was pushed. Wake `dst` if
-    /// it is parked on exactly that match; flag it if it is running (it may
-    /// be deciding to block right now); do nothing otherwise — a rank
-    /// blocked on a *different* match will find this message in its mailbox
-    /// on a later receive, and a ready rank re-checks its mailbox anyway.
-    pub(crate) fn notify_push(&self, dst: usize, src: usize, tag: u32) {
-        let mut st = self.state.lock();
-        match st.states[dst] {
-            RankState::Blocked { src: s, tag: t } if s == src && t == tag => {
-                if st.running < st.workers {
-                    st.states[dst] = RankState::Running;
-                    st.running += 1;
-                    self.cvs[dst].notify_all();
-                } else {
-                    st.states[dst] = RankState::Ready;
-                    st.ready.push_back(dst);
-                }
-            }
-            RankState::Running => st.signaled[dst] = true,
-            _ => {}
-        }
-    }
-
-    /// The rank's body returned normally. Retires its slot; a rank still
-    /// blocked on this now-finished rank is a deadlock, caught by the
-    /// quiescence check.
-    pub(crate) fn finish(&self, rank: usize) {
-        let mut st = self.state.lock();
-        st.states[rank] = RankState::Done;
-        self.release_slot(&mut st);
-        self.check_quiescence(&mut st);
-    }
-
-    /// The rank's body panicked (anywhere — its own bug, or an abort
-    /// sentinel from a park). Tears the run down: every parked rank wakes
-    /// and unwinds, so the driver's joins cannot hang on ranks waiting for
-    /// messages the dead rank will never send. Idempotent; the first
-    /// reason wins.
-    pub(crate) fn abort_for_panic(&self, rank: usize) {
-        let mut st = self.state.lock();
-        if st.states[rank] == RankState::Running {
-            st.states[rank] = RankState::Done;
-            self.release_slot(&mut st);
-        } else {
-            st.states[rank] = RankState::Done;
-        }
-        if st.abort.is_none() {
-            st.abort = Some(format!(
-                "virtual processor {rank} panicked; aborting the remaining ranks"
-            ));
-        }
-        for cv in &self.cvs {
-            cv.notify_all();
+        if snapshot.iter().any(|q| q.waiting.is_some()) {
+            self.abort(deadlock_report(&snapshot));
         }
     }
 }
 
-/// Render the structural-deadlock diagnostic: every blocked rank with the
-/// `(src, tag)` it waits on, finished ranks it may be waiting on, and the
-/// wait-for cycle when one exists.
-fn deadlock_report(states: &[RankState], blocked: &[(usize, usize, u32)]) -> String {
+/// Render the structural-deadlock diagnostic: the blocked ranks with the
+/// `(src, tag)` each waits on, whether that peer already finished and what
+/// sits unmatched in the waiter's mailbox, then the wait-for cycle when one
+/// exists.
+fn deadlock_report(ranks: &[Quiesced]) -> String {
     use std::fmt::Write;
+    let blocked: Vec<(usize, usize, u32)> = ranks
+        .iter()
+        .enumerate()
+        .filter_map(|(r, q)| q.waiting.map(|(src, tag)| (r, src, tag)))
+        .collect();
     let mut out = format!(
         "structural deadlock: global quiescence with {} rank(s) blocked and \
          no send in flight:\n",
         blocked.len()
     );
-    for &(r, src, tag) in blocked {
-        let note = match states[src] {
-            RankState::Done => " (which already finished)",
-            _ => "",
+    for &(r, src, tag) in blocked.iter().take(REPORTED_RANKS) {
+        let note = if ranks[src].done {
+            " (which already finished)"
+        } else {
+            ""
         };
-        let _ = writeln!(out, "  rank {r} <- recv(src={src}, tag={tag:#x}){note}");
+        let _ = write!(out, "  rank {r} <- recv(src={src}, tag={tag:#x}){note}");
+        let pending = &ranks[r].pending;
+        if !pending.is_empty() {
+            let shown: Vec<String> = pending
+                .iter()
+                .take(REPORTED_PENDING)
+                .map(|(s, t)| format!("(src={s}, tag={t:#x})"))
+                .collect();
+            let _ = write!(
+                out,
+                "; {} unmatched in its mailbox: {}",
+                pending.len(),
+                shown.join(", ")
+            );
+            if pending.len() > REPORTED_PENDING {
+                out.push_str(", …");
+            }
+        }
+        out.push('\n');
+    }
+    if blocked.len() > REPORTED_RANKS {
+        let _ = writeln!(out, "  … and {} more", blocked.len() - REPORTED_RANKS);
     }
     // Each blocked rank has exactly one wait-for edge (rank -> src), so a
-    // cycle, if any, is found by walking edges from any blocked rank.
-    let edge = |r: usize| -> Option<usize> {
-        match states[r] {
-            RankState::Blocked { src, .. } => Some(src),
-            _ => None,
+    // cycle, if any, is found by walking edges from a blocked rank; `seen`
+    // holds the walk that first reached each rank, which keeps the search
+    // linear in p.
+    let edge = |r: usize| ranks[r].waiting.map(|(src, _)| src);
+    let mut seen = vec![usize::MAX; ranks.len()];
+    let mut cycle: Vec<usize> = Vec::new();
+    for &(start, _, _) in &blocked {
+        let mut cur = Some(start);
+        while let Some(r) = cur.filter(|&r| seen[r] == usize::MAX) {
+            seen[r] = start;
+            cur = edge(r);
         }
-    };
-    let mut on_any_cycle: Option<Vec<usize>> = None;
-    for &(start, _, _) in blocked {
-        let mut walk = vec![start];
-        let mut cur = start;
-        while let Some(next) = edge(cur) {
-            if let Some(pos) = walk.iter().position(|&w| w == next) {
-                on_any_cycle = Some(walk[pos..].to_vec());
-                break;
+        // Back on a rank this same walk already passed: it is on a cycle.
+        if let Some(entry) = cur.filter(|&r| seen[r] == start) {
+            cycle.push(entry);
+            let mut next = edge(entry);
+            while let Some(r) = next.filter(|&r| r != entry) {
+                cycle.push(r);
+                next = edge(r);
             }
-            walk.push(next);
-            cur = next;
-        }
-        if on_any_cycle.is_some() {
             break;
         }
     }
-    match on_any_cycle {
-        Some(cycle) => {
-            let mut names: Vec<String> = cycle.iter().map(|r| r.to_string()).collect();
-            names.push(cycle[0].to_string());
-            let _ = writeln!(out, "  wait-for cycle: {}", names.join(" -> "));
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "  no wait-for cycle: some rank waits on a peer that finished \
-                 (or never sends) — a missing send, not a message-order inversion"
-            );
-        }
+    if let Some(&entry) = cycle.first() {
+        let mut names: Vec<String> = cycle.iter().map(|r| r.to_string()).collect();
+        names.push(entry.to_string());
+        let _ = writeln!(out, "  wait-for cycle: {}", names.join(" -> "));
+    } else {
+        let _ = writeln!(
+            out,
+            "  no wait-for cycle: some rank waits on a peer that finished \
+             (or never sends) — a missing send, not a message-order inversion"
+        );
     }
-    out.push_str("  (event backend: detection is structural — no wall-clock timeout involved)");
+    out.push_str("  (detection is structural — no wall-clock timeout involved)");
     out
-}
-
-/// Wall-clock wait registry for the **thread** backend's deadlock
-/// detector: each rank notes what it is waiting for while parked on its
-/// mailbox, so a timeout panic can report every blocked rank instead of a
-/// bare "timed out". Pure diagnostics — never touches virtual time.
-#[derive(Default)]
-pub(crate) struct WaitBoard {
-    waits: Mutex<Vec<Option<(usize, u32)>>>,
-}
-
-impl WaitBoard {
-    pub(crate) fn new(nprocs: usize) -> WaitBoard {
-        WaitBoard { waits: Mutex::new(vec![None; nprocs]) }
-    }
-
-    /// Note that `rank` is about to park waiting for `(src, tag)`.
-    pub(crate) fn enter(&self, rank: usize, src: usize, tag: u32) {
-        self.waits.lock()[rank] = Some((src, tag));
-    }
-
-    /// The wait ended with a match. A timed-out wait keeps its entry: that
-    /// rank is still blocked when the timeout panic takes its snapshot.
-    pub(crate) fn exit(&self, rank: usize) {
-        self.waits.lock()[rank] = None;
-    }
-
-    /// Snapshot of every currently waiting rank, for the timeout panic.
-    pub(crate) fn blocked_now(&self) -> Vec<(usize, usize, u32)> {
-        self.waits
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(r, w)| w.map(|(s, t)| (r, s, t)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::msg;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    #[test]
-    fn backend_names_and_env_default() {
-        assert_eq!(Backend::Thread.name(), "thread");
-        assert_eq!(Backend::Event.name(), "event");
-        assert_eq!(Backend::default(), Backend::Thread);
+    fn blocked_on(src: usize, tag: u32) -> Quiesced {
+        Quiesced {
+            waiting: Some((src, tag)),
+            done: false,
+            pending: Vec::new(),
+        }
+    }
+
+    fn finished() -> Quiesced {
+        Quiesced {
+            waiting: None,
+            done: true,
+            pending: Vec::new(),
+        }
     }
 
     #[test]
     fn deadlock_report_names_cycle() {
-        let states = vec![
-            RankState::Blocked { src: 1, tag: 7 },
-            RankState::Blocked { src: 0, tag: 7 },
-            RankState::Done,
-        ];
-        let blocked = vec![(0, 1, 7), (1, 0, 7)];
-        let report = deadlock_report(&states, &blocked);
+        let report = deadlock_report(&[blocked_on(1, 7), blocked_on(0, 7), finished()]);
         assert!(report.contains("rank 0 <- recv(src=1"), "{report}");
         assert!(report.contains("rank 1 <- recv(src=0"), "{report}");
         assert!(report.contains("wait-for cycle: 0 -> 1 -> 0"), "{report}");
@@ -443,22 +312,129 @@ mod tests {
 
     #[test]
     fn deadlock_report_flags_finished_peer() {
-        let states = vec![RankState::Blocked { src: 1, tag: 3 }, RankState::Done];
-        let blocked = vec![(0, 1, 3)];
-        let report = deadlock_report(&states, &blocked);
+        let report = deadlock_report(&[blocked_on(1, 3), finished()]);
         assert!(report.contains("(which already finished)"), "{report}");
         assert!(report.contains("no wait-for cycle"), "{report}");
     }
 
     #[test]
-    fn wait_board_snapshots_blocked_ranks() {
-        let board = WaitBoard::new(3);
-        board.enter(1, 2, 0xf000_0001);
-        board.enter(2, 1, 0xf000_0001);
-        let mut snap = board.blocked_now();
-        snap.sort();
-        assert_eq!(snap, vec![(1, 2, 0xf000_0001), (2, 1, 0xf000_0001)]);
-        board.exit(1);
-        assert_eq!(board.blocked_now(), vec![(2, 1, 0xf000_0001)]);
+    fn deadlock_report_finds_a_cycle_behind_a_tail_and_lists_the_mailbox() {
+        // 0 waits on 1, which is on the cycle 1 -> 2 -> 3 -> 1; rank 0's
+        // mailbox holds ten messages nobody asked for.
+        let mut tail = blocked_on(1, 5);
+        tail.pending = (0..10).map(|i| (2, 0x60 + i)).collect();
+        let report = deadlock_report(&[tail, blocked_on(2, 5), blocked_on(3, 5), blocked_on(1, 5)]);
+        assert!(
+            report.contains("wait-for cycle: 1 -> 2 -> 3 -> 1"),
+            "{report}"
+        );
+        assert!(
+            report.contains("10 unmatched in its mailbox: (src=2, tag=0x60), "),
+            "{report}"
+        );
+        assert!(report.contains("(src=2, tag=0x67), …"), "{report}");
+        assert!(!report.contains("tag=0x68"), "{report}");
+    }
+
+    /// The owner's half of a park, without the wait: what `recv` does
+    /// between finding no match and sleeping.
+    fn park(exec: &Exec, rank: usize, src: usize, tag: u32) {
+        exec.mailboxes[rank].inbox.lock().waiting = Some((src, tag));
+        exec.active.fetch_sub(1, SeqCst);
+    }
+
+    #[test]
+    fn only_the_awaited_push_hands_the_count_back() {
+        let exec = Exec::new(3);
+        park(&exec, 0, 1, 7);
+        exec.push(0, msg(2, 7, vec![1])); // right tag, wrong source
+        exec.push(0, msg(1, 8, vec![2])); // right source, wrong tag
+        assert_eq!(exec.active.load(SeqCst), 2);
+        assert_eq!(exec.waiting(0), Some((1, 7)));
+        exec.push(0, msg(1, 7, vec![3]));
+        assert_eq!(exec.active.load(SeqCst), 3);
+        assert_eq!(exec.waiting(0), None);
+        // A second match finds nobody parked and counts nobody.
+        exec.push(0, msg(1, 7, vec![4]));
+        assert_eq!(exec.active.load(SeqCst), 3);
+        assert_eq!(exec.recv(0, 1, 7).payload, vec![3]);
+    }
+
+    #[test]
+    fn random_legal_scripts_match_a_reference_queue_and_return_every_count() {
+        // One thread plays every rank of a 2–5 rank machine: a running rank
+        // sends, receives what the reference says is queued, or parks on a
+        // message a running peer has not sent yet; a parked rank does
+        // nothing until the push it waits for releases it, then completes
+        // its receive. Every payload must be the reference's earliest match
+        // and `active` must equal the number of unparked ranks after every
+        // step.
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = rng.random_range(2..=5usize);
+            let exec = Exec::new(p);
+            let mut reference: Vec<Vec<(usize, u32, u64)>> = vec![Vec::new(); p];
+            let mut parked: Vec<Option<(usize, u32)>> = vec![None; p];
+            let mut serial = 0u64;
+            let mut send = |reference: &mut Vec<Vec<(usize, u32, u64)>>, src, dst: usize, tag| {
+                serial += 1;
+                reference[dst].push((src, tag, serial));
+                exec.push(dst, msg(src, tag, serial.to_le_bytes().to_vec()));
+            };
+            let recv = |reference: &mut Vec<Vec<(usize, u32, u64)>>, r: usize, src, tag| {
+                let pos = reference[r]
+                    .iter()
+                    .position(|&(s, t, _)| (s, t) == (src, tag))
+                    .unwrap_or_else(|| panic!("seed {seed}: script is not legal"));
+                let (_, _, want) = reference[r].remove(pos);
+                let got = exec.recv(r, src, tag);
+                assert_eq!(
+                    got.payload,
+                    want.to_le_bytes(),
+                    "seed {seed}: rank {r} <- ({src}, {tag})"
+                );
+            };
+            for step in 0..rng.random_range(40..100u32) {
+                let running: Vec<usize> = (0..p).filter(|&r| parked[r].is_none()).collect();
+                let actor = running[rng.random_range(0..running.len())];
+                let peer = (actor + rng.random_range(1..p)) % p;
+                let tag = rng.random_range(0..3u32);
+                let queued = reference[actor]
+                    .iter()
+                    .any(|&(s, t, _)| (s, t) == (peer, tag));
+                match rng.random_range(0..3u8) {
+                    0 if queued => recv(&mut reference, actor, peer, tag),
+                    // Waits point at running ranks only, so they never close
+                    // a cycle and somebody is always left to act.
+                    1 if !queued && parked[peer].is_none() => {
+                        park(&exec, actor, peer, tag);
+                        parked[actor] = Some((peer, tag));
+                    }
+                    _ => {
+                        send(&mut reference, actor, peer, tag);
+                        if parked[peer] == Some((actor, tag)) {
+                            parked[peer] = None;
+                            recv(&mut reference, peer, actor, tag);
+                        }
+                    }
+                }
+                let unparked = parked.iter().filter(|w| w.is_none()).count();
+                assert_eq!(
+                    exec.active.load(SeqCst),
+                    unparked,
+                    "seed {seed} step {step}"
+                );
+            }
+            // Release whoever is still parked, peers that can send first.
+            while let Some(r) =
+                (0..p).find(|&r| parked[r].is_some_and(|(src, _)| parked[src].is_none()))
+            {
+                let (src, tag) = parked[r].take().expect("found parked");
+                send(&mut reference, src, r, tag);
+                recv(&mut reference, r, src, tag);
+            }
+            assert_eq!(exec.active.load(SeqCst), p, "seed {seed}: a count was lost");
+            assert!(exec.abort.get().is_none(), "seed {seed}");
+        }
     }
 }

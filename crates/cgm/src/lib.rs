@@ -6,11 +6,10 @@
 //! network. This crate reproduces that machine in software:
 //!
 //! * [`Cluster`] runs an SPMD closure on `p` **virtual processors**,
-//!   exactly like `mpirun`, on one of two execution backends (see
-//!   [`exec`]): free-running thread-per-rank, or the event-driven executor
-//!   that multiplexes rank tasks on a small admission pool — required for
-//!   large sweeps (`p` in the hundreds to thousands) and the only backend
-//!   with structural (non-wall-clock) deadlock detection.
+//!   exactly like `mpirun`: one carrier thread per rank, a receive parks
+//!   on the rank's own mailbox, and a run that can no longer finish — a
+//!   deadlock, or a rank that panicked — is detected structurally, with
+//!   no timer, and reported by its cause (see [`exec`]).
 //! * [`Proc`] is a rank's handle: typed point-to-point [`Proc::send`] /
 //!   [`Proc::recv`] plus the full set of collectives the paper uses
 //!   (broadcast, global combine, all-to-all broadcast, gather, prefix sum,
@@ -65,7 +64,6 @@ pub mod trace;
 pub mod wire;
 
 pub use cluster::{Cluster, MachineConfig, RunOutput};
-pub use exec::Backend;
 pub use cost::{CacheParams, ComputeRates, CostModel, DiskParams, NetworkParams, OpKind};
 pub use counters::{Counters, ProcStats};
 pub use evg::{Breakdown, Ev, EventGraph};

@@ -1,13 +1,16 @@
 //! Mailboxes: the physical transport between virtual processors.
 //!
 //! Each processor owns one mailbox. A send appends a [`Message`] to the
-//! destination's mailbox; a receive blocks the calling OS thread until a
-//! message matching `(src, tag)` is present, then removes the *earliest*
-//! such message (per-(src, tag) FIFO order, which is what MPI guarantees for
-//! matching sends/receives between a pair of processes).
+//! destination's mailbox; a receive removes the *earliest* message matching
+//! `(src, tag)` (per-(src, tag) FIFO order, which is what MPI guarantees for
+//! matching sends/receives between a pair of processes), parking the owner
+//! until one is there. What the owner is parked on lives under the same
+//! lock as the queue, so a sender learns in the one critical section it
+//! already needs whether its message is the one being waited for. The
+//! protocol around that — who counts as able to send, what happens when
+//! nobody is — is [`crate::exec`].
 
 use parking_lot::{Condvar, Mutex};
-use std::time::Duration;
 
 /// A message in flight between two virtual processors.
 #[derive(Debug, Clone)]
@@ -28,141 +31,97 @@ pub struct Message {
     pub poisoned: bool,
 }
 
-/// One processor's incoming-message queue.
+/// One processor's incoming-message queue and the spot its owner parks on.
 #[derive(Default)]
 pub struct Mailbox {
-    queue: Mutex<Vec<Message>>,
-    cond: Condvar,
+    pub(crate) inbox: Mutex<Inbox>,
+    /// Only the owner ever waits here.
+    pub(crate) cond: Condvar,
 }
 
-impl Mailbox {
-    /// Create an empty mailbox.
-    pub fn new() -> Self {
-        Self::default()
+/// What a mailbox's lock protects.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    /// Arrival order.
+    queue: Vec<Message>,
+    /// The `(src, tag)` the owner is parked on: set by the owner when it
+    /// finds no match, cleared by the sender whose push is that match.
+    pub(crate) waiting: Option<(usize, u32)>,
+    /// The owner's body returned; it will never receive (or send) again.
+    pub(crate) done: bool,
+}
+
+impl Inbox {
+    /// Append `msg` behind everything already queued.
+    pub(crate) fn enqueue(&mut self, msg: Message) {
+        self.queue.push(msg);
     }
 
-    /// Deposit a message and wake any waiting receiver.
-    pub fn push(&self, msg: Message) {
-        let mut q = self.queue.lock();
-        q.push(msg);
-        self.cond.notify_all();
-    }
-
-    /// Non-blocking receive: remove and return the earliest message from
-    /// `src` with `tag`, if one is queued.
-    pub fn try_recv(&self, src: usize, tag: u32) -> Option<Message> {
-        let mut q = self.queue.lock();
-        q.iter()
+    /// Remove and return the earliest message from `src` with `tag`, if one
+    /// is queued.
+    pub(crate) fn take(&mut self, src: usize, tag: u32) -> Option<Message> {
+        self.queue
+            .iter()
             .position(|m| m.src == src && m.tag == tag)
-            .map(|pos| q.remove(pos))
-    }
-
-    /// Block until a message from `src` with `tag` is available and return
-    /// the earliest one, or `None` once a wait lasts `timeout` with no
-    /// match — the caller (the thread backend's receive path) turns that
-    /// into a deadlock diagnostic naming every blocked rank. In a correct
-    /// SPMD program on a healthy host the timeout never fires.
-    pub fn recv_timeout(&self, src: usize, tag: u32, timeout: Duration) -> Option<Message> {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(pos) = q.iter().position(|m| m.src == src && m.tag == tag) {
-                return Some(q.remove(pos));
-            }
-            let timed_out = self.cond.wait_for(&mut q, timeout).timed_out();
-            if timed_out && !q.iter().any(|m| m.src == src && m.tag == tag) {
-                return None;
-            }
-        }
+            .map(|pos| self.queue.remove(pos))
     }
 
     /// `(src, tag)` of every queued message, in arrival order
     /// (diagnostics).
-    pub fn pending(&self) -> Vec<(usize, u32)> {
-        self.queue.lock().iter().map(|m| (m.src, m.tag)).collect()
+    pub(crate) fn pending(&self) -> Vec<(usize, u32)> {
+        self.queue.iter().map(|m| (m.src, m.tag)).collect()
     }
+}
 
-    /// Non-blocking probe: is a matching message available?
-    pub fn probe(&self, src: usize, tag: u32) -> bool {
-        self.queue.lock().iter().any(|m| m.src == src && m.tag == tag)
-    }
-
-    /// Number of queued messages (diagnostics).
-    pub fn len(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// Whether the mailbox has no queued messages.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+/// A healthy message with `payload`, for this crate's unit tests.
+#[cfg(test)]
+pub(crate) fn msg(src: usize, tag: u32, payload: Vec<u8>) -> Message {
+    Message {
+        src,
+        tag,
+        payload,
+        arrive_time: 0.0,
+        poisoned: false,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const T: Duration = Duration::from_secs(5);
-
-    fn msg(src: usize, tag: u32, byte: u8) -> Message {
-        Message {
-            src,
-            tag,
-            payload: vec![byte],
-            arrive_time: 0.0,
-            poisoned: false,
-        }
-    }
+    use crate::exec::Exec;
 
     #[test]
     fn fifo_per_src_tag() {
-        let mb = Mailbox::new();
-        mb.push(msg(1, 7, 10));
-        mb.push(msg(1, 7, 20));
-        assert_eq!(mb.recv_timeout(1, 7, T).unwrap().payload, vec![10]);
-        assert_eq!(mb.recv_timeout(1, 7, T).unwrap().payload, vec![20]);
-        assert!(mb.is_empty());
+        let exec = Exec::new(2);
+        exec.push(0, msg(1, 7, vec![10]));
+        exec.push(0, msg(1, 7, vec![20]));
+        assert_eq!(exec.recv(0, 1, 7).payload, vec![10]);
+        assert_eq!(exec.recv(0, 1, 7).payload, vec![20]);
     }
 
     #[test]
     fn matching_skips_other_sources_and_tags() {
-        let mb = Mailbox::new();
-        mb.push(msg(2, 7, 1));
-        mb.push(msg(1, 8, 2));
-        mb.push(msg(1, 7, 3));
-        assert_eq!(mb.recv_timeout(1, 7, T).unwrap().payload, vec![3]);
-        assert_eq!(mb.len(), 2);
-        assert!(mb.probe(2, 7));
-        assert!(mb.probe(1, 8));
-        assert!(!mb.probe(1, 7));
-        assert_eq!(mb.pending(), vec![(2, 7), (1, 8)]);
-    }
-
-    #[test]
-    fn try_recv_takes_earliest_match_or_none() {
-        let mb = Mailbox::new();
-        assert!(mb.try_recv(1, 7).is_none());
-        mb.push(msg(1, 7, 10));
-        mb.push(msg(1, 7, 20));
-        assert_eq!(mb.try_recv(1, 7).unwrap().payload, vec![10]);
-        assert_eq!(mb.try_recv(1, 7).unwrap().payload, vec![20]);
-        assert!(mb.try_recv(1, 7).is_none());
+        let exec = Exec::new(3);
+        exec.push(0, msg(2, 7, vec![1]));
+        exec.push(0, msg(1, 8, vec![2]));
+        exec.push(0, msg(1, 7, vec![3]));
+        assert_eq!(exec.recv(0, 1, 7).payload, vec![3]);
+        assert_eq!(exec.recv(0, 1, 8).payload, vec![2]);
+        assert_eq!(exec.recv(0, 2, 7).payload, vec![1]);
     }
 
     #[test]
     fn recv_blocks_until_push() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || mb2.recv_timeout(0, 1, T));
-        std::thread::sleep(Duration::from_millis(20));
-        mb.push(msg(0, 1, 42));
-        assert_eq!(handle.join().unwrap().unwrap().payload, vec![42]);
-    }
-
-    #[test]
-    fn recv_timeout_returns_none() {
-        let mb = Mailbox::new();
-        assert!(mb.recv_timeout(0, 1, Duration::from_millis(20)).is_none());
+        let exec = Exec::new(2);
+        std::thread::scope(|scope| {
+            let receiver = scope.spawn(|| exec.recv(0, 1, 1));
+            // Push only once the receiver is provably parked, so the wake
+            // path (not the message-already-there path) is what runs.
+            while exec.waiting(0).is_none() {
+                std::thread::yield_now();
+            }
+            exec.push(0, msg(1, 1, vec![42]));
+            assert_eq!(receiver.join().expect("receiver").payload, vec![42]);
+        });
     }
 }

@@ -21,11 +21,11 @@ use std::sync::Arc;
 use crate::cost::{CostModel, OpKind};
 use crate::counters::Counters;
 use crate::evg::{Ev, COMPUTE_RAW, FAULT_DISK, FAULT_LINK};
-use crate::exec::ExecMode;
+use crate::exec::Exec;
 use crate::fault::{FaultError, FaultPlan, STREAM_DISK_READ, STREAM_LINK_DELAY, STREAM_LINK_DROP};
 use crate::gauge::GaugePoint;
 use crate::group::Group;
-use crate::mailbox::{Mailbox, Message};
+use crate::mailbox::Message;
 use crate::span::{SpanAttr, SpanRecord, SpanToken, SPAN_DISABLED};
 use crate::wire::Wire;
 
@@ -57,12 +57,9 @@ pub struct IoTicket {
 pub struct SharedMachine {
     /// Cost model of the machine.
     pub cost: CostModel,
-    /// One mailbox per processor.
-    pub mailboxes: Vec<Mailbox>,
-    /// Execution machinery of this run (see [`crate::exec`]): the thread
-    /// backend's wall-clock deadlock detector, or the event backend's
-    /// scheduler.
-    pub(crate) exec: ExecMode,
+    /// One mailbox per processor and the run's liveness state (see
+    /// [`crate::exec`]).
+    pub(crate) exec: Exec,
     /// Whether processors record spans (see [`crate::span`]).
     pub spans: bool,
     /// Whether processors record gauges (see [`crate::gauge`]).
@@ -751,78 +748,6 @@ impl Proc {
     // Point-to-point communication
     // ------------------------------------------------------------------
 
-    /// Deliver `msg` into physical rank `dst`'s mailbox and, on the event
-    /// backend, tell the scheduler so a receiver parked on this match is
-    /// re-admitted. Every push — payload, delayed payload, poison
-    /// tombstone — goes through here.
-    fn deliver(&self, dst: usize, msg: Message) {
-        let (src, tag) = (msg.src, msg.tag);
-        self.shared.mailboxes[dst].push(msg);
-        if let ExecMode::Event { sched } = &self.shared.exec {
-            sched.notify_push(dst, src, tag);
-        }
-    }
-
-    /// Block until a message matching `(src, tag)` is in this rank's
-    /// mailbox and take it. This is the **only** operation that can
-    /// physically block on another rank (barriers, collectives and waits
-    /// are all built on it); how the block is realized — and how a
-    /// deadlock is detected — is the execution backend's job (see
-    /// [`crate::exec`]).
-    fn blocking_recv(&self, src: usize, tag: u32) -> Message {
-        let mailbox = &self.shared.mailboxes[self.rank];
-        match &self.shared.exec {
-            ExecMode::Event { sched } => loop {
-                if let Some(msg) = mailbox.try_recv(src, tag) {
-                    return msg;
-                }
-                // Hand the run slot back and park; a matching push (or a
-                // pending signal that raced with us) resumes the task.
-                // Structural deadlock detection panics from inside.
-                sched.block(self.rank, src, tag);
-            },
-            ExecMode::Thread { timeout, board } => {
-                if let Some(msg) = mailbox.try_recv(src, tag) {
-                    return msg;
-                }
-                board.enter(self.rank, src, tag);
-                match mailbox.recv_timeout(src, tag, *timeout) {
-                    Some(msg) => {
-                        board.exit(self.rank);
-                        msg
-                    }
-                    None => {
-                        // A timed-out rank is still blocked: its entry
-                        // stays, so ranks timing out together all see
-                        // each other in the snapshot.
-                        let waiting: Vec<String> = board
-                            .blocked_now()
-                            .iter()
-                            .map(|&(r, s, t)| format!("rank {r} <- recv(src={s}, tag={t:#x})"))
-                            .collect();
-                        panic!(
-                            "cgm: rank {} receive timed out after {:.0?} waiting for \
-                             src={} tag={:#x} (thread backend's wall-clock deadlock \
-                             detector; timeout is recv_timeout scaled by thread \
-                             oversubscription). Ranks blocked at timeout:\n  {}\n\
-                             {} unmatched message(s) in this rank's mailbox: {:?}\n\
-                             If this is a slow or oversubscribed host rather than a \
-                             real deadlock, raise MachineConfig::recv_timeout or use \
-                             the event backend (structural detection, no timeouts).",
-                            self.rank,
-                            timeout,
-                            src,
-                            tag,
-                            waiting.join("\n  "),
-                            mailbox.len(),
-                            mailbox.pending()
-                        )
-                    }
-                }
-            }
-        }
-    }
-
     /// Send already-encoded bytes to `dst` with `tag` (blocking-send cost
     /// semantics: the sender is charged `alpha + beta * len`). Panics if
     /// fault injection makes the send fail permanently — use
@@ -869,7 +794,7 @@ impl Proc {
                 delay: 0.0,
                 poison: false,
             });
-            self.deliver(dst, Message {
+            self.shared.exec.push(dst, Message {
                 src: self.rank,
                 tag,
                 payload,
@@ -912,7 +837,7 @@ impl Proc {
                         delay: 0.0,
                         poison: true,
                     });
-                    self.deliver(dst, Message {
+                    self.shared.exec.push(dst, Message {
                         src: self.rank,
                         tag,
                         payload: Vec::new(),
@@ -948,7 +873,7 @@ impl Proc {
                 delay,
                 poison: false,
             });
-            self.deliver(dst, Message {
+            self.shared.exec.push(dst, Message {
                 src: self.rank,
                 tag,
                 payload,
@@ -976,7 +901,7 @@ impl Proc {
             delay: 0.0,
             poison: true,
         });
-        self.deliver(dst, Message {
+        self.shared.exec.push(dst, Message {
             src: self.rank,
             tag,
             payload: Vec::new(),
@@ -1006,7 +931,9 @@ impl Proc {
         let src = self.resolve_peer(src);
         assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
         assert_ne!(src, self.rank, "self-recv is not modeled");
-        let msg = self.blocking_recv(src, tag);
+        // The only operation that can physically block on another rank
+        // (see `crate::exec`).
+        let msg = self.shared.exec.recv(self.rank, src, tag);
         self.record_ev(Ev::Recv { src: src as u32, tag });
         if msg.arrive_time > self.clock {
             self.counters.comm_time += msg.arrive_time - self.clock;

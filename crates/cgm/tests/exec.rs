@@ -1,21 +1,15 @@
-//! Event-driven executor suite: bit-identity against the thread backend,
-//! large-`p` multiplexing on a narrow admission pool, and the structural
-//! deadlock detector (global quiescence -> wait-for-cycle report with no
-//! wall-clock timeout anywhere). Also covers the thread backend's scaled
-//! wall-clock detector naming every blocked rank.
+//! The executor, through the public API only: pinned virtual times on a
+//! body that touches every class of blocking point (p = 1 … 1024), the
+//! structural deadlock report, a rank's panic ending the run by its root
+//! cause, and the host's schedule never leaking into an observable. No
+//! test here sets a timeout — there is none to set.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::Duration;
 
-use pdc_cgm::{Backend, Cluster, MachineConfig, OpKind, Proc};
-
-fn event_config(workers: usize) -> MachineConfig {
-    MachineConfig {
-        backend: Backend::Event,
-        event_workers: workers,
-        ..MachineConfig::default()
-    }
-}
+use pdc_cgm::{Cluster, Counters, Group, MachineConfig, OpKind, Proc};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A body that exercises every class of blocking point: point-to-point
 /// sends/receives (ring), a barrier, collectives, compute charges and the
@@ -41,60 +35,60 @@ fn workload(proc: &mut Proc) -> (u64, Vec<u64>) {
     (total, gathered)
 }
 
+/// `(p, finish-time bits)` of `workload` as both executors of commit
+/// 5343ca5 produced them; its closing all-gather and device sync leave
+/// every rank on the same instant.
+const WORKLOAD_FINISH_BITS: [(usize, u64); 5] = [
+    (1, 0x3f85_597e_2097_4f3c),
+    (2, 0x3f86_727e_fea6_44ff),
+    (3, 0x3f87_8b7f_dcb5_3ac0),
+    (5, 0x3f89_7e3b_6f41_d738),
+    (8, 0x3f8b_e13c_c659_ec03),
+];
+
+/// Makespan bits of five rounds of `workload` at p = 1024, same provenance.
+const WORKLOAD_X5_P1024_BITS: u64 = 0x4001_71bb_829c_646d;
+
 #[test]
-fn event_backend_bit_identical_to_thread() {
-    for p in [1usize, 2, 3, 5, 8] {
-        let thread = Cluster::new(p).run(workload);
-        // Any admission width must give the same bits: fully serialized
-        // (workers=1), narrow (2), and auto (0 = host parallelism).
-        for workers in [1usize, 2, 0] {
-            let event = Cluster::with_config(p, event_config(workers)).run(workload);
-            assert_eq!(event.results, thread.results, "p={p} workers={workers}");
-            for rank in 0..p {
-                assert_eq!(
-                    event.stats[rank].finish_time.to_bits(),
-                    thread.stats[rank].finish_time.to_bits(),
-                    "p={p} workers={workers} rank={rank}: finish bits diverge"
-                );
-                assert_eq!(
-                    event.stats[rank].counters, thread.stats[rank].counters,
-                    "p={p} workers={workers} rank={rank}: counters diverge"
-                );
-            }
+fn workload_finish_bits_are_pinned() {
+    for (p, want) in WORKLOAD_FINISH_BITS {
+        let out = Cluster::new(p).run(workload);
+        for s in &out.stats {
+            let got = s.finish_time.to_bits();
+            assert_eq!(
+                got, want,
+                "p={p} rank {}: finish bits moved to {got:#x}",
+                s.rank
+            );
         }
     }
 }
 
 #[test]
-fn event_backend_runs_many_ranks_on_one_worker() {
-    // p far beyond any sane thread-per-rank oversubscription, multiplexed
-    // on a single admission slot: must complete, and the virtual times
-    // must still be the deterministic ones (spot-check against default
-    // backend at the same p).
-    let p = 256;
-    let body = |proc: &mut Proc| {
-        let next = (proc.rank() + 1) % proc.nprocs();
-        let prev = (proc.rank() + proc.nprocs() - 1) % proc.nprocs();
-        proc.send(next, 7, &(proc.rank() as u64));
-        let got: u64 = proc.recv(prev, 7);
-        proc.allreduce(got, |a, b| a + b)
-    };
-    let event = Cluster::with_config(p, event_config(1)).run(body);
-    let expect: u64 = (0..p as u64).sum();
-    assert!(event.results.iter().all(|&v| v == expect));
-    let thread = Cluster::new(p).run(body);
-    for rank in 0..p {
-        assert_eq!(
-            event.stats[rank].finish_time.to_bits(),
-            thread.stats[rank].finish_time.to_bits(),
-            "rank={rank}"
-        );
+fn workload_runs_at_p_1024() {
+    let p = 1024u64;
+    let out = Cluster::new(p as usize).run(|proc| {
+        let mut last = workload(proc);
+        for _ in 1..5 {
+            last = workload(proc);
+        }
+        last
+    });
+    let total = 13 * p * (p - 1) / 2 + p;
+    for (total_seen, gathered) in &out.results {
+        assert_eq!(*total_seen, total);
+        assert!(gathered.iter().copied().eq((0..p).map(|r| r + total)));
     }
+    let got = out.makespan().to_bits();
+    assert_eq!(
+        got, WORKLOAD_X5_P1024_BITS,
+        "makespan bits moved to {got:#x}"
+    );
 }
 
 fn run_panic_message<F>(p: usize, config: MachineConfig, f: F) -> String
 where
-    F: Fn(&mut Proc) -> () + Sync,
+    F: Fn(&mut Proc) + Sync,
 {
     let out = catch_unwind(AssertUnwindSafe(|| {
         Cluster::with_config(p, config).run(f);
@@ -102,18 +96,25 @@ where
     let payload = out.expect_err("run must panic");
     payload
         .downcast_ref::<String>()
-        .map(|s| s.clone())
+        .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .expect("panic payload must be a string")
+}
+
+/// The report's `rank R <- recv(...)` lines.
+fn blocked_lines(report: &str) -> Vec<&str> {
+    report
+        .lines()
+        .filter(|l| l.starts_with("  rank "))
+        .collect()
 }
 
 #[test]
 fn structural_detector_names_wait_for_cycle() {
     // Three ranks each receive from their successor before anyone sends:
-    // a textbook wait-for cycle 0 -> 1 -> 2 -> 0. The event backend must
-    // report it structurally (instantly — no timeout to wait out) and the
-    // diagnostic must name every rank with what it was waiting on.
-    let msg = run_panic_message(3, event_config(0), |proc| {
+    // a textbook wait-for cycle 0 -> 1 -> 2 -> 0, reported the moment the
+    // last of them parks, naming every rank with what it was waiting on.
+    let msg = run_panic_message(3, MachineConfig::default(), |proc| {
         let next = (proc.rank() + 1) % proc.nprocs();
         let _: u64 = proc.recv(next, 0x42);
     });
@@ -129,7 +130,7 @@ fn structural_detector_names_wait_for_cycle() {
 fn structural_detector_flags_wait_on_finished_rank() {
     // Rank 0 waits for a message rank 1 never sends; rank 1 just returns.
     // No cycle — the report must say the peer already finished.
-    let msg = run_panic_message(2, event_config(0), |proc| {
+    let msg = run_panic_message(2, MachineConfig::default(), |proc| {
         if proc.rank() == 0 {
             let _: u64 = proc.recv(1, 0x99);
         }
@@ -141,75 +142,291 @@ fn structural_detector_flags_wait_on_finished_rank() {
 }
 
 #[test]
-fn event_backend_propagates_rank_panic_not_bystander_abort() {
+fn tag_mismatch_report_shows_the_cycle_and_the_unmatched_messages() {
+    // Each rank sends with one tag and listens for another: the report
+    // shows the message that did arrive next to the one being waited for.
+    let msg = run_panic_message(2, MachineConfig::default(), |proc| {
+        let peer = 1 - proc.rank();
+        proc.send(peer, 0x50, &7u64);
+        let _: u64 = proc.recv(peer, 0x51);
+    });
+    assert!(msg.contains("wait-for cycle: 0 -> 1 -> 0"), "{msg}");
+    assert!(
+        msg.contains(
+            "rank 0 <- recv(src=1, tag=0x51); 1 unmatched in its mailbox: (src=1, tag=0x50)"
+        ),
+        "{msg}"
+    );
+    assert!(
+        msg.contains(
+            "rank 1 <- recv(src=0, tag=0x51); 1 unmatched in its mailbox: (src=0, tag=0x50)"
+        ),
+        "{msg}"
+    );
+}
+
+#[test]
+fn a_1024_rank_cycle_is_one_short_report() {
+    let p = 1024;
+    let msg = run_panic_message(p, MachineConfig::default(), |proc| {
+        let next = (proc.rank() + 1) % proc.nprocs();
+        let _: u64 = proc.recv(next, 0x42);
+    });
+    assert_eq!(msg.matches("structural deadlock").count(), 1, "{msg}");
+    assert!(msg.contains("1024 rank(s) blocked"), "{msg}");
+    assert_eq!(blocked_lines(&msg).len(), 16, "{msg}");
+    assert!(msg.contains("… and 1008 more"), "{msg}");
+    let cycles: Vec<&str> = msg
+        .lines()
+        .filter(|l| l.contains("wait-for cycle: "))
+        .collect();
+    assert_eq!(cycles.len(), 1, "{msg}");
+    let names: Vec<&str> = cycles[0]
+        .trim()
+        .trim_start_matches("wait-for cycle: ")
+        .split(" -> ")
+        .collect();
+    let want: Vec<String> = (0..=p).map(|r| (r % p).to_string()).collect();
+    assert_eq!(names, want, "{msg}");
+}
+
+/// Ranks `0..half` and `half..p` as two communicators.
+fn halves(proc: &Proc) -> Group {
+    let half = proc.nprocs() / 2;
+    if proc.rank() < half {
+        Group::new((0..half).collect())
+    } else {
+        Group::new((half..proc.nprocs()).collect())
+    }
+}
+
+#[test]
+fn a_deadlock_inside_a_subgroup_names_world_ranks() {
+    // The upper half deadlocks on group-local ranks 0 -> 1 -> 2 -> 0, which
+    // are world ranks 3, 4, 5; the lower half finishes.
+    let msg = run_panic_message(6, MachineConfig::default(), |proc| {
+        let group = halves(proc);
+        let upper = proc.rank() >= 3;
+        proc.scoped(&group, |sub| {
+            if upper {
+                let next = (sub.rank() + 1) % sub.nprocs();
+                let _: u64 = sub.recv(next, 0x42);
+            } else {
+                sub.barrier();
+            }
+        });
+    });
+    assert!(msg.contains("rank 3 <- recv(src=4, tag=0x42)"), "{msg}");
+    assert!(msg.contains("wait-for cycle: 3 -> 4 -> 5 -> 3"), "{msg}");
+    assert_eq!(blocked_lines(&msg).len(), 3, "{msg}");
+}
+
+#[test]
+fn rank_panic_with_parked_peers_returns_the_root_cause() {
     // Rank 1 panics with its own message while ranks 0 and 2 are parked in
-    // a barrier. The driver must surface rank 1's payload, not the
-    // "aborted" unwind of the parked bystanders — and must not hang.
-    let msg = run_panic_message(3, event_config(0), |proc| {
+    // a barrier. The run must end — nothing will ever wake them otherwise —
+    // and with rank 1's payload, not the unwind of the woken bystanders.
+    let msg = run_panic_message(3, MachineConfig::default(), |proc| {
         if proc.rank() == 1 {
             panic!("rank-one exploded deliberately");
         }
         proc.barrier();
     });
-    assert!(msg.contains("rank-one exploded deliberately"), "{msg}");
-    assert!(msg.contains("virtual processor 1 panicked"), "{msg}");
+    assert!(
+        msg.contains("virtual processor 1 panicked: rank-one exploded deliberately"),
+        "{msg}"
+    );
 }
 
 #[test]
-fn thread_backend_timeout_names_every_blocked_rank() {
-    // Satellite: the wall-clock detector's panic must say *which* ranks
-    // were blocked on what, not just "timed out".
-    // Both ranks time out together, so each must still be on the wait
-    // board when the other snapshots it; loop so a regression that only
-    // loses the race sometimes cannot hide.
-    for round in 0..50 {
-        let config = MachineConfig {
-            recv_timeout: Duration::from_millis(50),
-            ..MachineConfig::default()
-        };
-        let msg = run_panic_message(2, config, |proc| {
-            // Both ranks wait on each other with mismatched tags: a deadlock
-            // the wall-clock detector must catch and describe.
-            let peer = 1 - proc.rank();
-            let tag = 0x50 + proc.rank() as u32;
-            let _: u64 = proc.recv(peer, tag);
+fn panic_inside_a_subgroup_ends_the_other_subgroup_too() {
+    // World rank 1 panics inside its scoped region while its own group is
+    // in an allreduce and the other group is busy with collectives of its
+    // own, then parks in a world barrier the lower half never reaches.
+    let msg = run_panic_message(6, MachineConfig::default(), |proc| {
+        let group = halves(proc);
+        let world = proc.rank();
+        proc.scoped(&group, |sub| {
+            if world == 1 {
+                panic!("subgroup member exploded deliberately");
+            }
+            for round in 0..50u64 {
+                let _: u64 = sub.allreduce(round, |a, b| a + b);
+            }
         });
-        assert!(msg.contains("receive timed out"), "round {round}: {msg}");
-        assert!(msg.contains("Ranks blocked at timeout"), "round {round}: {msg}");
-        assert!(msg.contains("rank 0 <- recv(src=1, tag=0x50)"), "round {round}: {msg}");
-        assert!(msg.contains("rank 1 <- recv(src=0, tag=0x51)"), "round {round}: {msg}");
-        assert!(msg.contains("event backend"), "round {round}: {msg}");
+        proc.barrier();
+    });
+    assert!(
+        msg.contains("virtual processor 1 panicked: subgroup member exploded deliberately"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn ranks_that_park_after_the_panic_are_stopped_too() {
+    // The bystanders are still running when rank 1 panics and only reach
+    // their barrier afterwards: the abort must be seen by a rank on its
+    // way *into* a park, not only by one woken from it. (Whichever way a
+    // bystander happens to lose the race, the outcome is the same.)
+    let exploded = AtomicBool::new(false);
+    let msg = run_panic_message(3, MachineConfig::default(), |proc| {
+        if proc.rank() == 1 {
+            exploded.store(true, SeqCst);
+            panic!("rank-one exploded early");
+        }
+        while !exploded.load(SeqCst) {
+            std::thread::yield_now();
+        }
+        for _ in 0..1_000 {
+            std::thread::yield_now();
+        }
+        proc.barrier();
+    });
+    assert!(
+        msg.contains("virtual processor 1 panicked: rank-one exploded early"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn a_span_left_open_at_run_end_is_reported_while_peers_are_parked() {
+    // Rank 1 returns with a span open: closing its statistics panics on the
+    // carrier, after the body, with ranks 0 and 2 parked on it.
+    let config = MachineConfig {
+        spans: true,
+        ..MachineConfig::default()
+    };
+    let msg = run_panic_message(3, config, |proc| {
+        if proc.rank() == 1 {
+            let _leaked = proc.span("leaky", &[]);
+            return;
+        }
+        proc.barrier();
+    });
+    assert!(msg.contains("virtual processor 1 panicked"), "{msg}");
+    assert!(
+        msg.contains("1 span(s) still open at run end (leaky)"),
+        "{msg}"
+    );
+}
+
+/// One rank of a message-dense body built from `send`/`recv` alone — the
+/// shapes every collective bottoms out in: a ring, a dissemination barrier
+/// and a pairwise exchange. Before every send and every receive the rank
+/// lets `perturb` disturb the host's schedule. Returns an FNV-1a digest of
+/// every payload in the order the program received it.
+fn dense_body(proc: &mut Proc, mut perturb: impl FnMut()) -> u64 {
+    let (rank, p) = (proc.rank(), proc.nprocs());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut exchange = |proc: &mut Proc, to: usize, from: usize, tag: u32| {
+        perturb();
+        proc.charge(OpKind::Misc, 10 + (rank as u64 * 7 + u64::from(tag)) % 50);
+        proc.send(to, tag, &(rank as u64 * 1_000 + u64::from(tag)));
+        perturb();
+        let got: u64 = proc.recv(from, tag);
+        for byte in got.to_le_bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for lap in 0..3 {
+        exchange(proc, (rank + 1) % p, (rank + p - 1) % p, 0x100 + lap);
+    }
+    let mut d = 1;
+    while d < p {
+        exchange(proc, (rank + d) % p, (rank + p - d) % p, 0x200 + d as u32);
+        d <<= 1;
+    }
+    for k in 1..p {
+        exchange(proc, (rank + k) % p, (rank + p - k) % p, 0x300 + k as u32);
+    }
+    digest
+}
+
+#[test]
+fn a_perturbed_schedule_never_leaks_and_never_looks_like_a_deadlock() {
+    // 32 seeds × 4 machine sizes: each rank draws from its own stream, before
+    // every send and receive, one of nothing / yield / sleep up to 200 µs.
+    // Finish bits, counters and received payloads must be those of the
+    // undisturbed run, and a run that completes at all was never mistaken
+    // for a deadlock.
+    for p in [2usize, 3, 8, 64] {
+        let calm = Cluster::new(p).run(|proc| dense_body(proc, || {}));
+        let observe = |out: &pdc_cgm::RunOutput<u64>| -> Vec<(u64, Counters, u64)> {
+            out.stats
+                .iter()
+                .zip(&out.results)
+                .map(|(s, &digest)| (s.finish_time.to_bits(), s.counters.clone(), digest))
+                .collect()
+        };
+        let want = observe(&calm);
+        for seed in 0..32u64 {
+            let out = Cluster::new(p).run(|proc| {
+                let mut rng = StdRng::seed_from_u64(seed << 8 | proc.rank() as u64);
+                dense_body(proc, || match rng.random_range(0..3u8) {
+                    0 => {}
+                    1 => std::thread::yield_now(),
+                    _ => std::thread::sleep(Duration::from_micros(rng.random_range(0..=200))),
+                })
+            });
+            let got = observe(&out);
+            for rank in 0..p {
+                assert_eq!(
+                    got[rank], want[rank],
+                    "seed {seed} p={p} rank {rank}: schedule leaked"
+                );
+            }
+        }
     }
 }
 
 #[test]
-fn event_backend_handles_scoped_subgroups() {
-    // train_in_group-style scoping: disjoint subgroups doing collectives
-    // concurrently under the event executor, identical to thread bits.
-    use pdc_cgm::Group;
-    let p = 6;
-    let body = |proc: &mut Proc| {
-        let half = proc.nprocs() / 2;
-        let members: Vec<usize> = if proc.rank() < half {
-            (0..half).collect()
-        } else {
-            (half..proc.nprocs()).collect()
-        };
-        let group = Group::new(members);
-        proc.scoped(&group, |sub| {
-            let s: u64 = sub.allreduce(sub.rank() as u64 + 1, |a, b| a + b);
-            sub.barrier();
-            s
-        })
-    };
-    let thread = Cluster::new(p).run(body);
-    let event = Cluster::with_config(p, event_config(2)).run(body);
-    assert_eq!(event.results, thread.results);
-    for rank in 0..p {
-        assert_eq!(
-            event.stats[rank].finish_time.to_bits(),
-            thread.stats[rank].finish_time.to_bits(),
-            "rank={rank}"
+fn a_seeded_cycle_among_finishing_ranks_is_named_exactly() {
+    // k random ranks of a random machine receive from each other in a ring
+    // before anyone sends; the others trade a message along their own ring
+    // and finish. The report must name that cycle, those ranks, and nobody
+    // else.
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = rng.random_range(3..=12usize);
+        let k = rng.random_range(2..=p);
+        let cycle = rand::seq::index::sample(&mut rng, p, k).into_vec();
+        let rest: Vec<usize> = (0..p).filter(|r| !cycle.contains(r)).collect();
+        let msg = run_panic_message(p, MachineConfig::default(), |proc| {
+            let me = proc.rank();
+            if let Some(i) = cycle.iter().position(|&r| r == me) {
+                let _: u64 = proc.recv(cycle[(i + 1) % k], 0x42);
+            } else if rest.len() > 1 {
+                let i = rest
+                    .iter()
+                    .position(|&r| r == me)
+                    .expect("a rank is in one of the two");
+                proc.send(rest[(i + 1) % rest.len()], 0x43, &(me as u64));
+                let _: u64 = proc.recv(rest[(i + rest.len() - 1) % rest.len()], 0x43);
+            }
+        });
+        let start = cycle
+            .iter()
+            .position(|r| r == cycle.iter().min().expect("k >= 2"))
+            .expect("min");
+        let names: Vec<String> = (0..=k)
+            .map(|i| cycle[(start + i) % k].to_string())
+            .collect();
+        let want = format!("wait-for cycle: {}\n", names.join(" -> "));
+        assert!(msg.contains(&want), "seed {seed}: want {want:?} in {msg}");
+        assert!(
+            msg.contains(&format!("{k} rank(s) blocked")),
+            "seed {seed}: {msg}"
         );
+        assert!(!msg.contains("already finished"), "seed {seed}: {msg}");
+        for (i, &r) in cycle.iter().enumerate() {
+            let line = format!("  rank {r} <- recv(src={}, tag=0x42)\n", cycle[(i + 1) % k]);
+            assert!(msg.contains(&line), "seed {seed}: want {line:?} in {msg}");
+        }
+        for &r in &rest {
+            assert!(
+                !msg.contains(&format!("  rank {r} <- ")),
+                "seed {seed}: finished rank {r} listed: {msg}"
+            );
+        }
     }
 }

@@ -3,9 +3,12 @@
 //! * every member tree's bytes are invariant to the subgroup width and the
 //!   scheduling order (widths {1, 2, 4} × B ∈ {1, 4, 8});
 //! * B = 1 with bootstrap off on the world group is byte-identical to
-//!   plain `pclouds::train`.
+//!   plain `pclouds::train`;
+//! * two subgroups training concurrently land on pinned virtual times,
+//!   however the host interleaves them.
 
 use pdc_cgm::wire::Wire;
+use pdc_cgm::{Cluster, MachineConfig};
 use pdc_datagen::{generate, GeneratorConfig};
 use pdc_ensemble::EnsembleConfig;
 use pdc_pclouds::train_in_memory;
@@ -70,6 +73,23 @@ fn single_tree_on_world_group_matches_plain_train() {
     // The scoped world group adds no charges: even the virtual makespan
     // is bit-identical.
     assert_eq!(ens.runtime().to_bits(), plain.runtime().to_bits());
+}
+
+#[test]
+fn concurrent_subgroups_land_on_pinned_virtual_times() {
+    // Two width-2 subgroups train two trees each, side by side on p = 4:
+    // the case in which the host's interleaving of the groups could leak.
+    // Makespan bits and per-rank peak resident bytes as both executors of
+    // commit 5343ca5 produced them.
+    let records = generate(1_500, GeneratorConfig::default());
+    let mut cfg = quick_config(records.len() as u64);
+    cfg.trees = 4;
+    cfg.subgroup_width = 2;
+    let machine = MachineConfig { gauges: true, ..MachineConfig::default() };
+    let out = pdc_ensemble::train_ensemble_on(&Cluster::with_config(4, machine), &records, &cfg);
+    assert_eq!(out.schedule.subgroups.len(), 2);
+    assert_eq!(out.runtime().to_bits(), 0x3fc1_d097_855b_a5fe, "{:#x}", out.runtime().to_bits());
+    assert_eq!(out.peak_resident_bytes(), [47_528.0, 46_384.0, 47_164.0, 45_864.0]);
 }
 
 #[test]

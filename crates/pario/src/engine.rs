@@ -23,15 +23,6 @@
 //! ([`pdc_cgm::DiskParams::transfer_cost_ws`]), the engine models residency
 //! *explicitly*: misses are charged at cold cost and hits are free, with the
 //! bounded budget deciding which is which.
-//!
-//! Execution-backend note: every "wait" here — demand-read completion,
-//! prefetch consumption, [`pdc_cgm::Proc::io_device_sync`] — is pure
-//! virtual-time arithmetic on the rank's *own* device timeline; nothing in
-//! the engine physically blocks on another rank. The event-driven executor
-//! ([`pdc_cgm::Backend::Event`]) therefore treats an engine-heavy rank as
-//! ordinary compute: it never releases its admission slot inside the
-//! engine, only at mailbox receives, and the backend-identity suite pins
-//! the engine's timings bit-for-bit across both backends.
 
 use std::collections::HashMap;
 

@@ -142,16 +142,6 @@ pub fn train(
 /// `build` must have been created with `p = group.size()`. Returns this
 /// member's divide-and-conquer report; assemble the tree from `build` after
 /// the run.
-///
-/// Execution-backend note: scoped collectives translate to physical
-/// `(src, tag)` receives on the members' global ranks, so they need no
-/// special handling from the event-driven executor
-/// ([`pdc_cgm::Backend::Event`]) — a member parked in a subgroup
-/// collective blocks on an ordinary mailbox match and releases its
-/// admission slot to ranks of *other* subgroups, which is what lets many
-/// subgroups train concurrently on a worker pool narrower than the
-/// machine. The backend-identity suite covers ensemble subgroup training
-/// explicitly.
 pub fn train_in_group(
     proc: &mut pdc_cgm::Proc,
     group: &pdc_cgm::Group,

@@ -5,7 +5,7 @@
 //! node (or concatenated level) spends exactly one collective on its
 //! statistics, and the time accounting closes on every rank.
 
-use pdc_cgm::{Backend, Cluster, MachineConfig, Wire};
+use pdc_cgm::{Cluster, MachineConfig, Wire};
 use pdc_clouds::CloudsParams;
 use pdc_datagen::{generate, GeneratorConfig};
 use pdc_dnc::Strategy;
@@ -27,7 +27,6 @@ fn test_config() -> PcloudsConfig {
 }
 
 fn build(
-    backend: Backend,
     records: &[pdc_datagen::Record],
     p: usize,
     strategy: Strategy,
@@ -41,7 +40,6 @@ fn build(
     let root = load_dataset(&farm, records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
     let machine = MachineConfig {
         spans: true,
-        backend,
         ..MachineConfig::default()
     };
     train(&Cluster::with_config(p, machine), &farm, &root, &cfg, strategy)
@@ -105,30 +103,28 @@ const GOLDEN_ALIVE_PASS: [(Strategy, usize, u64, usize, u64, u64); 9] = [
 fn trained_tree_bytes_match_the_golden_hash() {
     // p = 3 keeps the fan-in schedule, p ∈ {4, 8, 64} take recursive
     // halving, p = 1 has no communication at all: the bytes must not
-    // notice, and neither may either executor.
+    // notice.
     let records = generate(6_000, GeneratorConfig::default());
     for (strategy, p, bytes_sent, intervals, points, finish_bits) in GOLDEN_ALIVE_PASS {
         let golden = GOLDEN_TREE_HASH.iter().find(|g| g.0 == strategy).expect("strategy").1;
-        for backend in [Backend::Thread, Backend::Event] {
-            let out = build(backend, &records, p, strategy, BoundaryEval::AttributeBased);
-            assert_eq!(
-                fnv1a(&out.tree.to_bytes()),
-                golden,
-                "{strategy:?} p={p} {backend:?}: trained tree bytes changed"
-            );
-            assert_counters_partition(&out);
-            let observed = (
-                out.run.stats.iter().map(|s| s.counters.bytes_sent).sum::<u64>(),
-                out.metrics.iter().map(|m| m.alive_intervals_evaluated).sum::<usize>(),
-                out.metrics.iter().map(|m| m.alive_points_scanned).sum::<u64>(),
-                out.runtime().to_bits(),
-            );
-            assert_eq!(
-                observed,
-                (bytes_sent, intervals, points, finish_bits),
-                "{strategy:?} p={p} {backend:?}: wire bytes, alive counters or finish time moved"
-            );
-        }
+        let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+        assert_eq!(
+            fnv1a(&out.tree.to_bytes()),
+            golden,
+            "{strategy:?} p={p}: trained tree bytes changed"
+        );
+        assert_counters_partition(&out);
+        let observed = (
+            out.run.stats.iter().map(|s| s.counters.bytes_sent).sum::<u64>(),
+            out.metrics.iter().map(|m| m.alive_intervals_evaluated).sum::<usize>(),
+            out.metrics.iter().map(|m| m.alive_points_scanned).sum::<u64>(),
+            out.runtime().to_bits(),
+        );
+        assert_eq!(
+            observed,
+            (bytes_sent, intervals, points, finish_bits),
+            "{strategy:?} p={p}: wire bytes, alive counters or finish time moved"
+        );
     }
 }
 
@@ -141,7 +137,7 @@ fn every_derive_phase_issues_exactly_one_reduce_scatter() {
     let records = generate(6_000, GeneratorConfig::default());
     for (p, schedule) in [(3usize, "cgm.reduce_scatter.fanin"), (4, "cgm.reduce_scatter.halving")] {
         for strategy in [Strategy::Mixed, Strategy::Concatenated] {
-            let out = build(Backend::Thread, &records, p, strategy, BoundaryEval::AttributeBased);
+            let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
             for s in &out.run.stats {
                 let mut derives = 0;
                 for (d, derive) in s.spans.iter().enumerate() {
@@ -183,9 +179,8 @@ fn interval_based_replication_matches_attribute_based() {
     // attributes and a per-attribute combine for the tiny categorical
     // matrices; its trees must stay identical to the attribute-based ones.
     let records = generate(6_000, GeneratorConfig::default());
-    let reference =
-        build(Backend::Thread, &records, 4, Strategy::Mixed, BoundaryEval::AttributeBased);
-    let out = build(Backend::Thread, &records, 4, Strategy::Mixed, BoundaryEval::IntervalBased);
+    let reference = build(&records, 4, Strategy::Mixed, BoundaryEval::AttributeBased);
+    let out = build(&records, 4, Strategy::Mixed, BoundaryEval::IntervalBased);
     assert_eq!(out.tree.render(), reference.tree.render());
     assert_counters_partition(&out);
 }

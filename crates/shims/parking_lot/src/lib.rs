@@ -3,7 +3,7 @@
 //! The build container has no access to a crate registry, so the workspace
 //! vendors the *subset* of the `parking_lot` API it actually uses:
 //! [`Mutex`] / [`MutexGuard`] with panic-free (non-poisoning) locking, and
-//! [`Condvar::wait_for`] returning a [`WaitTimeoutResult`]. Semantics match
+//! [`Condvar::wait`] / [`Condvar::notify_one`]. Semantics match
 //! the real crate for this subset; performance characteristics are those of
 //! `std::sync`, which is irrelevant here because all *timing* in the
 //! simulator is virtual.
@@ -15,7 +15,6 @@
 //! ```
 
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 /// A mutual-exclusion lock. Unlike `std::sync::Mutex`, locking never
 /// returns a poison error: a panic while holding the lock simply releases
@@ -49,7 +48,7 @@ impl<T: ?Sized> Mutex<T> {
 
 /// RAII guard returned by [`Mutex::lock`]; releases the lock on drop.
 ///
-/// The inner `Option` exists so [`Condvar::wait_for`] can temporarily move
+/// The inner `Option` exists so [`Condvar::wait`] can temporarily move
 /// the underlying std guard out while waiting; it is `Some` at all times
 /// outside that window.
 pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
@@ -67,18 +66,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed condition-variable wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed (as opposed to a
-    /// notification).
-    pub fn timed_out(self) -> bool {
-        self.0
-    }
-}
-
 /// A condition variable paired with a [`Mutex`].
 #[derive(Debug, Default)]
 pub struct Condvar(std::sync::Condvar);
@@ -89,38 +76,13 @@ impl Condvar {
         Self::default()
     }
 
-    /// Atomically release the guard's lock and wait, reacquiring the lock
-    /// before returning (with or without a notification).
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard invariant");
-        let (inner, result) = match self.0.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
-        guard.0 = Some(inner);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Atomically release the guard's lock and wait (with no timeout)
-    /// until notified, reacquiring the lock before returning. Like the
+    /// Atomically release the guard's lock and wait until notified, reacquiring the lock before returning. Like the
     /// real `parking_lot`, spurious wakeups are possible — callers must
     /// re-check their predicate in a loop.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard invariant");
         let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
         guard.0 = Some(inner);
-    }
-
-    /// Wake all threads blocked on this condition variable.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
     }
 
     /// Wake one thread blocked on this condition variable.
@@ -143,29 +105,18 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_times_out_without_notify() {
-        let m = Mutex::new(());
-        let c = Condvar::new();
-        let mut g = m.lock();
-        let r = c.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
-    }
-
-    #[test]
-    fn wait_for_wakes_on_notify() {
+    fn wait_wakes_on_notify() {
         let m = Arc::new(Mutex::new(false));
         let c = Arc::new(Condvar::new());
         let (m2, c2) = (Arc::clone(&m), Arc::clone(&c));
         let h = std::thread::spawn(move || {
             let mut g = m2.lock();
             while !*g {
-                let r = c2.wait_for(&mut g, Duration::from_secs(5));
-                assert!(!r.timed_out());
+                c2.wait(&mut g);
             }
         });
-        std::thread::sleep(Duration::from_millis(20));
         *m.lock() = true;
-        c.notify_all();
+        c.notify_one();
         h.join().unwrap();
     }
 }
