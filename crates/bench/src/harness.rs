@@ -15,7 +15,8 @@ use pdc_pclouds::{load_dataset_stream, train, PcloudsConfig, TrainOutput};
 /// 1/100 (smoke test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Paper-scale workloads (3.6M–7.2M records). Hours of wall time.
+    /// Paper-scale workloads (3.6M–7.2M records; a minute or two of wall
+    /// time per figure).
     Full,
     /// 1/20 of the paper (default; minutes of wall time).
     Default,
@@ -103,7 +104,7 @@ impl Experiment {
         self
     }
 
-    /// Adjust the simulated machine (faults, backend, cost model, ...).
+    /// Adjust the simulated machine (faults, cost model, observation, ...).
     pub fn machine(mut self, tweak: impl FnOnce(&mut MachineConfig)) -> Self {
         tweak(&mut self.machine);
         self

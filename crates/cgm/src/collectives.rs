@@ -13,12 +13,22 @@
 //! the same program order (SPMD discipline, exactly as with MPI). Combine
 //! functions must be associative and commutative — combination order is
 //! deterministic for a given `p` but is not the rank order.
+//!
+//! A schedule has one body. If it has a fallible name (`try_barrier`,
+//! `try_broadcast`, `try_reduce`, `try_allreduce`,
+//! `try_reduce_scatter_blocks`), that body is the fallible one: a permanent
+//! link failure travels as poison tombstones along every remaining edge of
+//! the schedule, so every rank unblocks and returns `Err`. The plain name
+//! is a view of it that panics on `Err`, exactly as [`Proc::send_bytes`]
+//! relates to [`Proc::try_send_bytes`].
 
 use crate::fault::FaultError;
 use crate::proc::{Proc, RESERVED_TAG_BASE};
 use crate::topology::{is_pow2, log2ceil, partner};
 use crate::wire::Wire;
 
+// The numeric values are recorded in `.evg` files: a retired tag's number
+// is not reused.
 const TAG_BARRIER: u32 = RESERVED_TAG_BASE;
 const TAG_BCAST: u32 = RESERVED_TAG_BASE + 1;
 const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 2;
@@ -27,16 +37,7 @@ const TAG_SCAN: u32 = RESERVED_TAG_BASE + 4;
 const TAG_GATHER: u32 = RESERVED_TAG_BASE + 5;
 const TAG_ALLGATHER: u32 = RESERVED_TAG_BASE + 6;
 const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 7;
-const TAG_TRY_BARRIER: u32 = RESERVED_TAG_BASE + 8;
-const TAG_TRY_BCAST: u32 = RESERVED_TAG_BASE + 9;
-const TAG_TRY_REDUCE: u32 = RESERVED_TAG_BASE + 10;
-const TAG_TRY_ALLREDUCE: u32 = RESERVED_TAG_BASE + 11;
 const TAG_REDUCE_SCATTER: u32 = RESERVED_TAG_BASE + 12;
-const TAG_TRY_REDUCE_SCATTER: u32 = RESERVED_TAG_BASE + 13;
-const TAG_ALLGATHER_RING: u32 = RESERVED_TAG_BASE + 14;
-const TAG_TRY_GATHER_BLOCKS: u32 = RESERVED_TAG_BASE + 15;
-const TAG_TRY_ALLGATHER: u32 = RESERVED_TAG_BASE + 16;
-const TAG_TRY_ALLGATHER_RING: u32 = RESERVED_TAG_BASE + 17;
 
 impl Proc {
     /// Relative rank with respect to `root` (tree algorithms are written for
@@ -67,27 +68,48 @@ impl Proc {
 
     /// Synchronize all processors. On return, every clock has advanced to at
     /// least the maximum clock at entry (plus the messaging cost of the
-    /// underlying dissemination).
+    /// underlying dissemination). Panics if a link fails permanently, after
+    /// finishing the poison-propagating schedule of [`Proc::try_barrier`] —
+    /// so every rank fails with the fault, none hangs.
     pub fn barrier(&mut self) {
-        let t = self.span("cgm.barrier", &[]);
-        self.barrier_inner();
-        self.span_end(t);
+        self.try_barrier().unwrap_or_else(|e| {
+            panic!("cgm: rank {} barrier failed: {e}", self.world_rank())
+        })
     }
 
-    fn barrier_inner(&mut self) {
+    /// Fallible [`Proc::barrier`]: synchronizes whoever can still
+    /// communicate and surfaces an error instead of hanging when a link
+    /// fails permanently.
+    pub fn try_barrier(&mut self) -> Result<(), FaultError> {
+        let t = self.span("cgm.barrier", &[]);
+        let out = self.try_barrier_inner();
+        self.span_end(t);
+        out
+    }
+
+    fn try_barrier_inner(&mut self) -> Result<(), FaultError> {
         // Dissemination barrier: ceil(log2 p) rounds; works for any p.
         let p = self.nprocs();
         if p == 1 {
-            return;
+            return Ok(());
         }
         let rounds = log2ceil(p);
+        let mut fault: Option<FaultError> = None;
         for r in 0..rounds {
             let d = 1usize << r;
             let to = (self.rank() + d) % p;
             let from = (self.rank() + p - d) % p;
-            self.send(to, TAG_BARRIER + (r << 8), &());
-            let _: () = self.recv(from, TAG_BARRIER + (r << 8));
+            let tag = TAG_BARRIER + (r << 8);
+            if fault.is_some() {
+                self.send_poison(to, tag);
+            } else if let Err(e) = self.try_send_bytes(to, tag, Vec::new()) {
+                fault = Some(e);
+            }
+            if let Err(e) = self.try_recv_bytes(from, tag) {
+                fault.get_or_insert(e);
+            }
         }
+        fault.map_or(Ok(()), Err)
     }
 
     // ------------------------------------------------------------------
@@ -98,9 +120,23 @@ impl Proc {
     /// `Some(value)`; all other ranks pass `None` and receive the value.
     /// The root's span records the payload size (`bytes`), so large
     /// broadcasts — model deployment, configuration fan-out — are sized in
-    /// traces and metrics rollups.
+    /// traces and metrics rollups. Panics if a link fails permanently, after
+    /// finishing the poison-propagating schedule of
+    /// [`Proc::try_broadcast`].
     pub fn broadcast<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
-        let p = self.nprocs();
+        self.try_broadcast(root, value).unwrap_or_else(|e| {
+            panic!("cgm: rank {} broadcast failed: {e}", self.world_rank())
+        })
+    }
+
+    /// Fallible [`Proc::broadcast`]. The root still knows the value on
+    /// failure but returns `Err` like everyone else, so all ranks agree on
+    /// whether the broadcast completed.
+    pub fn try_broadcast<T: Wire>(
+        &mut self,
+        root: usize,
+        value: Option<T>,
+    ) -> Result<T, FaultError> {
         if self.rel(root) == 0 {
             let v = value.expect("broadcast root must supply a value");
             let bytes = v.to_bytes();
@@ -108,37 +144,49 @@ impl Proc {
                 "cgm.broadcast",
                 &[("root", root as i64), ("bytes", bytes.len() as i64)],
             );
-            if p > 1 {
-                self.bcast_bytes_from_rel0(root, &bytes);
-            }
+            let out = self.try_bcast_down(root, Some(&bytes));
             self.span_end(t);
-            return v;
+            return out.map(|()| v);
         }
         assert!(value.is_none(), "non-root rank passed a broadcast value");
         let t = self.span("cgm.broadcast", &[("root", root as i64)]);
-        let bytes = self.bcast_recv_and_forward(root);
+        let out = self.try_bcast_recv_forward(root);
         self.span_end(t);
-        T::from_bytes(&bytes).expect("broadcast decode")
+        Ok(T::from_bytes(&out?).expect("broadcast decode"))
     }
 
-    fn bcast_bytes_from_rel0(&mut self, root: usize, bytes: &[u8]) {
+    /// Root side of the broadcast tree: send `bytes` (or poison when
+    /// `None`) to each child; poison once a send has failed. Returns the
+    /// first fault.
+    fn try_bcast_down(&mut self, root: usize, bytes: Option<&[u8]>) -> Result<(), FaultError> {
         let p = self.nprocs();
         let d = log2ceil(p);
+        let mut fault: Option<FaultError> = None;
         for i in (0..d).rev() {
             let mask = 1usize << i;
-            let peer_rel = mask; // root's peer at this step
-            if peer_rel < p {
-                let dst = self.abs(peer_rel, root);
-                self.send_bytes(dst, TAG_BCAST + (i << 8), bytes.to_vec());
+            if mask < p {
+                let dst = self.abs(mask, root);
+                let tag = TAG_BCAST + (i << 8);
+                match bytes {
+                    Some(b) if fault.is_none() => {
+                        if let Err(e) = self.try_send_bytes(dst, tag, b.to_vec()) {
+                            fault = Some(e);
+                        }
+                    }
+                    _ => self.send_poison(dst, tag),
+                }
             }
         }
+        fault.map_or(Ok(()), Err)
     }
 
-    fn bcast_recv_and_forward(&mut self, root: usize) -> Vec<u8> {
+    /// Non-root side of the broadcast tree: receive once, then forward the
+    /// payload (or poison) to each subtree child.
+    fn try_bcast_recv_forward(&mut self, root: usize) -> Result<Vec<u8>, FaultError> {
         let p = self.nprocs();
         let rel = self.rel(root);
         let d = log2ceil(p);
-        let mut received: Option<Vec<u8>> = None;
+        let mut received: Option<Result<Vec<u8>, FaultError>> = None;
         for i in (0..d).rev() {
             let mask = 1usize << i;
             if rel & (mask - 1) != 0 {
@@ -148,14 +196,22 @@ impl Proc {
                 // Receive exactly once, at i == lowest set bit of rel.
                 if received.is_none() {
                     let src = self.abs(rel & !mask, root);
-                    received = Some(self.recv_bytes(src, TAG_BCAST + (i << 8)));
+                    received = Some(self.try_recv_bytes(src, TAG_BCAST + (i << 8)));
                 }
-            } else if received.is_some() {
+            } else if let Some(state) = &received {
                 let peer_rel = rel | mask;
                 if peer_rel < p {
                     let dst = self.abs(peer_rel, root);
-                    let bytes = received.as_ref().unwrap().clone();
-                    self.send_bytes(dst, TAG_BCAST + (i << 8), bytes);
+                    let tag = TAG_BCAST + (i << 8);
+                    match state {
+                        Ok(bytes) => {
+                            let b = bytes.clone();
+                            if let Err(e) = self.try_send_bytes(dst, tag, b) {
+                                received = Some(Err(e));
+                            }
+                        }
+                        Err(_) => self.send_poison(dst, tag),
+                    }
                 }
             }
         }
@@ -168,89 +224,158 @@ impl Proc {
 
     /// All-to-one reduction (binomial tree, any `p`). Returns `Some(result)`
     /// on `root`, `None` elsewhere. `combine` must be associative and
-    /// commutative.
+    /// commutative. Panics if a link fails permanently, after finishing the
+    /// poison-propagating schedule of [`Proc::try_reduce`].
     pub fn reduce<T: Wire>(
         &mut self,
         root: usize,
         value: T,
         combine: impl Fn(T, T) -> T,
     ) -> Option<T> {
-        let bytes = self.attr_bytes(&value);
-        let t = self.span("cgm.reduce", &[("root", root as i64), ("bytes", bytes)]);
-        let out = self.reduce_inner(root, value, combine);
-        self.span_end(t);
-        out
+        self.try_reduce(root, value, combine).unwrap_or_else(|e| {
+            panic!("cgm: rank {} reduce failed: {e}", self.world_rank())
+        })
     }
 
-    fn reduce_inner<T: Wire>(
+    /// Fallible [`Proc::reduce`]. Returns `Ok(Some(result))` on `root`,
+    /// `Ok(None)` on other ranks, or `Err` when this rank faulted or
+    /// consumed poison (a poisoned partial is forwarded up the tree so the
+    /// root learns of the failure).
+    pub fn try_reduce<T: Wire>(
         &mut self,
         root: usize,
         value: T,
         combine: impl Fn(T, T) -> T,
-    ) -> Option<T> {
+    ) -> Result<Option<T>, FaultError> {
+        let bytes = self.attr_bytes(&value);
+        let t = self.span("cgm.reduce", &[("root", root as i64), ("bytes", bytes)]);
+        let out = self.try_reduce_inner(root, value, combine);
+        self.span_end(t);
+        out
+    }
+
+    fn try_reduce_inner<T: Wire>(
+        &mut self,
+        root: usize,
+        value: T,
+        combine: impl Fn(T, T) -> T,
+    ) -> Result<Option<T>, FaultError> {
         let p = self.nprocs();
         if p == 1 {
-            return Some(value);
+            return Ok(Some(value));
         }
         let rel = self.rel(root);
         let d = log2ceil(p);
-        let mut acc = value;
+        let mut acc: Result<T, FaultError> = Ok(value);
         for i in 0..d {
             let mask = 1usize << i;
-            if rel & (mask - 1) != 0 {
-                unreachable!("rank already retired from reduction");
-            }
+            let tag = TAG_REDUCE + (i << 8);
             if rel & mask != 0 {
                 let dst = self.abs(rel & !mask, root);
-                self.send(dst, TAG_REDUCE + (i << 8), &acc);
-                return None;
+                return match acc {
+                    Ok(v) => {
+                        self.try_send(dst, tag, &v)?;
+                        Ok(None)
+                    }
+                    Err(e) => {
+                        self.send_poison(dst, tag);
+                        Err(e)
+                    }
+                };
             }
             let peer_rel = rel | mask;
             if peer_rel < p {
                 let src = self.abs(peer_rel, root);
-                let other: T = self.recv(src, TAG_REDUCE + (i << 8));
-                acc = combine(acc, other);
+                let other = self.try_recv::<T>(src, tag);
+                acc = match (acc, other) {
+                    (Ok(a), Ok(b)) => Ok(combine(a, b)),
+                    (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+                };
             }
         }
         debug_assert_eq!(rel, 0);
-        Some(acc)
+        acc.map(Some)
     }
 
     /// All-to-all reduction: every rank gets the combined value.
     ///
     /// Uses recursive doubling when `p` is a power of two (cost
     /// `(ts + tw·m)·log p`), otherwise reduce-to-0 followed by broadcast.
+    /// Panics if a link fails permanently, after finishing the
+    /// poison-propagating schedule of [`Proc::try_allreduce`].
     pub fn allreduce<T: Wire>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T {
+        self.try_allreduce(value, combine).unwrap_or_else(|e| {
+            panic!("cgm: rank {} allreduce failed: {e}", self.world_rank())
+        })
+    }
+
+    /// Fallible [`Proc::allreduce`]: surfaces `Err` on every rank when a
+    /// link fails permanently (poison doubles per step of the recursive
+    /// doubling, or reaches the root of the reduce–broadcast pair, which
+    /// then poisons everyone), instead of hanging.
+    pub fn try_allreduce<T: Wire>(
+        &mut self,
+        value: T,
+        combine: impl Fn(T, T) -> T,
+    ) -> Result<T, FaultError> {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.allreduce", &[("bytes", bytes)]);
-        let out = self.allreduce_inner(value, combine);
+        let out = self.try_allreduce_inner(value, combine);
         self.span_end(t);
         out
     }
 
-    fn allreduce_inner<T: Wire>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T {
+    fn try_allreduce_inner<T: Wire>(
+        &mut self,
+        value: T,
+        combine: impl Fn(T, T) -> T,
+    ) -> Result<T, FaultError> {
         let p = self.nprocs();
         if p == 1 {
-            return value;
+            return Ok(value);
         }
         if is_pow2(p) {
             let d = log2ceil(p);
-            let mut acc = value;
+            let mut acc: Result<T, FaultError> = Ok(value);
             for i in 0..d {
                 let peer = partner(self.rank(), i);
-                let other: T = self.exchange(peer, TAG_ALLREDUCE + (i << 8), &acc);
+                let tag = TAG_ALLREDUCE + (i << 8);
+                let sent = match &acc {
+                    Ok(v) => self.try_send(peer, tag, v),
+                    Err(_) => {
+                        self.send_poison(peer, tag);
+                        Ok(())
+                    }
+                };
+                let other = self.try_recv::<T>(peer, tag);
                 // Deterministic combination order: lower rank's contribution
                 // first.
-                acc = if self.rank() < peer {
-                    combine(acc, other)
-                } else {
-                    combine(other, acc)
+                acc = match (acc, sent, other) {
+                    (Ok(a), Ok(()), Ok(b)) => Ok(if self.rank() < peer {
+                        combine(a, b)
+                    } else {
+                        combine(b, a)
+                    }),
+                    (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
                 };
             }
             acc
         } else {
-            let reduced = self.reduce(0, value, combine);
-            self.broadcast(0, reduced)
+            // Reduce to 0 then broadcast; a failure anywhere poisons the
+            // root, which then poisons everyone.
+            let reduced = self.try_reduce(0, value, combine);
+            if self.rank() == 0 {
+                match reduced {
+                    Ok(v) => self.try_broadcast(0, v),
+                    Err(e) => {
+                        let _ = self.try_bcast_down(0, None);
+                        Err(e)
+                    }
+                }
+            } else {
+                let bc = self.try_broadcast::<T>(0, None);
+                reduced.and(bc)
+            }
         }
     }
 
@@ -458,56 +583,19 @@ impl Proc {
             .collect()
     }
 
-    /// All-gather on an explicit ring schedule (`p - 1` rounds, each
-    /// forwarding the previous round's receipt): `(p-1)·(ts + tw·m)`. This
-    /// is the bandwidth-optimal large-message schedule on machines where
-    /// recursive doubling does not apply; on power-of-two `p` doubling has
-    /// the same `tw·m·(p-1)` bandwidth term with fewer startups, which is
-    /// why [`Proc::all_gather`] uses doubling there.
-    pub fn all_gather_ring<T: Wire>(&mut self, value: T) -> Vec<T> {
-        let bytes = self.attr_bytes(&value);
-        let t = self.span("cgm.all_gather.ring", &[("bytes", bytes)]);
-        let out = self.all_gather_ring_inner(value);
-        self.span_end(t);
-        out
-    }
-
-    fn all_gather_ring_inner<T: Wire>(&mut self, value: T) -> Vec<T> {
-        let p = self.nprocs();
-        if p == 1 {
-            return vec![value];
-        }
-        let next = (self.rank() + 1) % p;
-        let prev = (self.rank() + p - 1) % p;
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
-        let mut to_forward = acc.clone();
-        for i in 0..p - 1 {
-            let tag = TAG_ALLGATHER_RING + ((i as u32 & 0xFF) << 8);
-            self.send(next, tag, &to_forward);
-            let received: Vec<(u64, Vec<u8>)> = self.recv(prev, tag);
-            acc.extend(received.iter().cloned());
-            to_forward = received;
-        }
-        acc.sort_by_key(|(rank, _)| *rank);
-        debug_assert_eq!(acc.len(), p);
-        acc.into_iter()
-            .map(|(_, bytes)| T::from_bytes(&bytes).expect("all_gather decode"))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
-    // Large-message collectives: reduce-scatter, block reduce/allreduce
+    // Large-message collective: reduce-scatter
     // ------------------------------------------------------------------
     //
     // The binomial schedules above move the *whole* payload `log p` times,
     // which is right for latency-bound messages but wasteful for the large
-    // multi-attribute histograms of the stats phase. The collectives below
-    // operate on splittable payloads and can switch to recursive halving
-    // (Rabenseifner-style), which moves only `m·(p-1)/p` bytes per phase.
-    // Selection is driven by the machine's [`crate::cost::NetworkParams`],
-    // the advertised payload size and `p`. Whichever schedule runs, the
-    // *values* produced are identical for exactly associative and
-    // commutative combines — only virtual time changes.
+    // multi-attribute histograms of the stats phase. Reduce-scatter
+    // operates on a splittable payload and can switch to recursive halving,
+    // which moves only `m·(p-1)/p` bytes. Selection is driven by the
+    // machine's [`crate::cost::NetworkParams`], the advertised payload size
+    // and `p`. Whichever schedule runs, the *values* produced are identical
+    // for exactly associative and commutative combines — only virtual time
+    // changes.
     //
     // `approx_bytes` is the payload size used for selection. It must be
     // computed identically on every rank (SPMD discipline: all ranks have to
@@ -526,17 +614,6 @@ impl Proc {
         net.halving_reduce_scatter_cost(approx_bytes, p) < net.fanin_scatter_cost(approx_bytes, p)
     }
 
-    /// Whether the cost model picks reduce-scatter + (all)gather for a
-    /// reduce or allreduce of `approx_bytes` total payload.
-    fn pick_halving_combine(&self, approx_bytes: usize) -> bool {
-        let p = self.nprocs();
-        if !is_pow2(p) || p == 1 {
-            return false;
-        }
-        let net = self.cost_model().network;
-        net.halving_allreduce_cost(approx_bytes, p) < net.binomial_combine_cost(approx_bytes, p)
-    }
-
     /// Reduce-scatter over per-destination blocks: every rank contributes
     /// `blocks[j]` toward rank `j` (one block per rank, element counts
     /// aligned across ranks per destination) and receives its own block
@@ -547,21 +624,39 @@ impl Proc {
     /// recursive halving (the payload halves every round, so only
     /// `m·(p-1)/p` bytes cross the network). Otherwise: binomial fan-in of
     /// the whole payload to rank 0 followed by a scatter.
+    ///
+    /// Panics if a link fails permanently, after finishing the
+    /// poison-propagating schedule of [`Proc::try_reduce_scatter_blocks`].
     pub fn reduce_scatter_blocks<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
         approx_bytes: usize,
         combine: impl Fn(T, T) -> T,
     ) -> Vec<T> {
+        self.try_reduce_scatter_blocks(blocks, approx_bytes, combine)
+            .unwrap_or_else(|e| {
+                panic!("cgm: rank {} reduce_scatter_blocks failed: {e}", self.world_rank())
+            })
+    }
+
+    /// Fallible [`Proc::reduce_scatter_blocks`]: a permanent link failure
+    /// surfaces as `Err` on every rank (poison propagates along every
+    /// remaining edge) instead of hanging.
+    pub fn try_reduce_scatter_blocks<T: Wire>(
+        &mut self,
+        blocks: Vec<Vec<T>>,
+        approx_bytes: usize,
+        combine: impl Fn(T, T) -> T,
+    ) -> Result<Vec<T>, FaultError> {
         if self.pick_halving_reduce_scatter(approx_bytes) {
             let t =
                 self.span("cgm.reduce_scatter.halving", &[("bytes", approx_bytes as i64)]);
-            let out = self.reduce_scatter_halving(blocks, combine);
+            let out = self.try_reduce_scatter_halving(blocks, combine);
             self.span_end(t);
             out
         } else {
             let t = self.span("cgm.reduce_scatter.fanin", &[("bytes", approx_bytes as i64)]);
-            let out = self.reduce_scatter_fanin(blocks, combine);
+            let out = self.try_reduce_scatter_fanin(blocks, combine);
             self.span_end(t);
             out
         }
@@ -580,166 +675,111 @@ impl Proc {
         a.into_iter().zip(b).map(|(x, y)| combine(x, y)).collect()
     }
 
-    fn reduce_scatter_fanin<T: Wire>(
+    fn try_reduce_scatter_fanin<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
-    ) -> Vec<T> {
+    ) -> Result<Vec<T>, FaultError> {
         self.check_blocks(&blocks);
         let p = self.nprocs();
         if p == 1 {
-            return blocks.into_iter().next().unwrap();
+            return Ok(blocks.into_iter().next().unwrap());
         }
-        let merged = self.reduce_inner(0, blocks, |a: Vec<Vec<T>>, b: Vec<Vec<T>>| {
+        let merged = self.try_reduce_inner(0, blocks, |a: Vec<Vec<T>>, b: Vec<Vec<T>>| {
             a.into_iter()
                 .zip(b)
                 .map(|(x, y)| Self::combine_block(x, y, &combine))
                 .collect()
         });
         if self.rank() == 0 {
-            let mut merged = merged.expect("rank 0 holds the fan-in result");
-            for (j, block) in merged.drain(1..).enumerate() {
-                self.send(j + 1, TAG_REDUCE_SCATTER, &block);
+            match merged {
+                Ok(merged) => {
+                    let mut merged = merged.expect("rank 0 holds the fan-in result");
+                    let mut fault: Option<FaultError> = None;
+                    for (j, block) in merged.drain(1..).enumerate() {
+                        if fault.is_some() {
+                            self.send_poison(j + 1, TAG_REDUCE_SCATTER);
+                        } else if let Err(e) = self.try_send(j + 1, TAG_REDUCE_SCATTER, &block) {
+                            fault = Some(e);
+                        }
+                    }
+                    fault.map_or(Ok(merged.into_iter().next().unwrap()), Err)
+                }
+                Err(e) => {
+                    for j in 1..p {
+                        self.send_poison(j, TAG_REDUCE_SCATTER);
+                    }
+                    Err(e)
+                }
             }
-            merged.into_iter().next().unwrap()
         } else {
-            self.recv(0, TAG_REDUCE_SCATTER)
+            let scattered = self.try_recv::<Vec<T>>(0, TAG_REDUCE_SCATTER);
+            merged.and(scattered)
         }
     }
 
-    fn reduce_scatter_halving<T: Wire>(
+    fn try_reduce_scatter_halving<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
-    ) -> Vec<T> {
+    ) -> Result<Vec<T>, FaultError> {
         self.check_blocks(&blocks);
         let p = self.nprocs();
         debug_assert!(is_pow2(p) && p > 1);
         // Destination-tagged blocks, kept sorted by destination; each round
         // halves the set of destinations this rank still carries.
         let mut entries: Vec<(usize, Vec<T>)> = blocks.into_iter().enumerate().collect();
+        let mut fault: Option<FaultError> = None;
         let d = log2ceil(p);
         for i in 0..d {
             let mask = p >> (i + 1);
-            let peer = partner(self.rank(), d - 1 - i);
-            debug_assert_eq!(peer, self.rank() ^ mask);
+            let peer = self.rank() ^ mask;
             let (keep, send): (Vec<_>, Vec<_>) = entries
                 .into_iter()
                 .partition(|(dst, _)| dst & mask == self.rank() & mask);
-            let tag = TAG_REDUCE_SCATTER + ((i as u32) << 8);
-            let payload: Vec<Vec<T>> = send.into_iter().map(|(_, v)| v).collect();
-            // The peer's send set is exactly my keep set's destinations, in
-            // the same ascending order, so a positional zip aligns.
-            let other: Vec<Vec<T>> = self.exchange(peer, tag, &payload);
-            assert_eq!(other.len(), keep.len(), "reduce_scatter halves must mirror");
-            let lower_first = self.rank() < peer;
-            entries = keep
-                .into_iter()
-                .zip(other)
-                .map(|((dst, mine), theirs)| {
-                    let merged = if lower_first {
-                        Self::combine_block(mine, theirs, &combine)
-                    } else {
-                        Self::combine_block(theirs, mine, &combine)
-                    };
-                    (dst, merged)
-                })
-                .collect();
+            let tag = TAG_REDUCE_SCATTER + (i << 8);
+            if fault.is_some() {
+                self.send_poison(peer, tag);
+            } else {
+                let payload: Vec<Vec<T>> = send.into_iter().map(|(_, v)| v).collect();
+                if let Err(e) = self.try_send(peer, tag, &payload) {
+                    fault = Some(e);
+                }
+            }
+            match self.try_recv::<Vec<Vec<T>>>(peer, tag) {
+                Ok(other) if fault.is_none() => {
+                    // The peer's send set is exactly my keep set's
+                    // destinations, in the same ascending order, so a
+                    // positional zip aligns.
+                    assert_eq!(other.len(), keep.len(), "reduce_scatter halves must mirror");
+                    let lower_first = self.rank() < peer;
+                    entries = keep
+                        .into_iter()
+                        .zip(other)
+                        .map(|((dst, mine), theirs)| {
+                            let merged = if lower_first {
+                                Self::combine_block(mine, theirs, &combine)
+                            } else {
+                                Self::combine_block(theirs, mine, &combine)
+                            };
+                            (dst, merged)
+                        })
+                        .collect();
+                }
+                Ok(_) => entries = keep,
+                Err(e) => {
+                    fault.get_or_insert(e);
+                    entries = keep;
+                }
+            }
+        }
+        if let Some(e) = fault {
+            return Err(e);
         }
         debug_assert_eq!(entries.len(), 1);
         let (dst, block) = entries.pop().unwrap();
         debug_assert_eq!(dst, self.rank());
-        block
-    }
-
-    /// All-to-one reduction of an element vector, combined element-wise.
-    /// Semantically identical to [`Proc::reduce`] with a zipped combine;
-    /// large payloads on power-of-two `p` switch to recursive-halving
-    /// reduce-scatter followed by a binomial block gather to `root`, moving
-    /// `2·m·(p-1)/p` bytes instead of `m·log p`.
-    pub fn reduce_elems<T: Wire>(
-        &mut self,
-        root: usize,
-        values: Vec<T>,
-        approx_bytes: usize,
-        combine: impl Fn(T, T) -> T,
-    ) -> Option<Vec<T>> {
-        if self.pick_halving_combine(approx_bytes) {
-            let t = self.span(
-                "cgm.reduce.halving",
-                &[("root", root as i64), ("bytes", approx_bytes as i64)],
-            );
-            let my_block = self.reduce_scatter_halving(
-                Self::partition_blocks(values, self.nprocs()),
-                &combine,
-            );
-            // Binomial gather of the combined blocks: volumes double up the
-            // tree, `log p` startups, `m·(p-1)/p` bytes on the critical path.
-            let out = self
-                .gather_blocks_inner(root, my_block)
-                .map(|blocks| blocks.into_iter().flatten().collect());
-            self.span_end(t);
-            out
-        } else {
-            let t = self.span(
-                "cgm.reduce.binomial",
-                &[("root", root as i64), ("bytes", approx_bytes as i64)],
-            );
-            let out = self.reduce_inner(root, values, |a, b| Self::combine_block(a, b, &combine));
-            self.span_end(t);
-            out
-        }
-    }
-
-    /// All-to-all reduction of an element vector, combined element-wise.
-    /// Semantically identical to [`Proc::allreduce`] with a zipped combine;
-    /// large payloads on power-of-two `p` switch to recursive-halving
-    /// reduce-scatter followed by a recursive-doubling all-gather of the
-    /// combined blocks (Rabenseifner's allreduce).
-    pub fn allreduce_elems<T: Wire>(
-        &mut self,
-        values: Vec<T>,
-        approx_bytes: usize,
-        combine: impl Fn(T, T) -> T,
-    ) -> Vec<T> {
-        if self.pick_halving_combine(approx_bytes) {
-            let t = self.span("cgm.allreduce.rsag", &[("bytes", approx_bytes as i64)]);
-            let my_block = self.reduce_scatter_halving(
-                Self::partition_blocks(values, self.nprocs()),
-                &combine,
-            );
-            let gathered: Vec<Vec<T>> = self.all_gather_inner(my_block);
-            let out = gathered.into_iter().flatten().collect();
-            self.span_end(t);
-            out
-        } else {
-            let t = self.span("cgm.allreduce.doubling", &[("bytes", approx_bytes as i64)]);
-            let out = self.allreduce_inner(values, |a, b| Self::combine_block(a, b, &combine));
-            self.span_end(t);
-            out
-        }
-    }
-
-    /// Split `values` into `p` contiguous blocks (block `j` is
-    /// `values[len·j/p .. len·(j+1)/p]`), identically on every rank.
-    fn partition_blocks<T>(values: Vec<T>, p: usize) -> Vec<Vec<T>> {
-        let len = values.len();
-        let mut blocks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        let mut hi = 0usize;
-        let mut iter = values.into_iter();
-        for (j, block) in blocks.iter_mut().enumerate() {
-            let lo = hi;
-            hi = len * (j + 1) / p;
-            block.extend(iter.by_ref().take(hi - lo));
-        }
-        blocks
-    }
-
-    /// Binomial gather of per-rank blocks to `root`, returning them in rank
-    /// order on the root (like [`Proc::gather`], but span-free so callers
-    /// can attribute it to their own schedule).
-    fn gather_blocks_inner<T: Wire>(&mut self, root: usize, block: Vec<T>) -> Option<Vec<Vec<T>>> {
-        self.gather_inner(root, block)
+        Ok(block)
     }
 
     /// Personalized all-to-all: `parts[j]` is delivered to rank `j`; the
@@ -791,646 +831,5 @@ impl Proc {
             .into_iter()
             .map(|s| s.expect("missing all_to_all slot"))
             .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Fault-aware collectives
-    // ------------------------------------------------------------------
-    //
-    // Under fault injection a permanently failed send would leave the plain
-    // collectives hanging (and the deadlock detector panicking). The try_*
-    // variants run the same schedules but *propagate* a failure as poison
-    // tombstones along every remaining edge, so all ranks unblock and the
-    // fault surfaces as an `Err` instead. A rank returns `Err` when it
-    // either suffered a fault itself or consumed poison — in the tree-based
-    // collectives this reaches every rank, in the recursive-doubling ones
-    // poison doubles per step and also reaches every rank.
-
-    /// Fault-aware [`Proc::barrier`]: synchronizes whoever can still
-    /// communicate and surfaces an error instead of hanging when a link
-    /// fails permanently.
-    pub fn try_barrier(&mut self) -> Result<(), FaultError> {
-        let t = self.span("cgm.try_barrier", &[]);
-        let out = self.try_barrier_inner();
-        self.span_end(t);
-        out
-    }
-
-    fn try_barrier_inner(&mut self) -> Result<(), FaultError> {
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(());
-        }
-        let rounds = log2ceil(p);
-        let mut fault: Option<FaultError> = None;
-        for r in 0..rounds {
-            let d = 1usize << r;
-            let to = (self.rank() + d) % p;
-            let from = (self.rank() + p - d) % p;
-            let tag = TAG_TRY_BARRIER + (r << 8);
-            if fault.is_some() {
-                self.send_poison(to, tag);
-            } else if let Err(e) = self.try_send_bytes(to, tag, Vec::new()) {
-                fault = Some(e);
-            }
-            if let Err(e) = self.try_recv_bytes(from, tag) {
-                fault.get_or_insert(e);
-            }
-        }
-        match fault {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Fault-aware [`Proc::broadcast`]. The root still knows the value on
-    /// failure but returns `Err` like everyone else, so all ranks agree on
-    /// whether the broadcast completed.
-    pub fn try_broadcast<T: Wire>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<T, FaultError> {
-        let t = match &value {
-            Some(v) => {
-                let bytes = self.attr_bytes(v);
-                self.span("cgm.try_broadcast", &[("root", root as i64), ("bytes", bytes)])
-            }
-            None => self.span("cgm.try_broadcast", &[("root", root as i64)]),
-        };
-        let out = self.try_broadcast_inner(root, value);
-        self.span_end(t);
-        out
-    }
-
-    fn try_broadcast_inner<T: Wire>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<T, FaultError> {
-        let p = self.nprocs();
-        let rel = self.rel(root);
-        if rel == 0 {
-            let v = value.expect("broadcast root must supply a value");
-            if p == 1 {
-                return Ok(v);
-            }
-            let bytes = v.to_bytes();
-            match self.try_bcast_down(root, Some(&bytes)) {
-                None => Ok(v),
-                Some(e) => Err(e),
-            }
-        } else {
-            assert!(value.is_none(), "non-root rank passed a broadcast value");
-            let bytes = self.try_bcast_recv_forward(root)?;
-            Ok(T::from_bytes(&bytes).expect("broadcast decode"))
-        }
-    }
-
-    /// Root side of the fault-aware broadcast tree: send `bytes` (or poison
-    /// when `None`) to each child. Returns the first fault, if any.
-    fn try_bcast_down(&mut self, root: usize, bytes: Option<&[u8]>) -> Option<FaultError> {
-        let p = self.nprocs();
-        let d = log2ceil(p);
-        let mut fault: Option<FaultError> = None;
-        for i in (0..d).rev() {
-            let mask = 1usize << i;
-            if mask < p {
-                let dst = self.abs(mask, root);
-                let tag = TAG_TRY_BCAST + (i << 8);
-                match bytes {
-                    Some(b) if fault.is_none() => {
-                        if let Err(e) = self.try_send_bytes(dst, tag, b.to_vec()) {
-                            fault = Some(e);
-                        }
-                    }
-                    _ => self.send_poison(dst, tag),
-                }
-            }
-        }
-        fault
-    }
-
-    /// Non-root side of the fault-aware broadcast tree: receive once, then
-    /// forward the payload (or poison) to each subtree child.
-    fn try_bcast_recv_forward(&mut self, root: usize) -> Result<Vec<u8>, FaultError> {
-        let p = self.nprocs();
-        let rel = self.rel(root);
-        let d = log2ceil(p);
-        let mut received: Option<Result<Vec<u8>, FaultError>> = None;
-        for i in (0..d).rev() {
-            let mask = 1usize << i;
-            if rel & (mask - 1) != 0 {
-                continue;
-            }
-            if rel & mask != 0 {
-                if received.is_none() {
-                    let src = self.abs(rel & !mask, root);
-                    received = Some(self.try_recv_bytes(src, TAG_TRY_BCAST + (i << 8)));
-                }
-            } else if let Some(state) = &received {
-                let peer_rel = rel | mask;
-                if peer_rel < p {
-                    let dst = self.abs(peer_rel, root);
-                    let tag = TAG_TRY_BCAST + (i << 8);
-                    match state {
-                        Ok(bytes) => {
-                            let b = bytes.clone();
-                            if let Err(e) = self.try_send_bytes(dst, tag, b) {
-                                received = Some(Err(e));
-                            }
-                        }
-                        Err(_) => self.send_poison(dst, tag),
-                    }
-                }
-            }
-        }
-        received.expect("broadcast: non-root received nothing")
-    }
-
-    /// Fault-aware [`Proc::reduce`]. Returns `Ok(Some(result))` on `root`,
-    /// `Ok(None)` on other ranks, or `Err` when this rank faulted or
-    /// consumed poison (a poisoned partial is forwarded up the tree so the
-    /// root learns of the failure).
-    pub fn try_reduce<T: Wire>(
-        &mut self,
-        root: usize,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Option<T>, FaultError> {
-        let bytes = self.attr_bytes(&value);
-        let t = self.span("cgm.try_reduce", &[("root", root as i64), ("bytes", bytes)]);
-        let out = self.try_reduce_inner(root, value, combine);
-        self.span_end(t);
-        out
-    }
-
-    fn try_reduce_inner<T: Wire>(
-        &mut self,
-        root: usize,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Option<T>, FaultError> {
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(Some(value));
-        }
-        let rel = self.rel(root);
-        let d = log2ceil(p);
-        let mut acc: Result<T, FaultError> = Ok(value);
-        for i in 0..d {
-            let mask = 1usize << i;
-            let tag = TAG_TRY_REDUCE + (i << 8);
-            if rel & mask != 0 {
-                let dst = self.abs(rel & !mask, root);
-                return match acc {
-                    Ok(v) => {
-                        self.try_send(dst, tag, &v)?;
-                        Ok(None)
-                    }
-                    Err(e) => {
-                        self.send_poison(dst, tag);
-                        Err(e)
-                    }
-                };
-            }
-            let peer_rel = rel | mask;
-            if peer_rel < p {
-                let src = self.abs(peer_rel, root);
-                let other = self.try_recv::<T>(src, tag);
-                acc = match (acc, other) {
-                    (Ok(a), Ok(b)) => Ok(combine(a, b)),
-                    (Err(e), _) | (Ok(_), Err(e)) => Err(e),
-                };
-            }
-        }
-        debug_assert_eq!(rel, 0);
-        acc.map(Some)
-    }
-
-    /// Fault-aware [`Proc::allreduce`]: surfaces `Err` on every rank when a
-    /// link fails permanently (poison propagates through the recursive
-    /// doubling / the reduce-broadcast pair), instead of hanging.
-    pub fn try_allreduce<T: Wire>(
-        &mut self,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<T, FaultError> {
-        let bytes = self.attr_bytes(&value);
-        let t = self.span("cgm.try_allreduce", &[("bytes", bytes)]);
-        let out = self.try_allreduce_inner(value, combine);
-        self.span_end(t);
-        out
-    }
-
-    fn try_allreduce_inner<T: Wire>(
-        &mut self,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<T, FaultError> {
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(value);
-        }
-        if is_pow2(p) {
-            let d = log2ceil(p);
-            let mut acc: Result<T, FaultError> = Ok(value);
-            for i in 0..d {
-                let peer = partner(self.rank(), i);
-                let tag = TAG_TRY_ALLREDUCE + (i << 8);
-                let sent = match &acc {
-                    Ok(v) => self.try_send(peer, tag, v),
-                    Err(_) => {
-                        self.send_poison(peer, tag);
-                        Ok(())
-                    }
-                };
-                let other = self.try_recv::<T>(peer, tag);
-                acc = match (acc, sent, other) {
-                    (Ok(a), Ok(()), Ok(b)) => Ok(if self.rank() < peer {
-                        combine(a, b)
-                    } else {
-                        combine(b, a)
-                    }),
-                    (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-                };
-            }
-            acc
-        } else {
-            // Reduce to 0 then broadcast; a failure anywhere poisons the
-            // root, which then poisons everyone.
-            let reduced = self.try_reduce(0, value, combine);
-            if self.rel(0) == 0 {
-                match reduced {
-                    Ok(Some(v)) => self.try_broadcast(0, Some(v)),
-                    Ok(None) => unreachable!("root always holds the reduction"),
-                    Err(e) => {
-                        self.try_bcast_down(0, None);
-                        Err(e)
-                    }
-                }
-            } else {
-                let bc = self.try_broadcast::<T>(0, None);
-                match (reduced, bc) {
-                    (Ok(_), Ok(v)) => Ok(v),
-                    (Err(e), _) | (_, Err(e)) => Err(e),
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault-aware large-message collectives
-    // ------------------------------------------------------------------
-
-    /// Fault-aware [`Proc::reduce_scatter_blocks`]: same schedule selection,
-    /// but a permanent link failure surfaces as `Err` (poison propagates
-    /// along every remaining edge) instead of hanging.
-    pub fn try_reduce_scatter_blocks<T: Wire>(
-        &mut self,
-        blocks: Vec<Vec<T>>,
-        approx_bytes: usize,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Vec<T>, FaultError> {
-        if self.pick_halving_reduce_scatter(approx_bytes) {
-            let t = self
-                .span("cgm.try_reduce_scatter.halving", &[("bytes", approx_bytes as i64)]);
-            let out = self.try_reduce_scatter_halving(blocks, combine);
-            self.span_end(t);
-            out
-        } else {
-            let t =
-                self.span("cgm.try_reduce_scatter.fanin", &[("bytes", approx_bytes as i64)]);
-            let out = self.try_reduce_scatter_fanin(blocks, combine);
-            self.span_end(t);
-            out
-        }
-    }
-
-    fn try_reduce_scatter_fanin<T: Wire>(
-        &mut self,
-        blocks: Vec<Vec<T>>,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Vec<T>, FaultError> {
-        self.check_blocks(&blocks);
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(blocks.into_iter().next().unwrap());
-        }
-        let merged = self.try_reduce_inner(0, blocks, |a: Vec<Vec<T>>, b: Vec<Vec<T>>| {
-            a.into_iter()
-                .zip(b)
-                .map(|(x, y)| Self::combine_block(x, y, &combine))
-                .collect()
-        });
-        if self.rank() == 0 {
-            match merged {
-                Ok(Some(mut bs)) => {
-                    let mut fault: Option<FaultError> = None;
-                    for (j, block) in bs.drain(1..).enumerate() {
-                        if fault.is_none() {
-                            if let Err(e) = self.try_send(j + 1, TAG_TRY_REDUCE_SCATTER, &block) {
-                                fault = Some(e);
-                            }
-                        } else {
-                            self.send_poison(j + 1, TAG_TRY_REDUCE_SCATTER);
-                        }
-                    }
-                    match fault {
-                        None => Ok(bs.into_iter().next().unwrap()),
-                        Some(e) => Err(e),
-                    }
-                }
-                Ok(None) => unreachable!("rank 0 holds the fan-in result"),
-                Err(e) => {
-                    for j in 1..p {
-                        self.send_poison(j, TAG_TRY_REDUCE_SCATTER);
-                    }
-                    Err(e)
-                }
-            }
-        } else {
-            let scattered = self.try_recv::<Vec<T>>(0, TAG_TRY_REDUCE_SCATTER);
-            match (merged, scattered) {
-                (Ok(_), Ok(block)) => Ok(block),
-                (Err(e), _) | (_, Err(e)) => Err(e),
-            }
-        }
-    }
-
-    fn try_reduce_scatter_halving<T: Wire>(
-        &mut self,
-        blocks: Vec<Vec<T>>,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Vec<T>, FaultError> {
-        self.check_blocks(&blocks);
-        let p = self.nprocs();
-        debug_assert!(is_pow2(p) && p > 1);
-        let mut entries: Vec<(usize, Vec<T>)> = blocks.into_iter().enumerate().collect();
-        let mut fault: Option<FaultError> = None;
-        let d = log2ceil(p);
-        for i in 0..d {
-            let mask = p >> (i + 1);
-            let peer = self.rank() ^ mask;
-            let (keep, send): (Vec<_>, Vec<_>) = entries
-                .into_iter()
-                .partition(|(dst, _)| dst & mask == self.rank() & mask);
-            let tag = TAG_TRY_REDUCE_SCATTER + ((i as u32) << 8);
-            if fault.is_none() {
-                let payload: Vec<Vec<T>> = send.into_iter().map(|(_, v)| v).collect();
-                if let Err(e) = self.try_send(peer, tag, &payload) {
-                    fault = Some(e);
-                }
-            } else {
-                self.send_poison(peer, tag);
-            }
-            match self.try_recv::<Vec<Vec<T>>>(peer, tag) {
-                Ok(other) if fault.is_none() => {
-                    assert_eq!(other.len(), keep.len(), "reduce_scatter halves must mirror");
-                    let lower_first = self.rank() < peer;
-                    entries = keep
-                        .into_iter()
-                        .zip(other)
-                        .map(|((dst, mine), theirs)| {
-                            let merged = if lower_first {
-                                Self::combine_block(mine, theirs, &combine)
-                            } else {
-                                Self::combine_block(theirs, mine, &combine)
-                            };
-                            (dst, merged)
-                        })
-                        .collect();
-                }
-                Ok(_) => entries = keep,
-                Err(e) => {
-                    fault.get_or_insert(e);
-                    entries = keep;
-                }
-            }
-        }
-        match fault {
-            None => {
-                debug_assert_eq!(entries.len(), 1);
-                let (dst, block) = entries.pop().unwrap();
-                debug_assert_eq!(dst, self.rank());
-                Ok(block)
-            }
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Fault-aware [`Proc::reduce_elems`]: `Ok(Some(result))` on `root`,
-    /// `Ok(None)` elsewhere, `Err` on a fault or consumed poison.
-    pub fn try_reduce_elems<T: Wire>(
-        &mut self,
-        root: usize,
-        values: Vec<T>,
-        approx_bytes: usize,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Option<Vec<T>>, FaultError> {
-        if self.pick_halving_combine(approx_bytes) {
-            let t = self.span(
-                "cgm.try_reduce.halving",
-                &[("root", root as i64), ("bytes", approx_bytes as i64)],
-            );
-            let state = self.try_reduce_scatter_halving(
-                Self::partition_blocks(values, self.nprocs()),
-                &combine,
-            );
-            let out = self.try_gather_blocks(root, state);
-            self.span_end(t);
-            out
-        } else {
-            let t = self.span(
-                "cgm.try_reduce.binomial",
-                &[("root", root as i64), ("bytes", approx_bytes as i64)],
-            );
-            let out =
-                self.try_reduce_inner(root, values, |a, b| Self::combine_block(a, b, &combine));
-            self.span_end(t);
-            out
-        }
-    }
-
-    /// Binomial gather of per-rank combined blocks to `root`, with poison
-    /// propagation; the root concatenates the blocks in rank order.
-    fn try_gather_blocks<T: Wire>(
-        &mut self,
-        root: usize,
-        state: Result<Vec<T>, FaultError>,
-    ) -> Result<Option<Vec<T>>, FaultError> {
-        let p = self.nprocs();
-        if p == 1 {
-            return state.map(Some);
-        }
-        let rel = self.rel(root);
-        let d = log2ceil(p);
-        let mut acc: Result<Vec<(u64, Vec<u8>)>, FaultError> =
-            state.map(|block| vec![(self.rank() as u64, block.to_bytes())]);
-        for i in 0..d {
-            let mask = 1usize << i;
-            let tag = TAG_TRY_GATHER_BLOCKS + ((i as u32) << 8);
-            if rel & mask != 0 {
-                let dst = self.abs(rel & !mask, root);
-                return match acc {
-                    Ok(v) => {
-                        self.try_send(dst, tag, &v)?;
-                        Ok(None)
-                    }
-                    Err(e) => {
-                        self.send_poison(dst, tag);
-                        Err(e)
-                    }
-                };
-            }
-            let peer_rel = rel | mask;
-            if peer_rel < p {
-                let src = self.abs(peer_rel, root);
-                let other = self.try_recv::<Vec<(u64, Vec<u8>)>>(src, tag);
-                acc = match (acc, other) {
-                    (Ok(mut a), Ok(mut b)) => {
-                        a.append(&mut b);
-                        Ok(a)
-                    }
-                    (Err(e), _) | (_, Err(e)) => Err(e),
-                };
-            }
-        }
-        debug_assert_eq!(rel, 0);
-        acc.map(|mut entries| {
-            entries.sort_by_key(|(rank, _)| *rank);
-            debug_assert_eq!(entries.len(), p);
-            Some(
-                entries
-                    .into_iter()
-                    .flat_map(|(_, bytes)| {
-                        Vec::<T>::from_bytes(&bytes).expect("gather_blocks decode")
-                    })
-                    .collect(),
-            )
-        })
-    }
-
-    /// Fault-aware [`Proc::allreduce_elems`].
-    pub fn try_allreduce_elems<T: Wire>(
-        &mut self,
-        values: Vec<T>,
-        approx_bytes: usize,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Vec<T>, FaultError> {
-        if self.pick_halving_combine(approx_bytes) {
-            let t = self.span("cgm.try_allreduce.rsag", &[("bytes", approx_bytes as i64)]);
-            let state = self.try_reduce_scatter_halving(
-                Self::partition_blocks(values, self.nprocs()),
-                &combine,
-            );
-            let out = self
-                .try_all_gather_doubling(state)
-                .map(|blocks| blocks.into_iter().flatten().collect());
-            self.span_end(t);
-            out
-        } else {
-            let t = self.span("cgm.try_allreduce.doubling", &[("bytes", approx_bytes as i64)]);
-            let out =
-                self.try_allreduce_inner(values, |a, b| Self::combine_block(a, b, &combine));
-            self.span_end(t);
-            out
-        }
-    }
-
-    /// Recursive-doubling all-gather of per-rank blocks with poison
-    /// propagation (power-of-two `p` only, like the halving phase it
-    /// follows).
-    fn try_all_gather_doubling<T: Wire>(
-        &mut self,
-        state: Result<Vec<T>, FaultError>,
-    ) -> Result<Vec<Vec<T>>, FaultError> {
-        let p = self.nprocs();
-        debug_assert!(is_pow2(p) && p > 1);
-        let d = log2ceil(p);
-        let mut acc: Result<Vec<(u64, Vec<u8>)>, FaultError> =
-            state.map(|block| vec![(self.rank() as u64, block.to_bytes())]);
-        for i in 0..d {
-            let peer = partner(self.rank(), i);
-            let tag = TAG_TRY_ALLGATHER + ((i as u32) << 8);
-            let sent = match &acc {
-                Ok(v) => self.try_send(peer, tag, v),
-                Err(_) => {
-                    self.send_poison(peer, tag);
-                    Ok(())
-                }
-            };
-            let other = self.try_recv::<Vec<(u64, Vec<u8>)>>(peer, tag);
-            acc = match (acc, sent, other) {
-                (Ok(mut a), Ok(()), Ok(mut b)) => {
-                    a.append(&mut b);
-                    Ok(a)
-                }
-                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-            };
-        }
-        acc.map(|mut entries| {
-            entries.sort_by_key(|(rank, _)| *rank);
-            debug_assert_eq!(entries.len(), p);
-            entries
-                .into_iter()
-                .map(|(_, bytes)| Vec::<T>::from_bytes(&bytes).expect("all_gather decode"))
-                .collect()
-        })
-    }
-
-    /// Fault-aware [`Proc::all_gather_ring`]: each round forwards the
-    /// previous round's receipt (or poison, once this rank has faulted).
-    pub fn try_all_gather_ring<T: Wire>(&mut self, value: T) -> Result<Vec<T>, FaultError> {
-        let bytes = self.attr_bytes(&value);
-        let t = self.span("cgm.try_all_gather.ring", &[("bytes", bytes)]);
-        let out = self.try_all_gather_ring_inner(value);
-        self.span_end(t);
-        out
-    }
-
-    fn try_all_gather_ring_inner<T: Wire>(&mut self, value: T) -> Result<Vec<T>, FaultError> {
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(vec![value]);
-        }
-        let next = (self.rank() + 1) % p;
-        let prev = (self.rank() + p - 1) % p;
-        let mut fault: Option<FaultError> = None;
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
-        let mut to_forward = acc.clone();
-        for i in 0..p - 1 {
-            let tag = TAG_TRY_ALLGATHER_RING + ((i as u32 & 0xFF) << 8);
-            if fault.is_none() {
-                if let Err(e) = self.try_send(next, tag, &to_forward) {
-                    fault = Some(e);
-                }
-            } else {
-                self.send_poison(next, tag);
-            }
-            match self.try_recv::<Vec<(u64, Vec<u8>)>>(prev, tag) {
-                Ok(received) => {
-                    if fault.is_none() {
-                        acc.extend(received.iter().cloned());
-                    }
-                    to_forward = received;
-                }
-                Err(e) => {
-                    fault.get_or_insert(e);
-                    to_forward = Vec::new();
-                }
-            }
-        }
-        match fault {
-            None => {
-                acc.sort_by_key(|(rank, _)| *rank);
-                debug_assert_eq!(acc.len(), p);
-                Ok(acc
-                    .into_iter()
-                    .map(|(_, bytes)| T::from_bytes(&bytes).expect("all_gather decode"))
-                    .collect())
-            }
-            Some(e) => Err(e),
-        }
     }
 }

@@ -141,17 +141,6 @@ impl NetworkParams {
             + self.beta * bytes as f64 * (p - 1.0) / p
     }
 
-    /// Critical-path estimate of reduce-scatter + allgather (the
-    /// large-message allreduce, Rabenseifner's algorithm): both phases move
-    /// `m * (p - 1) / p` bytes in `log2 p` rounds, i.e.
-    /// `2 * log2(p) * alpha + 2 * beta * m * (p - 1) / p`. The same formula
-    /// covers reduce-scatter + block gather-to-root (the large-message
-    /// `reduce`), whose gather phase doubles block sizes up the binomial
-    /// tree.
-    pub fn halving_allreduce_cost(&self, bytes: usize, p: usize) -> f64 {
-        2.0 * self.halving_reduce_scatter_cost(bytes, p)
-    }
-
     /// Critical-path estimate of the fan-in reduce-scatter used on machines
     /// where halving does not apply: a binomial reduce of the whole payload
     /// followed by the root scattering `p - 1` blocks of `m / p` bytes.
@@ -339,28 +328,20 @@ mod tests {
     fn collective_costs_cross_over_with_payload_size() {
         let net = NetworkParams::default();
         for p in [4usize, 8, 16] {
-            // Latency-bound: a tiny payload favors the binomial tree.
+            // Halving saves the fan-in's `p - 1` scatter startups on tiny
+            // payloads and most of its `log p` whole-payload transfers on
+            // large ones, so the saving itself crosses from latency-bound
+            // to bandwidth-bound as the payload grows.
+            let saving = |m| net.fanin_scatter_cost(m, p) - net.halving_reduce_scatter_cost(m, p);
             assert!(
-                net.binomial_combine_cost(16, p) < net.halving_allreduce_cost(16, p),
-                "binomial must win tiny payloads at p={p}"
+                saving(16) > (p - 1) as f64 * net.alpha,
+                "halving must save the scatter startups at p={p}"
             );
-            // Bandwidth-bound: a large payload favors halving.
             assert!(
-                net.halving_allreduce_cost(1 << 20, p) < net.binomial_combine_cost(1 << 20, p),
-                "halving must win large payloads at p={p}"
-            );
-            assert!(
-                net.halving_reduce_scatter_cost(1 << 20, p) < net.fanin_scatter_cost(1 << 20, p),
-                "halving reduce-scatter must beat fan-in + scatter at p={p}"
+                saving(1 << 20) > net.beta * (1 << 20) as f64,
+                "halving must save at least one whole-payload transfer at p={p}"
             );
         }
-        // The allreduce crossover for p = 8: m* = L*alpha / (beta*(L - 2(p-1)/p)).
-        let l = 3.0;
-        let m_star = l * net.alpha / (net.beta * (l - 2.0 * 7.0 / 8.0));
-        let below = (m_star * 0.9) as usize;
-        let above = (m_star * 1.1) as usize;
-        assert!(net.binomial_combine_cost(below, 8) < net.halving_allreduce_cost(below, 8));
-        assert!(net.halving_allreduce_cost(above, 8) < net.binomial_combine_cost(above, 8));
     }
 
     #[test]

@@ -2,15 +2,11 @@
 //! "processors are divided into subgroups and subtasks are assigned to
 //! processor subgroups based on the cost of processing each subtask".
 //!
-//! A [`Group`] is an ordered set of global ranks. Group collectives run the
-//! same algorithms as the machine-wide ones, with local ranks translated to
-//! global ranks; processors outside the group do not participate.
-
-use crate::proc::{Proc, RESERVED_TAG_BASE};
-use crate::topology::log2ceil;
-use crate::wire::Wire;
-
-const TAG_GROUP: u32 = RESERVED_TAG_BASE + 0x40;
+//! A [`Group`] is an ordered set of global ranks. It has no collectives of
+//! its own: [`crate::Proc::scoped`] runs any code written against the
+//! machine — every collective included — over a group, with local ranks
+//! translated to global ranks at the wire; processors outside the group do
+//! not participate.
 
 /// An ordered subgroup of the machine's processors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,173 +121,6 @@ impl Group {
             at += n;
         }
         out
-    }
-}
-
-impl Proc {
-    /// *Group collective.* Barrier over a subgroup (dissemination).
-    pub fn group_barrier(&mut self, group: &Group) {
-        let g = group.size();
-        if g == 1 {
-            return;
-        }
-        let me = group.local(self.rank()).expect("not a member of the group");
-        let rounds = log2ceil(g);
-        for r in 0..rounds {
-            let d = 1usize << r;
-            let to = group.global((me + d) % g);
-            let from = group.global((me + g - d) % g);
-            self.send(to, TAG_GROUP + (r << 8), &());
-            let _: () = self.recv(from, TAG_GROUP + (r << 8));
-        }
-    }
-
-    /// *Group collective.* Broadcast from the member with local rank
-    /// `root_local`.
-    pub fn group_broadcast<T: Wire>(
-        &mut self,
-        group: &Group,
-        root_local: usize,
-        value: Option<T>,
-    ) -> T {
-        let g = group.size();
-        let me = group.local(self.rank()).expect("not a member of the group");
-        let rel = (me + g - root_local) % g;
-        if g == 1 {
-            return value.expect("broadcast root must supply a value");
-        }
-        let d = log2ceil(g);
-        if rel == 0 {
-            let v = value.expect("broadcast root must supply a value");
-            let bytes = v.to_bytes();
-            for i in (0..d).rev() {
-                let mask = 1usize << i;
-                if mask < g {
-                    let dst = group.global((mask + root_local) % g);
-                    self.send_bytes(dst, TAG_GROUP + 0x10 + (i << 8), bytes.clone());
-                }
-            }
-            return v;
-        }
-        assert!(value.is_none(), "non-root passed a broadcast value");
-        let mut received: Option<Vec<u8>> = None;
-        for i in (0..d).rev() {
-            let mask = 1usize << i;
-            if rel & (mask - 1) != 0 {
-                continue;
-            }
-            if rel & mask != 0 {
-                if received.is_none() {
-                    let src = group.global(((rel & !mask) + root_local) % g);
-                    received =
-                        Some(self.recv_bytes(src, TAG_GROUP + 0x10 + (i << 8)));
-                }
-            } else if received.is_some() {
-                let peer = rel | mask;
-                if peer < g {
-                    let dst = group.global((peer + root_local) % g);
-                    let bytes = received.as_ref().unwrap().clone();
-                    self.send_bytes(dst, TAG_GROUP + 0x10 + (i << 8), bytes);
-                }
-            }
-        }
-        T::from_bytes(&received.expect("group broadcast received nothing"))
-            .expect("group broadcast decode")
-    }
-
-    /// *Group collective.* All-reduce within a subgroup (reduce to local
-    /// rank 0, then broadcast — works for any group size).
-    pub fn group_allreduce<T: Wire>(
-        &mut self,
-        group: &Group,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> T {
-        let g = group.size();
-        if g == 1 {
-            return value;
-        }
-        let me = group.local(self.rank()).expect("not a member of the group");
-        // Binomial reduce to local rank 0.
-        let d = log2ceil(g);
-        let mut acc = Some(value);
-        for i in 0..d {
-            let mask = 1usize << i;
-            if me & (mask - 1) != 0 {
-                break;
-            }
-            if me & mask != 0 {
-                let dst = group.global(me & !mask);
-                self.send(dst, TAG_GROUP + 0x20 + (i << 8), acc.as_ref().unwrap());
-                acc = None;
-                break;
-            }
-            let peer = me | mask;
-            if peer < g {
-                let src = group.global(peer);
-                let other: T = self.recv(src, TAG_GROUP + 0x20 + (i << 8));
-                acc = Some(combine(acc.take().unwrap(), other));
-            }
-        }
-        self.group_broadcast(group, 0, if me == 0 { acc } else { None })
-    }
-
-    /// *Group collective.* Minimum value and the *global* rank holding it
-    /// (ties to the lower rank).
-    pub fn group_min_loc(&mut self, group: &Group, value: f64) -> (f64, usize) {
-        let pair = (value, self.rank() as u64);
-        let (v, r) = self.group_allreduce(group, pair, |a, b| {
-            if (b.0, b.1) < (a.0, a.1) {
-                b
-            } else {
-                a
-            }
-        });
-        (v, r as usize)
-    }
-
-    /// *Group collective.* Personalized all-to-all within a subgroup:
-    /// `parts[l]` is delivered to local rank `l`; result element `l` is
-    /// what local rank `l` addressed to this processor.
-    pub fn group_all_to_all<T: Wire>(&mut self, group: &Group, parts: Vec<T>) -> Vec<T> {
-        let g = group.size();
-        assert_eq!(parts.len(), g, "one part per group member");
-        let me = group.local(self.rank()).expect("not a member of the group");
-        if g == 1 {
-            return parts;
-        }
-        let mut parts: Vec<Option<T>> = parts.into_iter().map(Some).collect();
-        let mut slots: Vec<Option<T>> = (0..g).map(|_| None).collect();
-        slots[me] = parts[me].take();
-        for k in 1..g {
-            let to = (me + k) % g;
-            let from = (me + g - k) % g;
-            let tag = TAG_GROUP + 0x30 + ((k as u32 & 0xFFFF) << 8);
-            let outgoing = parts[to].take().expect("part already sent");
-            self.send(group.global(to), tag, &outgoing);
-            let received: T = self.recv(group.global(from), tag);
-            slots[from] = Some(received);
-        }
-        slots.into_iter().map(|s| s.expect("missing slot")).collect()
-    }
-
-    /// *Group collective.* Every member gets every member's value, indexed
-    /// by local rank (gather-to-0 + broadcast).
-    pub fn group_all_gather<T: Wire>(&mut self, group: &Group, value: T) -> Vec<T> {
-        let pairs = self.group_allreduce(
-            group,
-            vec![(group.local(self.rank()).unwrap() as u64, value.to_bytes())],
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-        let mut pairs = pairs;
-        pairs.sort_by_key(|(l, _)| *l);
-        pairs
-            .into_iter()
-            .map(|(_, bytes)| T::from_bytes(&bytes).expect("group all_gather decode"))
-            .collect()
     }
 }
 

@@ -208,9 +208,14 @@ impl<T: Wire> Wire for Vec<T> {
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
         let len = u64::decode(buf)? as usize;
         // Guard against absurd lengths from corrupt payloads: each element
-        // costs at least one byte except unit-like types, so cap by remaining
-        // bytes when the element has nonzero minimum size.
-        let mut out = Vec::with_capacity(len.min(buf.len().max(16)));
+        // costs at least one byte except unit-like types, so the remaining
+        // bytes cap the reservation — and, for a unit-like element, which
+        // gives the loop below nothing to run out of, the count itself.
+        let backed = buf.len().max(16);
+        if std::mem::size_of::<T>() == 0 && len > backed {
+            return Err(DecodeError::malformed("vec count exceeds input", buf));
+        }
+        let mut out = Vec::with_capacity(len.min(backed));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -393,6 +398,14 @@ mod tests {
     fn bad_bool_and_option_tags() {
         assert!(bool::from_bytes(&[2]).is_err());
         assert!(Option::<u8>::from_bytes(&[9, 0]).is_err());
+    }
+
+    #[test]
+    fn unit_vec_count_is_bounded_by_the_input() {
+        roundtrip(vec![(); 3]);
+        // No element byte ever runs out: the count alone must be refused.
+        assert!(Vec::<()>::from_bytes(&u64::MAX.to_bytes()).is_err());
+        assert!(Vec::<((), ())>::from_bytes(&(1u64 << 40).to_bytes()).is_err());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! straggler skew, retry charging, degraded disks and non-hanging
 //! collectives under permanent link failure.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use pdc_cgm::fault::DegradedWindow;
-use pdc_cgm::{Cluster, FaultPlan, MachineConfig, OpKind};
+use pdc_cgm::{Cluster, FaultPlan, MachineConfig, OpKind, Proc};
 
 fn config_with(faults: FaultPlan) -> MachineConfig {
     MachineConfig {
@@ -14,7 +16,7 @@ fn config_with(faults: FaultPlan) -> MachineConfig {
 
 /// A collectives-heavy workload whose finish times are sensitive to every
 /// charged nanosecond.
-fn workload(proc: &mut pdc_cgm::Proc) -> u64 {
+fn workload(proc: &mut Proc) -> u64 {
     let p = proc.nprocs() as u64;
     proc.charge(OpKind::RecordScan, 500 * (proc.rank() as u64 + 1));
     proc.disk_read_ws(1 << 16, 1 << 20);
@@ -150,27 +152,78 @@ fn try_barrier_and_broadcast_survive_total_link_failure() {
     }
 }
 
-#[test]
-fn try_collectives_match_plain_when_healthy() {
-    let plain = Cluster::new(5).run(|proc| {
-        let s = proc.allreduce(proc.rank() as u64 + 1, |a, b| a + b);
+/// The collectives that have a fallible name, through their plain names:
+/// `(name, body taking the reduce-scatter payload hint)`.
+type Plain = (&'static str, fn(usize, &mut Proc) -> Vec<u64>);
+const PLAIN: [Plain; 5] = [
+    ("allreduce", |_, proc| vec![proc.allreduce(proc.rank() as u64 + 1, |a, b| a + b)]),
+    ("barrier", |_, proc| {
         proc.barrier();
-        let b = proc.broadcast(2, (proc.rank() == 2).then_some(s * 2));
-        (s, b, proc.clock())
-    });
-    let faulty_api = Cluster::new(5).run(|proc| {
-        let s = proc
-            .try_allreduce(proc.rank() as u64 + 1, |a, b| a + b)
-            .unwrap();
-        proc.try_barrier().unwrap();
-        let b = proc
-            .try_broadcast(2, (proc.rank() == 2).then_some(s * 2))
-            .unwrap();
-        (s, b, proc.clock())
-    });
-    // Same values; clocks may differ only because tags differ is false —
-    // schedules and message sizes are identical, so times match too.
-    assert_eq!(plain.results, faulty_api.results);
+        vec![]
+    }),
+    ("broadcast", |_, proc| vec![proc.broadcast(0, (proc.rank() == 0).then_some(42u64))]),
+    ("reduce", |_, proc| {
+        let reduced = proc.reduce(0, proc.rank() as u64 + 1, |a, b| a + b);
+        reduced.into_iter().collect()
+    }),
+    ("reduce_scatter_blocks", |hint, proc| {
+        let (p, r) = (proc.nprocs() as u64, proc.rank() as u64);
+        let blocks = (0..p).map(|j| vec![r * p + j; 4]).collect();
+        proc.reduce_scatter_blocks(blocks, hint, |a, b| a + b)
+    }),
+];
+
+/// A payload hint on each side of the reduce-scatter selection.
+const HINTS: [usize; 2] = [8, 1 << 15];
+
+#[test]
+fn plain_collectives_panic_with_the_fault_on_a_dead_link() {
+    // Every transmission drops, no retries: the plain names finish the
+    // poison-propagating schedule — so no rank is left parked and the run
+    // ends structurally — and then panic with the fault itself.
+    let mut plan = FaultPlan::with_seed(23);
+    plan.link.drop_prob = 1.0;
+    plan.link.max_retries = 0;
+    for (which, body) in PLAIN {
+        for p in [2usize, 3, 4, 5, 8] {
+            for hint in HINTS {
+                let cluster = Cluster::with_config(p, config_with(plan.clone()));
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    cluster.run(|proc| body(hint, proc));
+                }))
+                .expect_err("a dead link must end the run with a panic");
+                let msg = payload.downcast_ref::<String>().expect("string panic payload");
+                assert!(
+                    msg.contains(&format!("{which} failed: ")),
+                    "{which} p={p} hint={hint}: {msg}"
+                );
+                assert!(
+                    msg.contains("link failure") || msg.contains("poisoned message"),
+                    "{which} p={p} hint={hint}: {msg}"
+                );
+                assert!(!msg.contains("deadlock"), "{which} p={p} hint={hint}: {msg}");
+            }
+        }
+    }
+}
+
+#[test]
+fn plain_collectives_recover_under_retried_drops() {
+    // Drops with generous retries only cost virtual time.
+    let mut plan = FaultPlan::with_seed(29);
+    plan.link.drop_prob = 0.2;
+    plan.link.max_retries = 50;
+    for (which, body) in PLAIN {
+        for p in [2usize, 3, 4, 5, 8] {
+            for hint in HINTS {
+                let healthy = Cluster::new(p).run(|proc| body(hint, proc));
+                let retried = Cluster::with_config(p, config_with(plan.clone()))
+                    .run(|proc| body(hint, proc));
+                assert_eq!(retried.results, healthy.results, "{which} p={p} hint={hint}");
+                assert!(retried.makespan() >= healthy.makespan());
+            }
+        }
+    }
 }
 
 #[test]

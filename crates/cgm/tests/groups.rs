@@ -1,5 +1,6 @@
-//! Tests of subgroup collectives: correctness within groups, independence
-//! between concurrently communicating disjoint groups.
+//! Tests of collectives over subgroups ([`pdc_cgm::Proc::scoped`]):
+//! correctness within groups, independence between concurrently
+//! communicating disjoint groups.
 
 use pdc_cgm::{Cluster, Group};
 
@@ -12,7 +13,8 @@ fn group_allreduce_only_sums_members() {
         } else {
             Group::new(vec![4, 5])
         };
-        proc.group_allreduce(&group, proc.rank() as u64, |a, b| a + b)
+        let mine = proc.rank() as u64;
+        proc.scoped(&group, |p| p.allreduce(mine, |a, b| a + b))
     });
     assert_eq!(out.results, vec![6, 6, 6, 6, 9, 9]);
 }
@@ -33,7 +35,7 @@ fn group_broadcast_from_each_local_root() {
                 } else {
                     None
                 };
-                Some(proc.group_broadcast(&g2, root_local, value))
+                Some(proc.scoped(&g2, |p| p.broadcast(root_local, value)))
             });
             for (rank, r) in out.results.iter().enumerate() {
                 if group.contains(rank) {
@@ -56,7 +58,8 @@ fn group_min_loc_returns_global_rank() {
         }
         // rank 3 holds the minimum.
         let v = if proc.rank() == 3 { -1.0 } else { proc.rank() as f64 };
-        Some(proc.group_min_loc(&group, v))
+        let (min, local) = proc.scoped(&group, |p| p.min_loc(v));
+        Some((min, group.global(local)))
     });
     for (rank, r) in out.results.iter().enumerate() {
         if [1, 3, 4].contains(&rank) {
@@ -73,7 +76,8 @@ fn group_all_gather_orders_by_local_rank() {
         if !group.contains(proc.rank()) {
             return None;
         }
-        Some(proc.group_all_gather(&group, proc.rank() as u32 * 10))
+        let mine = proc.rank() as u32 * 10;
+        Some(proc.scoped(&group, |p| p.all_gather(mine)))
     });
     for (rank, r) in out.results.iter().enumerate() {
         if [0, 2, 3].contains(&rank) {
@@ -94,10 +98,12 @@ fn disjoint_groups_communicate_concurrently() {
             (Group::new(vec![3, 4, 5, 6, 7]), 2)
         };
         let mut acc = proc.rank() as u64;
-        for _ in 0..rounds {
-            acc = proc.group_allreduce(&group, acc, |a, b| a + b);
-        }
-        proc.group_barrier(&group);
+        proc.scoped(&group, |p| {
+            for _ in 0..rounds {
+                acc = p.allreduce(acc, |a, b| a + b);
+            }
+            p.barrier();
+        });
         acc
     });
     // Group A: sum=3, then 9, 27, 81, 243 (x3 each round).
@@ -115,11 +121,13 @@ fn singleton_group_is_identity() {
     let cluster = Cluster::new(2);
     let out = cluster.run(|proc| {
         let group = Group::new(vec![proc.rank()]);
-        let a = proc.group_allreduce(&group, 7u64, |x, y| x + y);
-        let b = proc.group_broadcast(&group, 0, Some(9u64));
-        let c = proc.group_all_gather(&group, 4u64);
-        proc.group_barrier(&group);
-        (a, b, c)
+        proc.scoped(&group, |p| {
+            let a = p.allreduce(7u64, |x, y| x + y);
+            let b = p.broadcast(0, Some(9u64));
+            let c = p.all_gather(4u64);
+            p.barrier();
+            (a, b, c)
+        })
     });
     for r in &out.results {
         assert_eq!(*r, (7, 9, vec![4]));
@@ -138,7 +146,7 @@ fn group_all_to_all_personalized_delivery() {
         let parts: Vec<u64> = (0..group.size())
             .map(|dst| (me * 100 + dst) as u64)
             .collect();
-        Some(proc.group_all_to_all(&group, parts))
+        Some(proc.scoped(&group, |p| p.all_to_all(parts)))
     });
     for (rank, r) in out.results.iter().enumerate() {
         if let Some(received) = r {
@@ -165,7 +173,7 @@ fn group_collectives_cost_less_than_world() {
                 let group = Group::new(vec![0, 1]);
                 if group.contains(proc.rank()) {
                     for _ in 0..8 {
-                        let _ = proc.group_all_gather(&group, payload.clone());
+                        let _ = proc.scoped(&group, |p| p.all_gather(payload.clone()));
                     }
                 }
             } else {

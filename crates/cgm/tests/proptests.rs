@@ -3,6 +3,42 @@
 use pdc_cgm::{Cluster, Wire};
 use proptest::prelude::*;
 
+/// Decode `bytes` as a `T`: it may fail, it may not panic, and a value it
+/// yields may not hold more reserved elements (`capacities`) than the input
+/// had bytes to describe — a length prefix is never trusted on its own.
+fn decode_hostile<T: Wire>(bytes: &[u8], capacities: &impl Fn(&T) -> Vec<usize>) {
+    if let Ok(v) = T::from_bytes(bytes) {
+        for cap in capacities(&v) {
+            prop_assert!(cap <= 16 + bytes.len(), "capacity {cap} from {} bytes", bytes.len());
+        }
+    }
+}
+
+/// Arbitrary bytes, every truncation of `valid`'s encoding and a one-byte
+/// mutation (`flip`, nonzero) at every position of it.
+fn hostile_bytes<T: Wire>(
+    valid: &T,
+    junk: &[u8],
+    flip: u8,
+    capacities: impl Fn(&T) -> Vec<usize>,
+) {
+    decode_hostile(junk, &capacities);
+    let bytes = valid.to_bytes();
+    for cut in 0..bytes.len() {
+        decode_hostile(&bytes[..cut], &capacities);
+    }
+    for at in 0..bytes.len() {
+        let mut mutated = bytes.clone();
+        mutated[at] ^= flip;
+        decode_hostile(&mutated, &capacities);
+    }
+}
+
+/// Arbitrary bytes and a nonzero mutation mask.
+fn junk_and_flip() -> impl Strategy<Value = (Vec<u8>, u8)> {
+    (proptest::collection::vec(any::<u8>(), 0..96), 1u8..=255)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -42,6 +78,52 @@ proptest! {
         for cut in 0..bytes.len() {
             prop_assert!(Vec::<u32>::from_bytes(&bytes[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn hostile_bytes_vec_u64(
+        v in proptest::collection::vec(any::<u64>(), 0..12),
+        (junk, flip) in junk_and_flip(),
+    ) {
+        hostile_bytes(&v, &junk, flip, |v| vec![v.capacity()]);
+    }
+
+    #[test]
+    fn hostile_bytes_nested_vec(
+        v in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..6), 0..6),
+        (junk, flip) in junk_and_flip(),
+    ) {
+        hostile_bytes(&v, &junk, flip, |v| {
+            v.iter().map(Vec::capacity).chain([v.capacity()]).collect()
+        });
+    }
+
+    #[test]
+    fn hostile_bytes_gather_wire_form(
+        v in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..24)),
+            0..6,
+        ),
+        (junk, flip) in junk_and_flip(),
+    ) {
+        // What `gather` / `all_gather` put on the wire: (rank, encoded value).
+        hostile_bytes(&v, &junk, flip, |v| {
+            v.iter().map(|(_, b)| b.capacity()).chain([v.capacity()]).collect()
+        });
+    }
+
+    #[test]
+    fn hostile_bytes_string(s in "\\PC{0,24}", (junk, flip) in junk_and_flip()) {
+        hostile_bytes(&s, &junk, flip, |s| vec![s.capacity()]);
+    }
+
+    #[test]
+    fn hostile_bytes_option_pair(
+        (some, x, n) in (any::<bool>(), any::<f64>(), any::<u64>()),
+        (junk, flip) in junk_and_flip(),
+    ) {
+        // The wire form of `min_loc`'s operand, optional.
+        hostile_bytes(&some.then_some((x, n)), &junk, flip, |_| vec![]);
     }
 
     #[test]

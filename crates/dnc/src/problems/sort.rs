@@ -10,10 +10,24 @@
 //! a collective, data-parallel streaming partition, delayed task
 //! parallelism with compute-dependent parallel I/O for small tasks.
 
-use pdc_cgm::{OpKind, Proc};
+use pdc_cgm::{OpKind, Proc, Wire};
 use pdc_pario::{redistribute, DiskFarm};
 
 use crate::problem::{Outcome, OocProblem, Task};
+
+/// All-reduce within `group`: binomial reduce to its first member, then
+/// broadcast (any group size; a group of one sends nothing).
+fn group_allreduce<T: Wire>(
+    proc: &mut Proc,
+    group: &pdc_cgm::Group,
+    value: T,
+    combine: impl Fn(T, T) -> T,
+) -> T {
+    proc.scoped(group, |p| {
+        let reduced = p.reduce(0, value, combine);
+        p.broadcast(0, reduced)
+    })
+}
 
 /// Task description: the global number of keys in the task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,7 +236,7 @@ impl OocProblem for OocSort<'_> {
             }
             total.max(1)
         };
-        let rounds = proc.group_allreduce(parent, local_chunks as u64, u64::max) as usize;
+        let rounds = group_allreduce(proc, parent, local_chunks as u64, u64::max) as usize;
         // Create the tmp destination on subgroup members.
         {
             let mut disk = self.farm.lock(proc.rank());
@@ -264,7 +278,7 @@ impl OocProblem for OocSort<'_> {
                     }
                 }
             }
-            let received = proc.group_all_to_all(parent, parts);
+            let received = proc.scoped(parent, |p| p.all_to_all(parts));
             let mut disk = self.farm.lock(proc.rank());
             let mut buffers: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
             for batch in received {
@@ -345,18 +359,25 @@ impl OocSort<'_> {
             }
             (sample, lo, hi)
         };
-        let gmin = proc.group_allreduce(group, local_min, u64::min);
-        let gmax = proc.group_allreduce(group, local_max, u64::max);
+        let gmin = group_allreduce(proc, group, local_min, u64::min);
+        let gmax = group_allreduce(proc, group, local_max, u64::max);
         if gmin >= gmax {
             // Every key is identical (or the task is empty): already sorted.
             self.promote_to_leaf(proc, task.id);
             return Outcome::Solved;
         }
-        let mut merged: Vec<u64> = proc
-            .group_all_gather(group, local_sample)
-            .into_iter()
-            .flatten()
-            .collect();
+        // All-gather of the samples, one `(member, encoded sample)` entry
+        // per member on the wire; the merge below sorts, so arrival order
+        // does not matter.
+        let me = group.local(proc.rank()).expect("not a member of the group") as u64;
+        let entries = vec![(me, local_sample.to_bytes())];
+        let mut merged: Vec<u64> = group_allreduce(proc, group, entries, |mut a, mut b| {
+            a.append(&mut b);
+            a
+        })
+        .into_iter()
+        .flat_map(|(_, bytes)| Vec::<u64>::from_bytes(&bytes).expect("sample decode"))
+        .collect();
         proc.charge(
             OpKind::Compare,
             (merged.len() as u64) * (merged.len().max(2) as f64).log2() as u64,
@@ -396,8 +417,8 @@ impl OocSort<'_> {
             disk.delete(&src_name);
         }
         let (gl, gr) = (
-            proc.group_allreduce(group, nl, |a, b| a + b),
-            proc.group_allreduce(group, nr, |a, b| a + b),
+            group_allreduce(proc, group, nl, |a, b| a + b),
+            group_allreduce(proc, group, nr, |a, b| a + b),
         );
         debug_assert!(gl > 0 && gr > 0, "pivot {pivot} failed to partition");
         Outcome::Split(SortMeta { count: gl }, SortMeta { count: gr })

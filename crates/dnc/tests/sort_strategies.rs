@@ -251,3 +251,34 @@ fn task_parallel_tradeoffs_match_the_paper() {
         "redistribution volume {t_bytes} below data size"
     );
 }
+
+#[test]
+fn task_parallel_finish_bits_are_pinned() {
+    // Subgroups of 5, 3 and 2 ranks: every subgroup collective of the sort
+    // (all-reduce, sample all-gather, the split's all-to-all) runs at a
+    // non-trivial size. Literals computed at e37eb52.
+    const FINISH_BITS: [u64; 5] = [
+        0x3f87d67ebfdad20b,
+        0x3f88391dffb4eb00,
+        0x3f850bb5b687c429,
+        0x3f84725f1e362d42,
+        0x3f84f6c925bbdd99,
+    ];
+    let input = keys(3_000, 21);
+    let farm = DiskFarm::in_memory(5);
+    let meta = OocSort::scatter_input(&farm, &input);
+    let out = Cluster::new(5).run(|proc| {
+        let problem = OocSort {
+            farm: &farm,
+            chunk_records: 256,
+            small_threshold: 200,
+            sample_per_proc: 32,
+        };
+        run(proc, &problem, meta, Strategy::TaskParallel)
+    });
+    expect_sorted(&input, &OocSort::collect_sorted(&farm));
+    let bits: Vec<u64> = out.stats.iter().map(|s| s.finish_time.to_bits()).collect();
+    assert_eq!(bits, FINISH_BITS, "got {bits:#x?}");
+    let totals = out.total_counters();
+    assert_eq!((totals.messages_sent, totals.bytes_sent), (212, 54_829));
+}
