@@ -290,9 +290,8 @@ fn main() {
     let csv_path = write_results_csv("ablation_cache", scale, &csv_text);
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
 
-    // Machine-readable summary for the perf gate. Makespans are banded;
-    // hit/miss counts come from the deterministic cache model, so they
-    // gate as exact.
+    // Machine-readable summary for the perf gate: makespans and hit/miss
+    // counts are deterministic alike, and gated bitwise alike.
     let mut summary = BenchSummary::new("ablation_cache", scale);
     for r in &rows {
         let key = format!(

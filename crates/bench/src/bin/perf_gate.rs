@@ -3,12 +3,13 @@
 //! Re-runs the quick-scale benchmark suite (sibling binaries of this
 //! executable, `PCLOUDS_SCALE=quick`), then compares each binary's fresh
 //! `results/BENCH_<bin>.json` summary against the checked-in baseline in
-//! `results/baselines/` with per-metric tolerance bands (see
-//! [`pdc_bench::gate`]). Exits nonzero on any regression, so CI can gate
-//! merges on it directly.
+//! `results/baselines/` (see [`pdc_bench::gate`]). Every metric is bitwise:
+//! the virtual clock and the counters are deterministic, so any moved bit
+//! is a model change. Exits nonzero on any mismatch, so CI can gate merges
+//! on it directly.
 //!
 //! ```text
-//! perf_gate [--no-run] [--bins a,b,c] [--tol 0.25] [--abs-tol 1e-6] [--baselines DIR]
+//! perf_gate [--no-run] [--bins a,b,c] [--baselines DIR]
 //! ```
 //!
 //! * `--no-run` — skip re-running the binaries; compare whatever
@@ -19,19 +20,16 @@
 //!   `ablation_faults` (the fastest bins that still cover serving,
 //!   caching, ensemble scheduling, end-to-end speedup, and
 //!   fault-injection overheads).
-//! * `--tol` — relative band for non-`_exact` metrics (default 0.25).
-//! * `--abs-tol` — absolute floor of the band (default 1e-6), so a 0.0
-//!   baseline does not become a bitwise gate; see [`pdc_bench::gate`].
 //! * `--baselines` — baseline directory (default `results/baselines`).
 //!
-//! To re-baseline intentionally: run the gated bins at quick scale, copy
-//! the fresh `results/BENCH_*.json` into `results/baselines/`, and commit
-//! with a sentence saying *why* the numbers moved.
+//! To re-baseline: run the gated bins at quick scale, copy the fresh
+//! `results/BENCH_*.json` over the files in `results/baselines/`, and
+//! commit with a sentence saying *why* the numbers moved.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use pdc_bench::gate::{compare_with, DEFAULT_ABS_TOL, DEFAULT_REL_TOL};
+use pdc_bench::gate::compare;
 use pdc_bench::summary::BenchSummary;
 
 const DEFAULT_BINS: &[&str] = &[
@@ -45,8 +43,6 @@ const DEFAULT_BINS: &[&str] = &[
 struct Args {
     no_run: bool,
     bins: Vec<String>,
-    tol: f64,
-    abs_tol: f64,
     baselines: PathBuf,
 }
 
@@ -54,8 +50,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         no_run: false,
         bins: DEFAULT_BINS.iter().map(|s| s.to_string()).collect(),
-        tol: DEFAULT_REL_TOL,
-        abs_tol: DEFAULT_ABS_TOL,
         baselines: PathBuf::from("results/baselines"),
     };
     let mut it = std::env::args().skip(1);
@@ -65,20 +59,6 @@ fn parse_args() -> Args {
             "--bins" => {
                 let v = it.next().expect("--bins needs a comma-separated list");
                 args.bins = v.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--tol" => {
-                args.tol = it
-                    .next()
-                    .expect("--tol needs a value")
-                    .parse()
-                    .expect("--tol must be a number");
-            }
-            "--abs-tol" => {
-                args.abs_tol = it
-                    .next()
-                    .expect("--abs-tol needs a value")
-                    .parse()
-                    .expect("--abs-tol must be a number");
             }
             "--baselines" => {
                 args.baselines = PathBuf::from(it.next().expect("--baselines needs a path"));
@@ -140,14 +120,10 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let v = compare_with(&baseline, &current, args.tol, args.abs_tol);
+        let v = compare(&baseline, &current);
         compared += baseline.metrics.len();
         if v.is_empty() {
-            eprintln!(
-                "perf_gate: PASS {bin} ({} metrics within ±{:.0}%)",
-                baseline.metrics.len(),
-                args.tol * 100.0
-            );
+            eprintln!("perf_gate: PASS {bin} ({} metrics bitwise equal)", baseline.metrics.len());
         }
         violations.extend(v);
     }

@@ -1,40 +1,23 @@
 //! Perf-regression gating: compare a fresh [`BenchSummary`] against a
-//! checked-in baseline with per-metric tolerance bands.
+//! checked-in baseline, **bitwise**.
 //!
-//! The contract is deliberately simple so it can be audited in CI output:
+//! Every gated number comes off the virtual clock or out of a counter, and
+//! both are deterministic: a summary either reproduces its baseline bit for
+//! bit or the model changed. There is no tolerance to tune. The contract:
 //!
 //! * schemas and scales must match exactly (a quick-scale baseline never
 //!   gates a default-scale run);
 //! * every baseline metric must exist in the current run (metrics may be
 //!   *added* freely — the gate is forward-compatible — but a metric
 //!   disappearing is itself a regression of the measurement);
-//! * a metric whose name ends in `_exact` is declared deterministic and
-//!   must be **bitwise equal** — these carry correctness invariants
-//!   (record counts, identical-prediction flags) where any drift means a
-//!   behavior change, not noise;
-//! * every other metric gets a symmetric band that is the wider of a
-//!   relative and an absolute tolerance:
-//!   `|current − baseline| ≤ max(rel_tol × |baseline|, abs_tol)`. The
-//!   virtual clock is deterministic, so the band absorbs *intentional*
-//!   cost-model retuning, not run-to-run noise; the default `rel_tol` of
-//!   0.25 flags any quarter-magnitude shift for a human to re-baseline
-//!   deliberately. The absolute floor matters for near-zero baselines: a
-//!   purely relative band around `0.0` has zero width, which silently
-//!   promotes a noisy metric (an idle-time that is 0.0 this release, a
-//!   fault count with no faults configured) to a bitwise-exact gate — any
-//!   future nonzero reading, however tiny, would fail. Metrics that *want*
-//!   bitwise gating must say so with the `_exact` suffix instead.
+//! * every metric must be **bitwise equal** (`f64::to_bits`) to its
+//!   baseline, whatever its name (the `_exact` suffix some names carry is
+//!   history, kept so no baseline key moves).
+//!
+//! To re-baseline, copy the fresh `results/BENCH_*.json` over the file in
+//! `results/baselines/` and say in the commit why the numbers moved.
 
 use crate::summary::BenchSummary;
-
-/// Default relative tolerance for non-exact metrics.
-pub const DEFAULT_REL_TOL: f64 = 0.25;
-
-/// Default absolute-tolerance floor for non-exact metrics: wide enough to
-/// absorb float dust and sub-microsecond virtual-time jitter around a 0.0
-/// baseline, narrow enough that any humanly meaningful drift (a count
-/// reaching 1, a time reaching a millisecond) still trips the gate.
-pub const DEFAULT_ABS_TOL: f64 = 1e-6;
 
 /// Why a metric (or a whole summary) failed the gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,10 +28,8 @@ pub enum ViolationKind {
     ScaleMismatch,
     /// A baseline metric is missing from the current run.
     MissingMetric,
-    /// An `_exact` metric changed bits.
-    ExactMismatch,
-    /// A banded metric moved outside its tolerance.
-    OutOfBand,
+    /// A metric changed bits.
+    Mismatch,
 }
 
 /// One gate failure, with everything a CI log needs to explain it.
@@ -62,8 +43,6 @@ pub struct Violation {
     pub baseline: f64,
     /// Current value (0.0 when the metric is missing).
     pub current: f64,
-    /// The relative tolerance that applied (0.0 for exact metrics).
-    pub rel_tol: f64,
     /// What went wrong.
     pub kind: ViolationKind,
 }
@@ -83,102 +62,43 @@ impl Violation {
                 "{}/{}: metric present in baseline but missing from this run",
                 self.bin, self.metric
             ),
-            ViolationKind::ExactMismatch => format!(
-                "{}/{}: exact metric changed {} -> {} (must be bitwise equal)",
-                self.bin, self.metric, self.baseline, self.current
-            ),
-            ViolationKind::OutOfBand => {
-                let delta = if self.baseline != 0.0 {
-                    (self.current - self.baseline) / self.baseline * 100.0
-                } else {
-                    f64::INFINITY
-                };
+            ViolationKind::Mismatch => {
+                // `{:?}` prints the shortest digits that round-trip, so two
+                // values one ulp apart never render alike.
+                let delta = (self.current - self.baseline) / self.baseline * 100.0;
                 format!(
-                    "{}/{}: {} -> {} ({delta:+.1}% vs ±{:.0}% band)",
-                    self.bin,
-                    self.metric,
-                    self.baseline,
-                    self.current,
-                    self.rel_tol * 100.0
+                    "{}/{}: {:?} -> {:?} ({delta:+.3e}%; must be bitwise equal)",
+                    self.bin, self.metric, self.baseline, self.current
                 )
             }
         }
     }
 }
 
-/// Compare `current` against `baseline` with the default absolute floor
-/// ([`DEFAULT_ABS_TOL`]). Returns every violation (empty = gate passes for
-/// this binary). `rel_tol` is the relative band for non-`_exact` metrics.
-pub fn compare(baseline: &BenchSummary, current: &BenchSummary, rel_tol: f64) -> Vec<Violation> {
-    compare_with(baseline, current, rel_tol, DEFAULT_ABS_TOL)
-}
-
-/// Compare `current` against `baseline` with explicit relative *and*
-/// absolute tolerances: a non-`_exact` metric passes when
-/// `|current − baseline| ≤ max(rel_tol × |baseline|, abs_tol)`. The
-/// absolute floor keeps a 0.0 baseline from acting as a bitwise gate (see
-/// the module docs); set `abs_tol = 0.0` to recover the purely relative
-/// contract.
-pub fn compare_with(
-    baseline: &BenchSummary,
-    current: &BenchSummary,
-    rel_tol: f64,
-    abs_tol: f64,
-) -> Vec<Violation> {
-    assert!(rel_tol >= 0.0, "relative tolerance must be non-negative");
-    assert!(abs_tol >= 0.0, "absolute tolerance must be non-negative");
-    let mut out = Vec::new();
-    let summary_level = |kind| Violation {
+/// Compare `current` against `baseline`. Returns every violation (empty =
+/// gate passes for this binary).
+pub fn compare(baseline: &BenchSummary, current: &BenchSummary) -> Vec<Violation> {
+    let violation = |metric: &str, baseline_value, current, kind| Violation {
         bin: baseline.bin.clone(),
-        metric: String::new(),
-        baseline: 0.0,
-        current: 0.0,
-        rel_tol: 0.0,
+        metric: metric.to_string(),
+        baseline: baseline_value,
+        current,
         kind,
     };
     if baseline.schema != current.schema {
-        out.push(summary_level(ViolationKind::SchemaMismatch));
-        return out;
+        return vec![violation("", 0.0, 0.0, ViolationKind::SchemaMismatch)];
     }
     if baseline.scale != current.scale {
-        out.push(summary_level(ViolationKind::ScaleMismatch));
-        return out;
+        return vec![violation("", 0.0, 0.0, ViolationKind::ScaleMismatch)];
     }
+    let mut out = Vec::new();
     for (name, base) in &baseline.metrics {
-        let Some(cur) = current.get(name) else {
-            out.push(Violation {
-                bin: baseline.bin.clone(),
-                metric: name.clone(),
-                baseline: *base,
-                current: 0.0,
-                rel_tol: 0.0,
-                kind: ViolationKind::MissingMetric,
-            });
-            continue;
-        };
-        if name.ends_with("_exact") {
-            if cur.to_bits() != base.to_bits() {
-                out.push(Violation {
-                    bin: baseline.bin.clone(),
-                    metric: name.clone(),
-                    baseline: *base,
-                    current: cur,
-                    rel_tol: 0.0,
-                    kind: ViolationKind::ExactMismatch,
-                });
+        match current.get(name) {
+            None => out.push(violation(name, *base, 0.0, ViolationKind::MissingMetric)),
+            Some(cur) if cur.to_bits() != base.to_bits() => {
+                out.push(violation(name, *base, cur, ViolationKind::Mismatch))
             }
-        } else {
-            let allowed = (rel_tol * base.abs()).max(abs_tol);
-            if (cur - base).abs() > allowed {
-                out.push(Violation {
-                    bin: baseline.bin.clone(),
-                    metric: name.clone(),
-                    baseline: *base,
-                    current: cur,
-                    rel_tol,
-                    kind: ViolationKind::OutOfBand,
-                });
-            }
+            Some(_) => {}
         }
     }
     out
@@ -200,44 +120,49 @@ mod tests {
     #[test]
     fn identical_summaries_pass() {
         let b = baseline();
-        assert!(compare(&b, &b.clone(), DEFAULT_REL_TOL).is_empty());
+        let mut c = b.clone();
+        c.metric("extra_new_metric", 7.0); // additions are fine
+        assert!(compare(&b, &b.clone()).is_empty());
+        assert!(compare(&b, &c).is_empty());
     }
 
     #[test]
-    fn drift_within_band_passes() {
+    fn one_ulp_in_any_metric_fails_with_both_values_printed() {
         let b = baseline();
-        let mut c = BenchSummary::new("fig_demo", Scale::Quick);
-        c.metric("throughput_rps", 1200.0) // +20% < 25%
-            .metric("p99_ms", 1.6) // -20%
-            .metric("records_exact", 24000.0)
-            .metric("extra_new_metric", 7.0); // additions are fine
-        assert!(compare(&b, &c, DEFAULT_REL_TOL).is_empty());
-    }
-
-    #[test]
-    fn perturbation_beyond_band_fails() {
-        let b = baseline();
-        let mut c = BenchSummary::new("fig_demo", Scale::Quick);
-        c.metric("throughput_rps", 700.0) // -30% regression
-            .metric("p99_ms", 2.0)
-            .metric("records_exact", 24000.0);
-        let v = compare(&b, &c, DEFAULT_REL_TOL);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::OutOfBand);
-        assert_eq!(v[0].metric, "throughput_rps");
-        assert!(v[0].render().contains("-30.0%"), "{}", v[0].render());
+        for (name, base) in &b.metrics {
+            for next in [base.to_bits() + 1, base.to_bits() - 1] {
+                let moved = f64::from_bits(next);
+                let mut c = BenchSummary::new("fig_demo", Scale::Quick);
+                for (n, v) in &b.metrics {
+                    c.metric(n, if n == name { moved } else { *v });
+                }
+                let v = compare(&b, &c);
+                assert_eq!(v.len(), 1, "{name}");
+                assert_eq!(v[0].kind, ViolationKind::Mismatch);
+                assert_eq!(v[0].metric, *name);
+                let line = v[0].render();
+                assert!(
+                    line.contains(&format!("{base:?}")) && line.contains(&format!("{moved:?}")),
+                    "{line}"
+                );
+                assert_ne!(format!("{base:?}"), format!("{moved:?}"));
+            }
+        }
     }
 
     #[test]
     fn exact_metrics_require_bitwise_equality() {
-        let b = baseline();
-        let mut c = BenchSummary::new("fig_demo", Scale::Quick);
-        c.metric("throughput_rps", 1000.0)
-            .metric("p99_ms", 2.0)
-            .metric("records_exact", 24000.0 + 1e-9); // inside any band, still fails
-        let v = compare(&b, &c, DEFAULT_REL_TOL);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::ExactMismatch);
+        // The zero baseline of a counter is as exact as any other value,
+        // and so is the sign of zero.
+        let mut b = BenchSummary::new("z", Scale::Quick);
+        b.metric("count_exact", 0.0);
+        for moved in [1e-300, -0.0] {
+            let mut c = BenchSummary::new("z", Scale::Quick);
+            c.metric("count_exact", moved);
+            let v = compare(&b, &c);
+            assert_eq!(v.len(), 1, "{moved:?}");
+            assert_eq!(v[0].kind, ViolationKind::Mismatch);
+        }
     }
 
     #[test]
@@ -246,7 +171,7 @@ mod tests {
         let mut c = BenchSummary::new("fig_demo", Scale::Quick);
         c.metric("throughput_rps", 1000.0)
             .metric("records_exact", 24000.0);
-        let v = compare(&b, &c, DEFAULT_REL_TOL);
+        let v = compare(&b, &c);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::MissingMetric);
         assert_eq!(v[0].metric, "p99_ms");
@@ -257,7 +182,7 @@ mod tests {
         let b = baseline();
         let mut c = BenchSummary::new("fig_demo", Scale::Default);
         c.metric("throughput_rps", 1000.0);
-        let v = compare(&b, &c, DEFAULT_REL_TOL);
+        let v = compare(&b, &c);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::ScaleMismatch);
     }
@@ -267,59 +192,8 @@ mod tests {
         let b = baseline();
         let mut c = b.clone();
         c.schema = "pdc-bench-summary/999".to_string();
-        let v = compare(&b, &c, DEFAULT_REL_TOL);
+        let v = compare(&b, &c);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::SchemaMismatch);
-    }
-
-    #[test]
-    fn zero_baseline_uses_absolute_floor() {
-        // Regression: the old floor `rel_tol * base.abs().max(1e-12)` gave
-        // a 0.0 baseline a band of width ~1e-13 — effectively bitwise
-        // equality for a metric that never asked for it. The absolute
-        // floor must absorb float dust while still catching real drift.
-        let mut b = BenchSummary::new("z", Scale::Quick);
-        b.metric("faults", 0.0);
-        let run = |v: f64| {
-            let mut c = BenchSummary::new("z", Scale::Quick);
-            c.metric("faults", v);
-            c
-        };
-        assert!(compare(&b, &run(0.0), DEFAULT_REL_TOL).is_empty());
-        // Sub-floor noise around a zero baseline passes...
-        assert!(compare(&b, &run(1e-9), DEFAULT_REL_TOL).is_empty());
-        assert!(compare(&b, &run(-1e-9), DEFAULT_REL_TOL).is_empty());
-        // ...but anything a human would call a change still fails.
-        assert_eq!(compare(&b, &run(3.0), DEFAULT_REL_TOL).len(), 1);
-        assert_eq!(compare(&b, &run(0.001), DEFAULT_REL_TOL).len(), 1);
-    }
-
-    #[test]
-    fn absolute_floor_is_tunable_and_zeroable() {
-        let mut b = BenchSummary::new("z", Scale::Quick);
-        b.metric("idle_s", 0.0).metric("big", 1000.0);
-        let mut c = BenchSummary::new("z", Scale::Quick);
-        c.metric("idle_s", 0.4).metric("big", 1100.0);
-        // Wide explicit floor: the 0.4 drift on a zero baseline passes,
-        // and the floor never *narrows* the relative band of big metrics.
-        assert!(compare_with(&b, &c, DEFAULT_REL_TOL, 0.5).is_empty());
-        // abs_tol = 0.0 recovers the strict relative contract: the zero
-        // baseline is exact again.
-        let v = compare_with(&b, &c, DEFAULT_REL_TOL, 0.0);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].metric, "idle_s");
-        assert_eq!(v[0].kind, ViolationKind::OutOfBand);
-    }
-
-    #[test]
-    fn exact_suffix_still_bitwise_regardless_of_floor() {
-        // The absolute floor must never soften `_exact` metrics.
-        let mut b = BenchSummary::new("z", Scale::Quick);
-        b.metric("count_exact", 0.0);
-        let mut c = BenchSummary::new("z", Scale::Quick);
-        c.metric("count_exact", 1e-12);
-        let v = compare_with(&b, &c, DEFAULT_REL_TOL, 1.0);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::ExactMismatch);
     }
 }

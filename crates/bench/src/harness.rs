@@ -270,26 +270,6 @@ pub fn csv_flag() -> bool {
     std::env::args().any(|a| a == "--csv")
 }
 
-/// Ordinary least squares fit `y ≈ a + b·x`; returns `(a, b, r_squared)`.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(xs.len(), ys.len());
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let sxx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
-    let b = if sxx == 0.0 { 0.0 } else { sxy / sxx };
-    let a = my - b * mx;
-    let ss_res: f64 = xs
-        .iter()
-        .zip(ys)
-        .map(|(x, y)| (y - (a + b * x)).powi(2))
-        .sum();
-    let ss_tot: f64 = ys.iter().map(|y| (y - my).powi(2)).sum();
-    let r2 = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
-    (a, b, r2)
-}
-
 /// Multivariate least squares `y ≈ Σ c_i · f_i(x)` via normal equations
 /// (tiny systems only). Returns the coefficients and R².
 pub fn least_squares(design: &[Vec<f64>], ys: &[f64]) -> (Vec<f64>, f64) {
@@ -389,16 +369,6 @@ mod tests {
         assert_eq!(results_csv_path("x", Scale::Default), Path::new("results/x.csv"));
         assert_eq!(results_csv_path("x", Scale::Quick), Path::new("results/x.quick.csv"));
         assert_eq!(results_csv_path("x", Scale::Full), Path::new("results/x.full.csv"));
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
-        let (a, b, r2) = linear_fit(&xs, &ys);
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-        assert!((r2 - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,9 +38,9 @@ pub struct BenchSummary {
     pub bin: String,
     /// Workload scale name the run used (`full` / `default` / `quick`).
     pub scale: String,
-    /// Metrics in insertion order. Names use `[a-z0-9_.]`; a name ending
-    /// in `_exact` declares the value deterministic — the gate requires
-    /// bitwise equality instead of a tolerance band.
+    /// Metrics in insertion order. Names use `[a-z0-9_.]`. Every value is
+    /// deterministic and the gate compares it bitwise; the `_exact` suffix
+    /// on some names dates from when only those were.
     pub metrics: Vec<(String, f64)>,
 }
 

@@ -1,28 +1,10 @@
-//! The asynchronous disk engine, disabled, must reproduce the plain
-//! harness run's virtual times bit for bit — the regression contract that
-//! lets the engine ship wired through every layer while staying inert by
-//! default.
+//! The asynchronous disk engine must not change what is trained, and its
+//! stall time must keep the accounting identity closed. (`Experiment::new`
+//! *is* the disabled-engine run; that a disabled engine equals no engine is
+//! pinned where the two differ, in `pario/tests/engine.rs`.)
 
 use pdc_bench::harness::{Experiment, Scale};
 use pdc_pario::{EngineConfig, ReplacementPolicy};
-
-#[test]
-fn disabled_engine_run_is_bit_identical() {
-    let n = 20_000;
-    let p = 4;
-    let plain = Experiment::new(n, p, Scale::Quick).run();
-    let disabled = Experiment::new(n, p, Scale::Quick).engine(&EngineConfig::disabled()).run();
-    assert_eq!(plain.tree, disabled.tree);
-    for (a, b) in plain.run.stats.iter().zip(&disabled.run.stats) {
-        assert_eq!(
-            a.finish_time.to_bits(),
-            b.finish_time.to_bits(),
-            "rank {}: the disabled engine perturbed the virtual clock",
-            a.rank
-        );
-        assert_eq!(a.counters, b.counters, "rank {}: counters diverged", a.rank);
-    }
-}
 
 #[test]
 fn enabled_engine_keeps_the_tree_and_the_accounting_identity() {

@@ -4,7 +4,10 @@
 //! every `fault:*` instant the exporter knows (link drop, link delay, a
 //! poisoned receive, transient disk errors on the synchronous path and on
 //! the device). The fixtures under `tests/golden/` were computed at commit
-//! `ec0e1a5`, before the views were rebuilt on the event DAG.
+//! `ec0e1a5`, before the views were rebuilt on the event DAG. One line has
+//! moved since: `trace_fnv` of the pCLOUDS run, when the 124
+//! `cgm.reduce_scatter.halving` begin events lost their `bytes` argument
+//! (nothing else in that trace, and no other line of the fixture, differs).
 //!
 //! Pinned exactly: the FNV-1a hash of `chrome_trace_json` and the makespan
 //! bits. Pinned to 1e-9: `by_span` and every positive-length segment of

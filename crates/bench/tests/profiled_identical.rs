@@ -74,10 +74,7 @@ fn faults_and_engine_compose_with_the_accounting_identity() {
     assert!(!faults.is_inert());
     let out = Experiment::new(n, p, Scale::Quick)
         .machine(|m| m.faults = faults)
-        .config(|c| {
-            c.recover_small_tasks = true;
-            c.switch_threshold_intervals = 40;
-        })
+        .config(|c| c.switch_threshold_intervals = 40)
         .engine(&engine())
         .run();
     let mut fault_seconds = 0.0;

@@ -590,29 +590,12 @@ impl Proc {
     // The binomial schedules above move the *whole* payload `log p` times,
     // which is right for latency-bound messages but wasteful for the large
     // multi-attribute histograms of the stats phase. Reduce-scatter
-    // operates on a splittable payload and can switch to recursive halving,
-    // which moves only `m·(p-1)/p` bytes. Selection is driven by the
-    // machine's [`crate::cost::NetworkParams`], the advertised payload size
-    // and `p`. Whichever schedule runs, the *values* produced are identical
-    // for exactly associative and commutative combines — only virtual time
-    // changes.
-    //
-    // `approx_bytes` is the payload size used for selection. It must be
-    // computed identically on every rank (SPMD discipline: all ranks have to
-    // pick the same schedule), so callers should derive it from shared shape
-    // information — e.g. the dense encoded size — not from a rank-local
-    // (possibly sparse) encoding.
-
-    /// Whether the cost model picks recursive halving for a reduce-scatter
-    /// of `approx_bytes` total payload.
-    fn pick_halving_reduce_scatter(&self, approx_bytes: usize) -> bool {
-        let p = self.nprocs();
-        if !is_pow2(p) || p == 1 {
-            return false;
-        }
-        let net = self.cost_model().network;
-        net.halving_reduce_scatter_cost(approx_bytes, p) < net.fanin_scatter_cost(approx_bytes, p)
-    }
+    // operates on a splittable payload: on a power-of-two machine recursive
+    // halving moves only `m·(p-1)/p` bytes, and it undercuts the fan-in at
+    // every payload size `m` (by at least `(p-1)·α + β·(p-1)·⌊m/p⌋`), so the
+    // schedule is a function of `p` alone. Whichever schedule runs, the
+    // *values* produced are identical for exactly associative and
+    // commutative combines — only virtual time differs.
 
     /// Reduce-scatter over per-destination blocks: every rank contributes
     /// `blocks[j]` toward rank `j` (one block per rank, element counts
@@ -620,20 +603,20 @@ impl Proc {
     /// combined over all ranks. `combine` must be associative and
     /// commutative.
     ///
-    /// Power-of-two `p` and a payload the cost model calls bandwidth-bound:
-    /// recursive halving (the payload halves every round, so only
-    /// `m·(p-1)/p` bytes cross the network). Otherwise: binomial fan-in of
-    /// the whole payload to rank 0 followed by a scatter.
+    /// Power-of-two `p > 1`: recursive halving (the payload halves every
+    /// round, so only `m·(p-1)/p` bytes cross the network). Otherwise:
+    /// binomial fan-in of the whole payload to rank 0 followed by a scatter.
+    /// The span carries no `bytes` attribute — its counter delta records
+    /// the bytes this rank sent.
     ///
     /// Panics if a link fails permanently, after finishing the
     /// poison-propagating schedule of [`Proc::try_reduce_scatter_blocks`].
     pub fn reduce_scatter_blocks<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
-        approx_bytes: usize,
         combine: impl Fn(T, T) -> T,
     ) -> Vec<T> {
-        self.try_reduce_scatter_blocks(blocks, approx_bytes, combine)
+        self.try_reduce_scatter_blocks(blocks, combine)
             .unwrap_or_else(|e| {
                 panic!("cgm: rank {} reduce_scatter_blocks failed: {e}", self.world_rank())
             })
@@ -645,21 +628,19 @@ impl Proc {
     pub fn try_reduce_scatter_blocks<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
-        approx_bytes: usize,
         combine: impl Fn(T, T) -> T,
     ) -> Result<Vec<T>, FaultError> {
-        if self.pick_halving_reduce_scatter(approx_bytes) {
-            let t =
-                self.span("cgm.reduce_scatter.halving", &[("bytes", approx_bytes as i64)]);
-            let out = self.try_reduce_scatter_halving(blocks, combine);
-            self.span_end(t);
-            out
+        let p = self.nprocs();
+        let halving = is_pow2(p) && p > 1;
+        let name = if halving { "cgm.reduce_scatter.halving" } else { "cgm.reduce_scatter.fanin" };
+        let t = self.span(name, &[]);
+        let out = if halving {
+            self.try_reduce_scatter_halving(blocks, combine)
         } else {
-            let t = self.span("cgm.reduce_scatter.fanin", &[("bytes", approx_bytes as i64)]);
-            let out = self.try_reduce_scatter_fanin(blocks, combine);
-            self.span_end(t);
-            out
-        }
+            self.try_reduce_scatter_fanin(blocks, combine)
+        };
+        self.span_end(t);
+        out
     }
 
     fn check_blocks<T>(&self, blocks: &[Vec<T>]) {

@@ -123,32 +123,6 @@ impl NetworkParams {
     pub fn message_cost(&self, bytes: usize) -> f64 {
         self.alpha + self.beta * bytes as f64
     }
-
-    /// Critical-path estimate of a binomial-tree combine (reduce, and also
-    /// recursive-doubling allreduce/all_gather exchange phases) moving the
-    /// full `bytes` payload in each of `ceil(log2 p)` rounds:
-    /// `log2(p) * (alpha + beta * m)`.
-    pub fn binomial_combine_cost(&self, bytes: usize, p: usize) -> f64 {
-        crate::topology::log2ceil(p.max(1)) as f64 * self.message_cost(bytes)
-    }
-
-    /// Critical-path estimate of a recursive-halving reduce-scatter on a
-    /// power-of-two machine: the payload halves each round, so
-    /// `log2(p) * alpha + beta * m * (p - 1) / p`.
-    pub fn halving_reduce_scatter_cost(&self, bytes: usize, p: usize) -> f64 {
-        let p = p.max(1) as f64;
-        crate::topology::log2ceil(p as usize) as f64 * self.alpha
-            + self.beta * bytes as f64 * (p - 1.0) / p
-    }
-
-    /// Critical-path estimate of the fan-in reduce-scatter used on machines
-    /// where halving does not apply: a binomial reduce of the whole payload
-    /// followed by the root scattering `p - 1` blocks of `m / p` bytes.
-    pub fn fanin_scatter_cost(&self, bytes: usize, p: usize) -> f64 {
-        let blk = bytes / p.max(1);
-        self.binomial_combine_cost(bytes, p)
-            + p.saturating_sub(1) as f64 * self.message_cost(blk)
-    }
 }
 
 /// Local disk parameters (each processor owns one, shared-nothing).
@@ -322,26 +296,6 @@ mod tests {
             seen[k.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn collective_costs_cross_over_with_payload_size() {
-        let net = NetworkParams::default();
-        for p in [4usize, 8, 16] {
-            // Halving saves the fan-in's `p - 1` scatter startups on tiny
-            // payloads and most of its `log p` whole-payload transfers on
-            // large ones, so the saving itself crosses from latency-bound
-            // to bandwidth-bound as the payload grows.
-            let saving = |m| net.fanin_scatter_cost(m, p) - net.halving_reduce_scatter_cost(m, p);
-            assert!(
-                saving(16) > (p - 1) as f64 * net.alpha,
-                "halving must save the scatter startups at p={p}"
-            );
-            assert!(
-                saving(1 << 20) > net.beta * (1 << 20) as f64,
-                "halving must save at least one whole-payload transfer at p={p}"
-            );
-        }
     }
 
     #[test]

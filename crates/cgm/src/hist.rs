@@ -121,6 +121,17 @@ impl HistogramSpec {
         }
     }
 
+    /// Whether [`HistogramSpec::edges`] can build this layout: it starts at
+    /// a normal float (a subnormal edge does not grow under `*= growth`, so
+    /// the loop would never end) and has at most [`MAX_DECODED_BUCKETS`]
+    /// edges. The decoder checks this before allocating anything from a
+    /// spec it was handed.
+    fn layout_is_bounded(&self) -> bool {
+        let start = self.layout_min();
+        start.is_normal()
+            && (self.max / start).ln() / self.growth().ln() <= MAX_DECODED_BUCKETS as f64
+    }
+
     /// Upper bucket edges `m·g, m·g², …` for `m = layout_min()`, the last
     /// edge ≥ `max`. Computed by repeated multiplication — deterministic
     /// for a given spec, identical on every rank.
@@ -136,6 +147,11 @@ impl HistogramSpec {
     }
 }
 
+/// Most buckets a decoded spec may lay out: twice what five significant
+/// figures over nine decades need (2.07 M). A spec claiming more is
+/// corrupt, and is rejected before its edges are computed.
+const MAX_DECODED_BUCKETS: usize = 1 << 22;
+
 impl Wire for HistogramSpec {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.min.encode(buf);
@@ -146,16 +162,14 @@ impl Wire for HistogramSpec {
         let min = f64::decode(buf)?;
         let max = f64::decode(buf)?;
         let sig_figs = u8::decode(buf)?;
+        let spec = HistogramSpec { min, max, sig_figs };
         if !(min >= 0.0 && min.is_finite() && max > min && max.is_finite())
             || !(1..=5).contains(&sig_figs)
+            || !spec.layout_is_bounded()
         {
-            return Err(DecodeError {
-                what: "histogram spec out of range",
-                remaining: buf.len(),
-                trailing: false,
-            });
+            return Err(DecodeError::malformed("histogram spec out of range", buf));
         }
-        Ok(HistogramSpec { min, max, sig_figs })
+        Ok(spec)
     }
 }
 
@@ -336,9 +350,9 @@ impl Wire for Histogram {
         let nonzero = decode_varint(buf)?;
         let mut i = 0usize;
         for k in 0..nonzero {
-            let gap = decode_varint(buf)? as usize;
+            let gap = usize::try_from(decode_varint(buf)?).unwrap_or(usize::MAX);
             let count = decode_varint(buf)?;
-            i = if k == 0 { gap } else { i + gap };
+            i = if k == 0 { gap } else { i.saturating_add(gap) };
             if i >= h.counts.len() || count == 0 {
                 return Err(DecodeError {
                     what: "histogram bucket out of range",

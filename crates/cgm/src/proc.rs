@@ -302,12 +302,6 @@ impl Proc {
         }
     }
 
-    /// Whether this run records the replayable event DAG (see
-    /// [`crate::MachineConfig::record`]).
-    pub fn record_enabled(&self) -> bool {
-        self.shared.record
-    }
-
     // ------------------------------------------------------------------
     // Spans
     // ------------------------------------------------------------------

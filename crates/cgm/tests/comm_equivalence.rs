@@ -1,8 +1,8 @@
-//! Equivalence suite for the reduce-scatter schedules (recursive halving,
-//! fan-in + scatter): both must produce the per-destination reductions, at
-//! power-of-two and non-power-of-two machine sizes, under either payload
-//! hint, and — via the fallible names — under fault plans. Every run is
-//! also checked against the accounting identity
+//! Equivalence suite for the reduce-scatter schedules (recursive halving
+//! on power-of-two machines, fan-in + scatter on the others): both must
+//! produce the per-destination reductions and — via the fallible names —
+//! hold up under fault plans. Every run is also checked against the
+//! accounting identity
 //! `compute + comm + io + fault + io_stall + idle == finish_time`.
 
 use pdc_cgm::{Cluster, FaultPlan, MachineConfig, RunOutput};
@@ -12,10 +12,6 @@ const SIZES: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
 /// Element count of a bandwidth-bound payload (u64 vectors of a few
 /// thousand elements are tens of kilobytes).
 const BIG: usize = 4096;
-/// A latency-bound and a bandwidth-bound payload hint. Power-of-two
-/// machines run recursive halving under both (it also saves the fan-in's
-/// scatter startups); the others run fan-in + scatter.
-const HINTS: [usize; 2] = [8, BIG * 8];
 
 fn assert_counters_identity<T>(out: &RunOutput<T>, what: &str) {
     for (rank, s) in out.stats.iter().enumerate() {
@@ -32,6 +28,34 @@ fn assert_counters_identity<T>(out: &RunOutput<T>, what: &str) {
             s.finish_time
         );
         assert!(s.idle_time() >= 0.0, "{what}: rank {rank}: negative idle");
+    }
+}
+
+/// Spans on, so [`assert_schedule`] can see which schedule ran.
+fn config(faults: FaultPlan) -> MachineConfig {
+    MachineConfig {
+        faults,
+        spans: true,
+        ..MachineConfig::default()
+    }
+}
+
+/// Both reduce-scatter schedules are known to be covered, not believed to
+/// be: every rank's one `cgm.reduce_scatter.*` span names recursive halving
+/// on `p` ∈ {2, 4, 8} and the fan-in on every other `p` of this suite.
+fn assert_schedule<T>(out: &RunOutput<T>, p: usize) {
+    let want = match p {
+        2 | 4 | 8 => "cgm.reduce_scatter.halving",
+        _ => "cgm.reduce_scatter.fanin",
+    };
+    for s in &out.stats {
+        let ran: Vec<&str> = s
+            .spans
+            .iter()
+            .map(|sp| sp.name)
+            .filter(|n| n.starts_with("cgm.reduce_scatter"))
+            .collect();
+        assert_eq!(ran, [want], "p={p} rank={}", s.rank);
     }
 }
 
@@ -58,25 +82,24 @@ fn expected_sum(p: usize, len: usize) -> Vec<u64> {
 #[test]
 fn reduce_scatter_blocks_matches_per_destination_reduces() {
     for p in SIZES {
-        for hint in HINTS {
-            let len = 64; // per-destination block length
-            let out = Cluster::new(p).run(|proc| {
-                let blocks: Vec<Vec<u64>> = (0..proc.nprocs())
-                    .map(|j| contribution(proc.rank() * proc.nprocs() + j, len))
-                    .collect();
-                proc.reduce_scatter_blocks(blocks, hint, |a, b| a + b)
-            });
-            assert_counters_identity(&out, &format!("reduce_scatter p={p}"));
-            for (j, got) in out.results.iter().enumerate() {
-                let mut want = vec![0u64; len];
-                for r in 0..p {
-                    for (t, v) in want.iter_mut().zip(contribution(r * p + j, len)) {
-                        *t += v;
-                    }
+        let len = 64; // per-destination block length
+        let out = Cluster::with_config(p, config(FaultPlan::default())).run(|proc| {
+            let blocks: Vec<Vec<u64>> = (0..proc.nprocs())
+                .map(|j| contribution(proc.rank() * proc.nprocs() + j, len))
+                .collect();
+            proc.reduce_scatter_blocks(blocks, |a, b| a + b)
+        });
+        assert_counters_identity(&out, &format!("reduce_scatter p={p}"));
+        for (j, got) in out.results.iter().enumerate() {
+            let mut want = vec![0u64; len];
+            for r in 0..p {
+                for (t, v) in want.iter_mut().zip(contribution(r * p + j, len)) {
+                    *t += v;
                 }
-                assert_eq!(got, &want, "p={p} hint={hint} dest={j}");
             }
+            assert_eq!(got, &want, "p={p} dest={j}");
         }
+        assert_schedule(&out, p);
     }
 }
 
@@ -106,7 +129,7 @@ fn halving_is_cheaper_for_large_payloads() {
             }
         });
         let halving = Cluster::new(p).run(|proc| {
-            proc.reduce_scatter_blocks(blocks_of(proc.rank()), BIG * 8, |a, b| a + b)
+            proc.reduce_scatter_blocks(blocks_of(proc.rank()), |a, b| a + b)
         });
         assert_eq!(halving.results, fanin.results, "identical values at p={p}");
         assert!(
@@ -154,41 +177,32 @@ fn min_loc_ignores_nan_scores() {
 // Fault-plan coverage for the fallible names
 // ---------------------------------------------------------------------
 
-fn faulty_config(plan: FaultPlan) -> MachineConfig {
-    MachineConfig {
-        faults: plan,
-        ..MachineConfig::default()
-    }
-}
-
 #[test]
 fn try_variants_surface_errors_instead_of_hanging() {
     // Every transmission drops and retries are exhausted immediately: every
     // rank must come back with Err from every schedule, not hang.
     for p in [2usize, 3, 4, 5, 8] {
-        for hint in HINTS {
-            let mut plan = FaultPlan::with_seed(97);
-            plan.link.drop_prob = 1.0;
-            plan.link.max_retries = 0;
-            let out = Cluster::with_config(p, faulty_config(plan)).run(|proc| {
-                let rs = proc
-                    .try_reduce_scatter_blocks(
-                        (0..proc.nprocs()).map(|_| vec![1u64; 16]).collect(),
-                        hint,
-                        |a, b| a + b,
-                    )
-                    .is_err();
-                let re = proc.try_reduce(0, vec![1u64; 64], zip_sum).is_err();
-                let ar = proc.try_allreduce(vec![1u64; 64], zip_sum).is_err();
-                (rs, re, ar)
-            });
-            assert_counters_identity(&out, &format!("faulty try variants p={p}"));
-            for (rank, &(rs, re, ar)) in out.results.iter().enumerate() {
-                assert!(
-                    rs && re && ar,
-                    "p={p} hint={hint} rank={rank}: every schedule must surface the fault"
-                );
-            }
+        let mut plan = FaultPlan::with_seed(97);
+        plan.link.drop_prob = 1.0;
+        plan.link.max_retries = 0;
+        let out = Cluster::with_config(p, config(plan)).run(|proc| {
+            let rs = proc
+                .try_reduce_scatter_blocks(
+                    (0..proc.nprocs()).map(|_| vec![1u64; 16]).collect(),
+                    |a, b| a + b,
+                )
+                .is_err();
+            let re = proc.try_reduce(0, vec![1u64; 64], zip_sum).is_err();
+            let ar = proc.try_allreduce(vec![1u64; 64], zip_sum).is_err();
+            (rs, re, ar)
+        });
+        assert_counters_identity(&out, &format!("faulty try variants p={p}"));
+        assert_schedule(&out, p);
+        for (rank, &(rs, re, ar)) in out.results.iter().enumerate() {
+            assert!(
+                rs && re && ar,
+                "p={p} rank={rank}: every schedule must surface the fault"
+            );
         }
     }
 }
@@ -198,31 +212,27 @@ fn try_variants_recover_under_retried_drops() {
     // Drops with generous retries: the collectives must succeed and agree
     // with the fault-free values (retries only cost virtual time).
     for p in SIZES {
-        for hint in HINTS {
-            let mut plan = FaultPlan::with_seed(41);
-            plan.link.drop_prob = 0.2;
-            plan.link.max_retries = 50;
-            let out = Cluster::with_config(p, faulty_config(plan)).run(|proc| {
-                let ar = proc
-                    .try_allreduce(contribution(proc.rank(), 256), zip_sum)
-                    .expect("retried allreduce");
-                let rs = proc
-                    .try_reduce_scatter_blocks(
-                        (0..proc.nprocs())
-                            .map(|j| contribution(j, 16))
-                            .collect(),
-                        hint,
-                        |a, b| a + b,
-                    )
-                    .expect("retried reduce_scatter");
-                (ar, rs)
-            });
-            assert_counters_identity(&out, &format!("retried try variants p={p}"));
-            for (rank, (ar, rs)) in out.results.iter().enumerate() {
-                assert_eq!(ar, &expected_sum(p, 256), "p={p} rank={rank}");
-                let want: Vec<u64> = contribution(rank, 16).iter().map(|v| v * p as u64).collect();
-                assert_eq!(rs, &want, "p={p} rank={rank}");
-            }
+        let mut plan = FaultPlan::with_seed(41);
+        plan.link.drop_prob = 0.2;
+        plan.link.max_retries = 50;
+        let out = Cluster::with_config(p, config(plan)).run(|proc| {
+            let ar = proc
+                .try_allreduce(contribution(proc.rank(), 256), zip_sum)
+                .expect("retried allreduce");
+            let rs = proc
+                .try_reduce_scatter_blocks(
+                    (0..proc.nprocs()).map(|j| contribution(j, 16)).collect(),
+                    |a, b| a + b,
+                )
+                .expect("retried reduce_scatter");
+            (ar, rs)
+        });
+        assert_counters_identity(&out, &format!("retried try variants p={p}"));
+        assert_schedule(&out, p);
+        for (rank, (ar, rs)) in out.results.iter().enumerate() {
+            assert_eq!(ar, &expected_sum(p, 256), "p={p} rank={rank}");
+            let want: Vec<u64> = contribution(rank, 16).iter().map(|v| v * p as u64).collect();
+            assert_eq!(rs, &want, "p={p} rank={rank}");
         }
     }
 }

@@ -152,29 +152,25 @@ fn try_barrier_and_broadcast_survive_total_link_failure() {
     }
 }
 
-/// The collectives that have a fallible name, through their plain names:
-/// `(name, body taking the reduce-scatter payload hint)`.
-type Plain = (&'static str, fn(usize, &mut Proc) -> Vec<u64>);
+/// The collectives that have a fallible name, through their plain names.
+type Plain = (&'static str, fn(&mut Proc) -> Vec<u64>);
 const PLAIN: [Plain; 5] = [
-    ("allreduce", |_, proc| vec![proc.allreduce(proc.rank() as u64 + 1, |a, b| a + b)]),
-    ("barrier", |_, proc| {
+    ("allreduce", |proc| vec![proc.allreduce(proc.rank() as u64 + 1, |a, b| a + b)]),
+    ("barrier", |proc| {
         proc.barrier();
         vec![]
     }),
-    ("broadcast", |_, proc| vec![proc.broadcast(0, (proc.rank() == 0).then_some(42u64))]),
-    ("reduce", |_, proc| {
+    ("broadcast", |proc| vec![proc.broadcast(0, (proc.rank() == 0).then_some(42u64))]),
+    ("reduce", |proc| {
         let reduced = proc.reduce(0, proc.rank() as u64 + 1, |a, b| a + b);
         reduced.into_iter().collect()
     }),
-    ("reduce_scatter_blocks", |hint, proc| {
+    ("reduce_scatter_blocks", |proc| {
         let (p, r) = (proc.nprocs() as u64, proc.rank() as u64);
         let blocks = (0..p).map(|j| vec![r * p + j; 4]).collect();
-        proc.reduce_scatter_blocks(blocks, hint, |a, b| a + b)
+        proc.reduce_scatter_blocks(blocks, |a, b| a + b)
     }),
 ];
-
-/// A payload hint on each side of the reduce-scatter selection.
-const HINTS: [usize; 2] = [8, 1 << 15];
 
 #[test]
 fn plain_collectives_panic_with_the_fault_on_a_dead_link() {
@@ -185,24 +181,20 @@ fn plain_collectives_panic_with_the_fault_on_a_dead_link() {
     plan.link.drop_prob = 1.0;
     plan.link.max_retries = 0;
     for (which, body) in PLAIN {
+        // p ∈ {3, 5} run the fan-in reduce-scatter, p ∈ {2, 4, 8} halving.
         for p in [2usize, 3, 4, 5, 8] {
-            for hint in HINTS {
-                let cluster = Cluster::with_config(p, config_with(plan.clone()));
-                let payload = catch_unwind(AssertUnwindSafe(|| {
-                    cluster.run(|proc| body(hint, proc));
-                }))
-                .expect_err("a dead link must end the run with a panic");
-                let msg = payload.downcast_ref::<String>().expect("string panic payload");
-                assert!(
-                    msg.contains(&format!("{which} failed: ")),
-                    "{which} p={p} hint={hint}: {msg}"
-                );
-                assert!(
-                    msg.contains("link failure") || msg.contains("poisoned message"),
-                    "{which} p={p} hint={hint}: {msg}"
-                );
-                assert!(!msg.contains("deadlock"), "{which} p={p} hint={hint}: {msg}");
-            }
+            let cluster = Cluster::with_config(p, config_with(plan.clone()));
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                cluster.run(|proc| body(proc));
+            }))
+            .expect_err("a dead link must end the run with a panic");
+            let msg = payload.downcast_ref::<String>().expect("string panic payload");
+            assert!(msg.contains(&format!("{which} failed: ")), "{which} p={p}: {msg}");
+            assert!(
+                msg.contains("link failure") || msg.contains("poisoned message"),
+                "{which} p={p}: {msg}"
+            );
+            assert!(!msg.contains("deadlock"), "{which} p={p}: {msg}");
         }
     }
 }
@@ -215,12 +207,20 @@ fn plain_collectives_recover_under_retried_drops() {
     plan.link.max_retries = 50;
     for (which, body) in PLAIN {
         for p in [2usize, 3, 4, 5, 8] {
-            for hint in HINTS {
-                let healthy = Cluster::new(p).run(|proc| body(hint, proc));
-                let retried = Cluster::with_config(p, config_with(plan.clone()))
-                    .run(|proc| body(hint, proc));
-                assert_eq!(retried.results, healthy.results, "{which} p={p} hint={hint}");
-                assert!(retried.makespan() >= healthy.makespan());
+            let healthy = Cluster::new(p).run(|proc| body(proc));
+            let mut cfg = config_with(plan.clone());
+            cfg.spans = true;
+            let retried = Cluster::with_config(p, cfg).run(|proc| body(proc));
+            assert_eq!(retried.results, healthy.results, "{which} p={p}");
+            assert!(retried.makespan() >= healthy.makespan());
+            // Both reduce-scatter schedules are in this table, by name.
+            if which == "reduce_scatter_blocks" {
+                let want = match p {
+                    3 | 5 => "cgm.reduce_scatter.fanin",
+                    _ => "cgm.reduce_scatter.halving",
+                };
+                let spans = &retried.stats[0].spans;
+                assert!(spans.iter().any(|sp| sp.name == want), "p={p}: no {want} span");
             }
         }
     }

@@ -89,6 +89,63 @@ proptest! {
     }
 }
 
+/// Decode hostile `bytes` as a histogram: an error or a value, never a
+/// panic, and never a layout larger than the decoder's cap (the bucket
+/// arrays are sized from the spec, not from a length prefix).
+fn decode_hostile(bytes: &[u8]) {
+    if let Ok(h) = Histogram::from_bytes(bytes) {
+        assert!(h.num_buckets() <= 1 << 22, "{} buckets decoded", h.num_buckets());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hostile_bytes_histogram(
+        samples in proptest::collection::vec(1e-8f64..100.0, 0..24),
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in 1u8..=255,
+    ) {
+        decode_hostile(&junk);
+        let bytes = hist_of(&samples).to_bytes();
+        for cut in 0..bytes.len() {
+            prop_assert!(Histogram::from_bytes(&bytes[..cut]).is_err(), "truncated at {cut}");
+        }
+        for at in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[at] ^= flip;
+            decode_hostile(&mutated);
+        }
+    }
+}
+
+#[test]
+fn hostile_specs_are_refused_before_their_layout_is_built() {
+    // The three frames the decoder used to act on: a subnormal first edge
+    // (which `*= growth` never moves — the layout loop did not end), a
+    // range of 600 decades at five figures (1.4e8 buckets, 2 GB), and a
+    // bucket gap that overflows the running index.
+    let frame = |min: f64, max: f64, sig_figs: u8, tail: &[u8]| {
+        let mut bytes = min.to_bytes();
+        bytes.extend(max.to_bytes());
+        bytes.push(sig_figs);
+        bytes.extend_from_slice(tail);
+        bytes
+    };
+    assert!(Histogram::from_bytes(&frame(5e-324, 1e-323, 2, &[])).is_err());
+    assert!(Histogram::from_bytes(&frame(0.0, 1e-310, 2, &[])).is_err());
+    assert!(Histogram::from_bytes(&frame(1e-300, 1e300, 5, &[])).is_err());
+    let mut tail = Vec::new();
+    tail.extend(f64::INFINITY.to_bits().to_bytes()); // min_seen
+    tail.extend(f64::NEG_INFINITY.to_bits().to_bytes()); // max_seen
+    tail.extend([0, 0, 2]); // underflow, overflow, two non-empty buckets
+    tail.extend([1, 1]); // bucket 1 holds 1
+    tail.extend([0xff; 9]); // gap = u64::MAX ...
+    tail.extend([1, 1]); // ... closed by a final byte, then count 1
+    assert!(Histogram::from_bytes(&frame(1e-6, 60.0, 2, &tail)).is_err());
+}
+
 #[test]
 fn per_rank_histograms_reduce_through_allreduce() {
     // Each rank records its own latencies; one allreduce with `merge` as

@@ -12,7 +12,7 @@ use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 use pdc_datagen::{RecordBatch, NUM_CLASSES};
 
 use crate::gini::{
-    add_assign, gini, interval_gini_lower_bound, split_gini, sub, ClassCounts, CountTable,
+    add_assign, interval_gini_lower_bound, split_gini, sub, ClassCounts, CountTable,
 };
 use crate::intervals::IntervalSet;
 use crate::split::{Candidate, Splitter};
@@ -481,11 +481,6 @@ pub fn exact_interval_scan(
         );
     }
     best
-}
-
-/// Gini of the node itself (no split), used as the "don't split" baseline.
-pub fn node_gini(node_total: &ClassCounts) -> f64 {
-    gini(node_total)
 }
 
 #[cfg(test)]

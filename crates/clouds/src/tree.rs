@@ -8,7 +8,7 @@
 use crate::gini::{majority_class, ClassCounts};
 use crate::split::Splitter;
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
-use pdc_datagen::Record;
+use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_CLASSES, NUM_NUMERIC};
 
 /// Identifier of a node in the tree arena.
 pub type NodeId = usize;
@@ -67,11 +67,6 @@ impl DecisionTree {
                 counts,
             }],
         }
-    }
-
-    /// Start an empty tree with a placeholder root leaf carrying `counts`.
-    pub fn with_root_placeholder(counts: ClassCounts) -> Self {
-        Self::single_leaf(counts)
     }
 
     /// Root node id.
@@ -298,10 +293,34 @@ impl Wire for DecisionTree {
         self.nodes.encode(buf);
     }
 
+    /// Refuses an arena no builder here produces and no walk could
+    /// survive: an empty one, a child id that is out of range or not above
+    /// its parent's (every builder appends children after their parent, so
+    /// this also rules out cycles), a test on an attribute a record does
+    /// not have, a class outside the label set.
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(DecisionTree {
-            nodes: Vec::<Node>::decode(bytes)?,
-        })
+        let nodes = Vec::<Node>::decode(bytes)?;
+        let sound = |(id, node): (usize, &Node)| match node {
+            Node::Leaf { class, .. } => usize::from(*class) < NUM_CLASSES,
+            Node::Internal {
+                splitter,
+                left,
+                right,
+                ..
+            } => {
+                let child = id + 1..nodes.len();
+                child.contains(left)
+                    && child.contains(right)
+                    && match *splitter {
+                        Splitter::Numeric { attr, .. } => attr < NUM_NUMERIC,
+                        Splitter::Categorical { attr, .. } => attr < NUM_CATEGORICAL,
+                    }
+            }
+        };
+        if nodes.is_empty() || !nodes.iter().enumerate().all(sound) {
+            return Err(DecodeError::malformed("tree arena is not a tree", bytes));
+        }
+        Ok(DecisionTree { nodes })
     }
 }
 

@@ -481,4 +481,43 @@ proptest! {
             prop_assert!(tree.predict(r) <= 1);
         }
     }
+
+    /// Hostile bytes at the tree wire form: arbitrary bytes, every
+    /// truncation and a one-byte mutation at every position of a built
+    /// tree's encoding decode to an error or to a tree — never a panic,
+    /// never an arena or a count vector reserved from a length prefix the
+    /// input could not back, and never a "tree" a record cannot be routed
+    /// through.
+    #[test]
+    fn hostile_bytes_decision_tree(
+        seed in any::<u64>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in 1u8..=255,
+    ) {
+        use pdc_cgm::Wire;
+        use pdc_clouds::{build_tree, CloudsParams, DecisionTree};
+        use pdc_datagen::{generate, GeneratorConfig};
+        let records = generate(120, GeneratorConfig { seed, noise: 0.1, ..GeneratorConfig::default() });
+        let params = CloudsParams { q_root: 20, sample_size: 60, min_node_size: 8, ..CloudsParams::default() };
+        let bytes = build_tree(&records, &params).to_bytes();
+        let decode = |bytes: &[u8]| {
+            if let Ok(tree) = DecisionTree::from_bytes(bytes) {
+                let bound = 16 + bytes.len();
+                assert!(tree.nodes.capacity() <= bound, "arena reserved {}", tree.nodes.capacity());
+                for node in &tree.nodes {
+                    assert!(node.counts().capacity() <= bound);
+                }
+                assert!(tree.predict(&records[0]) < 2);
+            }
+        };
+        decode(&junk);
+        for cut in 0..bytes.len() {
+            prop_assert!(DecisionTree::from_bytes(&bytes[..cut]).is_err(), "truncated at {cut}");
+        }
+        for at in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[at] ^= flip;
+            decode(&mutated);
+        }
+    }
 }

@@ -17,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-pub mod csv;
 pub mod functions;
 pub mod generator;
 pub mod record;

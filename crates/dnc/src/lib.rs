@@ -50,4 +50,4 @@ pub mod strategy;
 
 pub use problem::{Outcome, OocProblem, Task};
 pub use scheduler::{assignment_imbalance, lpt_assign, lpt_assign_weighted};
-pub use strategy::{run, run_with_options, DncOptions, DncReport, Strategy};
+pub use strategy::{run, DncReport, Strategy};

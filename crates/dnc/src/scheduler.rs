@@ -32,8 +32,9 @@ pub fn lpt_assign(costs: &[f64], p: usize) -> Vec<usize> {
 /// `0.0` (or less) marks a failed processor, which receives no tasks; if
 /// every speed is non-positive the assignment falls back to uniform-speed
 /// [`lpt_assign`] so the schedule still covers all tasks. With all speeds
-/// equal this reproduces `lpt_assign` exactly (same tie-breaking), so the
-/// recovery path costs nothing on a healthy machine.
+/// equal this reproduces `lpt_assign` exactly (same tie-breaking), which is
+/// why the small-task phase can call it unconditionally: on a healthy
+/// machine it is the paper's schedule.
 pub fn lpt_assign_weighted(costs: &[f64], speeds: &[f64]) -> Vec<usize> {
     let p = speeds.len();
     assert!(p >= 1);
@@ -171,6 +172,63 @@ mod tests {
         let max = finish.iter().cloned().fold(0.0f64, f64::max);
         let min = finish.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max / min < 1.5, "finish times {finish:?}");
+    }
+
+    /// The small tasks `tests/recovery.rs` dispatches: 400 split 2 : 1 until
+    /// a side drops below 40, in breadth-first order.
+    fn recovery_costs() -> Vec<f64> {
+        let mut queue = std::collections::VecDeque::from([400u64]);
+        let mut small = Vec::new();
+        while let Some(n) = queue.pop_front() {
+            let left = n * 2 / 3;
+            for child in [left, n - left] {
+                if child < 40 {
+                    small.push(child as f64);
+                } else {
+                    queue.push_back(child);
+                }
+            }
+        }
+        small
+    }
+
+    /// Finish time of the slowest rank: `max(load / speed)`.
+    fn finish(costs: &[f64], owners: &[usize], speeds: &[f64]) -> f64 {
+        let mut load = vec![0.0f64; speeds.len()];
+        for (c, &o) in costs.iter().zip(owners) {
+            load[o] += c;
+        }
+        load.iter().zip(speeds).map(|(l, s)| l / s).fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn regrouping_beats_oblivious_lpt_under_straggler_skew() {
+        let costs = recovery_costs();
+        let speeds = [1.0, 1.0 / 6.0, 1.0, 1.0];
+        let weighted = finish(&costs, &lpt_assign_weighted(&costs, &speeds), &speeds);
+        let oblivious = finish(&costs, &lpt_assign(&costs, 4), &speeds);
+        assert!(
+            weighted < oblivious,
+            "weighted LPT must relieve the straggler: {weighted} !< {oblivious}"
+        );
+    }
+
+    #[test]
+    fn regrouping_beats_oblivious_lpt_around_a_failed_rank() {
+        // A failed rank is scheduled around (speed 0) but, were it given
+        // work, would run it at the fault plan's `failed_skew` of 64.
+        let costs = recovery_costs();
+        let actual = [1.0, 1.0, 1.0 / 64.0, 1.0];
+        let weighted = finish(
+            &costs,
+            &lpt_assign_weighted(&costs, &[1.0, 1.0, 0.0, 1.0]),
+            &actual,
+        );
+        let oblivious = finish(&costs, &lpt_assign(&costs, 4), &actual);
+        assert!(
+            weighted < oblivious / 2.0,
+            "a failed rank must dominate the oblivious schedule: {weighted} vs {oblivious}"
+        );
     }
 
     #[test]

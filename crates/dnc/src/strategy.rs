@@ -5,9 +5,12 @@
 //!   processors, one task after another. No data movement, balanced I/O,
 //!   but message startups dominate once tasks get small.
 //! * **Mixed (delayed task parallelism)** — the paper's choice: data
-//!   parallelism for large tasks; small tasks are queued, LPT-assigned,
-//!   their data redistributed *after all large tasks finish* (batching the
-//!   message startups), then solved locally.
+//!   parallelism for large tasks; small tasks are queued, LPT-assigned
+//!   (weighted by the speeds the machine's fault plan gives each rank —
+//!   all equal, hence the paper's schedule, unless the plan says
+//!   otherwise), their data redistributed *after all large tasks finish*
+//!   (batching the message startups), then solved locally; a solve the
+//!   plan spoils is paid for again.
 //! * **Mixed (immediate)** — like mixed, but each small task is
 //!   redistributed and solved the moment it is discovered; used to measure
 //!   what the delaying buys.
@@ -21,7 +24,7 @@ use std::collections::VecDeque;
 use pdc_cgm::Proc;
 
 use crate::problem::{Outcome, OocProblem, Task};
-use crate::scheduler::{lpt_assign, lpt_assign_weighted};
+use crate::scheduler::lpt_assign_weighted;
 
 /// Which driver to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,36 +56,10 @@ pub struct DncReport {
     /// Small tasks this processor solved locally.
     pub local_small_tasks: usize,
     /// Local small-task solves this processor repeated because the fault
-    /// plan spoiled an attempt (always 0 unless
-    /// [`DncOptions::recover_small_tasks`] is on).
+    /// plan spoiled an attempt (see [`pdc_cgm::FaultPlan::task_fault_prob`]).
     pub small_task_retries: usize,
     /// Deepest task depth reached.
     pub max_depth: usize,
-}
-
-/// Fault-aware execution knobs (see [`run_with_options`]).
-///
-/// The paper's implementation notes a limitation of its small-node phase:
-/// *"we do not regroup the processors as they become idle."* These options
-/// turn that limitation into a studied extension, using the machine's
-/// deterministic [`pdc_cgm::FaultPlan`] as the failure detector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DncOptions {
-    /// Recover the small-task phase from failed or straggling owners:
-    ///
-    /// * **Reassignment/regrouping** — instead of uniform [`lpt_assign`],
-    ///   small tasks are placed with [`lpt_assign_weighted`] using per-rank
-    ///   speeds derived from the machine's fault plan (`1 / skew`, `0` for
-    ///   ranks marked failed), so failed ranks receive no tasks and
-    ///   stragglers receive proportionally less. Every rank derives the
-    ///   same speeds from the same shared plan, so the schedule stays
-    ///   consistent without extra communication.
-    /// * **Retry** — a locally solved task whose attempt the plan spoils
-    ///   (see [`pdc_cgm::FaultPlan::task_fault_prob`]) is re-executed,
-    ///   charging the measured solve time again.
-    ///
-    /// Off (the default), execution is bit-identical to [`run`].
-    pub recover_small_tasks: bool,
 }
 
 /// *Collective.* Build the divide-and-conquer tree for `root_meta` with the
@@ -94,20 +71,6 @@ pub fn run<P: OocProblem>(
     root_meta: P::Meta,
     strategy: Strategy,
 ) -> DncReport {
-    run_with_options(proc, problem, root_meta, strategy, DncOptions::default())
-}
-
-/// *Collective.* Like [`run`], with fault-aware knobs. Recovery applies to
-/// the small-task phase of the mixed strategies; the other strategies
-/// ignore the options (their structure has no per-owner assignment to
-/// reweight).
-pub fn run_with_options<P: OocProblem>(
-    proc: &mut Proc,
-    problem: &P,
-    root_meta: P::Meta,
-    strategy: Strategy,
-    opts: DncOptions,
-) -> DncReport {
     let strategy_idx = match strategy {
         Strategy::DataParallel => 0,
         Strategy::Mixed => 1,
@@ -118,8 +81,8 @@ pub fn run_with_options<P: OocProblem>(
     let span = proc.span("dnc.run", &[("strategy", strategy_idx)]);
     let report = match strategy {
         Strategy::DataParallel => run_data_parallel(proc, problem, root_meta),
-        Strategy::Mixed => run_mixed(proc, problem, root_meta, false, opts),
-        Strategy::MixedImmediate => run_mixed(proc, problem, root_meta, true, opts),
+        Strategy::Mixed => run_mixed(proc, problem, root_meta, false),
+        Strategy::MixedImmediate => run_mixed(proc, problem, root_meta, true),
         Strategy::Concatenated => run_concatenated(proc, problem, root_meta),
         Strategy::TaskParallel => run_task_parallel(proc, problem, root_meta),
     };
@@ -204,7 +167,6 @@ fn run_mixed<P: OocProblem>(
     problem: &P,
     root_meta: P::Meta,
     immediate: bool,
-    opts: DncOptions,
 ) -> DncReport {
     let mut report = DncReport::default();
     let mut queue = VecDeque::new();
@@ -237,7 +199,7 @@ fn run_mixed<P: OocProblem>(
                     if immediate {
                         // Ship and solve right away: more message startups,
                         // used as the ablation against delaying.
-                        dispatch_small(proc, problem, vec![child], &mut report, opts);
+                        dispatch_small(proc, problem, vec![child], &mut report);
                     } else {
                         small.push(child);
                     }
@@ -249,50 +211,50 @@ fn run_mixed<P: OocProblem>(
         }
     }
     if !small.is_empty() {
-        dispatch_small(proc, problem, small, &mut report, opts);
+        dispatch_small(proc, problem, small, &mut report);
     }
     report
 }
 
 /// LPT-assign, redistribute and locally solve a batch of small tasks.
+///
+/// The paper's implementation notes a limitation of its small-node phase:
+/// *"we do not regroup the processors as they become idle."* Here the
+/// machine's deterministic [`pdc_cgm::FaultPlan`] is the failure detector:
+/// tasks are placed by [`lpt_assign_weighted`] with per-rank speeds `1 /
+/// skew` (`0` for ranks marked failed), so failed ranks receive no tasks
+/// and stragglers proportionally less, and a local solve whose attempt the
+/// plan spoils is re-executed. Under an inert plan all speeds are `1.0`,
+/// nothing is spoiled, and this is the paper's schedule bit for bit.
 fn dispatch_small<P: OocProblem>(
     proc: &mut Proc,
     problem: &P,
     tasks: Vec<Task<P::Meta>>,
     report: &mut DncReport,
-    opts: DncOptions,
 ) {
     let span = proc.span("dnc.small", &[("tasks", tasks.len() as i64)]);
     let costs: Vec<f64> = tasks.iter().map(|t| problem.cost(&t.meta)).collect();
-    let plan = opts.recover_small_tasks.then(|| proc.faults().clone());
-    let owners = match &plan {
-        Some(plan) => {
-            // Speeds come from the shared fault plan, so every rank derives
-            // the identical schedule without communicating. Ranks are
-            // translated to physical identities: inside a subgroup scope the
-            // schedule indexes group-local ranks, but skew and failure are
-            // properties of the physical processor.
-            let speeds: Vec<f64> = (0..proc.nprocs())
-                .map(|r| {
-                    let phys = proc.peer_world_rank(r);
-                    if plan.is_failed(phys) {
-                        0.0
-                    } else {
-                        1.0 / plan.skew_of(phys)
-                    }
-                })
-                .collect();
-            lpt_assign_weighted(&costs, &speeds)
-        }
-        None => lpt_assign(&costs, proc.nprocs()),
-    };
+    // Speeds come from the shared fault plan, so every rank derives the
+    // identical schedule without communicating. Ranks are translated to
+    // physical identities: inside a subgroup scope the schedule indexes
+    // group-local ranks, but skew and failure are properties of the
+    // physical processor.
+    let speeds: Vec<f64> = (0..proc.nprocs())
+        .map(|r| {
+            let phys = proc.peer_world_rank(r);
+            let plan = proc.faults();
+            if plan.is_failed(phys) {
+                0.0
+            } else {
+                1.0 / plan.skew_of(phys)
+            }
+        })
+        .collect();
+    let owners = lpt_assign_weighted(&costs, &speeds);
     let assignments: Vec<(Task<P::Meta>, usize)> =
         tasks.into_iter().zip(owners.iter().copied()).collect();
     problem.redistribute_small(proc, &assignments);
     // Local solving: no communication, so processors proceed independently.
-    // Without recovery, idle processors are NOT regrouped — the paper notes
-    // the same limitation of its implementation ("we do not regroup the
-    // processors as they become idle").
     for (i, (task, owner)) in assignments.iter().enumerate() {
         report.small_tasks += 1;
         if *owner == proc.rank() {
@@ -314,20 +276,18 @@ fn dispatch_small<P: OocProblem>(
             let before = proc.clock();
             problem.solve_small_local(proc, task);
             report.local_small_tasks += 1;
-            if let Some(plan) = &plan {
-                // Task retry: a spoiled attempt discards the work and pays
-                // for the solve again. Re-charging the measured solve time
-                // (instead of re-calling the solver) keeps problem-side
-                // effects idempotent. Attempts are capped so a fault
-                // probability of 1.0 cannot loop forever.
-                let elapsed = proc.clock() - before;
-                let seq = (report.local_small_tasks - 1) as u64;
-                let mut attempt = 0u32;
-                while attempt < 16 && plan.task_spoiled(proc.world_rank(), seq, attempt) {
-                    proc.advance_compute(elapsed);
-                    report.small_task_retries += 1;
-                    attempt += 1;
-                }
+            // Task retry: a spoiled attempt discards the work and pays for
+            // the solve again. Re-charging the measured solve time (instead
+            // of re-calling the solver) keeps problem-side effects
+            // idempotent. Attempts are capped so a fault probability of 1.0
+            // cannot loop forever.
+            let elapsed = proc.clock() - before;
+            let seq = (report.local_small_tasks - 1) as u64;
+            let mut attempt = 0u32;
+            while attempt < 16 && proc.faults().task_spoiled(proc.world_rank(), seq, attempt) {
+                proc.advance_compute(elapsed);
+                report.small_task_retries += 1;
+                attempt += 1;
             }
             proc.gauge_delta("dnc.resident_bytes", proc.clock(), -resident);
         }

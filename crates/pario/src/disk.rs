@@ -86,11 +86,6 @@ impl NodeDisk {
         }
     }
 
-    /// Whether an asynchronous engine is attached.
-    pub fn has_engine(&self) -> bool {
-        self.engine.is_some()
-    }
-
     /// Owning processor's rank.
     pub fn rank(&self) -> usize {
         self.rank

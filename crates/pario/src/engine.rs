@@ -114,11 +114,6 @@ impl IoEngine {
         self.prefetch_on
     }
 
-    /// Pages currently cached (resident or in flight).
-    pub fn cached_pages(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Record `file`'s current logical length (create/append/load).
     pub fn note_file_len(&mut self, file: u64, len: u64) {
         self.file_bytes.insert(file, len);

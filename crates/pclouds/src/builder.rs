@@ -3,7 +3,7 @@
 use pdc_cgm::{Cluster, RunOutput};
 use pdc_clouds::{class_counts, ClassCounts, DecisionTree, Reservoir};
 use pdc_datagen::Record;
-use pdc_dnc::{run_with_options, DncOptions, DncReport, Strategy};
+use pdc_dnc::{run, DncReport, Strategy};
 use pdc_pario::{DiskFarm, RecBuf};
 
 use crate::config::PcloudsConfig;
@@ -121,7 +121,7 @@ pub fn train(
             build: &build,
             n_root,
         };
-        run_problem(proc, &problem, root.counts.clone(), strategy)
+        run(proc, &problem, NodeMeta { counts: root.counts.clone() }, strategy)
     });
     let tree = build.assemble();
     let metrics = build.metrics();
@@ -164,20 +164,8 @@ pub fn train_in_group(
             build,
             n_root,
         };
-        run_problem(p, &problem, root.counts.clone(), strategy)
+        run(p, &problem, NodeMeta { counts: root.counts.clone() }, strategy)
     })
-}
-
-fn run_problem(
-    proc: &mut pdc_cgm::Proc,
-    problem: &PcloudsProblem<'_>,
-    counts: ClassCounts,
-    strategy: Strategy,
-) -> DncReport {
-    let opts = DncOptions {
-        recover_small_tasks: problem.config.recover_small_tasks,
-    };
-    run_with_options(proc, problem, NodeMeta { counts }, strategy, opts)
 }
 
 /// Convenience wrapper: generate a farm, load `records`, and train with the

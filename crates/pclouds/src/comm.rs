@@ -10,10 +10,9 @@
 //! On the wire the interval count arrays are stored **sparsely** (varint
 //! gap/value pairs over the non-zero entries): local partitions of deep
 //! nodes leave most interval × class cells at zero, so the sparse form
-//! shrinks `beta * m` without changing any decoded value. Because encoded
-//! sizes then differ between ranks, collective-algorithm selection must
-//! never look at a local encoding — [`HistMsg::dense_hint`] supplies a
-//! shape-derived size that is identical on every rank.
+//! shrinks `beta * m` without changing any decoded value. Encoded sizes
+//! then differ between ranks; nothing depends on them, because the
+//! collective's schedule is a function of the machine size alone.
 
 use pdc_cgm::wire::{decode_varint, encode_varint, DecodeError, DecodeResult, Wire};
 use pdc_clouds::{AttrIntervalStats, CountMatrix, CountTable, IntervalSet};
@@ -48,28 +47,6 @@ impl HistMsg {
             _ => panic!("batched histogram blocks misaligned: numeric/categorical mismatch"),
         }
         a
-    }
-
-    /// Size of the **dense** encoding of this entry, derived from the shape
-    /// only (interval count, class count, cardinality) — never from the
-    /// values. Every rank holds the same shapes for a node, so this hint is
-    /// identical on every rank and safe to feed into collective-algorithm
-    /// selection (unlike the locally encoded sparse size).
-    pub fn dense_hint(&self) -> usize {
-        // 1 tag byte + the fixed-width field layout of the dense form.
-        match self {
-            HistMsg::Numeric(s) => {
-                let (q, nclasses) = (s.counts().rows(), s.counts().cols());
-                let boundaries = s.intervals().boundaries().len();
-                // attr + intervals(len + f64s) + counts(len + q rows of
-                // (len + nclasses u64s)) + ranges(len + q Some(min,max)).
-                1 + 8 + (8 + boundaries * 8) + (8 + q * (8 + nclasses * 8)) + (8 + q * 17)
-            }
-            HistMsg::Categorical(m) => {
-                let (card, nclasses) = (m.counts().rows(), m.counts().cols());
-                1 + 8 + (8 + card * (8 + nclasses * 8))
-            }
-        }
     }
 }
 
@@ -212,28 +189,6 @@ mod tests {
             sparse.len(),
             dense.len()
         );
-    }
-
-    #[test]
-    fn dense_hint_prices_the_dense_layout_and_ignores_values() {
-        let full = sample_numeric();
-        let with_cells = |counts: CountTable, ranges: &[Option<(f64, f64)>]| {
-            AttrIntervalStats::from_parts(full.attr, full.intervals().clone(), counts, ranges)
-                .unwrap()
-        };
-        let empty = with_cells(CountTable::new(4, 2), &[None; 4]);
-        // Same shape => same hint, regardless of values...
-        assert_eq!(
-            HistMsg::Numeric(full.clone()).dense_hint(),
-            HistMsg::Numeric(empty).dense_hint()
-        );
-        // ...and the hint prices tag + dense layout (ranges at worst case).
-        let worst = with_cells(full.counts().clone(), &[Some((0.0, 1.0)); 4]);
-        let dense = 1 + worst.to_bytes().len();
-        assert_eq!(HistMsg::Numeric(worst).dense_hint(), dense);
-        let cat = sample_categorical();
-        let dense = 1 + cat.to_bytes().len();
-        assert_eq!(HistMsg::Categorical(cat).dense_hint(), dense);
     }
 
     #[test]

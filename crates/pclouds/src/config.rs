@@ -31,13 +31,6 @@ pub struct PcloudsConfig {
     pub switch_threshold_intervals: usize,
     /// Boundary-evaluation approach of the replication method.
     pub boundary_eval: BoundaryEval,
-    /// Fault-aware small-task phase (see
-    /// [`pdc_dnc::DncOptions::recover_small_tasks`]): failed or straggling
-    /// processors in the machine's [`pdc_cgm::FaultPlan`] are relieved by
-    /// speed-weighted LPT assignment, and spoiled local solves are retried.
-    /// Off by default — the paper's implementation does not regroup idle
-    /// processors, and with an inert fault plan the setting changes nothing.
-    pub recover_small_tasks: bool,
 }
 
 impl Default for PcloudsConfig {
@@ -47,7 +40,6 @@ impl Default for PcloudsConfig {
             memory_limit_bytes: 1 << 20,
             switch_threshold_intervals: 10,
             boundary_eval: BoundaryEval::AttributeBased,
-            recover_small_tasks: false,
         }
     }
 }

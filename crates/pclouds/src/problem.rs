@@ -66,6 +66,15 @@ fn take_categorical(stats: &mut NodeStats, a: usize) -> pdc_clouds::CountMatrix 
     )
 }
 
+/// The better of the boundary (SS) candidate and the exact-pass candidate,
+/// either of which may be absent.
+fn better_of(ss: Option<Candidate>, exact: Option<Candidate>) -> Option<Candidate> {
+    match exact {
+        Some(exact) => Candidate::better(ss, exact),
+        None => ss,
+    }
+}
+
 /// Task description: the node's global class distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeMeta {
@@ -148,31 +157,23 @@ impl PcloudsProblem<'_> {
     /// Every attribute's statistics of every node in `stats` travel in
     /// **one** reduce-scatter — destination `a % p` (numeric) /
     /// `(A_num + a) % p` (categorical) gets one block with all its
-    /// attributes. The collective's schedule (fan-in vs. recursive halving)
-    /// is picked from the cost model; the size hint is derived from the
-    /// histogram *shapes*, which every rank agrees on, never from a local
-    /// (sparse) encoding. Returns this rank's block: its owned attributes in
+    /// attributes. Returns this rank's block: its owned attributes in
     /// ascending global order, `stats.len()` consecutive entries per
     /// attribute, in `stats` order.
     fn combine_statistics(&self, proc: &mut Proc, stats: &mut [NodeStats]) -> Vec<HistMsg> {
         let p = proc.nprocs();
         let mut blocks: Vec<Vec<HistMsg>> = vec![Vec::new(); p];
-        let mut hint = 0usize;
         for a in 0..NUM_NUMERIC {
             for s in stats.iter_mut() {
-                let msg = HistMsg::Numeric(take_numeric(s, a));
-                hint += msg.dense_hint();
-                blocks[a % p].push(msg);
+                blocks[a % p].push(HistMsg::Numeric(take_numeric(s, a)));
             }
         }
         for a in 0..NUM_CATEGORICAL {
             for s in stats.iter_mut() {
-                let msg = HistMsg::Categorical(take_categorical(s, a));
-                hint += msg.dense_hint();
-                blocks[(NUM_NUMERIC + a) % p].push(msg);
+                blocks[(NUM_NUMERIC + a) % p].push(HistMsg::Categorical(take_categorical(s, a)));
             }
         }
-        proc.reduce_scatter_blocks(blocks, hint, HistMsg::merged)
+        proc.reduce_scatter_blocks(blocks, HistMsg::merged)
     }
 
     /// Phase 2a, owner side: evaluate boundary (numeric) or subset
@@ -461,60 +462,92 @@ impl PcloudsProblem<'_> {
         all
     }
 
-    /// Phase 2c: single-assignment evaluation of the alive intervals. Each
-    /// interval is LPT-assigned to one processor; a second streaming pass
-    /// routes each alive point to its interval's owner (one personalized
-    /// all-to-all per chunk round); owners sort and scan exactly.
+    /// Phase 2c: single-assignment evaluation of alive intervals — the one
+    /// body of the exact pass, for one node or a whole concatenated level.
+    /// `alive` holds `(task index, interval)` sorted by task, so each task's
+    /// intervals form one run; `scanned` lists the tasks whose node files are
+    /// streamed, in order, `chunk` records per round. Each interval is
+    /// LPT-assigned to one processor; the streaming pass routes each alive
+    /// point to its interval's owner (one personalized all-to-all per chunk
+    /// round); owners sort and scan exactly. Returns this rank's
+    /// `(task index, candidate)` list, for the caller's election.
     fn evaluate_alive(
         &self,
         proc: &mut Proc,
-        id: u64,
-        alive: &[AliveInterval],
-        node_total: &ClassCounts,
-    ) -> Option<Candidate> {
+        tasks: &[Task<NodeMeta>],
+        scanned: &[usize],
+        alive: &[(u64, AliveInterval)],
+        chunk: usize,
+    ) -> Vec<(u64, Candidate)> {
         let p = proc.nprocs();
         let costs: Vec<f64> = alive
             .iter()
-            .map(|a| {
+            .map(|(_, a)| {
                 let n = a.count.max(2) as f64;
                 n * n.log2()
             })
             .collect();
         let owners = lpt_assign(&costs, p);
-
-        // Streaming pass: bucket (interval index, value, class) per owner.
         let rounds = {
             let disk = self.farm.lock(proc.rank());
-            let f = disk.open::<Record>(&Self::node_file(id));
-            let n = disk.num_records(&f);
-            proc.allreduce(n.div_ceil(self.chunk()) as u64, u64::max)
+            let total_chunks: usize = scanned
+                .iter()
+                .map(|&i| {
+                    let f = disk.open::<Record>(&Self::node_file(tasks[i].id));
+                    disk.num_records(&f).div_ceil(chunk)
+                })
+                .sum();
+            proc.allreduce(total_chunks as u64, u64::max)
         };
-        let router = AliveRouter::new(alive);
+        // One router per task: over the task's run of `alive`, with the
+        // position where that run starts.
+        let mut routers: Vec<Option<(usize, AliveRouter)>> = vec![None; tasks.len()];
+        let mut base = 0usize;
+        for run in alive.chunk_by(|a, b| a.0 == b.0) {
+            let router = AliveRouter::new(run.iter().map(|(_, interval)| interval));
+            routers[run[0].0 as usize] = Some((base, router));
+            base += run.len();
+        }
+        // The points this rank owns, by position in `alive`.
         let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); alive.len()];
+        let mut task_pos = 0usize;
         let mut cursor = 0usize;
         let mut page = RecBuf::new();
         for _ in 0..rounds {
-            let chunk = {
+            // Up to `chunk` records from the scanned files, each piece
+            // routed through its task's router as it is read. A rank whose
+            // files are exhausted reads nothing and pays nothing.
+            let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
+            let mut records = 0usize;
+            {
                 let mut disk = self.farm.lock(proc.rank());
-                let f = disk.open::<Record>(&Self::node_file(id));
-                let n = disk.num_records(&f);
-                let take = self.chunk().min(n.saturating_sub(cursor));
-                let chunk = disk.read_range_into(proc, &f, cursor, take, &mut page);
-                cursor += take;
-                chunk
-            };
+                let mut budget = chunk;
+                while budget > 0 && task_pos < scanned.len() {
+                    let i = scanned[task_pos];
+                    let f = disk.open::<Record>(&Self::node_file(tasks[i].id));
+                    let remaining = disk.num_records(&f) - cursor;
+                    if remaining == 0 {
+                        task_pos += 1;
+                        cursor = 0;
+                        continue;
+                    }
+                    let take = budget.min(remaining);
+                    let piece = disk.read_range_into(proc, &f, cursor, take, &mut page);
+                    if let Some((base, router)) = &routers[i] {
+                        router.for_each_hit(&piece, |k, v, class| {
+                            let k = base + k;
+                            buckets[owners[k]].push((k as u64, v, class));
+                        });
+                    }
+                    records += piece.len();
+                    cursor += take;
+                    budget -= take;
+                }
+            }
             // The modelled machine tests every record against every
             // interval; the host asks the router once per attribute.
-            proc.charge(
-                OpKind::SplitTest,
-                (chunk.len() * alive.len().max(1)) as u64,
-            );
-            let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
-            router.for_each_hit(&chunk, |k, v, class| {
-                buckets[owners[k]].push((k as u64, v, class));
-            });
-            let received = proc.all_to_all(buckets);
-            for batch in received {
+            proc.charge(OpKind::SplitTest, (records * alive.len()) as u64);
+            for batch in proc.all_to_all(buckets) {
                 for (k, v, class) in batch {
                     mine[k as usize].push((v, class));
                 }
@@ -522,10 +555,10 @@ impl PcloudsProblem<'_> {
         }
 
         // Exact scans of the intervals this processor owns.
-        let mut local_best: Option<Candidate> = None;
+        let mut local_best: Vec<(u64, Candidate)> = Vec::new();
         let mut metrics_points = 0u64;
         let mut metrics_intervals = 0usize;
-        for (k, interval) in alive.iter().enumerate() {
+        for (k, (t, interval)) in alive.iter().enumerate() {
             if owners[k] != proc.rank() {
                 continue;
             }
@@ -536,20 +569,15 @@ impl PcloudsProblem<'_> {
             let ws = points.len() * 16;
             proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
             proc.charge_ws(OpKind::GiniEval, n, ws);
+            let node_total = &tasks[*t as usize].meta.counts;
             if let Some(c) = exact_interval_scan(points, interval, node_total) {
-                local_best = Candidate::better(local_best, c);
+                local_best.push((*t, c));
             }
         }
-        self.count_alive_scans(proc, metrics_intervals, metrics_points);
-        self.elect_candidate(proc, local_best)
-    }
-
-    /// Instrumentation: this rank scanned `points` points of `intervals`
-    /// alive intervals exactly.
-    fn count_alive_scans(&self, proc: &Proc, intervals: usize, points: u64) {
         let mut st = self.build.rank(proc.rank());
-        st.metrics.alive_intervals_evaluated += intervals;
-        st.metrics.alive_points_scanned += points;
+        st.metrics.alive_intervals_evaluated += metrics_intervals;
+        st.metrics.alive_points_scanned += metrics_points;
+        local_best
     }
 
     /// Phase 3: partition data and sample points; fuse the children's
@@ -821,12 +849,12 @@ impl OocProblem for PcloudsProblem<'_> {
         let best = if alive.is_empty() {
             ss_candidate
         } else {
-            let exact = self.evaluate_alive(proc, id, &alive, &node_total);
-            match (ss_candidate, exact) {
-                (a, None) => a,
-                (None, b) => b,
-                (Some(a), Some(b)) => Candidate::better(Some(a), b),
-            }
+            let alive: Vec<(u64, AliveInterval)> = alive.into_iter().map(|a| (0, a)).collect();
+            let mine =
+                self.evaluate_alive(proc, std::slice::from_ref(task), &[0], &alive, self.chunk());
+            let local_best = mine.into_iter().fold(None, |best, (_, c)| Candidate::better(best, c));
+            let exact = self.elect_candidate(proc, local_best);
+            better_of(ss_candidate, exact)
         };
 
         proc.span_end(derive_span);
@@ -1011,7 +1039,6 @@ impl OocProblem for PcloudsProblem<'_> {
         if level <= 1 {
             return tasks.iter().map(|t| self.process_large(proc, t)).collect();
         }
-        let p = proc.nprocs();
         let chunk = (self.chunk() / level).max(1);
         {
             let mut st = self.build.rank(proc.rank());
@@ -1089,101 +1116,7 @@ impl OocProblem for PcloudsProblem<'_> {
         let exact_best = if all_alive.is_empty() {
             HashMap::new()
         } else {
-            let costs: Vec<f64> = all_alive
-                .iter()
-                .map(|(_, a)| {
-                    let n = a.count.max(2) as f64;
-                    n * n.log2()
-                })
-                .collect();
-            let owners = lpt_assign(&costs, p);
-            let rounds = {
-                let disk = self.farm.lock(proc.rank());
-                let total_chunks: usize = active
-                    .iter()
-                    .map(|&i| {
-                        let f = disk.open::<Record>(&Self::node_file(tasks[i].id));
-                        disk.num_records(&f).div_ceil(chunk)
-                    })
-                    .sum();
-                proc.allreduce(total_chunks as u64, u64::max) as usize
-            };
-            // One router per task: over the task's run of `all_alive`,
-            // with the position where that run starts.
-            let mut routers: HashMap<usize, (usize, AliveRouter)> = HashMap::new();
-            let mut base = 0usize;
-            for run in all_alive.chunk_by(|a, b| a.0 == b.0) {
-                let router = AliveRouter::new(run.iter().map(|(_, interval)| interval));
-                routers.insert(run[0].0 as usize, (base, router));
-                base += run.len();
-            }
-            let mut mine: HashMap<usize, Vec<(f64, u8)>> = HashMap::new();
-            let mut task_pos = 0usize;
-            let mut cursor = 0usize;
-            let mut page = RecBuf::new();
-            for _ in 0..rounds {
-                // Up to `chunk` records from the level's files, each piece
-                // routed through its task's router as it is read.
-                let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
-                let mut scanned = 0usize;
-                {
-                    let mut disk = self.farm.lock(proc.rank());
-                    let mut budget = chunk;
-                    while budget > 0 && task_pos < active.len() {
-                        let i = active[task_pos];
-                        let f = disk.open::<Record>(&Self::node_file(tasks[i].id));
-                        let remaining = disk.num_records(&f) - cursor;
-                        if remaining == 0 {
-                            task_pos += 1;
-                            cursor = 0;
-                            continue;
-                        }
-                        let take = budget.min(remaining);
-                        let piece = disk.read_range_into(proc, &f, cursor, take, &mut page);
-                        if let Some((base, router)) = routers.get(&i) {
-                            router.for_each_hit(&piece, |k, v, class| {
-                                let k = base + k;
-                                buckets[owners[k]].push((k as u64, v, class));
-                            });
-                        }
-                        scanned += piece.len();
-                        cursor += take;
-                        budget -= take;
-                    }
-                }
-                proc.charge(
-                    OpKind::SplitTest,
-                    (scanned * all_alive.len().max(1)) as u64,
-                );
-                let received = proc.all_to_all(buckets);
-                for batch in received {
-                    for (k, v, class) in batch {
-                        mine.entry(k as usize).or_default().push((v, class));
-                    }
-                }
-            }
-            // Exact scans of the intervals this processor owns.
-            let mut local_exact: Vec<(u64, Candidate)> = Vec::new();
-            let mut metrics_points = 0u64;
-            let mut metrics_intervals = 0usize;
-            for (k, (t, interval)) in all_alive.iter().enumerate() {
-                if owners[k] != proc.rank() {
-                    continue;
-                }
-                let mut points = mine.remove(&k).unwrap_or_default();
-                metrics_points += points.len() as u64;
-                metrics_intervals += 1;
-                let n = points.len().max(2) as u64;
-                let ws = points.len() * 16;
-                proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
-                proc.charge_ws(OpKind::GiniEval, n, ws);
-                if let Some(c) =
-                    exact_interval_scan(&mut points, interval, &tasks[*t as usize].meta.counts)
-                {
-                    local_exact.push((*t, c));
-                }
-            }
-            self.count_alive_scans(proc, metrics_intervals, metrics_points);
+            let local_exact = self.evaluate_alive(proc, tasks, &active, &all_alive, chunk);
             self.elect_batch(proc, &local_exact)
         };
         proc.span_end(derive_span);
@@ -1198,12 +1131,7 @@ impl OocProblem for PcloudsProblem<'_> {
                 }
                 let ss = ss_best.get(&(i as u64)).cloned();
                 let exact = exact_best.get(&(i as u64)).cloned();
-                let best = match (ss, exact) {
-                    (a, None) => a,
-                    (None, b) => b,
-                    (Some(a), Some(b)) => Candidate::better(Some(a), b),
-                };
-                self.conclude(proc, &tasks[i], best, chunk)
+                self.conclude(proc, &tasks[i], better_of(ss, exact), chunk)
             })
             .collect();
         proc.span_end(partition_span);

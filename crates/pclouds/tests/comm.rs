@@ -1,9 +1,9 @@
 //! Split aggregation runs on one communication path — the batched,
-//! sparse-encoded histogram reduce-scatter with a cost-model-selected
-//! schedule. These tests pin what that path must keep true: the trained
-//! tree is byte-for-byte the tree the per-attribute combines built, every
-//! node (or concatenated level) spends exactly one collective on its
-//! statistics, and the time accounting closes on every rank.
+//! sparse-encoded histogram reduce-scatter. These tests pin what that path
+//! must keep true: the trained tree is byte-for-byte the tree the
+//! per-attribute combines built, every node (or concatenated level) spends
+//! exactly one collective on its statistics, the time accounting closes on
+//! every rank, and the exact pass behind it moves no rank's clock.
 
 use pdc_cgm::{Cluster, MachineConfig, Wire};
 use pdc_clouds::CloudsParams;
@@ -128,12 +128,53 @@ fn trained_tree_bytes_match_the_golden_hash() {
     }
 }
 
+/// Every rank's finish-time bits and the tree hash at commit 2b4fe2d — the
+/// last with a second copy of the exact pass inside `process_level` — for
+/// 7 000 records of generator seed 22 under a 4 KiB memory limit (73-record
+/// chunks), SSE, p = 4. On this input the concatenated levels hold up to 23
+/// tasks with alive intervals at once, and under `Mixed` nine large nodes
+/// (4, 5, 10, 21, 22, 85, 171, 684, 1368) leave a rank with no records to
+/// read before the last chunk round.
+const GOLDEN_EXACT_PASS: [(Strategy, u64, [u64; 4]); 2] = [
+    (
+        Strategy::Mixed,
+        0xe806_0cec_3302_b319,
+        [0x3fce_172c_08a1_06ab, 0x3fce_a182_ea47_b689, 0x3fce_9f1d_aca2_b1cf, 0x3fce_6643_e57e_338a],
+    ),
+    (
+        Strategy::Concatenated,
+        0x6f31_e484_3435_7fc7,
+        [0x3fe5_01d1_8bec_36d9, 0x3fe5_01be_de31_44c6, 0x3fe5_01ac_3076_52b5, 0x3fe5_01be_de31_44c6],
+    ),
+];
+
+#[test]
+fn exact_pass_finish_bits_are_pinned_on_every_rank() {
+    let records = generate(7_000, GeneratorConfig { seed: 22, ..GeneratorConfig::default() });
+    let cfg = PcloudsConfig {
+        memory_limit_bytes: 4096,
+        ..test_config()
+    };
+    for (strategy, tree_hash, finish_bits) in GOLDEN_EXACT_PASS {
+        let farm = DiskFarm::in_memory(4);
+        let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
+        let out = train(&Cluster::new(4), &farm, &root, &cfg, strategy);
+        assert_eq!(
+            fnv1a(&out.tree.to_bytes()),
+            tree_hash,
+            "{strategy:?}: trained tree bytes changed"
+        );
+        let observed: Vec<u64> = out.run.stats.iter().map(|s| s.finish_time.to_bits()).collect();
+        assert_eq!(observed, finish_bits, "{strategy:?}: a rank's finish time moved");
+    }
+}
+
 #[test]
 fn every_derive_phase_issues_exactly_one_reduce_scatter() {
     // Under each `pclouds.derive` span (one per large node, or one per
     // concatenated level) the statistics travel in exactly one
     // `cgm.reduce_scatter.*` and never in a per-attribute `cgm.reduce`;
-    // the schedule is the one the cost model picks for that `p`.
+    // the schedule is the one that `p` fixes.
     let records = generate(6_000, GeneratorConfig::default());
     for (p, schedule) in [(3usize, "cgm.reduce_scatter.fanin"), (4, "cgm.reduce_scatter.halving")] {
         for strategy in [Strategy::Mixed, Strategy::Concatenated] {

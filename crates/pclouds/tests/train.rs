@@ -63,37 +63,31 @@ fn runtime_is_deterministic() {
 #[test]
 fn zero_fault_plan_reproduces_fault_free_virtual_times() {
     // Determinism regression for the fault subsystem: compiling fault
-    // injection in but leaving it disabled (an inert FaultPlan, with or
-    // without the recovery knob) must not move a single bit of virtual
-    // time relative to the plain machine.
+    // injection in but leaving it disabled (an inert FaultPlan) must not
+    // move a single bit of virtual time relative to the plain machine.
     use pdc_cgm::{FaultPlan, MachineConfig};
     let records = generate(4_000, GeneratorConfig::default());
     let cfg = test_config();
-    let build = |machine: MachineConfig, recover: bool| {
-        let mut cfg = cfg.clone();
-        cfg.recover_small_tasks = recover;
+    let build = |machine: MachineConfig| {
         let farm = DiskFarm::in_memory(4);
         let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
         let cluster = Cluster::with_config(4, machine);
         train(&cluster, &farm, &root, &cfg, Strategy::Mixed)
     };
-    let baseline = build(MachineConfig::default(), false);
+    let baseline = build(MachineConfig::default());
     let inert = FaultPlan::with_seed(0xABCD);
     assert!(inert.is_inert());
-    for recover in [false, true] {
-        let machine = MachineConfig {
-            faults: inert.clone(),
-            ..MachineConfig::default()
-        };
-        let out = build(machine, recover);
-        assert_eq!(out.tree, baseline.tree);
-        for (a, b) in baseline.run.stats.iter().zip(&out.run.stats) {
-            assert_eq!(
-                a.finish_time.to_bits(),
-                b.finish_time.to_bits(),
-                "virtual times diverged (recover={recover})"
-            );
-        }
+    let out = build(MachineConfig {
+        faults: inert,
+        ..MachineConfig::default()
+    });
+    assert_eq!(out.tree, baseline.tree);
+    for (a, b) in baseline.run.stats.iter().zip(&out.run.stats) {
+        assert_eq!(
+            a.finish_time.to_bits(),
+            b.finish_time.to_bits(),
+            "virtual times diverged under an inert plan"
+        );
     }
 }
 

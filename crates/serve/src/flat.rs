@@ -10,10 +10,10 @@
 //! the tree share cache lines and a child access is an indexed load into
 //! one slice instead of a dependent pointer chase.
 
-use pdc_cgm::wire::{DecodeResult, Wire};
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::{DecisionTree, Node, Splitter};
-use pdc_datagen::{Record, RecordBatch, NUM_NUMERIC};
+use pdc_datagen::{Record, RecordBatch, NUM_CATEGORICAL, NUM_CLASSES, NUM_NUMERIC};
 
 use crate::predictor::Predictor;
 
@@ -228,10 +228,27 @@ impl Wire for FlatTree {
         self.nodes.encode(buf);
     }
 
+    /// Refuses an array [`FlatTree::compile`] cannot have produced and a
+    /// walk could not survive: an empty one, children out of range or not
+    /// after their parent (breadth-first order puts them there, which also
+    /// rules out cycles), a test on an attribute a record does not have, a
+    /// leaf class outside the label set.
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(FlatTree {
-            nodes: Vec::<FlatNode>::decode(bytes)?,
-        })
+        let nodes = Vec::<FlatNode>::decode(bytes)?;
+        let sound = |(i, n): (usize, &FlatNode)| {
+            let first = n.first_child as usize;
+            if first == 0 {
+                usize::from(n.class) < NUM_CLASSES
+            } else {
+                i < first
+                    && first + 1 < nodes.len()
+                    && usize::from(n.attr) < NUM_NUMERIC + NUM_CATEGORICAL
+            }
+        };
+        if nodes.is_empty() || !nodes.iter().enumerate().all(sound) {
+            return Err(DecodeError::malformed("flat node array is not a tree", bytes));
+        }
+        Ok(FlatTree { nodes })
     }
 }
 

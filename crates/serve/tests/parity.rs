@@ -230,3 +230,48 @@ fn categorical_only_tree_agrees() {
     let out = train_in_memory(&generate(2_000, gen), 2, &small_config());
     check_parity(&out.tree, &generate(1_000, gen));
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Hostile bytes at the deployed-model wire form, both layouts:
+    /// arbitrary bytes, every truncation and a one-byte mutation at every
+    /// position decode to an error or to a model that scores a record —
+    /// never a panic, never a node array reserved from a length prefix the
+    /// input could not back.
+    #[test]
+    fn hostile_bytes_compiled_model(
+        seed in any::<u64>(),
+        splits in 0usize..12,
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in 1u8..=255,
+    ) {
+        use pdc_cgm::Wire;
+        use pdc_serve::CompiledModel;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = random_tree(&mut rng, splits);
+        let record = random_record(&mut rng);
+        let decode = |bytes: &[u8]| {
+            if let Ok(model) = CompiledModel::from_bytes(bytes) {
+                let reserved = match &model {
+                    CompiledModel::Pointer(p) => p.tree().nodes.capacity(),
+                    CompiledModel::Flat(f) => f.nodes().len(),
+                };
+                assert!(reserved <= 16 + bytes.len(), "{reserved} nodes from {} bytes", bytes.len());
+                assert!(model.predict(&record) < 2);
+            }
+        };
+        decode(&junk);
+        for layout in ALL_LAYOUTS {
+            let bytes = layout.compile(&tree).to_bytes();
+            for cut in 0..bytes.len() {
+                prop_assert!(CompiledModel::from_bytes(&bytes[..cut]).is_err(), "truncated at {cut}");
+            }
+            for at in 0..bytes.len() {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= flip;
+                decode(&mutated);
+            }
+        }
+    }
+}
