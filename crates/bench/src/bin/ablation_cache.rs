@@ -1,34 +1,34 @@
-//! **Ablation — buffer pool, replacement policy & prefetch (the
-//! asynchronous disk engine).**
+//! **Ablation — buffer-pool budget & prefetch (the asynchronous disk
+//! engine).**
 //!
 //! Sweeps the [`pdc_pario::EngineConfig`] space on two workloads and writes
 //! `results/ablation_cache.csv`:
 //!
-//! * **pclouds** — the fig-1 training workload, buffer budget × replacement
-//!   policy × prefetch on/off. Expected shape: the *disabled* engine is
-//!   bit-identical to the plain synchronous farm, and prefetch (task
-//!   lookahead from the divide-and-conquer queue + sequential read-ahead in
-//!   the chunked readers) is strictly faster at every budget because the
-//!   next task's transfer rides under the current task's compute.
+//! * **pclouds** — the fig-1 training workload, buffer budget × prefetch
+//!   on/off, beside the engine-off run (`none`). Asserted: every cell
+//!   trains the engine-off tree, and at fixed prefetch the makespan never
+//!   grows with the budget. Reported, not asserted: prefetch on against off
+//!   per budget — it is two-sided (task lookahead costs small pools more
+//!   than read-ahead hides; see EXPERIMENTS.md).
 //! * **seqscan / rescan** — synthetic single-rank scans that isolate the
 //!   engine: a sequential scan with per-chunk compute (prefetch hides the
-//!   device time almost entirely), and a repeated scan over a file larger
-//!   than the pool (LRU evicts every page right before its reuse — the
-//!   classic sequential-flooding pathology — while MRU keeps a prefix of
-//!   the file resident and wins measurably).
+//!   device time almost entirely, asserted), and a repeated scan over a file
+//!   larger than the pool, the one access pattern LRU is worst at (every
+//!   page is evicted right before its reuse: no hits, asserted) and no pass
+//!   of the trainer or the server makes.
 //!
 //! Everything is deterministic; the assertions below are the regression
 //! contract for the engine's performance claims.
 
 use pdc_bench::harness::{csv_flag, write_results_csv, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_cgm::{Cluster, MachineConfig};
-use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_cgm::{Cluster, Counters, MachineConfig};
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 
 /// One row of the sweep.
 struct Row {
     workload: &'static str,
-    policy: String,
+    policy: &'static str,
     budget_pages: usize,
     prefetch: bool,
     makespan: f64,
@@ -40,11 +40,30 @@ struct Row {
     io_overlapped: f64,
 }
 
-fn policy_name(p: ReplacementPolicy) -> &'static str {
-    match p {
-        ReplacementPolicy::Lru => "lru",
-        ReplacementPolicy::Clock => "clock",
-        ReplacementPolicy::Mru => "mru",
+impl Row {
+    /// `policy` is `lru` for every engine-on run: the column predates the
+    /// one policy and stays so the CSV shape and the metric keys are stable.
+    fn new(
+        workload: &'static str,
+        policy: &'static str,
+        budget_pages: usize,
+        prefetch: bool,
+        makespan: f64,
+        c: &Counters,
+    ) -> Row {
+        Row {
+            workload,
+            policy,
+            budget_pages,
+            prefetch,
+            makespan,
+            hits: c.cache_hits,
+            misses: c.cache_misses,
+            evictions: c.cache_evictions,
+            prefetches: c.prefetches,
+            io_stall: c.io_stall_time,
+            io_overlapped: c.io_overlapped_time,
+        }
     }
 }
 
@@ -56,7 +75,7 @@ fn scan_run(
     file_pages: usize,
     passes: usize,
     overlap: f64,
-) -> (f64, pdc_cgm::Counters) {
+) -> (f64, Counters) {
     const PAGE_RECORDS: usize = 8 * 1024; // 64 KiB of u64s = one page
     let farm = DiskFarm::with_engine(1, BackendKind::InMemory, engine);
     {
@@ -92,116 +111,58 @@ fn main() {
     eprintln!("ablation_cache: n={n} p={p}");
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- Regression: the disabled engine is the synchronous path, bit for
-    // bit.
+    // --- The engine-off run: the `none` row and the reference tree.
     let experiment = Experiment::new(n, p, scale);
-    let baseline = experiment.run();
-    let disabled = experiment.clone().engine(&EngineConfig::disabled()).run();
-    assert_eq!(baseline.tree, disabled.tree);
-    for (a, b) in baseline.run.stats.iter().zip(&disabled.run.stats) {
-        assert_eq!(
-            a.finish_time.to_bits(),
-            b.finish_time.to_bits(),
-            "rank {}: a disabled engine must be bit-identical to the plain farm",
-            a.rank
-        );
-    }
-    eprintln!("  disabled engine: bit-identical to the synchronous path");
-    rows.push(Row {
-        workload: "pclouds",
-        policy: "none".into(),
-        budget_pages: 0,
-        prefetch: false,
-        makespan: disabled.runtime(),
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        prefetches: 0,
-        io_stall: 0.0,
-        io_overlapped: 0.0,
-    });
+    let reference = experiment.run();
+    let none = Counters::default();
+    rows.push(Row::new("pclouds", "none", 0, false, reference.runtime(), &none));
 
-    // --- The fig-1 workload across budget × policy × prefetch. Pages are
-    // 16 KiB so quick-scale node files still span several pages.
+    // --- The fig-1 workload across budget × prefetch. Pages are 16 KiB so
+    // quick-scale node files still span several pages.
     const PCLOUDS_PAGE: usize = 16 * 1024;
-    let budgets_pages = [4usize, 16];
-    let policies = [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Clock,
-        ReplacementPolicy::Mru,
-    ];
-    for &budget_pages in &budgets_pages {
-        for policy in policies {
-            let mut makespans = [0.0f64; 2];
-            for (i, prefetch) in [false, true].into_iter().enumerate() {
-                let engine = EngineConfig {
-                    page_bytes: PCLOUDS_PAGE,
-                    budget_bytes: budget_pages * PCLOUDS_PAGE,
-                    policy,
-                    prefetch,
-                };
-                let out = experiment.clone().engine(&engine).run();
-                assert_eq!(
-                    out.tree, baseline.tree,
-                    "the engine must never change the computed tree"
-                );
-                let t = out.run.total_counters();
-                makespans[i] = out.runtime();
-                rows.push(Row {
-                    workload: "pclouds",
-                    policy: policy_name(policy).into(),
-                    budget_pages,
-                    prefetch,
-                    makespan: out.runtime(),
-                    hits: t.cache_hits,
-                    misses: t.cache_misses,
-                    evictions: t.cache_evictions,
-                    prefetches: t.prefetches,
-                    io_stall: t.io_stall_time,
-                    io_overlapped: t.io_overlapped_time,
-                });
-            }
-            let [off, on] = makespans;
-            eprintln!(
-                "  pclouds {}x{budget_pages}p: prefetch off {off:.4}s, on {on:.4}s",
-                policy_name(policy)
+    let mut smaller_pool = [f64::INFINITY; 2];
+    for budget_pages in [4usize, 8, 16, 64] {
+        let makespans = [false, true].map(|prefetch| {
+            let engine = EngineConfig {
+                page_bytes: PCLOUDS_PAGE,
+                budget_bytes: budget_pages * PCLOUDS_PAGE,
+                prefetch,
+            };
+            let out = experiment.clone().engine(&engine).run();
+            assert_eq!(
+                out.tree, reference.tree,
+                "the engine must never change the computed tree"
             );
+            let t = out.run.total_counters();
+            rows.push(Row::new("pclouds", "lru", budget_pages, prefetch, out.runtime(), &t));
+            out.runtime()
+        });
+        let [off, on] = makespans;
+        eprintln!(
+            "  pclouds {budget_pages:>2} pages: prefetch off {off:.4}s, on {on:.4}s ({:+.1}%)",
+            (on / off - 1.0) * 100.0
+        );
+        for (i, which) in ["off", "on"].into_iter().enumerate() {
             assert!(
-                on < off,
-                "{:?} @ {budget_pages} pages: prefetch must be strictly faster \
-                 ({on} !< {off})",
-                policy
+                makespans[i] <= smaller_pool[i],
+                "prefetch {which}: {budget_pages} pages slower than the next smaller pool \
+                 ({} !<= {})",
+                makespans[i],
+                smaller_pool[i]
             );
         }
+        smaller_pool = makespans;
     }
 
     // --- Synthetic: one sequential pass, compute ≈ device time per chunk.
     // Prefetch should hide nearly all of the transfer behind the compute.
-    let seq_budget = 16;
-    let mut seq_makespans = [0.0f64; 2];
-    for (i, prefetch) in [false, true].into_iter().enumerate() {
-        let engine = EngineConfig::new(
-            seq_budget * 64 * 1024,
-            ReplacementPolicy::Lru,
-            prefetch,
-        );
+    let scan_budget = 16;
+    let [seq_off, seq_on] = [false, true].map(|prefetch| {
+        let engine = EngineConfig::new(scan_budget * 64 * 1024, prefetch);
         let (makespan, c) = scan_run(&engine, 64, 1, 1.0);
-        seq_makespans[i] = makespan;
-        rows.push(Row {
-            workload: "seqscan",
-            policy: "lru".into(),
-            budget_pages: seq_budget,
-            prefetch,
-            makespan,
-            hits: c.cache_hits,
-            misses: c.cache_misses,
-            evictions: c.cache_evictions,
-            prefetches: c.prefetches,
-            io_stall: c.io_stall_time,
-            io_overlapped: c.io_overlapped_time,
-        });
-    }
-    let [seq_off, seq_on] = seq_makespans;
+        rows.push(Row::new("seqscan", "lru", scan_budget, prefetch, makespan, &c));
+        makespan
+    });
     eprintln!("  seqscan: prefetch off {seq_off:.4}s, on {seq_on:.4}s");
     assert!(
         seq_on < seq_off,
@@ -209,48 +170,15 @@ fn main() {
     );
 
     // --- Synthetic: four repeated passes over a 64-page file with a
-    // 16-page pool. LRU floods (every page evicted before reuse); MRU keeps
-    // a resident prefix and must win measurably.
-    let mut rescan: Vec<(ReplacementPolicy, f64, u64)> = Vec::new();
-    for policy in policies {
-        let engine = EngineConfig::new(16 * 64 * 1024, policy, false);
-        let (makespan, c) = scan_run(&engine, 64, 4, 0.0);
-        rescan.push((policy, makespan, c.cache_hits));
-        rows.push(Row {
-            workload: "rescan",
-            policy: policy_name(policy).into(),
-            budget_pages: 16,
-            prefetch: false,
-            makespan,
-            hits: c.cache_hits,
-            misses: c.cache_misses,
-            evictions: c.cache_evictions,
-            prefetches: c.prefetches,
-            io_stall: c.io_stall_time,
-            io_overlapped: c.io_overlapped_time,
-        });
-        eprintln!(
-            "  rescan {}: {makespan:.4}s, {} hits",
-            policy_name(policy),
-            c.cache_hits
-        );
-    }
-    let lru = rescan.iter().find(|r| r.0 == ReplacementPolicy::Lru).unwrap();
-    let mru = rescan.iter().find(|r| r.0 == ReplacementPolicy::Mru).unwrap();
-    assert!(
-        mru.2 > lru.2,
-        "repeated scan: MRU must keep pages LRU floods away \
-         ({} hits !> {} hits)",
-        mru.2,
-        lru.2
+    // 16-page pool. LRU floods: every page is evicted before its reuse.
+    let (makespan, c) = scan_run(&EngineConfig::new(scan_budget * 64 * 1024, false), 64, 4, 0.0);
+    eprintln!("  rescan: {makespan:.4}s, {} hits, {} misses", c.cache_hits, c.cache_misses);
+    assert_eq!(
+        (c.cache_hits, c.cache_misses),
+        (0, 4 * 64),
+        "repeated scan of a file larger than the pool: every read misses"
     );
-    assert!(
-        mru.1 < lru.1,
-        "repeated scan: MRU must be measurably faster than LRU \
-         ({} !< {})",
-        mru.1,
-        lru.1
-    );
+    rows.push(Row::new("rescan", "lru", scan_budget, false, makespan, &c));
 
     // --- Emit the table and the checked-in CSV.
     let headers = [
@@ -271,7 +199,7 @@ fn main() {
     for r in &rows {
         let cells = vec![
             r.workload.to_string(),
-            r.policy.clone(),
+            r.policy.to_string(),
             r.budget_pages.to_string(),
             if r.prefetch { "on" } else { "off" }.to_string(),
             format!("{:.6}", r.makespan),

@@ -9,13 +9,9 @@
 //! count (9): below it the approaches are similar; above it the
 //! attribute-based owners become the bottleneck of the derive phase.
 
-use pdc_bench::harness::{csv_flag, experiment_config, machine_config, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_cgm::Cluster;
-use pdc_datagen::{GeneratorConfig, RecordStream};
-use pdc_dnc::Strategy;
-use pdc_pario::DiskFarm;
-use pdc_pclouds::{load_dataset_stream, train, BoundaryEval};
+use pdc_pclouds::BoundaryEval;
 
 fn main() {
     let scale = Scale::from_env();
@@ -39,18 +35,9 @@ fn main() {
             ("attribute", BoundaryEval::AttributeBased),
             ("interval", BoundaryEval::IntervalBased),
         ] {
-            let mut cfg = experiment_config(n, scale);
-            cfg.boundary_eval = approach;
-            let farm = DiskFarm::in_memory(p);
-            let stream = RecordStream::new(GeneratorConfig::default()).take(n as usize);
-            let root = load_dataset_stream(
-                &farm,
-                stream,
-                cfg.clouds.sample_size,
-                cfg.clouds.sample_seed,
-            );
-            let cluster = Cluster::with_config(p, machine_config(scale));
-            let out = train(&cluster, &farm, &root, &cfg, Strategy::Mixed);
+            let out = Experiment::new(n, p, scale)
+                .config(|c| c.boundary_eval = approach)
+                .run();
             let derive: Vec<f64> = out.metrics.iter().map(|m| m.time_derive).collect();
             summary.metric(&format!("{name}_p{p}_runtime_s"), out.runtime());
             summary.metric(

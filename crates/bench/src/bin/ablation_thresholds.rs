@@ -8,23 +8,17 @@
 //! data-parallel balance; too small a memory limit pays seeks, too large
 //! defeats out-of-core operation.
 
-use pdc_bench::harness::{csv_flag, experiment_config, machine_config, Scale, TableWriter};
+use pdc_bench::harness::{csv_flag, experiment_config, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_cgm::Cluster;
-use pdc_datagen::{GeneratorConfig, RecordStream};
-use pdc_dnc::Strategy;
-use pdc_pario::DiskFarm;
-use pdc_pclouds::{load_dataset_stream, train};
 
 fn run(n: u64, p: usize, scale: Scale, switch: usize, mem: usize) -> f64 {
-    let mut cfg = experiment_config(n, scale);
-    cfg.switch_threshold_intervals = switch;
-    cfg.memory_limit_bytes = mem;
-    let farm = DiskFarm::in_memory(p);
-    let stream = RecordStream::new(GeneratorConfig::default()).take(n as usize);
-    let root = load_dataset_stream(&farm, stream, cfg.clouds.sample_size, cfg.clouds.sample_seed);
-    let cluster = Cluster::with_config(p, machine_config(scale));
-    train(&cluster, &farm, &root, &cfg, Strategy::Mixed).runtime()
+    Experiment::new(n, p, scale)
+        .config(|c| {
+            c.switch_threshold_intervals = switch;
+            c.memory_limit_bytes = mem;
+        })
+        .run()
+        .runtime()
 }
 
 fn main() {

@@ -19,9 +19,9 @@ use pdc_bench::harness::{
     csv_flag, machine_config, write_results_csv, Experiment, Scale, TableWriter,
 };
 use pdc_bench::summary::BenchSummary;
-use pdc_cgm::Cluster;
+use pdc_cgm::{Cluster, HistogramSpec};
 use pdc_datagen::GeneratorConfig;
-use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, ServeReport, ALL_LAYOUTS};
 
 /// One CSV row of the ablation.
@@ -73,7 +73,6 @@ fn main() {
             EngineConfig {
                 page_bytes: 16 * 1024,
                 budget_bytes: 32 * 16 * 1024,
-                policy: ReplacementPolicy::Lru,
                 prefetch: true,
             },
         ),
@@ -99,7 +98,7 @@ fn main() {
                 let exact = report
                     .latency_exact
                     .expect("exact latencies were requested");
-                let tol = serve_cfg.hist.rel_error();
+                let tol = HistogramSpec::latency_default().rel_error();
                 for (which, approx, e) in [
                     ("p50", report.latency.p50, exact.p50),
                     ("p99", report.latency.p99, exact.p99),

@@ -18,7 +18,7 @@
 
 use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
 use pdc_cgm::{resolve_series, GaugeSeries};
-use pdc_pario::{EngineConfig, ReplacementPolicy};
+use pdc_pario::EngineConfig;
 
 const PHASES: [&str; 5] = [
     "pclouds.stats",
@@ -41,7 +41,7 @@ fn main() {
     let n = scale.records(4_800_000);
     let p = 8;
     eprintln!("phase_breakdown: n={n} p={p}");
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let reg = out.span_metrics();
 

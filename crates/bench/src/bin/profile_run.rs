@@ -39,7 +39,7 @@ use pdc_cgm::{
     chrome_trace_json, critical_path, gauges_csv, metrics_jsonl, BuildReport, Cluster,
 };
 use pdc_datagen::GeneratorConfig;
-use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, SloSpec, TelemetryConfig};
 
 fn main() {
@@ -66,7 +66,7 @@ fn main() {
     }
     let n = scale.records(4_800_000);
     eprintln!("profile_run: n={n} p={p} name={name}");
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let stats = &out.run.stats;
 
@@ -138,7 +138,6 @@ fn profile_serve(name: &str, p: usize, scale: Scale) {
     let engine = EngineConfig {
         page_bytes: 16 * 1024,
         budget_bytes: 32 * 16 * 1024,
-        policy: ReplacementPolicy::Lru,
         prefetch: true,
     };
     let stage = || {

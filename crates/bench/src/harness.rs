@@ -18,7 +18,8 @@ pub enum Scale {
     /// Paper-scale workloads (3.6M–7.2M records; a minute or two of wall
     /// time per figure).
     Full,
-    /// 1/20 of the paper (default; minutes of wall time).
+    /// 1/20 of the paper (default; all fifteen bins that own a committed
+    /// `results/` file take about a minute together on two cores).
     Default,
     /// 1/100 of the paper (seconds; for smoke tests).
     Quick,
@@ -117,7 +118,7 @@ impl Experiment {
     }
 
     /// Run the disk farm on the asynchronous engine configured by `engine`
-    /// (buffer pool, replacement policy, write-back, prefetch — see
+    /// (buffer pool, write-back, prefetch — see
     /// [`pdc_pario::EngineConfig`]).
     pub fn engine(mut self, engine: &EngineConfig) -> Self {
         self.engine = engine.clone();

@@ -4,14 +4,14 @@
 //! pinned where the two differ, in `pario/tests/engine.rs`.)
 
 use pdc_bench::harness::{Experiment, Scale};
-use pdc_pario::{EngineConfig, ReplacementPolicy};
+use pdc_pario::EngineConfig;
 
 #[test]
 fn enabled_engine_keeps_the_tree_and_the_accounting_identity() {
     let n = 20_000;
     let p = 4;
     let plain = Experiment::new(n, p, Scale::Quick).run();
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     let engined = Experiment::new(n, p, Scale::Quick).engine(&engine).run();
     assert_eq!(plain.tree, engined.tree, "the engine must not change results");
     for s in &engined.run.stats {

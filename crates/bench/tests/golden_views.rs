@@ -18,7 +18,7 @@ use pdc_bench::harness::{Experiment, Scale};
 use pdc_cgm::{
     chrome_trace_json, critical_path, Cluster, FaultPlan, MachineConfig, OpKind, ProcStats,
 };
-use pdc_pario::{EngineConfig, ReplacementPolicy};
+use pdc_pario::EngineConfig;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -74,7 +74,7 @@ fn assert_matches(got: &str, want: &str, what: &str) {
 }
 
 fn pclouds_profiled() -> Vec<ProcStats> {
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     Experiment::new(20_000, 4, Scale::Quick)
         .engine(&engine)
         .profiled()

@@ -5,10 +5,10 @@
 
 use pdc_bench::harness::{Experiment, Scale};
 use pdc_cgm::{chrome_trace_json, gauges_csv, metrics_csv, metrics_jsonl, FaultPlan};
-use pdc_pario::{EngineConfig, ReplacementPolicy};
+use pdc_pario::EngineConfig;
 
 fn engine() -> EngineConfig {
-    EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true)
+    EngineConfig::new(512 * 1024, true)
 }
 
 #[test]

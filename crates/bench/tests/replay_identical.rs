@@ -9,7 +9,7 @@ use pdc_bench::harness::{machine_config, Experiment, Scale};
 use pdc_cgm::replay::{identity_check, replay, CostOverride};
 use pdc_cgm::{Cluster, EventGraph, FaultPlan};
 use pdc_ensemble::{train_ensemble_on, EnsembleConfig};
-use pdc_pario::{EngineConfig, ReplacementPolicy};
+use pdc_pario::EngineConfig;
 
 const N: u64 = 20_000;
 const P: usize = 4;
@@ -55,14 +55,14 @@ fn identity_replay_bit_exact_with_faults() {
 
 #[test]
 fn identity_replay_bit_exact_with_engine() {
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     let out = Experiment::new(N, P, Scale::Quick).engine(&engine).traced().run();
     identity_check(&EventGraph::from_stats(&out.run.stats));
 }
 
 #[test]
 fn identity_replay_bit_exact_with_telemetry_and_everything() {
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     // Everything at once: faults, the engine, and the whole telemetry
     // stack (spans + gauges) on top of the recording.
     let out = Experiment::new(N, P, Scale::Quick)

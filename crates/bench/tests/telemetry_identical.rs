@@ -8,7 +8,7 @@ use pdc_bench::harness::{Experiment, Scale};
 use pdc_cgm::Cluster;
 use pdc_clouds::{DecisionTree, Splitter};
 use pdc_datagen::GeneratorConfig;
-use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 use pdc_serve::{serve, stage_requests, Layout, ServeConfig, SloSpec, TelemetryConfig};
 
 fn tree() -> DecisionTree {
@@ -41,7 +41,6 @@ fn serving_run_is_bit_identical_with_full_telemetry_on() {
     let engine = EngineConfig {
         page_bytes: 16 * 1024,
         budget_bytes: 8 * 16 * 1024,
-        policy: ReplacementPolicy::Lru,
         prefetch: true,
     };
     let stage = || {
@@ -107,7 +106,7 @@ fn pclouds_run_is_bit_identical_with_full_observability_on() {
     let scale = Scale::Quick;
     let n = 12_000;
     let p = 4;
-    let engine = EngineConfig::new(512 * 1024, ReplacementPolicy::Lru, true);
+    let engine = EngineConfig::new(512 * 1024, true);
     // Same workload, same engine; the only difference is spans + record +
     // gauges (the `profiled` preset flips exactly those three).
     let off = Experiment::new(n, p, scale).engine(&engine).run();

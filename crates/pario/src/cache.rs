@@ -1,5 +1,4 @@
-//! Page-granular buffer pool with a bounded byte budget and pluggable
-//! replacement.
+//! Page-granular LRU buffer pool with a bounded byte budget.
 //!
 //! The pool is **timing metadata only**: the simulated machine's data always
 //! lives in the [`crate::backend::Store`], so a page here records whether a
@@ -9,26 +8,13 @@
 //! file ids survive renames and are never reused, so stale pages cannot
 //! alias a recreated file.
 //!
-//! Replacement is pluggable ([`ReplacementPolicy`]): classic LRU, the CLOCK
-//! second-chance approximation, and MRU — the policy of choice for repeated
-//! sequential scans over a file larger than the budget, where LRU evicts
-//! every page right before its next use (sequential flooding).
+//! Replacement is least-recently-used. Every access the out-of-core passes
+//! make is a forward scan or an append, so what has to be bounded is how
+//! much is resident, not which victim goes first (measured against CLOCK
+//! and MRU in EXPERIMENTS.md, "One replacement policy").
 
 use pdc_cgm::IoTicket;
 use std::collections::HashMap;
-
-/// Which page does a replacement victim come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used page.
-    Lru,
-    /// Second-chance approximation of LRU: a sweeping hand clears reference
-    /// bits and evicts the first page found unreferenced.
-    Clock,
-    /// Evict the most-recently-used page — optimal for cyclic sequential
-    /// scans that do not fit the budget (keeps a stable prefix resident).
-    Mru,
-}
 
 /// Key of one cached page: `(file id, page index within the file)`.
 pub type PageKey = (u64, u64);
@@ -48,7 +34,6 @@ struct Page {
     state: PageState,
     dirty: bool,
     pinned: bool,
-    referenced: bool,
     last_used: u64,
 }
 
@@ -62,29 +47,26 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Bounded pool of page frames. All operations are deterministic: victims
-/// are selected by slab scans, never by hash-map iteration order.
+/// Bounded pool of page frames, least-recently-used page out first. All
+/// operations are deterministic: victims are selected by slab scans, never
+/// by hash-map iteration order.
 pub struct BufferPool {
-    policy: ReplacementPolicy,
     budget_pages: usize,
     slots: Vec<Option<Page>>,
     free: Vec<usize>,
     map: HashMap<PageKey, usize>,
     tick: u64,
-    hand: usize,
 }
 
 impl BufferPool {
-    /// Pool holding at most `budget_pages` pages under `policy`.
-    pub fn new(policy: ReplacementPolicy, budget_pages: usize) -> Self {
+    /// Pool holding at most `budget_pages` pages.
+    pub fn new(budget_pages: usize) -> Self {
         BufferPool {
-            policy,
             budget_pages,
             slots: Vec::new(),
             free: Vec::new(),
             map: HashMap::new(),
             tick: 0,
-            hand: 0,
         }
     }
 
@@ -131,14 +113,13 @@ impl BufferPool {
         self.slots[i].as_mut()
     }
 
-    /// Record a use of the page (updates the recency stamp and CLOCK
-    /// reference bit). No-op when the page is not cached.
+    /// Record a use of the page (updates the recency stamp). No-op when the
+    /// page is not cached.
     pub fn touch(&mut self, key: PageKey) {
         self.tick += 1;
         let tick = self.tick;
         if let Some(p) = self.page_mut(key) {
             p.last_used = tick;
-            p.referenced = true;
         }
     }
 
@@ -182,7 +163,6 @@ impl BufferPool {
             p.state = state;
             p.dirty |= dirty;
             p.last_used = tick;
-            p.referenced = true;
             return None;
         }
         if self.budget_pages == 0 {
@@ -198,7 +178,6 @@ impl BufferPool {
             state,
             dirty,
             pinned: false,
-            referenced: true,
             last_used: tick,
         };
         let slot = match self.free.pop() {
@@ -230,48 +209,12 @@ impl BufferPool {
         Evicted { key: p.key, dirty: p.dirty }
     }
 
+    /// Evict the least-recently-used evictable page, if any.
     fn evict_one(&mut self) -> Option<Evicted> {
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                let victim = (0..self.slots.len())
-                    .filter(|&i| self.evictable(i))
-                    .min_by_key(|&i| self.slots[i].as_ref().unwrap().last_used)?;
-                Some(self.evict_slot(victim))
-            }
-            ReplacementPolicy::Mru => {
-                let victim = (0..self.slots.len())
-                    .filter(|&i| self.evictable(i))
-                    .max_by_key(|&i| self.slots[i].as_ref().unwrap().last_used)?;
-                Some(self.evict_slot(victim))
-            }
-            ReplacementPolicy::Clock => {
-                let n = self.slots.len();
-                if n == 0 {
-                    return None;
-                }
-                // Two full sweeps: the first may only clear reference bits,
-                // the second must then find an unreferenced page unless
-                // everything is pinned or in flight.
-                for _ in 0..2 * n {
-                    let i = self.hand;
-                    self.hand = (self.hand + 1) % n;
-                    if !self.evictable(i) {
-                        continue;
-                    }
-                    let p = self.slots[i].as_mut().unwrap();
-                    if p.referenced {
-                        p.referenced = false;
-                    } else {
-                        return Some(self.evict_slot(i));
-                    }
-                }
-                // All evictable pages kept their reference bit set between
-                // sweeps (impossible) or none are evictable: fall back to
-                // the first evictable slot, if any.
-                let victim = (0..n).find(|&i| self.evictable(i))?;
-                Some(self.evict_slot(victim))
-            }
-        }
+        let victim = (0..self.slots.len())
+            .filter(|&i| self.evictable(i))
+            .min_by_key(|&i| self.slots[i].as_ref().unwrap().last_used)?;
+        Some(self.evict_slot(victim))
     }
 
     /// Drop every page of `file` (deleted or truncated: its dirty pages no
@@ -320,7 +263,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_page() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Lru, 2);
+        let mut pool = BufferPool::new(2);
         assert!(pool.insert(k(0, 0), PageState::Resident, false).is_none());
         assert!(pool.insert(k(0, 1), PageState::Resident, false).is_none());
         pool.touch(k(0, 0)); // 0 is now warmer than 1
@@ -332,51 +275,28 @@ mod tests {
     }
 
     #[test]
-    fn mru_keeps_a_stable_prefix_under_cyclic_scan() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Mru, 3);
-        // Two cyclic scans over 5 pages. MRU keeps an early prefix resident,
-        // so the second scan hits at least its first pages; LRU would evict
-        // each page right before its reuse and hit nothing.
-        for _ in 0..2 {
-            for p in 0..5 {
-                if pool.state(k(0, p)).is_none() {
-                    pool.insert(k(0, p), PageState::Resident, false);
-                } else {
-                    pool.touch(k(0, p));
-                }
-            }
+    fn a_full_pool_evicts_in_exact_last_use_order() {
+        let mut pool = BufferPool::new(4);
+        for p in 0..4 {
+            assert!(pool.insert(k(0, p), PageState::Resident, false).is_none());
         }
-        assert!(pool.state(k(0, 0)).is_some(), "MRU must keep the prefix");
-
-        let mut lru = BufferPool::new(ReplacementPolicy::Lru, 3);
-        for _ in 0..2 {
-            for p in 0..5 {
-                if lru.state(k(0, p)).is_none() {
-                    lru.insert(k(0, p), PageState::Resident, false);
-                } else {
-                    lru.touch(k(0, p));
-                }
-            }
-        }
-        assert!(lru.state(k(0, 0)).is_none(), "LRU floods on a cyclic scan");
-    }
-
-    #[test]
-    fn clock_gives_referenced_pages_a_second_chance() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Clock, 2);
-        pool.insert(k(0, 0), PageState::Resident, false);
-        pool.insert(k(0, 1), PageState::Resident, false);
-        pool.touch(k(0, 0));
         pool.touch(k(0, 1));
-        // Both referenced: the hand clears page 0's bit, then page 1's,
-        // wraps, and evicts page 0 (first unreferenced).
-        let ev = pool.insert(k(0, 2), PageState::Resident, false).unwrap();
-        assert_eq!(ev.key, k(0, 0));
+        // Re-inserting a cached key is a use; marking dirty is not.
+        assert!(pool.insert(k(0, 0), PageState::Resident, false).is_none());
+        pool.mark_dirty(k(0, 2));
+        let victims: Vec<Evicted> = (4..8)
+            .map(|p| pool.insert(k(0, p), PageState::Resident, false).unwrap())
+            .collect();
+        let order: Vec<u64> = victims.iter().map(|ev| ev.key.1).collect();
+        assert_eq!(order, vec![2, 3, 1, 0]);
+        let dirty: Vec<bool> = victims.iter().map(|ev| ev.dirty).collect();
+        assert_eq!(dirty, vec![true, false, false, false]);
+        assert_eq!(pool.len(), 4);
     }
 
     #[test]
     fn pinned_pages_are_never_victims() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Lru, 1);
+        let mut pool = BufferPool::new(1);
         pool.insert(k(0, 0), PageState::Resident, true);
         pool.set_pinned(k(0, 0), true);
         // Budget forces an eviction but the only candidate is pinned: the
@@ -391,7 +311,7 @@ mod tests {
 
     #[test]
     fn invalidate_drops_only_that_file() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Lru, 8);
+        let mut pool = BufferPool::new(8);
         pool.insert(k(1, 0), PageState::Resident, true);
         pool.insert(k(1, 1), PageState::Resident, false);
         pool.insert(k(2, 0), PageState::Resident, false);
@@ -402,7 +322,7 @@ mod tests {
 
     #[test]
     fn drain_dirty_is_sorted_and_clears_flags() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Lru, 8);
+        let mut pool = BufferPool::new(8);
         pool.insert(k(2, 1), PageState::Resident, true);
         pool.insert(k(1, 3), PageState::Resident, true);
         pool.insert(k(1, 0), PageState::Resident, false);
@@ -412,7 +332,7 @@ mod tests {
 
     #[test]
     fn zero_budget_pool_caches_nothing() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Lru, 0);
+        let mut pool = BufferPool::new(0);
         assert!(pool.insert(k(0, 0), PageState::Resident, false).is_none());
         assert!(pool.is_empty());
         assert!(pool.state(k(0, 0)).is_none());

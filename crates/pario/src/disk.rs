@@ -13,7 +13,6 @@ use pdc_cgm::Proc;
 
 use crate::backend::{BackendKind, Store};
 use crate::engine::{EngineConfig, IoEngine};
-use crate::prefetch::ReadAhead;
 use crate::rec::{Rec, RecBuf, RecChunk};
 
 /// Typed handle to a file on some [`NodeDisk`]. Cheap to clone; the data
@@ -350,7 +349,6 @@ impl NodeDisk {
             file: file.clone(),
             cursor: 0,
             chunk_records,
-            ahead: ReadAhead::new(chunk_records),
             buf: RecBuf::new(),
         }
     }
@@ -366,9 +364,6 @@ impl NodeDisk {
         count: usize,
     ) {
         let Some(engine) = &mut self.engine else { return };
-        if !engine.prefetch_enabled() || count == 0 {
-            return;
-        }
         let Some(entry) = self.files.get(&file.name) else { return };
         let offset = (start * R::ENCODED_BYTES) as u64;
         engine.prefetch(proc, entry.id, offset, count * R::ENCODED_BYTES);
@@ -380,14 +375,8 @@ impl NodeDisk {
     /// the file does not exist or there is no prefetching engine.
     pub fn prefetch_file_by_name(&mut self, proc: &mut Proc, name: &str) {
         let Some(engine) = &mut self.engine else { return };
-        if !engine.prefetch_enabled() {
-            return;
-        }
         let Some(entry) = self.files.get(name) else { return };
-        let len = self.store.len(entry.id);
-        if len > 0 {
-            engine.prefetch(proc, entry.id, 0, len as usize);
-        }
+        engine.prefetch(proc, entry.id, 0, self.store.len(entry.id) as usize);
     }
 
     /// Flush dirty pages and drain the device timeline (see
@@ -418,7 +407,6 @@ pub struct ChunkedReader<R> {
     file: TypedFile<R>,
     cursor: usize,
     chunk_records: usize,
-    ahead: ReadAhead,
     buf: RecBuf<R>,
 }
 
@@ -439,9 +427,10 @@ impl<R: Rec> ChunkedReader<R> {
         let count = self.chunk_records.min(total - self.cursor);
         disk.read_range_into(proc, &self.file, self.cursor, count, &mut self.buf);
         self.cursor += count;
-        if let Some((start, ahead)) = self.ahead.next_window(self.cursor, total) {
-            disk.prefetch_range(proc, &self.file, start, ahead);
-        }
+        // Read ahead one chunk: each chunk of compute hides the next chunk
+        // of device time.
+        let ahead = self.chunk_records.min(total - self.cursor);
+        disk.prefetch_range(proc, &self.file, self.cursor, ahead);
         Some(self.buf.view())
     }
 
@@ -458,9 +447,7 @@ impl<R: Rec> ChunkedReader<R> {
     pub fn prime(&mut self, disk: &mut NodeDisk, proc: &mut Proc) {
         let total = disk.num_records(&self.file);
         let count = self.chunk_records.min(total.saturating_sub(self.cursor));
-        if count > 0 {
-            disk.prefetch_range(proc, &self.file, self.cursor, count);
-        }
+        disk.prefetch_range(proc, &self.file, self.cursor, count);
     }
 }
 

@@ -13,6 +13,11 @@
 //! * a **prefetch** submits reads for missing pages without waiting —
 //!   compute-independent I/O in the paper's taxonomy — and parks the pages
 //!   *in flight*; a later consumer waits only for the unfinished remainder.
+//!   Two callers hint: the `dnc` scheduler names the files of task *k+1*
+//!   when it starts task *k* (`OocProblem::prefetch_task`), and
+//!   [`crate::ChunkedReader`] asks for the next chunk after reading each
+//!   one, so a streaming scan hides one chunk of device time behind each
+//!   chunk of compute.
 //!
 //! The engine is timing metadata only: bytes always live in the backend, so
 //! enabling it can never change computed results, and
@@ -28,7 +33,7 @@ use std::collections::HashMap;
 
 use pdc_cgm::{FaultError, IoTicket, Proc};
 
-use crate::cache::{BufferPool, PageKey, PageState, ReplacementPolicy};
+use crate::cache::{BufferPool, PageKey, PageState};
 
 /// Evicted dirty pages are written back in coalesced runs once this many
 /// have queued up (or at sync, whichever comes first).
@@ -42,8 +47,6 @@ pub struct EngineConfig {
     /// Buffer-pool byte budget. A budget smaller than one page disables the
     /// engine entirely (see [`EngineConfig::is_enabled`]).
     pub budget_bytes: usize,
-    /// Page replacement policy.
-    pub policy: ReplacementPolicy,
     /// Whether prefetch hints (task lookahead, sequential read-ahead) are
     /// honored. With prefetch off the engine still caches and write-backs.
     pub prefetch: bool,
@@ -56,17 +59,15 @@ impl EngineConfig {
         EngineConfig {
             page_bytes: 64 * 1024,
             budget_bytes: 0,
-            policy: ReplacementPolicy::Lru,
             prefetch: false,
         }
     }
 
-    /// Engine on with `budget_bytes` of pool under `policy`.
-    pub fn new(budget_bytes: usize, policy: ReplacementPolicy, prefetch: bool) -> Self {
+    /// Engine on with `budget_bytes` of LRU pool.
+    pub fn new(budget_bytes: usize, prefetch: bool) -> Self {
         EngineConfig {
             page_bytes: 64 * 1024,
             budget_bytes,
-            policy,
             prefetch,
         }
     }
@@ -103,15 +104,10 @@ impl IoEngine {
         IoEngine {
             page_bytes: cfg.page_bytes as u64,
             prefetch_on: cfg.prefetch,
-            pool: BufferPool::new(cfg.policy, cfg.budget_bytes / cfg.page_bytes),
+            pool: BufferPool::new(cfg.budget_bytes / cfg.page_bytes),
             pending: Vec::new(),
             file_bytes: HashMap::new(),
         }
-    }
-
-    /// Whether prefetch hints are honored.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch_on
     }
 
     /// Record `file`'s current logical length (create/append/load).

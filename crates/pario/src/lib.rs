@@ -16,9 +16,9 @@
 //! * [`fn@redistribute`] — compute-dependent parallel I/O: read → personalized
 //!   all-to-all → write, the operation that moves a subtask's data to its
 //!   assigned processor group;
-//! * the asynchronous disk engine ([`engine`], [`cache`], [`prefetch`]) —
-//!   a per-rank buffer pool with pluggable replacement, write-back, and
-//!   compute-independent prefetch on the machine's I/O device timeline
+//! * the asynchronous disk engine ([`engine`], [`cache`]) — a per-rank LRU
+//!   buffer pool, write-back, and compute-independent prefetch (task
+//!   lookahead and sequential read-ahead) on the machine's I/O device timeline
 //!   (off by default; [`EngineConfig::disabled`] keeps the synchronous
 //!   path bit-identical);
 //! * two physical stores per disk ([`Store`]) — RAM (default) and one real
@@ -48,15 +48,13 @@ pub mod cache;
 pub mod disk;
 pub mod engine;
 pub mod farm;
-pub mod prefetch;
 pub mod rec;
 pub mod redistribute;
 
 pub use backend::{BackendKind, Store, EXTENT_BYTES};
-pub use cache::{BufferPool, ReplacementPolicy};
+pub use cache::BufferPool;
 pub use disk::{BufferedWriter, ChunkedReader, NodeDisk, TypedFile};
 pub use engine::{EngineConfig, IoEngine};
 pub use farm::DiskFarm;
-pub use prefetch::ReadAhead;
 pub use rec::{RaggedChunk, Rec, RecBuf, RecChunk};
 pub use redistribute::redistribute;

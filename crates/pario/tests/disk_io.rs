@@ -3,7 +3,7 @@
 //! accounting of every I/O request.
 
 use pdc_cgm::{Cluster, FaultPlan, MachineConfig};
-use pdc_pario::{BackendKind, BufferedWriter, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_pario::{BackendKind, BufferedWriter, DiskFarm, EngineConfig};
 
 /// Both kinds of farm over a scratch directory of the calling test's own.
 fn both_kinds(test: &str) -> (std::path::PathBuf, [BackendKind; 2]) {
@@ -359,7 +359,7 @@ fn partition_pattern_reads_what_it_wrote_and_charges_what_it_did() {
     let plain = (4591870180066957724, [19, 800_000, 34, 400_000, 0, 0, 0, 0]);
     let pooled = (4598467312208468561, [12, 862_144, 2, 400_000, 22, 9, 22, 6]);
     let (dir, kinds) = both_kinds("pattern");
-    let small_pool = EngineConfig::new(4 * 64 * 1024, ReplacementPolicy::Lru, true);
+    let small_pool = EngineConfig::new(4 * 64 * 1024, true);
     for kind in kinds {
         assert_eq!(partition_pattern(kind.clone(), &EngineConfig::disabled()), plain, "{kind:?}");
         assert_eq!(partition_pattern(kind.clone(), &small_pool), pooled, "{kind:?}, 4-page pool");

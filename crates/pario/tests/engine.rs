@@ -3,12 +3,12 @@
 //! on the device timeline.
 
 use pdc_cgm::{Cluster, FaultPlan, MachineConfig, OpKind};
-use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 
 const PAGE: usize = 64 * 1024;
 
-fn engine_cfg(budget_pages: usize, policy: ReplacementPolicy, prefetch: bool) -> EngineConfig {
-    EngineConfig::new(budget_pages * PAGE, policy, prefetch)
+fn engine_cfg(budget_pages: usize, prefetch: bool) -> EngineConfig {
+    EngineConfig::new(budget_pages * PAGE, prefetch)
 }
 
 /// A chunked scan with per-chunk compute; returns the rank's finish time.
@@ -70,11 +70,7 @@ fn disabled_engine_is_bit_identical_to_the_legacy_path() {
 
 #[test]
 fn cached_reread_is_free_and_counts_hits() {
-    let farm = DiskFarm::with_engine(
-        1,
-        BackendKind::InMemory,
-        &engine_cfg(16, ReplacementPolicy::Lru, false),
-    );
+    let farm = DiskFarm::with_engine(1, BackendKind::InMemory, &engine_cfg(16, false));
     let out = Cluster::new(1).run(|proc| {
         let mut disk = farm.lock(0);
         let f = disk.create::<u64>("data");
@@ -117,20 +113,12 @@ fn prefetch_overlaps_the_scan_and_is_strictly_faster() {
     let mut base = MachineConfig::default();
     base.cost.disk.cache_bytes = 0;
     let off = scan_workload(
-        &DiskFarm::with_engine(
-            p,
-            BackendKind::InMemory,
-            &engine_cfg(4, ReplacementPolicy::Lru, false),
-        ),
+        &DiskFarm::with_engine(p, BackendKind::InMemory, &engine_cfg(4, false)),
         p,
         base.clone(),
     );
     let on = scan_workload(
-        &DiskFarm::with_engine(
-            p,
-            BackendKind::InMemory,
-            &engine_cfg(4, ReplacementPolicy::Lru, true),
-        ),
+        &DiskFarm::with_engine(p, BackendKind::InMemory, &engine_cfg(4, true)),
         p,
         base.clone(),
     );
@@ -149,12 +137,44 @@ fn prefetch_overlaps_the_scan_and_is_strictly_faster() {
 }
 
 #[test]
+fn a_scan_reads_ahead_one_chunk_per_chunk_and_none_at_end_of_file() {
+    let farm = DiskFarm::with_engine(1, BackendKind::InMemory, &engine_cfg(16, true));
+    Cluster::new(1).run(|proc| {
+        let mut disk = farm.lock(0);
+        let f = disk.create::<u64>("scan");
+        // Five cold pages scanned two pages at a time: 2 + 2 + 1.
+        disk.append_uncharged(&f, &(0..40_960u64).collect::<Vec<_>>());
+        let mut reader = disk.reader(&f, 16_384);
+        // Per call: (records returned, device requests, bytes requested,
+        // pages requested speculatively). The first chunk is the only
+        // demand read; every other request is the read-ahead of
+        // `min(chunk, remaining)` records, issued as one request.
+        let expected = [
+            (16_384, 2, 4 * PAGE as u64, 2),
+            (16_384, 1, PAGE as u64, 1),
+            (8_192, 0, 0, 0),
+            (0, 0, 0, 0),
+        ];
+        for want in expected {
+            let before = proc.counters.clone();
+            let got = reader.next_chunk(&mut disk, proc).map_or(0, |chunk| chunk.len());
+            let c = &proc.counters;
+            let seen = (
+                got,
+                c.disk_reads - before.disk_reads,
+                c.disk_read_bytes - before.disk_read_bytes,
+                c.prefetches - before.prefetches,
+            );
+            assert_eq!(seen, want, "at record {}", reader.position());
+        }
+        assert_eq!(proc.counters.cache_misses, 2, "only the first chunk is a demand read");
+        disk.sync_engine(proc);
+    });
+}
+
+#[test]
 fn write_back_defers_and_sync_settles_the_device() {
-    let farm = DiskFarm::with_engine(
-        1,
-        BackendKind::InMemory,
-        &engine_cfg(64, ReplacementPolicy::Lru, false),
-    );
+    let farm = DiskFarm::with_engine(1, BackendKind::InMemory, &engine_cfg(64, false));
     Cluster::new(1).run(|proc| {
         let mut disk = farm.lock(0);
         let f = disk.create::<u64>("out");
@@ -174,11 +194,7 @@ fn write_back_defers_and_sync_settles_the_device() {
 
 #[test]
 fn deleted_scratch_files_never_pay_write_back() {
-    let farm = DiskFarm::with_engine(
-        1,
-        BackendKind::InMemory,
-        &engine_cfg(64, ReplacementPolicy::Lru, false),
-    );
+    let farm = DiskFarm::with_engine(1, BackendKind::InMemory, &engine_cfg(64, false));
     Cluster::new(1).run(|proc| {
         let mut disk = farm.lock(0);
         let f = disk.create::<u64>("tmp");
@@ -193,11 +209,7 @@ fn deleted_scratch_files_never_pay_write_back() {
 #[test]
 fn engine_reads_retry_transient_faults_and_roundtrip() {
     let p = 2;
-    let farm = DiskFarm::with_engine(
-        p,
-        BackendKind::InMemory,
-        &engine_cfg(8, ReplacementPolicy::Clock, true),
-    );
+    let farm = DiskFarm::with_engine(p, BackendKind::InMemory, &engine_cfg(8, true));
     let mut faults = FaultPlan::with_seed(23);
     faults.disk.read_error_prob = 0.15;
     let out = Cluster::with_config(p, MachineConfig { faults, ..MachineConfig::default() })

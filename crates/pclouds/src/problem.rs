@@ -713,7 +713,6 @@ impl PcloudsProblem<'_> {
     ) -> Outcome<NodeMeta> {
         let id = task.id;
         let node_total = &task.meta.counts;
-        let phase_start = proc.clock();
         let Some(cand) = best else {
             self.retire(proc, id);
             return Outcome::Solved;
@@ -725,10 +724,6 @@ impl PcloudsProblem<'_> {
             return Outcome::Solved;
         }
         self.partition(proc, task, &cand, &left_counts, &right_counts, chunk);
-        {
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.time_partition += proc.clock() - phase_start;
-        }
         Outcome::Split(
             NodeMeta {
                 counts: left_counts,
@@ -760,10 +755,6 @@ impl OocProblem for PcloudsProblem<'_> {
         let id = task.id;
         let node_total = task.meta.counts.clone();
         let n = task.meta.n();
-        {
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.large_nodes += 1;
-        }
 
         // Stopping criteria are evaluated on global counts — identical on
         // every rank, no communication needed.
@@ -775,7 +766,6 @@ impl OocProblem for PcloudsProblem<'_> {
         let q = self.params().q_for_node(n, self.n_root);
 
         // Phase 1: local statistics (fused from the parent when possible).
-        let phase_start = proc.clock();
         let stats_span =
             proc.span("pclouds.stats", &[("node", id as i64), ("records", n as i64)]);
         let cached = {
@@ -787,10 +777,6 @@ impl OocProblem for PcloudsProblem<'_> {
             None => self.local_stats_pass(proc, id, q, self.chunk()),
         };
         proc.span_end(stats_span);
-        {
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.time_stats += proc.clock() - phase_start;
-        }
         let phase_start = proc.clock();
         let derive_span = proc.span("pclouds.derive", &[("node", id as i64)]);
 
@@ -837,14 +823,10 @@ impl OocProblem for PcloudsProblem<'_> {
                 (ss_candidate, alive)
             }
         };
-        {
+        if id == 1 {
             let alive_records: u64 = alive.iter().map(|a| a.count).sum();
             let ratio = alive_records as f64 / n.max(1) as f64;
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.survival_ratio_sum += ratio;
-            if id == 1 {
-                st.metrics.root_survival_ratio = ratio;
-            }
+            self.build.rank(proc.rank()).metrics.root_survival_ratio = ratio;
         }
         let best = if alive.is_empty() {
             ss_candidate
@@ -872,7 +854,6 @@ impl OocProblem for PcloudsProblem<'_> {
     /// and processing of small nodes are delayed ... to reduce the number
     /// of message startups").
     fn redistribute_small(&self, proc: &mut Proc, assignments: &[(Task<NodeMeta>, usize)]) {
-        let phase_start = proc.clock();
         let span = proc.span(
             "pclouds.small_redistribute",
             &[("tasks", assignments.len() as i64)],
@@ -952,8 +933,6 @@ impl OocProblem for PcloudsProblem<'_> {
             }
         }
         proc.span_end(span);
-        let mut st = self.build.rank(proc.rank());
-        st.metrics.time_small_redistribute += proc.clock() - phase_start;
     }
 
     fn redistribute_one(&self, proc: &mut Proc, task: &Task<NodeMeta>, owner: usize) {
@@ -962,7 +941,6 @@ impl OocProblem for PcloudsProblem<'_> {
     }
 
     fn solve_small_local(&self, proc: &mut Proc, task: &Task<NodeMeta>) {
-        let phase_start = proc.clock();
         let span = proc.span(
             "pclouds.small_solve",
             &[("task", task.id as i64), ("records", task.meta.n() as i64)],
@@ -995,8 +973,6 @@ impl OocProblem for PcloudsProblem<'_> {
         proc.span_end(span);
         let mut st = self.build.rank(proc.rank());
         st.metrics.small_solved += 1;
-        st.metrics.small_records += records.len() as u64;
-        st.metrics.time_small_solve += proc.clock() - phase_start;
         st.local_subtrees.push((task.id, subtree));
     }
 
@@ -1040,10 +1016,6 @@ impl OocProblem for PcloudsProblem<'_> {
             return tasks.iter().map(|t| self.process_large(proc, t)).collect();
         }
         let chunk = (self.chunk() / level).max(1);
-        {
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.large_nodes += level;
-        }
 
         // Tasks that stop become leaves immediately (global counts, no
         // communication).

@@ -35,33 +35,19 @@ pub struct RankState {
 /// Instrumentation of one processor's build.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildMetrics {
-    /// Large (data-parallel) nodes processed.
-    pub large_nodes: usize,
     /// Alive intervals this processor evaluated.
     pub alive_intervals_evaluated: usize,
     /// Total alive-interval records this processor scanned exactly.
     pub alive_points_scanned: u64,
-    /// Sum of survival ratios over large nodes (divide by `large_nodes`).
-    /// A record alive in several attributes counts once per attribute, so a
-    /// node's ratio can exceed 1 on hard nodes.
-    pub survival_ratio_sum: f64,
     /// Survival ratio of the root node (the paper's headline SSE metric).
+    /// A record alive in several attributes counts once per attribute, so
+    /// the ratio can exceed 1 on a hard node.
     pub root_survival_ratio: f64,
     /// Small tasks solved locally.
     pub small_solved: usize,
-    /// Records processed in locally solved small tasks.
-    pub small_records: u64,
-    /// Virtual seconds in the statistics pass (phase 1).
-    pub time_stats: f64,
     /// Virtual seconds deriving the splitting point (phase 2: combine,
     /// boundary ginis, alive determination/evaluation).
     pub time_derive: f64,
-    /// Virtual seconds partitioning data and sample points (phase 3).
-    pub time_partition: f64,
-    /// Virtual seconds redistributing small nodes (compute-dependent I/O).
-    pub time_small_redistribute: f64,
-    /// Virtual seconds solving small nodes locally.
-    pub time_small_solve: f64,
 }
 
 /// The sample points of one live task, shared by all ranks.

@@ -439,7 +439,7 @@ fn engine_enabled_trains_the_same_tree_with_exact_accounting() {
     // The asynchronous engine changes *when* I/O time is paid, never what
     // is computed: the tree is identical, and every rank's time budget
     // still partitions exactly into the five accounted categories.
-    use pdc_pario::{BackendKind, EngineConfig, ReplacementPolicy};
+    use pdc_pario::{BackendKind, EngineConfig};
     let records = generate(6_000, GeneratorConfig::default());
     let cfg = test_config();
     let build = |farm: DiskFarm| {
@@ -448,7 +448,7 @@ fn engine_enabled_trains_the_same_tree_with_exact_accounting() {
         train(&cluster, &farm, &root, &cfg, Strategy::Mixed)
     };
     let baseline = build(DiskFarm::in_memory(4));
-    let engine_cfg = EngineConfig::new(1024 * 1024, ReplacementPolicy::Lru, true);
+    let engine_cfg = EngineConfig::new(1024 * 1024, true);
     let engined = build(DiskFarm::with_engine(4, BackendKind::InMemory, &engine_cfg));
     assert_eq!(baseline.tree, engined.tree, "engine must not change the tree");
     let mut cache_traffic = 0u64;
@@ -477,13 +477,13 @@ fn engine_span_rollups_still_partition_the_run() {
     // phase spans must still partition dnc.run exactly — stalls are always
     // charged inside some span.
     use pdc_cgm::MachineConfig;
-    use pdc_pario::{BackendKind, EngineConfig, ReplacementPolicy};
+    use pdc_pario::{BackendKind, EngineConfig};
     let records = generate(6_000, GeneratorConfig::default());
     let cfg = test_config();
     let farm = DiskFarm::with_engine(
         4,
         BackendKind::InMemory,
-        &EngineConfig::new(512 * 1024, ReplacementPolicy::Clock, true),
+        &EngineConfig::new(512 * 1024, true),
     );
     let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
     let machine = MachineConfig {

@@ -47,8 +47,6 @@ pub struct ServeConfig {
     pub layout: Layout,
     /// Records per scoring batch (also the streaming chunk size).
     pub batch_records: usize,
-    /// Bucket layout of the per-rank latency histograms.
-    pub hist: HistogramSpec,
     /// Optional windowed telemetry (time series + SLO monitors).
     pub telemetry: Option<TelemetryConfig>,
     /// Debug/validation flag: also keep every raw latency and report exact
@@ -64,7 +62,6 @@ impl ServeConfig {
         ServeConfig {
             layout,
             batch_records,
-            hist: HistogramSpec::latency_default(),
             telemetry: None,
             exact_latencies: false,
         }
@@ -299,7 +296,7 @@ pub fn serve_model<M: Predictor + Wire + Clone + Sync>(
         let mut reader = disk.reader(&file, cfg.batch_records);
         reader.prime(&mut disk, proc);
         let mut preds = Vec::with_capacity(total);
-        let mut hist = Histogram::new(cfg.hist);
+        let mut hist = Histogram::new(HistogramSpec::latency_default());
         let mut exact = cfg.exact_latencies.then(Vec::new);
         let mut windows = cfg.telemetry.map(WindowRecorder::new);
         loop {
@@ -334,7 +331,7 @@ pub fn serve_model<M: Predictor + Wire + Clone + Sync>(
 
     let makespan = out.makespan();
     let mut predictions = Vec::with_capacity(out.results.len());
-    let mut latency_hist = Histogram::new(cfg.hist);
+    let mut latency_hist = Histogram::new(HistogramSpec::latency_default());
     let mut all_latencies = cfg.exact_latencies.then(Vec::new);
     let mut per_rank_windows = cfg.telemetry.map(|_| Vec::new());
     let mut deploy_seconds = 0.0f64;
@@ -530,7 +527,7 @@ mod tests {
         let exact = report.latency_exact.expect("exact path was requested");
         assert_eq!(exact.batches, report.latency.batches);
         assert_eq!(exact.max, report.latency.max, "max is exact in both");
-        let tol = cfg.hist.rel_error();
+        let tol = HistogramSpec::latency_default().rel_error();
         for (approx, e) in [
             (report.latency.p50, exact.p50),
             (report.latency.p99, exact.p99),

@@ -42,8 +42,6 @@ use pdc_cgm::{Histogram, HistogramSpec, Proc};
 pub struct TelemetryConfig {
     /// Tumbling-window duration, virtual seconds.
     pub window_seconds: f64,
-    /// Bucket layout of the per-window latency histograms.
-    pub hist: HistogramSpec,
     /// Optional SLO to evaluate over the window series.
     pub slo: Option<SloSpec>,
 }
@@ -57,7 +55,6 @@ impl TelemetryConfig {
         );
         TelemetryConfig {
             window_seconds,
-            hist: HistogramSpec::latency_default(),
             slo: None,
         }
     }
@@ -122,14 +119,14 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    fn new(index: u64, window_seconds: f64, spec: HistogramSpec) -> WindowStats {
+    fn new(index: u64, window_seconds: f64) -> WindowStats {
         WindowStats {
             index,
             start: index as f64 * window_seconds,
             end: (index + 1) as f64 * window_seconds,
             batches: 0,
             records: 0,
-            hist: Histogram::new(spec),
+            hist: Histogram::new(HistogramSpec::latency_default()),
         }
     }
 
@@ -173,7 +170,7 @@ impl WindowRecorder {
         }
         let w = self
             .current
-            .get_or_insert_with(|| WindowStats::new(index, self.cfg.window_seconds, self.cfg.hist));
+            .get_or_insert_with(|| WindowStats::new(index, self.cfg.window_seconds));
         w.batches += 1;
         w.records += records;
         w.hist.record(latency);
@@ -435,7 +432,7 @@ mod tests {
     use pdc_cgm::{Cluster, MachineConfig, OpKind};
 
     fn window_with(index: u64, latencies: &[f64]) -> WindowStats {
-        let mut w = WindowStats::new(index, 1.0, HistogramSpec::latency_default());
+        let mut w = WindowStats::new(index, 1.0);
         for &l in latencies {
             w.batches += 1;
             w.records += 100;

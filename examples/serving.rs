@@ -11,7 +11,7 @@
 
 use pdc_cgm::Cluster;
 use pdc_datagen::{generate, GeneratorConfig};
-use pdc_pario::{BackendKind, DiskFarm, EngineConfig, ReplacementPolicy};
+use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 use pdc_pclouds::{train_in_memory, PcloudsConfig};
 use pdc_serve::{assert_equivalent, serve, stage_requests, Predictor, ServeConfig, ALL_LAYOUTS};
 
@@ -48,7 +48,6 @@ fn main() {
     let engine = EngineConfig {
         page_bytes: 16 * 1024,
         budget_bytes: 512 * 1024,
-        policy: ReplacementPolicy::Lru,
         prefetch: true,
     };
     let cluster = Cluster::new(p);
