@@ -1,9 +1,10 @@
 //! Layout selection and the broadcastable [`CompiledModel`].
 
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
-use pdc_cgm::Proc;
+use pdc_cgm::{Cluster, Proc};
 use pdc_clouds::DecisionTree;
 use pdc_datagen::{Record, RecordBatch};
+use pdc_pario::RecBuf;
 
 use crate::flat::FlatTree;
 use crate::predictor::{PointerPredictor, Predictor};
@@ -130,20 +131,43 @@ impl Wire for CompiledModel {
 }
 
 /// Assert that every layout predicts **byte-identically** to the source
-/// tree on every record of `records`. Panics with the offending layout and
-/// record index otherwise. This is the equivalence contract the parity
-/// tests and the `fig_serving` harness both lean on.
+/// tree on every record of `records` — one record at a time through
+/// [`Predictor::predict`], and as the served path does, through
+/// [`Predictor::score_batch`] on a 1-rank machine over the records both
+/// resident and as a byte view of a page. Panics with the offending layout,
+/// path and record index otherwise. This is the equivalence contract the
+/// parity tests and the `fig_serving` harness both lean on.
 pub fn assert_equivalent(tree: &DecisionTree, records: &[Record]) {
     let reference: Vec<u8> = records.iter().map(|r| tree.predict(r)).collect();
+    let page = RecBuf::from_records(records);
     for layout in ALL_LAYOUTS {
         let model = layout.compile(tree);
-        for (i, r) in records.iter().enumerate() {
-            let got = model.predict(r);
-            assert_eq!(
-                got, reference[i],
-                "layout {} diverges from the pointer tree on record {i}",
-                layout.name()
-            );
+        let (resident, viewed) = Cluster::new(1)
+            .run(|proc| {
+                let mut resident = Vec::new();
+                model.score_batch(proc, records, &mut resident);
+                let mut viewed = Vec::new();
+                model.score_batch(proc, &page.view(), &mut viewed);
+                (resident, viewed)
+            })
+            .results
+            .pop()
+            .expect("one rank");
+        let predicted: Vec<u8> = records.iter().map(|r| model.predict(r)).collect();
+        for (path, got) in [
+            ("predict", predicted),
+            ("score_batch over [Record]", resident),
+            ("score_batch over a RecChunk", viewed),
+        ] {
+            assert_eq!(got.len(), reference.len(), "layout {} {path}", layout.name());
+            for (i, (got, want)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    got,
+                    want,
+                    "layout {} {path} diverges from the pointer tree on record {i}",
+                    layout.name()
+                );
+            }
         }
     }
 }

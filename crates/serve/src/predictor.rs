@@ -103,15 +103,15 @@ impl PointerPredictor {
         &self.tree
     }
 
-    /// Split tests on the root-to-leaf path of `r` (the number of internal
-    /// nodes visited).
+    /// Walk `r` from the root: its leaf's class and the number of split
+    /// tests on the way (the internal nodes visited).
     #[inline]
-    fn path_len(&self, r: &Record) -> u64 {
+    fn walk(&self, r: &Record) -> (u8, u64) {
         let mut id = self.tree.root();
         let mut steps = 0;
         loop {
             match &self.tree.nodes[id] {
-                Node::Leaf { .. } => return steps,
+                Node::Leaf { class, .. } => return (*class, steps),
                 Node::Internal {
                     splitter,
                     left,
@@ -151,8 +151,9 @@ impl Predictor for PointerPredictor {
     ) {
         let mut steps = 0u64;
         records.for_each(|r| {
-            steps += self.path_len(r);
-            out.push(self.tree.predict(r));
+            let (class, path) = self.walk(r);
+            steps += path;
+            out.push(class);
         });
         let ws = self.footprint;
         proc.charge_ws(OpKind::SplitTest, steps, ws);
@@ -195,14 +196,15 @@ mod tests {
     }
 
     #[test]
-    fn path_len_counts_internal_nodes() {
-        let p = PointerPredictor::new(two_level_tree());
+    fn walk_counts_internal_nodes() {
+        let tree = two_level_tree();
+        let p = PointerPredictor::new(tree.clone());
         let records = generate(8, GeneratorConfig::default());
         for r in &records {
-            assert_eq!(p.path_len(r), 1);
+            assert_eq!(p.walk(r), (tree.predict(r), 1));
         }
         let single = PointerPredictor::new(DecisionTree::single_leaf(vec![1, 0]));
-        assert_eq!(single.path_len(&records[0]), 0);
+        assert_eq!(single.walk(&records[0]), (0, 0));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Prediction-parity property tests: every compiled serving layout must be
-//! **bit-identical** to the pointer tree on every record — across trees
-//! trained on all ten SLIQ generator functions, across randomly grown
-//! trees with random records, and across adversarial edge shapes
-//! (single-leaf trees, maximum-depth chains, categorical-only splits).
+//! **bit-identical** to the pointer tree on every record — one at a time and
+//! through the batch scorer that serves them — across trees trained on all
+//! ten SLIQ generator functions, across randomly grown trees with random
+//! records, and across adversarial edge shapes (single-leaf trees,
+//! maximum-depth chains, categorical-only splits).
 
-use pdc_clouds::{CloudsParams, DecisionTree, Splitter};
+use pdc_cgm::{Cluster, OpKind, Proc};
+use pdc_clouds::{CloudsParams, DecisionTree, Node, Splitter};
 use pdc_datagen::record::{CATEGORICAL_CARDINALITY, NUM_CATEGORICAL, NUM_NUMERIC};
-use pdc_datagen::{generate, ClassifyFn, GeneratorConfig, Record, ALL_FUNCTIONS};
+use pdc_datagen::{generate, ClassifyFn, GeneratorConfig, Record, ALL_FUNCTIONS, NUM_CLASSES};
+use pdc_pario::RecBuf;
 use pdc_pclouds::{train_in_memory, PcloudsConfig};
-use pdc_serve::{assert_equivalent, Predictor, ALL_LAYOUTS};
+use pdc_serve::{assert_equivalent, EnsemblePredictor, Layout, Predictor, ALL_LAYOUTS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -229,6 +232,115 @@ fn categorical_only_tree_agrees() {
     let gen = GeneratorConfig { function: ClassifyFn::F10, noise: 0.0, seed: 0xCAFE };
     let out = train_in_memory(&generate(2_000, gen), 2, &small_config());
     check_parity(&out.tree, &generate(1_000, gen));
+}
+
+/// Split tests on `r`'s root-to-leaf path, counted on the training arena.
+fn steps_to_leaf(tree: &DecisionTree, r: &Record) -> u64 {
+    let mut id = tree.root();
+    let mut steps = 0;
+    while let Node::Internal { splitter, left, right, .. } = &tree.nodes[id] {
+        steps += 1;
+        id = if splitter.goes_left(r) { *left } else { *right };
+    }
+    steps
+}
+
+/// The charges a `layout` model of `tree` owes for scoring `records`: one
+/// split test and one branch per visited internal node, plus a dependent
+/// load on the pointer arena, against the layout's footprint.
+fn charge_walks(proc: &mut Proc, tree: &DecisionTree, layout: Layout, records: &[Record]) {
+    let steps = records.iter().map(|r| steps_to_leaf(tree, r)).sum();
+    let ws = layout.compile(tree).footprint_bytes();
+    proc.charge_ws(OpKind::SplitTest, steps, ws);
+    proc.charge_ws(OpKind::Compare, steps, ws);
+    if layout == Layout::Pointer {
+        proc.charge_ws(OpKind::Misc, steps, ws);
+    }
+}
+
+/// Serve `records` through `model` on a 1-rank machine, resident and as a
+/// page view, and compare against `want` and against a machine that was
+/// charged `owed` once per pass.
+fn check_served<M: Predictor + Sync>(
+    what: &str,
+    model: &M,
+    records: &[Record],
+    want: &[u8],
+    owed: impl Fn(&mut Proc) + Sync,
+) {
+    let page = RecBuf::from_records(records);
+    let served = Cluster::new(1).run(|proc| {
+        let mut resident = Vec::new();
+        model.score_batch(proc, records, &mut resident);
+        let mut viewed = Vec::new();
+        model.score_batch(proc, &page.view(), &mut viewed);
+        (resident, viewed)
+    });
+    let (resident, viewed) = &served.results[0];
+    let n = records.len();
+    assert_eq!(resident, want, "{what}, {n} resident records");
+    assert_eq!(viewed, want, "{what}, {n} viewed records");
+    let charged = Cluster::new(1).run(|proc| {
+        owed(proc);
+        owed(proc);
+    });
+    assert_eq!(
+        served.makespan().to_bits(),
+        charged.makespan().to_bits(),
+        "{what}, {n} records: makespan {} against {} charged for the walked paths",
+        served.makespan(),
+        charged.makespan()
+    );
+}
+
+/// Batches of every length around the scorer's lane width — and a page's
+/// worth either side of 1 024 — predict what the tree predicts and cost
+/// exactly the root-to-leaf paths walked, for both layouts and an ensemble.
+#[test]
+fn served_batches_of_every_length_predict_and_charge_the_walked_paths() {
+    let mut rng = StdRng::seed_from_u64(0x5C0BE);
+    let trees = [0, 7, 23, 39].map(|splits| random_tree(&mut rng, splits));
+    for n in (0..=17).chain([1_023, 1_024, 1_025]) {
+        let records: Vec<Record> = (0..n).map(|_| random_record(&mut rng)).collect();
+        for layout in ALL_LAYOUTS {
+            for (t, tree) in trees.iter().enumerate() {
+                let want: Vec<u8> = records.iter().map(|r| tree.predict(r)).collect();
+                check_served(
+                    &format!("{} tree {t}", layout.name()),
+                    &layout.compile(tree),
+                    &records,
+                    &want,
+                    |proc| charge_walks(proc, tree, layout, &records),
+                );
+            }
+            let members = &trees[1..];
+            let want: Vec<u8> = records
+                .iter()
+                .map(|r| {
+                    let mut votes = [0u32; NUM_CLASSES];
+                    for tree in members {
+                        votes[tree.predict(r) as usize] += 1;
+                    }
+                    (1..NUM_CLASSES).fold(0, |best, c| if votes[c] > votes[best] { c } else { best })
+                        as u8
+                })
+                .collect();
+            check_served(
+                &format!("{} ensemble", layout.name()),
+                &EnsemblePredictor::compile(members, layout),
+                &records,
+                &want,
+                |proc| {
+                    for tree in members {
+                        charge_walks(proc, tree, layout, &records);
+                    }
+                    // One vote fold per (record, member) against the tally.
+                    let tally = n * std::mem::size_of::<[u32; NUM_CLASSES]>();
+                    proc.charge_ws(OpKind::Misc, (n * members.len()) as u64, tally);
+                },
+            );
+        }
+    }
 }
 
 proptest! {
