@@ -4,7 +4,9 @@
 //! rank's finish time bit-identical and every counter identical, at both
 //! the serving layer and the training (pclouds) layer.
 
-use pdc_bench::harness::{Experiment, Scale};
+mod identity;
+
+use identity::{check, Preset, ENGINE};
 use pdc_cgm::Cluster;
 use pdc_clouds::{DecisionTree, Splitter};
 use pdc_datagen::GeneratorConfig;
@@ -103,29 +105,6 @@ fn serving_run_is_bit_identical_with_full_telemetry_on() {
 
 #[test]
 fn pclouds_run_is_bit_identical_with_full_observability_on() {
-    let scale = Scale::Quick;
-    let n = 12_000;
-    let p = 4;
-    let engine = EngineConfig::new(512 * 1024, true);
-    // Same workload, same engine; the only difference is spans + record +
-    // gauges (the `profiled` preset flips exactly those three).
-    let off = Experiment::new(n, p, scale).engine(&engine).run();
-    let on = Experiment::new(n, p, scale).engine(&engine).profiled().run();
-    assert_eq!(on.tree, off.tree, "observability must not change the tree");
-    for (a, b) in off.run.stats.iter().zip(&on.run.stats) {
-        assert_eq!(
-            a.finish_time.to_bits(),
-            b.finish_time.to_bits(),
-            "rank {}: profiling must not move the virtual clock",
-            a.rank
-        );
-        assert_eq!(
-            a.counters, b.counters,
-            "rank {}: profiling must not touch any counter",
-            a.rank
-        );
-    }
-    // The observed run carries the artifacts.
-    assert!(on.run.stats.iter().any(|s| !s.spans.is_empty()));
-    assert!(on.run.stats.iter().any(|s| !s.gauges.is_empty()));
+    // The `profiled` preset flips exactly spans + record + gauges.
+    check(ENGINE, Preset::Profiled);
 }

@@ -2,20 +2,6 @@
 
 use pdc_clouds::CloudsParams;
 
-/// How the replication method evaluates interval boundaries (§5.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundaryEval {
-    /// "All the global frequency vectors of each numeric attribute are
-    /// assigned to only one processor" — no further communication for the
-    /// gini computation, but processors can idle when `p` exceeds the
-    /// attribute count (the paper's implementation choice).
-    AttributeBased,
-    /// "The global frequency vector of each interval is assigned to only
-    /// one processor" — every attribute's intervals are sliced across all
-    /// processors (better balance, one extra prefix-sum).
-    IntervalBased,
-}
-
 /// Parameters of a pCLOUDS training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcloudsConfig {
@@ -29,8 +15,6 @@ pub struct PcloudsConfig {
     /// node's interval count drops to this value — "we used a value of ten
     /// (in terms of the number of intervals) for the threshold".
     pub switch_threshold_intervals: usize,
-    /// Boundary-evaluation approach of the replication method.
-    pub boundary_eval: BoundaryEval,
 }
 
 impl Default for PcloudsConfig {
@@ -39,7 +23,6 @@ impl Default for PcloudsConfig {
             clouds: CloudsParams::default(),
             memory_limit_bytes: 1 << 20,
             switch_threshold_intervals: 10,
-            boundary_eval: BoundaryEval::AttributeBased,
         }
     }
 }

@@ -36,7 +36,7 @@
 pub mod builder;
 pub mod comm;
 pub mod config;
-pub mod problem;
+mod problem;
 pub mod state;
 
 pub use builder::{
@@ -44,6 +44,5 @@ pub use builder::{
     TrainOutput,
 };
 pub use comm::HistMsg;
-pub use config::{BoundaryEval, PcloudsConfig};
-pub use problem::{NodeMeta, OwnedSlice, PcloudsProblem};
+pub use config::PcloudsConfig;
 pub use state::{BuildMetrics, SharedBuild};

@@ -39,7 +39,7 @@ use pdc_dnc::{lpt_assign, Outcome, OocProblem, Task};
 use pdc_pario::{DiskFarm, Rec, RecBuf};
 
 use crate::comm::HistMsg;
-use crate::config::{BoundaryEval, PcloudsConfig};
+use crate::config::PcloudsConfig;
 use crate::state::SharedBuild;
 
 /// Move a numeric attribute's statistics out of `stats` for the
@@ -77,54 +77,38 @@ fn better_of(ss: Option<Candidate>, exact: Option<Candidate>) -> Option<Candidat
 
 /// Task description: the node's global class distribution.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NodeMeta {
+pub(crate) struct NodeMeta {
     /// Global class counts of the node.
-    pub counts: ClassCounts,
+    pub(crate) counts: ClassCounts,
 }
 
 impl NodeMeta {
     /// Number of records in the node.
-    pub fn n(&self) -> u64 {
+    pub(crate) fn n(&self) -> u64 {
         total(&self.counts)
     }
 }
 
-/// One processor's owned slice of an attribute's interval statistics
-/// (the interval-based approach distributes every attribute's intervals
-/// across all processors).
-pub struct OwnedSlice {
-    /// Numeric attribute index.
-    pub attr: usize,
-    /// First interval index of the slice.
-    pub start: usize,
-    /// Combined class counts per interval of the slice.
-    pub counts: Vec<ClassCounts>,
-    /// Combined (min, max) per interval of the slice.
-    pub ranges: Vec<Option<(f64, f64)>>,
-    /// Class counts of everything strictly before the slice.
-    pub cum_before: ClassCounts,
-}
-
 /// The pCLOUDS divide-and-conquer problem.
-pub struct PcloudsProblem<'a> {
+pub(crate) struct PcloudsProblem<'a> {
     /// Per-processor local disks holding the node files.
-    pub farm: &'a DiskFarm,
+    pub(crate) farm: &'a DiskFarm,
     /// Run configuration.
-    pub config: &'a PcloudsConfig,
+    pub(crate) config: &'a PcloudsConfig,
     /// Per-processor build state (tree replicas, samples, caches).
-    pub build: &'a SharedBuild,
+    pub(crate) build: &'a SharedBuild,
     /// Training-set size (drives the q schedule).
-    pub n_root: u64,
+    pub(crate) n_root: u64,
 }
 
 impl PcloudsProblem<'_> {
     /// Name of the distributed data file of node `id`.
-    pub fn node_file(id: u64) -> String {
+    pub(crate) fn node_file(id: u64) -> String {
         format!("node-{id}")
     }
 
     /// Name of the single-owner file of a small node `id`.
-    pub fn owned_file(id: u64) -> String {
+    pub(crate) fn owned_file(id: u64) -> String {
         format!("owned-{id}")
     }
 
@@ -240,194 +224,6 @@ impl PcloudsProblem<'_> {
         best
     }
 
-    /// Phase 2a, **interval-based approach** (§5.1.1's alternative): "the
-    /// global frequency vector of each interval is assigned to only one
-    /// processor" — every attribute's intervals are cut into `p` contiguous
-    /// slices and slice `j` of *every* attribute goes to processor `j`, so
-    /// gini evaluation never idles processors even when `p` exceeds the
-    /// attribute count. One personalized all-to-all moves the slices; an
-    /// exclusive prefix sum supplies each slice's cumulative class counts.
-    fn derive_boundary_candidates_interval_based(
-        &self,
-        proc: &mut Proc,
-        stats: &mut NodeStats,
-        node_total: &ClassCounts,
-    ) -> (Option<Candidate>, Vec<OwnedSlice>) {
-        type SliceWire = (u64, u64, Vec<Vec<u64>>, Vec<Option<(f64, f64)>>);
-        let p = proc.nprocs();
-        let nclasses = node_total.len();
-        // Slice boundaries per attribute: owner j gets [lo_j, hi_j).
-        let slice_range = |q: usize, j: usize| -> (usize, usize) {
-            (q * j / p, q * (j + 1) / p)
-        };
-        // Route local slice statistics to their owners.
-        let mut parts: Vec<Vec<SliceWire>> = vec![Vec::new(); p];
-        for attr_stats in &stats.numeric {
-            let q = attr_stats.intervals().num_intervals();
-            for (j, part) in parts.iter_mut().enumerate() {
-                let (lo, hi) = slice_range(q, j);
-                if lo < hi {
-                    part.push((
-                        attr_stats.attr as u64,
-                        lo as u64,
-                        (lo..hi).map(|i| attr_stats.counts().row(i).to_vec()).collect(),
-                        (lo..hi).map(|i| attr_stats.range(i)).collect(),
-                    ));
-                }
-            }
-        }
-        let received = proc.all_to_all(parts);
-        // Merge the p contributions per owned slice.
-        let mut owned: Vec<OwnedSlice> = Vec::new();
-        for contribution in received {
-            for (attr, start, counts, ranges) in contribution {
-                let (attr, start) = (attr as usize, start as usize);
-                proc.charge(OpKind::HistUpdate, (counts.len() * nclasses) as u64);
-                match owned.iter_mut().find(|s| s.attr == attr && s.start == start) {
-                    Some(slice) => {
-                        for (a, b) in slice.counts.iter_mut().zip(&counts) {
-                            pdc_clouds::gini::add_assign(a, b);
-                        }
-                        for (a, b) in slice.ranges.iter_mut().zip(&ranges) {
-                            *a = match (*a, *b) {
-                                (None, r) | (r, None) => r,
-                                (Some((alo, ahi)), Some((blo, bhi))) => {
-                                    Some((alo.min(blo), ahi.max(bhi)))
-                                }
-                            };
-                        }
-                    }
-                    None => owned.push(OwnedSlice {
-                        attr,
-                        start,
-                        counts,
-                        ranges,
-                        cum_before: vec![0; nclasses],
-                    }),
-                }
-            }
-        }
-        owned.sort_by_key(|s| (s.attr, s.start));
-        // Exclusive prefix sum across processors gives each slice the class
-        // counts of everything strictly before it, per attribute.
-        let my_totals: Vec<Vec<u64>> = (0..NUM_NUMERIC)
-            .map(|a| {
-                let mut t = vec![0u64; nclasses];
-                for s in owned.iter().filter(|s| s.attr == a) {
-                    for c in &s.counts {
-                        pdc_clouds::gini::add_assign(&mut t, c);
-                    }
-                }
-                t
-            })
-            .collect();
-        let before: Vec<Vec<u64>> = proc.exscan(
-            my_totals,
-            vec![vec![0u64; nclasses]; NUM_NUMERIC],
-            |a, b| {
-                a.iter()
-                    .zip(&b)
-                    .map(|(x, y)| x.iter().zip(y).map(|(u, v)| u + v).collect())
-                    .collect()
-            },
-        );
-        for s in owned.iter_mut() {
-            s.cum_before = before[s.attr].clone();
-        }
-        // Boundary candidates within the owned slices.
-        let n: u64 = node_total.iter().sum();
-        let mut local_best: Option<Candidate> = None;
-        for s in &owned {
-            let boundaries = stats.numeric[s.attr].intervals().boundaries();
-            let mut left = s.cum_before.clone();
-            proc.charge(OpKind::GiniEval, s.counts.len() as u64);
-            for (k, interior) in s.counts.iter().enumerate() {
-                pdc_clouds::gini::add_assign(&mut left, interior);
-                let idx = s.start + k;
-                if idx >= boundaries.len() {
-                    break; // the final interval has no upper boundary
-                }
-                let left_n: u64 = left.iter().sum();
-                if left_n == 0 || left_n == n {
-                    continue;
-                }
-                let right = pdc_clouds::gini::sub(node_total, &left);
-                local_best = Candidate::better(
-                    local_best,
-                    Candidate {
-                        gini: pdc_clouds::split_gini(&left, &right),
-                        splitter: pdc_clouds::Splitter::Numeric {
-                            attr: s.attr,
-                            threshold: boundaries[idx],
-                        },
-                        left_counts: left.clone(),
-                    },
-                );
-            }
-        }
-        // Categorical attributes keep the attribute-based combine (their
-        // count matrices are tiny). The matrices are moved, not cloned:
-        // nothing reads `stats.categorical` after this point (the alive
-        // determination only needs the numeric interval sets).
-        for a in 0..NUM_CATEGORICAL {
-            let owner = (NUM_NUMERIC + a) % p;
-            let combined = proc.reduce(owner, take_categorical(stats, a), |mut x, y| {
-                x.merge(&y);
-                x
-            });
-            if let Some(matrix) = combined {
-                proc.charge(OpKind::GiniEval, matrix.counts().rows() as u64);
-                if let Some(cand) =
-                    matrix.best_split(node_total, self.params().cat_exhaustive_limit)
-                {
-                    local_best = Candidate::better(local_best, cand);
-                }
-            }
-        }
-        (local_best, owned)
-    }
-
-    /// Alive-interval determination over owned slices (interval-based
-    /// approach): the slice carries its own cumulative base.
-    fn local_alive_from_slices(
-        &self,
-        proc: &mut Proc,
-        stats: &NodeStats,
-        owned: &[OwnedSlice],
-        node_total: &ClassCounts,
-        gini_min: f64,
-    ) -> Vec<AliveInterval> {
-        let mut alive = Vec::new();
-        for s in owned {
-            proc.charge(OpKind::GiniEval, s.counts.len() as u64);
-            let intervals = stats.numeric[s.attr].intervals();
-            let mut cum = s.cum_before.clone();
-            for (k, interior) in s.counts.iter().enumerate() {
-                let idx = s.start + k;
-                let count: u64 = interior.iter().sum();
-                let multi = matches!(s.ranges[k], Some((lo, hi)) if lo < hi);
-                if count >= 2 && multi {
-                    let est = pdc_clouds::gini::interval_gini_lower_bound(
-                        &cum, interior, node_total,
-                    );
-                    if est < gini_min {
-                        alive.push(AliveInterval {
-                            attr: s.attr,
-                            index: idx,
-                            lower: intervals.lower_edge(idx),
-                            upper: intervals.upper_edge(idx),
-                            cum_before: cum.clone(),
-                            est,
-                            count,
-                        });
-                    }
-                }
-                pdc_clouds::gini::add_assign(&mut cum, interior);
-            }
-        }
-        alive
-    }
-
     /// Phase 2b: determine alive intervals on the owners and replicate the
     /// statuses everywhere (all-to-all broadcast of the interval statuses).
     fn determine_alive(
@@ -445,16 +241,6 @@ impl PcloudsProblem<'_> {
             );
             local_alive.extend(attr_stats.alive_intervals(node_total, gini_min));
         }
-        self.share_alive(proc, local_alive)
-    }
-
-    /// Replicate alive-interval statuses on every processor, in a
-    /// deterministic global order.
-    fn share_alive(
-        &self,
-        proc: &mut Proc,
-        local_alive: Vec<AliveInterval>,
-    ) -> Vec<AliveInterval> {
         let mut all: Vec<AliveInterval> =
             proc.all_gather(local_alive).into_iter().flatten().collect();
         // Deterministic global order (owners may interleave attributes).
@@ -777,51 +563,19 @@ impl OocProblem for PcloudsProblem<'_> {
             None => self.local_stats_pass(proc, id, q, self.chunk()),
         };
         proc.span_end(stats_span);
-        let phase_start = proc.clock();
         let derive_span = proc.span("pclouds.derive", &[("node", id as i64)]);
 
-        // Phase 2: derive the splitting point (replication method, with
-        // either the attribute-based or the interval-based approach).
-        // The SS method stops at the boundary candidates; SSE (and, as a
-        // safety net, any node where no boundary split exists) goes on to
-        // determine and exactly evaluate the alive intervals.
-        let (ss_candidate, alive) = match self.config.boundary_eval {
-            BoundaryEval::AttributeBased => {
-                let (local_best, owned) =
-                    self.derive_boundary_candidates(proc, &mut local_stats, &node_total);
-                let ss_candidate = self.elect_candidate(proc, local_best);
-                let gini_min = ss_candidate.as_ref().map_or(f64::INFINITY, |c| c.gini);
-                let alive =
-                    if self.params().method == SplitMethod::SSE || ss_candidate.is_none() {
-                        self.determine_alive(proc, &owned, &node_total, gini_min)
-                    } else {
-                        Vec::new()
-                    };
-                (ss_candidate, alive)
-            }
-            BoundaryEval::IntervalBased => {
-                let (local_best, owned) = self.derive_boundary_candidates_interval_based(
-                    proc,
-                    &mut local_stats,
-                    &node_total,
-                );
-                let ss_candidate = self.elect_candidate(proc, local_best);
-                let gini_min = ss_candidate.as_ref().map_or(f64::INFINITY, |c| c.gini);
-                let alive =
-                    if self.params().method == SplitMethod::SSE || ss_candidate.is_none() {
-                        let local = self.local_alive_from_slices(
-                            proc,
-                            &local_stats,
-                            &owned,
-                            &node_total,
-                            gini_min,
-                        );
-                        self.share_alive(proc, local)
-                    } else {
-                        Vec::new()
-                    };
-                (ss_candidate, alive)
-            }
+        // Phase 2: derive the splitting point (replication method,
+        // attribute-based); the exact pass runs iff the method is SSE, so
+        // under SS a node without a boundary candidate is a leaf.
+        let (local_best, owned) =
+            self.derive_boundary_candidates(proc, &mut local_stats, &node_total);
+        let ss_candidate = self.elect_candidate(proc, local_best);
+        let alive = if self.params().method == SplitMethod::SSE {
+            let gini_min = ss_candidate.as_ref().map_or(f64::INFINITY, |c| c.gini);
+            self.determine_alive(proc, &owned, &node_total, gini_min)
+        } else {
+            Vec::new()
         };
         if id == 1 {
             let alive_records: u64 = alive.iter().map(|a| a.count).sum();
@@ -840,10 +594,6 @@ impl OocProblem for PcloudsProblem<'_> {
         };
 
         proc.span_end(derive_span);
-        {
-            let mut st = self.build.rank(proc.rank());
-            st.metrics.time_derive += proc.clock() - phase_start;
-        }
         proc.in_span("pclouds.partition", &[("node", id as i64)], |proc| {
             self.conclude(proc, task, best, self.chunk())
         })

@@ -45,9 +45,6 @@ pub struct BuildMetrics {
     pub root_survival_ratio: f64,
     /// Small tasks solved locally.
     pub small_solved: usize,
-    /// Virtual seconds deriving the splitting point (phase 2: combine,
-    /// boundary ginis, alive determination/evaluation).
-    pub time_derive: f64,
 }
 
 /// The sample points of one live task, shared by all ranks.

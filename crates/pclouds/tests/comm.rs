@@ -10,7 +10,7 @@ use pdc_clouds::CloudsParams;
 use pdc_datagen::{generate, GeneratorConfig};
 use pdc_dnc::Strategy;
 use pdc_pario::DiskFarm;
-use pdc_pclouds::{load_dataset, train, BoundaryEval, PcloudsConfig, TrainOutput};
+use pdc_pclouds::{load_dataset, train, PcloudsConfig, TrainOutput};
 
 fn test_config() -> PcloudsConfig {
     PcloudsConfig {
@@ -22,20 +22,11 @@ fn test_config() -> PcloudsConfig {
         },
         memory_limit_bytes: 32 * 1024,
         switch_threshold_intervals: 10,
-        ..PcloudsConfig::default()
     }
 }
 
-fn build(
-    records: &[pdc_datagen::Record],
-    p: usize,
-    strategy: Strategy,
-    boundary_eval: BoundaryEval,
-) -> TrainOutput {
-    let cfg = PcloudsConfig {
-        boundary_eval,
-        ..test_config()
-    };
+fn build(records: &[pdc_datagen::Record], p: usize, strategy: Strategy) -> TrainOutput {
+    let cfg = test_config();
     let farm = DiskFarm::in_memory(p);
     let root = load_dataset(&farm, records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
     let machine = MachineConfig {
@@ -107,7 +98,7 @@ fn trained_tree_bytes_match_the_golden_hash() {
     let records = generate(6_000, GeneratorConfig::default());
     for (strategy, p, bytes_sent, intervals, points, finish_bits) in GOLDEN_ALIVE_PASS {
         let golden = GOLDEN_TREE_HASH.iter().find(|g| g.0 == strategy).expect("strategy").1;
-        let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+        let out = build(&records, p, strategy);
         assert_eq!(
             fnv1a(&out.tree.to_bytes()),
             golden,
@@ -178,7 +169,7 @@ fn every_derive_phase_issues_exactly_one_reduce_scatter() {
     let records = generate(6_000, GeneratorConfig::default());
     for (p, schedule) in [(3usize, "cgm.reduce_scatter.fanin"), (4, "cgm.reduce_scatter.halving")] {
         for strategy in [Strategy::Mixed, Strategy::Concatenated] {
-            let out = build(&records, p, strategy, BoundaryEval::AttributeBased);
+            let out = build(&records, p, strategy);
             for s in &out.run.stats {
                 let mut derives = 0;
                 for (d, derive) in s.spans.iter().enumerate() {
@@ -212,16 +203,4 @@ fn every_derive_phase_issues_exactly_one_reduce_scatter() {
             }
         }
     }
-}
-
-#[test]
-fn interval_based_replication_matches_attribute_based() {
-    // The interval-based approach keeps its all-to-all for numeric
-    // attributes and a per-attribute combine for the tiny categorical
-    // matrices; its trees must stay identical to the attribute-based ones.
-    let records = generate(6_000, GeneratorConfig::default());
-    let reference = build(&records, 4, Strategy::Mixed, BoundaryEval::AttributeBased);
-    let out = build(&records, 4, Strategy::Mixed, BoundaryEval::IntervalBased);
-    assert_eq!(out.tree.render(), reference.tree.render());
-    assert_counters_partition(&out);
 }

@@ -20,7 +20,6 @@ fn config() -> PcloudsConfig {
         },
         memory_limit_bytes: 16 * 1024,
         switch_threshold_intervals: 10,
-        ..PcloudsConfig::default()
     }
 }
 

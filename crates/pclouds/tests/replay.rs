@@ -20,7 +20,6 @@ fn test_config() -> PcloudsConfig {
         },
         memory_limit_bytes: 32 * 1024, // force genuinely chunked streaming
         switch_threshold_intervals: 10,
-        ..PcloudsConfig::default()
     }
 }
 

@@ -2,7 +2,7 @@
 //! strategies, equivalence properties, and virtual-time sanity.
 
 use pdc_cgm::Cluster;
-use pdc_clouds::{accuracy, build_tree, CloudsParams};
+use pdc_clouds::{accuracy, build_tree, CloudsParams, SplitMethod};
 use pdc_datagen::{generate, train_test_split, ClassifyFn, GeneratorConfig};
 use pdc_dnc::Strategy;
 use pdc_pario::DiskFarm;
@@ -18,7 +18,6 @@ fn test_config() -> PcloudsConfig {
         },
         memory_limit_bytes: 32 * 1024, // force genuinely chunked streaming
         switch_threshold_intervals: 10,
-        ..PcloudsConfig::default()
     }
 }
 
@@ -254,74 +253,44 @@ fn survival_ratio_stays_low() {
 fn concatenated_level_batching_matches_per_node_processing() {
     // The batched (concatenated) path must derive the same splits as the
     // per-node data-parallel path — only the communication schedule and
-    // memory budget differ.
-    let records = generate(8_000, GeneratorConfig::default());
-    let cfg = test_config();
-    let build = |strategy| {
-        let farm = DiskFarm::in_memory(4);
-        let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
-        let cluster = Cluster::new(4);
-        train(&cluster, &farm, &root, &cfg, strategy)
-    };
-    let per_node = build(Strategy::DataParallel);
-    let batched = build(Strategy::Concatenated);
-    assert_eq!(
-        per_node.tree.render(),
-        batched.tree.render(),
-        "concatenated processing changed the tree"
-    );
-    // The level shares one memory budget under concatenated processing, so
-    // chunks shrink and I/O request counts grow — the paper's objection to
-    // concatenated parallelism for out-of-core work.
-    let io_per_node = per_node.run.total_counters().disk_reads;
-    let io_batched = batched.run.total_counters().disk_reads;
-    assert!(
-        io_batched >= io_per_node,
-        "batched reads {io_batched} < per-node reads {io_per_node}"
-    );
-}
-
-#[test]
-fn interval_based_matches_attribute_based() {
-    // Both boundary-evaluation approaches of the replication method combine
-    // the same global statistics — only who evaluates which gini differs —
-    // so the tree must be identical.
-    use pdc_pclouds::BoundaryEval;
-    let records = generate(8_000, GeneratorConfig::default());
-    let mut cfg = test_config();
-    let build = |cfg: &PcloudsConfig, p: usize| {
-        let farm = DiskFarm::in_memory(p);
-        let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
-        let cluster = Cluster::new(p);
-        train(&cluster, &farm, &root, cfg, Strategy::Mixed)
-    };
-    let attr = build(&cfg, 4);
-    cfg.boundary_eval = BoundaryEval::IntervalBased;
-    for p in [1usize, 3, 4, 16] {
-        let interval = build(&cfg, p);
-        assert_eq!(
-            attr.tree.render(),
-            interval.tree.render(),
-            "interval-based tree differs at p={p}"
-        );
+    // memory budget differ — under both sampling methods. The second input
+    // holds every categorical attribute constant and draws an 8-record
+    // sample, so some large nodes get an empty sample slice and have no SS
+    // candidate at all: SS makes them leaves on both paths.
+    let plain = generate(8_000, GeneratorConfig::default());
+    let mut no_categorical = plain.clone();
+    for r in &mut no_categorical {
+        r.categorical = [0; pdc_datagen::NUM_CATEGORICAL];
     }
-    // With p = 16 > 9 attributes, the attribute-based approach leaves 7
-    // processors without boundary work; the interval-based approach keeps
-    // everyone busy. Compare the balance of the derive phase.
-    cfg.boundary_eval = BoundaryEval::AttributeBased;
-    let attr16 = build(&cfg, 16);
-    cfg.boundary_eval = BoundaryEval::IntervalBased;
-    let int16 = build(&cfg, 16);
-    let spread = |out: &pdc_pclouds::TrainOutput| {
-        let times: Vec<f64> = out.metrics.iter().map(|m| m.time_derive).collect();
-        let max = times.iter().cloned().fold(0.0f64, f64::max);
-        let min = times.iter().cloned().fold(f64::MAX, f64::min);
-        max - min
-    };
-    // Not asserting a strict ordering (comm costs shift too); both must at
-    // least complete and stay deterministic.
-    assert!(spread(&attr16).is_finite());
-    assert!(spread(&int16).is_finite());
+    for method in [SplitMethod::SSE, SplitMethod::SS] {
+        for (records, sample_size) in [(&plain, 2_000), (&no_categorical, 8)] {
+            let mut cfg = test_config();
+            cfg.clouds.method = method;
+            cfg.clouds.sample_size = sample_size;
+            let build = |strategy| {
+                let farm = DiskFarm::in_memory(4);
+                let root = load_dataset(&farm, records, sample_size, cfg.clouds.sample_seed);
+                train(&Cluster::new(4), &farm, &root, &cfg, strategy)
+            };
+            let per_node = build(Strategy::DataParallel);
+            let batched = build(Strategy::Concatenated);
+            assert_eq!(
+                per_node.tree.render(),
+                batched.tree.render(),
+                "{method:?}, sample {sample_size}: concatenated processing changed the tree"
+            );
+            // The level shares one memory budget under concatenated
+            // processing, so chunks shrink and I/O request counts grow — the
+            // paper's objection to concatenated parallelism for out-of-core
+            // work.
+            let io_per_node = per_node.run.total_counters().disk_reads;
+            let io_batched = batched.run.total_counters().disk_reads;
+            assert!(
+                io_batched >= io_per_node,
+                "{method:?}, sample {sample_size}: batched reads {io_batched} < per-node reads {io_per_node}"
+            );
+        }
+    }
 }
 
 #[test]
