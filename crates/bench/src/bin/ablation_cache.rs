@@ -20,7 +20,7 @@
 //! Everything is deterministic; the assertions below are the regression
 //! contract for the engine's performance claims.
 
-use pdc_bench::harness::{csv_flag, write_results_csv, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::{Cluster, Counters, MachineConfig};
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
@@ -105,7 +105,6 @@ fn scan_run(
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let n = scale.records(1_200_000);
     let p = 4;
     eprintln!("ablation_cache: n={n} p={p}");
@@ -194,10 +193,9 @@ fn main() {
         "io_stall_s",
         "io_overlapped_s",
     ];
-    let mut table = TableWriter::new(&headers, csv);
-    let mut csv_text = headers.join(",") + "\n";
+    let mut table = TableWriter::new(&headers);
     for r in &rows {
-        let cells = vec![
+        table.row(vec![
             r.workload.to_string(),
             r.policy.to_string(),
             r.budget_pages.to_string(),
@@ -209,17 +207,13 @@ fn main() {
             r.prefetches.to_string(),
             format!("{:.6}", r.io_stall),
             format!("{:.6}", r.io_overlapped),
-        ];
-        csv_text.push_str(&cells.join(","));
-        csv_text.push('\n');
-        table.row(cells);
+        ]);
     }
     table.print();
-    let csv_path = write_results_csv("ablation_cache", scale, &csv_text);
+    let csv_path = write_results("ablation_cache", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
 
-    // Machine-readable summary for the perf gate: makespans and hit/miss
-    // counts are deterministic alike, and gated bitwise alike.
+    // The same rows at full precision: makespans and hit/miss counts.
     let mut summary = BenchSummary::new("ablation_cache", scale);
     for r in &rows {
         let key = format!(

@@ -17,10 +17,10 @@
 //!    — the budget is a real bound, not a suggestion.
 //!
 //! Writes `results/ablation_ensemble.csv` (section column distinguishes
-//! accuracy rows from sweep rows) and a `BenchSummary` for the perf gate.
+//! accuracy rows from sweep rows) and a `BenchSummary`.
 
 use pdc_bench::harness::{
-    csv_flag, experiment_config, machine_config, write_results_csv, Scale, TableWriter,
+    experiment_config, machine_config, write_results, Scale, TableWriter,
 };
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::Cluster;
@@ -43,7 +43,6 @@ struct Row {
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let mut summary = BenchSummary::new("ablation_ensemble", scale);
     let mut rows: Vec<Row> = Vec::new();
 
@@ -146,10 +145,9 @@ fn main() {
         "peak_resident_bytes",
         "budget_bytes",
     ];
-    let mut table = TableWriter::new(&headers, csv);
-    let mut csv_text = headers.join(",") + "\n";
+    let mut table = TableWriter::new(&headers);
     for r in &rows {
-        let cells = vec![
+        table.row(vec![
             r.section.to_string(),
             r.function.clone(),
             r.width.clone(),
@@ -159,13 +157,10 @@ fn main() {
             r.makespan_s.clone(),
             r.peak_resident_bytes.clone(),
             r.budget_bytes.clone(),
-        ];
-        csv_text.push_str(&cells.join(","));
-        csv_text.push('\n');
-        table.row(cells);
+        ]);
     }
     table.print();
-    let csv_path = write_results_csv("ablation_ensemble", scale, &csv_text);
+    let csv_path = write_results("ablation_ensemble", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
     let path = summary.write();
     eprintln!("  wrote {}", path.display());

@@ -24,7 +24,7 @@
 //!   configuration reproduces the same virtual times bit for bit (checked
 //!   below).
 
-use pdc_bench::harness::{ascii_chart, csv_flag, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{ascii_chart, write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::FaultPlan;
 
@@ -51,7 +51,6 @@ fn plan(fault_rate: f64, skew: f64, p: usize) -> FaultPlan {
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let n = scale.records(1_200_000);
     let p = 8;
     eprintln!("ablation_faults: n={n} p={p}");
@@ -63,18 +62,15 @@ fn main() {
             .run()
     };
 
-    let mut table = TableWriter::new(
-        &[
-            "fault_rate",
-            "skew",
-            "runtime_s",
-            "slowdown",
-            "link_retries",
-            "link_delays",
-            "disk_retries",
-        ],
-        csv,
-    );
+    let mut table = TableWriter::new(&[
+        "fault_rate",
+        "skew",
+        "runtime_s",
+        "slowdown",
+        "link_retries",
+        "link_delays",
+        "disk_retries",
+    ]);
 
     // Determinism: the same seeded configuration must reproduce the same
     // virtual times exactly.
@@ -145,14 +141,13 @@ fn main() {
     );
 
     table.print();
+    println!();
+    println!("runtime (s) vs straggler skew:");
+    println!(
+        "{}",
+        ascii_chart(&[("weighted-LPT dispatch".to_string(), skew_pts)], 56, 14)
+    );
+    let csv_path = write_results("ablation_faults", "csv", scale, table.csv());
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
-    if !csv {
-        println!();
-        println!("runtime (s) vs straggler skew:");
-        println!(
-            "{}",
-            ascii_chart(&[("weighted-LPT dispatch".to_string(), skew_pts)], 56, 14)
-        );
-    }
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

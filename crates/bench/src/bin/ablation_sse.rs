@@ -7,7 +7,9 @@
 //! exact over alive intervals); SS is close but can mis-rank near-optimal
 //! splits; survival ratios stay small (SSE's second pass is cheap).
 
-use pdc_bench::harness::{csv_flag, experiment_config, machine_config, Scale, TableWriter};
+use pdc_bench::harness::{
+    experiment_config, machine_config, write_results, Scale, TableWriter,
+};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::Cluster;
 use pdc_clouds::{accuracy, build_tree, holdout_pair, mdl_prune, MdlParams, SplitMethod};
@@ -18,16 +20,12 @@ use pdc_pclouds::{load_dataset, train};
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let n = scale.records(2_000_000) as usize;
     let p = 8;
     let mut summary = BenchSummary::new("ablation_sse", scale);
 
     // --- Part 1: sequential quality comparison. ---
-    let mut quality = TableWriter::new(
-        &["function", "method", "accuracy", "leaves_pruned"],
-        csv,
-    );
+    let mut quality = TableWriter::new(&["function", "method", "accuracy", "leaves_pruned"]);
     for f in [ClassifyFn::F1, ClassifyFn::F2, ClassifyFn::F7] {
         let n_quality = (n / 4).max(20_000);
         let (train_set, test_set) = holdout_pair(f, n_quality * 3 / 4, n_quality / 4, 0.0);
@@ -48,14 +46,12 @@ fn main() {
             ]);
         }
     }
-    println!("-- split-method quality (sequential, pruned) --");
+    let quality_heading = "-- split-method quality (sequential, pruned) --";
+    println!("{quality_heading}");
     quality.print();
 
     // --- Part 2: parallel runtime SS vs SSE + survival ratio. ---
-    let mut runtime = TableWriter::new(
-        &["method", "runtime_s", "root_survival", "alive_points"],
-        csv,
-    );
+    let mut runtime = TableWriter::new(&["method", "runtime_s", "root_survival", "alive_points"]);
     for method in [SplitMethod::SS, SplitMethod::SSE] {
         let records = generate(n, GeneratorConfig::default());
         let mut cfg = experiment_config(n as u64, scale);
@@ -81,8 +77,15 @@ fn main() {
             alive.to_string(),
         ]);
     }
-    println!("\n-- parallel runtime on {n} records, p={p} --");
+    let runtime_heading = format!("-- parallel runtime on {n} records, p={p} --");
+    println!("\n{runtime_heading}");
     runtime.print();
+    let csv = format!(
+        "{quality_heading}\n{}\n{runtime_heading}\n{}",
+        quality.csv(),
+        runtime.csv()
+    );
+    let csv_path = write_results("ablation_sse", "csv", scale, csv);
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

@@ -12,27 +12,23 @@
 //!   batching) and shares memory across a level — the paper's reason to
 //!   prefer plain data parallelism out-of-core.
 
-use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_dnc::Strategy;
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let mut summary = BenchSummary::new("ablation_strategies", scale);
     let n = scale.records(4_800_000);
     let p = 8;
     eprintln!("ablation_strategies: n={n} p={p}");
-    let mut table = TableWriter::new(
-        &[
-            "strategy",
-            "runtime_s",
-            "messages",
-            "comm_mbytes",
-            "imbalance",
-        ],
-        csv,
-    );
+    let mut table = TableWriter::new(&[
+        "strategy",
+        "runtime_s",
+        "messages",
+        "comm_mbytes",
+        "imbalance",
+    ]);
     for (name, strategy) in [
         ("mixed-delayed", Strategy::Mixed),
         ("mixed-immediate", Strategy::MixedImmediate),
@@ -55,6 +51,7 @@ fn main() {
         eprintln!("  {name}: {:.3}s, {} msgs", out.runtime(), totals.messages_sent);
     }
     table.print();
+    let csv_path = write_results("ablation_strategies", "csv", scale, table.csv());
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

@@ -8,7 +8,7 @@
 //! data-parallel balance; too small a memory limit pays seeks, too large
 //! defeats out-of-core operation.
 
-use pdc_bench::harness::{csv_flag, experiment_config, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{experiment_config, write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 
 fn run(n: u64, p: usize, scale: Scale, switch: usize, mem: usize) -> f64 {
@@ -23,24 +23,24 @@ fn run(n: u64, p: usize, scale: Scale, switch: usize, mem: usize) -> f64 {
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let n = scale.records(3_600_000);
     let p = 8;
     let base_mem = experiment_config(n, scale).memory_limit_bytes;
 
     eprintln!("ablation_thresholds: n={n} p={p} base_mem={base_mem}");
     let mut summary = BenchSummary::new("ablation_thresholds", scale);
-    let mut sw = TableWriter::new(&["switch_threshold_intervals", "runtime_s"], csv);
+    let mut sw = TableWriter::new(&["switch_threshold_intervals", "runtime_s"]);
     for switch in [1usize, 5, 10, 25, 50, 100] {
         let t = run(n, p, scale, switch, base_mem);
         summary.metric(&format!("switch{switch}_runtime_s"), t);
         sw.row(vec![switch.to_string(), format!("{t:.3}")]);
         eprintln!("  switch={switch}: {t:.3}s");
     }
-    println!("-- switching threshold sweep (memory limit fixed) --");
+    let sw_heading = "-- switching threshold sweep (memory limit fixed) --";
+    println!("{sw_heading}");
     sw.print();
 
-    let mut mem_table = TableWriter::new(&["memory_limit_kb", "runtime_s"], csv);
+    let mut mem_table = TableWriter::new(&["memory_limit_kb", "runtime_s"]);
     for (i, factor) in [0.25f64, 0.5, 1.0, 2.0, 4.0].into_iter().enumerate() {
         let mem = ((base_mem as f64 * factor) as usize).max(8 * 1024);
         let t = run(n, p, scale, 10, mem);
@@ -48,8 +48,11 @@ fn main() {
         mem_table.row(vec![(mem / 1024).to_string(), format!("{t:.3}")]);
         eprintln!("  mem={}kb: {t:.3}s", mem / 1024);
     }
-    println!("\n-- memory limit sweep (switch threshold = 10) --");
+    let mem_heading = "-- memory limit sweep (switch threshold = 10) --";
+    println!("\n{mem_heading}");
     mem_table.print();
+    let csv = format!("{sw_heading}\n{}\n{mem_heading}\n{}", sw.csv(), mem_table.csv());
+    let csv_path = write_results("ablation_thresholds", "csv", scale, csv);
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

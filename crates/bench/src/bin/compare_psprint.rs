@@ -8,7 +8,9 @@
 //! memory each needs per processor.
 
 use pdc_baselines::build_tree_psprint;
-use pdc_bench::harness::{csv_flag, experiment_config, machine_config, Scale, TableWriter};
+use pdc_bench::harness::{
+    experiment_config, machine_config, write_results, Scale, TableWriter,
+};
 use pdc_cgm::Cluster;
 use pdc_clouds::{accuracy, holdout_pair};
 use pdc_datagen::ClassifyFn;
@@ -18,22 +20,18 @@ use pdc_pclouds::{load_dataset, train};
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     // Parallel SPRINT holds everything in memory; keep the comparison at a
     // size both can run.
     let n = scale.records(1_200_000) as usize;
     let (records, test) = holdout_pair(ClassifyFn::F2, n, 20_000, 0.0);
     eprintln!("compare_psprint: n={n}");
-    let mut table = TableWriter::new(
-        &[
-            "classifier",
-            "p",
-            "runtime_s",
-            "accuracy",
-            "resident_mb_per_proc",
-        ],
-        csv,
-    );
+    let mut table = TableWriter::new(&[
+        "classifier",
+        "p",
+        "runtime_s",
+        "accuracy",
+        "resident_mb_per_proc",
+    ]);
     for p in [4usize, 8, 16] {
         // pCLOUDS: out-of-core, bounded memory.
         let cfg = experiment_config(n as u64, scale);
@@ -67,4 +65,6 @@ fn main() {
         ]);
     }
     table.print();
+    let csv_path = write_results("compare_psprint", "csv", scale, table.csv());
+    eprintln!("  wrote {}", csv_path.display());
 }

@@ -18,11 +18,11 @@
 //! * `FIG1_SIZES` — comma-separated paper-scale record counts (scaled by
 //!   `PCLOUDS_SCALE` like the defaults).
 //!
-//! An overridden sweep writes its summary as `fig1_speedup_custom`, so the
-//! checked-in `fig1_speedup` perf-gate baseline (taken on the default
-//! grid) is never clobbered by exploratory runs.
+//! An overridden sweep writes both its CSV and its summary under the name
+//! `fig1_speedup_custom`, so an exploratory run never overwrites the
+//! committed `fig1_speedup` artifacts (taken on the default grid).
 
-use pdc_bench::harness::{ascii_chart, csv_flag, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{ascii_chart, write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 
 fn parse_list<T: std::str::FromStr>(var: &str) -> Option<Vec<T>>
@@ -44,7 +44,6 @@ where
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let procs_override = parse_list::<usize>("FIG1_PROCS");
     let sizes_override = parse_list::<u64>("FIG1_SIZES");
     let overridden = procs_override.is_some() || sizes_override.is_some();
@@ -63,10 +62,7 @@ fn main() {
         paper_sizes.iter().map(|&s| scale.records(s)).collect::<Vec<_>>(),
     );
 
-    let mut table = TableWriter::new(
-        &["records", "p", "runtime_s", "speedup", "efficiency"],
-        csv,
-    );
+    let mut table = TableWriter::new(&["records", "p", "runtime_s", "speedup", "efficiency"]);
     let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
     // Speedup is T(base)/T(p) with base = the first processor count in the
     // sweep (the paper's T(1) on the default grid; an overridden sweep
@@ -99,11 +95,9 @@ fn main() {
         series.push((format!("{n} records"), points));
     }
     table.print();
+    println!("\nspeedup vs processors:");
+    print!("{}", ascii_chart(&series, 56, 16));
+    let csv_path = write_results(bin_name, "csv", scale, table.csv());
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
-    if !csv {
-        println!("
-speedup vs processors:");
-        print!("{}", ascii_chart(&series, 56, 16));
-    }
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

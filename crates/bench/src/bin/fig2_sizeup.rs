@@ -6,18 +6,17 @@
 //! p = 16 — computation grows with the data while the message-startup cost
 //! of exchanging count matrices and split points does not.
 
-use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let mut summary = BenchSummary::new("fig2_sizeup", scale);
     let paper_sizes: [u64; 4] = [3_600_000, 4_800_000, 6_000_000, 7_200_000];
     let procs = [4usize, 8, 16];
 
     eprintln!("fig2_sizeup: scale {scale:?}");
-    let mut table = TableWriter::new(&["p", "records", "runtime_s", "speedup"], csv);
+    let mut table = TableWriter::new(&["p", "records", "runtime_s", "speedup"]);
     for &p in &procs {
         for paper_n in paper_sizes {
             let n = scale.records(paper_n);
@@ -37,6 +36,7 @@ fn main() {
         }
     }
     table.print();
+    let csv_path = write_results("fig2_sizeup", "csv", scale, table.csv());
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

@@ -7,21 +7,17 @@
 //! processors", i.e. a slow, roughly linear increase — message startups
 //! plus the unregrouped small-node task parallelism.
 
-use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let mut summary = BenchSummary::new("fig3_scaleup", scale);
     let paper_densities: [u64; 5] = [200_000, 300_000, 400_000, 500_000, 600_000];
     let procs = [1usize, 2, 4, 8, 16];
 
     eprintln!("fig3_scaleup: scale {scale:?}");
-    let mut table = TableWriter::new(
-        &["records_per_proc", "p", "records_total", "runtime_s"],
-        csv,
-    );
+    let mut table = TableWriter::new(&["records_per_proc", "p", "records_total", "runtime_s"]);
     for paper_density in paper_densities {
         let density = scale.records(paper_density);
         for &p in &procs {
@@ -40,6 +36,7 @@ fn main() {
         }
     }
     table.print();
+    let csv_path = write_results("fig3_scaleup", "csv", scale, table.csv());
     let path = summary.write();
-    eprintln!("  wrote {}", path.display());
+    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
 }

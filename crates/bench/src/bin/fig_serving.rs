@@ -15,9 +15,7 @@
 //!   flat array drops the dependent pointer-chase charge per visited node
 //!   and its 16-byte nodes keep the working set inside the CPU cache.
 
-use pdc_bench::harness::{
-    csv_flag, machine_config, write_results_csv, Experiment, Scale, TableWriter,
-};
+use pdc_bench::harness::{machine_config, write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::{Cluster, HistogramSpec};
 use pdc_datagen::GeneratorConfig;
@@ -39,7 +37,6 @@ struct Row {
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let p = 4;
     let train_n = scale.records(600_000);
     let requests = scale.records(2_400_000);
@@ -173,10 +170,9 @@ fn main() {
         "p999_ms",
         "identical",
     ];
-    let mut table = TableWriter::new(&headers, csv);
-    let mut csv_text = headers.join(",") + "\n";
+    let mut table = TableWriter::new(&headers);
     for r in &rows {
-        let cells = vec![
+        table.row(vec![
             r.engine.to_string(),
             r.batch.to_string(),
             r.layout.name().to_string(),
@@ -191,17 +187,14 @@ fn main() {
             format!("{:.4}", r.report.latency.p99 * 1e3),
             format!("{:.4}", r.report.latency.p999 * 1e3),
             if r.identical { "yes" } else { "no" }.to_string(),
-        ];
-        csv_text.push_str(&cells.join(","));
-        csv_text.push('\n');
-        table.row(cells);
+        ]);
     }
     table.print();
-    let csv_path = write_results_csv("fig_serving", scale, &csv_text);
+    let csv_path = write_results("fig_serving", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
 
-    // Machine-readable summary for the perf gate: one metric per
-    // (engine, batch, layout) cell plus the exact correctness invariants.
+    // The same cells at full precision, plus the exact correctness
+    // invariants.
     let mut summary = BenchSummary::new("fig_serving", scale);
     summary.metric("records_exact", requests as f64);
     for r in &rows {

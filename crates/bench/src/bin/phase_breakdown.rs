@@ -15,8 +15,11 @@
 //! pool occupancy, device/mailbox queue depths and resident small-task
 //! bytes, sampled on the virtual clock of a gauge-enabled, engine-backed
 //! run (see [`pdc_cgm::gauge`]).
+//!
+//! Prints both tables and the balance summary, and writes the same text to
+//! `results/phase_breakdown.txt`.
 
-use pdc_bench::harness::{csv_flag, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
 use pdc_cgm::{resolve_series, GaugeSeries};
 use pdc_pario::EngineConfig;
 
@@ -37,7 +40,6 @@ const GAUGES: [&str; 4] = [
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let n = scale.records(4_800_000);
     let p = 8;
     eprintln!("phase_breakdown: n={n} p={p}");
@@ -45,19 +47,16 @@ fn main() {
     let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let reg = out.span_metrics();
 
-    let mut table = TableWriter::new(
-        &[
-            "rank",
-            "stats_s",
-            "derive_s",
-            "partition_s",
-            "small_redist_s",
-            "small_solve_s",
-            "io_mb",
-            "finish_s",
-        ],
-        csv,
-    );
+    let mut table = TableWriter::new(&[
+        "rank",
+        "stats_s",
+        "derive_s",
+        "partition_s",
+        "small_redist_s",
+        "small_solve_s",
+        "io_mb",
+        "finish_s",
+    ]);
     for s in &out.run.stats {
         let io_mb = (s.counters.disk_read_bytes + s.counters.disk_write_bytes) as f64 / 1e6;
         table.row(vec![
@@ -71,7 +70,6 @@ fn main() {
             format!("{:.3}", s.finish_time),
         ]);
     }
-    table.print();
 
     // Gauge high-water marks inside each phase's span windows, max over all
     // ranks and span instances. A carried-in value counts (a buffer page
@@ -94,11 +92,8 @@ fn main() {
         }
         peak
     };
-    println!("\ngauge peaks per phase (max over ranks)");
-    let mut gauge_table = TableWriter::new(
-        &["phase", "pool_pages", "dev_queue", "mbox_depth", "resident_kb"],
-        csv,
-    );
+    let mut gauge_table =
+        TableWriter::new(&["phase", "pool_pages", "dev_queue", "mbox_depth", "resident_kb"]);
     for phase in PHASES {
         let cells: Vec<f64> = GAUGES.iter().map(|g| peak_in_phase(phase, g)).collect();
         gauge_table.row(vec![
@@ -109,7 +104,6 @@ fn main() {
             format!("{:.1}", cells[3] / 1024.0),
         ]);
     }
-    gauge_table.print();
 
     // The engine-backed streaming phases must actually exercise the buffer
     // pool and the mailboxes — an all-zero column would mean the gauges
@@ -134,9 +128,15 @@ fn main() {
         .collect();
     let max_io = io.iter().cloned().fold(0.0f64, f64::max);
     let mean_io = io.iter().sum::<f64>() / io.len() as f64;
-    println!(
-        "\nI/O balance (max/mean): {:.4}   overall runtime imbalance: {:.4}",
+    let text = format!(
+        "{}\ngauge peaks per phase (max over ranks)\n{}\n\
+         I/O balance (max/mean): {:.4}   overall runtime imbalance: {:.4}\n",
+        table.render(),
+        gauge_table.render(),
         max_io / mean_io,
         out.run.imbalance()
     );
+    print!("{text}");
+    let path = write_results("phase_breakdown", "txt", scale, text);
+    eprintln!("  wrote {}", path.display());
 }

@@ -14,7 +14,7 @@
 //! harness reports the fitted coefficients (which should recover the
 //! machine's ts and tw) and the R² of the fit.
 
-use pdc_bench::harness::{csv_flag, least_squares, TableWriter};
+use pdc_bench::harness::{least_squares, write_results, Scale, TableWriter};
 use pdc_cgm::{Cluster, MachineConfig};
 
 /// Measure one collective: returns simulated seconds for (p, m_bytes).
@@ -48,20 +48,22 @@ fn measure(p: usize, m_bytes: usize, which: &str) -> f64 {
 }
 
 fn main() {
-    let csv = csv_flag();
+    // The workload does not scale; the scale only picks the file name.
+    let scale = Scale::from_env();
     let cfg = MachineConfig::default();
     let (ts, tw) = (cfg.cost.network.alpha, cfg.cost.network.beta);
-    println!(
+    let machine = format!(
         "machine: ts = {:.1} us, tw = {:.3} ns/byte ({} MB/s)",
         ts * 1e6,
         tw * 1e9,
         (1.0 / tw / 1e6).round()
     );
+    println!("{machine}");
 
     let procs = [2usize, 4, 8, 16, 32];
     let sizes = [64usize, 1_024, 16_384, 131_072];
 
-    let mut raw = TableWriter::new(&["primitive", "p", "m_bytes", "time_us"], csv);
+    let mut raw = TableWriter::new(&["primitive", "p", "m_bytes", "time_us"]);
     // Model terms per primitive: f(p, m) rows of the design matrix.
     type Terms = fn(f64, f64) -> Vec<f64>;
     let models: [(&str, Terms); 4] = [
@@ -70,10 +72,7 @@ fn main() {
         ("combine", |p, m| vec![p.log2(), m * p.log2()]),
         ("prefix_sum", |p, m| vec![p.log2(), m * p.log2()]),
     ];
-    let mut fits = TableWriter::new(
-        &["primitive", "model", "ts_fit_us", "tw_fit_ns", "r2"],
-        csv,
-    );
+    let mut fits = TableWriter::new(&["primitive", "model", "ts_fit_us", "tw_fit_ns", "r2"]);
     for (name, terms) in models {
         let mut design = Vec::new();
         let mut ys = Vec::new();
@@ -104,8 +103,17 @@ fn main() {
             format!("{r2:.5}"),
         ]);
     }
-    println!("\n-- raw measurements --");
+    let raw_heading = "-- raw measurements --";
+    let fits_heading = "-- model fits (compare ts_fit/tw_fit to the machine constants above) --";
+    println!("\n{raw_heading}");
     raw.print();
-    println!("\n-- model fits (compare ts_fit/tw_fit to the machine constants above) --");
+    println!("\n{fits_heading}");
     fits.print();
+    let csv = format!(
+        "{machine}\n\n{raw_heading}\n{}\n{fits_heading}\n{}",
+        raw.csv(),
+        fits.csv()
+    );
+    let csv_path = write_results("table1_primitives", "csv", scale, csv);
+    eprintln!("  wrote {}", csv_path.display());
 }

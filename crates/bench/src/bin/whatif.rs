@@ -2,8 +2,8 @@
 //! hardware.**
 //!
 //! Records one full pCLOUDS training run as a causal event graph
-//! (`results/whatif_run.evg`), then replays it under a ladder of hardware
-//! hypotheticals without re-running the simulation:
+//! (`results/whatif_run.evg`, git-ignored), then replays it under a ladder
+//! of hardware hypotheticals without re-running the simulation:
 //!
 //!   * link bandwidth 2x / 10x / infinite,
 //!   * NVMe-class disk constants (20 us access, ~3.5 GB/s),
@@ -30,11 +30,10 @@
 //! modern latency 2 us -> 0.05, link 12.5 GB/s -> 0.0028,
 //! NVMe access 20 us -> 0.002, NVMe 3.5 GB/s -> 0.003.
 
-use pdc_bench::harness::{csv_flag, write_results_csv, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
 use pdc_cgm::replay::{identity_check, replay, CostOverride};
-use pdc_cgm::{Ev, EventGraph};
-use std::path::Path;
+use pdc_cgm::{Ev, EventGraph, Wire};
 
 /// Scale factors for the combined "modern box" override.
 const MODERN_LAT: f64 = 0.05;
@@ -67,7 +66,6 @@ fn comm_transfer_secs(graph: &EventGraph, rank: usize) -> f64 {
 
 fn main() {
     let scale = Scale::from_env();
-    let csv = csv_flag();
     let mut summary = BenchSummary::new("whatif", scale);
     let n = scale.records(3_600_000);
     let p = 4;
@@ -76,8 +74,7 @@ fn main() {
     let out = Experiment::new(n, p, scale).traced().run();
     let graph = EventGraph::from_stats(&out.run.stats);
     let base = graph.makespan();
-    let evg_path = Path::new("results/whatif_run.evg");
-    graph.save(evg_path).expect("write event graph");
+    let evg_path = write_results("whatif_run", "evg", scale, graph.to_bytes());
     eprintln!(
         "  recorded {} events across {p} ranks -> {} (T = {base:.4}s)",
         graph.event_count(),
@@ -116,11 +113,13 @@ fn main() {
         ("collectives_2x", CostOverride::identity().with_span("cgm.*", 0.5)),
     ];
 
-    let mut table = TableWriter::new(
-        &["rung", "predicted_finish_s", "saving_pct", "comm_transfer_pct", "verdict"],
-        csv,
-    );
-    let mut csv_text = String::from("rung,predicted_finish_s,saving_pct,comm_transfer_pct,verdict\n");
+    let mut table = TableWriter::new(&[
+        "rung",
+        "predicted_finish_s",
+        "saving_pct",
+        "comm_transfer_pct",
+        "verdict",
+    ]);
     for (name, ov) in &rungs {
         let predicted = replay(&graph, ov);
         let t = predicted.makespan();
@@ -140,28 +139,22 @@ fn main() {
         summary.metric(&format!("saving_pct_{name}"), saving);
         table.row(vec![
             name.to_string(),
-            format!("{t:.4}"),
-            format!("{saving:.2}"),
-            format!("{comm_pct:.2}"),
+            format!("{t:.6}"),
+            format!("{saving:.4}"),
+            format!("{comm_pct:.4}"),
             verdict.to_string(),
         ]);
-        csv_text.push_str(&format!(
-            "{name},{t:.6},{saving:.4},{comm_pct:.4},{verdict}\n"
-        ));
         eprintln!("  {name:>14}: T={t:.4}s saving={saving:.2}% [{verdict}]");
     }
     table.print();
-    let csv_path = write_results_csv("fig_whatif", scale, &csv_text);
+    let csv_path = write_results("fig_whatif", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rungs)", csv_path.display(), rungs.len());
 
     // Figure 1 under modern constants: record p in {1,2,4,8} once, replay
     // each under the combined modern override, and compare speedup curves.
     eprintln!("whatif: re-deriving fig 1 speedup under modern constants");
     let modern = nvme(modern_net(CostOverride::identity()));
-    let mut fig1 = TableWriter::new(
-        &["p", "recorded_s", "speedup_1999", "modern_s", "speedup_modern"],
-        csv,
-    );
+    let mut fig1 = TableWriter::new(&["p", "recorded_s", "speedup_1999", "modern_s", "speedup_modern"]);
     let (mut t1_rec, mut t1_mod) = (0.0, 0.0);
     for p in [1usize, 2, 4, 8] {
         let out = Experiment::new(n, p, scale).traced().run();

@@ -1,5 +1,6 @@
 //! Shared machinery of the figure/table harnesses: workload scaling,
-//! pCLOUDS experiment runs, text/CSV table output and model fitting.
+//! pCLOUDS experiment runs, the `results/` path rule, text/CSV table output
+//! and model fitting.
 
 use std::path::{Path, PathBuf};
 
@@ -26,12 +27,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the environment.
+    /// Read the scale from the environment. Panics on a value other than
+    /// `default`, `quick` or `full`: a typo must not silently run at the
+    /// default scale, which writes the committed `results/` files.
     pub fn from_env() -> Scale {
-        match std::env::var("PCLOUDS_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Default,
+        let value = std::env::var_os("PCLOUDS_SCALE");
+        Scale::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// The scale `PCLOUDS_SCALE` names (`None`: unset).
+    fn parse(value: Option<&str>) -> Scale {
+        match value {
+            None | Some("default") => Scale::Default,
+            Some("quick") => Scale::Quick,
+            Some("full") => Scale::Full,
+            Some(other) => {
+                panic!("PCLOUDS_SCALE={other:?}: expected unset, default, quick or full")
+            }
         }
     }
 
@@ -51,13 +63,13 @@ impl Scale {
 
     /// The paper used q_root = 10,000 for millions of records; scale it with
     /// the data so the interval resolution per record stays comparable.
-    pub fn q_root(self) -> usize {
+    fn q_root(self) -> usize {
         (10_000 / self.divisor() as usize).max(500)
     }
 
-    /// Stable name recorded in benchmark summaries — baselines taken at one
-    /// scale are only comparable against runs at the same scale.
-    pub fn name(self) -> &'static str {
+    /// Stable name recorded in benchmark summaries and in the file names of
+    /// non-default-scale artifacts.
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Scale::Full => "full",
             Scale::Default => "default",
@@ -159,22 +171,22 @@ impl Experiment {
     }
 }
 
-fn results_csv_path(name: &str, scale: Scale) -> PathBuf {
+fn results_path(name: &str, ext: &str, scale: Scale) -> PathBuf {
     let file = match scale {
-        Scale::Default => format!("{name}.csv"),
-        _ => format!("{name}.{}.csv", scale.name()),
+        Scale::Default => format!("{name}.{ext}"),
+        _ => format!("{name}.{}.{ext}", scale.name()),
     };
     Path::new("results").join(file)
 }
 
-/// Write a bench binary's CSV artifact and return where it went. Only a
-/// default-scale run may overwrite the committed `results/<name>.csv`;
-/// other scales get `results/<name>.<scale>.csv` (git-ignored), so a
-/// quick-scale smoke or perf-gate run never dirties the work tree.
-pub fn write_results_csv(name: &str, scale: Scale, text: &str) -> PathBuf {
-    let path = results_csv_path(name, scale);
+/// Write a bench binary's artifact `<name>.<ext>` and return where it went.
+/// Only a default-scale run writes the committed `results/<name>.<ext>`;
+/// other scales get `results/<name>.<scale>.<ext>` (git-ignored), so a
+/// quick-scale smoke run never dirties the work tree.
+pub fn write_results(name: &str, ext: &str, scale: Scale, contents: impl AsRef<[u8]>) -> PathBuf {
+    let path = results_path(name, ext, scale);
     std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(&path, text).expect("write csv");
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     path
 }
 
@@ -208,21 +220,19 @@ pub fn experiment_config(n: u64, scale: Scale) -> PcloudsConfig {
     config
 }
 
-/// Render a table: a header row and aligned columns; optionally also CSV.
+/// A table of stringified cells, rendered with aligned columns for the
+/// terminal and as CSV for `results/`.
 pub struct TableWriter {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    csv: bool,
 }
 
 impl TableWriter {
-    /// New table with the given column headers. `csv` selects CSV output
-    /// (pass `--csv` on the harness command line).
-    pub fn new(headers: &[&str], csv: bool) -> Self {
+    /// New table with the given column headers.
+    pub fn new(headers: &[&str]) -> Self {
         TableWriter {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            csv,
         }
     }
 
@@ -232,15 +242,21 @@ impl TableWriter {
         self.rows.push(cells);
     }
 
-    /// Print the table to stdout.
+    /// The header line and one line per row, comma-separated.
+    pub fn csv(&self) -> String {
+        std::iter::once(&self.headers)
+            .chain(&self.rows)
+            .map(|cells| cells.join(",") + "\n")
+            .collect()
+    }
+
+    /// Print the aligned table to stdout.
     pub fn print(&self) {
-        if self.csv {
-            println!("{}", self.headers.join(","));
-            for row in &self.rows {
-                println!("{}", row.join(","));
-            }
-            return;
-        }
+        print!("{}", self.render());
+    }
+
+    /// The header row, a rule and the rows, right-aligned per column.
+    pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -254,21 +270,15 @@ impl TableWriter {
                 .map(|(c, w)| format!("{c:>w$}"))
                 .collect::<Vec<_>>()
                 .join("  ")
+                + "\n"
         };
-        println!("{}", fmt_row(&self.headers));
-        println!(
-            "{}",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1)))
-        );
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1)));
+        let mut out = fmt_row(&self.headers) + &rule + "\n";
         for row in &self.rows {
-            println!("{}", fmt_row(row));
+            out += &fmt_row(row);
         }
+        out
     }
-}
-
-/// `--csv` flag from the command line.
-pub fn csv_flag() -> bool {
-    std::env::args().any(|a| a == "--csv")
 }
 
 /// Multivariate least squares `y ≈ Σ c_i · f_i(x)` via normal equations
@@ -366,10 +376,34 @@ mod tests {
     }
 
     #[test]
+    fn scale_names_parse_and_anything_else_panics() {
+        assert_eq!(Scale::parse(None), Scale::Default);
+        for scale in [Scale::Default, Scale::Quick, Scale::Full] {
+            assert_eq!(Scale::parse(Some(scale.name())), scale);
+        }
+        for typo in ["ful", "", "Quick", "default "] {
+            let err = std::panic::catch_unwind(|| Scale::parse(Some(typo))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("unset, default, quick or full"), "{typo:?}: {msg}");
+        }
+    }
+
+    #[test]
     fn only_default_scale_writes_the_committed_artifact_name() {
-        assert_eq!(results_csv_path("x", Scale::Default), Path::new("results/x.csv"));
-        assert_eq!(results_csv_path("x", Scale::Quick), Path::new("results/x.quick.csv"));
-        assert_eq!(results_csv_path("x", Scale::Full), Path::new("results/x.full.csv"));
+        for (name, ext) in [
+            ("fig2_sizeup", "csv"),
+            ("BENCH_fig2_sizeup", "json"),
+            ("phase_breakdown", "txt"),
+            ("fig1_speedup_custom", "csv"),
+            ("BENCH_fig1_speedup_custom", "json"),
+        ] {
+            let committed = format!("results/{name}.{ext}");
+            assert_eq!(results_path(name, ext, Scale::Default), Path::new(&committed));
+            for scale in [Scale::Quick, Scale::Full] {
+                let other = format!("results/{name}.{}.{ext}", scale.name());
+                assert_eq!(results_path(name, ext, scale), Path::new(&other));
+            }
+        }
     }
 
     #[test]
@@ -391,12 +425,11 @@ mod tests {
 
     #[test]
     fn table_writer_renders_without_panic() {
-        let mut t = TableWriter::new(&["a", "bb"], false);
-        t.row(vec!["1".into(), "2".into()]);
+        let mut t = TableWriter::new(&["a", "bb"]);
+        t.row(vec!["1".into(), "222".into()]);
+        assert_eq!(t.render(), "a   bb\n------\n1  222\n");
+        assert_eq!(t.csv(), "a,bb\n1,222\n");
         t.print();
-        let mut c = TableWriter::new(&["x"], true);
-        c.row(vec!["9".into()]);
-        c.print();
     }
 }
 

@@ -5,18 +5,22 @@
 //! * `table1_primitives` — collective primitive cost scaling,
 //! * `fig1_speedup`, `fig2_sizeup`, `fig3_scaleup` — the pCLOUDS curves,
 //! * `ablation_strategies`, `ablation_sse`, `ablation_thresholds` —
-//!   design-choice ablations.
+//!   design-choice ablations,
 //!
-//! Workload scale is controlled by `PCLOUDS_SCALE` (`full` / default /
-//! `quick`); pass `--csv` for machine-readable output.
+//! plus the extensions' ablations, `whatif`, `phase_breakdown` and
+//! `profile_run`. Workload scale is controlled by `PCLOUDS_SCALE` (unset or
+//! `default`, `quick`, `full`); none of the binaries takes a flag except
+//! `profile_run`.
 //!
-//! Beyond the per-binary tables/CSVs, every binary writes a
-//! schema-versioned [`summary::BenchSummary`] (`results/BENCH_<bin>.json`)
-//! and the `perf_gate` binary compares fresh quick-scale runs against the
-//! checked-in baselines in `results/baselines/` (see [`gate`]).
+//! Each binary prints human tables and writes its own artifacts through
+//! one path rule ([`harness::write_results`]): `results/<name>.<ext>` at
+//! default scale, `results/<name>.<scale>.<ext>` otherwise. Eleven of them
+//! also write a [`summary::BenchSummary`] (`results/BENCH_<bin>.json`), the
+//! run's scalars at full precision. The default-scale files are committed,
+//! so regenerating `results/` and running `git diff` is the drift check —
+//! bitwise for every summarized metric.
 
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod harness;
 pub mod summary;

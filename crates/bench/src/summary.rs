@@ -1,63 +1,56 @@
 //! Machine-readable benchmark summaries.
 //!
-//! Every figure/ablation binary prints a human table and writes a CSV; the
-//! CSV is for plotting, not for gating — its schema differs per binary and
-//! parsing twelve bespoke layouts in CI is how perf gates rot. This module
-//! gives every binary one shared, schema-versioned summary format: a flat
-//! `metric name → f64` map written as `results/BENCH_<bin>.json` next to
-//! the CSV. The `perf_gate` binary re-runs the quick-scale suite and
-//! compares these files against checked-in baselines (see
-//! [`crate::gate`]).
+//! Every figure/ablation binary prints a human table and writes a CSV whose
+//! cells carry two to six decimals. The summary is the same run's scalars
+//! at full precision: a flat `metric name → f64` map written next to the
+//! CSV through the harness's path rule, `results/BENCH_<bin>.json` at
+//! default scale (committed) and `results/BENCH_<bin>.<scale>.json`
+//! otherwise (git-ignored).
 //!
-//! Deterministic by construction: metrics serialize in insertion order,
-//! values print via Rust's shortest-roundtrip `f64` formatting (so
-//! `from_json(to_json(s)) == s` exactly), and the recorded
-//! [`Scale`] name keeps quick-scale baselines from
-//! being compared against default-scale runs. No serde — the format is
-//! small enough to write by hand, and it is read back through the
-//! workspace's one JSON parser ([`pdc_cgm::json`]).
+//! The committed summaries are the drift check: regenerating `results/`
+//! and running `git diff` compares every metric bitwise, because the
+//! serialization is. Metrics serialize in insertion order and values print
+//! via Rust's shortest-roundtrip `f64` formatting, so two values one ulp
+//! apart (or `0.0` and `-0.0`) never print alike, and parsing a value back
+//! ([`pdc_cgm::json::parse`]) yields its exact bits. No serde — the format
+//! is small enough to write by hand.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use pdc_cgm::json::{self, Value};
+use pdc_cgm::json;
 
-use crate::harness::Scale;
+use crate::harness::{write_results, Scale};
 
 /// Schema tag written into every summary. Bump the suffix when the layout
-/// changes incompatibly; the gate refuses to compare across schemas.
-pub const BENCH_SCHEMA: &str = "pdc-bench-summary/1";
+/// changes incompatibly.
+const BENCH_SCHEMA: &str = "pdc-bench-summary/1";
 
-/// One binary's scalar results: an ordered `name → value` map plus enough
-/// context (schema, binary, scale) to compare it safely later.
-#[derive(Debug, Clone, PartialEq)]
+/// One binary's scalar results: an ordered `name → value` map plus the
+/// binary and the scale that produced it.
+#[derive(Debug)]
 pub struct BenchSummary {
-    /// Schema tag ([`BENCH_SCHEMA`] when produced by this code).
-    pub schema: String,
-    /// Name of the producing binary, e.g. `fig_serving`.
-    pub bin: String,
-    /// Workload scale name the run used (`full` / `default` / `quick`).
-    pub scale: String,
-    /// Metrics in insertion order. Names use `[a-z0-9_.]`. Every value is
-    /// deterministic and the gate compares it bitwise; the `_exact` suffix
-    /// on some names dates from when only those were.
-    pub metrics: Vec<(String, f64)>,
+    bin: String,
+    scale: Scale,
+    /// Metrics in insertion order. Names use `[a-z0-9_.]`; the `_exact`
+    /// suffix on some names dates from when only those were compared
+    /// bitwise, and stays so no committed key moves.
+    metrics: Vec<(String, f64)>,
 }
 
 impl BenchSummary {
     /// Empty summary for `bin` at `scale`.
     pub fn new(bin: &str, scale: Scale) -> BenchSummary {
         BenchSummary {
-            schema: BENCH_SCHEMA.to_string(),
             bin: bin.to_string(),
-            scale: scale.name().to_string(),
+            scale,
             metrics: Vec::new(),
         }
     }
 
     /// Append a metric. Panics on a duplicate name, a name with characters
     /// outside `[a-z0-9_.]`, or a non-finite value — all three are
-    /// producer bugs that would silently corrupt the gate.
+    /// producer bugs that would silently corrupt the committed record.
     pub fn metric(&mut self, name: &str, value: f64) -> &mut BenchSummary {
         assert!(
             !name.is_empty()
@@ -75,94 +68,27 @@ impl BenchSummary {
         self
     }
 
-    /// Look a metric up by name.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
     /// Serialize to the canonical JSON form.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_string(&self.schema));
+        let _ = writeln!(out, "  \"schema\": {},", json_string(BENCH_SCHEMA));
         let _ = writeln!(out, "  \"bin\": {},", json_string(&self.bin));
-        let _ = writeln!(out, "  \"scale\": {},", json_string(&self.scale));
+        let _ = writeln!(out, "  \"scale\": {},", json_string(self.scale.name()));
         out.push_str("  \"metrics\": {\n");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            let _ = writeln!(out, "    {}: {}{comma}", json_string(name), json_f64(*value));
+            // `{:?}` is shortest-roundtrip and prints integral floats as
+            // `1.0`, which JSON accepts; `metric` already refused inf/NaN.
+            let _ = writeln!(out, "    {}: {value:?}{comma}", json_string(name));
         }
         out.push_str("  }\n}\n");
         out
     }
 
-    /// Parse a summary previously written by [`BenchSummary::to_json`] (or
-    /// hand-edited to the same shape). Returns a description of the first
-    /// problem found.
-    pub fn from_json(text: &str) -> Result<BenchSummary, String> {
-        let Value::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
-            return Err("summary must be a JSON object".to_string());
-        };
-        // Key order is fixed so hand-written baselines stay canonical.
-        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-        if keys != ["schema", "bin", "scale", "metrics"] {
-            return Err(format!(
-                "expected keys [schema, bin, scale, metrics] in that order, found {keys:?}"
-            ));
-        }
-        let mut values = members.into_iter().map(|(_, v)| v);
-        let mut string = |key: &str| match values.next() {
-            Some(Value::String(s)) => Ok(s),
-            _ => Err(format!("{key:?} must be a string")),
-        };
-        let (schema, bin, scale) = (string("schema")?, string("bin")?, string("scale")?);
-        if schema != BENCH_SCHEMA {
-            return Err(format!(
-                "schema {schema:?} is not the supported {BENCH_SCHEMA:?}"
-            ));
-        }
-        let Some(Value::Object(entries)) = values.next() else {
-            return Err("\"metrics\" must be an object".to_string());
-        };
-        let mut metrics: Vec<(String, f64)> = Vec::with_capacity(entries.len());
-        for (name, value) in entries {
-            let Value::Number(v) = value else {
-                return Err(format!("metric {name:?} must be a number"));
-            };
-            if !v.is_finite() {
-                return Err(format!("non-finite value for metric {name:?}"));
-            }
-            if metrics.iter().any(|(n, _)| *n == name) {
-                return Err(format!("duplicate metric {name:?}"));
-            }
-            metrics.push((name, v));
-        }
-        Ok(BenchSummary { schema, bin, scale, metrics })
-    }
-
-    /// Canonical on-disk location for `bin`'s summary under `dir`
-    /// (`<dir>/BENCH_<bin>.json`).
-    pub fn path_in(dir: &Path, bin: &str) -> PathBuf {
-        dir.join(format!("BENCH_{bin}.json"))
-    }
-
-    /// Write the summary to `results/BENCH_<bin>.json`, creating the
-    /// directory if needed; returns the path written.
+    /// Write the summary to `BENCH_<bin>.json` under the harness's path
+    /// rule; returns the path written.
     pub fn write(&self) -> PathBuf {
-        let dir = Path::new("results");
-        std::fs::create_dir_all(dir).expect("create results dir");
-        let path = BenchSummary::path_in(dir, &self.bin);
-        std::fs::write(&path, self.to_json()).expect("write bench summary");
-        path
-    }
-
-    /// Read and parse the summary at `path`.
-    pub fn read(path: &Path) -> Result<BenchSummary, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        BenchSummary::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+        write_results(&format!("BENCH_{}", self.bin), "json", self.scale, self.to_json())
     }
 }
 
@@ -171,16 +97,10 @@ fn json_string(s: &str) -> String {
     format!("\"{}\"", json::escape(s))
 }
 
-/// Shortest-roundtrip `f64` formatting; `{:?}` prints integral floats as
-/// `1.0`, which JSON accepts (JSON has no `inf`/`nan`, but
-/// [`BenchSummary::metric`] already rejects those).
-fn json_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_cgm::json::Value;
 
     fn sample() -> BenchSummary {
         let mut s = BenchSummary::new("fig_serving", Scale::Quick);
@@ -191,15 +111,32 @@ mod tests {
         s
     }
 
+    /// `to_json` read back through the workspace's JSON parser gives the
+    /// header in order and every metric's exact bits.
+    fn assert_bitwise_roundtrip(s: &BenchSummary) {
+        let Ok(Value::Object(members)) = json::parse(&s.to_json()) else {
+            panic!("to_json must emit one JSON object")
+        };
+        let header = [("schema", BENCH_SCHEMA), ("bin", &s.bin), ("scale", s.scale.name())];
+        assert_eq!(members.len(), header.len() + 1);
+        for ((key, value), (k, v)) in members.iter().zip(header) {
+            assert_eq!((key.as_str(), value), (k, &Value::String(v.to_string())));
+        }
+        let (key, Value::Object(entries)) = &members[header.len()] else {
+            panic!("metrics must be an object")
+        };
+        assert_eq!(key, "metrics");
+        assert_eq!(entries.len(), s.metrics.len());
+        for ((n, a), (m, b)) in s.metrics.iter().zip(entries) {
+            let Value::Number(b) = b else { panic!("{m}: not a number") };
+            assert_eq!(n, m);
+            assert_eq!(a.to_bits(), b.to_bits(), "{n}: {a:?} came back as {b:?}");
+        }
+    }
+
     #[test]
     fn json_roundtrip_is_exact() {
-        let s = sample();
-        let parsed = BenchSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(parsed, s);
-        // Bitwise: shortest-roundtrip formatting loses nothing.
-        for ((_, a), (_, b)) in s.metrics.iter().zip(&parsed.metrics) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_bitwise_roundtrip(&sample());
     }
 
     #[test]
@@ -208,42 +145,46 @@ mod tests {
         s.metric("tiny", 1e-300)
             .metric("huge", 1e300)
             .metric("neg", -0.1)
+            .metric("neg_zero", -0.0)
             .metric("zero", 0.0)
-            .metric("third", 1.0 / 3.0);
-        let parsed = BenchSummary::from_json(&s.to_json()).unwrap();
-        for ((_, a), (_, b)) in s.metrics.iter().zip(&parsed.metrics) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            .metric("third", 1.0 / 3.0)
+            .metric("integral", 24000.0)
+            .metric("big_integral", 2f64.powi(53))
+            .metric("subnormal", f64::from_bits(1));
+        assert_bitwise_roundtrip(&s);
+    }
+
+    #[test]
+    fn empty_metrics_roundtrip() {
+        assert_bitwise_roundtrip(&BenchSummary::new("empty", Scale::Full));
+    }
+
+    /// The drift check is a text diff of these files: a metric whose bits
+    /// move must move exactly its own line.
+    fn assert_serialize_differently(a: f64, b: f64) {
+        let render = |v: f64| {
+            let mut s = sample();
+            s.metric("moved", v);
+            s.to_json()
+        };
+        let (ja, jb) = (render(a), render(b));
+        let changed: Vec<_> = ja.lines().zip(jb.lines()).filter(|(x, y)| x != y).collect();
+        assert_eq!(changed.len(), 1, "{a:?} vs {b:?}: {changed:?}");
+    }
+
+    #[test]
+    fn values_one_ulp_apart_serialize_differently() {
+        for (_, v) in &sample().metrics {
+            assert_serialize_differently(*v, f64::from_bits(v.to_bits() + 1));
+            assert_serialize_differently(*v, f64::from_bits(v.to_bits() - 1));
         }
     }
 
     #[test]
-    fn rejects_wrong_schema() {
-        let text = sample().to_json().replace("pdc-bench-summary/1", "other/9");
-        let err = BenchSummary::from_json(&text).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{}",
-            "{\"schema\": \"pdc-bench-summary/1\"}",
-            "not json at all",
-        ] {
-            assert!(BenchSummary::from_json(bad).is_err(), "{bad:?} must fail");
+    fn zero_serializes_apart_from_its_sign_and_neighbours() {
+        for moved in [-0.0, 1e-300, f64::from_bits(1), -f64::from_bits(1)] {
+            assert_serialize_differently(0.0, moved);
         }
-        let trailing = format!("{} extra", sample().to_json());
-        assert!(BenchSummary::from_json(&trailing).is_err());
-    }
-
-    #[test]
-    fn rejects_duplicate_metrics_in_document() {
-        let text = sample()
-            .to_json()
-            .replace("\"p99_ms\": 0.04375", "\"throughput_rps\": 1.0");
-        let err = BenchSummary::from_json(&text).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]
@@ -257,18 +198,5 @@ mod tests {
     #[should_panic(expected = "must be finite")]
     fn metric_rejects_non_finite() {
         BenchSummary::new("x", Scale::Quick).metric("a", f64::NAN);
-    }
-
-    #[test]
-    fn get_finds_metrics() {
-        let s = sample();
-        assert_eq!(s.get("p99_ms"), Some(0.04375));
-        assert_eq!(s.get("missing"), None);
-    }
-
-    #[test]
-    fn empty_metrics_roundtrip() {
-        let s = BenchSummary::new("empty", Scale::Full);
-        assert_eq!(BenchSummary::from_json(&s.to_json()).unwrap(), s);
     }
 }
