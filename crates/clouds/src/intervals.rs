@@ -122,20 +122,26 @@ impl pdc_cgm::Wire for IntervalSet {
         }
     }
     fn decode(bytes: &mut &[u8]) -> pdc_cgm::wire::DecodeResult<Self> {
+        let boundaries = Vec::<f64>::decode(bytes)?;
+        if !strictly_ascending(&boundaries) {
+            return Err(pdc_cgm::wire::DecodeError::malformed("boundaries not strictly ascending", bytes));
+        }
         Ok(IntervalSet {
-            padded: Vec::<f64>::decode(bytes)?,
+            padded: boundaries,
             grid: None,
         })
     }
 }
 
+/// Strictly ascending, hence free of duplicates and NaN.
+fn strictly_ascending(boundaries: &[f64]) -> bool {
+    boundaries.windows(2).all(|w| w[0] < w[1]) && !boundaries.iter().any(|b| b.is_nan())
+}
+
 impl IntervalSet {
     /// Build an interval set directly from ascending internal boundaries.
     pub fn from_boundaries(boundaries: Vec<f64>) -> IntervalSet {
-        assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must be strictly ascending"
-        );
+        assert!(strictly_ascending(&boundaries), "boundaries must be strictly ascending");
         IntervalSet {
             padded: boundaries,
             grid: None,

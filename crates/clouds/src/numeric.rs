@@ -9,7 +9,7 @@
 //! functions.
 
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
-use pdc_datagen::{RecordBatch, NUM_CLASSES};
+use pdc_datagen::{RecordBatch, NUM_CLASSES, NUM_NUMERIC};
 
 use crate::gini::{
     add_assign, interval_gini_lower_bound, split_gini, sub, ClassCounts, CountTable,
@@ -421,7 +421,7 @@ impl Wire for AliveInterval {
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(AliveInterval {
+        let interval = AliveInterval {
             attr: usize::decode(bytes)?,
             index: usize::decode(bytes)?,
             lower: Option::<f64>::decode(bytes)?,
@@ -429,7 +429,18 @@ impl Wire for AliveInterval {
             cum_before: ClassCounts::decode(bytes)?,
             est: f64::decode(bytes)?,
             count: u64::decode(bytes)?,
-        })
+        };
+        let nan = |edge: Option<f64>| edge.is_some_and(f64::is_nan);
+        let inverted = matches!((interval.lower, interval.upper), (Some(lo), Some(hi)) if lo >= hi);
+        if interval.attr >= NUM_NUMERIC {
+            Err(DecodeError::malformed("alive interval attribute out of range", bytes))
+        } else if nan(interval.lower) || nan(interval.upper) || inverted {
+            Err(DecodeError::malformed("alive interval edges NaN or inverted", bytes))
+        } else if interval.cum_before.len() != NUM_CLASSES {
+            Err(DecodeError::malformed("alive interval class counts of the wrong length", bytes))
+        } else {
+            Ok(interval)
+        }
     }
 }
 

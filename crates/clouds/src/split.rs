@@ -1,7 +1,7 @@
 //! Split predicates ("splitter points" in the paper's terminology).
 
 use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
-use pdc_datagen::{Record, RecordBatch};
+use pdc_datagen::{Record, RecordBatch, NUM_CATEGORICAL, NUM_CLASSES, NUM_NUMERIC};
 
 /// A binary split test stored at an internal tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,21 +88,22 @@ impl Wire for Splitter {
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        let tag = u8::decode(bytes)?;
-        match tag {
-            0 => Ok(Splitter::Numeric {
-                attr: usize::decode(bytes)?,
-                threshold: f64::decode(bytes)?,
-            }),
-            1 => Ok(Splitter::Categorical {
-                attr: usize::decode(bytes)?,
-                left_values: u64::decode(bytes)?,
-            }),
-            _ => Err(DecodeError {
-                what: "splitter tag out of range",
-                remaining: bytes.len(),
-                trailing: false,
-            }),
+        match u8::decode(bytes)? {
+            0 => {
+                let (attr, threshold) = (usize::decode(bytes)?, f64::decode(bytes)?);
+                if attr >= NUM_NUMERIC || threshold.is_nan() {
+                    return Err(DecodeError::malformed("numeric splitter attribute or threshold out of range", bytes));
+                }
+                Ok(Splitter::Numeric { attr, threshold })
+            }
+            1 => {
+                let (attr, left_values) = (usize::decode(bytes)?, u64::decode(bytes)?);
+                if attr >= NUM_CATEGORICAL {
+                    return Err(DecodeError::malformed("categorical splitter attribute out of range", bytes));
+                }
+                Ok(Splitter::Categorical { attr, left_values })
+            }
+            _ => Err(DecodeError::malformed("splitter tag out of range", bytes)),
         }
     }
 }
@@ -129,11 +130,18 @@ impl Wire for Candidate {
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(Candidate {
+        let candidate = Candidate {
             gini: f64::decode(bytes)?,
             splitter: Splitter::decode(bytes)?,
             left_counts: Vec::<u64>::decode(bytes)?,
-        })
+        };
+        if candidate.gini.is_nan() {
+            Err(DecodeError::malformed("candidate gini is NaN", bytes))
+        } else if candidate.left_counts.len() != NUM_CLASSES {
+            Err(DecodeError::malformed("candidate class counts of the wrong length", bytes))
+        } else {
+            Ok(candidate)
+        }
     }
 }
 

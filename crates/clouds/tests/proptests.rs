@@ -2,10 +2,10 @@
 
 use pdc_clouds::gini::{gini, interval_gini_lower_bound, split_gini, sub};
 use pdc_clouds::{
-    accumulate_stats, exact_interval_scan, AliveInterval, AliveRouter, AttrIntervalStats,
+    accumulate_stats, exact_interval_scan, AliveInterval, AliveRouter, AttrIntervalStats, Candidate,
     CountMatrix, CountTable, IntervalSet, NodeAccumulator, SortedSample, Splitter,
 };
-use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
+use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_CLASSES, NUM_NUMERIC};
 use pdc_pario::RecBuf;
 use proptest::prelude::*;
 
@@ -95,6 +95,35 @@ fn check_node(node: &SortedSample, raw: &[Record]) {
             );
         }
     }
+}
+
+/// A decoder against hostile input, shaped like `hostile_bytes_decision_tree`:
+/// `value`'s own message decodes to it, every truncation of that message is
+/// refused, and whatever `junk` or a one-byte mutation (`^ flip`) at any
+/// position decodes to is handed to `consume`, which must not panic.
+fn check_hostile<T>(value: &T, junk: &[u8], flip: u8, consume: impl Fn(T))
+where
+    T: pdc_cgm::Wire + PartialEq + std::fmt::Debug,
+{
+    let bytes = value.to_bytes();
+    assert_eq!(&T::from_bytes(&bytes).expect("a valid message"), value);
+    for cut in 0..bytes.len() {
+        assert!(T::from_bytes(&bytes[..cut]).is_err(), "truncated at {cut}");
+    }
+    T::from_bytes(junk).into_iter().for_each(&consume);
+    for at in 0..bytes.len() {
+        let mut mutated = bytes.clone();
+        mutated[at] ^= flip;
+        T::from_bytes(&mutated).into_iter().for_each(&consume);
+    }
+}
+
+/// Class totals of `before` plus one per point, unless they overflow: the
+/// node total a consumer of such counts is consistent with.
+fn total_after(before: &[u64], points: &[(f64, u8)]) -> Option<Vec<u64>> {
+    (0..NUM_CLASSES)
+        .map(|c| before[c].checked_add(points.iter().filter(|p| usize::from(p.1) == c).count() as u64))
+        .collect()
 }
 
 proptest! {
@@ -519,5 +548,92 @@ proptest! {
             mutated[at] ^= flip;
             decode(&mutated);
         }
+    }
+
+    /// An interval set off the wire keeps the invariants its owner relies
+    /// on: every boundary lies in the interval it closes.
+    #[test]
+    fn hostile_bytes_interval_set(
+        raw in proptest::collection::vec(-1e6f64..1e6, 0..24),
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in 1u8..=255,
+    ) {
+        let mut boundaries = raw;
+        boundaries.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        boundaries.dedup();
+        check_hostile(&IntervalSet::from_boundaries(boundaries), &junk, flip, |set: IntervalSet| {
+            for i in 0..set.num_intervals() {
+                if let Some(upper) = set.upper_edge(i) {
+                    assert_eq!(set.interval_of(upper), i, "boundary {i} of {:?}", set.boundaries());
+                    assert!(set.lower_edge(i).is_none_or(|lower| lower < upper));
+                }
+            }
+            let stats = AttrIntervalStats::new(0, set, NUM_CLASSES);
+            assert!(stats.best_boundary(&vec![0; NUM_CLASSES]).is_none());
+        });
+    }
+
+    /// An alive interval off the wire routes records and scans them exactly
+    /// (under any node total its counts are consistent with).
+    #[test]
+    fn hostile_bytes_alive_interval(
+        seed in any::<u64>(),
+        attr in 0..NUM_NUMERIC,
+        (lower, width, edges) in (-1e5f64..1e5, 0.5f64..1e5, 0u8..4),
+        cum_before in proptest::collection::vec(0u64..1_000, NUM_CLASSES),
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in 1u8..=255,
+    ) {
+        use pdc_datagen::{generate, GeneratorConfig};
+        let interval = AliveInterval {
+            attr,
+            index: 3,
+            lower: (edges & 1 == 1).then_some(lower),
+            upper: (edges & 2 == 2).then_some(lower + width),
+            cum_before,
+            est: 0.25,
+            count: 9,
+        };
+        let records = generate(64, GeneratorConfig { seed, ..GeneratorConfig::default() });
+        check_hostile(&interval, &junk, flip, |interval: AliveInterval| {
+            let mut points = Vec::new();
+            AliveRouter::new([&interval]).for_each_hit(records.as_slice(), |k, v, class| {
+                assert!(k == 0 && interval.contains(v));
+                points.push((v, class));
+            });
+            if let Some(total) = total_after(&interval.cum_before, &points) {
+                let _ = exact_interval_scan(&mut points, &interval, &total);
+            }
+        });
+    }
+
+    /// A candidate off the wire is compared, routes records, and splits its
+    /// node's class counts the way a builder concludes a node.
+    #[test]
+    fn hostile_bytes_candidate(
+        seed in any::<u64>(),
+        (numeric, attr, threshold, left_values) in (any::<bool>(), 0..NUM_NUMERIC, -1e5f64..1e5, any::<u64>()),
+        left_counts in proptest::collection::vec(0u64..1_000, NUM_CLASSES),
+        gini in 0f64..0.5,
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in 1u8..=255,
+    ) {
+        use pdc_datagen::{generate, GeneratorConfig};
+        let splitter = if numeric {
+            Splitter::Numeric { attr, threshold }
+        } else {
+            Splitter::Categorical { attr: attr % NUM_CATEGORICAL, left_values }
+        };
+        let candidate = Candidate { gini, splitter, left_counts };
+        let records = generate(32, GeneratorConfig { seed, ..GeneratorConfig::default() });
+        check_hostile(&candidate, &junk, flip, |decoded: Candidate| {
+            assert!(Candidate::better(Some(candidate.clone()), decoded.clone()).is_some());
+            let left = (0..records.len()).filter(|&i| decoded.splitter.goes_left_at(records.as_slice(), i)).count();
+            assert!(left <= records.len() && !decoded.splitter.describe().is_empty());
+            let one_each: Vec<(f64, u8)> = (0..NUM_CLASSES as u8).map(|c| (0.0, c)).collect();
+            if let Some(total) = total_after(&decoded.left_counts, &one_each) {
+                assert_eq!(sub(&total, &decoded.left_counts), vec![1; NUM_CLASSES]);
+            }
+        });
     }
 }

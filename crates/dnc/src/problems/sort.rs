@@ -398,7 +398,11 @@ impl OocSort<'_> {
             let mut reader = disk.reader(&src, self.chunk_records);
             let mut lbuf = Vec::new();
             let mut rbuf = Vec::new();
+            let mut consumed = 0;
             while let Some(chunk) = reader.next_chunk(&mut disk, proc) {
+                // Read for the last time: the source's extents go to the sides.
+                consumed += chunk.len();
+                disk.release_read(&src, consumed);
                 proc.charge(OpKind::SplitTest, chunk.len() as u64);
                 for k in chunk {
                     if k <= pivot {

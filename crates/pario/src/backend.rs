@@ -30,6 +30,12 @@ pub trait Store: Send {
     fn len(&self, id: u64) -> u64;
     /// Discard file `id`, reclaiming its space.
     fn delete(&mut self, id: u64);
+    /// Bytes `[0, upto)` of file `id` will not be read again: a pass that
+    /// reads a file for the last time says so as it goes, and the store
+    /// gives the whole extents below `upto` to later appends. The file's
+    /// length does not change. Panics if `upto` is past the end; a later
+    /// read below the release point panics too (both are caller bugs).
+    fn release_prefix(&mut self, id: u64, upto: u64);
 }
 
 /// Bytes per extent of either store. Large enough that a streaming chunk
@@ -38,38 +44,65 @@ pub trait Store: Send {
 /// file: 1 MiB measured no faster and 2.7 × the sparse footprint).
 pub const EXTENT_BYTES: usize = 1 << 18;
 
+/// Whole consumed extents a [`RamStore`] keeps for the next appends. A few
+/// cover what one streaming chunk consumes before its records are appended
+/// again; more would only hold memory no file needs.
+const SPARE_EXTENTS: usize = 4;
+
 /// Heap-backed file: a list of fixed-size extents. Appending never moves
 /// bytes already stored — a file that grows allocates one more extent where
 /// a single `Vec` would reallocate and copy everything written so far.
 #[derive(Default)]
 struct InMemory {
-    /// Every extent but the last holds exactly [`EXTENT_BYTES`].
+    /// Every extent but the last holds exactly [`EXTENT_BYTES`]; those
+    /// wholly below `released` are empty, their memory given back.
     extents: Vec<Vec<u8>>,
     len: usize,
+    /// Bytes below this are never read again.
+    released: usize,
 }
 
 impl InMemory {
-    fn append(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len();
+    fn append(&mut self, mut bytes: &[u8], spares: &mut Vec<Vec<u8>>) {
         while !bytes.is_empty() {
-            if self.extents.last().is_none_or(|tail| tail.len() == EXTENT_BYTES) {
-                self.extents.push(Vec::new());
+            let at = self.len % EXTENT_BYTES;
+            if self.len / EXTENT_BYTES == self.extents.len() {
+                // Every extent after the first is a consumed one, if the
+                // disk has any.
+                let extent = if self.extents.is_empty() { None } else { spares.pop() };
+                self.extents.push(extent.unwrap_or_default());
             }
             let first = self.extents.len() == 1;
             let tail = self.extents.last_mut().expect("pushed above");
-            let (head, rest) = bytes.split_at(bytes.len().min(EXTENT_BYTES - tail.len()));
+            let (head, rest) = bytes.split_at(bytes.len().min(EXTENT_BYTES - at));
             // A file's first extent grows with what arrives (most files of
             // a wide machine are a few kB); once it is full the file is
             // large and every further extent is cut whole.
             let capacity = if first {
-                (tail.len() + head.len()).next_power_of_two().min(EXTENT_BYTES)
+                (at + head.len()).next_power_of_two().min(EXTENT_BYTES)
             } else {
                 EXTENT_BYTES
             };
-            tail.reserve_exact(capacity - tail.len());
+            tail.reserve_exact(capacity - at);
             tail.extend_from_slice(head);
+            self.len += head.len();
             bytes = rest;
         }
+    }
+
+    /// Give the whole extents below `upto` to `spares` while it has room,
+    /// the rest back to the allocator.
+    fn release_prefix(&mut self, upto: usize, spares: &mut Vec<Vec<u8>>) {
+        assert!(upto <= self.len, "release past end of in-memory file");
+        let upto = upto.max(self.released);
+        for extent in &mut self.extents[self.released / EXTENT_BYTES..upto / EXTENT_BYTES] {
+            let mut extent = std::mem::take(extent);
+            if spares.len() < SPARE_EXTENTS {
+                extent.clear();
+                spares.push(extent);
+            }
+        }
+        self.released = upto;
     }
 
     fn read_into(&self, offset: u64, mut buf: &mut [u8]) {
@@ -78,6 +111,7 @@ impl InMemory {
             .checked_add(buf.len())
             .expect("read range overflow");
         assert!(end <= self.len, "read past end of in-memory file");
+        assert!(start >= self.released, "read at byte {start} below the release point {}", self.released);
         let (mut extent, mut at) = (start / EXTENT_BYTES, start % EXTENT_BYTES);
         while !buf.is_empty() {
             let src = &self.extents[extent][at..];
@@ -89,29 +123,47 @@ impl InMemory {
     }
 }
 
-/// The RAM store: every file its own [`InMemory`]. A deleted file's extents
-/// go back to the allocator, not to a free list of the disk's (measured:
-/// the allocator already reuses them, a list only added page faults).
+/// The RAM store: every file its own [`InMemory`], and a few consumed
+/// extents kept for the next appends. A pass that consumes a node file
+/// while it writes the children would otherwise hold the data twice: the
+/// loader's thread allocated the parent's extents and the children are
+/// appended from the ranks' threads, so extents given back to the allocator
+/// sit in another arena than the one the children allocate from. A deleted
+/// file's extents do go back to the allocator — recycling those (a free
+/// list, measured and rejected) cannot lower the peak, since a parent is
+/// deleted only after both children are complete.
 #[derive(Default)]
-struct RamStore(HashMap<u64, InMemory>);
+struct RamStore {
+    files: HashMap<u64, InMemory>,
+    /// Consumed extents, emptied, each of [`EXTENT_BYTES`] capacity.
+    spares: Vec<Vec<u8>>,
+}
 
 impl Store for RamStore {
     fn append(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
-        self.0.entry(id).or_default().append(bytes);
+        self.files.entry(id).or_default().append(bytes, &mut self.spares);
         Ok(())
     }
 
     fn read_into(&self, id: u64, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.0.get(&id).unwrap_or(&InMemory::default()).read_into(offset, buf);
+        self.files.get(&id).unwrap_or(&InMemory::default()).read_into(offset, buf);
         Ok(())
     }
 
     fn len(&self, id: u64) -> u64 {
-        self.0.get(&id).map_or(0, |file| file.len as u64)
+        self.files.get(&id).map_or(0, |file| file.len as u64)
     }
 
     fn delete(&mut self, id: u64) {
-        self.0.remove(&id);
+        self.files.remove(&id);
+    }
+
+    fn release_prefix(&mut self, id: u64, upto: u64) {
+        let upto = usize::try_from(upto).expect("release past end of in-memory file");
+        match self.files.get_mut(&id) {
+            Some(file) => file.release_prefix(upto, &mut self.spares),
+            None => assert_eq!(upto, 0, "release past end of in-memory file"),
+        }
     }
 }
 
@@ -120,16 +172,27 @@ impl Store for RamStore {
 #[derive(Default)]
 struct ExtentList {
     /// Offsets in the scratch file; extent `k` holds bytes `[k, k + 1) ×`
-    /// [`EXTENT_BYTES`] of the logical file.
+    /// [`EXTENT_BYTES`] of the logical file. Those wholly below `released`
+    /// are on the free list, no longer this file's.
     extents: Vec<u64>,
     len: u64,
+    /// Bytes below this are never read again.
+    released: u64,
+}
+
+impl ExtentList {
+    /// Index of the first extent the file still holds.
+    fn held(&self) -> usize {
+        (self.released / EXTENT_BYTES as u64) as usize
+    }
 }
 
 /// The real-file store: **one** scratch file per disk, cut into
 /// [`EXTENT_BYTES`] extents and accessed at offsets (no cursor, no seek).
 /// A logical file is a list of extents; deleting it puts them on the free
-/// list, and an append takes from that list before the scratch file grows,
-/// so the file never exceeds the peak of concurrently live extents. The
+/// list, and so does a pass that consumes it (extent by extent, as it
+/// reads); an append takes from that list before the scratch file grows,
+/// so the file never exceeds the peak of concurrently held extents. The
 /// file system sees one create and one unlink per disk, whatever the
 /// number of logical files.
 struct FileStore {
@@ -190,6 +253,7 @@ impl Store for FileStore {
         let empty = ExtentList::default();
         let file = self.files.get(&id).unwrap_or(&empty);
         assert!(end <= file.len, "read past end of file");
+        assert!(offset >= file.released, "read at byte {offset} below the release point {}", file.released);
         // Without a scratch file nothing was ever appended: the range is empty.
         let Some(scratch) = &self.scratch else { return Ok(()) };
         let (mut extent, mut at) = ((offset / EXTENT_BYTES as u64) as usize, offset % EXTENT_BYTES as u64);
@@ -208,8 +272,20 @@ impl Store for FileStore {
 
     fn delete(&mut self, id: u64) {
         if let Some(file) = self.files.remove(&id) {
-            self.free.extend(file.extents);
+            self.free.extend(&file.extents[file.held()..]);
         }
+    }
+
+    /// The consumed extents go on top of the free list: a child's next
+    /// write lands on the page just read.
+    fn release_prefix(&mut self, id: u64, upto: u64) {
+        let Some(file) = self.files.get_mut(&id) else {
+            return assert_eq!(upto, 0, "release past end of file");
+        };
+        assert!(upto <= file.len, "release past end of file");
+        let from = file.held();
+        file.released = file.released.max(upto);
+        self.free.extend(&file.extents[from..file.held()]);
     }
 }
 
@@ -317,10 +393,70 @@ mod tests {
     fn in_memory_extents_hold_the_bytes_appended_across_their_edges() {
         exercise_edges(BackendKind::InMemory.store(0));
         let mut b = InMemory::default();
-        b.append(&[1; 100]);
-        b.append(&vec![2; 2 * EXTENT_BYTES]);
+        b.append(&[1; 100], &mut Vec::new());
+        b.append(&vec![2; 2 * EXTENT_BYTES], &mut Vec::new());
         assert!(b.extents[..2].iter().all(|e| e.len() == EXTENT_BYTES));
         assert_eq!(b.extents[2].len(), 100);
+    }
+
+    #[test]
+    fn in_memory_consumed_extents_are_cut_again_after_a_first_extent() {
+        let mut s = RamStore::default();
+        s.append(1, &vec![1; 3 * EXTENT_BYTES]).unwrap();
+        let consumed: Vec<*const u8> = s.files[&1].extents.iter().map(|e| e.as_ptr()).collect();
+        s.release_prefix(1, 2 * EXTENT_BYTES as u64 + 5);
+        assert_eq!(s.spares.len(), 2, "two whole extents consumed, the third is not");
+        // A new file's first extent grows from nothing; its second is a spare.
+        s.append(2, &vec![2; EXTENT_BYTES + 1]).unwrap();
+        let child = &s.files[&2].extents;
+        assert!(!consumed.contains(&child[0].as_ptr()));
+        assert!(consumed[..2].contains(&child[1].as_ptr()));
+        assert_eq!(read(&s, 2, EXTENT_BYTES as u64 - 1, 2), [2, 2]);
+        assert_eq!(read(&s, 1, 2 * EXTENT_BYTES as u64 + 5, 3), [1; 3]);
+        // The spare list is bounded: a long file consumed whole keeps a few.
+        s.append(3, &vec![3; (SPARE_EXTENTS + 3) * EXTENT_BYTES]).unwrap();
+        s.release_prefix(3, s.len(3));
+        assert_eq!(s.spares.len(), SPARE_EXTENTS);
+    }
+
+    #[test]
+    fn reads_below_the_release_point_panic_on_both_stores() {
+        let (_dir, real) = on_disk("released");
+        for mut s in [BackendKind::InMemory.store(0), real] {
+            s.append(1, &vec![7; EXTENT_BYTES + 10]).unwrap();
+            s.release_prefix(1, 4);
+            assert_eq!(s.len(1), EXTENT_BYTES as u64 + 10, "a release keeps the length");
+            assert_eq!(read(&*s, 1, 4, 6), [7; 6], "the release point itself is readable");
+            let below = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&*s, 1, 3, 1)));
+            let payload = below.expect_err("read below the release point");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("below the release point"), "{message}");
+        }
+    }
+
+    #[test]
+    fn on_disk_a_consumed_parent_holds_its_children() {
+        let (dir, mut s) = on_disk("consumed");
+        let parent: Vec<u8> = (0..6 * EXTENT_BYTES + 99).map(|i| (i % 253) as u8).collect();
+        s.append(1, &parent).unwrap();
+        // Read the parent in chunks that do not align with extents, release
+        // what was read, deal each chunk to one of two children.
+        let chunk = EXTENT_BYTES / 3 + 17;
+        let mut children = [Vec::new(), Vec::new()];
+        for (k, at) in (0..parent.len()).step_by(chunk).enumerate() {
+            let len = chunk.min(parent.len() - at);
+            let bytes = read(&*s, 1, at as u64, len);
+            s.release_prefix(1, (at + len) as u64);
+            s.append(2 + k as u64 % 2, &bytes).unwrap();
+            children[k % 2].extend_from_slice(&bytes);
+        }
+        s.delete(1);
+        for (id, child) in [2, 3].into_iter().zip(&children) {
+            assert_eq!(read(&*s, id, 0, child.len()), *child);
+        }
+        let scratch = std::fs::metadata(dir.0.join("p000.extents")).expect("scratch file").len();
+        let extents = (parent.len().div_ceil(EXTENT_BYTES) + 2) as u64;
+        assert!(scratch <= extents * EXTENT_BYTES as u64, "{scratch} bytes for {extents} extents");
     }
 
     #[test]

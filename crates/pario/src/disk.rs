@@ -47,6 +47,8 @@ impl<R> TypedFile<R> {
 struct FileEntry {
     rec_bytes: usize,
     records: usize,
+    /// Records below this are never read again ([`NodeDisk::release_read`]).
+    released: usize,
     /// The file's name in the store and in the engine's page cache:
     /// survives renames, never reused, so neither bytes nor stale pages can
     /// alias a recreated file.
@@ -100,6 +102,7 @@ impl NodeDisk {
             FileEntry {
                 rec_bytes: R::ENCODED_BYTES,
                 records: 0,
+                released: 0,
                 id,
             },
         );
@@ -166,6 +169,27 @@ impl NodeDisk {
     /// Number of records currently in `file`.
     pub fn num_records<R: Rec>(&self, file: &TypedFile<R>) -> usize {
         self.entry(file).records
+    }
+
+    /// Records `[0, records)` of `file` will not be read again. A pass that
+    /// reads a file for the last time calls this as it goes, and the disk's
+    /// store gives the consumed extents to the next appends, so that a node
+    /// file and its children hold about the node's bytes, not twice them.
+    /// The file keeps its length until it is deleted, and nothing is charged:
+    /// the virtual machine sees no difference. Reading below the release
+    /// point afterwards panics, naming rank and file.
+    pub fn release_read<R: Rec>(&mut self, file: &TypedFile<R>, records: usize) {
+        let entry = self
+            .files
+            .get_mut(&file.name)
+            .unwrap_or_else(|| panic!("file {:?} missing (deleted?)", file.name));
+        assert!(
+            records <= entry.records,
+            "pario: rank {} release_read of {records} records past end ({} records) of {:?}",
+            self.rank, entry.records, file.name
+        );
+        entry.released = entry.released.max(records);
+        self.store.release_prefix(entry.id, (records * R::ENCODED_BYTES) as u64);
     }
 
     /// Total bytes across all files (space accounting).
@@ -278,6 +302,11 @@ impl NodeDisk {
                 self.rank, entry.records, file.name
             );
         };
+        assert!(
+            start >= entry.released,
+            "pario: rank {} read_range at record {start} below the release point ({} records) of {:?}",
+            self.rank, entry.released, file.name
+        );
         // `start < records` and the file's bytes fit `usize`, so neither
         // product below can wrap.
         let offset = (start * R::ENCODED_BYTES) as u64;

@@ -407,7 +407,12 @@ impl PcloudsProblem<'_> {
             let local_bytes = disk.num_records(&src) * Record::ENCODED_BYTES;
             let mut reader = disk.reader(&src, chunk);
             let (mut lbuf, mut rbuf) = (RecBuf::new(), RecBuf::new());
+            let mut consumed = 0;
             while let Some(chunk) = reader.next_chunk(&mut disk, proc) {
+                // The node is read for the last time: its extents become
+                // the children's as they grow.
+                consumed += chunk.len();
+                disk.release_read(&src, consumed);
                 proc.charge_ws(OpKind::SplitTest, chunk.len() as u64, local_bytes);
                 // Route first — whole records, as bytes — and accumulate per
                 // side afterwards: each child's statistics see one
@@ -654,6 +659,7 @@ impl OocProblem for PcloudsProblem<'_> {
                     let take = budget.min(remaining);
                     let recs = disk.read_range_into(proc, &f, offset, take, &mut page);
                     offset += take;
+                    disk.release_read(&f, offset);
                     budget -= take;
                     buckets[*owner].extend(recs.iter().map(|r| (task.id, r)));
                 }

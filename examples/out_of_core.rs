@@ -36,10 +36,11 @@ fn main() {
     // training set exist in memory.
     let stream = RecordStream::new(GeneratorConfig::default()).take(n);
     let root = load_dataset_stream(&farm, stream, config.clouds.sample_size, config.clouds.sample_seed);
+    let data_bytes = farm.used_bytes();
     println!(
         "loaded: {} records, {:.1} MB on disk, class counts {:?}",
         root.n(),
-        farm.used_bytes() as f64 / 1e6,
+        data_bytes as f64 / 1e6,
         root.counts
     );
 
@@ -58,6 +59,19 @@ fn main() {
         out.tree.num_nodes(),
         out.tree.num_leaves(),
         out.tree.depth()
+    );
+
+    // A scratch file never shrinks, so its length is the most the disk ever
+    // held: a partition pass consumes its node file while the children grow.
+    let scratch_bytes: u64 = std::fs::read_dir(&scratch)
+        .expect("scratch directory")
+        .map(|entry| entry.and_then(|e| e.metadata()).expect("scratch file").len())
+        .sum();
+    println!(
+        "scratch high-water: {:.1} MB for {:.1} MB of data ({:.2}× the data)",
+        scratch_bytes as f64 / 1e6,
+        data_bytes as f64 / 1e6,
+        scratch_bytes as f64 / data_bytes as f64
     );
 
     // Spot-check the model on fresh data.
