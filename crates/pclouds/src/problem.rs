@@ -463,10 +463,12 @@ impl PcloudsProblem<'_> {
         }
     }
 
-    /// Node `id` is a leaf on this processor: drop its data file and this
-    /// processor's hold on its sample.
+    /// Node `id` is a leaf on this processor: drop its data file, the
+    /// statistics its parent's partition fused for it, and this processor's
+    /// hold on its sample.
     fn retire(&self, proc: &Proc, id: u64) {
         self.farm.lock(proc.rank()).delete(&Self::node_file(id));
+        self.build.rank(proc.rank()).stats_cache.remove(&id);
         self.build.release_sample(id);
     }
 

@@ -177,6 +177,33 @@ fn disks_are_clean_after_training() {
 }
 
 #[test]
+fn stopped_children_leave_no_fused_statistics() {
+    // A partition fuses a large child's statistics into the parent's pass;
+    // a child that then stops takes them along when it retires. At depth
+    // limit 1 both of the root's large children stop — on the per-node path
+    // (mixed) and among a level's inactive tasks (concatenated).
+    use pdc_cgm::Group;
+    use pdc_pclouds::{train_in_group, SharedBuild};
+    let records = generate(8_000, GeneratorConfig::default());
+    let mut cfg = test_config();
+    cfg.clouds.max_depth = 1;
+    for strategy in [Strategy::Mixed, Strategy::Concatenated] {
+        let farm = DiskFarm::in_memory(4);
+        let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
+        let build = SharedBuild::new(4, root.counts.clone(), root.sample.clone());
+        let group = Group::world(4);
+        Cluster::new(4).run(|proc| {
+            train_in_group(proc, &group, &farm, &build, &root, &cfg, strategy)
+        });
+        for rank in 0..4 {
+            let cached: Vec<u64> = build.rank(rank).stats_cache.keys().copied().collect();
+            assert!(cached.is_empty(), "{strategy:?} rank {rank}: stats of {cached:?} kept");
+        }
+        assert_eq!(build.assemble().num_nodes(), 3, "{strategy:?}");
+    }
+}
+
+#[test]
 fn works_on_other_classification_functions() {
     for f in [ClassifyFn::F1, ClassifyFn::F6, ClassifyFn::F7] {
         let records = generate(

@@ -293,14 +293,40 @@ fn check_served<M: Predictor + Sync>(
     );
 }
 
+/// The flat scorer's lane width: records it walks abreast.
+const LANES: usize = 8;
+
+/// A comb: a chain of `depth` splits on attribute 0 with a leaf off every
+/// level. A record goes left while its value is at or below the level's
+/// threshold, so the random records' values in ±1 200 reach every path
+/// length from 1 to `depth`.
+fn comb_tree(depth: usize) -> DecisionTree {
+    let mut tree = DecisionTree::single_leaf(vec![1, 1]);
+    let mut leaf = 0usize;
+    for d in 0..depth {
+        let threshold = 1_000.0 - (2_000.0 / depth as f64) * d as f64;
+        let (l, _) = tree.split_leaf(
+            leaf,
+            Splitter::Numeric { attr: 0, threshold },
+            vec![1, 0],
+            vec![(d % 2) as u64, 1 - (d % 2) as u64],
+        );
+        leaf = l;
+    }
+    tree
+}
+
 /// Batches of every length around the scorer's lane width — and a page's
 /// worth either side of 1 024 — predict what the tree predicts and cost
 /// exactly the root-to-leaf paths walked, for both layouts and an ensemble.
+/// The comb's paths of 1 to 24 steps make lanes take their next record in
+/// different rounds.
 #[test]
 fn served_batches_of_every_length_predict_and_charge_the_walked_paths() {
     let mut rng = StdRng::seed_from_u64(0x5C0BE);
-    let trees = [0, 7, 23, 39].map(|splits| random_tree(&mut rng, splits));
-    for n in (0..=17).chain([1_023, 1_024, 1_025]) {
+    let mut trees = [0, 7, 23, 39].map(|splits| random_tree(&mut rng, splits)).to_vec();
+    trees.push(comb_tree(24));
+    for n in (0..=2 * LANES + 1).chain([1_023, 1_024, 1_025]) {
         let records: Vec<Record> = (0..n).map(|_| random_record(&mut rng)).collect();
         for layout in ALL_LAYOUTS {
             for (t, tree) in trees.iter().enumerate() {
@@ -343,14 +369,65 @@ fn served_batches_of_every_length_predict_and_charge_the_walked_paths() {
     }
 }
 
+/// A pass scores batch after batch into one `Vec`: each batch's classes
+/// land after what `out` already holds, in record order, and the pass costs
+/// exactly the paths walked — resident and as page views.
+#[test]
+fn batches_scored_into_one_out_append_in_order() {
+    let mut rng = StdRng::seed_from_u64(0xA99E);
+    let trees = [random_tree(&mut rng, 39), comb_tree(24)];
+    let batches: Vec<Vec<Record>> = [1_025, 2 * LANES + 1, 3]
+        .iter()
+        .map(|&n| (0..n).map(|_| random_record(&mut rng)).collect())
+        .collect();
+    let pages: Vec<RecBuf<Record>> = batches.iter().map(|b| RecBuf::from_records(b)).collect();
+    let held = [1u8, 0, 1];
+    for layout in ALL_LAYOUTS {
+        for (t, tree) in trees.iter().enumerate() {
+            let model = layout.compile(tree);
+            let served = Cluster::new(1).run(|proc| {
+                let (mut resident, mut viewed) = (held.to_vec(), held.to_vec());
+                for (batch, page) in batches.iter().zip(&pages) {
+                    model.score_batch(proc, batch.as_slice(), &mut resident);
+                    model.score_batch(proc, &page.view(), &mut viewed);
+                }
+                (resident, viewed)
+            });
+            let want: Vec<u8> = held
+                .iter()
+                .copied()
+                .chain(batches.iter().flatten().map(|r| tree.predict(r)))
+                .collect();
+            let (resident, viewed) = &served.results[0];
+            let what = format!("{} tree {t}", layout.name());
+            assert_eq!(resident, &want, "{what}, resident");
+            assert_eq!(viewed, &want, "{what}, viewed");
+            let charged = Cluster::new(1).run(|proc| {
+                for batch in &batches {
+                    charge_walks(proc, tree, layout, batch);
+                    charge_walks(proc, tree, layout, batch);
+                }
+            });
+            assert_eq!(
+                served.makespan().to_bits(),
+                charged.makespan().to_bits(),
+                "{what}: makespan {} against {} charged for the walked paths",
+                served.makespan(),
+                charged.makespan()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hostile bytes at the deployed-model wire form, both layouts:
     /// arbitrary bytes, every truncation and a one-byte mutation at every
-    /// position decode to an error or to a model that scores a record —
-    /// never a panic, never a node array reserved from a length prefix the
-    /// input could not back.
+    /// position decode to an error or to a model that scores records one at
+    /// a time and through the batch scorer's lanes alike — never a panic,
+    /// never a node array reserved from a length prefix the input could not
+    /// back.
     #[test]
     fn hostile_bytes_compiled_model(
         seed in any::<u64>(),
@@ -362,28 +439,41 @@ proptest! {
         use pdc_serve::CompiledModel;
         let mut rng = StdRng::seed_from_u64(seed);
         let tree = random_tree(&mut rng, splits);
-        let record = random_record(&mut rng);
-        let decode = |bytes: &[u8]| {
-            if let Ok(model) = CompiledModel::from_bytes(bytes) {
-                let reserved = match &model {
-                    CompiledModel::Pointer(p) => p.tree().nodes.capacity(),
-                    CompiledModel::Flat(f) => f.nodes().len(),
-                };
-                assert!(reserved <= 16 + bytes.len(), "{reserved} nodes from {} bytes", bytes.len());
-                assert!(model.predict(&record) < 2);
-            }
-        };
-        decode(&junk);
+        let records: Vec<Record> = (0..2 * LANES + 1).map(|_| random_record(&mut rng)).collect();
+        let page = RecBuf::from_records(&records);
         for layout in ALL_LAYOUTS {
             let bytes = layout.compile(&tree).to_bytes();
             for cut in 0..bytes.len() {
                 prop_assert!(CompiledModel::from_bytes(&bytes[..cut]).is_err(), "truncated at {cut}");
             }
-            for at in 0..bytes.len() {
-                let mut mutated = bytes.clone();
-                mutated[at] ^= flip;
-                decode(&mutated);
-            }
         }
+        Cluster::new(1).run(|proc| {
+            let mut decode = |bytes: &[u8]| {
+                if let Ok(model) = CompiledModel::from_bytes(bytes) {
+                    let reserved = match &model {
+                        CompiledModel::Pointer(p) => p.tree().nodes.capacity(),
+                        CompiledModel::Flat(f) => f.nodes().len(),
+                    };
+                    let n = bytes.len();
+                    assert!(reserved <= 16 + n, "{reserved} nodes from {n} bytes");
+                    let want = model.predict_all(&records);
+                    assert!(want.iter().all(|&class| class < 2));
+                    let (mut resident, mut viewed) = (Vec::new(), Vec::new());
+                    model.score_batch(proc, records.as_slice(), &mut resident);
+                    model.score_batch(proc, &page.view(), &mut viewed);
+                    assert_eq!(resident, want, "resident batch, model from {bytes:?}");
+                    assert_eq!(viewed, want, "viewed batch, model from {bytes:?}");
+                }
+            };
+            decode(&junk);
+            for layout in ALL_LAYOUTS {
+                let bytes = layout.compile(&tree).to_bytes();
+                for at in 0..bytes.len() {
+                    let mut mutated = bytes.clone();
+                    mutated[at] ^= flip;
+                    decode(&mutated);
+                }
+            }
+        });
     }
 }
