@@ -1,21 +1,19 @@
-//! **Ablation — buffer-pool budget & prefetch (the asynchronous disk
-//! engine).**
+//! **Ablation — buffer-pool budget (the asynchronous disk engine).**
 //!
-//! Sweeps the [`pdc_pario::EngineConfig`] space on two workloads and writes
-//! `results/ablation_cache.csv`:
+//! Sweeps the [`pdc_pario::EngineConfig`] budget on two workloads and
+//! writes `results/ablation_cache.csv`:
 //!
-//! * **pclouds** — the fig-1 training workload, buffer budget × prefetch
-//!   on/off, beside the engine-off run (`none`). Asserted: every cell
-//!   trains the engine-off tree, and at fixed prefetch the makespan never
-//!   grows with the budget. Reported, not asserted: prefetch on against off
-//!   per budget — it is two-sided (task lookahead costs small pools more
-//!   than read-ahead hides; see EXPERIMENTS.md).
+//! * **pclouds** — the fig-1 training workload, one row per buffer budget
+//!   beside the engine-off run (`budget_pages = 0`). Asserted: every cell
+//!   trains the engine-off tree, and the makespan never grows with the
+//!   budget.
 //! * **seqscan / rescan** — synthetic single-rank scans that isolate the
-//!   engine: a sequential scan with per-chunk compute (prefetch hides the
-//!   device time almost entirely, asserted), and a repeated scan over a file
-//!   larger than the pool, the one access pattern LRU is worst at (every
-//!   page is evicted right before its reuse: no hits, asserted) and no pass
-//!   of the trainer or the server makes.
+//!   engine: a sequential scan with per-chunk compute (read-ahead hides at
+//!   least 95 % of the device time, asserted), and a repeated scan over a
+//!   file larger than the pool, the one access pattern LRU is worst at
+//!   (every page is evicted right before its reuse, so every page comes off
+//!   the device on every pass, asserted) and no pass of the trainer or the
+//!   server makes.
 //!
 //! Everything is deterministic; the assertions below are the regression
 //! contract for the engine's performance claims.
@@ -28,9 +26,7 @@ use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 /// One row of the sweep.
 struct Row {
     workload: &'static str,
-    policy: &'static str,
     budget_pages: usize,
-    prefetch: bool,
     makespan: f64,
     hits: u64,
     misses: u64,
@@ -41,21 +37,10 @@ struct Row {
 }
 
 impl Row {
-    /// `policy` is `lru` for every engine-on run: the column predates the
-    /// one policy and stays so the CSV shape and the metric keys are stable.
-    fn new(
-        workload: &'static str,
-        policy: &'static str,
-        budget_pages: usize,
-        prefetch: bool,
-        makespan: f64,
-        c: &Counters,
-    ) -> Row {
+    fn new(workload: &'static str, budget_pages: usize, makespan: f64, c: &Counters) -> Row {
         Row {
             workload,
-            policy,
             budget_pages,
-            prefetch,
             makespan,
             hits: c.cache_hits,
             misses: c.cache_misses,
@@ -110,81 +95,64 @@ fn main() {
     eprintln!("ablation_cache: n={n} p={p}");
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- The engine-off run: the `none` row and the reference tree.
+    // --- The engine-off run: the budget-0 row and the reference tree.
     let experiment = Experiment::new(n, p, scale);
     let reference = experiment.run();
-    let none = Counters::default();
-    rows.push(Row::new("pclouds", "none", 0, false, reference.runtime(), &none));
+    rows.push(Row::new("pclouds", 0, reference.runtime(), &Counters::default()));
 
-    // --- The fig-1 workload across budget × prefetch. Pages are 16 KiB so
+    // --- The fig-1 workload across budgets. Pages are 16 KiB so
     // quick-scale node files still span several pages.
     const PCLOUDS_PAGE: usize = 16 * 1024;
-    let mut smaller_pool = [f64::INFINITY; 2];
+    let mut smaller_pool = f64::INFINITY;
     for budget_pages in [4usize, 8, 16, 64] {
-        let makespans = [false, true].map(|prefetch| {
-            let engine = EngineConfig {
-                page_bytes: PCLOUDS_PAGE,
-                budget_bytes: budget_pages * PCLOUDS_PAGE,
-                prefetch,
-            };
-            let out = experiment.clone().engine(&engine).run();
-            assert_eq!(
-                out.tree, reference.tree,
-                "the engine must never change the computed tree"
-            );
-            let t = out.run.total_counters();
-            rows.push(Row::new("pclouds", "lru", budget_pages, prefetch, out.runtime(), &t));
-            out.runtime()
-        });
-        let [off, on] = makespans;
-        eprintln!(
-            "  pclouds {budget_pages:>2} pages: prefetch off {off:.4}s, on {on:.4}s ({:+.1}%)",
-            (on / off - 1.0) * 100.0
+        let engine = EngineConfig {
+            page_bytes: PCLOUDS_PAGE,
+            budget_bytes: budget_pages * PCLOUDS_PAGE,
+        };
+        let out = experiment.clone().engine(&engine).run();
+        assert_eq!(out.tree, reference.tree, "the engine must never change the computed tree");
+        let makespan = out.runtime();
+        eprintln!("  pclouds {budget_pages:>2} pages: {makespan:.4}s");
+        assert!(
+            makespan <= smaller_pool,
+            "{budget_pages} pages slower than the next smaller pool ({makespan} !<= {smaller_pool})"
         );
-        for (i, which) in ["off", "on"].into_iter().enumerate() {
-            assert!(
-                makespans[i] <= smaller_pool[i],
-                "prefetch {which}: {budget_pages} pages slower than the next smaller pool \
-                 ({} !<= {})",
-                makespans[i],
-                smaller_pool[i]
-            );
-        }
-        smaller_pool = makespans;
+        smaller_pool = makespan;
+        rows.push(Row::new("pclouds", budget_pages, makespan, &out.run.total_counters()));
     }
 
     // --- Synthetic: one sequential pass, compute ≈ device time per chunk.
-    // Prefetch should hide nearly all of the transfer behind the compute.
+    // Read-ahead should hide nearly all of the transfer behind the compute.
     let scan_budget = 16;
-    let [seq_off, seq_on] = [false, true].map(|prefetch| {
-        let engine = EngineConfig::new(scan_budget * 64 * 1024, prefetch);
-        let (makespan, c) = scan_run(&engine, 64, 1, 1.0);
-        rows.push(Row::new("seqscan", "lru", scan_budget, prefetch, makespan, &c));
-        makespan
-    });
-    eprintln!("  seqscan: prefetch off {seq_off:.4}s, on {seq_on:.4}s");
+    let scan_engine = EngineConfig::new(scan_budget * 64 * 1024);
+    let (makespan, c) = scan_run(&scan_engine, 64, 1, 1.0);
+    let hidden = c.io_overlapped_time / (c.io_overlapped_time + c.io_stall_time);
+    eprintln!("  seqscan: {makespan:.4}s, read-ahead hides {:.1}% of the device time", hidden * 100.0);
     assert!(
-        seq_on < seq_off,
-        "sequential scan: prefetch must be faster ({seq_on} !< {seq_off})"
+        hidden >= 0.95,
+        "sequential scan: read-ahead must hide >= 95% of the device time ({hidden})"
     );
+    rows.push(Row::new("seqscan", scan_budget, makespan, &c));
 
     // --- Synthetic: four repeated passes over a 64-page file with a
-    // 16-page pool. LRU floods: every page is evicted before its reuse.
-    let (makespan, c) = scan_run(&EngineConfig::new(scan_budget * 64 * 1024, false), 64, 4, 0.0);
-    eprintln!("  rescan: {makespan:.4}s, {} hits, {} misses", c.cache_hits, c.cache_misses);
-    assert_eq!(
-        (c.cache_hits, c.cache_misses),
-        (0, 4 * 64),
-        "repeated scan of a file larger than the pool: every read misses"
+    // 16-page pool. LRU floods: every page is evicted before its reuse, so
+    // every page comes off the device (demand miss or read-ahead) per pass.
+    let (makespan, c) = scan_run(&scan_engine, 64, 4, 0.0);
+    eprintln!(
+        "  rescan: {makespan:.4}s, {} hits, {} misses, {} prefetched",
+        c.cache_hits, c.cache_misses, c.prefetches
     );
-    rows.push(Row::new("rescan", "lru", scan_budget, false, makespan, &c));
+    assert_eq!(
+        c.cache_misses + c.prefetches,
+        4 * 64,
+        "repeated scan of a file larger than the pool: every page is read on every pass"
+    );
+    rows.push(Row::new("rescan", scan_budget, makespan, &c));
 
     // --- Emit the table and the checked-in CSV.
     let headers = [
         "workload",
-        "policy",
         "budget_pages",
-        "prefetch",
         "makespan_s",
         "cache_hits",
         "cache_misses",
@@ -197,9 +165,7 @@ fn main() {
     for r in &rows {
         table.row(vec![
             r.workload.to_string(),
-            r.policy.to_string(),
             r.budget_pages.to_string(),
-            if r.prefetch { "on" } else { "off" }.to_string(),
             format!("{:.6}", r.makespan),
             r.hits.to_string(),
             r.misses.to_string(),
@@ -216,13 +182,7 @@ fn main() {
     // The same rows at full precision: makespans and hit/miss counts.
     let mut summary = BenchSummary::new("ablation_cache", scale);
     for r in &rows {
-        let key = format!(
-            "{}_{}_b{}_pf{}",
-            r.workload,
-            r.policy,
-            r.budget_pages,
-            if r.prefetch { "on" } else { "off" }
-        );
+        let key = format!("{}_b{}", r.workload, r.budget_pages);
         summary.metric(&format!("{key}_makespan_s"), r.makespan);
         summary.metric(&format!("{key}_hits_exact"), r.hits as f64);
         summary.metric(&format!("{key}_misses_exact"), r.misses as f64);

@@ -70,7 +70,6 @@ fn main() {
             EngineConfig {
                 page_bytes: 16 * 1024,
                 budget_bytes: 32 * 16 * 1024,
-                prefetch: true,
             },
         ),
     ];

@@ -43,7 +43,7 @@ fn main() {
     let n = scale.records(4_800_000);
     let p = 8;
     eprintln!("phase_breakdown: n={n} p={p}");
-    let engine = EngineConfig::new(512 * 1024, true);
+    let engine = EngineConfig::new(512 * 1024);
     let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let reg = out.span_metrics();
 

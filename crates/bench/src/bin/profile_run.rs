@@ -66,7 +66,7 @@ fn main() {
     }
     let n = scale.records(4_800_000);
     eprintln!("profile_run: n={n} p={p} name={name}");
-    let engine = EngineConfig::new(512 * 1024, true);
+    let engine = EngineConfig::new(512 * 1024);
     let out = Experiment::new(n, p, scale).engine(&engine).profiled().run();
     let stats = &out.run.stats;
 
@@ -138,7 +138,6 @@ fn profile_serve(name: &str, p: usize, scale: Scale) {
     let engine = EngineConfig {
         page_bytes: 16 * 1024,
         budget_bytes: 32 * 16 * 1024,
-        prefetch: true,
     };
     let stage = || {
         let farm = DiskFarm::with_engine(p, BackendKind::InMemory, &engine);

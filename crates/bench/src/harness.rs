@@ -130,8 +130,8 @@ impl Experiment {
     }
 
     /// Run the disk farm on the asynchronous engine configured by `engine`
-    /// (buffer pool, write-back, prefetch — see
-    /// [`pdc_pario::EngineConfig`]).
+    /// (buffer pool, write-back, and the prefetch the engine decides on —
+    /// see [`pdc_pario::EngineConfig`] and [`pdc_pario::IoEngine::prefetch`]).
     pub fn engine(mut self, engine: &EngineConfig) -> Self {
         self.engine = engine.clone();
         self

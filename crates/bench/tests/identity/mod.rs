@@ -57,7 +57,7 @@ pub fn experiment(config: Config, preset: Preset) -> Experiment {
         experiment = experiment.machine(|m| m.faults = plan);
     }
     if config.engine {
-        experiment = experiment.engine(&EngineConfig::new(512 * 1024, true));
+        experiment = experiment.engine(&EngineConfig::new(512 * 1024));
     }
     match preset {
         Preset::Bare => experiment,

@@ -43,7 +43,6 @@ fn serving_run_is_bit_identical_with_full_telemetry_on() {
     let engine = EngineConfig {
         page_bytes: 16 * 1024,
         budget_bytes: 8 * 16 * 1024,
-        prefetch: true,
     };
     let stage = || {
         let farm = DiskFarm::with_engine(p, BackendKind::InMemory, &engine);

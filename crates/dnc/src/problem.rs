@@ -113,7 +113,8 @@ pub trait OocProblem: Sync {
     /// can issue asynchronous prefetch reads for the task's files so the
     /// transfer overlaps the current task's compute. Must not change
     /// observable state other than virtual time, and must be free when the
-    /// disk has no engine (or prefetch is off). Default: no-op.
+    /// disk has no engine; the engine itself drops a hint that does not fit
+    /// beside the running task's dirty pages. Default: no-op.
     fn prefetch_task(&self, _proc: &mut Proc, _task: &Task<Self::Meta>) {}
 
     /// *Collective.* Called once when the tree is complete, still inside

@@ -152,10 +152,12 @@ impl BufferPool {
     }
 
     /// Insert a page, evicting at most one victim when at budget. Returns
-    /// the victim (the caller must write back dirty ones). If every frame is
-    /// pinned or in flight the pool goes transiently over budget instead of
-    /// corrupting an unevictable page. Inserting an already-cached key
-    /// updates its state in place (no eviction).
+    /// the victim (the caller must write back dirty ones). A page inserted
+    /// in flight is speculative and evicts only a clean page. If no frame
+    /// can be evicted (pinned, in flight, or dirty for a speculative insert)
+    /// the pool goes over budget instead of corrupting an unevictable page.
+    /// Inserting an already-cached key updates its state in place (no
+    /// eviction).
     pub fn insert(&mut self, key: PageKey, state: PageState, dirty: bool) -> Option<Evicted> {
         self.tick += 1;
         let tick = self.tick;
@@ -169,7 +171,7 @@ impl BufferPool {
             return None; // a zero-budget pool caches nothing
         }
         let evicted = if self.map.len() >= self.budget_pages {
-            self.evict_one()
+            self.evict_one(matches!(state, PageState::InFlight(_)))
         } else {
             None
         };
@@ -194,11 +196,12 @@ impl BufferPool {
         evicted
     }
 
-    /// Whether slot `i` holds an evictable page (resident, unpinned).
-    fn evictable(&self, i: usize) -> bool {
+    /// Whether slot `i` holds an evictable page (resident, unpinned, and
+    /// clean when `spare_dirty`).
+    fn evictable(&self, i: usize, spare_dirty: bool) -> bool {
         matches!(
             &self.slots[i],
-            Some(p) if !p.pinned && matches!(p.state, PageState::Resident)
+            Some(p) if !(p.pinned || spare_dirty && p.dirty) && matches!(p.state, PageState::Resident)
         )
     }
 
@@ -210,9 +213,9 @@ impl BufferPool {
     }
 
     /// Evict the least-recently-used evictable page, if any.
-    fn evict_one(&mut self) -> Option<Evicted> {
+    fn evict_one(&mut self, spare_dirty: bool) -> Option<Evicted> {
         let victim = (0..self.slots.len())
-            .filter(|&i| self.evictable(i))
+            .filter(|&i| self.evictable(i, spare_dirty))
             .min_by_key(|&i| self.slots[i].as_ref().unwrap().last_used)?;
         Some(self.evict_slot(victim))
     }
@@ -307,6 +310,20 @@ mod tests {
         let ev = pool.insert(k(0, 2), PageState::Resident, false).unwrap();
         assert!(ev.dirty);
         assert_eq!(ev.key, k(0, 0));
+    }
+
+    #[test]
+    fn speculative_inserts_evict_only_clean_pages() {
+        let mut pool = BufferPool::new(2);
+        pool.insert(k(0, 0), PageState::Resident, true);
+        pool.insert(k(0, 1), PageState::Resident, false);
+        let ticket = IoTicket { completion: 1.0, service: 1.0, req: 0 };
+        // The dirty page is the coldest, but a page read ahead spares it.
+        let ev = pool.insert(k(1, 0), PageState::InFlight(ticket), false).unwrap();
+        assert_eq!(ev, Evicted { key: k(0, 1), dirty: false });
+        // No clean page is left to evict: over budget, the dirty page stays.
+        assert!(pool.insert(k(1, 1), PageState::InFlight(ticket), false).is_none());
+        assert_eq!((pool.len(), pool.dirty_pages()), (3, 1));
     }
 
     #[test]

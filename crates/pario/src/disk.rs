@@ -369,9 +369,9 @@ impl NodeDisk {
     }
 
     /// Chunked sequential reader over `file` with a bounded per-chunk record
-    /// count (the out-of-core memory budget). When the disk has a
-    /// prefetching engine the reader requests each next chunk speculatively
-    /// while the caller processes the current one.
+    /// count (the out-of-core memory budget). When the disk has an engine
+    /// the reader requests each next chunk speculatively while the caller
+    /// processes the current one.
     pub fn reader<R: Rec>(&self, file: &TypedFile<R>, chunk_records: usize) -> ChunkedReader<R> {
         assert!(chunk_records > 0, "chunk_records must be positive");
         ChunkedReader {
@@ -383,8 +383,9 @@ impl NodeDisk {
     }
 
     /// Hint: records `[start, start + count)` of `file` will be read soon.
-    /// Issues speculative device reads for their missing pages; a no-op
-    /// without a prefetching engine.
+    /// Issues speculative device reads for their missing pages when the
+    /// engine judges they fit (see [`crate::engine::IoEngine::prefetch`]);
+    /// a no-op without an engine.
     pub fn prefetch_range<R: Rec>(
         &mut self,
         proc: &mut Proc,
@@ -400,8 +401,9 @@ impl NodeDisk {
 
     /// Hint: the whole file named `name` will be read soon (task lookahead
     /// from the scheduler). Untyped so schedulers need not know record
-    /// types; capped by the engine at half the pool budget. A no-op when
-    /// the file does not exist or there is no prefetching engine.
+    /// types. The engine reads the whole file ahead or none of it (see
+    /// [`crate::engine::IoEngine::prefetch`]); a no-op when the file does
+    /// not exist or there is no engine.
     pub fn prefetch_file_by_name(&mut self, proc: &mut Proc, name: &str) {
         let Some(engine) = &mut self.engine else { return };
         let Some(entry) = self.files.get(name) else { return };
@@ -440,8 +442,8 @@ pub struct ChunkedReader<R> {
 }
 
 impl<R: Rec> ChunkedReader<R> {
-    /// Read the next chunk, or `None` at end of file. With a prefetching
-    /// engine the following chunk is requested speculatively before this
+    /// Read the next chunk, or `None` at end of file. With an engine the
+    /// following chunk is requested speculatively before this
     /// one is returned, overlapping its device time with the caller's
     /// processing of the current chunk.
     pub fn next_chunk(
@@ -472,7 +474,7 @@ impl<R: Rec> ChunkedReader<R> {
     /// before the consuming loop starts, so even the opening request rides
     /// the device asynchronously (steady-state streaming, e.g. a serving
     /// loop, otherwise pays one cold demand read up front). A no-op — and
-    /// bit-identical — without a prefetching engine.
+    /// bit-identical — without an engine.
     pub fn prime(&mut self, disk: &mut NodeDisk, proc: &mut Proc) {
         let total = disk.num_records(&self.file);
         let count = self.chunk_records.min(total.saturating_sub(self.cursor));

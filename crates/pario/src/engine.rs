@@ -17,7 +17,10 @@
 //!   when it starts task *k* (`OocProblem::prefetch_task`), and
 //!   [`crate::ChunkedReader`] asks for the next chunk after reading each
 //!   one, so a streaming scan hides one chunk of device time behind each
-//!   chunk of compute.
+//!   chunk of compute. The engine decides whether to speculate: a request
+//!   is issued whole only when all of its pages fit in half the frames the
+//!   running task's dirty pages leave clean, and is dropped otherwise (see
+//!   [`IoEngine::prefetch`]).
 //!
 //! The engine is timing metadata only: bytes always live in the backend, so
 //! enabling it can never change computed results, and
@@ -47,28 +50,20 @@ pub struct EngineConfig {
     /// Buffer-pool byte budget. A budget smaller than one page disables the
     /// engine entirely (see [`EngineConfig::is_enabled`]).
     pub budget_bytes: usize,
-    /// Whether prefetch hints (task lookahead, sequential read-ahead) are
-    /// honored. With prefetch off the engine still caches and write-backs.
-    pub prefetch: bool,
 }
 
 impl EngineConfig {
     /// Engine off: no cache, no prefetch, synchronous charging — the exact
     /// legacy path (bit-identical virtual times; regression-tested).
     pub fn disabled() -> Self {
-        EngineConfig {
-            page_bytes: 64 * 1024,
-            budget_bytes: 0,
-            prefetch: false,
-        }
+        EngineConfig::new(0)
     }
 
-    /// Engine on with `budget_bytes` of LRU pool.
-    pub fn new(budget_bytes: usize, prefetch: bool) -> Self {
+    /// Engine on with `budget_bytes` of LRU pool in 64 KiB pages.
+    pub fn new(budget_bytes: usize) -> Self {
         EngineConfig {
             page_bytes: 64 * 1024,
             budget_bytes,
-            prefetch,
         }
     }
 
@@ -88,7 +83,6 @@ impl Default for EngineConfig {
 /// One rank's asynchronous disk engine (see the module docs).
 pub struct IoEngine {
     page_bytes: u64,
-    prefetch_on: bool,
     pool: BufferPool,
     /// Evicted dirty pages queued for coalesced write-back.
     pending: Vec<PageKey>,
@@ -103,11 +97,15 @@ impl IoEngine {
         assert!(cfg.is_enabled(), "IoEngine::new on a disabled config");
         IoEngine {
             page_bytes: cfg.page_bytes as u64,
-            prefetch_on: cfg.prefetch,
             pool: BufferPool::new(cfg.budget_bytes / cfg.page_bytes),
             pending: Vec::new(),
             file_bytes: HashMap::new(),
         }
+    }
+
+    /// The buffer pool, read-only (what is resident, dirty or in flight).
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// Record `file`'s current logical length (create/append/load).
@@ -279,27 +277,30 @@ impl IoEngine {
 
     /// Speculatively read `[offset, offset + len)` of `file` onto the device
     /// timeline without waiting (compute-independent I/O). Missing pages are
-    /// parked in flight; a later consumer waits only for the remainder. The
-    /// request is capped at half the pool budget so speculation cannot flood
-    /// the cache, and submission faults are swallowed — the demand read will
-    /// retry with fresh fault-stream draws.
+    /// parked in flight; a later consumer waits only for the remainder.
+    ///
+    /// Speculating activates the next task early, so it must fit beside the
+    /// running one (the memory-bounded activation rule): the request is
+    /// issued whole only when all of its pages fit in half the pool's clean
+    /// frames (`budget − dirty`), and otherwise not at all. The dirty pages
+    /// are the running task's output, and speculation never evicts them
+    /// (see [`BufferPool::insert`]). Submission faults are swallowed — the
+    /// demand read will retry with fresh fault-stream draws.
     pub fn prefetch(&mut self, proc: &mut Proc, file: u64, offset: u64, len: usize) {
-        if !self.prefetch_on || len == 0 {
-            return;
-        }
         let flen = self.file_len(file);
-        if offset >= flen {
+        if len == 0 || offset >= flen {
             return;
         }
         let len = (len as u64).min(flen - offset);
         let p0 = offset / self.page_bytes;
-        let mut p1 = (offset + len - 1) / self.page_bytes;
-        let cap = (self.pool.budget_pages() / 2).max(1) as u64;
-        p1 = p1.min(p0 + cap - 1);
+        let p1 = (offset + len - 1) / self.page_bytes;
+        let clean = self.pool.budget_pages().saturating_sub(self.pool.dirty_pages());
+        if p1 - p0 + 1 > (clean / 2) as u64 {
+            return;
+        }
         let mut run_start: Option<u64> = None;
         for p in p0..=p1 {
-            let key = (file, p);
-            if self.pool.state(key).is_none() {
+            if self.pool.state((file, p)).is_none() {
                 run_start.get_or_insert(p);
             } else if let Some(rs) = run_start.take() {
                 self.prefetch_run(proc, file, rs, p - 1);

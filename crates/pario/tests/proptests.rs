@@ -1,14 +1,17 @@
 //! Property-based tests: redistribution conserves and correctly places
 //! records for arbitrary routing functions, chunk sizes and machine sizes;
 //! the fixed record layout round-trips every `Rec` type, equals its `Wire`
-//! bytes, and hostile buffers are refused with an error, never a panic.
+//! bytes, and hostile buffers are refused with an error, never a panic; an
+//! engine driven by the same operations speculates only beside its dirty
+//! pages.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use pdc_cgm::{Cluster, Proc, Wire};
 use pdc_pario::{
-    redistribute, BackendKind, DiskFarm, NodeDisk, RaggedChunk, Rec, RecBuf, RecChunk, EXTENT_BYTES,
+    redistribute, BackendKind, DiskFarm, EngineConfig, IoEngine, NodeDisk, RaggedChunk, Rec, RecBuf,
+    RecChunk, EXTENT_BYTES,
 };
 use proptest::prelude::*;
 
@@ -94,16 +97,40 @@ fn check_against_model(
     model.values().map(|(bytes, released)| bytes.len().div_ceil(EXTENT_BYTES) - released / EXTENT_BYTES).sum()
 }
 
+/// Page size and budget of the engine the model runs beside its disks: a
+/// pool of one extent, so the model's appends and reads evict.
+const MODEL_PAGE: usize = 8 * 1024;
+const MODEL_POOL_PAGES: usize = 32;
+
+/// Read `[start, start + count)` of `file` ahead on `engine` and check the
+/// rule: all pages of the request fit in half the clean frames, or nothing
+/// is issued; the missing pages go in flight all together or not at all,
+/// and no dirty page is evicted.
+fn check_prefetch(engine: &mut IoEngine, proc: &mut Proc, file: u64, start: usize, count: usize) {
+    let first = (start / MODEL_PAGE) as u64;
+    let pages = first..if count == 0 { first } else { (start + count).div_ceil(MODEL_PAGE) as u64 };
+    let missing: Vec<u64> = pages.clone().filter(|&p| engine.pool().state((file, p)).is_none()).collect();
+    let dirty = engine.pool().dirty_pages();
+    let fits = pages.end - pages.start <= (MODEL_POOL_PAGES.saturating_sub(dirty) / 2) as u64;
+    let before = proc.counters.prefetches;
+    engine.prefetch(proc, file, start as u64, count);
+    let inserted = missing.iter().filter(|&&p| engine.pool().state((file, p)).is_some()).count();
+    assert_eq!(engine.pool().dirty_pages(), dirty, "speculation evicted a dirty page");
+    assert_eq!(inserted, if fits { missing.len() } else { 0 }, "pages {pages:?}, {dirty} dirty");
+    assert_eq!(proc.counters.prefetches - before, inserted as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The real-file disk and the RAM disk are one machine to their callers,
     /// and the scratch file is as long as the peak of held extents, no more:
     /// a released extent is on the free list, never in two files, and never
-    /// freed twice when its file is deleted.
+    /// freed twice when its file is deleted. An engine fed the same appends,
+    /// reads and deletes speculates by its rule (see `check_prefetch`).
     #[test]
     fn real_file_disk_equals_ram_disk_within_the_peak_of_live_extents(
-        ops in proptest::collection::vec((0u8..9, 0usize..3, any::<u64>()), 1..24),
+        ops in proptest::collection::vec((0u8..11, 0usize..3, any::<u64>()), 1..24),
     ) {
         let dir = scratch_dir("model");
         let farms = [DiskFarm::in_memory(1), DiskFarm::new(1, BackendKind::OnDisk(dir.clone()))];
@@ -115,22 +142,38 @@ proptest! {
             let mut disks = [&mut *ram, &mut *real];
             let mut model: HashMap<&str, ModelFile> = HashMap::new();
             let mut peak = 0;
+            let mut engine = IoEngine::new(&EngineConfig {
+                page_bytes: MODEL_PAGE,
+                budget_bytes: MODEL_POOL_PAGES * MODEL_PAGE,
+            });
+            // The engine's file id per live name; ids are never reused.
+            let mut ids: HashMap<&str, u64> = HashMap::new();
             for (step, &(op, name, pick)) in ops.iter().enumerate() {
                 let name = names[name];
                 match op {
                     0 => {
                         disks.iter_mut().for_each(|d| drop(d.create::<u8>(name)));
                         model.insert(name, (Vec::new(), 0));
+                        if let Some(old) = ids.insert(name, step as u64) {
+                            engine.invalidate_file(old);
+                        }
                     }
                     1 => {
                         disks.iter_mut().for_each(|d| d.delete(name));
                         model.remove(name);
+                        if let Some(old) = ids.remove(name) {
+                            engine.invalidate_file(old);
+                        }
                     }
                     2 if model.contains_key(name) => {
                         let to = names[pick as usize % names.len()];
                         disks.iter_mut().for_each(|d| d.rename(name, to));
                         let moved = model.remove(name).expect("checked");
                         model.insert(to, moved);
+                        let id = ids.remove(name).expect("live");
+                        if let Some(old) = ids.insert(to, id) {
+                            engine.invalidate_file(old);
+                        }
                     }
                     3 | 4 if model.contains_key(name) => {
                         let (bytes, released) = &model[name];
@@ -146,6 +189,7 @@ proptest! {
                                 "step {step}: [{start}, +{count}) of {name}"
                             );
                         }
+                        engine.read(proc, ids[name], start as u64, count).expect("no faults");
                     }
                     5 if model.contains_key(name) => {
                         // Release up to the end of a range around an extent
@@ -158,7 +202,21 @@ proptest! {
                         }
                         *released = (*released).max(start + count);
                     }
-                    6.. => {
+                    6 | 7 if model.contains_key(name) => {
+                        // Read ahead up to a dozen pages from around an extent
+                        // edge, then twice as far over what may now be in
+                        // flight; half the time after write-back left the
+                        // pool clean.
+                        if op == 7 {
+                            engine.sync(proc);
+                        }
+                        let len = model[name].0.len();
+                        let (start, _) = read_range(len, pick);
+                        let count = ((pick >> 48) as usize % (12 * MODEL_PAGE)).min(len - start);
+                        check_prefetch(&mut engine, proc, ids[name], start, count);
+                        check_prefetch(&mut engine, proc, ids[name], start, (2 * count).min(len - start));
+                    }
+                    8.. => {
                         let bytes = pattern(step as u64, sizes[pick as usize % sizes.len()]);
                         for disk in disks.iter_mut() {
                             if !disk.exists(name) {
@@ -168,7 +226,10 @@ proptest! {
                             // One-byte records: the bytes are the chunk.
                             disk.append_chunk(proc, &file, RecChunk::new(&bytes).expect("whole records"));
                         }
-                        model.entry(name).or_default().0.extend_from_slice(&bytes);
+                        let held = &mut model.entry(name).or_default().0;
+                        let id = *ids.entry(name).or_insert(step as u64);
+                        engine.append(proc, id, held.len() as u64, bytes.len());
+                        held.extend_from_slice(&bytes);
                     }
                     _ => {}
                 }

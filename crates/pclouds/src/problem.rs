@@ -737,8 +737,9 @@ impl OocProblem for PcloudsProblem<'_> {
     /// Task-queue lookahead from the framework: issue asynchronous prefetch
     /// reads for the next task's data file so the transfer rides under the
     /// current task's compute. Small tasks read their single-owner file;
-    /// everything else reads the distributed node file. Free (and silent)
-    /// when the disk farm has no prefetching engine.
+    /// everything else reads the distributed node file. The engine reads the
+    /// file ahead only when all of it fits beside the current task's dirty
+    /// pages; free (and silent) when the disk farm has no engine.
     fn prefetch_task(&self, proc: &mut Proc, task: &Task<NodeMeta>) {
         let mut disk = self.farm.lock(proc.rank());
         let owned = Self::owned_file(task.id);

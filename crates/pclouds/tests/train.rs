@@ -444,7 +444,7 @@ fn engine_enabled_trains_the_same_tree_with_exact_accounting() {
         train(&cluster, &farm, &root, &cfg, Strategy::Mixed)
     };
     let baseline = build(DiskFarm::in_memory(4));
-    let engine_cfg = EngineConfig::new(1024 * 1024, true);
+    let engine_cfg = EngineConfig::new(1024 * 1024);
     let engined = build(DiskFarm::with_engine(4, BackendKind::InMemory, &engine_cfg));
     assert_eq!(baseline.tree, engined.tree, "engine must not change the tree");
     let mut cache_traffic = 0u64;
@@ -479,7 +479,7 @@ fn engine_span_rollups_still_partition_the_run() {
     let farm = DiskFarm::with_engine(
         4,
         BackendKind::InMemory,
-        &EngineConfig::new(512 * 1024, true),
+        &EngineConfig::new(512 * 1024),
     );
     let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
     let machine = MachineConfig {

@@ -8,8 +8,8 @@
 //!    distribution shows up in traces as a first-class communication step).
 //! 2. **Stream** — each rank streams its request shard from its own disk
 //!    in `batch_records`-sized chunks through the ordinary
-//!    [`pdc_pario`] read path; with a prefetching engine attached to the
-//!    farm, the next batch's transfer rides under the current batch's
+//!    [`pdc_pario`] read path; with an engine attached to the farm, the
+//!    next batch's transfer rides under the current batch's
 //!    scoring compute.
 //! 3. **Score** — each batch is classified through the [`Predictor`]
 //!    trait (span `serve.score`), charging the layout's traversal cost.

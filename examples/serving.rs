@@ -48,7 +48,6 @@ fn main() {
     let engine = EngineConfig {
         page_bytes: 16 * 1024,
         budget_bytes: 512 * 1024,
-        prefetch: true,
     };
     let cluster = Cluster::new(p);
     let requests = 100_000;
