@@ -7,16 +7,10 @@
 //! exact over alive intervals); SS is close but can mis-rank near-optimal
 //! splits; survival ratios stay small (SSE's second pass is cheap).
 
-use pdc_bench::harness::{
-    experiment_config, machine_config, write_results, Scale, TableWriter,
-};
+use pdc_bench::harness::{experiment_config, write_results, Experiment, Scale, TableWriter};
 use pdc_bench::summary::BenchSummary;
-use pdc_cgm::Cluster;
 use pdc_clouds::{accuracy, build_tree, holdout_pair, mdl_prune, MdlParams, SplitMethod};
-use pdc_datagen::{generate, ClassifyFn, GeneratorConfig};
-use pdc_dnc::Strategy;
-use pdc_pario::DiskFarm;
-use pdc_pclouds::{load_dataset, train};
+use pdc_datagen::ClassifyFn;
 
 fn main() {
     let scale = Scale::from_env();
@@ -53,13 +47,9 @@ fn main() {
     // --- Part 2: parallel runtime SS vs SSE + survival ratio. ---
     let mut runtime = TableWriter::new(&["method", "runtime_s", "root_survival", "alive_points"]);
     for method in [SplitMethod::SS, SplitMethod::SSE] {
-        let records = generate(n, GeneratorConfig::default());
-        let mut cfg = experiment_config(n as u64, scale);
-        cfg.clouds.method = method;
-        let farm = DiskFarm::in_memory(p);
-        let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
-        let cluster = Cluster::with_config(p, machine_config(scale));
-        let out = train(&cluster, &farm, &root, &cfg, Strategy::Mixed);
+        let out = Experiment::new(n as u64, p, scale)
+            .config(|c| c.clouds.method = method)
+            .run();
         let survival = out
             .metrics
             .iter()

@@ -19,7 +19,7 @@ pub enum Scale {
     /// Paper-scale workloads (3.6M–7.2M records; a minute or two of wall
     /// time per figure).
     Full,
-    /// 1/20 of the paper (default; all fourteen bins that own a committed
+    /// 1/20 of the paper (default; all twelve bins that own a committed
     /// `results/` file take about a minute together on two cores).
     Default,
     /// 1/100 of the paper (seconds; for smoke tests).

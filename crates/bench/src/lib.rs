@@ -1,9 +1,9 @@
 //! # pdc-bench — figure/table harnesses and micro-benchmarks
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
+//! Harness binaries for the paper's tables and figures (see DESIGN.md §5):
 //!
 //! * `table1_primitives` — collective primitive cost scaling,
-//! * `fig1_speedup`, `fig2_sizeup`, `fig3_scaleup` — the pCLOUDS curves,
+//! * `figures` — the pCLOUDS curves of figures 1–3, from one grid pass,
 //! * `ablation_strategies`, `ablation_sse`, `ablation_thresholds` —
 //!   design-choice ablations,
 //!
@@ -14,11 +14,11 @@
 //!
 //! Each binary prints human tables and writes its own artifacts through
 //! one path rule ([`harness::write_results`]): `results/<name>.<ext>` at
-//! default scale, `results/<name>.<scale>.<ext>` otherwise. Eleven of them
-//! also write a [`summary::BenchSummary`] (`results/BENCH_<bin>.json`), the
-//! run's scalars at full precision. The default-scale files are committed,
-//! so regenerating `results/` and running `git diff` is the drift check —
-//! bitwise for every summarized metric.
+//! default scale, `results/<name>.<scale>.<ext>` otherwise. Nine of them
+//! also write [`summary::BenchSummary`]s (eleven `results/BENCH_<name>.json`
+//! in all), the run's scalars at full precision. The default-scale files
+//! are committed, so regenerating `results/` and running `git diff` is the
+//! drift check — bitwise for every summarized metric.
 
 #![warn(missing_docs)]
 

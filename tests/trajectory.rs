@@ -52,5 +52,5 @@ fn trajectory_parses_and_pr_numbers_strictly_increase() {
             }
         }
     }
-    assert!(last_pr >= 30.0, "the ledger's last \"pr\" is {last_pr}, below 30");
+    assert!(last_pr >= 31.0, "the ledger's last \"pr\" is {last_pr}, below 31");
 }
