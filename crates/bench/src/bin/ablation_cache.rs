@@ -18,8 +18,7 @@
 //! Everything is deterministic; the assertions below are the regression
 //! contract for the engine's performance claims.
 
-use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{num, write_results, Experiment, Scale, TableWriter};
 use pdc_cgm::{Cluster, Counters, MachineConfig};
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
 
@@ -166,27 +165,16 @@ fn main() {
         table.row(vec![
             r.workload.to_string(),
             r.budget_pages.to_string(),
-            format!("{:.6}", r.makespan),
+            num(r.makespan),
             r.hits.to_string(),
             r.misses.to_string(),
             r.evictions.to_string(),
             r.prefetches.to_string(),
-            format!("{:.6}", r.io_stall),
-            format!("{:.6}", r.io_overlapped),
+            num(r.io_stall),
+            num(r.io_overlapped),
         ]);
     }
     table.print();
     let csv_path = write_results("ablation_cache", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
-
-    // The same rows at full precision: makespans and hit/miss counts.
-    let mut summary = BenchSummary::new("ablation_cache", scale);
-    for r in &rows {
-        let key = format!("{}_b{}", r.workload, r.budget_pages);
-        summary.metric(&format!("{key}_makespan_s"), r.makespan);
-        summary.metric(&format!("{key}_hits_exact"), r.hits as f64);
-        summary.metric(&format!("{key}_misses_exact"), r.misses as f64);
-    }
-    let path = summary.write();
-    eprintln!("  wrote {}", path.display());
 }

@@ -17,12 +17,11 @@
 //!    — the budget is a real bound, not a suggestion.
 //!
 //! Writes `results/ablation_ensemble.csv` (section column distinguishes
-//! accuracy rows from sweep rows) and a `BenchSummary`.
+//! accuracy rows from sweep rows).
 
 use pdc_bench::harness::{
-    experiment_config, machine_config, write_results, Scale, TableWriter,
+    experiment_config, machine_config, num, write_results, Scale, TableWriter,
 };
-use pdc_bench::summary::BenchSummary;
 use pdc_cgm::Cluster;
 use pdc_clouds::{accuracy_of, holdout_pair};
 use pdc_datagen::{generate, GeneratorConfig, ALL_FUNCTIONS};
@@ -43,7 +42,6 @@ struct Row {
 
 fn main() {
     let scale = Scale::from_env();
-    let mut summary = BenchSummary::new("ablation_ensemble", scale);
     let mut rows: Vec<Row> = Vec::new();
 
     // --- Part 1: ensemble vs single tree across every SLIQ function. ---
@@ -64,15 +62,13 @@ fn main() {
         if acc_e > acc_s {
             wins += 1;
         }
-        summary.metric(&format!("f{}_accuracy_single", i + 1), acc_s);
-        summary.metric(&format!("f{}_accuracy_ensemble", i + 1), acc_e);
         rows.push(Row {
             section: "accuracy",
             function: format!("f{}", i + 1),
             width: String::new(),
             trees: "8".into(),
-            accuracy_single: format!("{acc_s:.4}"),
-            accuracy_ensemble: format!("{acc_e:.4}"),
+            accuracy_single: num(acc_s),
+            accuracy_ensemble: num(acc_e),
             makespan_s: String::new(),
             peak_resident_bytes: String::new(),
             budget_bytes: String::new(),
@@ -83,7 +79,6 @@ fn main() {
         wins >= 8,
         "ensemble must strictly beat the single tree on >= 8/10 SLIQ functions, got {wins}"
     );
-    summary.metric("accuracy_wins_exact", wins as f64);
 
     // --- Part 2: subgroup width x ensemble size under a real budget. ---
     let n = scale.records(400_000) as usize;
@@ -112,9 +107,6 @@ fn main() {
                 "w={width} B={trees}: measured peak {peak} bytes exceeds budget {budget}"
             );
             let makespan = out.runtime();
-            let key = format!("w{width}_b{trees}");
-            summary.metric(&format!("{key}_makespan"), makespan);
-            summary.metric(&format!("{key}_peak_resident_bytes"), peak);
             rows.push(Row {
                 section: "sweep",
                 function: String::new(),
@@ -122,8 +114,8 @@ fn main() {
                 trees: trees.to_string(),
                 accuracy_single: String::new(),
                 accuracy_ensemble: String::new(),
-                makespan_s: format!("{makespan:.6}"),
-                peak_resident_bytes: format!("{peak:.0}"),
+                makespan_s: num(makespan),
+                peak_resident_bytes: num(peak),
                 budget_bytes: budget.to_string(),
             });
             eprintln!(
@@ -162,6 +154,4 @@ fn main() {
     table.print();
     let csv_path = write_results("ablation_ensemble", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
-    let path = summary.write();
-    eprintln!("  wrote {}", path.display());
 }

@@ -24,8 +24,7 @@
 //!   configuration reproduces the same virtual times bit for bit (checked
 //!   below).
 
-use pdc_bench::harness::{ascii_chart, write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{ascii_chart, num, write_results, Experiment, Scale, TableWriter};
 use pdc_cgm::FaultPlan;
 
 /// Switch to task parallelism at 40 intervals instead of the paper's 10:
@@ -87,14 +86,12 @@ fn main() {
     // Graceful degradation: runtime vs fault rate at no skew.
     let healthy = run(FaultPlan::default());
     let base = healthy.runtime();
-    let mut summary = BenchSummary::new("ablation_faults", scale);
-    summary.metric("healthy_runtime_s", base);
-    let row = |rate: String, skew: String, runtime: f64, totals: &pdc_cgm::Counters| {
+    let row = |rate: f64, skew: f64, runtime: f64, totals: &pdc_cgm::Counters| {
         vec![
-            rate,
-            skew,
-            format!("{runtime:.3}"),
-            format!("{:.3}", runtime / base),
+            num(rate),
+            num(skew),
+            num(runtime),
+            num(runtime / base),
             totals.link_retries.to_string(),
             totals.link_delays.to_string(),
             totals.disk_retries.to_string(),
@@ -104,11 +101,8 @@ fn main() {
     for rate in [0.0, 0.001, 0.005, 0.02] {
         let out = run(plan(rate, 1.0, p));
         let totals = out.run.total_counters();
-        table.row(row(format!("{rate}"), "1.0".into(), out.runtime(), &totals));
+        table.row(row(rate, 1.0, out.runtime(), &totals));
         degradation.push((rate, out.runtime()));
-        let key = format!("rate{}", format!("{rate}").replace('.', "_"));
-        summary.metric(&format!("{key}_runtime_s"), out.runtime());
-        summary.metric(&format!("{key}_disk_retries_exact"), totals.disk_retries as f64);
         eprintln!("  rate={rate}: {:.3}s ({:.3}x)", out.runtime(), out.runtime() / base);
     }
     assert!(
@@ -125,9 +119,7 @@ fn main() {
     let mut skew_pts = Vec::new();
     for skew in [1.0, 2.0, 4.0, 8.0] {
         let out = run(plan(0.0, skew, p));
-        table.row(row("0".into(), format!("{skew}"), out.runtime(), &out.run.total_counters()));
-        let key = format!("skew{}", format!("{skew}").replace('.', "_"));
-        summary.metric(&format!("{key}_recovered_s"), out.runtime());
+        table.row(row(0.0, skew, out.runtime(), &out.run.total_counters()));
         eprintln!("  skew={skew}: {:.3}s", out.runtime());
         skew_pts.push((skew, out.runtime()));
     }
@@ -148,6 +140,5 @@ fn main() {
         ascii_chart(&[("weighted-LPT dispatch".to_string(), skew_pts)], 56, 14)
     );
     let csv_path = write_results("ablation_faults", "csv", scale, table.csv());
-    let path = summary.write();
-    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
+    eprintln!("  wrote {}", csv_path.display());
 }

@@ -7,8 +7,7 @@
 //! exact over alive intervals); SS is close but can mis-rank near-optimal
 //! splits; survival ratios stay small (SSE's second pass is cheap).
 
-use pdc_bench::harness::{experiment_config, write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{experiment_config, num, write_results, Experiment, Scale, TableWriter};
 use pdc_clouds::{accuracy, build_tree, holdout_pair, mdl_prune, MdlParams, SplitMethod};
 use pdc_datagen::ClassifyFn;
 
@@ -16,7 +15,6 @@ fn main() {
     let scale = Scale::from_env();
     let n = scale.records(2_000_000) as usize;
     let p = 8;
-    let mut summary = BenchSummary::new("ablation_sse", scale);
 
     // --- Part 1: sequential quality comparison. ---
     let mut quality = TableWriter::new(&["function", "method", "accuracy", "leaves_pruned"]);
@@ -29,13 +27,10 @@ fn main() {
             params.method = method;
             let mut tree = build_tree(&train_set, &params);
             mdl_prune(&mut tree, &MdlParams::default());
-            let key = format!("f{}_{}", f.index(), format!("{method:?}").to_lowercase());
-            summary.metric(&format!("{key}_accuracy"), accuracy(&tree, &test_set));
-            summary.metric(&format!("{key}_leaves_exact"), tree.num_leaves() as f64);
             quality.row(vec![
                 format!("F{}", f.index()),
                 format!("{method:?}"),
-                format!("{:.4}", accuracy(&tree, &test_set)),
+                num(accuracy(&tree, &test_set)),
                 tree.num_leaves().to_string(),
             ]);
         }
@@ -56,14 +51,10 @@ fn main() {
             .map(|m| m.root_survival_ratio)
             .fold(0.0f64, f64::max);
         let alive: u64 = out.metrics.iter().map(|m| m.alive_points_scanned).sum();
-        let key = format!("{method:?}").to_lowercase();
-        summary.metric(&format!("{key}_runtime_s"), out.runtime());
-        summary.metric(&format!("{key}_root_survival"), survival);
-        summary.metric(&format!("{key}_alive_points_exact"), alive as f64);
         runtime.row(vec![
             format!("{method:?}"),
-            format!("{:.3}", out.runtime()),
-            format!("{survival:.4}"),
+            num(out.runtime()),
+            num(survival),
             alive.to_string(),
         ]);
     }
@@ -76,6 +67,5 @@ fn main() {
         runtime.csv()
     );
     let csv_path = write_results("ablation_sse", "csv", scale, csv);
-    let path = summary.write();
-    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
+    eprintln!("  wrote {}", csv_path.display());
 }

@@ -12,13 +12,11 @@
 //!   batching) and shares memory across a level — the paper's reason to
 //!   prefer plain data parallelism out-of-core.
 
-use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{num, write_results, Experiment, Scale, TableWriter};
 use pdc_dnc::Strategy;
 
 fn main() {
     let scale = Scale::from_env();
-    let mut summary = BenchSummary::new("ablation_strategies", scale);
     let n = scale.records(4_800_000);
     let p = 8;
     eprintln!("ablation_strategies: n={n} p={p}");
@@ -37,21 +35,16 @@ fn main() {
     ] {
         let out = Experiment::new(n, p, scale).strategy(strategy).run();
         let totals = out.run.total_counters();
-        let key = name.replace('-', "_");
-        summary.metric(&format!("{key}_runtime_s"), out.runtime());
-        summary.metric(&format!("{key}_messages_exact"), totals.messages_sent as f64);
-        summary.metric(&format!("{key}_imbalance"), out.run.imbalance());
         table.row(vec![
             name.to_string(),
-            format!("{:.3}", out.runtime()),
+            num(out.runtime()),
             totals.messages_sent.to_string(),
-            format!("{:.2}", totals.bytes_sent as f64 / 1e6),
-            format!("{:.3}", out.run.imbalance()),
+            num(totals.bytes_sent as f64 / 1e6),
+            num(out.run.imbalance()),
         ]);
         eprintln!("  {name}: {:.3}s, {} msgs", out.runtime(), totals.messages_sent);
     }
     table.print();
     let csv_path = write_results("ablation_strategies", "csv", scale, table.csv());
-    let path = summary.write();
-    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
+    eprintln!("  wrote {}", csv_path.display());
 }

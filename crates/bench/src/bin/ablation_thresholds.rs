@@ -8,18 +8,9 @@
 //! data-parallel balance; too small a memory limit pays seeks, too large
 //! defeats out-of-core operation.
 
-use pdc_bench::harness::{experiment_config, write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use std::collections::HashMap;
 
-fn run(n: u64, p: usize, scale: Scale, switch: usize, mem: usize) -> f64 {
-    Experiment::new(n, p, scale)
-        .config(|c| {
-            c.switch_threshold_intervals = switch;
-            c.memory_limit_bytes = mem;
-        })
-        .run()
-        .runtime()
-}
+use pdc_bench::harness::{experiment_config, num, write_results, Experiment, Scale, TableWriter};
 
 fn main() {
     let scale = Scale::from_env();
@@ -28,12 +19,24 @@ fn main() {
     let base_mem = experiment_config(n, scale).memory_limit_bytes;
 
     eprintln!("ablation_thresholds: n={n} p={p} base_mem={base_mem}");
-    let mut summary = BenchSummary::new("ablation_thresholds", scale);
+    // Each distinct (switch, memory) cell trains once: the sweeps cross at
+    // (10, base_mem).
+    let mut runtimes = HashMap::new();
+    let mut runtime = |switch: usize, mem: usize| {
+        *runtimes.entry((switch, mem)).or_insert_with(|| {
+            Experiment::new(n, p, scale)
+                .config(|c| {
+                    c.switch_threshold_intervals = switch;
+                    c.memory_limit_bytes = mem;
+                })
+                .run()
+                .runtime()
+        })
+    };
     let mut sw = TableWriter::new(&["switch_threshold_intervals", "runtime_s"]);
     for switch in [1usize, 5, 10, 25, 50, 100] {
-        let t = run(n, p, scale, switch, base_mem);
-        summary.metric(&format!("switch{switch}_runtime_s"), t);
-        sw.row(vec![switch.to_string(), format!("{t:.3}")]);
+        let t = runtime(switch, base_mem);
+        sw.row(vec![switch.to_string(), num(t)]);
         eprintln!("  switch={switch}: {t:.3}s");
     }
     let sw_heading = "-- switching threshold sweep (memory limit fixed) --";
@@ -41,11 +44,10 @@ fn main() {
     sw.print();
 
     let mut mem_table = TableWriter::new(&["memory_limit_kb", "runtime_s"]);
-    for (i, factor) in [0.25f64, 0.5, 1.0, 2.0, 4.0].into_iter().enumerate() {
+    for factor in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
         let mem = ((base_mem as f64 * factor) as usize).max(8 * 1024);
-        let t = run(n, p, scale, 10, mem);
-        summary.metric(&format!("mem{i}_runtime_s"), t);
-        mem_table.row(vec![(mem / 1024).to_string(), format!("{t:.3}")]);
+        let t = runtime(10, mem);
+        mem_table.row(vec![(mem / 1024).to_string(), num(t)]);
         eprintln!("  mem={}kb: {t:.3}s", mem / 1024);
     }
     let mem_heading = "-- memory limit sweep (switch threshold = 10) --";
@@ -53,6 +55,5 @@ fn main() {
     mem_table.print();
     let csv = format!("{sw_heading}\n{}\n{mem_heading}\n{}", sw.csv(), mem_table.csv());
     let csv_path = write_results("ablation_thresholds", "csv", scale, csv);
-    let path = summary.write();
-    eprintln!("  wrote {} and {}", csv_path.display(), path.display());
+    eprintln!("  wrote {}", csv_path.display());
 }

@@ -9,7 +9,7 @@
 
 use pdc_baselines::build_tree_psprint;
 use pdc_bench::harness::{
-    experiment_config, machine_config, write_results, Scale, TableWriter,
+    experiment_config, machine_config, num, write_results, Scale, TableWriter,
 };
 use pdc_cgm::Cluster;
 use pdc_clouds::{accuracy, holdout_pair};
@@ -42,9 +42,9 @@ fn main() {
         table.row(vec![
             "pclouds".into(),
             p.to_string(),
-            format!("{:.3}", out.runtime()),
-            format!("{:.4}", accuracy(&out.tree, &test)),
-            format!("{:.2}", cfg.memory_limit_bytes as f64 / 1e6),
+            num(out.runtime()),
+            num(accuracy(&out.tree, &test)),
+            num(cfg.memory_limit_bytes as f64 / 1e6),
         ]);
 
         // Parallel SPRINT: in-core, replicated maps + distributed lists.
@@ -56,12 +56,9 @@ fn main() {
         table.row(vec![
             "psprint".into(),
             p.to_string(),
-            format!("{:.3}", run.makespan()),
-            format!("{:.4}", accuracy(tree, &test)),
-            format!(
-                "{:.2}",
-                (stats.replicated_bytes + lists_bytes) as f64 / 1e6
-            ),
+            num(run.makespan()),
+            num(accuracy(tree, &test)),
+            num((stats.replicated_bytes + lists_bytes) as f64 / 1e6),
         ]);
     }
     table.print();

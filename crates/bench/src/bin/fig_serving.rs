@@ -15,8 +15,7 @@
 //!   flat array drops the dependent pointer-chase charge per visited node
 //!   and its 16-byte nodes keep the working set inside the CPU cache.
 
-use pdc_bench::harness::{machine_config, write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{machine_config, num, write_results, Experiment, Scale, TableWriter};
 use pdc_cgm::{Cluster, HistogramSpec};
 use pdc_datagen::GeneratorConfig;
 use pdc_pario::{BackendKind, DiskFarm, EngineConfig};
@@ -178,36 +177,17 @@ fn main() {
             r.report.records.to_string(),
             r.report.model_nodes.to_string(),
             r.report.model_bytes.to_string(),
-            format!("{:.6}", r.report.deploy_seconds),
-            format!("{:.6}", r.report.makespan),
-            format!("{:.1}", r.report.throughput_rps),
-            format!("{:.4}", r.speedup_vs_pointer),
-            format!("{:.4}", r.report.latency.p50 * 1e3),
-            format!("{:.4}", r.report.latency.p99 * 1e3),
-            format!("{:.4}", r.report.latency.p999 * 1e3),
+            num(r.report.deploy_seconds),
+            num(r.report.makespan),
+            num(r.report.throughput_rps),
+            num(r.speedup_vs_pointer),
+            num(r.report.latency.p50 * 1e3),
+            num(r.report.latency.p99 * 1e3),
+            num(r.report.latency.p999 * 1e3),
             if r.identical { "yes" } else { "no" }.to_string(),
         ]);
     }
     table.print();
     let csv_path = write_results("fig_serving", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rows)", csv_path.display(), rows.len());
-
-    // The same cells at full precision, plus the exact correctness
-    // invariants.
-    let mut summary = BenchSummary::new("fig_serving", scale);
-    summary.metric("records_exact", requests as f64);
-    for r in &rows {
-        let key = format!("e{}_b{}_{}", r.engine, r.batch, r.layout.name());
-        summary.metric(&format!("{key}_rps"), r.report.throughput_rps);
-        summary.metric(&format!("{key}_p99_ms"), r.report.latency.p99 * 1e3);
-        summary.metric(
-            &format!("{key}_identical_exact"),
-            f64::from(u8::from(r.identical)),
-        );
-        if r.layout != Layout::Pointer {
-            summary.metric(&format!("{key}_speedup"), r.speedup_vs_pointer);
-        }
-    }
-    let path = summary.write();
-    eprintln!("  wrote {}", path.display());
 }

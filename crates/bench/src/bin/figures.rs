@@ -27,21 +27,21 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::str::FromStr;
 
-use pdc_bench::harness::{ascii_chart, write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{ascii_chart, num, write_results, Experiment, Scale, TableWriter};
 
 const PAPER_SIZES: [u64; 4] = [3_600_000, 4_800_000, 6_000_000, 7_200_000];
 const PROCS: [usize; 5] = [1, 2, 4, 8, 16];
 const SIZEUP_PROCS: [usize; 3] = [4, 8, 16];
 const PAPER_DENSITIES: [u64; 5] = [200_000, 300_000, 400_000, 500_000, 600_000];
 
-/// Metric key of a paper-scale record count: 0.1M units, stable across scales.
+/// Grid point of a paper-scale record count: 0.1M units, stable across
+/// scales.
 fn key(paper_count: u64) -> u64 {
     paper_count / 100_000
 }
 
 /// The comma-separated override `raw` of `var`. Panics, naming `var`, on an
-/// entry that does not parse or whose metric key repeats an earlier entry's.
+/// entry that does not parse or that repeats an earlier entry's grid point.
 fn parse_list<T>(var: &str, raw: &str, key: impl Fn(T) -> u64) -> Vec<T>
 where
     T: FromStr<Err: Debug> + Copy + Debug,
@@ -50,7 +50,7 @@ where
     for s in raw.split(',') {
         let value: T = s.trim().parse().unwrap_or_else(|e| panic!("{var}: bad entry {s:?}: {e:?}"));
         if let Some(earlier) = list.iter().find(|&&e| key(e) == key(value)) {
-            panic!("{var}: entries {earlier:?} and {value:?} would write the same metrics");
+            panic!("{var}: entries {earlier:?} and {value:?} repeat one grid point");
         }
         list.push(value);
     }
@@ -75,24 +75,22 @@ fn once_per_cell(mut train: impl FnMut(u64, usize) -> f64) -> impl FnMut(u64, us
     move |n, p| *runtimes.entry((n, p)).or_insert_with(|| train(n, p))
 }
 
-/// One figure's table and summary, and the text printed after the table.
+/// One figure's table, and the text printed after the table.
 struct Figure {
     name: String,
     table: TableWriter,
-    summary: BenchSummary,
     chart: String,
 }
 
 impl Figure {
-    fn new(name: &str, scale: Scale, headers: &[&str]) -> Figure {
-        let (table, summary) = (TableWriter::new(headers), BenchSummary::new(name, scale));
-        Figure { name: name.to_string(), table, summary, chart: String::new() }
+    fn new(name: &str, headers: &[&str]) -> Figure {
+        Figure { name: name.to_string(), table: TableWriter::new(headers), chart: String::new() }
     }
 
     fn write(self, scale: Scale) {
         print!("{}{}", self.table.render(), self.chart);
         let csv_path = write_results(&self.name, "csv", scale, self.table.csv());
-        eprintln!("  wrote {} and {}", csv_path.display(), self.summary.write().display());
+        eprintln!("  wrote {}", csv_path.display());
     }
 }
 
@@ -105,24 +103,22 @@ fn fig1(
     procs: &[usize],
     runtime: &mut impl FnMut(u64, usize) -> f64,
 ) -> Figure {
-    let mut fig = Figure::new(name, scale, &["records", "p", "runtime_s", "speedup", "efficiency"]);
+    let mut fig = Figure::new(name, &["records", "p", "runtime_s", "speedup", "efficiency"]);
     let mut series = Vec::new();
     for &paper_n in sizes {
-        let (n, mk) = (scale.records(paper_n), key(paper_n));
+        let n = scale.records(paper_n);
         let t_base = runtime(n, procs[0]);
         let mut points = Vec::new();
         for &p in procs {
             let t = runtime(n, p);
             let speedup = t_base / t;
-            fig.summary.metric(&format!("runtime_s_n{mk}_p{p}"), t);
-            fig.summary.metric(&format!("speedup_n{mk}_p{p}"), speedup);
             points.push((p as f64, speedup));
             fig.table.row(vec![
                 n.to_string(),
                 p.to_string(),
-                format!("{t:.3}"),
-                format!("{speedup:.2}"),
-                format!("{:.2}", speedup / p as f64),
+                num(t),
+                num(speedup),
+                num(speedup / p as f64),
             ]);
         }
         series.push((format!("{n} records"), points));
@@ -133,15 +129,13 @@ fn fig1(
 
 /// Figure 2: figure 1's speedups T(1)/T(p) against the size, per p.
 fn fig2(scale: Scale, runtime: &mut impl FnMut(u64, usize) -> f64) -> Figure {
-    let mut fig = Figure::new("fig2_sizeup", scale, &["p", "records", "runtime_s", "speedup"]);
+    let mut fig = Figure::new("fig2_sizeup", &["p", "records", "runtime_s", "speedup"]);
     for p in SIZEUP_PROCS {
         for paper_n in PAPER_SIZES {
-            let (n, mk) = (scale.records(paper_n), key(paper_n));
+            let n = scale.records(paper_n);
             let tp = runtime(n, p);
             let speedup = runtime(n, 1) / tp;
-            fig.summary.metric(&format!("runtime_s_n{mk}_p{p}"), tp);
-            fig.summary.metric(&format!("speedup_n{mk}_p{p}"), speedup);
-            let cells = [p.to_string(), n.to_string(), format!("{tp:.3}"), format!("{speedup:.2}")];
+            let cells = [p.to_string(), n.to_string(), num(tp), num(speedup)];
             fig.table.row(cells.to_vec());
         }
     }
@@ -151,14 +145,13 @@ fn fig2(scale: Scale, runtime: &mut impl FnMut(u64, usize) -> f64) -> Figure {
 /// Figure 3: runtime against p at a fixed number of records per processor.
 fn fig3(scale: Scale, runtime: &mut impl FnMut(u64, usize) -> f64) -> Figure {
     let headers = ["records_per_proc", "p", "records_total", "runtime_s"];
-    let mut fig = Figure::new("fig3_scaleup", scale, &headers);
+    let mut fig = Figure::new("fig3_scaleup", &headers);
     for paper_density in PAPER_DENSITIES {
         let density = scale.records(paper_density);
         for p in PROCS {
             let n = density * p as u64;
             let t = runtime(n, p);
-            fig.summary.metric(&format!("runtime_s_d{}_p{p}", key(paper_density)), t);
-            let cells = [density.to_string(), p.to_string(), n.to_string(), format!("{t:.3}")];
+            let cells = [density.to_string(), p.to_string(), n.to_string(), num(t)];
             fig.table.row(cells.to_vec());
         }
     }

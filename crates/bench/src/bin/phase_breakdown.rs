@@ -19,7 +19,7 @@
 //! Prints both tables and the balance summary, and writes the same text to
 //! `results/phase_breakdown.txt`.
 
-use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
+use pdc_bench::harness::{num, write_results, Experiment, Scale, TableWriter};
 use pdc_cgm::{resolve_series, GaugeSeries};
 use pdc_pario::EngineConfig;
 
@@ -61,13 +61,13 @@ fn main() {
         let io_mb = (s.counters.disk_read_bytes + s.counters.disk_write_bytes) as f64 / 1e6;
         table.row(vec![
             s.rank.to_string(),
-            format!("{:.3}", reg.seconds_by_name(s.rank, "pclouds.stats")),
-            format!("{:.3}", reg.seconds_by_name(s.rank, "pclouds.derive")),
-            format!("{:.3}", reg.seconds_by_name(s.rank, "pclouds.partition")),
-            format!("{:.3}", reg.seconds_by_name(s.rank, "pclouds.small_redistribute")),
-            format!("{:.3}", reg.seconds_by_name(s.rank, "pclouds.small_solve")),
-            format!("{io_mb:.2}"),
-            format!("{:.3}", s.finish_time),
+            num(reg.seconds_by_name(s.rank, "pclouds.stats")),
+            num(reg.seconds_by_name(s.rank, "pclouds.derive")),
+            num(reg.seconds_by_name(s.rank, "pclouds.partition")),
+            num(reg.seconds_by_name(s.rank, "pclouds.small_redistribute")),
+            num(reg.seconds_by_name(s.rank, "pclouds.small_solve")),
+            num(io_mb),
+            num(s.finish_time),
         ]);
     }
 
@@ -98,10 +98,10 @@ fn main() {
         let cells: Vec<f64> = GAUGES.iter().map(|g| peak_in_phase(phase, g)).collect();
         gauge_table.row(vec![
             phase.to_string(),
-            format!("{:.0}", cells[0]),
-            format!("{:.0}", cells[1]),
-            format!("{:.0}", cells[2]),
-            format!("{:.1}", cells[3] / 1024.0),
+            num(cells[0]),
+            num(cells[1]),
+            num(cells[2]),
+            num(cells[3] / 1024.0),
         ]);
     }
 
@@ -130,11 +130,11 @@ fn main() {
     let mean_io = io.iter().sum::<f64>() / io.len() as f64;
     let text = format!(
         "{}\ngauge peaks per phase (max over ranks)\n{}\n\
-         I/O balance (max/mean): {:.4}   overall runtime imbalance: {:.4}\n",
+         I/O balance (max/mean): {}   overall runtime imbalance: {}\n",
         table.render(),
         gauge_table.render(),
-        max_io / mean_io,
-        out.run.imbalance()
+        num(max_io / mean_io),
+        num(out.run.imbalance())
     );
     print!("{text}");
     let path = write_results("phase_breakdown", "txt", scale, text);

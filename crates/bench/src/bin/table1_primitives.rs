@@ -14,7 +14,7 @@
 //! harness reports the fitted coefficients (which should recover the
 //! machine's ts and tw) and the R² of the fit.
 
-use pdc_bench::harness::{least_squares, write_results, Scale, TableWriter};
+use pdc_bench::harness::{least_squares, num, write_results, Scale, TableWriter};
 use pdc_cgm::{Cluster, MachineConfig};
 
 /// Measure one collective: returns simulated seconds for (p, m_bytes).
@@ -53,10 +53,10 @@ fn main() {
     let cfg = MachineConfig::default();
     let (ts, tw) = (cfg.cost.network.alpha, cfg.cost.network.beta);
     let machine = format!(
-        "machine: ts = {:.1} us, tw = {:.3} ns/byte ({} MB/s)",
-        ts * 1e6,
-        tw * 1e9,
-        (1.0 / tw / 1e6).round()
+        "machine: ts = {} us, tw = {} ns/byte ({} MB/s)",
+        num(ts * 1e6),
+        num(tw * 1e9),
+        num(1.0 / tw / 1e6)
     );
     println!("{machine}");
 
@@ -83,7 +83,7 @@ fn main() {
                     name.to_string(),
                     p.to_string(),
                     m.to_string(),
-                    format!("{:.2}", t * 1e6),
+                    num(t * 1e6),
                 ]);
                 design.push(terms(p as f64, m as f64));
                 ys.push(t);
@@ -98,9 +98,9 @@ fn main() {
         fits.row(vec![
             name.to_string(),
             model.to_string(),
-            format!("{:.2}", coeffs[0] * 1e6),
-            format!("{:.3}", coeffs[1] * 1e9),
-            format!("{r2:.5}"),
+            num(coeffs[0] * 1e6),
+            num(coeffs[1] * 1e9),
+            num(r2),
         ]);
     }
     let raw_heading = "-- raw measurements --";

@@ -20,18 +20,19 @@
 //!   2. the infinite-bandwidth rung saves at least the recorded
 //!      comm-transfer seconds of the critical rank.
 //!
-//! Finally the paper's figure 1 speedup curve is re-derived under the
-//! modern constants: p in {1,2,4,8} runs are recorded once each and
+//! Writes the rungs to `results/fig_whatif.csv`. Finally the paper's
+//! figure 1 speedup curve is re-derived under the modern constants: p in
+//! {1,2,4,8} runs are recorded once each (p = 4 is the run above) and
 //! replayed under the combined modern override, answering which 1999
-//! scaling claims survive NVMe + 100 GbE (see EXPERIMENTS.md).
+//! scaling claims survive NVMe + 100 GbE (`results/fig_whatif_fig1.csv`,
+//! see EXPERIMENTS.md).
 //!
 //! Scale factors relative to the simulator's 1999 cost model
 //! (alpha = 40 us, 35 MB/s links; 10 ms seek, 10 MB/s disks):
 //! modern latency 2 us -> 0.05, link 12.5 GB/s -> 0.0028,
 //! NVMe access 20 us -> 0.002, NVMe 3.5 GB/s -> 0.003.
 
-use pdc_bench::harness::{write_results, Experiment, Scale, TableWriter};
-use pdc_bench::summary::BenchSummary;
+use pdc_bench::harness::{num, write_results, Experiment, Scale, TableWriter};
 use pdc_cgm::replay::{identity_check, replay, CostOverride};
 use pdc_cgm::{Ev, EventGraph, Wire};
 
@@ -66,7 +67,6 @@ fn comm_transfer_secs(graph: &EventGraph, rank: usize) -> f64 {
 
 fn main() {
     let scale = Scale::from_env();
-    let mut summary = BenchSummary::new("whatif", scale);
     let n = scale.records(3_600_000);
     let p = 4;
 
@@ -88,8 +88,6 @@ fn main() {
     assert_eq!(id.makespan().to_bits(), base.to_bits());
     assert_eq!(out.runtime().to_bits(), base.to_bits());
     println!("whatif: identity replay bit-exact across {p} ranks");
-    summary.metric("identity_exact", 1.0);
-    summary.metric("base_makespan_s", base);
 
     // Measured comm-transfer share of the critical (last-finishing) rank:
     // the infinite-bandwidth rung must save at least this much.
@@ -98,7 +96,6 @@ fn main() {
         .unwrap();
     let transfer = comm_transfer_secs(&graph, critical_rank);
     let comm_pct = 100.0 * transfer / base;
-    summary.metric("comm_transfer_pct", comm_pct);
     eprintln!("  critical rank {critical_rank}: {transfer:.4}s comm transfer ({comm_pct:.2}% of run)");
 
     let rungs: Vec<(&str, CostOverride)> = vec![
@@ -135,13 +132,11 @@ fn main() {
                 base - t
             );
         }
-        summary.metric(&format!("finish_s_{name}"), t);
-        summary.metric(&format!("saving_pct_{name}"), saving);
         table.row(vec![
             name.to_string(),
-            format!("{t:.6}"),
-            format!("{saving:.4}"),
-            format!("{comm_pct:.4}"),
+            num(t),
+            num(saving),
+            num(comm_pct),
             verdict.to_string(),
         ]);
         eprintln!("  {name:>14}: T={t:.4}s saving={saving:.2}% [{verdict}]");
@@ -150,37 +145,33 @@ fn main() {
     let csv_path = write_results("fig_whatif", "csv", scale, table.csv());
     eprintln!("  wrote {} ({} rungs)", csv_path.display(), rungs.len());
 
-    // Figure 1 under modern constants: record p in {1,2,4,8} once, replay
-    // each under the combined modern override, and compare speedup curves.
+    // Figure 1 under modern constants: record p in {1,2,4,8} once (p = 4
+    // is the graph above), replay each under the combined modern override,
+    // and compare speedup curves.
     eprintln!("whatif: re-deriving fig 1 speedup under modern constants");
     let modern = nvme(modern_net(CostOverride::identity()));
     let mut fig1 = TableWriter::new(&["p", "recorded_s", "speedup_1999", "modern_s", "speedup_modern"]);
     let (mut t1_rec, mut t1_mod) = (0.0, 0.0);
-    for p in [1usize, 2, 4, 8] {
-        let out = Experiment::new(n, p, scale).traced().run();
-        let g = EventGraph::from_stats(&out.run.stats);
-        let rec = identity_check(&g).makespan();
-        let m = replay(&g, &modern).makespan();
-        if p == 1 {
+    for q in [1usize, 2, 4, 8] {
+        let recorded;
+        let g = if q == p {
+            &graph
+        } else {
+            let out = Experiment::new(n, q, scale).traced().run();
+            recorded = EventGraph::from_stats(&out.run.stats);
+            &recorded
+        };
+        let rec = identity_check(g).makespan();
+        let m = replay(g, &modern).makespan();
+        if q == 1 {
             t1_rec = rec;
             t1_mod = m;
         }
         let (s_rec, s_mod) = (t1_rec / rec, t1_mod / m);
-        summary.metric(&format!("fig1_recorded_s_p{p}"), rec);
-        summary.metric(&format!("fig1_modern_s_p{p}"), m);
-        summary.metric(&format!("fig1_speedup_1999_p{p}"), s_rec);
-        summary.metric(&format!("fig1_speedup_modern_p{p}"), s_mod);
-        fig1.row(vec![
-            p.to_string(),
-            format!("{rec:.4}"),
-            format!("{s_rec:.2}"),
-            format!("{m:.4}"),
-            format!("{s_mod:.2}"),
-        ]);
-        eprintln!("  p={p}: 1999 T={rec:.4}s (S={s_rec:.2}), modern T={m:.4}s (S={s_mod:.2})");
+        fig1.row(vec![q.to_string(), num(rec), num(s_rec), num(m), num(s_mod)]);
+        eprintln!("  p={q}: 1999 T={rec:.4}s (S={s_rec:.2}), modern T={m:.4}s (S={s_mod:.2})");
     }
     fig1.print();
-
-    let path = summary.write();
-    eprintln!("  wrote {}", path.display());
+    let csv_path = write_results("fig_whatif_fig1", "csv", scale, fig1.csv());
+    eprintln!("  wrote {}", csv_path.display());
 }

@@ -67,8 +67,7 @@ impl Scale {
         (10_000 / self.divisor() as usize).max(500)
     }
 
-    /// Stable name recorded in benchmark summaries and in the file names of
-    /// non-default-scale artifacts.
+    /// Stable name in the file names of non-default-scale artifacts.
     pub(crate) fn name(self) -> &'static str {
         match self {
             Scale::Full => "full",
@@ -218,6 +217,18 @@ pub fn experiment_config(n: u64, scale: Scale) -> PcloudsConfig {
         ..CloudsParams::default()
     };
     config
+}
+
+/// One float cell of a results file: Rust's shortest round-trip form, so
+/// parsing the cell back gives `value`'s exact bits and two values one ulp
+/// apart (or `0.0` and `-0.0`) never print alike. The committed `results/`
+/// files are the drift check, bitwise through this function. Panics on NaN
+/// or ±∞, which would corrupt the committed record; `#[track_caller]` names
+/// the cell's call site.
+#[track_caller]
+pub fn num(value: f64) -> String {
+    assert!(value.is_finite(), "results cell must be finite, got {value}");
+    format!("{value:?}")
 }
 
 /// A table of stringified cells, rendered with aligned columns for the
@@ -392,10 +403,8 @@ mod tests {
     fn only_default_scale_writes_the_committed_artifact_name() {
         for (name, ext) in [
             ("fig2_sizeup", "csv"),
-            ("BENCH_fig2_sizeup", "json"),
             ("phase_breakdown", "txt"),
             ("fig1_speedup_custom", "csv"),
-            ("BENCH_fig1_speedup_custom", "json"),
         ] {
             let committed = format!("results/{name}.{ext}");
             assert_eq!(results_path(name, ext, Scale::Default), Path::new(&committed));
@@ -403,6 +412,32 @@ mod tests {
                 let other = format!("results/{name}.{}.{ext}", scale.name());
                 assert_eq!(results_path(name, ext, scale), Path::new(&other));
             }
+        }
+    }
+
+    #[test]
+    fn num_round_trips_every_bit() {
+        let values: [f64; 9] = [0.1 + 0.2, 1e-7, 5e-324, 1e21, -0.0, 0.0, 1.0 / 3.0, -2.5, 24e3];
+        let neighbours = values.iter().flat_map(|v| [v.next_up(), v.next_down()]);
+        for v in values.into_iter().chain(neighbours) {
+            let cell = num(v);
+            let back: f64 = cell.parse().unwrap_or_else(|e| panic!("{cell:?}: {e}"));
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?} came back as {back:?}");
+            // A moved bit moves the cell: neighbours and the other zero differ.
+            assert_ne!(num(v.next_up()), cell, "{v:?}");
+            assert_ne!(num(v.next_down()), cell, "{v:?}");
+            assert_ne!(num(-v), cell, "{v:?}");
+        }
+        assert_eq!(num(0.1 + 0.2), "0.30000000000000004");
+        assert_eq!((num(0.0), num(-0.0)), ("0.0".to_string(), "-0.0".to_string()));
+    }
+
+    #[test]
+    fn num_rejects_non_finite_values_naming_them() {
+        for (v, name) in [(f64::NAN, "NaN"), (f64::INFINITY, "inf"), (f64::NEG_INFINITY, "-inf")] {
+            let err = std::panic::catch_unwind(|| num(v)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.ends_with(&format!("must be finite, got {name}")), "{msg}");
         }
     }
 

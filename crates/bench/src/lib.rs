@@ -12,15 +12,13 @@
 //! `default`, `quick`, `full`); none of the binaries takes a flag except
 //! `profile_run`.
 //!
-//! Each binary prints human tables and writes its own artifacts through
-//! one path rule ([`harness::write_results`]): `results/<name>.<ext>` at
-//! default scale, `results/<name>.<scale>.<ext>` otherwise. Nine of them
-//! also write [`summary::BenchSummary`]s (eleven `results/BENCH_<name>.json`
-//! in all), the run's scalars at full precision. The default-scale files
-//! are committed, so regenerating `results/` and running `git diff` is the
-//! drift check — bitwise for every summarized metric.
+//! Each binary prints its tables and writes them through one path rule
+//! ([`harness::write_results`]): `results/<name>.<ext>` at default scale,
+//! `results/<name>.<scale>.<ext>` otherwise. Every float cell is written
+//! once, at full precision ([`harness::num`]). The default-scale files are
+//! committed, so regenerating `results/` and running `git diff` is the
+//! drift check — bitwise for every number.
 
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod summary;

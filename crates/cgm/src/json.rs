@@ -1,9 +1,8 @@
 //! The workspace's one JSON reader: string escaping for the hand-rolled
 //! writers and a small recursive-descent parser for everything that reads
-//! JSON back (export validation, benchmark summaries). The repo is
+//! JSON back (export validation, the host-clock ledger). The repo is
 //! offline-vendored, so there is no serde; number *formatting* stays with
-//! each writer because their committed bytes differ (`{}` in the Chrome
-//! trace, `{:?}` in `BENCH_*.json`).
+//! each writer (`{}` in the Chrome trace).
 
 /// Deepest nesting [`parse`] accepts before refusing the document.
 const MAX_DEPTH: u32 = 256;

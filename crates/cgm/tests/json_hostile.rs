@@ -1,14 +1,14 @@
-//! `json::parse` reads files a human may have edited (committed benchmark
-//! summaries, the host-clock ledger, exported traces): hostile text must
-//! come back as `Ok` or as an error naming where it broke, never as a panic.
+//! `json::parse` reads files a human may have edited (the host-clock
+//! ledger, exported traces): hostile text must come back as `Ok` or as an
+//! error naming where it broke, never as a panic.
 
 use pdc_cgm::json;
 use proptest::prelude::*;
 
-/// A document in the shape of a benchmark summary, plus every other kind
-/// of value: escapes, a surrogate pair, literals and exponents.
+/// A flat object of named metrics, plus every other kind of value:
+/// escapes, a surrogate pair, literals and exponents.
 const SAMPLE: &str = r#"{
-  "schema": "pdc-bench-summary/1",
+  "schema": "sample/1",
   "bin": "fig_serving",
   "scale": "quick",
   "metrics": {
