@@ -415,21 +415,57 @@ mod tests {
         }
     }
 
+    /// Ordinary cells: every value parses back to its exact bits.
     #[test]
     fn num_round_trips_every_bit() {
-        let values: [f64; 9] = [0.1 + 0.2, 1e-7, 5e-324, 1e21, -0.0, 0.0, 1.0 / 3.0, -2.5, 24e3];
-        let neighbours = values.iter().flat_map(|v| [v.next_up(), v.next_down()]);
-        for v in values.into_iter().chain(neighbours) {
+        for v in [0.1 + 0.2, 1e-7, 1.0 / 3.0, -2.5, 123456.789, 0.04375, 1.0] {
             let cell = num(v);
             let back: f64 = cell.parse().unwrap_or_else(|e| panic!("{cell:?}: {e}"));
             assert_eq!(back.to_bits(), v.to_bits(), "{v:?} came back as {back:?}");
-            // A moved bit moves the cell: neighbours and the other zero differ.
-            assert_ne!(num(v.next_up()), cell, "{v:?}");
-            assert_ne!(num(v.next_down()), cell, "{v:?}");
-            assert_ne!(num(-v), cell, "{v:?}");
         }
         assert_eq!(num(0.1 + 0.2), "0.30000000000000004");
+    }
+
+    /// Values at the edges of the format round-trip too: subnormals, signed
+    /// zero, huge and tiny magnitudes, and integral values past 2^53.
+    #[test]
+    fn num_round_trips_awkward_values() {
+        let awkward = [
+            f64::from_bits(1),
+            5e-324,
+            1e-300,
+            1e300,
+            1e21,
+            -0.1,
+            -0.0,
+            0.0,
+            24e3,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+        ];
+        for v in awkward {
+            let cell = num(v);
+            let back: f64 = cell.parse().unwrap_or_else(|e| panic!("{cell:?}: {e}"));
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?} came back as {back:?}");
+        }
+    }
+
+    /// The drift check is a text diff of the CSVs: a value whose bits move
+    /// by one ulp must move its cell.
+    #[test]
+    fn num_values_one_ulp_apart_print_differently() {
+        for v in [0.1 + 0.2, 1e-7, 5e-324, 1e21, 1.0 / 3.0, -2.5, 24e3, 2f64.powi(53)] {
+            assert_ne!(num(v.next_up()), num(v), "{v:?}");
+            assert_ne!(num(v.next_down()), num(v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn num_zero_prints_apart_from_its_sign_and_neighbours() {
         assert_eq!((num(0.0), num(-0.0)), ("0.0".to_string(), "-0.0".to_string()));
+        for moved in [-0.0, 1e-300, f64::from_bits(1), -f64::from_bits(1)] {
+            assert_ne!(num(moved), num(0.0), "{moved:?}");
+        }
     }
 
     #[test]
