@@ -13,6 +13,10 @@
 //! shrinks `beta * m` without changing any decoded value. Encoded sizes
 //! then differ between ranks; nothing depends on them, because the
 //! collective's schedule is a function of the machine size alone.
+//!
+//! The elections and the alive-interval exchange that follow travel as
+//! `PerTask` values: one entry per task of the batch, so a batch of one
+//! puts exactly the bare entry's bytes on the wire.
 
 use pdc_cgm::wire::{decode_varint, encode_varint, DecodeError, DecodeResult, Wire};
 use pdc_clouds::{AttrIntervalStats, CountMatrix, CountTable, IntervalSet};
@@ -136,9 +140,33 @@ impl Wire for HistMsg {
     }
 }
 
+/// One value per task of a batch, in batch order. The encoding is the
+/// values back to back with no count: decoding reads to the end of the
+/// payload, so a `PerTask` is only ever a whole message, and a batch of one
+/// task encodes to exactly its value's bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PerTask<T>(pub(crate) Vec<T>);
+
+impl<T: Wire> Wire for PerTask<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        for value in &self.0 {
+            value.encode(buf);
+        }
+    }
+
+    fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
+        let mut values = Vec::new();
+        while !bytes.is_empty() {
+            values.push(T::decode(bytes)?);
+        }
+        Ok(PerTask(values))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_clouds::{AliveInterval, Candidate, Splitter};
 
     fn table(rows: &[[u64; 2]]) -> CountTable {
         CountTable::from_rows(rows).unwrap()
@@ -248,5 +276,59 @@ mod tests {
         }
         assert!(decode_sparse_counts(&mut &at_bound[..]).is_ok());
         assert!(HistMsg::from_bytes(&categorical_frame(65, 2, 0, &[])).is_err());
+    }
+
+    fn candidate(attr: usize, gini: f64) -> Candidate {
+        Candidate {
+            gini,
+            splitter: Splitter::Numeric { attr, threshold: 2.5 },
+            left_counts: vec![3, 4],
+        }
+    }
+
+    fn alive(attr: usize, index: usize) -> AliveInterval {
+        AliveInterval {
+            attr,
+            index,
+            lower: Some(1.0),
+            upper: None,
+            cum_before: vec![5, 0],
+            est: 0.25,
+            count: 9,
+        }
+    }
+
+    #[test]
+    fn one_task_encodes_to_the_bare_value() {
+        for value in [None, Some(candidate(2, 0.4))] {
+            assert_eq!(PerTask(vec![value.clone()]).to_bytes(), value.to_bytes());
+        }
+        for value in [Vec::new(), vec![alive(0, 3), alive(4, 1)]] {
+            assert_eq!(PerTask(vec![value.clone()]).to_bytes(), value.to_bytes());
+        }
+    }
+
+    #[test]
+    fn k_tasks_round_trip() {
+        let elected = PerTask(vec![Some(candidate(1, 0.3)), None, Some(candidate(5, 0.1))]);
+        assert_eq!(PerTask::from_bytes(&elected.to_bytes()).unwrap(), elected);
+        let alive = PerTask(vec![vec![alive(0, 1)], Vec::new(), vec![alive(2, 0), alive(2, 4)]]);
+        assert_eq!(PerTask::from_bytes(&alive.to_bytes()).unwrap(), alive);
+    }
+
+    #[test]
+    fn truncated_per_task_payloads_error_instead_of_panicking() {
+        // Every cut of a two-task payload errs, except the one at the end of
+        // the first value, which decodes to that task alone.
+        fn check<T: Wire + PartialEq + std::fmt::Debug>(first: T, second: T) {
+            let boundary = first.to_bytes().len();
+            let bytes = PerTask(vec![first, second]).to_bytes();
+            for cut in 1..bytes.len() {
+                let decoded = PerTask::<T>::from_bytes(&bytes[..cut]);
+                assert_eq!(decoded.is_ok(), cut == boundary, "cut {cut} of {}", bytes.len());
+            }
+        }
+        check(Some(candidate(1, 0.3)), Some(candidate(5, 0.1)));
+        check(vec![alive(0, 1)], vec![alive(2, 0), alive(2, 4)]);
     }
 }

@@ -12,16 +12,23 @@
 //!    combined to their owning processors in one batched reduce-scatter
 //!    (see [`crate::comm`]); owners prefix-sum the frequency vectors and
 //!    evaluate gini at the interval boundaries;
-//!    a min-loc reduction yields `gini_min`; owners determine the **alive
-//!    intervals** (SSE lower bound) and the statuses are broadcast
-//!    (all-gather); alive intervals are LPT-assigned, their points shipped
-//!    with one personalized all-to-all (**single-assignment approach**),
-//!    sorted and scanned exactly; a final min-loc + broadcast fixes the
-//!    splitter.
+//!    an election (one all-gather of every rank's best candidate) yields
+//!    `gini_min`; owners determine the **alive intervals** (SSE lower bound)
+//!    and replicate them (all-gather); alive intervals are LPT-assigned,
+//!    their points shipped with one personalized all-to-all
+//!    (**single-assignment approach**), sorted and scanned exactly; a final
+//!    election fixes the splitter.
 //! 3. *Partitioning* — sample points are split first (giving the child
 //!    interval sets), then each processor streams its local partition into
 //!    local left/right files while fusing the children's statistics —
 //!    no communication, near-perfect balance by Lemma 2.
+//!
+//! The step has one body, `process_batch`, over a batch of tasks: a node is
+//! a batch of one under data and mixed parallelism, a whole tree level under
+//! **concatenated parallelism** (§3.3), which spools the level's exchanges
+//! into the same collectives and shares the memory limit among its tasks.
+//! Elections and the alive exchange carry one `PerTask` value per task, so
+//! a batch of one moves exactly the bytes of a lone node.
 //!
 //! **Small nodes** (delayed task parallelism) are LPT-assigned to single
 //! processors, their data is moved with batched compute-dependent parallel
@@ -38,7 +45,7 @@ use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_dnc::{lpt_assign, Outcome, OocProblem, Task};
 use pdc_pario::{DiskFarm, Rec, RecBuf};
 
-use crate::comm::HistMsg;
+use crate::comm::{HistMsg, PerTask};
 use crate::config::PcloudsConfig;
 use crate::state::SharedBuild;
 
@@ -187,86 +194,47 @@ impl PcloudsProblem<'_> {
         }
     }
 
-    /// Phase 2a for one node: returns this processor's best owned candidate
-    /// and the attribute statistics it owns.
-    fn derive_boundary_candidates(
-        &self,
-        proc: &mut Proc,
-        stats: &mut NodeStats,
-        node_total: &ClassCounts,
-    ) -> (Option<Candidate>, Vec<pdc_clouds::AttrIntervalStats>) {
-        let mut local_best: Option<Candidate> = None;
-        let mut owned = Vec::new();
-        for msg in self.combine_statistics(proc, std::slice::from_mut(stats)) {
-            let (cand, attr_stats) = self.evaluate_owned(proc, msg, node_total);
-            if let Some(cand) = cand {
-                local_best = Candidate::better(local_best, cand);
+    /// One election for a batch: one all-gather of every rank's best
+    /// candidate per task, after which every rank keeps, per task, the
+    /// canonically smallest (the paper's min-reduction on local minimum
+    /// ginis, made canonical so no winner depends on ranks or batching).
+    fn elect(&self, proc: &mut Proc, local: Vec<Option<Candidate>>) -> Vec<Option<Candidate>> {
+        let mut best = vec![None; local.len()];
+        for PerTask(per_rank) in proc.all_gather(PerTask(local)) {
+            for (best, cand) in best.iter_mut().zip(per_rank) {
+                if let Some(cand) = cand {
+                    *best = Candidate::better(best.take(), cand);
+                }
             }
-            owned.extend(attr_stats);
-        }
-        (local_best, owned)
-    }
-
-    /// Share locally-held best candidates: one all-to-all broadcast of the
-    /// per-processor winners, after which every rank deterministically
-    /// keeps the canonically smallest (the paper's min-reduction on local
-    /// minimum ginis, made canonical so ties never depend on ranks).
-    fn elect_candidate(
-        &self,
-        proc: &mut Proc,
-        local: Option<Candidate>,
-    ) -> Option<Candidate> {
-        let gathered = proc.all_gather(local);
-        let mut best: Option<Candidate> = None;
-        for cand in gathered.into_iter().flatten() {
-            best = Candidate::better(best, cand);
         }
         best
     }
 
-    /// Phase 2b: determine alive intervals on the owners and replicate the
-    /// statuses everywhere (all-to-all broadcast of the interval statuses).
-    fn determine_alive(
-        &self,
-        proc: &mut Proc,
-        owned: &[pdc_clouds::AttrIntervalStats],
-        node_total: &ClassCounts,
-        gini_min: f64,
-    ) -> Vec<AliveInterval> {
-        let mut local_alive = Vec::new();
-        for attr_stats in owned {
-            proc.charge(
-                OpKind::GiniEval,
-                attr_stats.intervals().num_intervals() as u64,
-            );
-            local_alive.extend(attr_stats.alive_intervals(node_total, gini_min));
-        }
-        let mut all: Vec<AliveInterval> =
-            proc.all_gather(local_alive).into_iter().flatten().collect();
-        // Deterministic global order (owners may interleave attributes).
-        all.sort_by_key(|a| (a.attr, a.index));
-        all
-    }
-
-    /// Phase 2c: single-assignment evaluation of alive intervals — the one
-    /// body of the exact pass, for one node or a whole concatenated level.
-    /// `alive` holds `(task index, interval)` sorted by task, so each task's
-    /// intervals form one run; `scanned` lists the tasks whose node files are
-    /// streamed, in order, `chunk` records per round. Each interval is
-    /// LPT-assigned to one processor; the streaming pass routes each alive
+    /// Phase 2c: single-assignment evaluation of alive intervals — the
+    /// exact pass of a whole batch. `alive[j]` holds the alive intervals of
+    /// task `active[j]`, sorted by `(attr, index)`; the tasks' node files are
+    /// streamed in `active` order, `chunk` records per round. Each interval
+    /// is LPT-assigned to one processor; the streaming pass routes each alive
     /// point to its interval's owner (one personalized all-to-all per chunk
-    /// round); owners sort and scan exactly. Returns this rank's
-    /// `(task index, candidate)` list, for the caller's election.
+    /// round); owners sort and scan exactly. Returns this rank's best exact
+    /// candidate per task, for the election.
     fn evaluate_alive(
         &self,
         proc: &mut Proc,
         tasks: &[Task<NodeMeta>],
-        scanned: &[usize],
-        alive: &[(u64, AliveInterval)],
+        active: &[usize],
+        alive: &[Vec<AliveInterval>],
         chunk: usize,
-    ) -> Vec<(u64, Candidate)> {
+    ) -> Vec<Option<Candidate>> {
         let p = proc.nprocs();
-        let costs: Vec<f64> = alive
+        // Every interval of the batch with its task's position in `active`;
+        // intervals are addressed by their position here.
+        let flat: Vec<(usize, &AliveInterval)> = alive
+            .iter()
+            .enumerate()
+            .flat_map(|(j, run)| run.iter().map(move |interval| (j, interval)))
+            .collect();
+        let costs: Vec<f64> = flat
             .iter()
             .map(|(_, a)| {
                 let n = a.count.max(2) as f64;
@@ -276,7 +244,7 @@ impl PcloudsProblem<'_> {
         let owners = lpt_assign(&costs, p);
         let rounds = {
             let disk = self.farm.lock(proc.rank());
-            let total_chunks: usize = scanned
+            let total_chunks: usize = active
                 .iter()
                 .map(|&i| {
                     let f = disk.open::<Record>(&Self::node_file(tasks[i].id));
@@ -285,17 +253,18 @@ impl PcloudsProblem<'_> {
                 .sum();
             proc.allreduce(total_chunks as u64, u64::max)
         };
-        // One router per task: over the task's run of `alive`, with the
-        // position where that run starts.
-        let mut routers: Vec<Option<(usize, AliveRouter)>> = vec![None; tasks.len()];
+        // One router per task, with the position where its intervals start.
         let mut base = 0usize;
-        for run in alive.chunk_by(|a, b| a.0 == b.0) {
-            let router = AliveRouter::new(run.iter().map(|(_, interval)| interval));
-            routers[run[0].0 as usize] = Some((base, router));
-            base += run.len();
-        }
-        // The points this rank owns, by position in `alive`.
-        let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); alive.len()];
+        let routers: Vec<(usize, AliveRouter)> = alive
+            .iter()
+            .map(|run| {
+                let start = base;
+                base += run.len();
+                (start, AliveRouter::new(run))
+            })
+            .collect();
+        // The points this rank owns, by position.
+        let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); flat.len()];
         let mut task_pos = 0usize;
         let mut cursor = 0usize;
         let mut page = RecBuf::new();
@@ -308,9 +277,8 @@ impl PcloudsProblem<'_> {
             {
                 let mut disk = self.farm.lock(proc.rank());
                 let mut budget = chunk;
-                while budget > 0 && task_pos < scanned.len() {
-                    let i = scanned[task_pos];
-                    let f = disk.open::<Record>(&Self::node_file(tasks[i].id));
+                while budget > 0 && task_pos < active.len() {
+                    let f = disk.open::<Record>(&Self::node_file(tasks[active[task_pos]].id));
                     let remaining = disk.num_records(&f) - cursor;
                     if remaining == 0 {
                         task_pos += 1;
@@ -319,12 +287,11 @@ impl PcloudsProblem<'_> {
                     }
                     let take = budget.min(remaining);
                     let piece = disk.read_range_into(proc, &f, cursor, take, &mut page);
-                    if let Some((base, router)) = &routers[i] {
-                        router.for_each_hit(&piece, |k, v, class| {
-                            let k = base + k;
-                            buckets[owners[k]].push((k as u64, v, class));
-                        });
-                    }
+                    let (base, router) = &routers[task_pos];
+                    router.for_each_hit(&piece, |k, v, class| {
+                        let k = base + k;
+                        buckets[owners[k]].push((k as u64, v, class));
+                    });
                     records += piece.len();
                     cursor += take;
                     budget -= take;
@@ -332,7 +299,7 @@ impl PcloudsProblem<'_> {
             }
             // The modelled machine tests every record against every
             // interval; the host asks the router once per attribute.
-            proc.charge(OpKind::SplitTest, (records * alive.len()) as u64);
+            proc.charge(OpKind::SplitTest, (records * flat.len()) as u64);
             for batch in proc.all_to_all(buckets) {
                 for (k, v, class) in batch {
                     mine[k as usize].push((v, class));
@@ -341,10 +308,10 @@ impl PcloudsProblem<'_> {
         }
 
         // Exact scans of the intervals this processor owns.
-        let mut local_best: Vec<(u64, Candidate)> = Vec::new();
+        let mut local_best: Vec<Option<Candidate>> = vec![None; active.len()];
         let mut metrics_points = 0u64;
         let mut metrics_intervals = 0usize;
-        for (k, (t, interval)) in alive.iter().enumerate() {
+        for (k, &(j, interval)) in flat.iter().enumerate() {
             if owners[k] != proc.rank() {
                 continue;
             }
@@ -355,9 +322,9 @@ impl PcloudsProblem<'_> {
             let ws = points.len() * 16;
             proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
             proc.charge_ws(OpKind::GiniEval, n, ws);
-            let node_total = &tasks[*t as usize].meta.counts;
+            let node_total = &tasks[active[j]].meta.counts;
             if let Some(c) = exact_interval_scan(points, interval, node_total) {
-                local_best.push((*t, c));
+                local_best[j] = Candidate::better(local_best[j].take(), c);
             }
         }
         let mut st = self.build.rank(proc.rank());
@@ -476,27 +443,8 @@ impl PcloudsProblem<'_> {
         self.params().q_for_node(n, self.n_root) <= self.config.switch_threshold_intervals
     }
 
-    /// Batched election: every processor contributes its `(task, candidate)`
-    /// pairs to one all-gather; everyone deterministically keeps the lowest
-    /// gini per task (ties to the earliest contributor in rank order).
-    fn elect_batch(
-        &self,
-        proc: &mut Proc,
-        local: &[(u64, Candidate)],
-    ) -> std::collections::HashMap<u64, Candidate> {
-        let gathered = proc.all_gather(local.to_vec());
-        let mut best: std::collections::HashMap<u64, Candidate> = std::collections::HashMap::new();
-        for list in gathered {
-            for (t, c) in list {
-                let merged = Candidate::better(best.remove(&t), c).unwrap();
-                best.insert(t, merged);
-            }
-        }
-        best
-    }
-
     /// Phase 3: partition on the elected candidate, or conclude the node is
-    /// a leaf. Shared by the per-node and the batched (concatenated) paths.
+    /// a leaf.
     fn conclude(
         &self,
         proc: &mut Proc,
@@ -526,6 +474,115 @@ impl PcloudsProblem<'_> {
             },
         )
     }
+
+    /// The large-node step — statistics, split derivation, partition — for
+    /// a batch of tasks at once: one task under data and mixed parallelism,
+    /// a whole tree level under concatenated parallelism. A batch spools its
+    /// communication into the collectives one task would issue (one
+    /// statistics combine, one election, one alive-interval exchange, one
+    /// exact pass and its election), at the price §3.3 calls out: "the
+    /// available memory has to be shared by the many tasks that are solved
+    /// together", so every streaming pass runs with `memory_limit / batch`.
+    fn process_batch(&self, proc: &mut Proc, tasks: &[Task<NodeMeta>]) -> Vec<Outcome<NodeMeta>> {
+        let chunk = (self.chunk() / tasks.len()).max(1);
+        let mut outcomes = vec![Outcome::Solved; tasks.len()];
+
+        // Tasks that stop become leaves immediately: stopping criteria are
+        // evaluated on global counts — identical on every rank, no
+        // communication needed.
+        let mut active = Vec::new();
+        for (i, task) in tasks.iter().enumerate() {
+            if self.params().should_stop(&task.meta.counts, task.depth) {
+                self.retire(proc, task.id);
+            } else {
+                active.push(i);
+            }
+        }
+        // A phase span names its node when one task is active.
+        let attrs = |records: bool| match active[..] {
+            [i] if records => {
+                vec![("node", tasks[i].id as i64), ("records", tasks[i].meta.n() as i64)]
+            }
+            [i] => vec![("node", tasks[i].id as i64)],
+            _ => vec![("tasks", active.len() as i64)],
+        };
+        if active.is_empty() {
+            return outcomes;
+        }
+        let totals: Vec<&ClassCounts> = active.iter().map(|&i| &tasks[i].meta.counts).collect();
+
+        // Phase 1: local statistics (fused from the parent when possible).
+        let stats_span = proc.span("pclouds.stats", &attrs(true));
+        let mut stats: Vec<NodeStats> = Vec::with_capacity(active.len());
+        for &i in &active {
+            let cached = self.build.rank(proc.rank()).stats_cache.remove(&tasks[i].id);
+            stats.push(cached.unwrap_or_else(|| {
+                let q = self.params().q_for_node(tasks[i].meta.n(), self.n_root);
+                self.local_stats_pass(proc, tasks[i].id, q, chunk)
+            }));
+        }
+        proc.span_end(stats_span);
+
+        // Phase 2: derive the splitting point (replication method,
+        // attribute-based). This rank's block of the one reduce-scatter
+        // holds `active.len()` consecutive entries per owned attribute.
+        let derive_span = proc.span("pclouds.derive", &attrs(false));
+        let mut local = vec![None; active.len()];
+        let mut owned = Vec::new();
+        for (k, msg) in self.combine_statistics(proc, &mut stats).into_iter().enumerate() {
+            let j = k % active.len();
+            let (cand, attr_stats) = self.evaluate_owned(proc, msg, totals[j]);
+            if let Some(cand) = cand {
+                local[j] = Candidate::better(local[j].take(), cand);
+            }
+            owned.extend(attr_stats.map(|s| (j, s)));
+        }
+        let ss = self.elect(proc, local);
+
+        // The exact pass runs iff the method is SSE, so under SS a task
+        // without a boundary candidate is a leaf. Owners determine the alive
+        // intervals and replicate them (one all-gather, grouped by task).
+        let mut alive = vec![Vec::new(); active.len()];
+        if self.params().method == SplitMethod::SSE {
+            let mut local = vec![Vec::new(); active.len()];
+            for (j, attr_stats) in &owned {
+                let gini_min = ss[*j].as_ref().map_or(f64::INFINITY, |c| c.gini);
+                proc.charge(OpKind::GiniEval, attr_stats.intervals().num_intervals() as u64);
+                local[*j].extend(attr_stats.alive_intervals(totals[*j], gini_min));
+            }
+            for PerTask(per_rank) in proc.all_gather(PerTask(local)) {
+                for (all, mine) in alive.iter_mut().zip(per_rank) {
+                    all.extend(mine);
+                }
+            }
+            // Deterministic global order (owners may interleave attributes).
+            for run in &mut alive {
+                run.sort_by_key(|a| (a.attr, a.index));
+            }
+        }
+        for (j, &i) in active.iter().enumerate() {
+            if tasks[i].id == 1 {
+                let alive_records: u64 = alive[j].iter().map(|a| a.count).sum();
+                let ratio = alive_records as f64 / tasks[i].meta.n().max(1) as f64;
+                self.build.rank(proc.rank()).metrics.root_survival_ratio = ratio;
+            }
+        }
+        let exact = if alive.iter().all(Vec::is_empty) {
+            vec![None; active.len()]
+        } else {
+            let local = self.evaluate_alive(proc, tasks, &active, &alive, chunk);
+            self.elect(proc, local)
+        };
+        proc.span_end(derive_span);
+
+        // Phase 3: conclude every task (partition passes are local).
+        let partition_span = proc.span("pclouds.partition", &attrs(false));
+        for ((&i, ss), exact) in active.iter().zip(ss).zip(exact) {
+            outcomes[i] = self.conclude(proc, &tasks[i], better_of(ss, exact), chunk);
+        }
+        proc.span_end(partition_span);
+        outcomes
+    }
 }
 
 impl OocProblem for PcloudsProblem<'_> {
@@ -545,65 +602,7 @@ impl OocProblem for PcloudsProblem<'_> {
     }
 
     fn process_large(&self, proc: &mut Proc, task: &Task<NodeMeta>) -> Outcome<NodeMeta> {
-        let id = task.id;
-        let node_total = task.meta.counts.clone();
-        let n = task.meta.n();
-
-        // Stopping criteria are evaluated on global counts — identical on
-        // every rank, no communication needed.
-        if self.params().should_stop(&node_total, task.depth) {
-            self.retire(proc, id);
-            return Outcome::Solved;
-        }
-
-        let q = self.params().q_for_node(n, self.n_root);
-
-        // Phase 1: local statistics (fused from the parent when possible).
-        let stats_span =
-            proc.span("pclouds.stats", &[("node", id as i64), ("records", n as i64)]);
-        let cached = {
-            let mut st = self.build.rank(proc.rank());
-            st.stats_cache.remove(&id)
-        };
-        let mut local_stats = match cached {
-            Some(stats) => stats,
-            None => self.local_stats_pass(proc, id, q, self.chunk()),
-        };
-        proc.span_end(stats_span);
-        let derive_span = proc.span("pclouds.derive", &[("node", id as i64)]);
-
-        // Phase 2: derive the splitting point (replication method,
-        // attribute-based); the exact pass runs iff the method is SSE, so
-        // under SS a node without a boundary candidate is a leaf.
-        let (local_best, owned) =
-            self.derive_boundary_candidates(proc, &mut local_stats, &node_total);
-        let ss_candidate = self.elect_candidate(proc, local_best);
-        let alive = if self.params().method == SplitMethod::SSE {
-            let gini_min = ss_candidate.as_ref().map_or(f64::INFINITY, |c| c.gini);
-            self.determine_alive(proc, &owned, &node_total, gini_min)
-        } else {
-            Vec::new()
-        };
-        if id == 1 {
-            let alive_records: u64 = alive.iter().map(|a| a.count).sum();
-            let ratio = alive_records as f64 / n.max(1) as f64;
-            self.build.rank(proc.rank()).metrics.root_survival_ratio = ratio;
-        }
-        let best = if alive.is_empty() {
-            ss_candidate
-        } else {
-            let alive: Vec<(u64, AliveInterval)> = alive.into_iter().map(|a| (0, a)).collect();
-            let mine =
-                self.evaluate_alive(proc, std::slice::from_ref(task), &[0], &alive, self.chunk());
-            let local_best = mine.into_iter().fold(None, |best, (_, c)| Candidate::better(best, c));
-            let exact = self.elect_candidate(proc, local_best);
-            better_of(ss_candidate, exact)
-        };
-
-        proc.span_end(derive_span);
-        proc.in_span("pclouds.partition", &[("node", id as i64)], |proc| {
-            self.conclude(proc, task, best, self.chunk())
-        })
+        self.process_batch(proc, std::slice::from_ref(task)).remove(0)
     }
 
     /// Batched compute-dependent parallel I/O: all small nodes' data moves
@@ -757,115 +756,9 @@ impl OocProblem for PcloudsProblem<'_> {
         disk.sync_engine(proc);
     }
 
-    /// **Concatenated parallelism** (Section 3.3): process a whole tree
-    /// level together, spooling the level's communication into batched
-    /// collectives (one attribute-statistics combine for *all* nodes, one
-    /// candidate election, one alive-interval exchange) — at the price the
-    /// paper calls out: "the available memory has to be shared by the many
-    /// tasks that are solved together", so every streaming pass runs with
-    /// `memory_limit / level_size`.
-    fn process_level(
-        &self,
-        proc: &mut Proc,
-        tasks: &[Task<NodeMeta>],
-    ) -> Vec<Outcome<NodeMeta>> {
-        use std::collections::HashMap;
-        let level = tasks.len();
-        if level <= 1 {
-            return tasks.iter().map(|t| self.process_large(proc, t)).collect();
-        }
-        let chunk = (self.chunk() / level).max(1);
-
-        // Tasks that stop become leaves immediately (global counts, no
-        // communication).
-        let active: Vec<usize> = (0..level)
-            .filter(|&i| !self.params().should_stop(&tasks[i].meta.counts, tasks[i].depth))
-            .collect();
-        for (i, task) in tasks.iter().enumerate() {
-            if !active.contains(&i) {
-                self.retire(proc, task.id);
-            }
-        }
-        if active.is_empty() {
-            return vec![Outcome::Solved; level];
-        }
-
-        // --- Phase 1: per-task local statistics under the shared budget.
-        let stats_span = proc.span("pclouds.stats", &[("tasks", active.len() as i64)]);
-        let mut level_stats: Vec<NodeStats> = Vec::with_capacity(active.len());
-        for &i in &active {
-            let id = tasks[i].id;
-            let q = self.params().q_for_node(tasks[i].meta.n(), self.n_root);
-            let cached = {
-                let mut st = self.build.rank(proc.rank());
-                st.stats_cache.remove(&id)
-            };
-            let stats = match cached {
-                Some(s) => s,
-                None => self.local_stats_pass(proc, id, q, chunk),
-            };
-            level_stats.push(stats);
-        }
-        proc.span_end(stats_span);
-
-        // --- Phase 2a: ONE reduce-scatter for the whole level; this rank's
-        // block holds `active.len()` consecutive entries per owned
-        // attribute, in `active` order.
-        let derive_span = proc.span("pclouds.derive", &[("tasks", active.len() as i64)]);
-        let mut my_candidates: Vec<(u64, Candidate)> = Vec::new();
-        let mut owned_stats: Vec<(usize, pdc_clouds::AttrIntervalStats)> = Vec::new();
-        let mine = self.combine_statistics(proc, &mut level_stats);
-        for (k, msg) in mine.into_iter().enumerate() {
-            let i = active[k % active.len()];
-            let (cand, attr_stats) = self.evaluate_owned(proc, msg, &tasks[i].meta.counts);
-            my_candidates.extend(cand.map(|c| (i as u64, c)));
-            owned_stats.extend(attr_stats.map(|s| (i, s)));
-        }
-        // ONE election for the whole level.
-        let ss_best = self.elect_batch(proc, &my_candidates);
-
-        // --- Phase 2b: alive determination, exchanged in ONE all-gather.
-        let mut local_alive: Vec<(u64, AliveInterval)> = Vec::new();
-        if self.params().method == SplitMethod::SSE {
-            for (i, attr_stats) in &owned_stats {
-                let gini_min = ss_best.get(&(*i as u64)).map_or(f64::INFINITY, |c| c.gini);
-                proc.charge(OpKind::GiniEval, attr_stats.intervals().num_intervals() as u64);
-                for alive in attr_stats.alive_intervals(&tasks[*i].meta.counts, gini_min) {
-                    local_alive.push((*i as u64, alive));
-                }
-            }
-        }
-        let mut all_alive: Vec<(u64, AliveInterval)> = proc
-            .all_gather(local_alive)
-            .into_iter()
-            .flatten()
-            .collect();
-        all_alive.sort_by_key(|a| (a.0, a.1.attr, a.1.index));
-
-        // --- Phase 2c: single-assignment evaluation, batched across the
-        // level: one chunked all-to-all stream covering every task's file.
-        let exact_best = if all_alive.is_empty() {
-            HashMap::new()
-        } else {
-            let local_exact = self.evaluate_alive(proc, tasks, &active, &all_alive, chunk);
-            self.elect_batch(proc, &local_exact)
-        };
-        proc.span_end(derive_span);
-
-        // --- Phase 3: conclude every task (partition passes are local).
-        let partition_span =
-            proc.span("pclouds.partition", &[("tasks", active.len() as i64)]);
-        let outcomes = (0..level)
-            .map(|i| {
-                if !active.contains(&i) {
-                    return Outcome::Solved;
-                }
-                let ss = ss_best.get(&(i as u64)).cloned();
-                let exact = exact_best.get(&(i as u64)).cloned();
-                self.conclude(proc, &tasks[i], better_of(ss, exact), chunk)
-            })
-            .collect();
-        proc.span_end(partition_span);
-        outcomes
+    /// **Concatenated parallelism** (Section 3.3): a whole tree level takes
+    /// the large-node step together (see `PcloudsProblem::process_batch`).
+    fn process_level(&self, proc: &mut Proc, tasks: &[Task<NodeMeta>]) -> Vec<Outcome<NodeMeta>> {
+        self.process_batch(proc, tasks)
     }
 }

@@ -6,7 +6,7 @@
 //! every rank, and the exact pass behind it moves no rank's clock.
 
 use pdc_cgm::{Cluster, MachineConfig, Wire};
-use pdc_clouds::CloudsParams;
+use pdc_clouds::{CloudsParams, SplitMethod};
 use pdc_datagen::{generate, GeneratorConfig};
 use pdc_dnc::Strategy;
 use pdc_pario::DiskFarm;
@@ -26,14 +26,22 @@ fn test_config() -> PcloudsConfig {
 }
 
 fn build(records: &[pdc_datagen::Record], p: usize, strategy: Strategy) -> TrainOutput {
-    let cfg = test_config();
+    build_with(&test_config(), records, p, strategy)
+}
+
+fn build_with(
+    cfg: &PcloudsConfig,
+    records: &[pdc_datagen::Record],
+    p: usize,
+    strategy: Strategy,
+) -> TrainOutput {
     let farm = DiskFarm::in_memory(p);
     let root = load_dataset(&farm, records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
     let machine = MachineConfig {
         spans: true,
         ..MachineConfig::default()
     };
-    train(&Cluster::with_config(p, machine), &farm, &root, &cfg, strategy)
+    train(&Cluster::with_config(p, machine), &farm, &root, cfg, strategy)
 }
 
 /// Per-rank accounting identity: the five time counters plus idle cover the
@@ -70,14 +78,21 @@ const GOLDEN_TREE_HASH: [(Strategy, u64); 2] = [
     (Strategy::Concatenated, 0x395b_e22d_3292_c68c),
 ];
 
-/// What the same runs put on the wire and on the clock at commit 40351fa,
-/// when the SSE second pass tested every record against every alive
-/// interval: `(strategy, p, bytes sent, alive intervals evaluated, alive
-/// points scanned, finish-time bits)`, the counters summed over the ranks.
-/// A concatenated level's batched pass counts its intervals and points
-/// since PR 18 (it sent them all along: no other column moved); it
-/// evaluates more of them than Mixed, whose small nodes are solved in
-/// memory, and the same at every `p`.
+/// What the same runs put on the wire and on the clock: `(strategy, p,
+/// bytes sent, alive intervals evaluated, alive points scanned, finish-time
+/// bits)`, the counters summed over the ranks. The Mixed rows date from
+/// commit 40351fa, when the SSE second pass tested every record against
+/// every alive interval. A concatenated level evaluates more intervals and
+/// points than Mixed, whose small nodes are solved in memory, and the same
+/// at every `p`. The Concatenated bytes and finish bits at p > 1 were
+/// re-pinned when one large-node body (`process_batch`) replaced
+/// `process_large` and `process_level`: a level sends the same messages
+/// with fewer bytes because (1) each election contribution is one
+/// `Option<Candidate>` per task instead of one `(u64, Candidate)` per owned
+/// attribute, (2) each rank reduces its exact candidates before electing,
+/// (3) alive intervals travel grouped by task instead of each tagged with a
+/// `u64`, and (4) under SS a level no longer all-gathers an empty alive
+/// list. The trees, the alive counters and every Mixed row did not move.
 const GOLDEN_ALIVE_PASS: [(Strategy, usize, u64, usize, u64, u64); 9] = [
     (Strategy::Mixed, 1, 0, 612, 20_333, 0x3fe5_20d3_02e0_9ee0),
     (Strategy::Mixed, 3, 820_832, 612, 20_333, 0x3fd0_35e4_ffe7_be5d),
@@ -85,9 +100,9 @@ const GOLDEN_ALIVE_PASS: [(Strategy, usize, u64, usize, u64, u64); 9] = [
     (Strategy::Mixed, 8, 1_971_778, 612, 20_333, 0x3fc0_63e5_5bca_41b7),
     (Strategy::Mixed, 64, 18_842_887, 612, 20_333, 0x3fc1_9b9b_15fb_8dc7),
     (Strategy::Concatenated, 1, 0, 1_952, 35_517, 0x3ff4_633b_6e6b_18cb),
-    (Strategy::Concatenated, 3, 2_124_386, 1_952, 35_517, 0x3fe0_1516_fd2f_08ad),
-    (Strategy::Concatenated, 4, 2_652_978, 1_952, 35_517, 0x3fd9_53a3_cd3b_1ca3),
-    (Strategy::Concatenated, 8, 5_567_585, 1_952, 35_517, 0x3fd1_9f9e_b0ef_1c3f),
+    (Strategy::Concatenated, 3, 1_783_160, 1_952, 35_517, 0x3fdf_f3bd_2294_94dd),
+    (Strategy::Concatenated, 4, 2_188_245, 1_952, 35_517, 0x3fd9_1472_1826_163f),
+    (Strategy::Concatenated, 8, 4_888_221, 1_952, 35_517, 0x3fd1_6b58_a808_b784),
 ];
 
 #[test]
@@ -119,13 +134,16 @@ fn trained_tree_bytes_match_the_golden_hash() {
     }
 }
 
-/// Every rank's finish-time bits and the tree hash at commit 2b4fe2d — the
-/// last with a second copy of the exact pass inside `process_level` — for
-/// 7 000 records of generator seed 22 under a 4 KiB memory limit (73-record
-/// chunks), SSE, p = 4. On this input the concatenated levels hold up to 23
-/// tasks with alive intervals at once, and under `Mixed` nine large nodes
-/// (4, 5, 10, 21, 22, 85, 171, 684, 1368) leave a rank with no records to
-/// read before the last chunk round.
+/// Every rank's finish-time bits and the tree hash for 7 000 records of
+/// generator seed 22 under a 4 KiB memory limit (73-record chunks), SSE,
+/// p = 4. On this input the concatenated levels hold up to 23 tasks with
+/// alive intervals at once, and under `Mixed` nine large nodes (4, 5, 10,
+/// 21, 22, 85, 171, 684, 1368) leave a rank with no records to read before
+/// the last chunk round. Both hashes and the Mixed bits date from commit
+/// 2b4fe2d, the last with a second copy of the exact pass. The
+/// Concatenated bits were re-pinned when one large-node body
+/// (`process_batch`) replaced `process_level`: its elections and alive
+/// exchange carry fewer bytes (see `GOLDEN_ALIVE_PASS`), nothing else moved.
 const GOLDEN_EXACT_PASS: [(Strategy, u64, [u64; 4]); 2] = [
     (
         Strategy::Mixed,
@@ -135,7 +153,7 @@ const GOLDEN_EXACT_PASS: [(Strategy, u64, [u64; 4]); 2] = [
     (
         Strategy::Concatenated,
         0x6f31_e484_3435_7fc7,
-        [0x3fe5_01d1_8bec_36d9, 0x3fe5_01be_de31_44c6, 0x3fe5_01ac_3076_52b5, 0x3fe5_01be_de31_44c6],
+        [0x3fe4_e656_049e_c3d0, 0x3fe4_e643_56e3_d1bd, 0x3fe4_e630_a928_dfac, 0x3fe4_e643_56e3_d1bd],
     ),
 ];
 
@@ -200,6 +218,44 @@ fn every_derive_phase_issues_exactly_one_reduce_scatter() {
                     );
                 }
                 assert!(derives > 0, "p={p} {strategy:?} rank {}: no derive span", s.rank);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_derive_phase_all_gathers_once_per_exchange_whatever_its_batch() {
+    // A derive span, whether it covers one node or a concatenated level,
+    // all-gathers once for the boundary election; under SSE once more for
+    // the alive intervals and, when any survive, once for the exact
+    // election. Under SS nothing else is exchanged.
+    let records = generate(6_000, GeneratorConfig::default());
+    for (method, allowed) in [(SplitMethod::SS, 1..=1), (SplitMethod::SSE, 2..=3)] {
+        let cfg = PcloudsConfig {
+            clouds: CloudsParams { method, ..test_config().clouds },
+            ..test_config()
+        };
+        for strategy in [Strategy::Mixed, Strategy::Concatenated] {
+            let out = build_with(&cfg, &records, 4, strategy);
+            for s in &out.run.stats {
+                let mut derives = 0;
+                for (d, derive) in s.spans.iter().enumerate() {
+                    if derive.name != "pclouds.derive" {
+                        continue;
+                    }
+                    let gathers = s
+                        .spans
+                        .iter()
+                        .filter(|c| c.parent == Some(d as u32) && c.name == "cgm.all_gather")
+                        .count();
+                    assert!(
+                        allowed.contains(&gathers),
+                        "{method:?} {strategy:?} rank {}: derive span {d} all-gathers {gathers}x",
+                        s.rank
+                    );
+                    derives += 1;
+                }
+                assert!(derives > 0, "{method:?} {strategy:?} rank {}: no derive span", s.rank);
             }
         }
     }
