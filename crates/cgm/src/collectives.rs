@@ -1,6 +1,6 @@
-//! Collective communication primitives, built from point-to-point messages
-//! so that their *measured* simulated cost reproduces the complexities of
-//! Table 1 of the paper:
+//! Collective communication primitives, charged as point-to-point
+//! messages so that their *measured* simulated cost reproduces the
+//! complexities of Table 1 of the paper:
 //!
 //! | primitive            | hypercube cost                      |
 //! |----------------------|-------------------------------------|
@@ -14,6 +14,23 @@
 //! functions must be associative and commutative — combination order is
 //! deterministic for a given `p` but is not the rank order.
 //!
+//! Two collectives are *resolved* rather than sent. [`Proc::all_to_all`]
+//! (pairwise XOR exchange, or the shifted ring when `p` is not a power of
+//! two) and [`Proc::all_gather`] (recursive doubling, or the ring) move
+//! bytes that no rank combines and cannot fail softly, so their schedules
+//! are pure functions of every member's entry clock, part sizes and link
+//! sequence numbers. Each member deposits those on its communicator's board
+//! (see [`crate::exec`]); the last to arrive runs the schedule in virtual
+//! time — the same `message_cost`, link-fault draws and
+//! `max(clock, arrival)` rule a message gets — and each member then replays
+//! its own sends and receives through the accounting of
+//! [`Proc::try_send_bytes`] / [`Proc::try_recv_bytes`]: the same clock,
+//! counters, [`crate::Ev::Push`] / [`crate::Ev::Recv`] events, mailbox
+//! gauges and link sequence numbers, with one park per call instead of one
+//! per message. The others stay messages: a reduction's combine order, and
+//! the poison a fallible schedule forwards along its remaining edges, are
+//! part of its result.
+//!
 //! A schedule has one body. If it has a fallible name (`try_barrier`,
 //! `try_broadcast`, `try_reduce`, `try_allreduce`,
 //! `try_reduce_scatter_blocks`), that body is the fallible one: a permanent
@@ -22,8 +39,10 @@
 //! is a view of it that panics on `Err`, exactly as [`Proc::send_bytes`]
 //! relates to [`Proc::try_send_bytes`].
 
-use crate::fault::FaultError;
-use crate::proc::{Proc, RESERVED_TAG_BASE};
+use std::sync::Arc;
+
+use crate::fault::{FaultError, Transit};
+use crate::proc::{Proc, SharedMachine, RESERVED_TAG_BASE};
 use crate::topology::{is_pow2, log2ceil, partner};
 use crate::wire::Wire;
 
@@ -547,39 +566,12 @@ impl Proc {
     }
 
     fn all_gather_inner<T: Wire>(&mut self, value: T) -> Vec<T> {
-        let p = self.nprocs();
-        if p == 1 {
+        if self.nprocs() == 1 {
             return vec![value];
         }
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
-        // Doubling whenever it applies: both schedules share the
-        // `tw·m·(p-1)` bandwidth term and the ring pays `p - 1` startups
-        // against doubling's `log p`, so no payload size favors the ring.
-        if is_pow2(p) {
-            let d = log2ceil(p);
-            for i in 0..d {
-                let peer = partner(self.rank(), i);
-                let mut other: Vec<(u64, Vec<u8>)> =
-                    self.exchange(peer, TAG_ALLGATHER + (i << 8), &acc);
-                acc.append(&mut other);
-            }
-        } else {
-            // Ring: p-1 steps, forward what was received in the previous step.
-            let next = (self.rank() + 1) % p;
-            let prev = (self.rank() + p - 1) % p;
-            let mut to_forward = acc.clone();
-            for i in 0..p - 1 {
-                let tag = TAG_ALLGATHER + ((i as u32 & 0xFF) << 8);
-                self.send(next, tag, &to_forward);
-                let received: Vec<(u64, Vec<u8>)> = self.recv(prev, tag);
-                acc.extend(received.iter().cloned());
-                to_forward = received;
-            }
-        }
-        acc.sort_by_key(|(rank, _)| *rank);
-        debug_assert_eq!(acc.len(), p);
-        acc.into_iter()
-            .map(|(_, bytes)| T::from_bytes(&bytes).expect("all_gather decode"))
+        self.meet(Meet::AllGather, vec![value.to_bytes()])
+            .iter()
+            .map(|bytes| T::from_bytes(bytes).expect("all_gather decode"))
             .collect()
     }
 
@@ -774,43 +766,296 @@ impl Proc {
         out
     }
 
-    fn all_to_all_inner<T: Wire>(&mut self, mut parts: Vec<T>) -> Vec<T> {
+    fn all_to_all_inner<T: Wire>(&mut self, parts: Vec<T>) -> Vec<T> {
         let p = self.nprocs();
         assert_eq!(parts.len(), p, "all_to_all needs exactly one part per rank");
         if p == 1 {
             return parts;
         }
-        // Pairwise exchange schedule: in step k talk to rank ^ k when p is a
-        // power of two (perfectly matched pairs), otherwise (rank + k) mod p.
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        // Keep own part.
-        let own = parts.remove(self.rank());
-        // Re-insert placeholder to keep indices stable.
-        parts.insert(self.rank(), own);
-        let mut parts: Vec<Option<T>> = parts.into_iter().map(Some).collect();
-        slots[self.rank()] = parts[self.rank()].take();
-        if is_pow2(p) {
-            for k in 1..p {
-                let peer = self.rank() ^ k;
-                let tag = TAG_ALLTOALL + ((k as u32 & 0xFFFF) << 8);
-                let outgoing = parts[peer].take().expect("part already sent");
-                let received = self.exchange(peer, tag, &outgoing);
-                slots[peer] = Some(received);
-            }
-        } else {
-            for k in 1..p {
-                let to = (self.rank() + k) % p;
-                let from = (self.rank() + p - k) % p;
-                let tag = TAG_ALLTOALL + ((k as u32 & 0xFFFF) << 8);
-                let outgoing = parts[to].take().expect("part already sent");
-                self.send(to, tag, &outgoing);
-                let received: T = self.recv(from, tag);
-                slots[from] = Some(received);
-            }
-        }
-        slots
+        // The own part stays here, never encoded.
+        let me = self.rank();
+        let mut own = None;
+        let encoded = parts
             .into_iter()
-            .map(|s| s.expect("missing all_to_all slot"))
+            .enumerate()
+            .map(|(j, part)| {
+                if j == me {
+                    own = Some(part);
+                    Vec::new()
+                } else {
+                    part.to_bytes()
+                }
+            })
+            .collect();
+        self.meet(Meet::AllToAll, encoded)
+            .iter()
+            .enumerate()
+            .map(|(j, bytes)| match j == me {
+                true => own.take().expect("own part"),
+                false => T::from_bytes(bytes).expect("all_to_all decode"),
+            })
             .collect()
     }
+
+    /// Meet the communicator's other members on its board (see
+    /// [`crate::exec`]) with this rank's encoded `parts` (one per member
+    /// for [`Meet::AllToAll`], the own value for [`Meet::AllGather`]), then
+    /// replay this rank's side of the schedule the board resolved: each
+    /// step's send and receive through the accounting a message gets.
+    /// Returns the parts each member addressed to this one (the own slot
+    /// empty), or every member's value.
+    fn meet(&mut self, meet: Meet, parts: Vec<Vec<u8>>) -> Arc<Vec<Vec<u8>>> {
+        let (members, local) = self.communicator();
+        let deposit = Deposit {
+            meet,
+            clock: self.clock(),
+            parts,
+            link_seq: self.link_seqs(&members),
+        };
+        let shared = self.shared();
+        let outcome = shared.exec.meet(&members, local, deposit, |deposits| {
+            resolve(&shared, &members, deposits)
+        });
+        let schedule = Schedule::of(meet, members.len());
+        for (k, hop) in outcome.hops.iter().enumerate() {
+            let (to, from) = schedule.peers(local, k);
+            let tag = schedule.tag(k);
+            if let (_, Err(e)) = self.charge_send(members[to], tag, hop.sent) {
+                self.send_failed(to, tag, e);
+            }
+            let Some(Arrival { at, poisoned, len }) = hop.arrival else {
+                shared.exec.await_abort(self.world_rank())
+            };
+            if let Err(e) = self.charge_recv(members[from], tag, at, poisoned, len) {
+                self.recv_failed(from, tag, e);
+            }
+        }
+        debug_assert_eq!(
+            self.clock().to_bits(),
+            outcome.finish.to_bits(),
+            "rank {}: the replay left the clock the board resolved",
+            self.world_rank()
+        );
+        outcome.parts
+    }
+}
+
+/// A collective that meets on its communicator's board (see
+/// [`crate::exec`]) instead of parking once per message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Meet {
+    /// [`Proc::all_to_all`].
+    AllToAll,
+    /// [`Proc::all_gather`].
+    AllGather,
+}
+
+impl Meet {
+    /// How deadlock reports name the collective.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Meet::AllToAll => "all_to_all",
+            Meet::AllGather => "all_gather",
+        }
+    }
+}
+
+/// What one member brings to a board.
+pub(crate) struct Deposit {
+    pub(crate) meet: Meet,
+    /// The member's clock on entry.
+    clock: f64,
+    /// [`Meet::AllToAll`]: the encoded part for each member (its own slot
+    /// empty); [`Meet::AllGather`]: its one encoded value.
+    parts: Vec<Vec<u8>>,
+    /// Its next link sequence number toward each member, when sends draw
+    /// link faults (empty otherwise).
+    link_seq: Vec<u64>,
+}
+
+/// What a board hands one member back.
+pub(crate) struct Outcome {
+    /// The member's steps of the schedule, as far as it gets: all of them,
+    /// or up to the one whose send fails, whose receive is poisoned, or
+    /// whose sender stopped before it.
+    hops: Vec<Hop>,
+    /// The member's clock after its last step, for the replay to check.
+    finish: f64,
+    /// [`Meet::AllToAll`]: what each member addressed to this one (the own
+    /// slot empty); [`Meet::AllGather`]: every member's value, one copy
+    /// shared by all of them.
+    parts: Arc<Vec<Vec<u8>>>,
+}
+
+/// One step of a member's schedule: it sends `sent` bytes, then receives.
+struct Hop {
+    sent: usize,
+    /// `None` when the sender stopped before this step (its send failed or
+    /// it was itself stopped): the member waits for the run's abort.
+    arrival: Option<Arrival>,
+}
+
+/// The message a member receives in one step.
+#[derive(Clone, Copy)]
+struct Arrival {
+    at: f64,
+    poisoned: bool,
+    len: usize,
+}
+
+/// The exchange schedule of a board collective over `p` ranks.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// `all_to_all`, `p` a power of two: in step `k` rank `r` exchanges
+    /// with `r ^ (k + 1)` (perfectly matched pairs).
+    Xor(usize),
+    /// `all_to_all`, any other `p`: sends to `r + k + 1`, receives from
+    /// `r - k - 1` (mod `p`).
+    Shift(usize),
+    /// `all_gather`, `p` a power of two: recursive doubling — in step `k`
+    /// rank `r` exchanges everything it holds with `r ^ 2^k`. Doubling
+    /// whenever it applies: both schedules share the `tw·m·(p-1)`
+    /// bandwidth term and the ring pays `p - 1` startups against
+    /// doubling's `log p`, so no payload size favors the ring.
+    Doubling(usize),
+    /// `all_gather`, any other `p`: `p - 1` steps around the ring, each
+    /// forwarding the value received in the step before.
+    Ring(usize),
+}
+
+impl Schedule {
+    fn of(meet: Meet, p: usize) -> Schedule {
+        match (meet, is_pow2(p)) {
+            (Meet::AllToAll, true) => Schedule::Xor(p),
+            (Meet::AllToAll, false) => Schedule::Shift(p),
+            (Meet::AllGather, true) => Schedule::Doubling(p),
+            (Meet::AllGather, false) => Schedule::Ring(p),
+        }
+    }
+
+    fn steps(self) -> usize {
+        match self {
+            Schedule::Xor(p) | Schedule::Shift(p) | Schedule::Ring(p) => p - 1,
+            Schedule::Doubling(p) => log2ceil(p) as usize,
+        }
+    }
+
+    /// Whom rank `r` sends to and receives from in step `k`.
+    fn peers(self, r: usize, k: usize) -> (usize, usize) {
+        match self {
+            Schedule::Xor(_) => (r ^ (k + 1), r ^ (k + 1)),
+            Schedule::Shift(p) => ((r + k + 1) % p, (r + p - k - 1) % p),
+            Schedule::Doubling(_) => (partner(r, k as u32), partner(r, k as u32)),
+            Schedule::Ring(p) => ((r + 1) % p, (r + p - 1) % p),
+        }
+    }
+
+    /// The tag step `k`'s messages carry (recorded in `.evg` files).
+    fn tag(self, k: usize) -> u32 {
+        match self {
+            Schedule::Xor(_) | Schedule::Shift(_) => {
+                TAG_ALLTOALL + (((k + 1) as u32 & 0xFFFF) << 8)
+            }
+            Schedule::Doubling(_) => TAG_ALLGATHER + ((k as u32) << 8),
+            Schedule::Ring(_) => TAG_ALLGATHER + ((k as u32 & 0xFF) << 8),
+        }
+    }
+}
+
+/// Resolve a full board: run the collective's schedule over every member
+/// in virtual time — the same `message_cost`, link-fault draws and
+/// `max(clock, arrival)` receive rule a message gets, step by step (a
+/// step's sends depend only on the step before) — and hand each member
+/// its hops and its bytes.
+fn resolve(shared: &SharedMachine, members: &[usize], mut deposits: Vec<Deposit>) -> Vec<Outcome> {
+    let p = members.len();
+    let meet = deposits[0].meet;
+    let schedule = Schedule::of(meet, p);
+    // What rank `s` sends in step `k`. An all-gather message is the
+    // `Vec<(u64, Vec<u8>)>` of the values the sender holds: 8 bytes of
+    // count, then 16 of framing per value.
+    let framed: Vec<usize> = match meet {
+        Meet::AllToAll => Vec::new(),
+        Meet::AllGather => deposits.iter().map(|d| 16 + d.parts[0].len()).collect(),
+    };
+    let sent_len = |deposits: &[Deposit], s: usize, k: usize| -> usize {
+        match schedule {
+            Schedule::Xor(_) | Schedule::Shift(_) => {
+                deposits[s].parts[schedule.peers(s, k).0].len()
+            }
+            // The aligned block of 2^k ranks the sender has gathered.
+            Schedule::Doubling(_) => {
+                let block = s & !((1 << k) - 1);
+                8 + framed[block..block + (1 << k)].iter().sum::<usize>()
+            }
+            // The value that started `k` ranks back.
+            Schedule::Ring(p) => 8 + framed[(s + p - k) % p],
+        }
+    };
+    let link = &shared.faults.link;
+    let link_faults = shared.link_faults();
+    let mut clock: Vec<f64> = deposits.iter().map(|d| d.clock).collect();
+    let mut hops: Vec<Vec<Hop>> = (0..p)
+        .map(|_| Vec::with_capacity(schedule.steps()))
+        .collect();
+    let mut running = vec![true; p];
+    // Per sender, the step's message: arrival, poisoned, length.
+    let mut sent: Vec<Option<Arrival>> = vec![None; p];
+    for k in 0..schedule.steps() {
+        for s in 0..p {
+            sent[s] = None;
+            if !running[s] {
+                continue;
+            }
+            let to = schedule.peers(s, k).0;
+            let len = sent_len(&deposits, s, k);
+            let transit = if link_faults {
+                let seq = &mut deposits[s].link_seq[to];
+                *seq += 1;
+                shared.faults.transit(members[s], members[to], *seq - 1)
+            } else {
+                Transit::CLEAN
+            };
+            let cost = shared.cost.network.message_cost(len);
+            let (after, at) = transit.times(clock[s], cost, link);
+            clock[s] = after;
+            hops[s].push(Hop { sent: len, arrival: None });
+            sent[s] = Some(Arrival { at, poisoned: transit.failed, len });
+            running[s] = !transit.failed;
+        }
+        for r in 0..p {
+            if !running[r] {
+                continue;
+            }
+            let arrival = sent[schedule.peers(r, k).1];
+            hops[r][k].arrival = arrival;
+            match arrival {
+                Some(Arrival { at, poisoned, .. }) => {
+                    if at > clock[r] {
+                        clock[r] = at;
+                    }
+                    running[r] = !poisoned;
+                }
+                None => running[r] = false,
+            }
+        }
+    }
+    let parts: Vec<Arc<Vec<Vec<u8>>>> = match meet {
+        Meet::AllToAll => (0..p)
+            .map(|d| {
+                let column = deposits.iter_mut().map(|dep| std::mem::take(&mut dep.parts[d]));
+                Arc::new(column.collect())
+            })
+            .collect(),
+        Meet::AllGather => {
+            let values = deposits.iter_mut().map(|d| d.parts.pop().expect("value"));
+            let values = Arc::new(values.collect());
+            vec![values; p]
+        }
+    };
+    hops.into_iter()
+        .zip(clock)
+        .zip(parts)
+        .map(|((hops, finish), parts)| Outcome { hops, finish, parts })
+        .collect()
 }

@@ -1,32 +1,50 @@
 //! The executor: how a run's virtual processors share the host, how a
-//! receive blocks, and how a run that can no longer finish is found out.
+//! rank blocks on another, and how a run that can no longer finish is
+//! found out.
 //!
-//! Every rank's SPMD closure runs on its own carrier thread. A receive
-//! (and everything built on it: `wait`, `barrier`, the collectives) is the
-//! *only* operation that can physically block on another rank — device
-//! waits and I/O stalls are pure virtual-time arithmetic — and it blocks on
-//! the rank's own [`Mailbox`]: one lock per message, nothing shared between
-//! ranks on that path. Receives match messages per `(src, tag)` in sender
-//! program order and every virtual-time quantity is a pure function of the
-//! matched messages, so how the host schedules the carriers cannot leak
+//! Every rank's SPMD closure runs on its own carrier thread. Two operations
+//! can physically block on another rank — device waits and I/O stalls are
+//! pure virtual-time arithmetic — and both park the rank on its own
+//! [`Mailbox`]:
+//!
+//! * a **receive** (and everything built on it: `barrier`, `broadcast`,
+//!   the combining collectives) waits for the message it matches, one lock
+//!   per message and nothing shared between ranks on that path. Receives
+//!   match per `(src, tag)` in sender program order.
+//! * a **meeting** at a communicator's board (`all_to_all`, `all_gather`):
+//!   every member deposits its entry clock and encoded parts, and the last
+//!   to arrive resolves the collective's whole message schedule in virtual
+//!   time and hands each member its outcome — one park per rank per call
+//!   instead of one per message. Each rank then replays its own sends and
+//!   receives through the same accounting a message gets (see
+//!   [`crate::collectives`]). A communicator is its ascending list of
+//!   physical ranks, so disjoint subgroups meet on different boards, and a
+//!   board is dropped once full, so the next call starts a fresh one.
+//!
+//! Every virtual-time quantity is a pure function of the matched messages
+//! and the deposits, so how the host schedules the carriers cannot leak
 //! into any observable.
 //!
 //! # Liveness
 //!
 //! One counter, `active`, holds the number of ranks that are neither
-//! finished nor parked on a receive with no match queued. A rank gives up
-//! its count when it parks or finishes, *after* publishing its wait (or
-//! that it is done) under its mailbox lock; a parked rank is handed its
-//! count back **by the sender whose push is the match it waits for, on the
-//! sender's thread, before the receiver's mailbox lock is released**. A
-//! sender is counted while it pushes (it is running), and hands over that
-//! count before it can reach its own next park or finish, so the counter
-//! never drops to 0 while any rank is running or about to wake; and when it
-//! *is* 0 every rank is finished or parked with no match and no push is
-//! under way — no message can ever be sent again. That state is a deadlock,
-//! detected the moment it forms by the rank whose decrement reached 0, with
-//! no timer anywhere: it reports the blocked ranks with what each waits on
-//! and what sits unmatched in its mailbox, and names the wait-for cycle.
+//! finished nor parked — on a receive with no match queued, or at a board
+//! with no outcome delivered. A rank gives up its count when it parks or
+//! finishes, *after* publishing its wait (or that it is done) under its
+//! mailbox lock; a parked rank is handed its count back **by the rank that
+//! ends its wait — the sender whose push is the match, or the last member
+//! to reach the board — on that rank's thread, before the parked rank's
+//! mailbox lock is released**. That rank is counted while it pushes or
+//! delivers (it is running), and hands over the count before it can reach
+//! its own next park or finish, so the counter never drops to 0 while any
+//! rank is running or about to wake; and when it *is* 0 every rank is
+//! finished or parked with nothing on its way — no message can be sent and
+//! no board can fill any more. That state is a deadlock, detected the
+//! moment it forms by the rank whose decrement reached 0, with no timer
+//! anywhere: it reports the blocked ranks with what each waits on (the
+//! `(src, tag)` of a receive and what sits unmatched in its mailbox, or the
+//! collective of a board and the members that never arrived) and names the
+//! wait-for cycle.
 //!
 //! # Abort
 //!
@@ -36,11 +54,15 @@
 //! a sentinel payload, which the driver uses to tell the root cause from
 //! the bystanders.
 
+use std::collections::HashMap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use crate::mailbox::{Mailbox, Message};
+use parking_lot::Mutex;
+
+use crate::collectives::{Deposit, Meet, Outcome};
+use crate::mailbox::{Inbox, Mailbox, Message};
 
 /// Sentinel prefix on panic payloads raised by ranks that were *aborted*
 /// (woken from a park because another rank panicked or a structural
@@ -51,23 +73,61 @@ pub(crate) const ABORT_SENTINEL: &str = "cgm-exec-abort: ";
 /// The blocked ranks a deadlock report lists one by one (a p = 1024 cycle
 /// would otherwise be a 1 024-line panic); the cycle is always whole.
 const REPORTED_RANKS: usize = 16;
-/// The unmatched messages listed per blocked rank.
+/// The unmatched messages (or absent board members) listed per blocked
+/// rank.
 const REPORTED_PENDING: usize = 8;
 
-/// Per-run execution state: the mailboxes and what decides whether the run
-/// can still make progress. See the [module docs](self).
+/// What a parked rank waits for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// The earliest message from `src` with `tag`.
+    Recv(usize, u32),
+    /// Its outcome from the board of the communicator with these physical
+    /// ranks.
+    Board(Arc<[usize]>),
+}
+
+/// One communicator's rendezvous for the collective call in progress.
+struct Board {
+    meet: Meet,
+    /// Per local rank, what it brought; `None` until it arrives.
+    deposits: Vec<Option<Deposit>>,
+    arrived: usize,
+}
+
+/// Per-run execution state: the mailboxes, the boards, and what decides
+/// whether the run can still make progress. See the [module docs](self).
 pub(crate) struct Exec {
     mailboxes: Vec<Mailbox>,
-    /// Ranks that are neither finished nor parked without a match; why 0
-    /// means deadlock and nothing less is "Liveness" in the module docs.
+    /// Boards that hold at least one deposit, by communicator.
+    boards: Mutex<HashMap<Arc<[usize]>, Board>>,
+    /// The world communicator, `0..p`.
+    world: Arc<[usize]>,
+    /// Ranks that are neither finished nor parked; why 0 means deadlock and
+    /// nothing less is "Liveness" in the module docs.
     active: AtomicUsize,
     /// Why the run was aborted; set at most once.
     abort: OnceLock<String>,
 }
 
+/// What one blocked rank waits on when the run went quiescent.
+#[derive(Debug)]
+enum Blocked {
+    Recv {
+        src: usize,
+        tag: u32,
+    },
+    /// Physical ranks of the board's members that never deposited.
+    Board {
+        meet: Meet,
+        size: usize,
+        missing: Vec<usize>,
+    },
+}
+
 /// What one mailbox held when the run went quiescent.
 struct Quiesced {
-    waiting: Option<(usize, u32)>,
+    blocked: Option<Blocked>,
     done: bool,
     pending: Vec<(usize, u32)>,
 }
@@ -78,9 +138,16 @@ impl Exec {
     pub(crate) fn new(nprocs: usize) -> Exec {
         Exec {
             mailboxes: (0..nprocs).map(|_| Mailbox::default()).collect(),
+            boards: Mutex::new(HashMap::new()),
+            world: (0..nprocs).collect(),
             active: AtomicUsize::new(nprocs),
             abort: OnceLock::new(),
         }
+    }
+
+    /// The world communicator's physical ranks, `0..p`.
+    pub(crate) fn world(&self) -> Arc<[usize]> {
+        Arc::clone(&self.world)
     }
 
     /// Deliver `msg` into rank `dst`'s mailbox; if it is what `dst` is
@@ -89,12 +156,10 @@ impl Exec {
     pub(crate) fn push(&self, dst: usize, msg: Message) {
         let mailbox = &self.mailboxes[dst];
         let mut inbox = mailbox.inbox.lock();
-        let key = (msg.src, msg.tag);
+        let (src, tag) = (msg.src, msg.tag);
         inbox.enqueue(msg);
-        if inbox.waiting == Some(key) {
-            inbox.waiting = None;
-            self.active.fetch_add(1, SeqCst);
-            mailbox.cond.notify_one();
+        if inbox.waiting == Some(Wait::Recv(src, tag)) {
+            self.wake(mailbox, &mut inbox);
         }
     }
 
@@ -103,31 +168,81 @@ impl Exec {
     /// sentinel if the run is aborted before the match arrives — including
     /// when this very park completes a deadlock.
     pub(crate) fn recv(&self, rank: usize, src: usize, tag: u32) -> Message {
+        self.park(rank, Wait::Recv(src, tag), |inbox| inbox.take(src, tag))
+    }
+
+    /// Deposit local rank `local` of the communicator `members` on that
+    /// communicator's board and return its outcome.
+    /// The member whose deposit fills the board runs `resolve` on every
+    /// deposit, in local-rank order, and delivers each other member its
+    /// outcome; the others park until theirs arrives. Panics when members
+    /// meet for different collectives (an SPMD violation).
+    pub(crate) fn meet(
+        &self,
+        members: &Arc<[usize]>,
+        local: usize,
+        deposit: Deposit,
+        resolve: impl FnOnce(Vec<Deposit>) -> Vec<Outcome>,
+    ) -> Outcome {
+        let rank = members[local];
+        let full = {
+            let mut boards = self.boards.lock();
+            let board = boards.entry(Arc::clone(members)).or_insert_with(|| Board {
+                meet: deposit.meet,
+                deposits: (0..members.len()).map(|_| None).collect(),
+                arrived: 0,
+            });
+            assert!(
+                board.meet == deposit.meet,
+                "cgm: rank {rank} entered {} while its communicator's other members are in {}",
+                deposit.meet.name(),
+                board.meet.name()
+            );
+            debug_assert!(
+                board.deposits[local].is_none(),
+                "rank {rank} deposited twice"
+            );
+            board.deposits[local] = Some(deposit);
+            board.arrived += 1;
+            (board.arrived == members.len()).then(|| boards.remove(&members[..]).expect("board"))
+        };
+        let Some(board) = full else {
+            return self.park(rank, Wait::Board(Arc::clone(members)), |inbox| {
+                inbox.outcome.take()
+            });
+        };
+        let deposits = board
+            .deposits
+            .into_iter()
+            .map(|d| d.expect("full board"))
+            .collect();
+        let mut mine = None;
+        for (j, outcome) in resolve(deposits).into_iter().enumerate() {
+            if j == local {
+                mine = Some(outcome);
+                continue;
+            }
+            let mailbox = &self.mailboxes[members[j]];
+            let mut inbox = mailbox.inbox.lock();
+            debug_assert!(inbox.outcome.is_none(), "an outcome was never taken");
+            inbox.outcome = Some(outcome);
+            if matches!(inbox.waiting, Some(Wait::Board(_))) {
+                self.wake(mailbox, &mut inbox);
+            }
+        }
+        mine.expect("an outcome per member")
+    }
+
+    /// Park `rank` until the run is aborted, keeping its count: its
+    /// collective's schedule waits on a peer that failed, and that peer's
+    /// panic, which is on its way, aborts the run (a panicked rank keeps
+    /// its count too, so this is never mistaken for a deadlock).
+    pub(crate) fn await_abort(&self, rank: usize) -> ! {
         let mailbox = &self.mailboxes[rank];
         let mut inbox = mailbox.inbox.lock();
-        // At most two turns: the push that ends the wait queued its match.
         loop {
-            if let Some(msg) = inbox.take(src, tag) {
-                return msg;
-            }
             self.check_abort();
-            inbox.waiting = Some((src, tag));
-            if self.active.fetch_sub(1, SeqCst) == 1 {
-                // Nobody is left to send. The snapshot locks every
-                // mailbox, this one included.
-                drop(inbox);
-                self.quiescent();
-                inbox = mailbox.inbox.lock();
-            }
-            // Wait until the *sender* says so, not until the condvar
-            // returns: `std`'s wakes spuriously, and a rank that left with
-            // its wait still registered would run uncounted — `active`
-            // could reach 0 under a live rank (a false deadlock), and the
-            // push that does match would count it a second time.
-            while inbox.waiting.is_some() {
-                self.check_abort();
-                mailbox.cond.wait(&mut inbox);
-            }
+            mailbox.cond.wait(&mut inbox);
         }
     }
 
@@ -161,8 +276,47 @@ impl Exec {
 
     /// What `rank` is parked on, if it is.
     #[cfg(test)]
-    pub(crate) fn waiting(&self, rank: usize) -> Option<(usize, u32)> {
-        self.mailboxes[rank].inbox.lock().waiting
+    pub(crate) fn waiting(&self, rank: usize) -> Option<Wait> {
+        self.mailboxes[rank].inbox.lock().waiting.clone()
+    }
+
+    /// Return what `take` finds in `rank`'s own mailbox, parking on `wait`
+    /// until a push or a board delivers it.
+    fn park<T>(&self, rank: usize, wait: Wait, mut take: impl FnMut(&mut Inbox) -> Option<T>) -> T {
+        let mailbox = &self.mailboxes[rank];
+        let mut inbox = mailbox.inbox.lock();
+        // At most two turns: the delivery that ends the wait queued it.
+        loop {
+            if let Some(found) = take(&mut inbox) {
+                return found;
+            }
+            self.check_abort();
+            inbox.waiting = Some(wait.clone());
+            if self.active.fetch_sub(1, SeqCst) == 1 {
+                // Nobody is left to deliver. The snapshot locks every
+                // mailbox, this one included.
+                drop(inbox);
+                self.quiescent();
+                inbox = mailbox.inbox.lock();
+            }
+            // Wait until the *deliverer* says so, not until the condvar
+            // returns: `std`'s wakes spuriously, and a rank that left with
+            // its wait still registered would run uncounted — `active`
+            // could reach 0 under a live rank (a false deadlock), and the
+            // delivery that does match would count it a second time.
+            while inbox.waiting.is_some() {
+                self.check_abort();
+                mailbox.cond.wait(&mut inbox);
+            }
+        }
+    }
+
+    /// End the wait of the rank that owns `mailbox`: hand it its count
+    /// back and wake it, under its lock (`inbox`).
+    fn wake(&self, mailbox: &Mailbox, inbox: &mut Inbox) {
+        inbox.waiting = None;
+        self.active.fetch_add(1, SeqCst);
+        mailbox.cond.notify_one();
     }
 
     /// Unwind the calling rank if the run is aborted — past the panic
@@ -178,62 +332,109 @@ impl Exec {
     /// nothing changes any more. A normal end if nobody is parked; a
     /// deadlock, reported and aborted, otherwise.
     fn quiescent(&self) {
-        let snapshot: Vec<Quiesced> = self
+        let mailboxes: Vec<(Option<Wait>, bool, Vec<(usize, u32)>)> = self
             .mailboxes
             .iter()
             .map(|mailbox| {
                 let inbox = mailbox.inbox.lock();
-                Quiesced {
-                    waiting: inbox.waiting,
-                    done: inbox.done,
-                    pending: inbox.pending(),
-                }
+                (inbox.waiting.clone(), inbox.done, inbox.pending())
             })
             .collect();
-        if snapshot.iter().any(|q| q.waiting.is_some()) {
-            self.abort(deadlock_report(&snapshot));
+        if mailboxes.iter().all(|(waiting, _, _)| waiting.is_none()) {
+            return;
         }
+        let boards = self.boards.lock();
+        let snapshot: Vec<Quiesced> = mailboxes
+            .into_iter()
+            .map(|(waiting, done, pending)| Quiesced {
+                blocked: waiting.map(|wait| match wait {
+                    Wait::Recv(src, tag) => Blocked::Recv { src, tag },
+                    Wait::Board(members) => {
+                        // A board someone waits at is not full, so it is
+                        // still listed.
+                        let board = &boards[&members[..]];
+                        Blocked::Board {
+                            meet: board.meet,
+                            size: members.len(),
+                            missing: members
+                                .iter()
+                                .zip(&board.deposits)
+                                .filter(|(_, d)| d.is_none())
+                                .map(|(&m, _)| m)
+                                .collect(),
+                        }
+                    }
+                }),
+                done,
+                pending,
+            })
+            .collect();
+        drop(boards);
+        self.abort(deadlock_report(&snapshot));
     }
 }
 
-/// Render the structural-deadlock diagnostic: the blocked ranks with the
-/// `(src, tag)` each waits on, whether that peer already finished and what
-/// sits unmatched in the waiter's mailbox, then the wait-for cycle when one
-/// exists.
+/// Render the structural-deadlock diagnostic: the blocked ranks with what
+/// each waits on — the `(src, tag)` of a receive, whether that peer already
+/// finished and what sits unmatched in the waiter's mailbox; or the
+/// collective of a board and the members that never arrived — then the
+/// wait-for cycle when one exists.
 fn deadlock_report(ranks: &[Quiesced]) -> String {
     use std::fmt::Write;
-    let blocked: Vec<(usize, usize, u32)> = ranks
+    let finished = |r: usize| {
+        if ranks[r].done {
+            " (which already finished)"
+        } else {
+            ""
+        }
+    };
+    let list = |out: &mut String, items: Vec<String>, total: usize| {
+        out.push_str(&items.join(", "));
+        if total > REPORTED_PENDING {
+            out.push_str(", …");
+        }
+    };
+    let blocked: Vec<(usize, &Blocked)> = ranks
         .iter()
         .enumerate()
-        .filter_map(|(r, q)| q.waiting.map(|(src, tag)| (r, src, tag)))
+        .filter_map(|(r, q)| q.blocked.as_ref().map(|b| (r, b)))
         .collect();
     let mut out = format!(
         "structural deadlock: global quiescence with {} rank(s) blocked and \
          no send in flight:\n",
         blocked.len()
     );
-    for &(r, src, tag) in blocked.iter().take(REPORTED_RANKS) {
-        let note = if ranks[src].done {
-            " (which already finished)"
-        } else {
-            ""
-        };
-        let _ = write!(out, "  rank {r} <- recv(src={src}, tag={tag:#x}){note}");
-        let pending = &ranks[r].pending;
-        if !pending.is_empty() {
-            let shown: Vec<String> = pending
-                .iter()
-                .take(REPORTED_PENDING)
-                .map(|(s, t)| format!("(src={s}, tag={t:#x})"))
-                .collect();
-            let _ = write!(
-                out,
-                "; {} unmatched in its mailbox: {}",
-                pending.len(),
-                shown.join(", ")
-            );
-            if pending.len() > REPORTED_PENDING {
-                out.push_str(", …");
+    for &(r, why) in blocked.iter().take(REPORTED_RANKS) {
+        match why {
+            Blocked::Recv { src, tag } => {
+                let _ = write!(
+                    out,
+                    "  rank {r} <- recv(src={src}, tag={tag:#x}){}",
+                    finished(*src)
+                );
+                let pending = &ranks[r].pending;
+                if !pending.is_empty() {
+                    let _ = write!(out, "; {} unmatched in its mailbox: ", pending.len());
+                    let shown = pending.iter().take(REPORTED_PENDING);
+                    let shown = shown
+                        .map(|(s, t)| format!("(src={s}, tag={t:#x})"))
+                        .collect();
+                    list(&mut out, shown, pending.len());
+                }
+            }
+            Blocked::Board {
+                meet,
+                size,
+                missing,
+            } => {
+                let _ = write!(
+                    out,
+                    "  rank {r} <- {}({size} ranks); never arrived: ",
+                    meet.name()
+                );
+                let shown = missing.iter().take(REPORTED_PENDING);
+                let shown = shown.map(|&m| format!("{m}{}", finished(m))).collect();
+                list(&mut out, shown, missing.len());
             }
         }
         out.push('\n');
@@ -241,14 +442,23 @@ fn deadlock_report(ranks: &[Quiesced]) -> String {
     if blocked.len() > REPORTED_RANKS {
         let _ = writeln!(out, "  … and {} more", blocked.len() - REPORTED_RANKS);
     }
-    // Each blocked rank has exactly one wait-for edge (rank -> src), so a
-    // cycle, if any, is found by walking edges from a blocked rank; `seen`
-    // holds the walk that first reached each rank, which keeps the search
-    // linear in p.
-    let edge = |r: usize| ranks[r].waiting.map(|(src, _)| src);
+    // Each blocked rank has one wait-for edge — to the source of its
+    // receive, or to the first absent member of its board that is itself
+    // blocked (else the first absent one) — so a cycle, if any, is found by
+    // walking edges from a blocked rank; `seen` holds the walk that first
+    // reached each rank, which keeps the search linear in p.
+    let edge = |r: usize| match &ranks[r].blocked {
+        Some(Blocked::Recv { src, .. }) => Some(*src),
+        Some(Blocked::Board { missing, .. }) => missing
+            .iter()
+            .find(|&&m| !ranks[m].done)
+            .or(missing.first())
+            .copied(),
+        None => None,
+    };
     let mut seen = vec![usize::MAX; ranks.len()];
     let mut cycle: Vec<usize> = Vec::new();
-    for &(start, _, _) in &blocked {
+    for &(start, _) in &blocked {
         let mut cur = Some(start);
         while let Some(r) = cur.filter(|&r| seen[r] == usize::MAX) {
             seen[r] = start;
@@ -288,7 +498,7 @@ mod tests {
 
     fn blocked_on(src: usize, tag: u32) -> Quiesced {
         Quiesced {
-            waiting: Some((src, tag)),
+            blocked: Some(Blocked::Recv { src, tag }),
             done: false,
             pending: Vec::new(),
         }
@@ -296,7 +506,7 @@ mod tests {
 
     fn finished() -> Quiesced {
         Quiesced {
-            waiting: None,
+            blocked: None,
             done: true,
             pending: Vec::new(),
         }
@@ -339,7 +549,7 @@ mod tests {
     /// The owner's half of a park, without the wait: what `recv` does
     /// between finding no match and sleeping.
     fn park(exec: &Exec, rank: usize, src: usize, tag: u32) {
-        exec.mailboxes[rank].inbox.lock().waiting = Some((src, tag));
+        exec.mailboxes[rank].inbox.lock().waiting = Some(Wait::Recv(src, tag));
         exec.active.fetch_sub(1, SeqCst);
     }
 
@@ -350,7 +560,7 @@ mod tests {
         exec.push(0, msg(2, 7, vec![1])); // right tag, wrong source
         exec.push(0, msg(1, 8, vec![2])); // right source, wrong tag
         assert_eq!(exec.active.load(SeqCst), 2);
-        assert_eq!(exec.waiting(0), Some((1, 7)));
+        assert_eq!(exec.waiting(0), Some(Wait::Recv(1, 7)));
         exec.push(0, msg(1, 7, vec![3]));
         assert_eq!(exec.active.load(SeqCst), 3);
         assert_eq!(exec.waiting(0), None);

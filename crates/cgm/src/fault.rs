@@ -224,6 +224,68 @@ impl FaultPlan {
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < prob
     }
+
+    /// Draw the transit of the `seq`-th message on the link `src → dst`
+    /// (physical ranks): each transmission is dropped with
+    /// [`LinkFaults::drop_prob`] until one gets through or
+    /// `1 + max_retries` have dropped, and the one that gets through is
+    /// delayed with [`LinkFaults::delay_prob`].
+    pub(crate) fn transit(&self, src: usize, dst: usize, seq: u64) -> Transit {
+        let link = &self.link;
+        let (src, dst) = (src as u64, dst as u64);
+        let mut drops = 0u32;
+        while self.decide(
+            &[STREAM_LINK_DROP, src, dst, seq, u64::from(drops)],
+            link.drop_prob,
+        ) {
+            drops += 1;
+            if drops > link.max_retries {
+                return Transit { drops, failed: true, delayed: false };
+            }
+        }
+        let delayed = self.decide(
+            &[STREAM_LINK_DELAY, src, dst, seq, u64::from(drops)],
+            link.delay_prob,
+        );
+        Transit { drops, failed: false, delayed }
+    }
+}
+
+/// What the link did to one message ([`FaultPlan::transit`]): `drops`
+/// transmissions lost in flight, then either a permanent failure (every
+/// transmission dropped) or a delivery, `delayed` or on time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transit {
+    /// Transmissions lost in flight; each costs the sender the message
+    /// plus [`LinkFaults::retry_timeout`].
+    pub(crate) drops: u32,
+    /// Every transmission dropped: the send fails.
+    pub(crate) failed: bool,
+    /// The delivered transmission arrives [`LinkFaults::delay_seconds`]
+    /// late.
+    pub(crate) delayed: bool,
+}
+
+impl Transit {
+    /// A message on a healthy link: sent once, on time.
+    pub(crate) const CLEAN: Transit = Transit { drops: 0, failed: false, delayed: false };
+
+    /// The sender's clock after a send that started at `clock` and whose
+    /// every transmission costs `cost`, and the message's arrival time
+    /// (that same clock when the send failed: a poison tombstone takes
+    /// the message's place). The one place a send's virtual time is
+    /// computed.
+    pub(crate) fn times(&self, mut clock: f64, cost: f64, link: &LinkFaults) -> (f64, f64) {
+        for _ in 0..self.drops {
+            clock += cost + link.retry_timeout;
+        }
+        if self.failed {
+            return (clock, clock);
+        }
+        clock += cost;
+        let arrive = if self.delayed { clock + link.delay_seconds } else { clock };
+        (clock, arrive)
+    }
 }
 
 /// Decision-stream domain tags (first word of every `decide` stream), so

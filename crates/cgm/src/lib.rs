@@ -6,10 +6,11 @@
 //! network. This crate reproduces that machine in software:
 //!
 //! * [`Cluster`] runs an SPMD closure on `p` **virtual processors**,
-//!   exactly like `mpirun`: one carrier thread per rank, a receive parks
-//!   on the rank's own mailbox, and a run that can no longer finish — a
-//!   deadlock, or a rank that panicked — is detected structurally, with
-//!   no timer, and reported by its cause (see [`exec`]).
+//!   exactly like `mpirun`: one carrier thread per rank, a receive (or a
+//!   wait at a collective's board) parks on the rank's own mailbox, and a
+//!   run that can no longer finish — a deadlock, or a rank that panicked —
+//!   is detected structurally, with no timer, and reported by its cause
+//!   (see [`exec`]).
 //! * [`Proc`] is a rank's handle: typed point-to-point [`Proc::send`] /
 //!   [`Proc::recv`] plus the full set of collectives the paper uses
 //!   (broadcast, global combine, all-to-all broadcast, gather, prefix sum,

@@ -6,11 +6,15 @@
 //! matching sends/receives between a pair of processes), parking the owner
 //! until one is there. What the owner is parked on lives under the same
 //! lock as the queue, so a sender learns in the one critical section it
-//! already needs whether its message is the one being waited for. The
-//! protocol around that — who counts as able to send, what happens when
-//! nobody is — is [`crate::exec`].
+//! already needs whether its message is the one being waited for. The same
+//! lock guards the slot a collective's board delivers the owner's outcome
+//! into. The protocol around that — who counts as able to send, what
+//! happens when nobody is — is [`crate::exec`].
 
 use parking_lot::{Condvar, Mutex};
+
+use crate::collectives::Outcome;
+use crate::exec::Wait;
 
 /// A message in flight between two virtual processors.
 #[derive(Debug, Clone)]
@@ -44,9 +48,13 @@ pub struct Mailbox {
 pub(crate) struct Inbox {
     /// Arrival order.
     queue: Vec<Message>,
-    /// The `(src, tag)` the owner is parked on: set by the owner when it
-    /// finds no match, cleared by the sender whose push is that match.
-    pub(crate) waiting: Option<(usize, u32)>,
+    /// What the owner is parked on: set by the owner when it finds nothing
+    /// to take, cleared by the sender whose push is the match or by the
+    /// member that fills the owner's board.
+    pub(crate) waiting: Option<Wait>,
+    /// The owner's outcome of the board collective it is in, delivered by
+    /// the member that filled the board.
+    pub(crate) outcome: Option<Outcome>,
     /// The owner's body returned; it will never receive (or send) again.
     pub(crate) done: bool,
 }

@@ -10,10 +10,12 @@
 //! * communication implicitly via [`Proc::send`] / [`Proc::recv`] and the
 //!   collectives built on them.
 //!
-//! Messages physically move real bytes between OS threads; only *time* is
-//! simulated. A receive completes at
-//! `max(receiver clock, sender clock at send completion)` which yields the
-//! usual `alpha + beta * m` point-to-point model with blocking sends.
+//! Messages physically move real bytes between OS threads (the all-to-all
+//! and all-gather hand theirs over on a board and replay the messages'
+//! accounting; see [`crate::collectives`]); only *time* is simulated. A
+//! receive completes at `max(receiver clock, sender clock at send
+//! completion)` which yields the usual `alpha + beta * m` point-to-point
+//! model with blocking sends.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use crate::cost::{CostModel, OpKind};
 use crate::counters::Counters;
 use crate::evg::{Ev, COMPUTE_RAW, FAULT_DISK, FAULT_LINK};
 use crate::exec::Exec;
-use crate::fault::{FaultError, FaultPlan, STREAM_DISK_READ, STREAM_LINK_DELAY, STREAM_LINK_DROP};
+use crate::fault::{FaultError, FaultPlan, Transit, STREAM_DISK_READ};
 use crate::gauge::GaugePoint;
 use crate::group::Group;
 use crate::mailbox::Message;
@@ -76,12 +78,22 @@ pub struct SharedMachine {
     pub record: bool,
 }
 
+impl SharedMachine {
+    /// Whether sends draw link faults: with neither drops nor delays every
+    /// transit is [`Transit::CLEAN`] and no link sequence number is
+    /// consumed.
+    pub(crate) fn link_faults(&self) -> bool {
+        let link = &self.faults.link;
+        !self.faults_inert && (link.drop_prob > 0.0 || link.delay_prob > 0.0)
+    }
+}
+
 /// Active communicator scope of one processor (see [`Proc::scoped`]):
 /// while set, the public rank/size accessors and the point-to-point
 /// endpoints present the subgroup as if it were the whole machine.
 struct Scope {
     /// Global ranks of the subgroup, ascending.
-    members: Vec<usize>,
+    members: Arc<[usize]>,
     /// This processor's rank within `members`.
     local: usize,
 }
@@ -200,7 +212,7 @@ impl Proc {
             )
         });
         self.scope = Some(Scope {
-            members: group.members().to_vec(),
+            members: group.members().into(),
             local,
         });
         let out = f(self);
@@ -229,6 +241,30 @@ impl Proc {
                 s.members[peer]
             }
             None => peer,
+        }
+    }
+
+    /// The active communicator as physical ranks, ascending, and this
+    /// processor's place in it: the scope's group, or the world.
+    pub(crate) fn communicator(&self) -> (Arc<[usize]>, usize) {
+        match &self.scope {
+            Some(s) => (Arc::clone(&s.members), s.local),
+            None => (self.shared.exec.world(), self.rank),
+        }
+    }
+
+    /// The run's shared machine state.
+    pub(crate) fn shared(&self) -> Arc<SharedMachine> {
+        Arc::clone(&self.shared)
+    }
+
+    /// This processor's next link sequence number toward each of
+    /// `members` when sends draw link faults; empty otherwise.
+    pub(crate) fn link_seqs(&self, members: &[usize]) -> Vec<u64> {
+        if self.shared.link_faults() {
+            members.iter().map(|&m| self.link_seq[m]).collect()
+        } else {
+            Vec::new()
         }
     }
 
@@ -747,12 +783,14 @@ impl Proc {
     /// fault injection makes the send fail permanently — use
     /// [`Proc::try_send_bytes`] in fault-aware code.
     pub fn send_bytes(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
-        self.try_send_bytes(dst, tag, payload).unwrap_or_else(|e| {
-            panic!(
-                "cgm: rank {} send to {dst} tag {tag:#x} failed: {e}",
-                self.rank
-            )
-        });
+        if let Err(e) = self.try_send_bytes(dst, tag, payload) {
+            self.send_failed(dst, tag, e);
+        }
+    }
+
+    /// The panic of a plain send that failed permanently.
+    pub(crate) fn send_failed(&self, dst: usize, tag: u32, e: FaultError) -> ! {
+        panic!("cgm: rank {} send to {dst} tag {tag:#x} failed: {e}", self.rank)
     }
 
     /// Fault-aware send. Dropped transmission attempts are retransmitted
@@ -770,112 +808,80 @@ impl Proc {
         let dst = self.resolve_peer(dst);
         assert!(dst < self.nprocs, "send to rank {dst} of {}", self.nprocs);
         assert_ne!(dst, self.rank, "self-send is not modeled; use local data");
-        let cost = self.shared.cost.network.message_cost(payload.len());
+        let (arrive_time, sent) = self.charge_send(dst, tag, payload.len());
+        self.shared.exec.push(dst, Message {
+            src: self.rank,
+            tag,
+            payload: if sent.is_ok() { payload } else { Vec::new() },
+            arrive_time,
+            poisoned: sent.is_err(),
+        });
+        sent
+    }
+
+    /// Everything a send of `len` bytes to physical rank `dst` does to
+    /// this rank — the link's fault draws, the clock, the counters, the
+    /// [`Ev::Fault`]s and the [`Ev::Push`] — without moving the bytes.
+    /// Returns when the message (or, on `Err`, the poison tombstone that
+    /// takes its place) arrives.
+    pub(crate) fn charge_send(
+        &mut self,
+        dst: usize,
+        tag: u32,
+        len: usize,
+    ) -> (f64, Result<(), FaultError>) {
+        let cost = self.shared.cost.network.message_cost(len);
+        let transit = if self.shared.link_faults() {
+            let seq = self.link_seq[dst];
+            self.link_seq[dst] += 1;
+            self.shared.faults.transit(self.rank, dst, seq)
+        } else {
+            Transit::CLEAN
+        };
         let link = &self.shared.faults.link;
-        let link_active =
-            !self.shared.faults_inert && (link.drop_prob > 0.0 || link.delay_prob > 0.0);
-        if !link_active {
-            self.clock += cost;
-            self.counters.comm_time += cost;
-            self.counters.messages_sent += 1;
-            self.counters.bytes_sent += payload.len() as u64;
+        let (penalty, delay) = (cost + link.retry_timeout, link.delay_seconds);
+        let (clock, arrive_time) = transit.times(self.clock, cost, link);
+        for _ in 0..transit.drops {
+            // Lost in flight: the sender transmitted, waited out the ack
+            // timeout, then retransmitted (or gave up).
+            self.counters.fault_time += penalty;
+            self.record_ev(Ev::Fault { kind: FAULT_LINK, seconds: penalty });
+        }
+        self.clock = clock;
+        if transit.failed {
+            self.counters.link_retries += u64::from(transit.drops - 1);
+            self.counters.link_failures += 1;
+            // The tombstone costs nothing extra (the penalties above
+            // already charged the clock): a zero-duration push that exists
+            // purely to carry the message edge.
             self.record_ev(Ev::Push {
                 dst: dst as u32,
                 tag,
-                bytes: payload.len() as u64,
-                seconds: cost,
-                lat: self.shared.cost.network.alpha,
+                bytes: 0,
+                seconds: 0.0,
+                lat: 0.0,
                 delay: 0.0,
-                poison: false,
+                poison: true,
             });
-            self.shared.exec.push(dst, Message {
-                src: self.rank,
-                tag,
-                payload,
-                arrive_time: self.clock,
-                poisoned: false,
-            });
-            return Ok(());
+            return (arrive_time, Err(FaultError::Link { src: self.rank, dst }));
         }
-        let (drop_prob, delay_prob, delay_seconds, retry_timeout, max_retries) = (
-            link.drop_prob,
-            link.delay_prob,
-            link.delay_seconds,
-            link.retry_timeout,
-            link.max_retries,
-        );
-        let seq = self.link_seq[dst];
-        self.link_seq[dst] += 1;
-        let (src_w, dst_w) = (self.rank as u64, dst as u64);
-        let mut attempt: u32 = 0;
-        loop {
-            let drop_stream = [STREAM_LINK_DROP, src_w, dst_w, seq, attempt as u64];
-            if self.shared.faults.decide(&drop_stream, drop_prob) {
-                // Lost in flight: the sender transmits, waits out the ack
-                // timeout, then retransmits (or gives up).
-                let penalty = cost + retry_timeout;
-                self.clock += penalty;
-                self.counters.fault_time += penalty;
-                self.record_ev(Ev::Fault { kind: FAULT_LINK, seconds: penalty });
-                if attempt >= max_retries {
-                    self.counters.link_failures += 1;
-                    // The tombstone costs nothing extra (the penalties
-                    // above already charged the clock): a zero-duration
-                    // push that exists purely to carry the message edge.
-                    self.record_ev(Ev::Push {
-                        dst: dst as u32,
-                        tag,
-                        bytes: 0,
-                        seconds: 0.0,
-                        lat: 0.0,
-                        delay: 0.0,
-                        poison: true,
-                    });
-                    self.shared.exec.push(dst, Message {
-                        src: self.rank,
-                        tag,
-                        payload: Vec::new(),
-                        arrive_time: self.clock,
-                        poisoned: true,
-                    });
-                    return Err(FaultError::Link { src: self.rank, dst });
-                }
-                self.counters.link_retries += 1;
-                attempt += 1;
-                continue;
-            }
-            self.clock += cost;
-            self.counters.comm_time += cost;
-            self.counters.messages_sent += 1;
-            self.counters.bytes_sent += payload.len() as u64;
-            let mut arrive_time = self.clock;
-            let mut delay = 0.0;
-            let delay_stream = [STREAM_LINK_DELAY, src_w, dst_w, seq, attempt as u64];
-            if self.shared.faults.decide(&delay_stream, delay_prob) {
-                // Delayed in flight: the sender is done, the receiver sees
-                // the message later.
-                arrive_time += delay_seconds;
-                delay = delay_seconds;
-                self.counters.link_delays += 1;
-            }
-            self.record_ev(Ev::Push {
-                dst: dst as u32,
-                tag,
-                bytes: payload.len() as u64,
-                seconds: cost,
-                lat: self.shared.cost.network.alpha,
-                delay,
-                poison: false,
-            });
-            self.shared.exec.push(dst, Message {
-                src: self.rank,
-                tag,
-                payload,
-                arrive_time,
-                poisoned: false,
-            });
-            return Ok(());
+        self.counters.link_retries += u64::from(transit.drops);
+        self.counters.comm_time += cost;
+        self.counters.messages_sent += 1;
+        self.counters.bytes_sent += len as u64;
+        if transit.delayed {
+            self.counters.link_delays += 1;
         }
+        self.record_ev(Ev::Push {
+            dst: dst as u32,
+            tag,
+            bytes: len as u64,
+            seconds: cost,
+            lat: self.shared.cost.network.alpha,
+            delay: if transit.delayed { delay } else { 0.0 },
+            poison: false,
+        });
+        (arrive_time, Ok(()))
     }
 
     /// Deliver a poison tombstone to `dst` without any fault modeling —
@@ -909,12 +915,13 @@ impl Proc {
     /// communication time). Panics on a poisoned message — use
     /// [`Proc::try_recv_bytes`] in fault-aware code.
     pub fn recv_bytes(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        self.try_recv_bytes(src, tag).unwrap_or_else(|e| {
-            panic!(
-                "cgm: rank {} recv from {src} tag {tag:#x} failed: {e}",
-                self.rank
-            )
-        })
+        self.try_recv_bytes(src, tag)
+            .unwrap_or_else(|e| self.recv_failed(src, tag, e))
+    }
+
+    /// The panic of a plain receive that took a poison tombstone.
+    pub(crate) fn recv_failed(&self, src: usize, tag: u32, e: FaultError) -> ! {
+        panic!("cgm: rank {} recv from {src} tag {tag:#x} failed: {e}", self.rank)
     }
 
     /// Fault-aware receive: returns [`FaultError::Poisoned`] when the
@@ -925,15 +932,30 @@ impl Proc {
         let src = self.resolve_peer(src);
         assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
         assert_ne!(src, self.rank, "self-recv is not modeled");
-        // The only operation that can physically block on another rank
-        // (see `crate::exec`).
+        // Parks until the match is pushed (see `crate::exec`).
         let msg = self.shared.exec.recv(self.rank, src, tag);
+        self.charge_recv(src, tag, msg.arrive_time, msg.poisoned, msg.payload.len())?;
+        Ok(msg.payload)
+    }
+
+    /// Everything taking a message of `len` bytes from physical rank `src`
+    /// does to this rank — the [`Ev::Recv`], the wait for `arrive_time`,
+    /// the mailbox gauges and the counters — without moving the bytes.
+    /// `Err` when the message is a poison tombstone.
+    pub(crate) fn charge_recv(
+        &mut self,
+        src: usize,
+        tag: u32,
+        arrive_time: f64,
+        poisoned: bool,
+        len: usize,
+    ) -> Result<(), FaultError> {
         self.record_ev(Ev::Recv { src: src as u32, tag });
-        if msg.arrive_time > self.clock {
-            self.counters.comm_time += msg.arrive_time - self.clock;
-            self.clock = msg.arrive_time;
+        if arrive_time > self.clock {
+            self.counters.comm_time += arrive_time - self.clock;
+            self.clock = arrive_time;
         }
-        if msg.poisoned {
+        if poisoned {
             return Err(FaultError::Poisoned { src });
         }
         if self.shared.gauges {
@@ -944,15 +966,15 @@ impl Proc {
             // endpoints are virtual times, so the series is deterministic
             // even though the physical queue fills at the whim of the OS
             // scheduler.
-            let bytes = msg.payload.len() as f64;
-            self.gauge_delta("cgm.mailbox.depth", msg.arrive_time, 1.0);
+            let bytes = len as f64;
+            self.gauge_delta("cgm.mailbox.depth", arrive_time, 1.0);
             self.gauge_delta("cgm.mailbox.depth", self.clock, -1.0);
-            self.gauge_delta("cgm.mailbox.bytes", msg.arrive_time, bytes);
+            self.gauge_delta("cgm.mailbox.bytes", arrive_time, bytes);
             self.gauge_delta("cgm.mailbox.bytes", self.clock, -bytes);
         }
         self.counters.messages_received += 1;
-        self.counters.bytes_received += msg.payload.len() as u64;
-        Ok(msg.payload)
+        self.counters.bytes_received += len as u64;
+        Ok(())
     }
 
     /// Typed send.
@@ -988,13 +1010,6 @@ impl Proc {
                 self.rank, src, tag, e
             )
         })
-    }
-
-    /// Simultaneous exchange with a partner: both sides send then receive.
-    /// (The physical send is buffered, so this cannot deadlock.)
-    pub fn exchange<T: Wire>(&mut self, peer: usize, tag: u32, value: &T) -> T {
-        self.send(peer, tag, value);
-        self.recv(peer, tag)
     }
 
     /// Snapshot of this processor's final statistics. Panics if any span is

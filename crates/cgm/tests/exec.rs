@@ -1,7 +1,8 @@
 //! The executor, through the public API only: pinned virtual times on a
 //! body that touches every class of blocking point (p = 1 … 1024), the
-//! structural deadlock report, a rank's panic ending the run by its root
-//! cause, and the host's schedule never leaking into an observable. No
+//! structural deadlock report (at a receive and at a collective's board),
+//! a rank's panic ending the run by its root cause, and the host's
+//! schedule never leaking into an observable. No
 //! test here sets a timeout — there is none to set.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -222,6 +223,83 @@ fn a_deadlock_inside_a_subgroup_names_world_ranks() {
 }
 
 #[test]
+fn a_rank_that_skips_an_all_to_all_is_named_by_the_board() {
+    // Rank 2 of 4 returns without entering the all-to-all the others wait
+    // in: the report names the collective and the rank that never came.
+    let msg = run_panic_message(4, MachineConfig::default(), |proc| {
+        if proc.rank() != 2 {
+            let _ = proc.all_to_all(vec![proc.rank() as u64; proc.nprocs()]);
+        }
+    });
+    assert!(msg.contains("structural deadlock"), "{msg}");
+    assert!(msg.contains("3 rank(s) blocked"), "{msg}");
+    for r in [0, 1, 3] {
+        let line = format!(
+            "  rank {r} <- all_to_all(4 ranks); never arrived: 2 (which already finished)\n"
+        );
+        assert!(msg.contains(&line), "want {line:?} in {msg}");
+    }
+    assert!(msg.contains("no wait-for cycle"), "{msg}");
+}
+
+#[test]
+fn a_board_wait_inside_a_subgroup_names_world_ranks_and_closes_a_cycle() {
+    // In the upper half (world ranks 3, 4, 5) world rank 4 receives from
+    // world rank 3 instead of entering the all-to-all that 3 and 5 wait in:
+    // 3 waits on 4 at the board and 4 waits on 3, a cycle. The lower half
+    // finishes its own all-to-all.
+    let msg = run_panic_message(6, MachineConfig::default(), |proc| {
+        let group = halves(proc);
+        let world = proc.rank();
+        proc.scoped(&group, |sub| {
+            if world == 4 {
+                let _: u64 = sub.recv(0, 0x42);
+            } else {
+                let _ = sub.all_to_all(vec![world as u64; sub.nprocs()]);
+            }
+        });
+    });
+    assert_eq!(blocked_lines(&msg).len(), 3, "{msg}");
+    for r in [3, 5] {
+        let line = format!("  rank {r} <- all_to_all(3 ranks); never arrived: 4\n");
+        assert!(msg.contains(&line), "want {line:?} in {msg}");
+    }
+    assert!(msg.contains("  rank 4 <- recv(src=3, tag=0x42)\n"), "{msg}");
+    assert!(msg.contains("wait-for cycle: 3 -> 4 -> 3"), "{msg}");
+}
+
+#[test]
+fn a_panic_while_peers_wait_at_the_board_returns_the_root_cause() {
+    // Ranks 0, 2 and 3 are parked at the all-to-all's board when rank 1
+    // panics instead of arriving.
+    let msg = run_panic_message(4, MachineConfig::default(), |proc| {
+        if proc.rank() == 1 {
+            panic!("rank-one exploded before the board");
+        }
+        let _ = proc.all_to_all(vec![0u8; proc.nprocs()]);
+    });
+    assert!(
+        msg.contains("virtual processor 1 panicked: rank-one exploded before the board"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn members_that_meet_for_different_collectives_are_refused() {
+    let msg = run_panic_message(2, MachineConfig::default(), |proc| {
+        if proc.rank() == 0 {
+            let _ = proc.all_to_all(vec![0u8; 2]);
+        } else {
+            let _ = proc.all_gather(0u8);
+        }
+    });
+    assert!(
+        msg.contains("while its communicator's other members are in"),
+        "{msg}"
+    );
+}
+
+#[test]
 fn rank_panic_with_parked_peers_returns_the_root_cause() {
     // Rank 1 panics with its own message while ranks 0 and 2 are parked in
     // a barrier. The run must end — nothing will ever wake them otherwise —
@@ -310,9 +388,10 @@ fn a_span_left_open_at_run_end_is_reported_while_peers_are_parked() {
     );
 }
 
-/// One rank of a message-dense body built from `send`/`recv` alone — the
-/// shapes every collective bottoms out in: a ring, a dissemination barrier
-/// and a pairwise exchange. Before every send and every receive the rank
+/// One rank of a message-dense body: `send`/`recv` in the shapes the
+/// message collectives bottom out in — a ring, a dissemination barrier and
+/// a pairwise exchange — then an all-to-all and an all-gather, which meet
+/// on a board. Before every send, every receive and every board the rank
 /// lets `perturb` disturb the host's schedule. Returns an FNV-1a digest of
 /// every payload in the order the program received it.
 fn dense_body(proc: &mut Proc, mut perturb: impl FnMut()) -> u64 {
@@ -338,6 +417,21 @@ fn dense_body(proc: &mut Proc, mut perturb: impl FnMut()) -> u64 {
     }
     for k in 1..p {
         exchange(proc, (rank + k) % p, (rank + p - k) % p, 0x300 + k as u32);
+    }
+    for round in 0..2u64 {
+        perturb();
+        proc.charge(OpKind::Misc, 10 + (rank as u64 * 11 + round) % 40);
+        let parts: Vec<u64> = (0..p as u64)
+            .map(|j| rank as u64 * 1_000 + j + round)
+            .collect();
+        let parts = proc.all_to_all(parts);
+        perturb();
+        let values = proc.all_gather(parts.iter().sum::<u64>());
+        for got in parts.into_iter().chain(values) {
+            for byte in got.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
     }
     digest
 }
