@@ -9,10 +9,13 @@
 //!
 //! This crate is that framework:
 //!
-//! * [`OocProblem`] — the problem interface (cost model, small-task
-//!   predicate, data-parallel processing, redistribution, local solve);
-//! * [`Strategy`] — the four drivers of Section 3 (data parallelism, mixed
-//!   delayed/immediate, concatenated);
+//! * [`OocProblem`] — the problem interface: cost model, small-task
+//!   predicate, local solve, and two collective steps over a batch of tasks
+//!   (data-parallel processing and redistribution; a task is a batch of
+//!   one);
+//! * [`Strategy`] — the strategies of Section 3: data parallelism, mixed
+//!   delayed/immediate and concatenated run through one driver over a
+//!   frontier of ready tasks, task parallelism through the group hooks;
 //! * [`lpt_assign`] — cost-based task-to-processor assignment;
 //! * [`problems::sort::OocSort`] — a complete demonstration problem
 //!   (parallel out-of-core distribution sort).

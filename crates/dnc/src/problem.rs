@@ -4,9 +4,10 @@
 //! "Execution of a problem instance is represented by a divide-and-conquer
 //! tree. The root node contains the entire data set. Each internal node
 //! represents a task \[which\] is split into two subtasks." Problems plug into
-//! the framework by describing how to process one task with all processors
-//! (data parallelism), how to move a small task's data to one processor
-//! (compute-dependent parallel I/O), and how to solve it there.
+//! the framework with two collective steps over a batch of tasks — process
+//! the batch with all processors (data parallelism), and move small tasks'
+//! data to their owners (compute-dependent parallel I/O) — plus how to
+//! solve a small task locally. A single task is a batch of one.
 
 use pdc_cgm::Proc;
 
@@ -86,23 +87,19 @@ pub trait OocProblem: Sync {
         0
     }
 
-    /// *Collective.* Process one task with all processors (data
-    /// parallelism): derive the division, partition the task's local data,
-    /// and report the split (or that the task is solved).
-    fn process_large(&self, proc: &mut Proc, task: &Task<Self::Meta>) -> Outcome<Self::Meta>;
+    /// *Collective.* Process a batch of tasks with all processors and
+    /// return one outcome per task, in order: derive each division,
+    /// partition each task's local data, and report the split (or that the
+    /// task is solved). A batch is one task under data and mixed
+    /// parallelism, a whole tree level under concatenated parallelism; a
+    /// problem can spool the batch's communication together.
+    fn process(&self, proc: &mut Proc, tasks: &[Task<Self::Meta>]) -> Vec<Outcome<Self::Meta>>;
 
     /// *Collective.* Move each task's distributed data to its assigned
-    /// owner (compute-dependent parallel I/O). The default handles tasks
-    /// one at a time; problems can override to batch the transfers and save
-    /// message startups.
-    fn redistribute_small(&self, proc: &mut Proc, assignments: &[(Task<Self::Meta>, usize)]) {
-        for (task, owner) in assignments {
-            self.redistribute_one(proc, task, *owner);
-        }
-    }
-
-    /// *Collective.* Move one task's data to `owner`.
-    fn redistribute_one(&self, proc: &mut Proc, task: &Task<Self::Meta>, owner: usize);
+    /// owner (compute-dependent parallel I/O). The batch is every delayed
+    /// small task at once, or one task when small tasks are shipped as they
+    /// appear; a problem can batch the transfers to save message startups.
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<Self::Meta>, usize)]);
 
     /// *Local.* Solve a small task entirely on this processor. The task's
     /// data is already resident on this processor's disk.
@@ -122,20 +119,6 @@ pub trait OocProblem: Sync {
     /// flushes it here (dirty write-back, device sync) so the run's
     /// accounting closes exactly. Default: no-op.
     fn finish(&self, _proc: &mut Proc) {}
-
-    /// *Collective.* Process a whole level of tasks together (concatenated
-    /// parallelism). The default processes them one after another; problems
-    /// can override to spool the level's communication together.
-    fn process_level(
-        &self,
-        proc: &mut Proc,
-        tasks: &[Task<Self::Meta>],
-    ) -> Vec<Outcome<Self::Meta>> {
-        tasks
-            .iter()
-            .map(|t| self.process_large(proc, t))
-            .collect()
-    }
 
     // ------------------------------------------------------------------
     // Task parallelism with processor subgroups (optional).

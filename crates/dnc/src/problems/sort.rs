@@ -146,41 +146,53 @@ impl OocProblem for OocSort<'_> {
         meta.count <= self.small_threshold
     }
 
-    fn process_large(&self, proc: &mut Proc, task: &Task<SortMeta>) -> Outcome<SortMeta> {
-        // Under pure data/concatenated parallelism the driver never routes
-        // small tasks to the task-parallel path, so handle them here: ship
-        // the task to a deterministic owner and sort it there. This is what
-        // makes plain data parallelism pay one redistribution + solve per
-        // tiny node — the overhead the mixed strategy's delaying avoids.
-        if self.is_small(&task.meta) {
-            let owner = (task.id % proc.nprocs() as u64) as usize;
-            self.redistribute_one(proc, task, owner);
-            if proc.rank() == owner {
-                self.solve_small_local(proc, task);
-            }
-            return Outcome::Solved;
-        }
-        self.step(proc, &pdc_cgm::Group::world(proc.nprocs()), task)
+    fn process(&self, proc: &mut Proc, tasks: &[Task<SortMeta>]) -> Vec<Outcome<SortMeta>> {
+        let world = pdc_cgm::Group::world(proc.nprocs());
+        tasks
+            .iter()
+            .map(|task| {
+                // Under pure data/concatenated parallelism the driver never
+                // routes small tasks to the task-parallel path, so handle
+                // them here: ship the task to a deterministic owner and sort
+                // it there. This is what makes plain data parallelism pay
+                // one redistribution + solve per tiny node — the overhead
+                // the mixed strategy's delaying avoids.
+                if self.is_small(&task.meta) {
+                    let owner = (task.id % proc.nprocs() as u64) as usize;
+                    self.redistribute(proc, &[(task.clone(), owner)]);
+                    if proc.rank() == owner {
+                        self.solve_small_local(proc, task);
+                    }
+                    return Outcome::Solved;
+                }
+                self.step(proc, &world, task)
+            })
+            .collect()
     }
 
-    fn redistribute_one(&self, proc: &mut Proc, task: &Task<SortMeta>, owner: usize) {
-        let src = {
+    /// One task at a time: each task's keys move in their own chunked
+    /// sequence of all-to-alls.
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<SortMeta>, usize)]) {
+        for (task, owner) in assignments {
+            let src = {
+                let mut disk = self.farm.lock(proc.rank());
+                if !disk.exists(&Self::dist_file(task.id)) {
+                    // The root itself may be small; it always exists.
+                    // Children files exist on every rank after a partition
+                    // pass.
+                    disk.create::<u64>(&Self::dist_file(task.id))
+                } else {
+                    disk.open::<u64>(&Self::dist_file(task.id))
+                }
+            };
+            let dst = {
+                let mut disk = self.farm.lock(proc.rank());
+                disk.create::<u64>(&Self::owned_file(task.id))
+            };
+            redistribute(proc, self.farm, &src, &dst, self.chunk_records, |_| *owner);
             let mut disk = self.farm.lock(proc.rank());
-            if !disk.exists(&Self::dist_file(task.id)) {
-                // The root itself may be small; it always exists. Children
-                // files exist on every rank after a partition pass.
-                disk.create::<u64>(&Self::dist_file(task.id))
-            } else {
-                disk.open::<u64>(&Self::dist_file(task.id))
-            }
-        };
-        let dst = {
-            let mut disk = self.farm.lock(proc.rank());
-            disk.create::<u64>(&Self::owned_file(task.id))
-        };
-        redistribute(proc, self.farm, &src, &dst, self.chunk_records, |_| owner);
-        let mut disk = self.farm.lock(proc.rank());
-        disk.delete(&Self::dist_file(task.id));
+            disk.delete(&Self::dist_file(task.id));
+        }
     }
 
     fn solve_small_local(&self, proc: &mut Proc, task: &Task<SortMeta>) {

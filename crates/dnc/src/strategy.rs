@@ -1,6 +1,10 @@
 //! The parallelization strategies of Section 3 of the paper, as drivers
 //! over an [`OocProblem`].
 //!
+//! Four of them are one driver over a FIFO frontier of ready tasks; they
+//! differ only in which ready tasks are processed together and when small
+//! tasks move:
+//!
 //! * **Data parallelism** — every task, large or small, is processed by all
 //!   processors, one task after another. No data movement, balanced I/O,
 //!   but message startups dominate once tasks get small.
@@ -18,6 +22,9 @@
 //!   processed together so their communication can be spooled; the
 //!   available memory is shared by the whole level (which is why the paper
 //!   argues *against* it for out-of-core work).
+//!
+//! **Task parallelism** has its own driver over the problem's group hooks:
+//! each processor follows one root-to-leaf path as its group halves.
 
 use std::collections::VecDeque;
 
@@ -80,11 +87,8 @@ pub fn run<P: OocProblem>(
     };
     let span = proc.span("dnc.run", &[("strategy", strategy_idx)]);
     let report = match strategy {
-        Strategy::DataParallel => run_data_parallel(proc, problem, root_meta),
-        Strategy::Mixed => run_mixed(proc, problem, root_meta, false),
-        Strategy::MixedImmediate => run_mixed(proc, problem, root_meta, true),
-        Strategy::Concatenated => run_concatenated(proc, problem, root_meta),
         Strategy::TaskParallel => run_task_parallel(proc, problem, root_meta),
+        _ => run_frontier(proc, problem, root_meta, strategy),
     };
     // Flush any asynchronous engine state inside the run span, so the
     // span rollup still partitions the whole run's wall time.
@@ -139,79 +143,89 @@ fn run_task_parallel<P: OocProblem>(
     }
 }
 
-fn run_data_parallel<P: OocProblem>(
+/// The four frontier strategies as one loop over a FIFO frontier of ready
+/// tasks. Each round takes a batch off the front — the front task, or under
+/// concatenated parallelism the whole frontier, which is then exactly one
+/// tree level — and processes it with all processors. A child the problem
+/// calls small stays in the frontier under data and concatenated
+/// parallelism; under the mixed strategies it leaves the frontier and is
+/// dispatched right after its batch (immediate) or once the frontier is
+/// empty (delayed). Only the mixed strategies ask `is_small`, hint the next
+/// frontier task for prefetch and report the `dnc.queue.len` gauge.
+fn run_frontier<P: OocProblem>(
     proc: &mut Proc,
     problem: &P,
     root_meta: P::Meta,
+    strategy: Strategy,
 ) -> DncReport {
-    let mut report = DncReport::default();
-    let mut queue = VecDeque::from([Task::root(root_meta)]);
-    while let Some(task) = queue.pop_front() {
-        report.large_tasks += 1;
-        report.max_depth = report.max_depth.max(task.depth);
-        let attrs = [("task", task.id as i64), ("depth", task.depth as i64)];
-        let outcome = proc.in_span("dnc.task", &attrs, |proc| {
-            problem.process_large(proc, &task)
-        });
-        if let Outcome::Split(l, r) = outcome {
-            let (lt, rt) = task.children(l, r);
-            queue.push_back(lt);
-            queue.push_back(rt);
+    let by_level = strategy == Strategy::Concatenated;
+    let immediate = strategy == Strategy::MixedImmediate;
+    let mixed = immediate || strategy == Strategy::Mixed;
+    let gauge = |proc: &mut Proc, frontier: &VecDeque<Task<P::Meta>>| {
+        if mixed {
+            proc.gauge("dnc.queue.len", frontier.len() as f64);
         }
-    }
-    report
-}
-
-fn run_mixed<P: OocProblem>(
-    proc: &mut Proc,
-    problem: &P,
-    root_meta: P::Meta,
-    immediate: bool,
-) -> DncReport {
+    };
     let mut report = DncReport::default();
-    let mut queue = VecDeque::new();
-    let mut small: Vec<Task<P::Meta>> = Vec::new();
+    let mut frontier = VecDeque::new();
+    let mut delayed: Vec<Task<P::Meta>> = Vec::new();
     let root = Task::root(root_meta);
-    if problem.is_small(&root.meta) {
-        small.push(root);
+    if mixed && problem.is_small(&root.meta) {
+        delayed.push(root);
     } else {
-        queue.push_back(root);
+        frontier.push_back(root);
     }
-    proc.gauge("dnc.queue.len", queue.len() as f64);
-    while let Some(task) = queue.pop_front() {
-        proc.gauge("dnc.queue.len", queue.len() as f64);
-        report.large_tasks += 1;
-        report.max_depth = report.max_depth.max(task.depth);
-        // Task-queue lookahead: hint the next queued task so an engine can
-        // fetch its files while this task computes.
-        if let Some(next) = queue.front() {
+    gauge(proc, &frontier);
+    while !frontier.is_empty() {
+        let batch: Vec<Task<P::Meta>> = if by_level {
+            frontier.drain(..).collect()
+        } else {
+            frontier.pop_front().into_iter().collect()
+        };
+        gauge(proc, &frontier);
+        let depth = batch.iter().map(|t| t.depth).max().unwrap_or(0);
+        report.large_tasks += batch.len();
+        report.max_depth = report.max_depth.max(depth);
+        // Task-queue lookahead: hint the next frontier task so an engine can
+        // fetch its files while this batch computes.
+        if let Some(next) = frontier.front().filter(|_| mixed) {
             problem.prefetch_task(proc, next);
         }
-        let attrs = [("task", task.id as i64), ("depth", task.depth as i64)];
-        let outcome = proc.in_span("dnc.task", &attrs, |proc| {
-            problem.process_large(proc, &task)
-        });
-        if let Outcome::Split(l, r) = outcome {
+        let outcomes = if by_level {
+            let attrs = [("depth", depth as i64), ("tasks", batch.len() as i64)];
+            proc.in_span("dnc.level", &attrs, |proc| problem.process(proc, &batch))
+        } else {
+            let attrs = [("task", batch[0].id as i64), ("depth", depth as i64)];
+            proc.in_span("dnc.task", &attrs, |proc| problem.process(proc, &batch))
+        };
+        assert_eq!(outcomes.len(), batch.len(), "process shape mismatch");
+        let mut split = false;
+        for (task, outcome) in batch.iter().zip(outcomes) {
+            let Outcome::Split(l, r) = outcome else {
+                continue;
+            };
+            split = true;
             let (lt, rt) = task.children(l, r);
             for child in [lt, rt] {
-                if problem.is_small(&child.meta) {
+                if !(mixed && problem.is_small(&child.meta)) {
+                    frontier.push_back(child);
+                } else if immediate {
+                    // Ship and solve right away: more message startups,
+                    // used as the ablation against delaying.
                     report.max_depth = report.max_depth.max(child.depth);
-                    if immediate {
-                        // Ship and solve right away: more message startups,
-                        // used as the ablation against delaying.
-                        dispatch_small(proc, problem, vec![child], &mut report);
-                    } else {
-                        small.push(child);
-                    }
+                    dispatch_small(proc, problem, vec![child], &mut report);
                 } else {
-                    queue.push_back(child);
+                    report.max_depth = report.max_depth.max(child.depth);
+                    delayed.push(child);
                 }
             }
-            proc.gauge("dnc.queue.len", queue.len() as f64);
+        }
+        if split {
+            gauge(proc, &frontier);
         }
     }
-    if !small.is_empty() {
-        dispatch_small(proc, problem, small, &mut report);
+    if !delayed.is_empty() {
+        dispatch_small(proc, problem, delayed, &mut report);
     }
     report
 }
@@ -253,7 +267,7 @@ fn dispatch_small<P: OocProblem>(
     let owners = lpt_assign_weighted(&costs, &speeds);
     let assignments: Vec<(Task<P::Meta>, usize)> =
         tasks.into_iter().zip(owners.iter().copied()).collect();
-    problem.redistribute_small(proc, &assignments);
+    problem.redistribute(proc, &assignments);
     // Local solving: no communication, so processors proceed independently.
     for (i, (task, owner)) in assignments.iter().enumerate() {
         report.small_tasks += 1;
@@ -293,35 +307,4 @@ fn dispatch_small<P: OocProblem>(
         }
     }
     proc.span_end(span);
-}
-
-fn run_concatenated<P: OocProblem>(
-    proc: &mut Proc,
-    problem: &P,
-    root_meta: P::Meta,
-) -> DncReport {
-    let mut report = DncReport::default();
-    let mut level = vec![Task::root(root_meta)];
-    while !level.is_empty() {
-        report.large_tasks += level.len();
-        report.max_depth = report
-            .max_depth
-            .max(level.iter().map(|t| t.depth).max().unwrap_or(0));
-        let depth = level.iter().map(|t| t.depth).max().unwrap_or(0);
-        let attrs = [("depth", depth as i64), ("tasks", level.len() as i64)];
-        let outcomes = proc.in_span("dnc.level", &attrs, |proc| {
-            problem.process_level(proc, &level)
-        });
-        assert_eq!(outcomes.len(), level.len(), "process_level shape mismatch");
-        let mut next = Vec::new();
-        for (task, outcome) in level.iter().zip(outcomes) {
-            if let Outcome::Split(l, r) = outcome {
-                let (lt, rt) = task.children(l, r);
-                next.push(lt);
-                next.push(rt);
-            }
-        }
-        level = next;
-    }
-    report
 }

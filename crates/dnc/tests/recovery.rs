@@ -24,26 +24,33 @@ impl OocProblem for Compute {
         *meta < self.small_at
     }
 
-    fn process_large(&self, proc: &mut Proc, task: &Task<u64>) -> Outcome<u64> {
-        proc.charge(OpKind::RecordScan, task.meta);
-        proc.barrier();
-        if task.meta <= 1 {
-            Outcome::Solved
-        } else {
-            let left = task.meta * 2 / 3;
-            Outcome::Split(left, task.meta - left)
-        }
+    fn process(&self, proc: &mut Proc, tasks: &[Task<u64>]) -> Vec<Outcome<u64>> {
+        tasks
+            .iter()
+            .map(|task| {
+                proc.charge(OpKind::RecordScan, task.meta);
+                proc.barrier();
+                if task.meta <= 1 {
+                    Outcome::Solved
+                } else {
+                    let left = task.meta * 2 / 3;
+                    Outcome::Split(left, task.meta - left)
+                }
+            })
+            .collect()
     }
 
-    fn redistribute_one(&self, proc: &mut Proc, task: &Task<u64>, owner: usize) {
-        // Ship the task's records to its owner as one message.
-        let bytes = (task.meta as usize) * 8;
-        if proc.rank() == 0 && owner != 0 {
-            proc.send_bytes(owner, 77, vec![0u8; bytes]);
-        } else if proc.rank() == owner && owner != 0 {
-            let _ = proc.recv_bytes(0, 77);
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<u64>, usize)]) {
+        for &(ref task, owner) in assignments {
+            // Ship the task's records to its owner as one message.
+            let bytes = (task.meta as usize) * 8;
+            if proc.rank() == 0 && owner != 0 {
+                proc.send_bytes(owner, 77, vec![0u8; bytes]);
+            } else if proc.rank() == owner && owner != 0 {
+                let _ = proc.recv_bytes(0, 77);
+            }
+            proc.barrier();
         }
-        proc.barrier();
     }
 
     fn solve_small_local(&self, proc: &mut Proc, task: &Task<u64>) {

@@ -23,7 +23,7 @@
 //!    local left/right files while fusing the children's statistics —
 //!    no communication, near-perfect balance by Lemma 2.
 //!
-//! The step has one body, `process_batch`, over a batch of tasks: a node is
+//! The step is the framework's `process`, over a batch of tasks: a node is
 //! a batch of one under data and mixed parallelism, a whole tree level under
 //! **concatenated parallelism** (§3.3), which spools the level's exchanges
 //! into the same collectives and shares the memory limit among its tasks.
@@ -474,6 +474,23 @@ impl PcloudsProblem<'_> {
             },
         )
     }
+}
+
+impl OocProblem for PcloudsProblem<'_> {
+    type Meta = NodeMeta;
+
+    fn cost(&self, meta: &NodeMeta) -> f64 {
+        let n = meta.n().max(2) as f64;
+        n * n.log2()
+    }
+
+    fn is_small(&self, meta: &NodeMeta) -> bool {
+        self.is_small_n(meta.n())
+    }
+
+    fn task_bytes(&self, meta: &NodeMeta) -> u64 {
+        meta.n() * Record::ENCODED_BYTES as u64
+    }
 
     /// The large-node step — statistics, split derivation, partition — for
     /// a batch of tasks at once: one task under data and mixed parallelism,
@@ -483,7 +500,7 @@ impl PcloudsProblem<'_> {
     /// exact pass and its election), at the price §3.3 calls out: "the
     /// available memory has to be shared by the many tasks that are solved
     /// together", so every streaming pass runs with `memory_limit / batch`.
-    fn process_batch(&self, proc: &mut Proc, tasks: &[Task<NodeMeta>]) -> Vec<Outcome<NodeMeta>> {
+    fn process(&self, proc: &mut Proc, tasks: &[Task<NodeMeta>]) -> Vec<Outcome<NodeMeta>> {
         let chunk = (self.chunk() / tasks.len()).max(1);
         let mut outcomes = vec![Outcome::Solved; tasks.len()];
 
@@ -583,33 +600,12 @@ impl PcloudsProblem<'_> {
         proc.span_end(partition_span);
         outcomes
     }
-}
-
-impl OocProblem for PcloudsProblem<'_> {
-    type Meta = NodeMeta;
-
-    fn cost(&self, meta: &NodeMeta) -> f64 {
-        let n = meta.n().max(2) as f64;
-        n * n.log2()
-    }
-
-    fn is_small(&self, meta: &NodeMeta) -> bool {
-        self.is_small_n(meta.n())
-    }
-
-    fn task_bytes(&self, meta: &NodeMeta) -> u64 {
-        meta.n() * Record::ENCODED_BYTES as u64
-    }
-
-    fn process_large(&self, proc: &mut Proc, task: &Task<NodeMeta>) -> Outcome<NodeMeta> {
-        self.process_batch(proc, std::slice::from_ref(task)).remove(0)
-    }
 
     /// Batched compute-dependent parallel I/O: all small nodes' data moves
     /// in one chunked sequence of personalized all-to-alls ("the assigning
     /// and processing of small nodes are delayed ... to reduce the number
     /// of message startups").
-    fn redistribute_small(&self, proc: &mut Proc, assignments: &[(Task<NodeMeta>, usize)]) {
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<NodeMeta>, usize)]) {
         let span = proc.span(
             "pclouds.small_redistribute",
             &[("tasks", assignments.len() as i64)],
@@ -692,11 +688,6 @@ impl OocProblem for PcloudsProblem<'_> {
         proc.span_end(span);
     }
 
-    fn redistribute_one(&self, proc: &mut Proc, task: &Task<NodeMeta>, owner: usize) {
-        let pair = [(task.clone(), owner)];
-        self.redistribute_small(proc, &pair);
-    }
-
     fn solve_small_local(&self, proc: &mut Proc, task: &Task<NodeMeta>) {
         let span = proc.span(
             "pclouds.small_solve",
@@ -754,11 +745,5 @@ impl OocProblem for PcloudsProblem<'_> {
     fn finish(&self, proc: &mut Proc) {
         let mut disk = self.farm.lock(proc.rank());
         disk.sync_engine(proc);
-    }
-
-    /// **Concatenated parallelism** (Section 3.3): a whole tree level takes
-    /// the large-node step together (see `PcloudsProblem::process_batch`).
-    fn process_level(&self, proc: &mut Proc, tasks: &[Task<NodeMeta>]) -> Vec<Outcome<NodeMeta>> {
-        self.process_batch(proc, tasks)
     }
 }

@@ -145,6 +145,26 @@ fn all_strategies_produce_working_trees() {
     }
 }
 
+/// The paper's reason to delay small nodes: one batched redistribution of
+/// every small node pays fewer message startups than shipping each node the
+/// moment it appears. pCLOUDS moves the whole delayed batch through one
+/// chunked sequence of all-to-alls, so the gap is strict.
+#[test]
+fn delayed_small_tasks_send_fewer_messages_than_immediate() {
+    let records = generate(12_000, GeneratorConfig::default());
+    let cfg = test_config();
+    let messages = |strategy| {
+        let farm = DiskFarm::in_memory(4);
+        let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
+        let out = train(&Cluster::new(4), &farm, &root, &cfg, strategy);
+        assert!(out.run.results[0].small_tasks > 1, "{strategy:?}: no small-task batch");
+        out.run.total_counters().messages_sent
+    };
+    let delayed = messages(Strategy::Mixed);
+    let immediate = messages(Strategy::MixedImmediate);
+    assert!(delayed < immediate, "delayed {delayed} >= immediate {immediate}");
+}
+
 #[test]
 fn mixed_produces_small_tasks_and_grafts_them() {
     let records = generate(12_000, GeneratorConfig::default());

@@ -8,7 +8,7 @@
 //! streaming, batch scoring — serves ensembles through
 //! [`crate::harness::serve_model`] unchanged.
 
-use pdc_cgm::wire::{DecodeResult, Wire};
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::DecisionTree;
 use pdc_datagen::{Record, RecordBatch, NUM_CLASSES};
@@ -102,10 +102,14 @@ impl Wire for EnsemblePredictor {
         self.members.encode(buf);
     }
 
+    /// Refuses a zero-member list: [`EnsemblePredictor::compile`] never
+    /// builds one, and it has no layout to report.
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(EnsemblePredictor {
-            members: Vec::<CompiledModel>::decode(buf)?,
-        })
+        let members = Vec::<CompiledModel>::decode(buf)?;
+        if members.is_empty() {
+            return Err(DecodeError::malformed("ensemble without members", buf));
+        }
+        Ok(EnsemblePredictor { members })
     }
 }
 
