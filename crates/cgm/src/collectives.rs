@@ -14,22 +14,35 @@
 //! functions must be associative and commutative — combination order is
 //! deterministic for a given `p` but is not the rank order.
 //!
-//! Two collectives are *resolved* rather than sent. [`Proc::all_to_all`]
-//! (pairwise XOR exchange, or the shifted ring when `p` is not a power of
-//! two) and [`Proc::all_gather`] (recursive doubling, or the ring) move
-//! bytes that no rank combines and cannot fail softly, so their schedules
-//! are pure functions of every member's entry clock, part sizes and link
-//! sequence numbers. Each member deposits those on its communicator's board
-//! (see [`crate::exec`]); the last to arrive runs the schedule in virtual
-//! time — the same `message_cost`, link-fault draws and
-//! `max(clock, arrival)` rule a message gets — and each member then replays
-//! its own sends and receives through the accounting of
-//! [`Proc::try_send_bytes`] / [`Proc::try_recv_bytes`]: the same clock,
-//! counters, [`crate::Ev::Push`] / [`crate::Ev::Recv`] events, mailbox
-//! gauges and link sequence numbers, with one park per call instead of one
-//! per message. The others stay messages: a reduction's combine order, and
-//! the poison a fallible schedule forwards along its remaining edges, are
-//! part of its result.
+//! Four collectives are *resolved* rather than sent: they meet on their
+//! communicator's board (see [`crate::exec`]). Each member deposits its
+//! entry clock, link sequence numbers and typed value or parts; the last to
+//! arrive runs the collective's message schedule in virtual time — the same
+//! `message_cost`, link-fault draws and `max(clock, arrival)` rule a message
+//! gets, each message sized by [`Wire::encoded_len`] of what it would carry
+//! — and moves the values themselves, so nothing is encoded or decoded.
+//! Each member then replays its own sends and receives through the
+//! accounting of [`Proc::try_send_bytes`] / [`Proc::try_recv_bytes`]: the
+//! same clock, counters, [`crate::Ev::Push`] / [`crate::Ev::Recv`] events,
+//! mailbox gauges and link sequence numbers, with one park per call instead
+//! of one per message.
+//!
+//! * [`Proc::all_to_all`] (pairwise XOR exchange, or the shifted ring when
+//!   `p` is not a power of two) moves each part to its destination.
+//! * [`Proc::all_gather`] (recursive doubling, or the ring) shares one copy
+//!   of every value, which each member clones on its own thread.
+//! * [`Proc::allreduce`] on a power-of-two communicator (recursive
+//!   doubling) combines each pair of partials once, lower rank's operand
+//!   first — the value both partners of the messages would compute — and
+//!   shares the result like an all-gather.
+//! * [`Proc::reduce_scatter_blocks`] on a power-of-two communicator
+//!   (recursive halving) runs every block combine the messages would, in
+//!   their order, lower rank's operand first.
+//!
+//! The last two are fallible, and the board resolves their poison schedule
+//! too: after a failed edge a rank sends a poison tombstone on every
+//! remaining edge instead of its partial. The other collectives stay
+//! messages, as do the non-power-of-two schedules of the two reductions.
 //!
 //! A schedule has one body. If it has a fallible name (`try_barrier`,
 //! `try_broadcast`, `try_reduce`, `try_allreduce`,
@@ -39,6 +52,7 @@
 //! is a view of it that panics on `Err`, exactly as [`Proc::send_bytes`]
 //! relates to [`Proc::try_send_bytes`].
 
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::fault::{FaultError, Transit};
@@ -70,12 +84,12 @@ impl Proc {
     }
 
     /// Encoded payload size for span attribution. Only computed when spans
-    /// are enabled (the extra encoding is host-side work; virtual time is
-    /// untouched either way); with spans off the attribute is never stored,
-    /// so the placeholder 0 is unobservable.
+    /// are enabled (sizing is host-side work; virtual time is untouched
+    /// either way); with spans off the attribute is never stored, so the
+    /// placeholder 0 is unobservable.
     fn attr_bytes<T: Wire>(&self, value: &T) -> i64 {
         if self.spans_enabled() {
-            value.to_bytes().len() as i64
+            value.encoded_len() as i64
         } else {
             0
         }
@@ -319,24 +333,32 @@ impl Proc {
     /// All-to-all reduction: every rank gets the combined value.
     ///
     /// Uses recursive doubling when `p` is a power of two (cost
-    /// `(ts + tw·m)·log p`), otherwise reduce-to-0 followed by broadcast.
+    /// `(ts + tw·m)·log p`), resolved on the communicator's board (see the
+    /// [module docs](self)); otherwise reduce-to-0 followed by broadcast.
     /// Panics if a link fails permanently, after finishing the
     /// poison-propagating schedule of [`Proc::try_allreduce`].
-    pub fn allreduce<T: Wire>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T {
+    pub fn allreduce<T>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
         self.try_allreduce(value, combine).unwrap_or_else(|e| {
             panic!("cgm: rank {} allreduce failed: {e}", self.world_rank())
         })
     }
 
-    /// Fallible [`Proc::allreduce`]: surfaces `Err` on every rank when a
-    /// link fails permanently (poison doubles per step of the recursive
-    /// doubling, or reaches the root of the reduce–broadcast pair, which
-    /// then poisons everyone), instead of hanging.
-    pub fn try_allreduce<T: Wire>(
+    /// Fallible [`Proc::allreduce`]: surfaces `Err` instead of hanging when
+    /// a link fails permanently. Poison doubles per step of the recursive
+    /// doubling, so every rank whose partial the failure could have reached
+    /// returns `Err`; or it reaches the root of the reduce–broadcast pair,
+    /// which then poisons everyone.
+    pub fn try_allreduce<T>(
         &mut self,
         value: T,
         combine: impl Fn(T, T) -> T,
-    ) -> Result<T, FaultError> {
+    ) -> Result<T, FaultError>
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.allreduce", &[("bytes", bytes)]);
         let out = self.try_allreduce_inner(value, combine);
@@ -344,57 +366,39 @@ impl Proc {
         out
     }
 
-    fn try_allreduce_inner<T: Wire>(
+    fn try_allreduce_inner<T>(
         &mut self,
         value: T,
         combine: impl Fn(T, T) -> T,
-    ) -> Result<T, FaultError> {
+    ) -> Result<T, FaultError>
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
         let p = self.nprocs();
         if p == 1 {
             return Ok(value);
         }
         if is_pow2(p) {
-            let d = log2ceil(p);
-            let mut acc: Result<T, FaultError> = Ok(value);
-            for i in 0..d {
-                let peer = partner(self.rank(), i);
-                let tag = TAG_ALLREDUCE + (i << 8);
-                let sent = match &acc {
-                    Ok(v) => self.try_send(peer, tag, v),
-                    Err(_) => {
-                        self.send_poison(peer, tag);
-                        Ok(())
-                    }
-                };
-                let other = self.try_recv::<T>(peer, tag);
-                // Deterministic combination order: lower rank's contribution
-                // first.
-                acc = match (acc, sent, other) {
-                    (Ok(a), Ok(()), Ok(b)) => Ok(if self.rank() < peer {
-                        combine(a, b)
-                    } else {
-                        combine(b, a)
-                    }),
-                    (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-                };
-            }
-            acc
-        } else {
-            // Reduce to 0 then broadcast; a failure anywhere poisons the
-            // root, which then poisons everyone.
-            let reduced = self.try_reduce(0, value, combine);
-            if self.rank() == 0 {
-                match reduced {
-                    Ok(v) => self.try_broadcast(0, v),
-                    Err(e) => {
-                        let _ = self.try_bcast_down(0, None);
-                        Err(e)
-                    }
+            let out = self.meet(Meet::AllReduce, Box::new(value), |values| {
+                Combining::new(values, &combine)
+            })?;
+            let shared = *out.downcast::<Option<Arc<T>>>().expect("allreduce result");
+            return Ok(Arc::unwrap_or_clone(shared.expect("a healthy rank holds the result")));
+        }
+        // Reduce to 0 then broadcast; a failure anywhere poisons the root,
+        // which then poisons everyone.
+        let reduced = self.try_reduce(0, value, combine);
+        if self.rank() == 0 {
+            match reduced {
+                Ok(v) => self.try_broadcast(0, v),
+                Err(e) => {
+                    let _ = self.try_bcast_down(0, None);
+                    Err(e)
                 }
-            } else {
-                let bc = self.try_broadcast::<T>(0, None);
-                reduced.and(bc)
             }
+        } else {
+            let bc = self.try_broadcast::<T>(0, None);
+            reduced.and(bc)
         }
     }
 
@@ -557,7 +561,10 @@ impl Proc {
     /// All-to-all broadcast (all-gather): every rank gets every rank's value,
     /// indexed by rank. Recursive doubling on power-of-two `p`
     /// (`ts·log p + tw·m·(p-1)`), ring otherwise.
-    pub fn all_gather<T: Wire>(&mut self, value: T) -> Vec<T> {
+    pub fn all_gather<T>(&mut self, value: T) -> Vec<T>
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.all_gather", &[("bytes", bytes)]);
         let out = self.all_gather_inner(value);
@@ -565,14 +572,17 @@ impl Proc {
         out
     }
 
-    fn all_gather_inner<T: Wire>(&mut self, value: T) -> Vec<T> {
+    fn all_gather_inner<T>(&mut self, value: T) -> Vec<T>
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
         if self.nprocs() == 1 {
             return vec![value];
         }
-        self.meet(Meet::AllGather, vec![value.to_bytes()])
-            .iter()
-            .map(|bytes| T::from_bytes(bytes).expect("all_gather decode"))
-            .collect()
+        let out = self
+            .meet(Meet::AllGather, Box::new(value), Gather::<T>::new)
+            .expect("an infallible schedule panics at its fault");
+        Arc::unwrap_or_clone(*out.downcast::<Arc<Vec<T>>>().expect("all_gather result"))
     }
 
     // ------------------------------------------------------------------
@@ -603,7 +613,7 @@ impl Proc {
     ///
     /// Panics if a link fails permanently, after finishing the
     /// poison-propagating schedule of [`Proc::try_reduce_scatter_blocks`].
-    pub fn reduce_scatter_blocks<T: Wire>(
+    pub fn reduce_scatter_blocks<T: Wire + Send + 'static>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
@@ -617,7 +627,7 @@ impl Proc {
     /// Fallible [`Proc::reduce_scatter_blocks`]: a permanent link failure
     /// surfaces as `Err` on every rank (poison propagates along every
     /// remaining edge) instead of hanging.
-    pub fn try_reduce_scatter_blocks<T: Wire>(
+    pub fn try_reduce_scatter_blocks<T: Wire + Send + 'static>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
@@ -627,7 +637,11 @@ impl Proc {
         let name = if halving { "cgm.reduce_scatter.halving" } else { "cgm.reduce_scatter.fanin" };
         let t = self.span(name, &[]);
         let out = if halving {
-            self.try_reduce_scatter_halving(blocks, combine)
+            self.check_blocks(&blocks);
+            self.meet(Meet::ReduceScatter, Box::new(blocks), |values| {
+                Halving::new(values, &combine)
+            })
+            .map(|out| *out.downcast::<Vec<T>>().expect("reduce_scatter result"))
         } else {
             self.try_reduce_scatter_fanin(blocks, combine)
         };
@@ -643,11 +657,6 @@ impl Proc {
         );
     }
 
-    fn combine_block<T>(a: Vec<T>, b: Vec<T>, combine: &impl Fn(T, T) -> T) -> Vec<T> {
-        assert_eq!(a.len(), b.len(), "reduce_scatter blocks must align across ranks");
-        a.into_iter().zip(b).map(|(x, y)| combine(x, y)).collect()
-    }
-
     fn try_reduce_scatter_fanin<T: Wire>(
         &mut self,
         blocks: Vec<Vec<T>>,
@@ -661,7 +670,7 @@ impl Proc {
         let merged = self.try_reduce_inner(0, blocks, |a: Vec<Vec<T>>, b: Vec<Vec<T>>| {
             a.into_iter()
                 .zip(b)
-                .map(|(x, y)| Self::combine_block(x, y, &combine))
+                .map(|(x, y)| combine_block(x, y, &combine))
                 .collect()
         });
         if self.rank() == 0 {
@@ -691,74 +700,10 @@ impl Proc {
         }
     }
 
-    fn try_reduce_scatter_halving<T: Wire>(
-        &mut self,
-        blocks: Vec<Vec<T>>,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Vec<T>, FaultError> {
-        self.check_blocks(&blocks);
-        let p = self.nprocs();
-        debug_assert!(is_pow2(p) && p > 1);
-        // Destination-tagged blocks, kept sorted by destination; each round
-        // halves the set of destinations this rank still carries.
-        let mut entries: Vec<(usize, Vec<T>)> = blocks.into_iter().enumerate().collect();
-        let mut fault: Option<FaultError> = None;
-        let d = log2ceil(p);
-        for i in 0..d {
-            let mask = p >> (i + 1);
-            let peer = self.rank() ^ mask;
-            let (keep, send): (Vec<_>, Vec<_>) = entries
-                .into_iter()
-                .partition(|(dst, _)| dst & mask == self.rank() & mask);
-            let tag = TAG_REDUCE_SCATTER + (i << 8);
-            if fault.is_some() {
-                self.send_poison(peer, tag);
-            } else {
-                let payload: Vec<Vec<T>> = send.into_iter().map(|(_, v)| v).collect();
-                if let Err(e) = self.try_send(peer, tag, &payload) {
-                    fault = Some(e);
-                }
-            }
-            match self.try_recv::<Vec<Vec<T>>>(peer, tag) {
-                Ok(other) if fault.is_none() => {
-                    // The peer's send set is exactly my keep set's
-                    // destinations, in the same ascending order, so a
-                    // positional zip aligns.
-                    assert_eq!(other.len(), keep.len(), "reduce_scatter halves must mirror");
-                    let lower_first = self.rank() < peer;
-                    entries = keep
-                        .into_iter()
-                        .zip(other)
-                        .map(|((dst, mine), theirs)| {
-                            let merged = if lower_first {
-                                Self::combine_block(mine, theirs, &combine)
-                            } else {
-                                Self::combine_block(theirs, mine, &combine)
-                            };
-                            (dst, merged)
-                        })
-                        .collect();
-                }
-                Ok(_) => entries = keep,
-                Err(e) => {
-                    fault.get_or_insert(e);
-                    entries = keep;
-                }
-            }
-        }
-        if let Some(e) = fault {
-            return Err(e);
-        }
-        debug_assert_eq!(entries.len(), 1);
-        let (dst, block) = entries.pop().unwrap();
-        debug_assert_eq!(dst, self.rank());
-        Ok(block)
-    }
-
     /// Personalized all-to-all: `parts[j]` is delivered to rank `j`; the
     /// result's element `i` is what rank `i` addressed to this rank.
     /// `parts[self.rank()]` is returned in place without transfer cost.
-    pub fn all_to_all<T: Wire>(&mut self, parts: Vec<T>) -> Vec<T> {
+    pub fn all_to_all<T: Wire + Send + 'static>(&mut self, parts: Vec<T>) -> Vec<T> {
         let bytes = self.attr_bytes(&parts);
         let t = self.span("cgm.all_to_all", &[("bytes", bytes)]);
         let out = self.all_to_all_inner(parts);
@@ -766,68 +711,81 @@ impl Proc {
         out
     }
 
-    fn all_to_all_inner<T: Wire>(&mut self, parts: Vec<T>) -> Vec<T> {
+    fn all_to_all_inner<T: Wire + Send + 'static>(&mut self, parts: Vec<T>) -> Vec<T> {
         let p = self.nprocs();
         assert_eq!(parts.len(), p, "all_to_all needs exactly one part per rank");
         if p == 1 {
             return parts;
         }
-        // The own part stays here, never encoded.
+        // The own part stays here.
         let me = self.rank();
-        let mut own = None;
-        let encoded = parts
+        let mut parts: Vec<Option<T>> = parts.into_iter().map(Some).collect();
+        let mut own = parts[me].take();
+        let out = self
+            .meet(Meet::AllToAll, Box::new(parts), Exchange::<T>::new)
+            .expect("an infallible schedule panics at its fault");
+        let column = *out.downcast::<Vec<Option<T>>>().expect("all_to_all result");
+        column
             .into_iter()
             .enumerate()
-            .map(|(j, part)| {
-                if j == me {
-                    own = Some(part);
-                    Vec::new()
-                } else {
-                    part.to_bytes()
-                }
-            })
-            .collect();
-        self.meet(Meet::AllToAll, encoded)
-            .iter()
-            .enumerate()
-            .map(|(j, bytes)| match j == me {
+            .map(|(j, part)| match j == me {
                 true => own.take().expect("own part"),
-                false => T::from_bytes(bytes).expect("all_to_all decode"),
+                false => part.expect("every other member addressed this one"),
             })
             .collect()
     }
 
     /// Meet the communicator's other members on its board (see
-    /// [`crate::exec`]) with this rank's encoded `parts` (one per member
-    /// for [`Meet::AllToAll`], the own value for [`Meet::AllGather`]), then
-    /// replay this rank's side of the schedule the board resolved: each
-    /// step's send and receive through the accounting a message gets.
-    /// Returns the parts each member addressed to this one (the own slot
-    /// empty), or every member's value.
-    fn meet(&mut self, meet: Meet, parts: Vec<Vec<u8>>) -> Arc<Vec<Vec<u8>>> {
+    /// [`crate::exec`]) with this rank's typed `value` (see each
+    /// [`Values`] implementation for what it is), then replay this rank's
+    /// side of the schedule the board resolved: each step's send — data or
+    /// poison — and receive through the accounting a message gets. The
+    /// member that fills the board builds the [`Values`] from every
+    /// member's `value`, in local-rank order, with `values`. Returns what
+    /// the board handed this rank, or the first fault of a fallible
+    /// schedule; an infallible one panics at its fault.
+    fn meet<V: Values>(
+        &mut self,
+        meet: Meet,
+        value: Payload,
+        values: impl FnOnce(Vec<Payload>) -> V,
+    ) -> Result<Payload, FaultError> {
         let (members, local) = self.communicator();
+        let schedule = Schedule::of(meet, members.len());
         let deposit = Deposit {
             meet,
             clock: self.clock(),
-            parts,
             link_seq: self.link_seqs(&members),
+            value,
         };
         let shared = self.shared();
         let outcome = shared.exec.meet(&members, local, deposit, |deposits| {
-            resolve(&shared, &members, deposits)
+            resolve(&shared, &members, schedule, deposits, values)
         });
-        let schedule = Schedule::of(meet, members.len());
+        let fallible = schedule.fallible();
+        let mut fault: Option<FaultError> = None;
         for (k, hop) in outcome.hops.iter().enumerate() {
             let (to, from) = schedule.peers(local, k);
             let tag = schedule.tag(k);
-            if let (_, Err(e)) = self.charge_send(members[to], tag, hop.sent) {
-                self.send_failed(to, tag, e);
+            match hop.sent {
+                Some(len) => {
+                    if let (_, Err(e)) = self.charge_send(members[to], tag, len) {
+                        if !fallible {
+                            self.send_failed(to, tag, e);
+                        }
+                        fault.get_or_insert(e);
+                    }
+                }
+                None => self.charge_poison(members[to], tag),
             }
             let Some(Arrival { at, poisoned, len }) = hop.arrival else {
                 shared.exec.await_abort(self.world_rank())
             };
             if let Err(e) = self.charge_recv(members[from], tag, at, poisoned, len) {
-                self.recv_failed(from, tag, e);
+                if !fallible {
+                    self.recv_failed(from, tag, e);
+                }
+                fault.get_or_insert(e);
             }
         }
         debug_assert_eq!(
@@ -836,9 +794,19 @@ impl Proc {
             "rank {}: the replay left the clock the board resolved",
             self.world_rank()
         );
-        outcome.parts
+        fault.map_or(Ok(outcome.value), Err)
     }
 }
+
+/// Merge two ranks' blocks for one destination element-wise, `a`'s
+/// elements first.
+fn combine_block<T>(a: Vec<T>, b: Vec<T>, combine: &impl Fn(T, T) -> T) -> Vec<T> {
+    assert_eq!(a.len(), b.len(), "reduce_scatter blocks must align across ranks");
+    a.into_iter().zip(b).map(|(x, y)| combine(x, y)).collect()
+}
+
+/// A typed value or set of parts on its way across a board.
+type Payload = Box<dyn Any + Send>;
 
 /// A collective that meets on its communicator's board (see
 /// [`crate::exec`]) instead of parking once per message.
@@ -848,6 +816,10 @@ pub(crate) enum Meet {
     AllToAll,
     /// [`Proc::all_gather`].
     AllGather,
+    /// [`Proc::allreduce`], `p` a power of two.
+    AllReduce,
+    /// [`Proc::reduce_scatter_blocks`], `p` a power of two.
+    ReduceScatter,
 }
 
 impl Meet {
@@ -856,6 +828,8 @@ impl Meet {
         match self {
             Meet::AllToAll => "all_to_all",
             Meet::AllGather => "all_gather",
+            Meet::AllReduce => "allreduce",
+            Meet::ReduceScatter => "reduce_scatter_blocks",
         }
     }
 }
@@ -865,31 +839,31 @@ pub(crate) struct Deposit {
     pub(crate) meet: Meet,
     /// The member's clock on entry.
     clock: f64,
-    /// [`Meet::AllToAll`]: the encoded part for each member (its own slot
-    /// empty); [`Meet::AllGather`]: its one encoded value.
-    parts: Vec<Vec<u8>>,
     /// Its next link sequence number toward each member, when sends draw
     /// link faults (empty otherwise).
     link_seq: Vec<u64>,
+    /// Its typed value or parts (see [`Values`]).
+    value: Payload,
 }
 
 /// What a board hands one member back.
 pub(crate) struct Outcome {
-    /// The member's steps of the schedule, as far as it gets: all of them,
-    /// or up to the one whose send fails, whose receive is poisoned, or
-    /// whose sender stopped before it.
+    /// The member's steps of the schedule, as far as it gets: all of them
+    /// in a fallible schedule; in an infallible one, up to the one whose
+    /// send fails, whose receive is poisoned, or whose sender stopped
+    /// before it.
     hops: Vec<Hop>,
     /// The member's clock after its last step, for the replay to check.
     finish: f64,
-    /// [`Meet::AllToAll`]: what each member addressed to this one (the own
-    /// slot empty); [`Meet::AllGather`]: every member's value, one copy
-    /// shared by all of them.
-    parts: Arc<Vec<Vec<u8>>>,
+    /// What the collective hands this member (see [`Values`]).
+    value: Payload,
 }
 
-/// One step of a member's schedule: it sends `sent` bytes, then receives.
+/// One step of a member's schedule: it sends, then receives.
 struct Hop {
-    sent: usize,
+    /// The length of the data message sent, or `None` for a poison
+    /// tombstone (a fallible schedule's rank after its fault).
+    sent: Option<usize>,
     /// `None` when the sender stopped before this step (its send failed or
     /// it was itself stopped): the member waits for the run's abort.
     arrival: Option<Arrival>,
@@ -921,6 +895,14 @@ enum Schedule {
     /// `all_gather`, any other `p`: `p - 1` steps around the ring, each
     /// forwarding the value received in the step before.
     Ring(usize),
+    /// `allreduce`, `p` a power of two: recursive doubling — in step `k`
+    /// rank `r` exchanges its partial with `r ^ 2^k` and both combine.
+    Combining(usize),
+    /// `reduce_scatter_blocks`, `p` a power of two: recursive halving — in
+    /// step `k` rank `r` sends the half of its blocks bound for
+    /// `r ^ (p >> (k + 1))`'s side to that rank and combines the other half
+    /// with what it receives.
+    Halving(usize),
 }
 
 impl Schedule {
@@ -930,14 +912,28 @@ impl Schedule {
             (Meet::AllToAll, false) => Schedule::Shift(p),
             (Meet::AllGather, true) => Schedule::Doubling(p),
             (Meet::AllGather, false) => Schedule::Ring(p),
+            (Meet::AllReduce, true) => Schedule::Combining(p),
+            (Meet::ReduceScatter, true) => Schedule::Halving(p),
+            (Meet::AllReduce | Meet::ReduceScatter, false) => {
+                unreachable!("{} meets only on a power of two", meet.name())
+            }
         }
     }
 
     fn steps(self) -> usize {
         match self {
             Schedule::Xor(p) | Schedule::Shift(p) | Schedule::Ring(p) => p - 1,
-            Schedule::Doubling(p) => log2ceil(p) as usize,
+            Schedule::Doubling(p) | Schedule::Combining(p) | Schedule::Halving(p) => {
+                log2ceil(p) as usize
+            }
         }
+    }
+
+    /// Whether a rank goes on after a fault, sending poison on every
+    /// remaining edge, and returns `Err` at the end. In an infallible
+    /// schedule it panics at the fault.
+    fn fallible(self) -> bool {
+        matches!(self, Schedule::Combining(_) | Schedule::Halving(_))
     }
 
     /// Whom rank `r` sends to and receives from in step `k`.
@@ -945,8 +941,11 @@ impl Schedule {
         match self {
             Schedule::Xor(_) => (r ^ (k + 1), r ^ (k + 1)),
             Schedule::Shift(p) => ((r + k + 1) % p, (r + p - k - 1) % p),
-            Schedule::Doubling(_) => (partner(r, k as u32), partner(r, k as u32)),
+            Schedule::Doubling(_) | Schedule::Combining(_) => {
+                (partner(r, k as u32), partner(r, k as u32))
+            }
             Schedule::Ring(p) => ((r + 1) % p, (r + p - 1) % p),
+            Schedule::Halving(p) => (r ^ (p >> (k + 1)), r ^ (p >> (k + 1))),
         }
     }
 
@@ -958,47 +957,263 @@ impl Schedule {
             }
             Schedule::Doubling(_) => TAG_ALLGATHER + ((k as u32) << 8),
             Schedule::Ring(_) => TAG_ALLGATHER + ((k as u32 & 0xFF) << 8),
+            Schedule::Combining(_) => TAG_ALLREDUCE + ((k as u32) << 8),
+            Schedule::Halving(_) => TAG_REDUCE_SCATTER + ((k as u32) << 8),
         }
     }
 }
 
-/// Resolve a full board: run the collective's schedule over every member
-/// in virtual time — the same `message_cost`, link-fault draws and
-/// `max(clock, arrival)` receive rule a message gets, step by step (a
-/// step's sends depend only on the step before) — and hand each member
-/// its hops and its bytes.
-fn resolve(shared: &SharedMachine, members: &[usize], mut deposits: Vec<Deposit>) -> Vec<Outcome> {
-    let p = members.len();
-    let meet = deposits[0].meet;
-    let schedule = Schedule::of(meet, p);
-    // What rank `s` sends in step `k`. An all-gather message is the
-    // `Vec<(u64, Vec<u8>)>` of the values the sender holds: 8 bytes of
-    // count, then 16 of framing per value.
-    let framed: Vec<usize> = match meet {
-        Meet::AllToAll => Vec::new(),
-        Meet::AllGather => deposits.iter().map(|d| 16 + d.parts[0].len()).collect(),
-    };
-    let sent_len = |deposits: &[Deposit], s: usize, k: usize| -> usize {
-        match schedule {
-            Schedule::Xor(_) | Schedule::Shift(_) => {
-                deposits[s].parts[schedule.peers(s, k).0].len()
-            }
+/// The typed half of a board collective, built from every member's
+/// deposited value by the member that fills the board: what each data
+/// message weighs, what a step's receives combine, and what each member
+/// takes home.
+trait Values {
+    /// The encoded length of what rank `s` sends to `to` in step `k`, while
+    /// `s` is healthy.
+    fn len(&mut self, s: usize, to: usize, k: usize) -> usize;
+    /// Step `k` is over: each rank with `healthy[r]` took data from a
+    /// healthy peer and combines it with its own partial.
+    fn combine(&mut self, _k: usize, _healthy: &[bool]) {}
+    /// What each member takes home, by local rank; read only by the
+    /// members that end healthy.
+    fn results(self) -> Vec<Payload>;
+}
+
+/// [`Proc::all_to_all`]: each member deposits a `Vec<Option<T>>` of one
+/// part per destination (its own slot `None`) and takes home the column
+/// addressed to it.
+struct Exchange<T> {
+    parts: Vec<Vec<Option<T>>>,
+}
+
+impl<T: Wire + Send + 'static> Exchange<T> {
+    fn new(values: Vec<Payload>) -> Self {
+        let parts = values
+            .into_iter()
+            .map(|v| *v.downcast::<Vec<Option<T>>>().expect("all_to_all parts"))
+            .collect();
+        Exchange { parts }
+    }
+}
+
+impl<T: Wire + Send + 'static> Values for Exchange<T> {
+    fn len(&mut self, s: usize, to: usize, _k: usize) -> usize {
+        self.parts[s][to].as_ref().expect("a part per destination").encoded_len()
+    }
+
+    fn results(mut self) -> Vec<Payload> {
+        (0..self.parts.len())
+            .map(|d| {
+                let column: Vec<Option<T>> =
+                    self.parts.iter_mut().map(|row| row[d].take()).collect();
+                Box::new(column) as Payload
+            })
+            .collect()
+    }
+}
+
+/// [`Proc::all_gather`]: each member deposits its `T` and takes home one
+/// shared `Arc<Vec<T>>` of every value. A message is the
+/// `Vec<(u64, Vec<u8>)>` of the encoded values the sender holds: 8 bytes of
+/// count, then 16 of framing per value.
+struct Gather<T> {
+    schedule: Schedule,
+    framed: Vec<usize>,
+    values: Vec<T>,
+}
+
+impl<T: Wire + Send + Sync + 'static> Gather<T> {
+    fn new(values: Vec<Payload>) -> Self {
+        let schedule = Schedule::of(Meet::AllGather, values.len());
+        let values: Vec<T> = values
+            .into_iter()
+            .map(|v| *v.downcast::<T>().expect("all_gather value"))
+            .collect();
+        let framed = values.iter().map(|v| 16 + v.encoded_len()).collect();
+        Gather { schedule, framed, values }
+    }
+}
+
+impl<T: Wire + Send + Sync + 'static> Values for Gather<T> {
+    fn len(&mut self, s: usize, _to: usize, k: usize) -> usize {
+        match self.schedule {
             // The aligned block of 2^k ranks the sender has gathered.
             Schedule::Doubling(_) => {
                 let block = s & !((1 << k) - 1);
-                8 + framed[block..block + (1 << k)].iter().sum::<usize>()
+                8 + self.framed[block..block + (1 << k)].iter().sum::<usize>()
             }
             // The value that started `k` ranks back.
-            Schedule::Ring(p) => 8 + framed[(s + p - k) % p],
+            Schedule::Ring(p) => 8 + self.framed[(s + p - k) % p],
+            _ => unreachable!("an all-gather schedule"),
         }
-    };
+    }
+
+    fn results(self) -> Vec<Payload> {
+        let p = self.values.len();
+        let shared = Arc::new(self.values);
+        (0..p).map(|_| Box::new(Arc::clone(&shared)) as Payload).collect()
+    }
+}
+
+/// [`Proc::allreduce`] by recursive doubling: each member deposits its `T`
+/// and takes home one shared `Option<Arc<T>>` of the result. Before step
+/// `k` every healthy rank of an aligned block of `2^k` ranks holds the same
+/// partial — the block's combine — so each block is combined once per
+/// step, lower half's operand first, where both partners of the messages
+/// would combine it.
+struct Combining<'a, T, F> {
+    combine: &'a F,
+    members: usize,
+    /// Per block of the current step, its partial while a healthy rank
+    /// holds it.
+    blocks: Vec<Option<T>>,
+    /// Per block, its partial's encoded length once asked.
+    lens: Vec<Option<usize>>,
+}
+
+impl<'a, T: Wire + Send + Sync + 'static, F: Fn(T, T) -> T> Combining<'a, T, F> {
+    fn new(values: Vec<Payload>, combine: &'a F) -> Self {
+        let blocks: Vec<Option<T>> = values
+            .into_iter()
+            .map(|v| Some(*v.downcast::<T>().expect("allreduce value")))
+            .collect();
+        let members = blocks.len();
+        let lens = vec![None; members];
+        Combining { combine, members, blocks, lens }
+    }
+}
+
+impl<T: Wire + Send + Sync + 'static, F: Fn(T, T) -> T> Values for Combining<'_, T, F> {
+    fn len(&mut self, s: usize, _to: usize, k: usize) -> usize {
+        let block = s >> k;
+        let partial = self.blocks[block].as_ref().expect("a healthy rank's partial");
+        *self.lens[block].get_or_insert_with(|| partial.encoded_len())
+    }
+
+    fn combine(&mut self, k: usize, healthy: &[bool]) {
+        let mut halves = std::mem::take(&mut self.blocks).into_iter();
+        self.blocks = healthy
+            .chunks(2 << k)
+            .map(|ranks| {
+                let (lo, hi) = (halves.next().flatten(), halves.next().flatten());
+                ranks.iter().any(|&h| h).then(|| {
+                    (self.combine)(lo.expect("lower partial"), hi.expect("upper partial"))
+                })
+            })
+            .collect();
+        self.lens = vec![None; self.blocks.len()];
+    }
+
+    fn results(mut self) -> Vec<Payload> {
+        let shared = self.blocks.pop().flatten().map(Arc::new);
+        (0..self.members).map(|_| Box::new(shared.clone()) as Payload).collect()
+    }
+}
+
+/// [`Proc::reduce_scatter_blocks`] by recursive halving: each member
+/// deposits its `Vec<Vec<T>>` of one block per destination and takes home
+/// its own block, combined over every member.
+struct Halving<'a, T, F> {
+    combine: &'a F,
+    /// Per rank, the blocks of the destinations it still carries (an
+    /// aligned range, halved each step), or none once it is not healthy.
+    entries: Vec<Vec<Vec<T>>>,
+}
+
+impl<'a, T: Wire + Send + 'static, F: Fn(T, T) -> T> Halving<'a, T, F> {
+    fn new(values: Vec<Payload>, combine: &'a F) -> Self {
+        let entries = values
+            .into_iter()
+            .map(|v| *v.downcast::<Vec<Vec<T>>>().expect("reduce_scatter blocks"))
+            .collect();
+        Halving { combine, entries }
+    }
+}
+
+impl<T: Wire + Send + 'static, F: Fn(T, T) -> T> Values for Halving<'_, T, F> {
+    fn len(&mut self, s: usize, _to: usize, k: usize) -> usize {
+        // The half bound for the peer's side: the upper half from the
+        // lower rank of the pair, the lower half from the upper one.
+        let mask = self.entries.len() >> (k + 1);
+        let entries = &self.entries[s];
+        let send = if s & mask == 0 { &entries[mask..] } else { &entries[..mask] };
+        8 + send.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+
+    fn combine(&mut self, k: usize, healthy: &[bool]) {
+        let p = self.entries.len();
+        let mask = p >> (k + 1);
+        let combine = self.combine;
+        let merge = |lower: Vec<Vec<T>>, upper: Vec<Vec<T>>| -> Vec<Vec<T>> {
+            assert_eq!(lower.len(), upper.len(), "reduce_scatter halves must mirror");
+            lower
+                .into_iter()
+                .zip(upper)
+                .map(|(a, b)| combine_block(a, b, combine))
+                .collect()
+        };
+        for lo in (0..p).filter(|r| r & mask == 0) {
+            let hi = lo | mask;
+            let (lo_low, lo_high) = split_at(std::mem::take(&mut self.entries[lo]), mask);
+            let (hi_low, hi_high) = split_at(std::mem::take(&mut self.entries[hi]), mask);
+            if healthy[lo] {
+                self.entries[lo] = merge(lo_low, hi_low);
+            }
+            if healthy[hi] {
+                self.entries[hi] = merge(lo_high, hi_high);
+            }
+        }
+    }
+
+    fn results(self) -> Vec<Payload> {
+        self.entries
+            .into_iter()
+            .map(|mut own| Box::new(own.pop().unwrap_or_default()) as Payload)
+            .collect()
+    }
+}
+
+/// `v`'s first `at` elements and the rest; all of an empty `v` (a rank no
+/// longer healthy) is both.
+fn split_at<T>(mut v: Vec<T>, at: usize) -> (Vec<T>, Vec<T>) {
+    let rest = v.split_off(at.min(v.len()));
+    (v, rest)
+}
+
+/// Resolve a full board: run the collective's schedule over every member
+/// in virtual time — the same `message_cost`, link-fault draws, poison
+/// tombstones and `max(clock, arrival)` receive rule a message gets, step
+/// by step (a step's sends depend only on the step before), each data
+/// message sized by `values` — and hand each member its hops and its value.
+fn resolve<V: Values>(
+    shared: &SharedMachine,
+    members: &[usize],
+    schedule: Schedule,
+    deposits: Vec<Deposit>,
+    values: impl FnOnce(Vec<Payload>) -> V,
+) -> Vec<Outcome> {
+    let p = members.len();
+    let mut clock: Vec<f64> = Vec::with_capacity(p);
+    let mut link_seq: Vec<Vec<u64>> = Vec::with_capacity(p);
+    let mut payloads: Vec<Payload> = Vec::with_capacity(p);
+    for d in deposits {
+        clock.push(d.clock);
+        link_seq.push(d.link_seq);
+        payloads.push(d.value);
+    }
+    let mut values = values(payloads);
     let link = &shared.faults.link;
     let link_faults = shared.link_faults();
-    let mut clock: Vec<f64> = deposits.iter().map(|d| d.clock).collect();
+    let fallible = schedule.fallible();
+    let poison_cost = shared.cost.network.message_cost(0);
     let mut hops: Vec<Vec<Hop>> = (0..p)
         .map(|_| Vec::with_capacity(schedule.steps()))
         .collect();
+    // A rank is running while it takes part in the schedule, and healthy
+    // while it holds its partial and sends data; a fallible schedule's
+    // rank runs to the end, sending poison once it is not healthy.
     let mut running = vec![true; p];
+    let mut healthy = vec![true; p];
     // Per sender, the step's message: arrival, poisoned, length.
     let mut sent: Vec<Option<Arrival>> = vec![None; p];
     for k in 0..schedule.steps() {
@@ -1008,9 +1223,15 @@ fn resolve(shared: &SharedMachine, members: &[usize], mut deposits: Vec<Deposit>
                 continue;
             }
             let to = schedule.peers(s, k).0;
-            let len = sent_len(&deposits, s, k);
+            if !healthy[s] {
+                clock[s] += poison_cost;
+                hops[s].push(Hop { sent: None, arrival: None });
+                sent[s] = Some(Arrival { at: clock[s], poisoned: true, len: 0 });
+                continue;
+            }
+            let len = values.len(s, to, k);
             let transit = if link_faults {
-                let seq = &mut deposits[s].link_seq[to];
+                let seq = &mut link_seq[s][to];
                 *seq += 1;
                 shared.faults.transit(members[s], members[to], *seq - 1)
             } else {
@@ -1019,9 +1240,12 @@ fn resolve(shared: &SharedMachine, members: &[usize], mut deposits: Vec<Deposit>
             let cost = shared.cost.network.message_cost(len);
             let (after, at) = transit.times(clock[s], cost, link);
             clock[s] = after;
-            hops[s].push(Hop { sent: len, arrival: None });
+            hops[s].push(Hop { sent: Some(len), arrival: None });
             sent[s] = Some(Arrival { at, poisoned: transit.failed, len });
-            running[s] = !transit.failed;
+            if transit.failed {
+                healthy[s] = false;
+                running[s] = fallible;
+            }
         }
         for r in 0..p {
             if !running[r] {
@@ -1034,28 +1258,19 @@ fn resolve(shared: &SharedMachine, members: &[usize], mut deposits: Vec<Deposit>
                     if at > clock[r] {
                         clock[r] = at;
                     }
-                    running[r] = !poisoned;
+                    if poisoned {
+                        healthy[r] = false;
+                        running[r] = fallible;
+                    }
                 }
                 None => running[r] = false,
             }
         }
+        values.combine(k, &healthy);
     }
-    let parts: Vec<Arc<Vec<Vec<u8>>>> = match meet {
-        Meet::AllToAll => (0..p)
-            .map(|d| {
-                let column = deposits.iter_mut().map(|dep| std::mem::take(&mut dep.parts[d]));
-                Arc::new(column.collect())
-            })
-            .collect(),
-        Meet::AllGather => {
-            let values = deposits.iter_mut().map(|d| d.parts.pop().expect("value"));
-            let values = Arc::new(values.collect());
-            vec![values; p]
-        }
-    };
     hops.into_iter()
         .zip(clock)
-        .zip(parts)
-        .map(|((hops, finish), parts)| Outcome { hops, finish, parts })
+        .zip(values.results())
+        .map(|((hops, finish), value)| Outcome { hops, finish, value })
         .collect()
 }

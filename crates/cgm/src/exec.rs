@@ -8,16 +8,19 @@
 //! [`Mailbox`]:
 //!
 //! * a **receive** (and everything built on it: `barrier`, `broadcast`,
-//!   the combining collectives) waits for the message it matches, one lock
+//!   `reduce`, `scan`, `gather`, and the reductions on a communicator whose
+//!   size is not a power of two) waits for the message it matches, one lock
 //!   per message and nothing shared between ranks on that path. Receives
 //!   match per `(src, tag)` in sender program order.
-//! * a **meeting** at a communicator's board (`all_to_all`, `all_gather`):
-//!   every member deposits its entry clock and encoded parts, and the last
-//!   to arrive resolves the collective's whole message schedule in virtual
-//!   time and hands each member its outcome — one park per rank per call
-//!   instead of one per message. Each rank then replays its own sends and
-//!   receives through the same accounting a message gets (see
-//!   [`crate::collectives`]). A communicator is its ascending list of
+//! * a **meeting** at a communicator's board (`all_to_all`, `all_gather`,
+//!   and on a power of two `allreduce` and `reduce_scatter_blocks`): every
+//!   member deposits its entry clock and its typed value or parts, and the
+//!   last to arrive resolves the collective's whole message schedule in
+//!   virtual time — moving the values and running a reduction's combines,
+//!   never encoding a byte — and hands each member its outcome: one park
+//!   per rank per call instead of one per message. Each rank then replays
+//!   its own sends and receives through the same accounting a message gets
+//!   (see [`crate::collectives`]). A communicator is its ascending list of
 //!   physical ranks, so disjoint subgroups meet on different boards, and a
 //!   board is dropped once full, so the next call starts a fresh one.
 //!

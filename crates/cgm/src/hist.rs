@@ -56,7 +56,7 @@
 //! assert_eq!(a.max(), 1.0); // exact, not bucketed
 //! ```
 
-use crate::wire::{decode_varint, encode_varint, DecodeError, DecodeResult, Wire};
+use crate::wire::{decode_varint, encode_varint, varint_len, DecodeError, DecodeResult, Wire};
 
 /// The fixed bucket layout of a [`Histogram`]: trackable range and
 /// resolution. Two histograms merge iff their specs are equal.
@@ -157,6 +157,9 @@ impl Wire for HistogramSpec {
         self.min.encode(buf);
         self.max.encode(buf);
         buf.push(self.sig_figs);
+    }
+    fn encoded_len(&self) -> usize {
+        17
     }
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
         let min = f64::decode(buf)?;
@@ -338,6 +341,20 @@ impl Wire for Histogram {
                 prev = i;
             }
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let mut len = self.spec.encoded_len() + 16;
+        len += varint_len(self.underflow) + varint_len(self.overflow);
+        let (mut nonzero, mut prev) = (0u64, 0usize);
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c > 0 {
+                len += varint_len((i - prev) as u64) + varint_len(c);
+                nonzero += 1;
+                prev = i;
+            }
+        }
+        len + varint_len(nonzero)
     }
 
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {

@@ -885,10 +885,27 @@ impl Proc {
     }
 
     /// Deliver a poison tombstone to `dst` without any fault modeling —
-    /// collectives use this to propagate an upstream failure so every rank
-    /// unblocks and surfaces an error. Charges the startup cost `alpha`.
-    pub(crate) fn send_poison(&mut self, dst: usize, tag: u32) {
+    /// the fallible collectives use this to propagate an upstream failure
+    /// so every rank unblocks and surfaces an error, and fault-aware code
+    /// with a schedule of its own can do the same. The receiver's
+    /// [`Proc::try_recv_bytes`] returns [`FaultError::Poisoned`]. Charges
+    /// the startup cost `alpha`.
+    pub fn send_poison(&mut self, dst: usize, tag: u32) {
         let dst = self.resolve_peer(dst);
+        self.charge_poison(dst, tag);
+        self.shared.exec.push(dst, Message {
+            src: self.rank,
+            tag,
+            payload: Vec::new(),
+            arrive_time: self.clock,
+            poisoned: true,
+        });
+    }
+
+    /// Everything [`Proc::send_poison`] to physical rank `dst` does to this
+    /// rank — the clock, the counters and the [`Ev::Push`] — without
+    /// delivering the tombstone, which then arrives at the new clock.
+    pub(crate) fn charge_poison(&mut self, dst: usize, tag: u32) {
         let cost = self.shared.cost.network.message_cost(0);
         self.clock += cost;
         self.counters.comm_time += cost;
@@ -900,13 +917,6 @@ impl Proc {
             lat: self.shared.cost.network.alpha,
             delay: 0.0,
             poison: true,
-        });
-        self.shared.exec.push(dst, Message {
-            src: self.rank,
-            tag,
-            payload: Vec::new(),
-            arrive_time: self.clock,
-            poisoned: true,
         });
     }
 

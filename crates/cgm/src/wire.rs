@@ -65,11 +65,24 @@ pub type DecodeResult<T> = Result<T, DecodeError>;
 ///
 /// Implementations must be *self-delimiting*: `decode` consumes exactly the
 /// bytes produced by `encode` and leaves the rest of the buffer untouched.
+///
+/// A message's virtual cost depends on its length alone. The collectives
+/// that meet on a board (see [`crate::collectives`]) move typed values
+/// between ranks and never encode them: they size each message with
+/// [`Wire::encoded_len`], so a type that crosses the network often should
+/// compute that length without writing the bytes.
 pub trait Wire: Sized {
     /// Append this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
     /// Decode a value from the front of `buf`, advancing the slice.
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self>;
+
+    /// The number of bytes [`Wire::encode`] appends, which an override
+    /// must equal exactly: it is what a board collective charges for the
+    /// message. The default encodes the value to count them.
+    fn encoded_len(&self) -> usize {
+        self.to_bytes().len()
+    }
 
     /// Convenience: encode into a fresh byte vector.
     fn to_bytes(&self) -> Vec<u8> {
@@ -158,6 +171,9 @@ macro_rules! impl_wire_le {
                 let bytes = take(buf, std::mem::size_of::<$t>(), stringify!($t))?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
             }
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
         }
     )*};
 }
@@ -170,6 +186,9 @@ impl Wire for usize {
     }
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
         Ok(u64::decode(buf)? as usize)
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 
@@ -189,12 +208,18 @@ impl Wire for bool {
             }),
         }
     }
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Wire for () {
     fn encode(&self, _buf: &mut Vec<u8>) {}
     fn decode(_buf: &mut &[u8]) -> DecodeResult<Self> {
         Ok(())
+    }
+    fn encoded_len(&self) -> usize {
+        0
     }
 }
 
@@ -221,6 +246,9 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(out)
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
 }
 
 impl Wire for String {
@@ -236,6 +264,9 @@ impl Wire for String {
             remaining: buf.len(),
             trailing: false,
         })
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
     }
 }
 
@@ -261,6 +292,9 @@ impl<T: Wire> Wire for Option<T> {
             }),
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
+    }
 }
 
 macro_rules! impl_wire_tuple {
@@ -273,6 +307,11 @@ macro_rules! impl_wire_tuple {
             }
             fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
                 Ok(($($name::decode(buf)?,)+))
+            }
+            fn encoded_len(&self) -> usize {
+                #[allow(non_snake_case)]
+                let ($($name,)+) = self;
+                0 $(+ $name.encoded_len())+
             }
         }
     };

@@ -1,7 +1,13 @@
 //! Property-based tests of the wire format and the collectives.
 
-use pdc_cgm::{Cluster, Wire};
+use pdc_cgm::{Cluster, Histogram, HistogramSpec, Wire};
 use proptest::prelude::*;
+
+/// The `encoded_len` contract: exactly the bytes `encode` writes, since a
+/// board collective charges that length for the message it never encodes.
+fn assert_encoded_len<T: Wire>(v: &T) {
+    prop_assert_eq!(v.encoded_len(), v.to_bytes().len(), "{}", std::any::type_name::<T>());
+}
 
 /// Decode `bytes` as a `T`: it may fail, it may not panic, and a value it
 /// yields may not hold more reserved elements (`capacities`) than the input
@@ -41,6 +47,65 @@ fn junk_and_flip() -> impl Strategy<Value = (Vec<u8>, u8)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn encoded_len_is_the_encoding_length_of_primitives_and_containers(
+        x in any::<u64>(),
+        f in any::<f64>(),
+        flag in any::<bool>(),
+        s in "\\PC{0,16}",
+        pairs in proptest::collection::vec(
+            ((any::<bool>(), any::<u32>()), proptest::collection::vec(any::<u8>(), 0..8)),
+            0..8,
+        ),
+        rows in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..6), 0..6),
+    ) {
+        assert_encoded_len(&(x as u8));
+        assert_encoded_len(&(x as u16));
+        assert_encoded_len(&(x as u32));
+        assert_encoded_len(&x);
+        assert_encoded_len(&(x as i8));
+        assert_encoded_len(&(x as i16));
+        assert_encoded_len(&(x as i32));
+        assert_encoded_len(&(x as i64));
+        assert_encoded_len(&(f as f32));
+        assert_encoded_len(&f);
+        assert_encoded_len(&(x as usize));
+        assert_encoded_len(&flag);
+        assert_encoded_len(&());
+        assert_encoded_len(&s);
+        // Nested vectors, options and tuples of every arity.
+        let nested: Vec<Option<(u32, Vec<u8>)>> = pairs
+            .iter()
+            .map(|((some, v), bytes)| some.then(|| (*v, bytes.clone())))
+            .collect();
+        assert_encoded_len(&nested);
+        assert_encoded_len(&flag.then(|| rows.clone()));
+        assert_encoded_len(&rows);
+        assert_encoded_len(&(x,));
+        assert_encoded_len(&(x as u8, rows.clone()));
+        assert_encoded_len(&(flag, s.clone(), f));
+        assert_encoded_len(&(x as u16, nested.clone(), (), Some(f)));
+        assert_encoded_len(&(x as i32, flag, s, nested, vec![(); pairs.len()]));
+    }
+
+    #[test]
+    fn encoded_len_is_the_encoding_length_of_a_histogram(
+        values in proptest::collection::vec(0.0f64..2e6, 0..64),
+        big in any::<u64>(),
+    ) {
+        let spec = HistogramSpec::new(1.0, 1e6, 3);
+        assert_encoded_len(&spec);
+        let mut h = Histogram::new(spec);
+        assert_encoded_len(&h);
+        for v in values {
+            h.record(v);
+        }
+        assert_encoded_len(&h);
+        // A count of at least 2^63 takes a ten-byte varint.
+        h.record_n(5.0, (1 << 63) + (big >> 2));
+        assert_encoded_len(&h);
+    }
 
     #[test]
     fn wire_roundtrip_u64_vec(v in proptest::collection::vec(any::<u64>(), 0..64)) {

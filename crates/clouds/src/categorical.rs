@@ -210,6 +210,10 @@ impl Wire for CountMatrix {
         self.counts.encode(buf);
     }
 
+    fn encoded_len(&self) -> usize {
+        self.attr.encoded_len() + self.counts.encoded_len()
+    }
+
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
         let attr = usize::decode(bytes)?;
         let counts = CountTable::decode(bytes)?;

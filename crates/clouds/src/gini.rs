@@ -118,6 +118,10 @@ impl Wire for CountTable {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        8 + self.rows * (8 + 8 * self.cols)
+    }
+
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
         let rows = Vec::<ClassCounts>::decode(bytes)?;
         CountTable::from_rows(&rows)

@@ -121,6 +121,9 @@ impl pdc_cgm::Wire for IntervalSet {
             b.encode(buf);
         }
     }
+    fn encoded_len(&self) -> usize {
+        8 + 8 * self.boundaries().len()
+    }
     fn decode(bytes: &mut &[u8]) -> pdc_cgm::wire::DecodeResult<Self> {
         let boundaries = Vec::<f64>::decode(bytes)?;
         if !strictly_ascending(&boundaries) {

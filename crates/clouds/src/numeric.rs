@@ -195,6 +195,11 @@ impl AttrIntervalStats {
             self.range(i).encode(buf);
         }
     }
+
+    /// The number of bytes [`AttrIntervalStats::encode_ranges`] appends.
+    pub fn ranges_encoded_len(&self) -> usize {
+        8 + (0..self.ranges.len()).map(|i| self.range(i).encoded_len()).sum::<usize>()
+    }
 }
 
 impl Wire for AttrIntervalStats {
@@ -203,6 +208,13 @@ impl Wire for AttrIntervalStats {
         self.intervals.encode(buf);
         self.counts.encode(buf);
         self.encode_ranges(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.attr.encoded_len()
+            + self.intervals.encoded_len()
+            + self.counts.encoded_len()
+            + self.ranges_encoded_len()
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
@@ -418,6 +430,16 @@ impl Wire for AliveInterval {
         self.cum_before.encode(buf);
         self.est.encode(buf);
         self.count.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.attr.encoded_len()
+            + self.index.encoded_len()
+            + self.lower.encoded_len()
+            + self.upper.encoded_len()
+            + self.cum_before.encoded_len()
+            + self.est.encoded_len()
+            + self.count.encoded_len()
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {

@@ -87,6 +87,11 @@ impl Wire for Splitter {
         }
     }
 
+    /// Both variants: a tag byte, the attribute, then eight bytes.
+    fn encoded_len(&self) -> usize {
+        17
+    }
+
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
         match u8::decode(bytes)? {
             0 => {
@@ -127,6 +132,10 @@ impl Wire for Candidate {
         self.gini.encode(buf);
         self.splitter.encode(buf);
         self.left_counts.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.gini.encoded_len() + self.splitter.encoded_len() + self.left_counts.encoded_len()
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {

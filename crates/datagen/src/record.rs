@@ -121,6 +121,10 @@ impl Wire for Record {
         self.store(&mut buf[at..]);
     }
 
+    fn encoded_len(&self) -> usize {
+        Self::ENCODED_BYTES
+    }
+
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
         let Some((head, tail)) = bytes.split_at_checked(Self::ENCODED_BYTES) else {
             return Err(DecodeError::malformed("Record", bytes));

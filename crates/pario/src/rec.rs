@@ -299,6 +299,10 @@ impl<R: Rec> Wire for RecBuf<R> {
         buf.extend_from_slice(&self.bytes);
     }
 
+    fn encoded_len(&self) -> usize {
+        8 + self.bytes.len()
+    }
+
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
         let count = u64::decode(buf)?;
         let nbytes = usize::try_from(count)

@@ -18,7 +18,7 @@
 //! `PerTask` values: one entry per task of the batch, so a batch of one
 //! puts exactly the bare entry's bytes on the wire.
 
-use pdc_cgm::wire::{decode_varint, encode_varint, DecodeError, DecodeResult, Wire};
+use pdc_cgm::wire::{decode_varint, encode_varint, varint_len, DecodeError, DecodeResult, Wire};
 use pdc_clouds::{AttrIntervalStats, CountMatrix, CountTable, IntervalSet};
 
 /// One attribute's statistics inside a batched histogram message.
@@ -71,6 +71,21 @@ fn encode_sparse_counts(buf: &mut Vec<u8>, counts: &CountTable) {
     }
 }
 
+/// The number of bytes [`encode_sparse_counts`] appends, from the same scan
+/// of the cells without writing them.
+fn sparse_counts_len(counts: &CountTable) -> usize {
+    let mut len = varint_len(counts.rows() as u64) + varint_len(counts.cols() as u64);
+    let (mut nonzero, mut prev) = (0u64, 0u64);
+    for (idx, &v) in counts.cells().iter().enumerate() {
+        if v != 0 {
+            len += varint_len(idx as u64 - prev) + varint_len(v);
+            nonzero += 1;
+            prev = idx as u64 + 1;
+        }
+    }
+    len + varint_len(nonzero)
+}
+
 /// Decode the sparse count table back into its exact dense form.
 fn decode_sparse_counts(buf: &mut &[u8]) -> DecodeResult<CountTable> {
     let rows = usize::try_from(decode_varint(buf)?).unwrap_or(usize::MAX);
@@ -118,6 +133,20 @@ impl Wire for HistMsg {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        match self {
+            HistMsg::Numeric(s) => {
+                1 + varint_len(s.attr as u64)
+                    + s.intervals().encoded_len()
+                    + sparse_counts_len(s.counts())
+                    + s.ranges_encoded_len()
+            }
+            HistMsg::Categorical(m) => {
+                1 + varint_len(m.attr as u64) + sparse_counts_len(m.counts())
+            }
+        }
+    }
+
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
         match u8::decode(bytes)? {
             TAG_NUMERIC => {
@@ -152,6 +181,10 @@ impl<T: Wire> Wire for PerTask<T> {
         for value in &self.0 {
             value.encode(buf);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.0.iter().map(Wire::encoded_len).sum()
     }
 
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
@@ -330,5 +363,116 @@ mod tests {
         }
         check(Some(candidate(1, 0.3)), Some(candidate(5, 0.1)));
         check(vec![alive(0, 1)], vec![alive(2, 0), alive(2, 4)]);
+    }
+
+    mod encoded_len {
+        use super::*;
+        use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
+        use pdc_pario::RecBuf;
+        use proptest::prelude::*;
+
+        /// The `encoded_len` contract: exactly the bytes `encode` writes.
+        fn assert_encoded_len<T: Wire>(v: &T) {
+            prop_assert_eq!(v.encoded_len(), v.to_bytes().len(), "{}", std::any::type_name::<T>());
+        }
+
+        /// A cell of each kind: zero, small, at least 2^63, anything.
+        fn cell(kind: u8, x: u64) -> u64 {
+            match kind {
+                0 => 0,
+                1 => x % 300,
+                2 => x | 1 << 63,
+                _ => x,
+            }
+        }
+
+        fn table(cells: &[(u8, u64)], cols: usize) -> CountTable {
+            let mut counts = CountTable::new(cells.len() / cols, cols);
+            for (c, &(kind, x)) in counts.cells_mut().iter_mut().zip(cells) {
+                *c = cell(kind, x);
+            }
+            counts
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn encoded_len_is_the_encoding_length_of_every_message_type(
+                attr in any::<usize>(),
+                cells in proptest::collection::vec((0u8..4, any::<u64>()), 0..24),
+                ranges in proptest::collection::vec(
+                    (any::<bool>(), 0.0f64..100.0, 0.0f64..5.0),
+                    12,
+                ),
+                x in any::<u64>(),
+            ) {
+                // Numeric: q intervals (at least one), two classes, empty
+                // and non-empty ranges.
+                let q = (cells.len() / 2).max(1);
+                let mut cells = cells;
+                cells.resize(2 * q, (0, 0));
+                let intervals = IntervalSet::from_boundaries((1..q).map(|b| b as f64).collect());
+                let ranges: Vec<Option<(f64, f64)>> = (0..q)
+                    .map(|i| {
+                        let (full, lo, width) = ranges[i % ranges.len()];
+                        full.then_some((lo, lo + width))
+                    })
+                    .collect();
+                assert_encoded_len(&intervals);
+                let counts = table(&cells, 2);
+                assert_encoded_len(&counts);
+                let stats =
+                    AttrIntervalStats::from_parts(attr, intervals, counts, &ranges).unwrap();
+                assert_encoded_len(&stats);
+                assert_encoded_len(&HistMsg::Numeric(stats));
+                // Categorical: up to 12 values, none at all included.
+                let rows = cells.len() / 2 % 13;
+                let matrix = CountMatrix::from_table(attr, table(&cells[..2 * rows], 2)).unwrap();
+                assert_encoded_len(&matrix);
+                assert_encoded_len(&HistMsg::Categorical(matrix));
+                // What the elections and the alive exchange send.
+                let splitters = [
+                    Splitter::Numeric { attr: attr % NUM_NUMERIC, threshold: x as f64 },
+                    Splitter::Categorical { attr: attr % NUM_CATEGORICAL, left_values: x },
+                ];
+                let elected: Vec<Option<Candidate>> = splitters
+                    .iter()
+                    .map(|splitter| {
+                        let splitter = splitter.clone();
+                        Some(Candidate { gini: 0.25, splitter, left_counts: vec![x, cell(2, x)] })
+                    })
+                    .chain([None])
+                    .collect();
+                for splitter in &splitters {
+                    assert_encoded_len(splitter);
+                }
+                assert_encoded_len(&elected[0]);
+                assert_encoded_len(&PerTask(elected));
+                assert_encoded_len(&PerTask(Vec::<Option<Candidate>>::new()));
+                let alive: Vec<Vec<AliveInterval>> = (0..3)
+                    .map(|k| {
+                        (0..k)
+                            .map(|i| AliveInterval {
+                                lower: (i % 2 == 0).then_some(i as f64),
+                                upper: (k % 2 == 0).then_some(10.0 + i as f64),
+                                ..alive(i, k)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert_encoded_len(&alive[2][1]);
+                assert_encoded_len(&PerTask(alive));
+                // What the redistribution sends.
+                let record = Record {
+                    numeric: [x as f64; NUM_NUMERIC],
+                    categorical: [x as u8; NUM_CATEGORICAL],
+                    class: (x % 2) as u8,
+                };
+                assert_encoded_len(&record);
+                assert_encoded_len(&vec![(x, record); q]);
+                assert_encoded_len(&RecBuf::from_records(&vec![record; q - 1]));
+            }
+        }
     }
 }
