@@ -91,7 +91,7 @@ pub fn build_tree_psprint(
             .collect();
         // Splitters from an all-gathered sample.
         let sample: Vec<f64> = local.iter().step_by((local.len() / 32).max(1)).map(|e| e.0).collect();
-        let mut merged: Vec<f64> = proc.all_gather(sample).into_iter().flatten().collect();
+        let mut merged: Vec<f64> = proc.all_gather(sample).iter().flatten().copied().collect();
         merged.sort_by(|a, b| a.total_cmp(b));
         let splitters: Vec<f64> = (1..p)
             .map(|j| merged[(j * merged.len()) / p.max(1)])
@@ -181,14 +181,8 @@ pub fn build_tree_psprint(
             );
             // Do neighbouring segments share my last value? (A candidate
             // there would split a run of equal values.)
-            let first_values: Vec<Option<f64>> =
-                proc.all_gather(segment.first().map(|e| e.value));
-            let next_first = first_values
-                .iter()
-                .skip(rank + 1)
-                .flatten()
-                .next()
-                .copied();
+            let first_values = proc.all_gather(segment.first().map(|e| e.value));
+            let next_first = first_values.iter().skip(rank + 1).flatten().next().copied();
             let mut left = before;
             let mut i = 0;
             while i < segment.len() {
@@ -260,10 +254,11 @@ pub fn build_tree_psprint(
         let gathered = proc.all_gather(mine);
         let mut winners: std::collections::HashMap<u64, Candidate> =
             std::collections::HashMap::new();
-        for list in gathered {
+        for list in gathered.iter() {
             for (g, c) in list {
-                let merged = Candidate::better(winners.remove(&g), c).unwrap();
-                winners.insert(g, merged);
+                if winners.get(g).is_none_or(|best| c.beats(best)) {
+                    winners.insert(*g, c.clone());
+                }
             }
         }
 
@@ -303,8 +298,8 @@ pub fn build_tree_psprint(
                 })
             })
             .collect();
-        for moves in proc.all_gather(my_moves) {
-            for (rid, child) in moves {
+        for moves in proc.all_gather(my_moves).iter() {
+            for &(rid, child) in moves {
                 node_of[rid as usize] = child as NodeId;
             }
         }

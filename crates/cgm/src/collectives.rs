@@ -29,8 +29,9 @@
 //!
 //! * [`Proc::all_to_all`] (pairwise XOR exchange, or the shifted ring when
 //!   `p` is not a power of two) moves each part to its destination.
-//! * [`Proc::all_gather`] (recursive doubling, or the ring) shares one copy
-//!   of every value, which each member clones on its own thread.
+//! * [`Proc::all_gather`] (recursive doubling, or the ring) hands every
+//!   member the same shared slice of every value: the replicas the modelled
+//!   ranks hold are one allocation on the host.
 //! * [`Proc::allreduce`] on a power-of-two communicator (recursive
 //!   doubling) combines each pair of partials once, lower rank's operand
 //!   first — the value both partners of the messages would compute — and
@@ -561,28 +562,25 @@ impl Proc {
     /// All-to-all broadcast (all-gather): every rank gets every rank's value,
     /// indexed by rank. Recursive doubling on power-of-two `p`
     /// (`ts·log p + tw·m·(p-1)`), ring otherwise.
-    pub fn all_gather<T>(&mut self, value: T) -> Vec<T>
+    ///
+    /// Every member holds the same values, so the host keeps one copy: each
+    /// member is handed the same shared slice, and reads it in place.
+    pub fn all_gather<T>(&mut self, value: T) -> Arc<[T]>
     where
-        T: Wire + Clone + Send + Sync + 'static,
+        T: Wire + Send + Sync + 'static,
     {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.all_gather", &[("bytes", bytes)]);
-        let out = self.all_gather_inner(value);
+        let out = if self.nprocs() == 1 {
+            Arc::from([value])
+        } else {
+            let out = self
+                .meet(Meet::AllGather, Box::new(value), Gather::<T>::new)
+                .expect("an infallible schedule panics at its fault");
+            *out.downcast::<Arc<[T]>>().expect("all_gather result")
+        };
         self.span_end(t);
         out
-    }
-
-    fn all_gather_inner<T>(&mut self, value: T) -> Vec<T>
-    where
-        T: Wire + Clone + Send + Sync + 'static,
-    {
-        if self.nprocs() == 1 {
-            return vec![value];
-        }
-        let out = self
-            .meet(Meet::AllGather, Box::new(value), Gather::<T>::new)
-            .expect("an infallible schedule panics at its fault");
-        Arc::unwrap_or_clone(*out.downcast::<Arc<Vec<T>>>().expect("all_gather result"))
     }
 
     // ------------------------------------------------------------------
@@ -1013,7 +1011,7 @@ impl<T: Wire + Send + 'static> Values for Exchange<T> {
 }
 
 /// [`Proc::all_gather`]: each member deposits its `T` and takes home one
-/// shared `Arc<Vec<T>>` of every value. A message is the
+/// shared `Arc<[T]>` of every value. A message is the
 /// `Vec<(u64, Vec<u8>)>` of the encoded values the sender holds: 8 bytes of
 /// count, then 16 of framing per value.
 struct Gather<T> {
@@ -1050,7 +1048,7 @@ impl<T: Wire + Send + Sync + 'static> Values for Gather<T> {
 
     fn results(self) -> Vec<Payload> {
         let p = self.values.len();
-        let shared = Arc::new(self.values);
+        let shared: Arc<[T]> = Arc::from(self.values);
         (0..p).map(|_| Box::new(Arc::clone(&shared)) as Payload).collect()
     }
 }

@@ -9,11 +9,15 @@
 //! same results, finish bits, counters, spans, gauges and `.evg` bytes —
 //! at every machine size, in the world and in concurrent subgroups, with
 //! and without link faults, and for the two fallible schedules with links
-//! that fail for good.
+//! that fail for good. An `all_gather` also hands every member of a
+//! communicator the same allocation: the values are never copied per
+//! member.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use pdc_cgm::proc::RESERVED_TAG_BASE;
+use pdc_cgm::wire::DecodeResult;
 use pdc_cgm::{
     Cluster, EventGraph, FaultError, FaultPlan, Group, MachineConfig, OpKind, Proc, ProcStats, Wire,
 };
@@ -223,7 +227,7 @@ fn body(proc: &mut Proc, board: bool) -> Got {
             proc.charge(OpKind::Misc, 50 * (p - r + round) as u64);
             let value = vec![(10 * r + round) as u32; (r * 5 + round) % 4 + 1];
             let g = if board {
-                proc.all_gather(value)
+                proc.all_gather(value).to_vec()
             } else {
                 reference_all_gather(proc, value)
             };
@@ -515,4 +519,46 @@ fn a_link_that_fails_for_good_fails_the_same_ranks_on_the_board() {
         failed > 0 && healthy > 0,
         "({failed} failed, {healthy} healthy)"
     );
+}
+
+/// A payload that cannot be cloned: an all-gather that copied the values
+/// per member would not compile against it.
+#[derive(Debug, PartialEq)]
+struct Token(u64);
+
+impl Wire for Token {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
+        u64::decode(buf).map(Token)
+    }
+}
+
+#[test]
+fn all_gather_hands_every_member_one_shared_allocation() {
+    // One rank, the ring (3) and recursive doubling (4, 64).
+    for p in [1, 3, 4, 64] {
+        let out = Cluster::new(p).run(|proc| proc.all_gather(Token(7 * proc.rank() as u64)));
+        let first = &out.results[0];
+        let want: Vec<Token> = (0..p as u64).map(|r| Token(7 * r)).collect();
+        assert_eq!(first[..], want[..], "p={p}");
+        for (rank, got) in out.results.iter().enumerate() {
+            assert!(Arc::ptr_eq(got, first), "p={p}: rank {rank} holds its own copy");
+        }
+    }
+    // Two concurrent communicators of 3 (ring) and 4 (doubling) members:
+    // one allocation per communicator.
+    let out = Cluster::new(7).run(|proc| {
+        let group = halves(proc);
+        proc.scoped(&group, |p| p.all_gather(Token(p.world_rank() as u64)))
+    });
+    let (lower, upper) = out.results.split_at(3);
+    for (members, ranks) in [(lower, 0..3u64), (upper, 3..7)] {
+        let want: Vec<Token> = ranks.map(Token).collect();
+        assert_eq!(members[0][..], want[..]);
+        assert!(members.iter().all(|got| Arc::ptr_eq(got, &members[0])));
+    }
+    assert!(!Arc::ptr_eq(&lower[0], &upper[0]));
 }

@@ -168,7 +168,7 @@ fn all_gather_everyone_gets_everything() {
         let out = cluster.run(|proc| proc.all_gather(vec![proc.rank() as u32; proc.rank() + 1]));
         let expected: Vec<Vec<u32>> = (0..p).map(|i| vec![i as u32; i + 1]).collect();
         for r in &out.results {
-            assert_eq!(r, &expected, "p={p}");
+            assert_eq!(r[..], expected, "p={p}");
         }
     }
 }
@@ -326,7 +326,7 @@ fn single_proc_machine_collectives_are_identity() {
     let (b, r, a, g, ag, s, aa) = out.results[0].clone();
     assert_eq!((b, r, a), (5, 7, 9));
     assert_eq!(g, vec![3]);
-    assert_eq!(ag, vec![4]);
+    assert_eq!(ag[..], [4]);
     assert_eq!(s, 6);
     assert_eq!(aa, vec![8]);
     assert_eq!(out.makespan(), 0.0);

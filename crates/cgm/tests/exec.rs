@@ -33,7 +33,7 @@ fn workload(proc: &mut Proc) -> (u64, Vec<u64>) {
     let total: u64 = proc.allreduce(from_prev, |a, b| a + b);
     let gathered = proc.all_gather(proc.rank() as u64 + total);
     proc.io_device_sync();
-    (total, gathered)
+    (total, gathered.to_vec())
 }
 
 /// `(p, finish-time bits)` of `workload` as both executors of commit
@@ -427,7 +427,7 @@ fn dense_body(proc: &mut Proc, mut perturb: impl FnMut()) -> u64 {
         let parts = proc.all_to_all(parts);
         perturb();
         let values = proc.all_gather(parts.iter().sum::<u64>());
-        for got in parts.into_iter().chain(values) {
+        for got in parts.into_iter().chain(values.iter().copied()) {
             for byte in got.to_le_bytes() {
                 digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }

@@ -124,7 +124,7 @@ fn singleton_group_is_identity() {
         proc.scoped(&group, |p| {
             let a = p.allreduce(7u64, |x, y| x + y);
             let b = p.broadcast(0, Some(9u64));
-            let c = p.all_gather(4u64);
+            let c = p.all_gather(4u64).to_vec();
             p.barrier();
             (a, b, c)
         })
@@ -249,10 +249,10 @@ fn scoped_collectives_are_confined_to_the_subgroup() {
     for (rank, (local, size, sum, gathered)) in out.results.iter().enumerate() {
         if rank < 4 {
             assert_eq!((*local, *size, *sum), (rank, 4, 6));
-            assert_eq!(gathered, &[0, 1, 2, 3]);
+            assert_eq!(gathered[..], [0, 1, 2, 3]);
         } else {
             assert_eq!((*local, *size, *sum), (rank - 4, 2, 9));
-            assert_eq!(gathered, &[4, 5]);
+            assert_eq!(gathered[..], [4, 5]);
         }
     }
 }

@@ -5,6 +5,8 @@
 //! number of points. These intervals are generated using a predrawn random
 //! sample set S."
 
+use std::sync::Arc;
+
 /// Internal boundaries of `q` intervals over one numeric attribute.
 /// `boundaries().len() == q - 1`; interval `i` covers `(b_{i-1}, b_i]` with
 /// `b_{-1} = -inf`, `b_{q-1} = +inf`. A record exactly on a boundary lies in
@@ -13,12 +15,17 @@
 ///
 /// Equality and the wire form see the boundaries only; the lookup index of
 /// [`IntervalSet::from_sorted`] is derived data.
+///
+/// The boundaries and the index are shared, never copied: a set is cut once
+/// per node (`SortedSample::intervals`), every modelled rank's statistics
+/// hold a clone — a pointer copy — and two sets cut together compare equal
+/// without reading their boundaries.
 #[derive(Debug, Clone)]
 pub struct IntervalSet {
     /// The boundaries, ascending — followed by [`WINDOW`] × `+inf` when
     /// `grid` is set, so that a lookup window starting at any boundary
     /// (or just past the last) stays inside the array.
-    padded: Vec<f64>,
+    padded: Arc<[f64]>,
     /// Lookup index, built by [`IntervalSet::from_sorted`] only: sets made
     /// by [`IntervalSet::from_boundaries`] or decoded from the wire belong
     /// to owners, which never look values up.
@@ -27,7 +34,7 @@ pub struct IntervalSet {
 
 impl PartialEq for IntervalSet {
     fn eq(&self, other: &Self) -> bool {
-        self.boundaries() == other.boundaries()
+        Arc::ptr_eq(&self.padded, &other.padded) || self.boundaries() == other.boundaries()
     }
 }
 
@@ -60,7 +67,7 @@ struct Grid {
     scale: f64,
     /// `first[c]` = boundaries in cells below `c`; `cells + 1` entries.
     /// `u16` keeps the index at a quarter of the boundaries' own size.
-    first: Vec<u16>,
+    first: Arc<[u16]>,
 }
 
 impl Grid {
@@ -86,30 +93,36 @@ impl Grid {
         if !(scale.is_finite() && scale > 0.0) {
             return None;
         }
-        let mut grid = Grid {
-            lo,
-            scale,
-            first: vec![0u16; cells + 1],
-        };
+        let mut first = vec![0u16; cells + 1];
         for &b in boundaries {
-            let c = grid.cell(b);
-            grid.first[c + 1] += 1;
+            first[cell(lo, scale, cells, b) + 1] += 1;
         }
-        if grid.first.iter().any(|&held| usize::from(held) > WINDOW) {
+        if first.iter().any(|&held| usize::from(held) > WINDOW) {
             return None;
         }
         for c in 0..cells {
-            grid.first[c + 1] += grid.first[c];
+            first[c + 1] += first[c];
         }
-        Some(grid)
+        Some(Grid {
+            lo,
+            scale,
+            first: first.into(),
+        })
     }
 
-    /// Cell of a value. The cast saturates: `+inf` lands in the last cell,
-    /// anything `<= lo` — and NaN — in cell 0.
+    /// Cell of a value.
     #[inline]
     fn cell(&self, v: f64) -> usize {
-        (((v - self.lo) * self.scale) as usize).min(self.first.len() - 2)
+        cell(self.lo, self.scale, self.first.len() - 1, v)
     }
+}
+
+/// Cell of `v` in a `cells`-cell grid from `lo` at `scale` cells per unit.
+/// The cast saturates: `+inf` lands in the last cell, anything `<= lo` —
+/// and NaN — in cell 0.
+#[inline]
+fn cell(lo: f64, scale: f64, cells: usize, v: f64) -> usize {
+    (((v - lo) * scale) as usize).min(cells - 1)
 }
 
 impl pdc_cgm::Wire for IntervalSet {
@@ -130,7 +143,7 @@ impl pdc_cgm::Wire for IntervalSet {
             return Err(pdc_cgm::wire::DecodeError::malformed("boundaries not strictly ascending", bytes));
         }
         Ok(IntervalSet {
-            padded: boundaries,
+            padded: boundaries.into(),
             grid: None,
         })
     }
@@ -146,7 +159,7 @@ impl IntervalSet {
     pub fn from_boundaries(boundaries: Vec<f64>) -> IntervalSet {
         assert!(strictly_ascending(&boundaries), "boundaries must be strictly ascending");
         IntervalSet {
-            padded: boundaries,
+            padded: boundaries.into(),
             grid: None,
         }
     }
@@ -187,7 +200,7 @@ impl IntervalSet {
             boundaries.extend([f64::INFINITY; WINDOW]);
         }
         IntervalSet {
-            padded: boundaries,
+            padded: boundaries.into(),
             grid,
         }
     }
@@ -316,7 +329,7 @@ mod tests {
         let bunched: Vec<f64> = (0..100).map(|i| 2f64.powi(i - 50)).collect();
         let set = IntervalSet::from_sample(&bunched, 50);
         assert!(set.grid.is_none() && set.num_intervals() > 40);
-        assert_eq!(set.padded, set.boundaries());
+        assert_eq!(&*set.padded, set.boundaries());
         // `hi - lo` overflows: no finite scale, plain search.
         let stretch = f64::MAX / 600.0;
         let wide: Vec<f64> = values.iter().map(|v| (v - 500.0) * stretch).collect();
@@ -331,6 +344,25 @@ mod tests {
         assert_eq!(plain.to_bytes(), indexed.to_bytes());
         let decoded = IntervalSet::from_bytes(&indexed.to_bytes()).unwrap();
         assert!(decoded.grid.is_none());
+    }
+
+    #[test]
+    fn clones_share_their_boundaries_and_the_wire_form_compares_equal() {
+        use pdc_cgm::Wire;
+        let values: Vec<f64> = (0..1000).map(|i| (i % 97) as f64).collect();
+        for q in [1, 8, 100] {
+            let set = IntervalSet::from_sample(&values, q);
+            let clone = set.clone();
+            assert!(Arc::ptr_eq(&set.padded, &clone.padded));
+            assert_eq!(clone, set);
+            // Decoded, the set owns fresh boundaries and still compares
+            // equal, both ways.
+            let decoded = IntervalSet::from_bytes(&clone.to_bytes()).unwrap();
+            assert!(!Arc::ptr_eq(&set.padded, &decoded.padded));
+            assert_eq!(decoded, set, "q {q}");
+            assert_eq!(set, decoded, "q {q}");
+            assert_ne!(IntervalSet::from_boundaries(vec![0.5]), set, "q {q}");
+        }
     }
 
     #[test]

@@ -481,6 +481,7 @@ pub fn exact_interval_scan(
     }
     points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN attribute value"));
     let mut left = alive.cum_before.clone();
+    let mut right = vec![0u64; node_total.len()];
     let mut best: Option<Candidate> = None;
     let n = points.len();
     let mut i = 0;
@@ -496,22 +497,26 @@ pub fn exact_interval_scan(
             left[points[i].1 as usize] += 1;
             i += 1;
         }
-        let right = sub(node_total, &left);
+        for ((r, &t), &l) in right.iter_mut().zip(node_total).zip(&left) {
+            *r = t - l;
+        }
         if right.iter().sum::<u64>() == 0 {
             break; // threshold at the global maximum cannot partition
         }
         let g = split_gini(&left, &right);
-        best = Candidate::better(
-            best,
-            Candidate {
+        // Thresholds ascend within the interval, so the canonical key
+        // (`Candidate::key`: gini bits, then threshold) is decided by the
+        // gini bits alone: on a tie the later, larger threshold loses.
+        if best.as_ref().is_none_or(|b| g.to_bits() < b.gini.to_bits()) {
+            best = Some(Candidate {
                 gini: g,
                 splitter: Splitter::Numeric {
                     attr: alive.attr,
                     threshold: v,
                 },
                 left_counts: left.clone(),
-            },
-        );
+            });
+        }
     }
     best
 }

@@ -1,6 +1,8 @@
 //! Random sampling helpers: the "pre-drawn random sample set S" used to
 //! place interval boundaries.
 
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
@@ -42,12 +44,34 @@ fn sort_key(value: f64) -> u64 {
 /// are read off by index ([`SortedSample::intervals`]). This is the
 /// pre-sorted attribute list of SLIQ/SPRINT — which CLOUDS avoids for the
 /// data — applied to the sample, which is small and replicated.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Equality sees the points and columns only; the interval sets already
+/// cut from them are derived data.
+#[derive(Debug, Clone, Default)]
 pub struct SortedSample {
     records: Vec<Record>,
     /// `columns[a][k]` indexes the record with the `k`-th smallest value of
     /// numeric attribute `a` (ties in record order).
     columns: [Vec<u32>; NUM_NUMERIC],
+    cuts: Cuts,
+}
+
+impl PartialEq for SortedSample {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records && self.columns == other.columns
+    }
+}
+
+/// The interval sets cut from one sample, by `(attr, q)`. Every modelled
+/// rank reads a node's sets off the same shared sample, so the host cuts
+/// each once and hands out clones (pointer copies) of it.
+#[derive(Debug, Default)]
+struct Cuts(Mutex<Vec<(usize, usize, IntervalSet)>>);
+
+impl Clone for Cuts {
+    fn clone(&self) -> Self {
+        Cuts(Mutex::new(self.0.lock().unwrap_or_else(PoisonError::into_inner).clone()))
+    }
 }
 
 impl SortedSample {
@@ -67,7 +91,11 @@ impl SortedSample {
             keyed.sort_unstable();
             keyed.into_iter().map(|(_, i)| i).collect()
         });
-        SortedSample { records, columns }
+        SortedSample {
+            records,
+            columns,
+            cuts: Cuts::default(),
+        }
     }
 
     /// The sample points, in drawing order.
@@ -86,16 +114,26 @@ impl SortedSample {
     }
 
     /// Boundaries of `q` equi-depth intervals of numeric attribute `attr`,
-    /// equal to `IntervalSet::from_sample` over the points' raw values.
+    /// equal to `IntervalSet::from_sample` over the points' raw values. The
+    /// first call for `(attr, q)` cuts the set; every later one returns a
+    /// clone of it, sharing its boundaries.
     pub fn intervals(&self, attr: usize, q: usize) -> IntervalSet {
+        let mut cuts = self.cuts.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, _, set)) = cuts.iter().find(|&&(a, k, _)| (a, k) == (attr, q)) {
+            return set.clone();
+        }
         let column = &self.columns[attr];
-        IntervalSet::from_sorted(column.len(), |k| self.records[column[k] as usize].num(attr), q)
+        let set =
+            IntervalSet::from_sorted(column.len(), |k| self.records[column[k] as usize].num(attr), q);
+        cuts.push((attr, q, set.clone()));
+        set
     }
 
     /// Partition the sample on `splitter` into (left, right). Stable in the
     /// records and in every column, so both children are sorted samples.
     pub fn split(self, splitter: &Splitter) -> (SortedSample, SortedSample) {
-        let SortedSample { records, columns } = self;
+        // The parent's cut sets describe the parent: they go with it.
+        let SortedSample { records, columns, .. } = self;
         // Where each point goes: its side (right?) and its index there.
         let mut counts = [0u32; 2];
         let placed: Vec<(bool, u32)> = records
@@ -108,7 +146,7 @@ impl SortedSample {
             .collect();
         let mut sides = counts.map(|n| SortedSample {
             records: Vec::with_capacity(n as usize),
-            columns: Default::default(),
+            ..SortedSample::default()
         });
         for (r, &(right, _)) in records.iter().zip(&placed) {
             sides[usize::from(right)].records.push(*r);
@@ -189,6 +227,44 @@ mod tests {
         assert_eq!(a.len(), 100);
         let c = draw_sample(&records, 100, 8);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn interval_sets_are_cut_once_per_attribute_and_q() {
+        let sample = SortedSample::new(generate(400, GeneratorConfig::default()));
+        let shared =
+            |a: &IntervalSet, b: &IntervalSet| a.boundaries().as_ptr() == b.boundaries().as_ptr();
+        let set = sample.intervals(0, 20);
+        assert!(shared(&set, &sample.intervals(0, 20)));
+        // Another q or attribute is another cut; a clone of the sample
+        // keeps what was cut.
+        assert!(!shared(&set, &sample.intervals(0, 21)));
+        assert!(!shared(&set, &sample.intervals(1, 20)));
+        assert!(shared(&set, &sample.clone().intervals(0, 20)));
+        assert_eq!(sample, SortedSample::new(sample.records().to_vec()));
+    }
+
+    #[test]
+    fn a_split_child_cuts_its_own_sets() {
+        let records = generate(400, GeneratorConfig::default());
+        let sample = SortedSample::new(records.clone());
+        let splitter = Splitter::Numeric {
+            attr: 0,
+            threshold: records[0].num(0),
+        };
+        let parent: Vec<IntervalSet> = (0..NUM_NUMERIC).map(|a| sample.intervals(a, 10)).collect();
+        let (left, right) = sample.split(&splitter);
+        for (child, side) in [(left, true), (right, false)] {
+            let raw: Vec<Record> =
+                records.iter().filter(|r| splitter.goes_left(r) == side).copied().collect();
+            assert_eq!(child.records(), raw);
+            for (attr, parent) in parent.iter().enumerate() {
+                let values: Vec<f64> = raw.iter().map(|r| r.num(attr)).collect();
+                let set = child.intervals(attr, 10);
+                assert_eq!(set, IntervalSet::from_sample(&values, 10), "attr {attr}");
+                assert_ne!(set.boundaries().as_ptr(), parent.boundaries().as_ptr());
+            }
+        }
     }
 
     #[test]

@@ -174,13 +174,18 @@ impl Candidate {
         }
     }
 
+    /// Whether `self` wins against `other`: its canonical key is strictly
+    /// smaller (see `Candidate::key`).
+    pub fn beats(&self, other: &Candidate) -> bool {
+        self.key() < other.key()
+    }
+
     /// Keep the better of `current` and `challenger` (canonically smaller
     /// key wins; see `Candidate::key`).
     pub fn better(current: Option<Candidate>, challenger: Candidate) -> Option<Candidate> {
         match current {
-            None => Some(challenger),
-            Some(c) if challenger.key() < c.key() => Some(challenger),
-            Some(c) => Some(c),
+            Some(c) if !challenger.beats(&c) => Some(c),
+            _ => Some(challenger),
         }
     }
 }

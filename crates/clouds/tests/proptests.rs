@@ -126,6 +126,73 @@ fn total_after(before: &[u64], points: &[(f64, u8)]) -> Option<Vec<u64>> {
         .collect()
 }
 
+/// `exact_interval_scan` as it was written before it stopped building a
+/// candidate per distinct value: a fresh right-hand count and a whole
+/// `Candidate` at every threshold, kept or dropped by `Candidate::better`.
+/// The reference its rewrite must match bit for bit.
+fn reference_exact_interval_scan(
+    points: &mut [(f64, u8)],
+    alive: &AliveInterval,
+    node_total: &[u64],
+) -> Option<Candidate> {
+    if points.is_empty() {
+        return None;
+    }
+    points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN attribute value"));
+    let mut left = alive.cum_before.clone();
+    let mut best: Option<Candidate> = None;
+    let n = points.len();
+    let mut i = 0;
+    while i < n {
+        let v = points[i].0;
+        while i < n && points[i].0 == v {
+            left[points[i].1 as usize] += 1;
+            i += 1;
+        }
+        let right = sub(node_total, &left);
+        if right.iter().sum::<u64>() == 0 {
+            break;
+        }
+        let g = split_gini(&left, &right);
+        best = Candidate::better(
+            best,
+            Candidate {
+                gini: g,
+                splitter: Splitter::Numeric { attr: alive.attr, threshold: v },
+                left_counts: left.clone(),
+            },
+        );
+    }
+    best
+}
+
+/// An alive interval over the whole line holding `points`, with
+/// `cum_before` records before it.
+fn whole_line(points: &[(f64, u8)], cum_before: Vec<u64>) -> AliveInterval {
+    AliveInterval {
+        attr: 2,
+        index: 0,
+        lower: None,
+        upper: None,
+        cum_before,
+        est: 0.0,
+        count: points.len() as u64,
+    }
+}
+
+#[test]
+fn exact_scan_keeps_the_first_of_tied_thresholds() {
+    // Classes 0 1 1 0 at 1 2 3 4: the splits at 1 and at 3 swap the sides'
+    // counts, so their ginis are the same bits; the smaller threshold wins.
+    let points = [(1.0, 0), (2.0, 1), (3.0, 1), (4.0, 0)];
+    let alive = whole_line(&points, vec![0; NUM_CLASSES]);
+    let total = vec![2, 2];
+    let got = exact_interval_scan(&mut points.clone(), &alive, &total).unwrap();
+    let want = reference_exact_interval_scan(&mut points.clone(), &alive, &total).unwrap();
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    assert_eq!(got.splitter, Splitter::Numeric { attr: 2, threshold: 1.0 });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -459,6 +526,70 @@ proptest! {
             let total_n: u64 = total.iter().sum();
             prop_assert!(left_n > 0 && left_n < total_n);
             prop_assert!(c.gini <= gini(&total) + 1e-12);
+        }
+    }
+
+    /// The exact scan builds a candidate only when its gini bits beat the
+    /// best so far, and returns what the reference scan returns, bit for
+    /// bit: on few distinct values (long runs of duplicates), with records
+    /// before and after the interval, and on mirrored columns, where the
+    /// splits at `t` and `10 - t - 1` tie exactly.
+    #[test]
+    fn exact_scan_equals_the_reference_scan(
+        raw in proptest::collection::vec((0u8..10, 0u8..NUM_CLASSES as u8), 0..60),
+        before in proptest::collection::vec(0u64..20, NUM_CLASSES),
+        after in proptest::collection::vec(0u64..20, NUM_CLASSES),
+        mirror in any::<bool>(),
+    ) {
+        let mut points: Vec<(f64, u8)> = raw.iter().map(|&(v, c)| (f64::from(v), c)).collect();
+        let (before, after) = if mirror {
+            points.extend(raw.iter().map(|&(v, c)| (f64::from(10 - v), c)));
+            (vec![0; NUM_CLASSES], vec![0; NUM_CLASSES])
+        } else {
+            (before, after)
+        };
+        let alive = whole_line(&points, before.clone());
+        let mut total = total_after(&before, &points).unwrap();
+        pdc_clouds::gini::add_assign(&mut total, &after);
+        let got = exact_interval_scan(&mut points.clone(), &alive, &total);
+        let want = reference_exact_interval_scan(&mut points, &alive, &total);
+        // Debug shows every bit of the gini and the threshold (−0.0 ≠ 0.0).
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    /// A sample's interval set is cut once per `(attr, q)`: asking again
+    /// returns the same allocation, whatever was asked in between, and it
+    /// equals `IntervalSet::from_sorted` over a fresh sort of the values —
+    /// boundaries and lookup index — on columns with duplicates, at
+    /// `q = 1`, below `GRID_MIN_BOUNDARIES` and above it.
+    #[test]
+    fn memoised_interval_sets_equal_a_fresh_cut(
+        seed in any::<u64>(),
+        kinds in proptest::collection::vec(0u8..6, NUM_NUMERIC),
+        n in 0usize..300,
+        asks in proptest::collection::vec((0..NUM_NUMERIC, 0u8..3, 0usize..200), 1..12),
+    ) {
+        use pdc_datagen::{generate, GeneratorConfig};
+        let mut raw = generate(n, GeneratorConfig { seed, ..GeneratorConfig::default() });
+        for (i, r) in raw.iter_mut().enumerate() {
+            for (attr, kind) in kinds.iter().enumerate() {
+                r.numeric[attr] = adversarial_value(*kind, i, r.numeric[attr]);
+            }
+        }
+        // q = 1, a set below 16 boundaries, or one of up to 216 intervals.
+        let asks: Vec<(usize, usize)> = asks
+            .into_iter()
+            .map(|(attr, size, x)| (attr, [1, 2 + x % 15, 17 + x][usize::from(size)]))
+            .collect();
+        let sample = SortedSample::new(raw.clone());
+        let first: Vec<IntervalSet> = asks.iter().map(|&(attr, q)| sample.intervals(attr, q)).collect();
+        for (&(attr, q), set) in asks.iter().zip(&first) {
+            let again = sample.intervals(attr, q);
+            prop_assert_eq!(again.boundaries().as_ptr(), set.boundaries().as_ptr());
+            let mut values: Vec<f64> = raw.iter().map(|r| r.num(attr)).collect();
+            values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let fresh = IntervalSet::from_sorted(values.len(), |i| values[i], q);
+            prop_assert_eq!(format!("{set:?}"), format!("{fresh:?}"), "attr {}, q {}", attr, q);
         }
     }
 

@@ -34,6 +34,8 @@
 //! processors, their data is moved with batched compute-dependent parallel
 //! I/O, and each owner builds the subtree in memory with the direct method.
 
+use std::sync::Arc;
+
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::derive::{NodeAccumulator, NodeStats};
 use pdc_clouds::gini::total;
@@ -198,16 +200,20 @@ impl PcloudsProblem<'_> {
     /// candidate per task, after which every rank keeps, per task, the
     /// canonically smallest (the paper's min-reduction on local minimum
     /// ginis, made canonical so no winner depends on ranks or batching).
+    /// The gathered candidates are read in place; only each task's winner
+    /// is cloned.
     fn elect(&self, proc: &mut Proc, local: Vec<Option<Candidate>>) -> Vec<Option<Candidate>> {
-        let mut best = vec![None; local.len()];
-        for PerTask(per_rank) in proc.all_gather(PerTask(local)) {
-            for (best, cand) in best.iter_mut().zip(per_rank) {
-                if let Some(cand) = cand {
-                    *best = Candidate::better(best.take(), cand);
-                }
-            }
-        }
-        best
+        let batch = local.len();
+        let gathered = proc.all_gather(PerTask(local));
+        (0..batch)
+            .map(|j| {
+                gathered
+                    .iter()
+                    .filter_map(|PerTask(per_rank)| per_rank[j].as_ref())
+                    .reduce(|best, cand| if cand.beats(best) { cand } else { best })
+                    .cloned()
+            })
+            .collect()
     }
 
     /// Phase 2c: single-assignment evaluation of alive intervals — the
@@ -223,7 +229,7 @@ impl PcloudsProblem<'_> {
         proc: &mut Proc,
         tasks: &[Task<NodeMeta>],
         active: &[usize],
-        alive: &[Vec<AliveInterval>],
+        alive: &[Vec<&AliveInterval>],
         chunk: usize,
     ) -> Vec<Option<Candidate>> {
         let p = proc.nprocs();
@@ -232,7 +238,7 @@ impl PcloudsProblem<'_> {
         let flat: Vec<(usize, &AliveInterval)> = alive
             .iter()
             .enumerate()
-            .flat_map(|(j, run)| run.iter().map(move |interval| (j, interval)))
+            .flat_map(|(j, run)| run.iter().map(move |&interval| (j, interval)))
             .collect();
         let costs: Vec<f64> = flat
             .iter()
@@ -260,7 +266,7 @@ impl PcloudsProblem<'_> {
             .map(|run| {
                 let start = base;
                 base += run.len();
-                (start, AliveRouter::new(run))
+                (start, AliveRouter::new(run.iter().copied()))
             })
             .collect();
         // The points this rank owns, by position.
@@ -558,24 +564,28 @@ impl OocProblem for PcloudsProblem<'_> {
 
         // The exact pass runs iff the method is SSE, so under SS a task
         // without a boundary candidate is a leaf. Owners determine the alive
-        // intervals and replicate them (one all-gather, grouped by task).
-        let mut alive = vec![Vec::new(); active.len()];
-        if self.params().method == SplitMethod::SSE {
+        // intervals and replicate them (one all-gather, grouped by task);
+        // every rank reads the one gathered copy in place.
+        let gathered = if self.params().method == SplitMethod::SSE {
             let mut local = vec![Vec::new(); active.len()];
             for (j, attr_stats) in &owned {
                 let gini_min = ss[*j].as_ref().map_or(f64::INFINITY, |c| c.gini);
                 proc.charge(OpKind::GiniEval, attr_stats.intervals().num_intervals() as u64);
                 local[*j].extend(attr_stats.alive_intervals(totals[*j], gini_min));
             }
-            for PerTask(per_rank) in proc.all_gather(PerTask(local)) {
-                for (all, mine) in alive.iter_mut().zip(per_rank) {
-                    all.extend(mine);
-                }
+            proc.all_gather(PerTask(local))
+        } else {
+            Arc::from([])
+        };
+        let mut alive: Vec<Vec<&AliveInterval>> = vec![Vec::new(); active.len()];
+        for PerTask(per_rank) in gathered.iter() {
+            for (all, mine) in alive.iter_mut().zip(per_rank) {
+                all.extend(mine);
             }
-            // Deterministic global order (owners may interleave attributes).
-            for run in &mut alive {
-                run.sort_by_key(|a| (a.attr, a.index));
-            }
+        }
+        // Deterministic global order (owners may interleave attributes).
+        for run in &mut alive {
+            run.sort_by_key(|a| (a.attr, a.index));
         }
         for (j, &i) in active.iter().enumerate() {
             if tasks[i].id == 1 {
