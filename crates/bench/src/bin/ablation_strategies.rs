@@ -1,6 +1,6 @@
 //! **Ablation — parallelization strategies (Section 3 of the paper).**
 //!
-//! Runs the same pCLOUDS workload under the four strategies and reports
+//! Runs the same pCLOUDS workload under the five strategies and reports
 //! simulated runtime, message counts and bytes. Expected ordering (the
 //! paper's argument):
 //!
@@ -10,7 +10,10 @@
 //! * **data parallelism only** wastes startups on tiny nodes;
 //! * **concatenated** behaves like data parallelism here (per-level
 //!   batching) and shares memory across a level — the paper's reason to
-//!   prefer plain data parallelism out-of-core.
+//!   prefer plain data parallelism out-of-core;
+//! * **task parallelism** sends the fewest messages once groups are
+//!   small, but pays a redistribution of the data at every split and
+//!   loses balance as subtree costs diverge (§3.1).
 
 use pdc_bench::harness::{num, write_results, Experiment, Scale, TableWriter};
 use pdc_dnc::Strategy;
@@ -32,6 +35,7 @@ fn main() {
         ("mixed-immediate", Strategy::MixedImmediate),
         ("data-parallel", Strategy::DataParallel),
         ("concatenated", Strategy::Concatenated),
+        ("task-parallel", Strategy::TaskParallel),
     ] {
         let out = Experiment::new(n, p, scale).strategy(strategy).run();
         let totals = out.run.total_counters();

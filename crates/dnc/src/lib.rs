@@ -11,11 +11,11 @@
 //!
 //! * [`OocProblem`] — the problem interface: cost model, small-task
 //!   predicate, local solve, and two collective steps over a batch of tasks
-//!   (data-parallel processing and redistribution; a task is a batch of
-//!   one);
-//! * [`Strategy`] — the strategies of Section 3: data parallelism, mixed
-//!   delayed/immediate and concatenated run through one driver over a
-//!   frontier of ready tasks, task parallelism through the group hooks;
+//!   (processing by a group and redistribution to groups; a task is a batch
+//!   of one, a processor a group of one);
+//! * [`Strategy`] — the five strategies of Section 3 (data parallelism,
+//!   mixed delayed/immediate, concatenated and task parallelism) run
+//!   through one driver over a frontier of ready tasks and their groups;
 //! * [`lpt_assign`] — cost-based task-to-processor assignment;
 //! * [`problems::sort::OocSort`] — a complete demonstration problem
 //!   (parallel out-of-core distribution sort).

@@ -5,11 +5,12 @@
 //! tree. The root node contains the entire data set. Each internal node
 //! represents a task \[which\] is split into two subtasks." Problems plug into
 //! the framework with two collective steps over a batch of tasks — process
-//! the batch with all processors (data parallelism), and move small tasks'
-//! data to their owners (compute-dependent parallel I/O) — plus how to
-//! solve a small task locally. A single task is a batch of one.
+//! the batch with a group of processors (data parallelism), and move tasks'
+//! data to their groups (compute-dependent parallel I/O) — plus how to
+//! solve a small task locally. A single task is a batch of one, and a
+//! single processor is a group of one.
 
-use pdc_cgm::Proc;
+use pdc_cgm::{Group, Proc};
 
 /// One task of the divide-and-conquer tree.
 ///
@@ -64,16 +65,21 @@ pub enum Outcome<M> {
 
 /// A divide-and-conquer problem over disk-resident data.
 ///
-/// All methods marked *collective* are called by every processor in the
-/// same order (SPMD); `solve_small_local` runs on the owning processor only
-/// and must not communicate.
+/// All methods marked *collective* are called by every member of the
+/// communicator they run in, in the same order (SPMD): the whole machine,
+/// or inside [`Proc::scoped`] a task's group, where `proc.rank()` is
+/// group-local. A problem therefore addresses per-processor state (its
+/// disks) by the processor it runs on, not by `proc.rank()`.
+/// `solve_small_local` runs on the owning processor only and must not
+/// communicate.
 pub trait OocProblem: Sync {
     /// Task description: everything needed to decide cost/size and locate
     /// the task's data. Must be identical on all processors.
     type Meta: Clone + Send;
 
     /// Estimated processing cost of a task (drives LPT assignment of small
-    /// tasks; the paper assigns small nodes "based on the task costs").
+    /// tasks and the cost split of task-parallel groups; the paper assigns
+    /// small nodes "based on the task costs").
     fn cost(&self, meta: &Self::Meta) -> f64;
 
     /// Is this task small enough for single-processor in-core processing?
@@ -87,19 +93,23 @@ pub trait OocProblem: Sync {
         0
     }
 
-    /// *Collective.* Process a batch of tasks with all processors and
-    /// return one outcome per task, in order: derive each division,
-    /// partition each task's local data, and report the split (or that the
-    /// task is solved). A batch is one task under data and mixed
-    /// parallelism, a whole tree level under concatenated parallelism; a
-    /// problem can spool the batch's communication together.
+    /// *Collective.* Process a batch of tasks with the group holding their
+    /// data and return one outcome per task, in order: derive each
+    /// division, partition each task's local data, and report the split (or
+    /// that the task is solved). A batch is one task under data, mixed and
+    /// task parallelism, a whole tree level under concatenated parallelism;
+    /// a problem can spool the batch's communication together.
     fn process(&self, proc: &mut Proc, tasks: &[Task<Self::Meta>]) -> Vec<Outcome<Self::Meta>>;
 
-    /// *Collective.* Move each task's distributed data to its assigned
-    /// owner (compute-dependent parallel I/O). The batch is every delayed
-    /// small task at once, or one task when small tasks are shipped as they
-    /// appear; a problem can batch the transfers to save message startups.
-    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<Self::Meta>, usize)]);
+    /// *Collective.* Move each task's distributed data to its group, given
+    /// in the ranks of the communicator this call runs in
+    /// (compute-dependent parallel I/O). Afterwards a small task whose group
+    /// has one member is ready for that member's `solve_small_local`; any
+    /// other task is ready for `process` by its group. The batch is every
+    /// delayed small task at once, one task when small tasks are shipped as
+    /// they appear, or both children of a task-parallel split; a problem
+    /// can batch the transfers to save message startups.
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<Self::Meta>, Group)]);
 
     /// *Local.* Solve a small task entirely on this processor. The task's
     /// data is already resident on this processor's disk.
@@ -119,44 +129,6 @@ pub trait OocProblem: Sync {
     /// flushes it here (dirty write-back, device sync) so the run's
     /// accounting closes exactly. Default: no-op.
     fn finish(&self, _proc: &mut Proc) {}
-
-    // ------------------------------------------------------------------
-    // Task parallelism with processor subgroups (optional).
-    // ------------------------------------------------------------------
-
-    /// *Group collective.* Process one task using only `group`'s
-    /// processors. Required for [`crate::Strategy::TaskParallel`].
-    fn process_group(
-        &self,
-        _proc: &mut Proc,
-        _group: &pdc_cgm::Group,
-        _task: &Task<Self::Meta>,
-    ) -> Outcome<Self::Meta> {
-        unimplemented!("this problem does not implement group task parallelism")
-    }
-
-    /// *Group collective over the parent group.* After a split, move each
-    /// side's data into its subgroup (compute-dependent parallel I/O at
-    /// every internal node — the expensive part of pure task parallelism).
-    #[allow(clippy::too_many_arguments)]
-    fn redistribute_split(
-        &self,
-        _proc: &mut Proc,
-        _parent: &pdc_cgm::Group,
-        _left: &Task<Self::Meta>,
-        _left_group: &pdc_cgm::Group,
-        _right: &Task<Self::Meta>,
-        _right_group: &pdc_cgm::Group,
-    ) {
-        unimplemented!("this problem does not implement group task parallelism")
-    }
-
-    /// *Local.* Solve an entire subtask on this processor (a task-parallel
-    /// group of size one). The subtask's data is resident on this
-    /// processor's disk under its distributed-file name.
-    fn solve_subtree_local(&self, _proc: &mut Proc, _task: &Task<Self::Meta>) {
-        unimplemented!("this problem does not implement group task parallelism")
-    }
 }
 
 #[cfg(test)]

@@ -10,24 +10,10 @@
 //! a collective, data-parallel streaming partition, delayed task
 //! parallelism with compute-dependent parallel I/O for small tasks.
 
-use pdc_cgm::{OpKind, Proc, Wire};
-use pdc_pario::{redistribute, DiskFarm};
+use pdc_cgm::{Group, OpKind, Proc};
+use pdc_pario::DiskFarm;
 
 use crate::problem::{Outcome, OocProblem, Task};
-
-/// All-reduce within `group`: binomial reduce to its first member, then
-/// broadcast (any group size; a group of one sends nothing).
-fn group_allreduce<T: Wire>(
-    proc: &mut Proc,
-    group: &pdc_cgm::Group,
-    value: T,
-    combine: impl Fn(T, T) -> T,
-) -> T {
-    proc.scoped(group, |p| {
-        let reduced = p.reduce(0, value, combine);
-        p.broadcast(0, reduced)
-    })
-}
 
 /// Task description: the global number of keys in the task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,56 +133,106 @@ impl OocProblem for OocSort<'_> {
     }
 
     fn process(&self, proc: &mut Proc, tasks: &[Task<SortMeta>]) -> Vec<Outcome<SortMeta>> {
-        let world = pdc_cgm::Group::world(proc.nprocs());
         tasks
             .iter()
             .map(|task| {
-                // Under pure data/concatenated parallelism the driver never
-                // routes small tasks to the task-parallel path, so handle
-                // them here: ship the task to a deterministic owner and sort
-                // it there. This is what makes plain data parallelism pay
-                // one redistribution + solve per tiny node — the overhead
-                // the mixed strategy's delaying avoids.
+                // A group that does not dispatch small tasks (data and
+                // concatenated parallelism, a task-parallel group of two or
+                // more) hands them here: ship the task to a deterministic
+                // owner and sort it there. This is what makes plain data
+                // parallelism pay one redistribution + solve per tiny node —
+                // the overhead the mixed strategy's delaying avoids.
                 if self.is_small(&task.meta) {
                     let owner = (task.id % proc.nprocs() as u64) as usize;
-                    self.redistribute(proc, &[(task.clone(), owner)]);
+                    self.redistribute(proc, &[(task.clone(), Group::new(vec![owner]))]);
                     if proc.rank() == owner {
                         self.solve_small_local(proc, task);
                     }
                     return Outcome::Solved;
                 }
-                self.step(proc, &world, task)
+                self.step(proc, task)
             })
             .collect()
     }
 
-    /// One task at a time: each task's keys move in their own chunked
-    /// sequence of all-to-alls.
-    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<SortMeta>, usize)]) {
-        for (task, owner) in assignments {
-            let src = {
-                let mut disk = self.farm.lock(proc.rank());
-                if !disk.exists(&Self::dist_file(task.id)) {
-                    // The root itself may be small; it always exists.
-                    // Children files exist on every rank after a partition
-                    // pass.
-                    disk.create::<u64>(&Self::dist_file(task.id))
-                } else {
-                    disk.open::<u64>(&Self::dist_file(task.id))
+    /// Compute-dependent parallel I/O for the whole list in one chunked
+    /// sequence of personalized all-to-alls: every member streams its local
+    /// files in assignment order and deals each task's keys round-robin
+    /// over the task's group. A small task bound for one member lands in
+    /// its owned file; any other task's keys replace its distributed file.
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<SortMeta>, Group)]) {
+        let me = proc.rank();
+        let chunk = self.chunk_records;
+        let sources: Vec<String> = assignments.iter().map(|(t, _)| Self::dist_file(t.id)).collect();
+        let tmps: Vec<String> =
+            assignments.iter().map(|(t, _)| format!("sort-tmp{}", t.id)).collect();
+        let local_records: usize = {
+            let mut disk = self.farm.lock(proc.world_rank());
+            for ((_, group), tmp) in assignments.iter().zip(&tmps) {
+                if group.contains(me) {
+                    disk.create::<u64>(tmp);
                 }
-            };
-            let dst = {
-                let mut disk = self.farm.lock(proc.rank());
-                disk.create::<u64>(&Self::owned_file(task.id))
-            };
-            redistribute(proc, self.farm, &src, &dst, self.chunk_records, |_| *owner);
-            let mut disk = self.farm.lock(proc.rank());
-            disk.delete(&Self::dist_file(task.id));
+            }
+            sources
+                .iter()
+                .map(|name| disk.num_records(&disk.open::<u64>(name)))
+                .sum()
+        };
+        let rounds = proc.allreduce(local_records.div_ceil(chunk) as u64, u64::max) as usize;
+        let (mut task_idx, mut cursor) = (0usize, 0usize);
+        // Round-robin deal counters, one per task, staggered by member.
+        let mut deal = vec![me; assignments.len()];
+        for _ in 0..rounds {
+            let mut parts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); proc.nprocs()];
+            let mut budget = chunk;
+            {
+                let mut disk = self.farm.lock(proc.world_rank());
+                while budget > 0 && task_idx < assignments.len() {
+                    let f = disk.open::<u64>(&sources[task_idx]);
+                    let remaining = disk.num_records(&f) - cursor;
+                    if remaining == 0 {
+                        task_idx += 1;
+                        cursor = 0;
+                        continue;
+                    }
+                    let take = budget.min(remaining);
+                    let keys = disk.read_range(proc, &f, cursor, take);
+                    cursor += take;
+                    budget -= take;
+                    let (members, deal) = (assignments[task_idx].1.members(), &mut deal[task_idx]);
+                    for k in keys {
+                        parts[members[*deal % members.len()]].push((task_idx as u32, k));
+                        *deal += 1;
+                    }
+                }
+            }
+            let received = proc.all_to_all(parts);
+            let mut buffers: Vec<Vec<u64>> = vec![Vec::new(); assignments.len()];
+            for (i, k) in received.into_iter().flatten() {
+                buffers[i as usize].push(k);
+            }
+            let mut disk = self.farm.lock(proc.world_rank());
+            for (buf, tmp) in buffers.iter().zip(&tmps) {
+                if !buf.is_empty() {
+                    let f = disk.open::<u64>(tmp);
+                    disk.append(proc, &f, buf);
+                }
+            }
+        }
+        // Swap the moved keys in for the old distributed files.
+        let mut disk = self.farm.lock(proc.world_rank());
+        for (((task, group), source), tmp) in assignments.iter().zip(&sources).zip(&tmps) {
+            disk.delete(source);
+            if group.contains(me) {
+                let owned = group.size() == 1 && self.is_small(&task.meta);
+                let dest = if owned { Self::owned_file(task.id) } else { source.clone() };
+                disk.rename(tmp, &dest);
+            }
         }
     }
 
     fn solve_small_local(&self, proc: &mut Proc, task: &Task<SortMeta>) {
-        let mut disk = self.farm.lock(proc.rank());
+        let mut disk = self.farm.lock(proc.world_rank());
         let f = disk.open::<u64>(&Self::owned_file(task.id));
         let mut keys = disk.read_all(proc, &f);
         proc.charge(
@@ -208,149 +244,17 @@ impl OocProblem for OocSort<'_> {
         disk.append(proc, &leaf, &keys);
         disk.delete(&Self::owned_file(task.id));
     }
-
-    fn process_group(
-        &self,
-        proc: &mut Proc,
-        group: &pdc_cgm::Group,
-        task: &Task<SortMeta>,
-    ) -> Outcome<SortMeta> {
-        self.step(proc, group, task)
-    }
-
-    /// Compute-dependent parallel I/O at a task-parallel split: every
-    /// parent-group member streams its local left/right files, dealing the
-    /// records round-robin onto the corresponding subgroup's disks with one
-    /// personalized all-to-all per chunk round.
-    fn redistribute_split(
-        &self,
-        proc: &mut Proc,
-        parent: &pdc_cgm::Group,
-        left: &Task<SortMeta>,
-        left_group: &pdc_cgm::Group,
-        right: &Task<SortMeta>,
-        right_group: &pdc_cgm::Group,
-    ) {
-        let chunk = self.chunk_records;
-        let me_local = parent.local(proc.rank()).expect("not in parent group");
-        let names = [Self::dist_file(left.id), Self::dist_file(right.id)];
-        let tmps = [
-            format!("sort-tmp{}", left.id),
-            format!("sort-tmp{}", right.id),
-        ];
-        // Rounds: global maximum of each member's total chunks.
-        let local_chunks = {
-            let disk = self.farm.lock(proc.rank());
-            let mut total = 0usize;
-            for name in &names {
-                let f = disk.open::<u64>(name);
-                total += disk.num_records(&f).div_ceil(chunk);
-            }
-            total.max(1)
-        };
-        let rounds = group_allreduce(proc, parent, local_chunks as u64, u64::max) as usize;
-        // Create the tmp destination on subgroup members.
-        {
-            let mut disk = self.farm.lock(proc.rank());
-            if left_group.contains(proc.rank()) {
-                disk.create::<u64>(&tmps[0]);
-            }
-            if right_group.contains(proc.rank()) {
-                disk.create::<u64>(&tmps[1]);
-            }
-        }
-        let subgroups = [left_group, right_group];
-        let mut side = 0usize;
-        let mut cursor = 0usize;
-        let mut deal = [me_local, me_local]; // round-robin counters per side
-        for _ in 0..rounds {
-            let mut parts: Vec<Vec<(u8, u64)>> = vec![Vec::new(); parent.size()];
-            let mut budget = chunk;
-            {
-                let mut disk = self.farm.lock(proc.rank());
-                while budget > 0 && side < 2 {
-                    let f = disk.open::<u64>(&names[side]);
-                    let remaining = disk.num_records(&f) - cursor;
-                    if remaining == 0 {
-                        side += 1;
-                        cursor = 0;
-                        continue;
-                    }
-                    let take = budget.min(remaining);
-                    let keys = disk.read_range(proc, &f, cursor, take);
-                    cursor += take;
-                    budget -= take;
-                    let sg = subgroups[side];
-                    for k in keys {
-                        let dst_global = sg.global(deal[side] % sg.size());
-                        deal[side] += 1;
-                        let dst_local =
-                            parent.local(dst_global).expect("subgroup within parent");
-                        parts[dst_local].push((side as u8, k));
-                    }
-                }
-            }
-            let received = proc.scoped(parent, |p| p.all_to_all(parts));
-            let mut disk = self.farm.lock(proc.rank());
-            let mut buffers: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-            for batch in received {
-                for (s, k) in batch {
-                    buffers[s as usize].push(k);
-                }
-            }
-            for (s, buf) in buffers.iter().enumerate() {
-                if !buf.is_empty() {
-                    debug_assert!(subgroups[s].contains(proc.rank()));
-                    let f = disk.open::<u64>(&tmps[s]);
-                    disk.append(proc, &f, buf);
-                }
-            }
-        }
-        // Swap the redistributed data in for the old distributed files.
-        let mut disk = self.farm.lock(proc.rank());
-        for name in &names {
-            disk.delete(name);
-        }
-        if left_group.contains(proc.rank()) {
-            disk.rename(&tmps[0], &names[0]);
-        }
-        if right_group.contains(proc.rank()) {
-            disk.rename(&tmps[1], &names[1]);
-        }
-    }
-
-    /// Sort this processor's whole subtask in memory (group of one).
-    fn solve_subtree_local(&self, proc: &mut Proc, task: &Task<SortMeta>) {
-        let mut disk = self.farm.lock(proc.rank());
-        let f = disk.open::<u64>(&Self::dist_file(task.id));
-        let mut keys = disk.read_all(proc, &f);
-        proc.charge(
-            OpKind::Compare,
-            (keys.len() as u64) * (keys.len().max(2) as f64).log2() as u64,
-        );
-        keys.sort_unstable();
-        let leaf = disk.create::<u64>(&Self::leaf_file(task.id));
-        disk.append(proc, &leaf, &keys);
-        disk.delete(&Self::dist_file(task.id));
-    }
 }
 
-
 impl OocSort<'_> {
-    /// One divide step over an arbitrary processor group: sample, pick a
-    /// pivot, partition the group members' local files. Used both by
-    /// data-parallel processing (group = world) and by task parallelism.
-    fn step(
-        &self,
-        proc: &mut Proc,
-        group: &pdc_cgm::Group,
-        task: &Task<SortMeta>,
-    ) -> Outcome<SortMeta> {
+    /// One divide step over the communicator it runs in: sample, pick a
+    /// pivot, partition the members' local files.
+    fn step(&self, proc: &mut Proc, task: &Task<SortMeta>) -> Outcome<SortMeta> {
         let src_name = Self::dist_file(task.id);
         // --- Pass 1: stream the local partition once, collecting the true
         // local min/max plus an evenly strided sample (no extra seeks).
         let (local_sample, local_min, local_max) = {
-            let mut disk = self.farm.lock(proc.rank());
+            let mut disk = self.farm.lock(proc.world_rank());
             let f = disk.open::<u64>(&src_name);
             let n = disk.num_records(&f);
             let stride = (n / self.sample_per_proc.max(1)).max(1);
@@ -371,25 +275,15 @@ impl OocSort<'_> {
             }
             (sample, lo, hi)
         };
-        let gmin = group_allreduce(proc, group, local_min, u64::min);
-        let gmax = group_allreduce(proc, group, local_max, u64::max);
+        let gmin = proc.allreduce(local_min, u64::min);
+        let gmax = proc.allreduce(local_max, u64::max);
         if gmin >= gmax {
             // Every key is identical (or the task is empty): already sorted.
             self.promote_to_leaf(proc, task.id);
             return Outcome::Solved;
         }
-        // All-gather of the samples, one `(member, encoded sample)` entry
-        // per member on the wire; the merge below sorts, so arrival order
-        // does not matter.
-        let me = group.local(proc.rank()).expect("not a member of the group") as u64;
-        let entries = vec![(me, local_sample.to_bytes())];
-        let mut merged: Vec<u64> = group_allreduce(proc, group, entries, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
-        .into_iter()
-        .flat_map(|(_, bytes)| Vec::<u64>::from_bytes(&bytes).expect("sample decode"))
-        .collect();
+        let mut merged: Vec<u64> =
+            proc.all_gather(local_sample).iter().flatten().copied().collect();
         proc.charge(
             OpKind::Compare,
             (merged.len() as u64) * (merged.len().max(2) as f64).log2() as u64,
@@ -403,7 +297,7 @@ impl OocSort<'_> {
         let (left_name, right_name) = (Self::dist_file(2 * task.id), Self::dist_file(2 * task.id + 1));
         let (mut nl, mut nr) = (0u64, 0u64);
         {
-            let mut disk = self.farm.lock(proc.rank());
+            let mut disk = self.farm.lock(proc.world_rank());
             let src = disk.open::<u64>(&src_name);
             let left = disk.create::<u64>(&left_name);
             let right = disk.create::<u64>(&right_name);
@@ -432,20 +326,15 @@ impl OocSort<'_> {
             }
             disk.delete(&src_name);
         }
-        let (gl, gr) = (
-            group_allreduce(proc, group, nl, |a, b| a + b),
-            group_allreduce(proc, group, nr, |a, b| a + b),
-        );
+        let (gl, gr) = (proc.allreduce(nl, |a, b| a + b), proc.allreduce(nr, |a, b| a + b));
         debug_assert!(gl > 0 && gr > 0, "pivot {pivot} failed to partition");
         Outcome::Split(SortMeta { count: gl }, SortMeta { count: gr })
     }
-}
 
-impl OocSort<'_> {
     /// A large task whose keys are all equal is already sorted: rename its
     /// distributed file into the leaf file.
     fn promote_to_leaf(&self, proc: &mut Proc, id: u64) {
-        let mut disk = self.farm.lock(proc.rank());
+        let mut disk = self.farm.lock(proc.world_rank());
         let src = disk.open::<u64>(&Self::dist_file(id));
         let keys = disk.read_all(proc, &src);
         let leaf = disk.create::<u64>(&Self::leaf_file(id));

@@ -3,11 +3,12 @@
 //! any real workload.
 
 use parking_lot::Mutex;
-use pdc_cgm::{Cluster, Proc};
+use pdc_cgm::{Cluster, Group, Proc};
 use pdc_dnc::{run, Outcome, OocProblem, Strategy, Task};
 
 /// A scripted divide-and-conquer: tasks split until their size drops below
-/// `small_at`; every hook appends to a per-rank event log.
+/// `small_at`; every hook appends to its processor's event log (by world
+/// rank, so a subgroup member logs as itself).
 struct Scripted {
     small_at: u64,
     events: Vec<Mutex<Vec<String>>>,
@@ -22,7 +23,7 @@ impl Scripted {
     }
 
     fn log(&self, proc: &Proc, what: String) {
-        self.events[proc.rank()].lock().push(what);
+        self.events[proc.world_rank()].lock().push(what);
     }
 
     fn events_of(&self, rank: usize) -> Vec<String> {
@@ -60,10 +61,15 @@ impl OocProblem for Scripted {
             .collect()
     }
 
-    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<u64>, usize)]) {
+    /// One `move:` line per call; a group of one prints as its bare owner,
+    /// a larger group as its members joined by `+`.
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<u64>, Group)]) {
         let moves: Vec<String> = assignments
             .iter()
-            .map(|(task, owner)| format!("{}->{}", task.id, owner))
+            .map(|(task, group)| {
+                let members: Vec<String> = group.members().iter().map(|m| m.to_string()).collect();
+                format!("{}->{}", task.id, members.join("+"))
+            })
             .collect();
         self.log(proc, format!("move:{}", moves.join(",")));
         proc.barrier();
@@ -181,7 +187,7 @@ fn solved_root_means_one_task_total() {
         fn process(&self, _: &mut Proc, tasks: &[Task<()>]) -> Vec<Outcome<()>> {
             vec![Outcome::Solved; tasks.len()]
         }
-        fn redistribute(&self, _: &mut Proc, _: &[(Task<()>, usize)]) {}
+        fn redistribute(&self, _: &mut Proc, _: &[(Task<()>, Group)]) {}
         fn solve_small_local(&self, _: &mut Proc, _: &Task<()>) {}
     }
     let cluster = Cluster::new(3);
@@ -194,8 +200,7 @@ fn solved_root_means_one_task_total() {
 /// batches it processed (task ids), the moves (task -> owner), its solves
 /// and its prefetch hints, in call order. `large:` lines repeat the batch
 /// ids and are left out.
-fn call_log(strategy: Strategy, root: u64) -> Vec<String> {
-    let p = 4;
+fn call_log(strategy: Strategy, p: usize, root: u64) -> Vec<String> {
     let problem = Scripted::new(p, 4);
     let _ = Cluster::new(p).run(|proc| run(proc, &problem, root, strategy));
     (0..p)
@@ -251,12 +256,43 @@ fn call_order_is_pinned_for_every_frontier_strategy() {
         (Strategy::Concatenated, vec![level.into(); 4]),
     ];
     for (strategy, logs) in expected {
-        assert_eq!(call_log(strategy, 16), logs, "{strategy:?}");
+        assert_eq!(call_log(strategy, 4, 16), logs, "{strategy:?}");
     }
     // A small root skips the frontier: it is shipped and solved at once.
     for strategy in [Strategy::Mixed, Strategy::MixedImmediate] {
-        let logs = call_log(strategy, 3);
+        let logs = call_log(strategy, 4, 3);
         let expected = ["move:1->0 solve:1", "move:1->0", "move:1->0", "move:1->0"];
         assert_eq!(logs, expected, "{strategy:?}");
     }
+}
+
+/// Task parallelism at p = 3 with uneven costs: the root's group splits
+/// 2 : 1, the pair splits again at task 2, and each group of one streams its
+/// tasks until they are small, then ships them to itself and solves them.
+#[test]
+fn call_order_is_pinned_for_task_parallelism() {
+    let split = "batch:1 move:2->0+1,3->2";
+    let expected = [
+        format!(
+            "{split} batch:2 move:4->0,5->1 batch:4 batch:8 move:9->0,16->0,17->0 \
+             prefetch:16 solve:9 prefetch:17 solve:16 solve:17"
+        ),
+        format!(
+            "{split} batch:2 move:4->0,5->1 batch:5 move:10->0,11->0 prefetch:11 solve:10 \
+             solve:11"
+        ),
+        format!(
+            "{split} batch:3 batch:6 move:7->0,12->0,13->0 prefetch:12 solve:7 prefetch:13 \
+             solve:12 solve:13"
+        ),
+    ];
+    assert_eq!(call_log(Strategy::TaskParallel, 3, 16), expected);
+    // A small task a split hands to a group of one is solved at once.
+    let expected = [
+        "batch:1 move:2->0+1,3->2 batch:2 move:4->0,5->1 batch:4 move:8->0,9->0 prefetch:9 \
+         solve:8 solve:9",
+        "batch:1 move:2->0+1,3->2 batch:2 move:4->0,5->1 solve:5",
+        "batch:1 move:2->0+1,3->2 solve:3",
+    ];
+    assert_eq!(call_log(Strategy::TaskParallel, 3, 9), expected);
 }

@@ -4,7 +4,7 @@
 //! the weighted schedule beats the uniform one on the same costs and speeds
 //! is a pure-function check in `scheduler.rs`.)
 
-use pdc_cgm::{Cluster, FaultPlan, MachineConfig, OpKind, Proc};
+use pdc_cgm::{Cluster, FaultPlan, Group, MachineConfig, OpKind, Proc};
 use pdc_dnc::{run, DncReport, Outcome, OocProblem, Strategy, Task};
 
 /// Splits until size < `small_at`; small solves charge compute proportional
@@ -40,8 +40,9 @@ impl OocProblem for Compute {
             .collect()
     }
 
-    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<u64>, usize)]) {
-        for &(ref task, owner) in assignments {
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<u64>, Group)]) {
+        for (task, group) in assignments {
+            let owner = group.global(0);
             // Ship the task's records to its owner as one message.
             let bytes = (task.meta as usize) * 8;
             if proc.rank() == 0 && owner != 0 {

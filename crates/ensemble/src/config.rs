@@ -1,7 +1,6 @@
 //! Ensemble configuration: everything the trainer and scheduler do is
 //! gated through [`EnsembleConfig`].
 
-use pdc_dnc::Strategy;
 use pdc_pclouds::PcloudsConfig;
 
 /// Configuration of one bagged-ensemble training run.
@@ -30,8 +29,6 @@ pub struct EnsembleConfig {
     /// Per-tree pCLOUDS configuration (cloud parameters, memory limit,
     /// comm schedule, recovery), applied unchanged inside each subgroup.
     pub base: PcloudsConfig,
-    /// Divide-and-conquer strategy for each tree build.
-    pub strategy: Strategy,
 }
 
 impl EnsembleConfig {
@@ -45,7 +42,6 @@ impl EnsembleConfig {
             memory_budget_bytes: usize::MAX,
             subgroup_width: 0,
             base: PcloudsConfig::paper_scaled(n),
-            strategy: Strategy::Mixed,
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use pdc_cgm::{resolve_series, Cluster, RunOutput};
 use pdc_datagen::Record;
-use pdc_dnc::DncReport;
+use pdc_dnc::{DncReport, Strategy};
 use pdc_pario::{DiskFarm, Rec};
 use pdc_pclouds::{load_dataset, train_in_group, RootInfo, SharedBuild};
 
@@ -125,7 +125,7 @@ pub fn train_ensemble_on(
                     &st.build,
                     &st.root,
                     &cfg.base,
-                    cfg.strategy,
+                    Strategy::Mixed,
                 );
                 if proc.gauges_enabled() {
                     proc.gauge_delta("dnc.resident_bytes", proc.clock(), -shard);

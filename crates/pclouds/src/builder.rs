@@ -120,9 +120,12 @@ pub fn train(
             config,
             build: &build,
             n_root,
+            rank: proc.rank(),
         };
         run(proc, &problem, NodeMeta { counts: root.counts.clone() }, strategy)
     });
+    let live = build.live_samples();
+    assert!(live.is_empty(), "samples of tasks {live:?} were never released");
     let tree = build.assemble();
     let metrics = build.metrics();
     TrainOutput { tree, run, metrics }
@@ -141,7 +144,8 @@ pub fn train(
 /// have been staged onto it with [`load_dataset`] against the same farm, and
 /// `build` must have been created with `p = group.size()`. Returns this
 /// member's divide-and-conquer report; assemble the tree from `build` after
-/// the run.
+/// the run. `strategy` must not be [`Strategy::TaskParallel`], whose
+/// subgroup scopes cannot open inside this one.
 pub fn train_in_group(
     proc: &mut pdc_cgm::Proc,
     group: &pdc_cgm::Group,
@@ -163,6 +167,7 @@ pub fn train_in_group(
             config,
             build,
             n_root,
+            rank: p.rank(),
         };
         run(p, &problem, NodeMeta { counts: root.counts.clone() }, strategy)
     })

@@ -33,10 +33,15 @@
 //! **Small nodes** (delayed task parallelism) are LPT-assigned to single
 //! processors, their data is moved with batched compute-dependent parallel
 //! I/O, and each owner builds the subtree in memory with the direct method.
+//! The same redistribution moves a task-parallel split's children into
+//! their subgroups, where `process` runs inside the subgroup's scope: disks
+//! and build state are addressed by the rank the problem was built on,
+//! collective ownership by the group-local `proc.rank()`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use pdc_cgm::{OpKind, Proc};
+use pdc_cgm::{Group, OpKind, Proc};
 use pdc_clouds::derive::{NodeAccumulator, NodeStats};
 use pdc_clouds::gini::total;
 use pdc_clouds::{
@@ -108,6 +113,10 @@ pub(crate) struct PcloudsProblem<'a> {
     pub(crate) build: &'a SharedBuild,
     /// Training-set size (drives the q schedule).
     pub(crate) n_root: u64,
+    /// The rank this problem was built on: its disk in `farm` and its state
+    /// in `build`. Inside a task group's scope `proc.rank()` is group-local,
+    /// so per-processor state is never addressed by it.
+    pub(crate) rank: usize,
 }
 
 impl PcloudsProblem<'_> {
@@ -134,7 +143,7 @@ impl PcloudsProblem<'_> {
     fn local_stats_pass(&self, proc: &mut Proc, id: u64, q: usize, chunk: usize) -> NodeStats {
         let span = proc.span("pclouds.attr_scan", &[("node", id as i64)]);
         let mut stats = NodeAccumulator::from_sample(&self.build.sample(id), q);
-        let mut disk = self.farm.lock(proc.rank());
+        let mut disk = self.farm.lock(self.rank);
         let f = disk.open::<Record>(&Self::node_file(id));
         let local_bytes = disk.num_records(&f) * Record::ENCODED_BYTES;
         let mut reader = disk.reader(&f, chunk);
@@ -249,7 +258,7 @@ impl PcloudsProblem<'_> {
             .collect();
         let owners = lpt_assign(&costs, p);
         let rounds = {
-            let disk = self.farm.lock(proc.rank());
+            let disk = self.farm.lock(self.rank);
             let total_chunks: usize = active
                 .iter()
                 .map(|&i| {
@@ -281,7 +290,7 @@ impl PcloudsProblem<'_> {
             let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
             let mut records = 0usize;
             {
-                let mut disk = self.farm.lock(proc.rank());
+                let mut disk = self.farm.lock(self.rank);
                 let mut budget = chunk;
                 while budget > 0 && task_pos < active.len() {
                     let f = disk.open::<Record>(&Self::node_file(tasks[active[task_pos]].id));
@@ -333,7 +342,7 @@ impl PcloudsProblem<'_> {
                 local_best[j] = Candidate::better(local_best[j].take(), c);
             }
         }
-        let mut st = self.build.rank(proc.rank());
+        let mut st = self.build.rank(self.rank);
         st.metrics.alive_intervals_evaluated += metrics_intervals;
         st.metrics.alive_points_scanned += metrics_points;
         local_best
@@ -367,13 +376,13 @@ impl PcloudsProblem<'_> {
         // from their sample slices, which lets the data pass below fuse the
         // children's statistics. Every modelled processor splits its own
         // replica and is charged for it; the host splits once.
-        let (ls, rs) = self.build.split_sample(id, &cand.splitter);
+        let (ls, rs) = self.build.split_sample(id, &cand.splitter, proc.nprocs());
         proc.charge(OpKind::SplitTest, (ls.len() + rs.len()) as u64);
         let mut stats_left = fuse_left.then(|| NodeAccumulator::from_sample(&ls, q_left));
         let mut stats_right = fuse_right.then(|| NodeAccumulator::from_sample(&rs, q_right));
 
         {
-            let mut disk = self.farm.lock(proc.rank());
+            let mut disk = self.farm.lock(self.rank);
             let src = disk.open::<Record>(&Self::node_file(id));
             let left = disk.create::<Record>(&Self::node_file(lid));
             let right = disk.create::<Record>(&Self::node_file(rid));
@@ -416,18 +425,13 @@ impl PcloudsProblem<'_> {
             disk.delete(&Self::node_file(id));
         }
 
-        // Update the skeleton replica and the statistics cache.
-        let mut st = self.build.rank(proc.rank());
-        let node = *st.node_of.get(&id).expect("skeleton node for split");
-        let tree = st.tree.as_mut().expect("skeleton");
-        let (l, r) = tree.split_leaf(
-            node,
-            cand.splitter.clone(),
-            left_counts.clone(),
-            right_counts.clone(),
-        );
-        st.node_of.insert(lid, l);
-        st.node_of.insert(rid, r);
+        // Update the skeleton (its one copy stands for the group's replicas)
+        // and the statistics cache.
+        if proc.rank() == 0 {
+            let (l, r) = (left_counts.clone(), right_counts.clone());
+            self.build.split_node(id, cand.splitter.clone(), l, r);
+        }
+        let mut st = self.build.rank(self.rank);
         if let Some(stats) = stats_left {
             st.stats_cache.insert(lid, stats.finish());
         }
@@ -439,9 +443,9 @@ impl PcloudsProblem<'_> {
     /// Node `id` is a leaf on this processor: drop its data file, the
     /// statistics its parent's partition fused for it, and this processor's
     /// hold on its sample.
-    fn retire(&self, proc: &Proc, id: u64) {
-        self.farm.lock(proc.rank()).delete(&Self::node_file(id));
-        self.build.rank(proc.rank()).stats_cache.remove(&id);
+    fn retire(&self, id: u64) {
+        self.farm.lock(self.rank).delete(&Self::node_file(id));
+        self.build.rank(self.rank).stats_cache.remove(&id);
         self.build.release_sample(id);
     }
 
@@ -461,13 +465,13 @@ impl PcloudsProblem<'_> {
         let id = task.id;
         let node_total = &task.meta.counts;
         let Some(cand) = best else {
-            self.retire(proc, id);
+            self.retire(id);
             return Outcome::Solved;
         };
         let left_counts = cand.left_counts.clone();
         let right_counts = pdc_clouds::gini::sub(node_total, &left_counts);
         if total(&left_counts) == 0 || total(&right_counts) == 0 {
-            self.retire(proc, id);
+            self.retire(id);
             return Outcome::Solved;
         }
         self.partition(proc, task, &cand, &left_counts, &right_counts, chunk);
@@ -516,7 +520,7 @@ impl OocProblem for PcloudsProblem<'_> {
         let mut active = Vec::new();
         for (i, task) in tasks.iter().enumerate() {
             if self.params().should_stop(&task.meta.counts, task.depth) {
-                self.retire(proc, task.id);
+                self.retire(task.id);
             } else {
                 active.push(i);
             }
@@ -538,7 +542,7 @@ impl OocProblem for PcloudsProblem<'_> {
         let stats_span = proc.span("pclouds.stats", &attrs(true));
         let mut stats: Vec<NodeStats> = Vec::with_capacity(active.len());
         for &i in &active {
-            let cached = self.build.rank(proc.rank()).stats_cache.remove(&tasks[i].id);
+            let cached = self.build.rank(self.rank).stats_cache.remove(&tasks[i].id);
             stats.push(cached.unwrap_or_else(|| {
                 let q = self.params().q_for_node(tasks[i].meta.n(), self.n_root);
                 self.local_stats_pass(proc, tasks[i].id, q, chunk)
@@ -591,7 +595,7 @@ impl OocProblem for PcloudsProblem<'_> {
             if tasks[i].id == 1 {
                 let alive_records: u64 = alive[j].iter().map(|a| a.count).sum();
                 let ratio = alive_records as f64 / tasks[i].meta.n().max(1) as f64;
-                self.build.rank(proc.rank()).metrics.root_survival_ratio = ratio;
+                self.build.rank(self.rank).metrics.root_survival_ratio = ratio;
             }
         }
         let exact = if alive.iter().all(Vec::is_empty) {
@@ -611,31 +615,48 @@ impl OocProblem for PcloudsProblem<'_> {
         outcomes
     }
 
-    /// Batched compute-dependent parallel I/O: all small nodes' data moves
-    /// in one chunked sequence of personalized all-to-alls ("the assigning
-    /// and processing of small nodes are delayed ... to reduce the number
-    /// of message startups").
-    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<NodeMeta>, usize)]) {
+    /// Batched compute-dependent parallel I/O: every node's data moves in
+    /// one chunked sequence of personalized all-to-alls ("the assigning and
+    /// processing of small nodes are delayed ... to reduce the number of
+    /// message startups"), dealt round-robin over the node's group. A small
+    /// node bound for one member lands in its owned file; any other node's
+    /// records replace its node file on the group's members.
+    fn redistribute(&self, proc: &mut Proc, assignments: &[(Task<NodeMeta>, Group)]) {
         let span = proc.span(
             "pclouds.small_redistribute",
             &[("tasks", assignments.len() as i64)],
         );
         let p = proc.nprocs();
+        let me = proc.rank();
         let chunk = self.chunk();
-        // Create the destination files on their owners.
-        {
-            let mut disk = self.farm.lock(proc.rank());
-            for (task, owner) in assignments {
-                if *owner == proc.rank() {
-                    disk.create::<Record>(&Self::owned_file(task.id));
-                }
-                // Small tasks are solved exactly: no sample needed.
+        let owned = |task: &Task<NodeMeta>, group: &Group| {
+            group.size() == 1 && self.is_small(&task.meta)
+        };
+        let dest: HashMap<u64, String> = assignments
+            .iter()
+            .map(|(task, group)| match owned(task, group) {
+                true => (task.id, Self::owned_file(task.id)),
+                false => (task.id, format!("moved-{}", task.id)),
+            })
+            .collect();
+        for (task, group) in assignments {
+            // A small node is solved exactly and needs no sample; a member
+            // that leaves the node's group is done with it.
+            if owned(task, group) || !group.contains(me) {
                 self.build.release_sample(task.id);
             }
+            // Statistics fused for the local share no longer describe it.
+            self.build.rank(self.rank).stats_cache.remove(&task.id);
         }
-        // Total local records across all small files fixes the round count.
+        // Create the destination files on the groups' members; the total
+        // local records across all moved files fixes the round count.
         let local_total: usize = {
-            let disk = self.farm.lock(proc.rank());
+            let mut disk = self.farm.lock(self.rank);
+            for (task, group) in assignments {
+                if group.contains(me) {
+                    disk.create::<Record>(&dest[&task.id]);
+                }
+            }
             assignments
                 .iter()
                 .map(|(t, _)| {
@@ -647,15 +668,17 @@ impl OocProblem for PcloudsProblem<'_> {
         let rounds = proc.allreduce(local_total.div_ceil(chunk) as u64, u64::max) as usize;
         let mut task_idx = 0usize;
         let mut offset = 0usize;
+        // Round-robin deal counters, one per node, staggered by member.
+        let mut deal = vec![me; assignments.len()];
         let mut page = RecBuf::new();
         for _ in 0..rounds {
-            // Fill up to `chunk` records from the concatenated small files.
+            // Fill up to `chunk` records from the concatenated node files.
             let mut buckets: Vec<Vec<(u64, Record)>> = vec![Vec::new(); p];
             let mut budget = chunk;
             {
-                let mut disk = self.farm.lock(proc.rank());
+                let mut disk = self.farm.lock(self.rank);
                 while budget > 0 && task_idx < assignments.len() {
-                    let (task, owner) = &assignments[task_idx];
+                    let (task, group) = &assignments[task_idx];
                     let f = disk.open::<Record>(&Self::node_file(task.id));
                     let remaining = disk.num_records(&f) - offset;
                     if remaining == 0 {
@@ -668,14 +691,17 @@ impl OocProblem for PcloudsProblem<'_> {
                     offset += take;
                     disk.release_read(&f, offset);
                     budget -= take;
-                    buckets[*owner].extend(recs.iter().map(|r| (task.id, r)));
+                    let (members, deal) = (group.members(), &mut deal[task_idx]);
+                    for r in recs.iter() {
+                        buckets[members[*deal % members.len()]].push((task.id, r));
+                        *deal += 1;
+                    }
                 }
             }
             let received = proc.all_to_all(buckets);
-            let mut disk = self.farm.lock(proc.rank());
+            let mut disk = self.farm.lock(self.rank);
             // Group arrivals by task to write few, large requests.
-            let mut by_task: std::collections::HashMap<u64, RecBuf<Record>> =
-                std::collections::HashMap::new();
+            let mut by_task: HashMap<u64, RecBuf<Record>> = HashMap::new();
             for batch in received {
                 for (tid, rec) in batch {
                     by_task.entry(tid).or_default().push(&rec);
@@ -684,15 +710,18 @@ impl OocProblem for PcloudsProblem<'_> {
             let mut tids: Vec<u64> = by_task.keys().copied().collect();
             tids.sort_unstable();
             for tid in tids {
-                let f = disk.open::<Record>(&Self::owned_file(tid));
+                let f = disk.open::<Record>(&dest[&tid]);
                 disk.append_chunk(proc, &f, by_task[&tid].view());
             }
         }
-        // Drop the source files.
+        // Drop the source files; moved node files take their place.
         {
-            let mut disk = self.farm.lock(proc.rank());
-            for (task, _) in assignments {
+            let mut disk = self.farm.lock(self.rank);
+            for (task, group) in assignments {
                 disk.delete(&Self::node_file(task.id));
+                if group.contains(me) && !owned(task, group) {
+                    disk.rename(&dest[&task.id], &Self::node_file(task.id));
+                }
             }
         }
         proc.span_end(span);
@@ -704,7 +733,7 @@ impl OocProblem for PcloudsProblem<'_> {
             &[("task", task.id as i64), ("records", task.meta.n() as i64)],
         );
         let records = {
-            let mut disk = self.farm.lock(proc.rank());
+            let mut disk = self.farm.lock(self.rank);
             let f = disk.open::<Record>(&Self::owned_file(task.id));
             let recs = disk.read_all(proc, &f);
             disk.delete(&Self::owned_file(task.id));
@@ -729,7 +758,7 @@ impl OocProblem for PcloudsProblem<'_> {
             ws,
         );
         proc.span_end(span);
-        let mut st = self.build.rank(proc.rank());
+        let mut st = self.build.rank(self.rank);
         st.metrics.small_solved += 1;
         st.local_subtrees.push((task.id, subtree));
     }
@@ -741,7 +770,7 @@ impl OocProblem for PcloudsProblem<'_> {
     /// file ahead only when all of it fits beside the current task's dirty
     /// pages; free (and silent) when the disk farm has no engine.
     fn prefetch_task(&self, proc: &mut Proc, task: &Task<NodeMeta>) {
-        let mut disk = self.farm.lock(proc.rank());
+        let mut disk = self.farm.lock(self.rank);
         let owned = Self::owned_file(task.id);
         if disk.exists(&owned) {
             disk.prefetch_file_by_name(proc, &owned);
@@ -753,7 +782,7 @@ impl OocProblem for PcloudsProblem<'_> {
     /// End of the run: flush dirty write-back pages and drain the I/O
     /// device timeline so the tree build's accounting closes exactly.
     fn finish(&self, proc: &mut Proc) {
-        let mut disk = self.farm.lock(proc.rank());
+        let mut disk = self.farm.lock(self.rank);
         disk.sync_engine(proc);
     }
 }

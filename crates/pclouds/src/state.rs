@@ -1,12 +1,13 @@
 //! Per-processor build state shared across the SPMD closure invocations.
 //!
-//! Every processor keeps a **replica** of the tree skeleton (identical on
-//! all ranks because every data-parallel decision is made collectively).
-//! The pre-drawn sample is replicated too on the modelled machine, but its
-//! replicas are equal by construction, so the simulator keeps **one**
-//! allocation per live task and hands every rank an `Arc` of it.
-//! Small-node subtrees are built only on their owning processor and grafted
-//! into the skeleton afterwards.
+//! On the modelled machine every processor of a task's group keeps a
+//! **replica** of the tree skeleton and of the pre-drawn sample (identical
+//! on all of them because every data-parallel decision is made
+//! collectively). The replicas are equal by construction, so the simulator
+//! keeps **one** skeleton, written once per split by the first member of
+//! the task's group, and **one** sample allocation per live task, handed to
+//! every member as an `Arc`. Small-node subtrees are built only on their
+//! owning processor and grafted into the skeleton afterwards.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,10 +20,6 @@ use pdc_datagen::Record;
 /// Mutable state of one processor during a build.
 #[derive(Default)]
 pub struct RankState {
-    /// Tree skeleton replica (data-parallel part only).
-    pub tree: Option<DecisionTree>,
-    /// Task id → node id in the skeleton.
-    pub node_of: HashMap<u64, NodeId>,
     /// Task id → node statistics fused into the parent's partition pass
     /// (saves the separate statistics pass, as in the paper).
     pub stats_cache: HashMap<u64, NodeStats>,
@@ -47,7 +44,7 @@ pub struct BuildMetrics {
     pub small_solved: usize,
 }
 
-/// The sample points of one live task, shared by all ranks.
+/// The sample points of one live task, shared by its group.
 struct TaskSample {
     /// Sorted once at the root and split stably on the way down; emptied
     /// by the first rank that splits it.
@@ -56,36 +53,57 @@ struct TaskSample {
     pending: usize,
 }
 
+/// The tree skeleton: the data-parallel part of the tree.
+struct Skeleton {
+    /// `None` once assembled.
+    tree: Option<DecisionTree>,
+    /// Task id → node id in the skeleton.
+    node_of: HashMap<u64, NodeId>,
+}
+
 /// All processors' states for one build.
 pub struct SharedBuild {
     ranks: Vec<Mutex<RankState>>,
+    skeleton: Mutex<Skeleton>,
     /// Task id → the task's sample points. Never locked across a
     /// communication call, so a rank holding it always makes progress.
     samples: Mutex<HashMap<u64, TaskSample>>,
 }
 
 impl SharedBuild {
-    /// Fresh state for a `p`-processor build. Every rank starts with a
-    /// single-leaf skeleton; the root sample is sorted here, once.
+    /// Fresh state for a `p`-processor build: a single-leaf skeleton, and
+    /// the root sample, sorted here, once.
     pub fn new(p: usize, root_counts: ClassCounts, root_sample: Vec<Record>) -> Self {
-        let ranks = (0..p)
-            .map(|_| {
-                let mut st = RankState {
-                    tree: Some(DecisionTree::single_leaf(root_counts.clone())),
-                    ..RankState::default()
-                };
-                st.node_of.insert(1, 0);
-                Mutex::new(st)
-            })
-            .collect();
+        let skeleton = Skeleton {
+            tree: Some(DecisionTree::single_leaf(root_counts)),
+            node_of: HashMap::from([(1, 0)]),
+        };
         let root = TaskSample {
             sample: Arc::new(SortedSample::new(root_sample)),
             pending: p,
         };
         SharedBuild {
-            ranks,
+            ranks: (0..p).map(|_| Mutex::default()).collect(),
+            skeleton: Mutex::new(skeleton),
             samples: Mutex::new(HashMap::from([(1, root)])),
         }
+    }
+
+    /// Record that task `id` split on `splitter` into children with these
+    /// class counts. Called once per split, by the first member of the
+    /// task's group.
+    pub(crate) fn split_node(
+        &self,
+        id: u64,
+        splitter: Splitter,
+        left_counts: ClassCounts,
+        right_counts: ClassCounts,
+    ) {
+        let mut skeleton = self.skeleton.lock();
+        let node = skeleton.node_of[&id];
+        let tree = skeleton.tree.as_mut().expect("skeleton");
+        let (l, r) = tree.split_leaf(node, splitter, left_counts, right_counts);
+        skeleton.node_of.extend([(2 * id, l), (2 * id + 1, r)]);
     }
 
     /// Lock rank `r`'s state.
@@ -98,18 +116,20 @@ impl SharedBuild {
         Arc::clone(&self.samples.lock()[&id].sample)
     }
 
-    /// The samples of the two children `splitter` divides task `id` into.
-    /// The first rank to ask splits the task's sample; the others are
-    /// handed the same two allocations. Counts as the calling rank's
+    /// The samples of the two children `splitter` divides task `id` into,
+    /// for the `group_size` members of the task's group. The first member
+    /// to ask splits the task's sample; the others are handed the same two
+    /// allocations. Counts as the calling rank's
     /// [`SharedBuild::release_sample`] of `id`.
     pub fn split_sample(
         &self,
         id: u64,
         splitter: &Splitter,
+        group_size: usize,
     ) -> (Arc<SortedSample>, Arc<SortedSample>) {
         let (lid, rid) = (2 * id, 2 * id + 1);
         let mut samples = self.samples.lock();
-        // A child is live until every rank has released it, and no rank
+        // A child is live until every member has released it, and no member
         // releases a child before it has split the parent.
         if !samples.contains_key(&lid) {
             let parent = samples.get_mut(&id).expect("sample of a live task");
@@ -119,7 +139,7 @@ impl SharedBuild {
             for (child, sample) in [(lid, left), (rid, right)] {
                 let sample = TaskSample {
                     sample: Arc::new(sample),
-                    pending: self.nprocs(),
+                    pending: group_size,
                 };
                 samples.insert(child, sample);
             }
@@ -133,7 +153,8 @@ impl SharedBuild {
     }
 
     /// The calling rank has finished with task `id` (it became a leaf or a
-    /// small task); the last rank's call frees the sample.
+    /// small task, or its data moved to a group without this rank); the
+    /// last rank's call frees the sample.
     pub fn release_sample(&self, id: u64) {
         Self::release(&mut self.samples.lock(), id);
     }
@@ -151,26 +172,32 @@ impl SharedBuild {
         self.ranks.len()
     }
 
-    /// Assemble the final tree: rank 0's skeleton with every rank's local
+    /// Ids of the tasks whose sample some rank still holds: none once a
+    /// build has run to completion.
+    pub fn live_samples(&self) -> Vec<u64> {
+        self.samples.lock().keys().copied().collect()
+    }
+
+    /// Assemble the final tree: the skeleton with every rank's local
     /// subtrees grafted at their task's placeholder leaves.
     pub fn assemble(&self) -> DecisionTree {
-        let mut state0 = self.rank(0);
-        let mut tree = state0.tree.take().expect("skeleton missing");
-        let node_of = state0.node_of.clone();
-        drop(state0);
+        let mut skeleton = self.skeleton.lock();
+        let mut tree = skeleton.tree.take().expect("skeleton missing");
         for r in 0..self.nprocs() {
             let state = self.rank(r);
             for (task_id, subtree) in &state.local_subtrees {
-                let node = *node_of
+                let node = *skeleton
+                    .node_of
                     .get(task_id)
                     .unwrap_or_else(|| panic!("no skeleton node for task {task_id}"));
                 tree.graft(node, subtree);
             }
         }
         // Canonical renumbering: which rank solved which small task (and
-        // hence the graft order) depends on the machine width, but the
-        // splits do not. The canonical form makes the assembled tree's
-        // bytes invariant to the processor count.
+        // hence the graft order), and under task parallelism the order in
+        // which concurrent groups split their nodes, depend on the machine
+        // width and the host, but the splits do not. The canonical form
+        // makes the assembled tree's bytes invariant to all of them.
         tree.canonical()
     }
 
@@ -200,11 +227,11 @@ mod tests {
         assert!(Arc::ptr_eq(&build.sample(1), &build.sample(1)));
         // The first rank splits; the others get the same two children.
         let splitter = Splitter::Categorical { attr: 0, left_values: 0b0101 };
-        let first = build.split_sample(1, &splitter);
+        let first = build.split_sample(1, &splitter, 3);
         assert_eq!(first.0.len() + first.1.len(), 5);
         assert!(first.0.records().iter().all(|r| splitter.goes_left(r)));
         for _ in 1..3 {
-            let other = build.split_sample(1, &splitter);
+            let other = build.split_sample(1, &splitter, 3);
             assert!(Arc::ptr_eq(&first.0, &other.0) && Arc::ptr_eq(&first.1, &other.1));
         }
         // A task's entry goes with its last rank.

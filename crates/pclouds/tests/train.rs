@@ -136,6 +136,7 @@ fn all_strategies_produce_working_trees() {
         Strategy::MixedImmediate,
         Strategy::DataParallel,
         Strategy::Concatenated,
+        Strategy::TaskParallel,
     ] {
         let (farm, root) = farm_for();
         let cluster = Cluster::new(4);
@@ -193,6 +194,32 @@ fn disks_are_clean_after_training() {
             "rank {rank} left files: {:?}",
             disk.file_names()
         );
+    }
+}
+
+/// Task parallelism on the paper's workload at p = 4 and 8: subgroups
+/// split by cost, each group of one streams its subtree out-of-core, and
+/// the tree is the mixed strategy's. The disks are clean afterwards, and
+/// `train` itself asserts that every sample was freed.
+#[test]
+fn task_parallelism_trains_the_mixed_tree() {
+    let records = generate(6_000, GeneratorConfig::default());
+    let (train_set, test_set) = train_test_split(records, 0.8);
+    let cfg = test_config();
+    let mixed = train_in_memory(&train_set, 4, &cfg).tree;
+    for p in [4, 8] {
+        let farm = DiskFarm::in_memory(p);
+        let root = load_dataset(&farm, &train_set, cfg.clouds.sample_size, cfg.clouds.sample_seed);
+        let out = train(&Cluster::new(p), &farm, &root, &cfg, Strategy::TaskParallel);
+        let acc = accuracy(&out.tree, &test_set);
+        assert!(acc > 0.94, "p={p}: accuracy {acc}");
+        assert_eq!(out.tree, mixed, "p={p}");
+        for rank in 0..p {
+            assert!(farm.lock(rank).file_names().is_empty(), "p={p} rank {rank} left files");
+        }
+        let small_solved: usize = out.metrics.iter().map(|m| m.small_solved).sum();
+        let local: usize = out.run.results.iter().map(|r| r.local_small_tasks).sum();
+        assert_eq!(small_solved, local, "p={p}");
     }
 }
 
@@ -380,7 +407,12 @@ fn span_rollups_sum_to_finish_time() {
     use pdc_cgm::MachineConfig;
     let records = generate(8_000, GeneratorConfig::default());
     let cfg = test_config();
-    for strategy in [Strategy::Mixed, Strategy::DataParallel, Strategy::Concatenated] {
+    for strategy in [
+        Strategy::Mixed,
+        Strategy::DataParallel,
+        Strategy::Concatenated,
+        Strategy::TaskParallel,
+    ] {
         let farm = DiskFarm::in_memory(4);
         let root = load_dataset(&farm, &records, cfg.clouds.sample_size, cfg.clouds.sample_seed);
         let machine = MachineConfig {

@@ -52,5 +52,5 @@ fn trajectory_parses_and_pr_numbers_strictly_increase() {
             }
         }
     }
-    assert!(last_pr >= 40.0, "the ledger's last \"pr\" is {last_pr}, below 40");
+    assert!(last_pr >= 41.0, "the ledger's last \"pr\" is {last_pr}, below 41");
 }
