@@ -1,6 +1,6 @@
-//! Collective communication primitives, charged as point-to-point
-//! messages so that their *measured* simulated cost reproduces the
-//! complexities of Table 1 of the paper:
+//! Collective communication primitives, charged as the point-to-point
+//! messages of their schedules so that their *measured* simulated cost
+//! reproduces the complexities of Table 1 of the paper:
 //!
 //! | primitive            | hypercube cost                      |
 //! |----------------------|-------------------------------------|
@@ -9,15 +9,17 @@
 //! | global combine       | `O(ts·log p + tw·m)` (per step `m`) |
 //! | prefix sum           | `O((ts + tw·m)·log p)`              |
 //!
-//! All collectives must be called by **every** processor of the machine in
-//! the same program order (SPMD discipline, exactly as with MPI). Combine
-//! functions must be associative and commutative — combination order is
-//! deterministic for a given `p` but is not the rank order.
+//! All collectives must be called by **every** processor of the
+//! communicator in the same program order, with the same `root` where they
+//! take one (SPMD discipline, exactly as with MPI). Combine functions must
+//! be associative and commutative — combination order is deterministic for
+//! a given `p` but is not the rank order.
 //!
-//! Four collectives are *resolved* rather than sent: they meet on their
-//! communicator's board (see [`crate::exec`]). Each member deposits its
-//! entry clock, link sequence numbers and typed value or parts; the last to
-//! arrive runs the collective's message schedule in virtual time — the same
+//! Every collective is *resolved* rather than sent: its members meet on
+//! their communicator's board (see [`crate::exec`]), so no member returns
+//! before every member has arrived. Each member deposits its entry clock,
+//! link sequence numbers and typed value or parts; the last to arrive runs
+//! the collective's message schedule in virtual time — the same
 //! `message_cost`, link-fault draws and `max(clock, arrival)` rule a message
 //! gets, each message sized by [`Wire::encoded_len`] of what it would carry
 //! — and moves the values themselves, so nothing is encoded or decoded.
@@ -25,35 +27,24 @@
 //! accounting of [`Proc::try_send_bytes`] / [`Proc::try_recv_bytes`]: the
 //! same clock, counters, [`crate::Ev::Push`] / [`crate::Ev::Recv`] events,
 //! mailbox gauges and link sequence numbers, with one park per call instead
-//! of one per message.
-//!
-//! * [`Proc::all_to_all`] (pairwise XOR exchange, or the shifted ring when
-//!   `p` is not a power of two) moves each part to its destination.
-//! * [`Proc::all_gather`] (recursive doubling, or the ring) hands every
-//!   member the same shared slice of every value: the replicas the modelled
-//!   ranks hold are one allocation on the host.
-//! * [`Proc::allreduce`] on a power-of-two communicator (recursive
-//!   doubling) combines each pair of partials once, lower rank's operand
-//!   first — the value both partners of the messages would compute — and
-//!   shares the result like an all-gather.
-//! * [`Proc::reduce_scatter_blocks`] on a power-of-two communicator
-//!   (recursive halving) runs every block combine the messages would, in
-//!   their order, lower rank's operand first.
-//!
-//! The last two are fallible, and the board resolves their poison schedule
-//! too: after a failed edge a rank sends a poison tombstone on every
-//! remaining edge instead of its partial. The other collectives stay
-//! messages, as do the non-power-of-two schedules of the two reductions.
+//! of one per message. The mailbox carries point-to-point traffic only.
+//! Each schedule runs the combines its messages' receivers would, in their
+//! order, and each result every member holds alike — a broadcast value, an
+//! all-gather's slice, an allreduce's result — is one shared allocation on
+//! the host.
 //!
 //! A schedule has one body. If it has a fallible name (`try_barrier`,
 //! `try_broadcast`, `try_reduce`, `try_allreduce`,
-//! `try_reduce_scatter_blocks`), that body is the fallible one: a permanent
-//! link failure travels as poison tombstones along every remaining edge of
-//! the schedule, so every rank unblocks and returns `Err`. The plain name
-//! is a view of it that panics on `Err`, exactly as [`Proc::send_bytes`]
-//! relates to [`Proc::try_send_bytes`].
+//! `try_reduce_scatter_blocks`), that body is the fallible one: after a
+//! failed edge a rank sends a poison tombstone on every remaining edge of
+//! the schedule instead of its data, so every rank the failure could reach
+//! returns `Err`, and none hangs. The plain name is a view of it that
+//! panics on `Err`, exactly as [`Proc::send_bytes`] relates to
+//! [`Proc::try_send_bytes`]. The other collectives panic at a fault, where
+//! the message would.
 
 use std::any::Any;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::fault::{FaultError, Transit};
@@ -74,16 +65,6 @@ const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 7;
 const TAG_REDUCE_SCATTER: u32 = RESERVED_TAG_BASE + 12;
 
 impl Proc {
-    /// Relative rank with respect to `root` (tree algorithms are written for
-    /// root 0 and relabeled).
-    fn rel(&self, root: usize) -> usize {
-        (self.rank() + self.nprocs() - root) % self.nprocs()
-    }
-
-    fn abs(&self, rel: usize, root: usize) -> usize {
-        (rel + root) % self.nprocs()
-    }
-
     /// Encoded payload size for span attribution. Only computed when spans
     /// are enabled (sizing is host-side work; virtual time is untouched
     /// either way); with spans off the attribute is never stored, so the
@@ -116,34 +97,9 @@ impl Proc {
     /// fails permanently.
     pub fn try_barrier(&mut self) -> Result<(), FaultError> {
         let t = self.span("cgm.barrier", &[]);
-        let out = self.try_barrier_inner();
+        let out = self.meet(Meet::Barrier, (), |_, units: Vec<()>| units);
         self.span_end(t);
         out
-    }
-
-    fn try_barrier_inner(&mut self) -> Result<(), FaultError> {
-        // Dissemination barrier: ceil(log2 p) rounds; works for any p.
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(());
-        }
-        let rounds = log2ceil(p);
-        let mut fault: Option<FaultError> = None;
-        for r in 0..rounds {
-            let d = 1usize << r;
-            let to = (self.rank() + d) % p;
-            let from = (self.rank() + p - d) % p;
-            let tag = TAG_BARRIER + (r << 8);
-            if fault.is_some() {
-                self.send_poison(to, tag);
-            } else if let Err(e) = self.try_send_bytes(to, tag, Vec::new()) {
-                fault = Some(e);
-            }
-            if let Err(e) = self.try_recv_bytes(from, tag) {
-                fault.get_or_insert(e);
-            }
-        }
-        fault.map_or(Ok(()), Err)
     }
 
     // ------------------------------------------------------------------
@@ -151,13 +107,16 @@ impl Proc {
     // ------------------------------------------------------------------
 
     /// One-to-all broadcast (binomial tree, any `p`). The root passes
-    /// `Some(value)`; all other ranks pass `None` and receive the value.
-    /// The root's span records the payload size (`bytes`), so large
-    /// broadcasts — model deployment, configuration fan-out — are sized in
-    /// traces and metrics rollups. Panics if a link fails permanently, after
-    /// finishing the poison-propagating schedule of
-    /// [`Proc::try_broadcast`].
-    pub fn broadcast<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
+    /// `Some(value)`; all other ranks pass `None` and receive the value: a
+    /// clone of the one the root deposited, shared on the board. The root's
+    /// span records the payload size (`bytes`), so large broadcasts — model
+    /// deployment, configuration fan-out — are sized in traces and metrics
+    /// rollups. Panics if a link fails permanently, after finishing the
+    /// poison-propagating schedule of [`Proc::try_broadcast`].
+    pub fn broadcast<T>(&mut self, root: usize, value: Option<T>) -> T
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
         self.try_broadcast(root, value).unwrap_or_else(|e| {
             panic!("cgm: rank {} broadcast failed: {e}", self.world_rank())
         })
@@ -166,90 +125,21 @@ impl Proc {
     /// Fallible [`Proc::broadcast`]. The root still knows the value on
     /// failure but returns `Err` like everyone else, so all ranks agree on
     /// whether the broadcast completed.
-    pub fn try_broadcast<T: Wire>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<T, FaultError> {
-        if self.rel(root) == 0 {
-            let v = value.expect("broadcast root must supply a value");
-            let bytes = v.to_bytes();
-            let t = self.span(
-                "cgm.broadcast",
-                &[("root", root as i64), ("bytes", bytes.len() as i64)],
-            );
-            let out = self.try_bcast_down(root, Some(&bytes));
-            self.span_end(t);
-            return out.map(|()| v);
-        }
-        assert!(value.is_none(), "non-root rank passed a broadcast value");
-        let t = self.span("cgm.broadcast", &[("root", root as i64)]);
-        let out = self.try_bcast_recv_forward(root);
+    pub fn try_broadcast<T>(&mut self, root: usize, value: Option<T>) -> Result<T, FaultError>
+    where
+        T: Wire + Clone + Send + Sync + 'static,
+    {
+        let t = if self.rank() == root {
+            let v = value.as_ref().expect("broadcast root must supply a value");
+            let bytes = self.attr_bytes(v);
+            self.span("cgm.broadcast", &[("root", root as i64), ("bytes", bytes)])
+        } else {
+            assert!(value.is_none(), "non-root rank passed a broadcast value");
+            self.span("cgm.broadcast", &[("root", root as i64)])
+        };
+        let out = self.meet(Meet::Broadcast(root), value.map(Arc::new), Shared::new);
         self.span_end(t);
-        Ok(T::from_bytes(&out?).expect("broadcast decode"))
-    }
-
-    /// Root side of the broadcast tree: send `bytes` (or poison when
-    /// `None`) to each child; poison once a send has failed. Returns the
-    /// first fault.
-    fn try_bcast_down(&mut self, root: usize, bytes: Option<&[u8]>) -> Result<(), FaultError> {
-        let p = self.nprocs();
-        let d = log2ceil(p);
-        let mut fault: Option<FaultError> = None;
-        for i in (0..d).rev() {
-            let mask = 1usize << i;
-            if mask < p {
-                let dst = self.abs(mask, root);
-                let tag = TAG_BCAST + (i << 8);
-                match bytes {
-                    Some(b) if fault.is_none() => {
-                        if let Err(e) = self.try_send_bytes(dst, tag, b.to_vec()) {
-                            fault = Some(e);
-                        }
-                    }
-                    _ => self.send_poison(dst, tag),
-                }
-            }
-        }
-        fault.map_or(Ok(()), Err)
-    }
-
-    /// Non-root side of the broadcast tree: receive once, then forward the
-    /// payload (or poison) to each subtree child.
-    fn try_bcast_recv_forward(&mut self, root: usize) -> Result<Vec<u8>, FaultError> {
-        let p = self.nprocs();
-        let rel = self.rel(root);
-        let d = log2ceil(p);
-        let mut received: Option<Result<Vec<u8>, FaultError>> = None;
-        for i in (0..d).rev() {
-            let mask = 1usize << i;
-            if rel & (mask - 1) != 0 {
-                continue; // not yet participating at this step
-            }
-            if rel & mask != 0 {
-                // Receive exactly once, at i == lowest set bit of rel.
-                if received.is_none() {
-                    let src = self.abs(rel & !mask, root);
-                    received = Some(self.try_recv_bytes(src, TAG_BCAST + (i << 8)));
-                }
-            } else if let Some(state) = &received {
-                let peer_rel = rel | mask;
-                if peer_rel < p {
-                    let dst = self.abs(peer_rel, root);
-                    let tag = TAG_BCAST + (i << 8);
-                    match state {
-                        Ok(bytes) => {
-                            let b = bytes.clone();
-                            if let Err(e) = self.try_send_bytes(dst, tag, b) {
-                                received = Some(Err(e));
-                            }
-                        }
-                        Err(_) => self.send_poison(dst, tag),
-                    }
-                }
-            }
-        }
-        received.expect("broadcast: non-root received nothing")
+        out.map(|v: Option<Arc<T>>| Arc::unwrap_or_clone(v.expect("a healthy member's value")))
     }
 
     // ------------------------------------------------------------------
@@ -260,12 +150,10 @@ impl Proc {
     /// on `root`, `None` elsewhere. `combine` must be associative and
     /// commutative. Panics if a link fails permanently, after finishing the
     /// poison-propagating schedule of [`Proc::try_reduce`].
-    pub fn reduce<T: Wire>(
-        &mut self,
-        root: usize,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Option<T> {
+    pub fn reduce<T>(&mut self, root: usize, value: T, combine: impl Fn(T, T) -> T) -> Option<T>
+    where
+        T: Wire + Send + Sync + 'static,
+    {
         self.try_reduce(root, value, combine).unwrap_or_else(|e| {
             panic!("cgm: rank {} reduce failed: {e}", self.world_rank())
         })
@@ -275,67 +163,28 @@ impl Proc {
     /// `Ok(None)` on other ranks, or `Err` when this rank faulted or
     /// consumed poison (a poisoned partial is forwarded up the tree so the
     /// root learns of the failure).
-    pub fn try_reduce<T: Wire>(
+    pub fn try_reduce<T>(
         &mut self,
         root: usize,
         value: T,
         combine: impl Fn(T, T) -> T,
-    ) -> Result<Option<T>, FaultError> {
+    ) -> Result<Option<T>, FaultError>
+    where
+        T: Wire + Send + Sync + 'static,
+    {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.reduce", &[("root", root as i64), ("bytes", bytes)]);
-        let out = self.try_reduce_inner(root, value, combine);
+        let out = self.meet(Meet::Reduce(root), value, |schedule, values| {
+            Combining::new(schedule, values, &combine)
+        });
         self.span_end(t);
-        out
-    }
-
-    fn try_reduce_inner<T: Wire>(
-        &mut self,
-        root: usize,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<Option<T>, FaultError> {
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(Some(value));
-        }
-        let rel = self.rel(root);
-        let d = log2ceil(p);
-        let mut acc: Result<T, FaultError> = Ok(value);
-        for i in 0..d {
-            let mask = 1usize << i;
-            let tag = TAG_REDUCE + (i << 8);
-            if rel & mask != 0 {
-                let dst = self.abs(rel & !mask, root);
-                return match acc {
-                    Ok(v) => {
-                        self.try_send(dst, tag, &v)?;
-                        Ok(None)
-                    }
-                    Err(e) => {
-                        self.send_poison(dst, tag);
-                        Err(e)
-                    }
-                };
-            }
-            let peer_rel = rel | mask;
-            if peer_rel < p {
-                let src = self.abs(peer_rel, root);
-                let other = self.try_recv::<T>(src, tag);
-                acc = match (acc, other) {
-                    (Ok(a), Ok(b)) => Ok(combine(a, b)),
-                    (Err(e), _) | (Ok(_), Err(e)) => Err(e),
-                };
-            }
-        }
-        debug_assert_eq!(rel, 0);
-        acc.map(Some)
+        out.map(|v: Option<Arc<T>>| v.map(|v| Arc::into_inner(v).expect("the root's own result")))
     }
 
     /// All-to-all reduction: every rank gets the combined value.
     ///
     /// Uses recursive doubling when `p` is a power of two (cost
-    /// `(ts + tw·m)·log p`), resolved on the communicator's board (see the
-    /// [module docs](self)); otherwise reduce-to-0 followed by broadcast.
+    /// `(ts + tw·m)·log p`); otherwise reduce-to-0 followed by broadcast.
     /// Panics if a link fails permanently, after finishing the
     /// poison-propagating schedule of [`Proc::try_allreduce`].
     pub fn allreduce<T>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T
@@ -362,59 +211,39 @@ impl Proc {
     {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.allreduce", &[("bytes", bytes)]);
-        let out = self.try_allreduce_inner(value, combine);
-        self.span_end(t);
-        out
-    }
-
-    fn try_allreduce_inner<T>(
-        &mut self,
-        value: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> Result<T, FaultError>
-    where
-        T: Wire + Clone + Send + Sync + 'static,
-    {
         let p = self.nprocs();
-        if p == 1 {
-            return Ok(value);
-        }
-        if is_pow2(p) {
-            let out = self.meet(Meet::AllReduce, Box::new(value), |values| {
-                Combining::new(values, &combine)
-            })?;
-            let shared = *out.downcast::<Option<Arc<T>>>().expect("allreduce result");
-            return Ok(Arc::unwrap_or_clone(shared.expect("a healthy rank holds the result")));
-        }
-        // Reduce to 0 then broadcast; a failure anywhere poisons the root,
-        // which then poisons everyone.
-        let reduced = self.try_reduce(0, value, combine);
-        if self.rank() == 0 {
-            match reduced {
-                Ok(v) => self.try_broadcast(0, v),
-                Err(e) => {
-                    let _ = self.try_bcast_down(0, None);
+        let out = if p == 1 {
+            Ok(value)
+        } else if is_pow2(p) {
+            self.meet(Meet::AllReduce, value, |schedule, values| {
+                Combining::new(schedule, values, &combine)
+            })
+            .map(|v: Option<Arc<T>>| Arc::unwrap_or_clone(v.expect("a healthy rank's result")))
+        } else {
+            // Reduce to 0 then broadcast; a failure anywhere poisons the
+            // root, which then broadcasts nothing and so poisons everyone.
+            match self.try_reduce(0, value, combine) {
+                Ok(Some(v)) => self.try_broadcast(0, Some(v)),
+                Err(e) if self.rank() == 0 => {
+                    let nothing: Option<Arc<T>> = None;
+                    let _: Result<Option<Arc<T>>, _> =
+                        self.meet(Meet::Broadcast(0), nothing, Shared::new);
                     Err(e)
                 }
+                reduced => {
+                    let bc = self.try_broadcast(0, None);
+                    reduced.and(bc)
+                }
             }
-        } else {
-            let bc = self.try_broadcast::<T>(0, None);
-            reduced.and(bc)
-        }
+        };
+        self.span_end(t);
+        out
     }
 
     /// Global minimum with the rank that achieved it (ties broken by lower
     /// rank). This is the paper's "min-reduction primitive on the local
     /// minimum gini indices".
     pub fn min_loc(&mut self, value: f64) -> (f64, usize) {
-        let bytes = self.attr_bytes(&(value, self.rank() as u64));
-        let t = self.span("cgm.min_loc", &[("bytes", bytes)]);
-        let out = self.min_loc_inner(value);
-        self.span_end(t);
-        out
-    }
-
-    fn min_loc_inner(&mut self, value: f64) -> (f64, usize) {
         // Total order on the score: NaN compares as +infinity, so a poisoned
         // local minimum can never displace a finite one and an all-NaN input
         // still resolves deterministically (lowest rank wins ties).
@@ -426,6 +255,7 @@ impl Proc {
             }
         }
         let pair = (value, self.rank() as u64);
+        let t = self.span("cgm.min_loc", &[("bytes", self.attr_bytes(&pair))]);
         let (v, r) = self.allreduce(pair, |a, b| {
             if (key(b.0), b.1) < (key(a.0), a.1) {
                 b
@@ -433,6 +263,7 @@ impl Proc {
                 a
             }
         });
+        self.span_end(t);
         (v, r as usize)
     }
 
@@ -442,72 +273,35 @@ impl Proc {
 
     /// Inclusive prefix combine (Hillis–Steele, any `p`): rank `i` gets
     /// `v_0 (+) v_1 (+) … (+) v_i`. `combine` must be associative.
-    pub fn scan<T: Wire + Clone>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T {
+    pub fn scan<T>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T
+    where
+        T: Wire + Clone + Send + 'static,
+    {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.scan", &[("bytes", bytes)]);
-        let out = self.scan_inner(value, combine);
+        let out = self.meet(Meet::Scan, value, |_, values: Vec<T>| Prefix {
+            combine: &combine,
+            partials: values.into_iter().map(Some).collect(),
+        });
         self.span_end(t);
-        out
-    }
-
-    fn scan_inner<T: Wire + Clone>(&mut self, value: T, combine: impl Fn(T, T) -> T) -> T {
-        let p = self.nprocs();
-        let mut acc = value;
-        let mut d = 1usize;
-        let mut step = 0u32;
-        while d < p {
-            let tag = TAG_SCAN + (step << 8);
-            let outgoing = acc.clone();
-            if self.rank() + d < p {
-                self.send(self.rank() + d, tag, &outgoing);
-            }
-            if self.rank() >= d {
-                let other: T = self.recv(self.rank() - d, tag);
-                acc = combine(other, acc);
-            }
-            d *= 2;
-            step += 1;
-        }
-        acc
+        out.expect("an infallible schedule panics at its fault")
     }
 
     /// Exclusive prefix combine: rank `i` gets `v_0 (+) … (+) v_{i-1}`, and
-    /// rank 0 gets `identity`.
-    pub fn exscan<T: Wire + Clone>(
-        &mut self,
-        value: T,
-        identity: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> T {
+    /// rank 0 gets `identity`. An inclusive scan, then a shift by one rank.
+    pub fn exscan<T>(&mut self, value: T, identity: T, combine: impl Fn(T, T) -> T) -> T
+    where
+        T: Wire + Clone + Send + 'static,
+    {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.exscan", &[("bytes", bytes)]);
-        let out = self.exscan_inner(value, identity, combine);
-        self.span_end(t);
-        out
-    }
-
-    fn exscan_inner<T: Wire + Clone>(
-        &mut self,
-        value: T,
-        identity: T,
-        combine: impl Fn(T, T) -> T,
-    ) -> T {
-        // Run an inclusive scan of (identity-shifted) pairs: simplest correct
-        // formulation is an inclusive scan followed by a shift via p2p.
-        let p = self.nprocs();
         let inclusive = self.scan(value, combine);
-        if p == 1 {
-            return identity;
-        }
-        let tag = TAG_SCAN + (31 << 8);
-        if self.rank() + 1 < p {
-            self.send(self.rank() + 1, tag, &inclusive);
-        }
-        if self.rank() == 0 {
-            identity
-        } else {
-            self.recv(self.rank() - 1, tag)
-        }
+        // The last rank's inclusive value goes nowhere.
+        let parts = (self.rank() + 1 < self.nprocs()).then_some(inclusive);
+        let out: Result<Vec<T>, _> =
+            self.meet(Meet::Exscan, Some(Vec::from_iter(parts)), Relay::new);
+        self.span_end(t);
+        out.expect("an infallible schedule panics at its fault").pop().unwrap_or(identity)
     }
 
     // ------------------------------------------------------------------
@@ -516,47 +310,15 @@ impl Proc {
 
     /// All-to-one gather (binomial tree). Returns `Some(values)` on `root`
     /// (indexed by rank), `None` elsewhere.
-    pub fn gather<T: Wire>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
+    pub fn gather<T>(&mut self, root: usize, value: T) -> Option<Vec<T>>
+    where
+        T: Wire + Send + Sync + 'static,
+    {
         let bytes = self.attr_bytes(&value);
         let t = self.span("cgm.gather", &[("root", root as i64), ("bytes", bytes)]);
-        let out = self.gather_inner(root, value);
+        let out = self.meet(Meet::Gather(root), value, Gather::new);
         self.span_end(t);
-        out
-    }
-
-    fn gather_inner<T: Wire>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
-        let p = self.nprocs();
-        let rel = self.rel(root);
-        let d = log2ceil(p);
-        // Accumulate (rank, encoded value) pairs up the binomial tree so the
-        // message volume doubles per level: ts·log p + tw·m·p total at root.
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
-        for i in 0..d {
-            let mask = 1usize << i;
-            if rel & (mask - 1) != 0 {
-                unreachable!("rank already retired from gather");
-            }
-            if rel & mask != 0 {
-                let dst = self.abs(rel & !mask, root);
-                self.send(dst, TAG_GATHER + (i << 8), &acc);
-                return None;
-            }
-            let peer_rel = rel | mask;
-            if peer_rel < p {
-                let src = self.abs(peer_rel, root);
-                let mut other: Vec<(u64, Vec<u8>)> =
-                    self.recv(src, TAG_GATHER + (i << 8));
-                acc.append(&mut other);
-            }
-        }
-        debug_assert_eq!(rel, 0);
-        acc.sort_by_key(|(rank, _)| *rank);
-        debug_assert_eq!(acc.len(), p);
-        Some(
-            acc.into_iter()
-                .map(|(_, bytes)| T::from_bytes(&bytes).expect("gather decode"))
-                .collect(),
-        )
+        out.expect("an infallible schedule panics at its fault")
     }
 
     /// All-to-all broadcast (all-gather): every rank gets every rank's value,
@@ -574,10 +336,8 @@ impl Proc {
         let out = if self.nprocs() == 1 {
             Arc::from([value])
         } else {
-            let out = self
-                .meet(Meet::AllGather, Box::new(value), Gather::<T>::new)
-                .expect("an infallible schedule panics at its fault");
-            *out.downcast::<Arc<[T]>>().expect("all_gather result")
+            let out = self.meet(Meet::AllGather, value, Gather::new);
+            out.expect("an infallible schedule panics at its fault")
         };
         self.span_end(t);
         out
@@ -611,7 +371,7 @@ impl Proc {
     ///
     /// Panics if a link fails permanently, after finishing the
     /// poison-propagating schedule of [`Proc::try_reduce_scatter_blocks`].
-    pub fn reduce_scatter_blocks<T: Wire + Send + 'static>(
+    pub fn reduce_scatter_blocks<T: Wire + Send + Sync + 'static>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
@@ -625,7 +385,7 @@ impl Proc {
     /// Fallible [`Proc::reduce_scatter_blocks`]: a permanent link failure
     /// surfaces as `Err` on every rank (poison propagates along every
     /// remaining edge) instead of hanging.
-    pub fn try_reduce_scatter_blocks<T: Wire + Send + 'static>(
+    pub fn try_reduce_scatter_blocks<T: Wire + Send + Sync + 'static>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
@@ -634,139 +394,109 @@ impl Proc {
         let halving = is_pow2(p) && p > 1;
         let name = if halving { "cgm.reduce_scatter.halving" } else { "cgm.reduce_scatter.fanin" };
         let t = self.span(name, &[]);
+        assert_eq!(blocks.len(), p, "reduce_scatter needs exactly one block per rank");
         let out = if halving {
-            self.check_blocks(&blocks);
-            self.meet(Meet::ReduceScatter, Box::new(blocks), |values| {
-                Halving::new(values, &combine)
+            self.meet(Meet::ReduceScatter, blocks, |_, entries| Halving {
+                combine: &combine,
+                entries,
             })
-            .map(|out| *out.downcast::<Vec<T>>().expect("reduce_scatter result"))
         } else {
-            self.try_reduce_scatter_fanin(blocks, combine)
+            self.try_fanin_scatter(blocks, combine)
         };
         self.span_end(t);
         out
     }
 
-    fn check_blocks<T>(&self, blocks: &[Vec<T>]) {
-        assert_eq!(
-            blocks.len(),
-            self.nprocs(),
-            "reduce_scatter needs exactly one block per rank"
-        );
-    }
-
-    fn try_reduce_scatter_fanin<T: Wire>(
+    /// [`Proc::try_reduce_scatter_blocks`] on a `p` that is not a power of
+    /// two: a reduce of the whole payloads to rank 0, which keeps its own
+    /// block and scatters the others. A failed reduce leaves rank 0 nothing
+    /// to scatter, so it poisons everyone.
+    fn try_fanin_scatter<T: Wire + Send + Sync + 'static>(
         &mut self,
         blocks: Vec<Vec<T>>,
         combine: impl Fn(T, T) -> T,
     ) -> Result<Vec<T>, FaultError> {
-        self.check_blocks(&blocks);
-        let p = self.nprocs();
-        if p == 1 {
-            return Ok(blocks.into_iter().next().unwrap());
-        }
-        let merged = self.try_reduce_inner(0, blocks, |a: Vec<Vec<T>>, b: Vec<Vec<T>>| {
-            a.into_iter()
-                .zip(b)
-                .map(|(x, y)| combine_block(x, y, &combine))
-                .collect()
-        });
-        if self.rank() == 0 {
-            match merged {
-                Ok(merged) => {
-                    let mut merged = merged.expect("rank 0 holds the fan-in result");
-                    let mut fault: Option<FaultError> = None;
-                    for (j, block) in merged.drain(1..).enumerate() {
-                        if fault.is_some() {
-                            self.send_poison(j + 1, TAG_REDUCE_SCATTER);
-                        } else if let Err(e) = self.try_send(j + 1, TAG_REDUCE_SCATTER, &block) {
-                            fault = Some(e);
-                        }
-                    }
-                    fault.map_or(Ok(merged.into_iter().next().unwrap()), Err)
-                }
-                Err(e) => {
-                    for j in 1..p {
-                        self.send_poison(j, TAG_REDUCE_SCATTER);
-                    }
-                    Err(e)
-                }
+        let merge = |a: Vec<Vec<T>>, b: Vec<Vec<T>>| -> Vec<Vec<T>> {
+            a.into_iter().zip(b).map(|(x, y)| combine_block(x, y, &combine)).collect()
+        };
+        // The reduce of `try_reduce`, without its span.
+        let merged: Result<Option<Arc<Vec<Vec<T>>>>, _> =
+            self.meet(Meet::Reduce(0), blocks, |s, values| Combining::new(s, values, &merge));
+        let (fault, own, parts) = match merged {
+            Ok(Some(merged)) => {
+                let mut merged = Arc::into_inner(merged).expect("the root's own result");
+                let rest = merged.split_off(1);
+                (None, merged.pop(), Some(rest))
             }
-        } else {
-            let scattered = self.try_recv::<Vec<T>>(0, TAG_REDUCE_SCATTER);
-            merged.and(scattered)
+            Ok(None) => (None, None, Some(Vec::new())),
+            Err(e) => (Some(e), None, None),
+        };
+        let scattered: Result<Vec<Vec<T>>, _> = self.meet(Meet::ReduceScatter, parts, Relay::new);
+        if let Some(e) = fault {
+            return Err(e);
         }
+        let mut received = scattered?;
+        Ok(own.or_else(|| received.pop()).expect("rank 0 sends every rank its block"))
     }
 
     /// Personalized all-to-all: `parts[j]` is delivered to rank `j`; the
     /// result's element `i` is what rank `i` addressed to this rank.
     /// `parts[self.rank()]` is returned in place without transfer cost.
     pub fn all_to_all<T: Wire + Send + 'static>(&mut self, parts: Vec<T>) -> Vec<T> {
+        let (me, p) = (self.rank(), self.nprocs());
+        assert_eq!(parts.len(), p, "all_to_all needs exactly one part per rank");
         let bytes = self.attr_bytes(&parts);
         let t = self.span("cgm.all_to_all", &[("bytes", bytes)]);
-        let out = self.all_to_all_inner(parts);
-        self.span_end(t);
-        out
-    }
-
-    fn all_to_all_inner<T: Wire + Send + 'static>(&mut self, parts: Vec<T>) -> Vec<T> {
-        let p = self.nprocs();
-        assert_eq!(parts.len(), p, "all_to_all needs exactly one part per rank");
         if p == 1 {
+            self.span_end(t);
             return parts;
         }
         // The own part stays here.
-        let me = self.rank();
         let mut parts: Vec<Option<T>> = parts.into_iter().map(Some).collect();
-        let mut own = parts[me].take();
-        let out = self
-            .meet(Meet::AllToAll, Box::new(parts), Exchange::<T>::new)
-            .expect("an infallible schedule panics at its fault");
-        let column = *out.downcast::<Vec<Option<T>>>().expect("all_to_all result");
-        column
-            .into_iter()
-            .enumerate()
-            .map(|(j, part)| match j == me {
-                true => own.take().expect("own part"),
-                false => part.expect("every other member addressed this one"),
-            })
-            .collect()
+        let own = parts[me].take();
+        let column: Result<Vec<Option<T>>, _> =
+            self.meet(Meet::AllToAll, parts, |_, parts| Exchange { parts });
+        self.span_end(t);
+        let mut column = column.expect("an infallible schedule panics at its fault");
+        column[me] = own;
+        column.into_iter().map(|part| part.expect("a part from every member")).collect()
     }
 
     /// Meet the communicator's other members on its board (see
     /// [`crate::exec`]) with this rank's typed `value` (see each
     /// [`Values`] implementation for what it is), then replay this rank's
     /// side of the schedule the board resolved: each step's send — data or
-    /// poison — and receive through the accounting a message gets. The
-    /// member that fills the board builds the [`Values`] from every
-    /// member's `value`, in local-rank order, with `values`. Returns what
-    /// the board handed this rank, or the first fault of a fallible
-    /// schedule; an infallible one panics at its fault.
-    fn meet<V: Values>(
+    /// poison — and receive, where it has them, through the accounting a
+    /// message gets. The member that fills the board builds the [`Values`]
+    /// from the schedule and every member's `value`, in local-rank order,
+    /// with `values`. Returns what the board handed this rank, or the first
+    /// fault of a fallible schedule; an infallible one panics at its fault.
+    fn meet<D: Send + 'static, V: Values, R: 'static>(
         &mut self,
         meet: Meet,
-        value: Payload,
-        values: impl FnOnce(Vec<Payload>) -> V,
-    ) -> Result<Payload, FaultError> {
+        value: D,
+        values: impl FnOnce(Schedule, Vec<D>) -> V,
+    ) -> Result<R, FaultError> {
         let (members, local) = self.communicator();
         let schedule = Schedule::of(meet, members.len());
         let deposit = Deposit {
             meet,
             clock: self.clock(),
             link_seq: self.link_seqs(&members),
-            value,
+            value: Box::new(value),
         };
         let shared = self.shared();
         let outcome = shared.exec.meet(&members, local, deposit, |deposits| {
             resolve(&shared, &members, schedule, deposits, values)
         });
-        let fallible = schedule.fallible();
+        let fallible = meet.fallible();
         let mut fault: Option<FaultError> = None;
         for (k, hop) in outcome.hops.iter().enumerate() {
             let (to, from) = schedule.peers(local, k);
             let tag = schedule.tag(k);
-            match hop.sent {
-                Some(len) => {
+            match (to, hop.sent) {
+                (None, _) => {}
+                (Some(to), Some(len)) => {
                     if let (_, Err(e)) = self.charge_send(members[to], tag, len) {
                         if !fallible {
                             self.send_failed(to, tag, e);
@@ -774,8 +504,9 @@ impl Proc {
                         fault.get_or_insert(e);
                     }
                 }
-                None => self.charge_poison(members[to], tag),
+                (Some(to), None) => self.charge_poison(members[to], tag),
             }
+            let Some(from) = from else { continue };
             let Some(Arrival { at, poisoned, len }) = hop.arrival else {
                 shared.exec.await_abort(self.world_rank())
             };
@@ -792,7 +523,10 @@ impl Proc {
             "rank {}: the replay left the clock the board resolved",
             self.world_rank()
         );
-        fault.map_or(Ok(outcome.value), Err)
+        match fault {
+            Some(e) => Err(e),
+            None => Ok(*outcome.value.downcast().expect("the collective's result")),
+        }
     }
 }
 
@@ -806,17 +540,32 @@ fn combine_block<T>(a: Vec<T>, b: Vec<T>, combine: &impl Fn(T, T) -> T) -> Vec<T
 /// A typed value or set of parts on its way across a board.
 type Payload = Box<dyn Any + Send>;
 
-/// A collective that meets on its communicator's board (see
-/// [`crate::exec`]) instead of parking once per message.
+/// A collective call that meets on its communicator's board (see
+/// [`crate::exec`]). Members whose calls differ — a different collective,
+/// or the same one from a different root — refuse to meet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Meet {
+    /// [`Proc::barrier`].
+    Barrier,
+    /// [`Proc::broadcast`] from this root.
+    Broadcast(usize),
+    /// [`Proc::reduce`] to this root (also the first half of a
+    /// non-power-of-two `allreduce` or `reduce_scatter_blocks`).
+    Reduce(usize),
+    /// [`Proc::gather`] to this root.
+    Gather(usize),
+    /// [`Proc::scan`].
+    Scan,
+    /// [`Proc::exscan`]'s shift by one rank.
+    Exscan,
     /// [`Proc::all_to_all`].
     AllToAll,
     /// [`Proc::all_gather`].
     AllGather,
     /// [`Proc::allreduce`], `p` a power of two.
     AllReduce,
-    /// [`Proc::reduce_scatter_blocks`], `p` a power of two.
+    /// [`Proc::reduce_scatter_blocks`]: the halving, or the scatter after
+    /// the reduce.
     ReduceScatter,
 }
 
@@ -824,10 +573,64 @@ impl Meet {
     /// How deadlock reports name the collective.
     pub(crate) fn name(self) -> &'static str {
         match self {
+            Meet::Barrier => "barrier",
+            Meet::Broadcast(_) => "broadcast",
+            Meet::Reduce(_) => "reduce",
+            Meet::Gather(_) => "gather",
+            Meet::Scan => "scan",
+            Meet::Exscan => "exscan",
             Meet::AllToAll => "all_to_all",
             Meet::AllGather => "all_gather",
             Meet::AllReduce => "allreduce",
             Meet::ReduceScatter => "reduce_scatter_blocks",
+        }
+    }
+
+    /// The root of a rooted collective; 0 otherwise.
+    fn root(self) -> usize {
+        match self {
+            Meet::Broadcast(root) | Meet::Reduce(root) | Meet::Gather(root) => root,
+            _ => 0,
+        }
+    }
+
+    /// The tag of the schedule's first step.
+    fn tag(self) -> u32 {
+        match self {
+            Meet::Barrier => TAG_BARRIER,
+            Meet::Broadcast(_) => TAG_BCAST,
+            Meet::Reduce(_) => TAG_REDUCE,
+            Meet::Gather(_) => TAG_GATHER,
+            Meet::Scan | Meet::Exscan => TAG_SCAN,
+            Meet::AllToAll => TAG_ALLTOALL,
+            Meet::AllGather => TAG_ALLGATHER,
+            Meet::AllReduce => TAG_ALLREDUCE,
+            Meet::ReduceScatter => TAG_REDUCE_SCATTER,
+        }
+    }
+
+    /// Whether a rank goes on after a fault, sending poison on every
+    /// remaining edge, and returns `Err` at the end (the collectives with
+    /// a fallible name). In an infallible schedule it panics at the fault.
+    fn fallible(self) -> bool {
+        matches!(
+            self,
+            Meet::Barrier
+                | Meet::Broadcast(_)
+                | Meet::Reduce(_)
+                | Meet::AllReduce
+                | Meet::ReduceScatter
+        )
+    }
+}
+
+impl fmt::Display for Meet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Meet::Broadcast(root) | Meet::Reduce(root) | Meet::Gather(root) => {
+                write!(f, "{}(root {root})", self.name())
+            }
+            _ => f.write_str(self.name()),
         }
     }
 }
@@ -857,10 +660,12 @@ pub(crate) struct Outcome {
     value: Payload,
 }
 
-/// One step of a member's schedule: it sends, then receives.
+/// One step of a member's schedule: it sends, then receives, where the
+/// schedule gives it a peer to.
 struct Hop {
     /// The length of the data message sent, or `None` for a poison
-    /// tombstone (a fallible schedule's rank after its fault).
+    /// tombstone (a fallible schedule's rank after its fault); unread in a
+    /// step where the member sends nothing.
     sent: Option<usize>,
     /// `None` when the sender stopped before this step (its send failed or
     /// it was itself stopped): the member waits for the run's abort.
@@ -875,89 +680,148 @@ struct Arrival {
     len: usize,
 }
 
-/// The exchange schedule of a board collective over `p` ranks.
+/// The message schedule of a board collective over `p` ranks.
 #[derive(Clone, Copy)]
-enum Schedule {
+struct Schedule {
+    meet: Meet,
+    shape: Shape,
+    p: usize,
+}
+
+/// Who sends to whom in each step of a [`Schedule`]. Ranks are local ranks
+/// of the communicator; a rooted schedule is written for root 0 and runs
+/// over ranks relative to its root.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
     /// `all_to_all`, `p` a power of two: in step `k` rank `r` exchanges
     /// with `r ^ (k + 1)` (perfectly matched pairs).
-    Xor(usize),
+    Xor,
     /// `all_to_all`, any other `p`: sends to `r + k + 1`, receives from
     /// `r - k - 1` (mod `p`).
-    Shift(usize),
-    /// `all_gather`, `p` a power of two: recursive doubling — in step `k`
-    /// rank `r` exchanges everything it holds with `r ^ 2^k`. Doubling
-    /// whenever it applies: both schedules share the `tw·m·(p-1)`
-    /// bandwidth term and the ring pays `p - 1` startups against
-    /// doubling's `log p`, so no payload size favors the ring.
-    Doubling(usize),
+    Shift,
+    /// `all_gather` and `allreduce`, `p` a power of two: recursive doubling
+    /// — in step `k` rank `r` exchanges what it holds with `r ^ 2^k`.
+    /// Doubling whenever it applies: for `all_gather` both schedules share
+    /// the `tw·m·(p-1)` bandwidth term and the ring pays `p - 1` startups
+    /// against doubling's `log p`, so no payload size favors the ring.
+    Doubling,
     /// `all_gather`, any other `p`: `p - 1` steps around the ring, each
     /// forwarding the value received in the step before.
-    Ring(usize),
-    /// `allreduce`, `p` a power of two: recursive doubling — in step `k`
-    /// rank `r` exchanges its partial with `r ^ 2^k` and both combine.
-    Combining(usize),
+    Ring,
     /// `reduce_scatter_blocks`, `p` a power of two: recursive halving — in
     /// step `k` rank `r` sends the half of its blocks bound for
     /// `r ^ (p >> (k + 1))`'s side to that rank and combines the other half
     /// with what it receives.
-    Halving(usize),
+    Halving,
+    /// `reduce_scatter_blocks`, any other `p`, after its reduce: in step `k`
+    /// rank 0 sends rank `k + 1` its block.
+    Scatter,
+    /// `barrier`: dissemination — in step `k` rank `r` sends to `r + 2^k`
+    /// and receives from `r - 2^k` (mod `p`).
+    Dissemination,
+    /// `broadcast`: binomial tree down from the root — in step `k`, with
+    /// `m = 2^(⌈log p⌉ - 1 - k)`, each relative rank that is a multiple of
+    /// `2m` holds the value and sends it `m` ranks up.
+    Down,
+    /// `reduce`, `gather`: binomial tree up to the root — in step `k` each
+    /// relative rank whose lowest set bit is `2^k` sends what it holds
+    /// `2^k` ranks down, and is done.
+    Up,
+    /// `scan`: Hillis–Steele — in step `k` rank `r` sends to `r + 2^k` and
+    /// receives from `r - 2^k`, where those exist.
+    Prefix,
+    /// `exscan`'s shift: in one step rank `r` sends to `r + 1` and receives
+    /// from `r - 1`, where those exist.
+    Successor,
 }
 
 impl Schedule {
     fn of(meet: Meet, p: usize) -> Schedule {
-        match (meet, is_pow2(p)) {
-            (Meet::AllToAll, true) => Schedule::Xor(p),
-            (Meet::AllToAll, false) => Schedule::Shift(p),
-            (Meet::AllGather, true) => Schedule::Doubling(p),
-            (Meet::AllGather, false) => Schedule::Ring(p),
-            (Meet::AllReduce, true) => Schedule::Combining(p),
-            (Meet::ReduceScatter, true) => Schedule::Halving(p),
-            (Meet::AllReduce | Meet::ReduceScatter, false) => {
-                unreachable!("{} meets only on a power of two", meet.name())
+        assert!(meet.root() < p, "cgm: {meet} on a communicator of {p} ranks");
+        let pow2 = is_pow2(p);
+        let shape = match meet {
+            Meet::Barrier => Shape::Dissemination,
+            Meet::Broadcast(_) => Shape::Down,
+            Meet::Reduce(_) | Meet::Gather(_) => Shape::Up,
+            Meet::Scan => Shape::Prefix,
+            Meet::Exscan => Shape::Successor,
+            Meet::AllToAll if pow2 => Shape::Xor,
+            Meet::AllToAll => Shape::Shift,
+            Meet::AllGather if pow2 => Shape::Doubling,
+            Meet::AllGather => Shape::Ring,
+            Meet::AllReduce => {
+                assert!(pow2, "allreduce meets only on a power of two");
+                Shape::Doubling
             }
-        }
+            Meet::ReduceScatter if pow2 => Shape::Halving,
+            Meet::ReduceScatter => Shape::Scatter,
+        };
+        Schedule { meet, shape, p }
     }
 
     fn steps(self) -> usize {
-        match self {
-            Schedule::Xor(p) | Schedule::Shift(p) | Schedule::Ring(p) => p - 1,
-            Schedule::Doubling(p) | Schedule::Combining(p) | Schedule::Halving(p) => {
-                log2ceil(p) as usize
-            }
+        match self.shape {
+            Shape::Xor | Shape::Shift | Shape::Ring | Shape::Scatter => self.p - 1,
+            Shape::Successor => 1,
+            _ => log2ceil(self.p) as usize,
         }
     }
 
-    /// Whether a rank goes on after a fault, sending poison on every
-    /// remaining edge, and returns `Err` at the end. In an infallible
-    /// schedule it panics at the fault.
-    fn fallible(self) -> bool {
-        matches!(self, Schedule::Combining(_) | Schedule::Halving(_))
+    /// Local rank `r`'s rank relative to the root.
+    fn rel(self, r: usize) -> usize {
+        (r + self.p - self.meet.root()) % self.p
     }
 
-    /// Whom rank `r` sends to and receives from in step `k`.
-    fn peers(self, r: usize, k: usize) -> (usize, usize) {
-        match self {
-            Schedule::Xor(_) => (r ^ (k + 1), r ^ (k + 1)),
-            Schedule::Shift(p) => ((r + k + 1) % p, (r + p - k - 1) % p),
-            Schedule::Doubling(_) | Schedule::Combining(_) => {
-                (partner(r, k as u32), partner(r, k as u32))
+    /// The local rank of relative rank `q`.
+    fn abs(self, q: usize) -> usize {
+        (q + self.meet.root()) % self.p
+    }
+
+    /// Whom rank `r` sends to and receives from in step `k`, if anyone.
+    fn peers(self, r: usize, k: usize) -> (Option<usize>, Option<usize>) {
+        let p = self.p;
+        let both = |peer| (Some(peer), Some(peer));
+        match self.shape {
+            Shape::Xor => both(r ^ (k + 1)),
+            Shape::Shift => (Some((r + k + 1) % p), Some((r + p - k - 1) % p)),
+            Shape::Doubling => both(partner(r, k as u32)),
+            Shape::Ring => (Some((r + 1) % p), Some((r + p - 1) % p)),
+            Shape::Halving => both(r ^ (p >> (k + 1))),
+            Shape::Scatter if r == 0 => (Some(k + 1), None),
+            Shape::Scatter => (None, (r == k + 1).then_some(0)),
+            Shape::Dissemination => (Some((r + (1 << k)) % p), Some((r + p - (1 << k)) % p)),
+            Shape::Down | Shape::Up => {
+                // Relative rank `q` is the parent of `q + m` when `q` is a
+                // multiple of `2m`.
+                let m = match self.shape {
+                    Shape::Down => 1 << (self.steps() - 1 - k),
+                    _ => 1 << k,
+                };
+                let q = self.rel(r);
+                let low = q & (2 * m - 1);
+                let child = (low == 0 && q + m < p).then(|| self.abs(q + m));
+                let parent = (low == m).then(|| self.abs(q - m));
+                match self.shape {
+                    Shape::Down => (child, parent),
+                    _ => (parent, child),
+                }
             }
-            Schedule::Ring(p) => ((r + 1) % p, (r + p - 1) % p),
-            Schedule::Halving(p) => (r ^ (p >> (k + 1)), r ^ (p >> (k + 1))),
+            Shape::Prefix => ((r + (1 << k) < p).then(|| r + (1 << k)), r.checked_sub(1 << k)),
+            Shape::Successor => ((r + 1 < p).then_some(r + 1), r.checked_sub(1)),
         }
     }
 
     /// The tag step `k`'s messages carry (recorded in `.evg` files).
     fn tag(self, k: usize) -> u32 {
-        match self {
-            Schedule::Xor(_) | Schedule::Shift(_) => {
-                TAG_ALLTOALL + (((k + 1) as u32 & 0xFFFF) << 8)
-            }
-            Schedule::Doubling(_) => TAG_ALLGATHER + ((k as u32) << 8),
-            Schedule::Ring(_) => TAG_ALLGATHER + ((k as u32 & 0xFF) << 8),
-            Schedule::Combining(_) => TAG_ALLREDUCE + ((k as u32) << 8),
-            Schedule::Halving(_) => TAG_REDUCE_SCATTER + ((k as u32) << 8),
-        }
+        let step = match self.shape {
+            Shape::Xor | Shape::Shift => (k as u32 + 1) & 0xFFFF,
+            Shape::Ring => k as u32 & 0xFF,
+            Shape::Down => (self.steps() - 1 - k) as u32,
+            Shape::Successor => 31,
+            Shape::Scatter => 0,
+            _ => k as u32,
+        };
+        self.meet.tag() + (step << 8)
     }
 }
 
@@ -966,15 +830,67 @@ impl Schedule {
 /// message weighs, what a step's receives combine, and what each member
 /// takes home.
 trait Values {
-    /// The encoded length of what rank `s` sends to `to` in step `k`, while
-    /// `s` is healthy.
-    fn len(&mut self, s: usize, to: usize, k: usize) -> usize;
-    /// Step `k` is over: each rank with `healthy[r]` took data from a
-    /// healthy peer and combines it with its own partial.
+    /// Whether rank `r` starts the schedule healthy. A root that brings no
+    /// value, because its own earlier step failed, sends poison on every
+    /// edge.
+    fn healthy(&self, _r: usize) -> bool {
+        true
+    }
+    /// The data message rank `s`, while healthy, sends `to` in step `k`:
+    /// its encoded length. A type that moves parts moves this one here.
+    fn message(&mut self, s: usize, to: usize, k: usize) -> usize;
+    /// Step `k` is over: each rank with `healthy[r]` that received in it
+    /// took data from a healthy peer and combines it with its own partial.
     fn combine(&mut self, _k: usize, _healthy: &[bool]) {}
     /// What each member takes home, by local rank; read only by the
     /// members that end healthy.
     fn results(self) -> Vec<Payload>;
+}
+
+/// [`Proc::barrier`]: each member deposits `()`, every message is empty,
+/// and each member takes its `()` home.
+impl Values for Vec<()> {
+    fn message(&mut self, _s: usize, _to: usize, _k: usize) -> usize {
+        0
+    }
+
+    fn results(self) -> Vec<Payload> {
+        self.into_iter().map(|unit| Box::new(unit) as Payload).collect()
+    }
+}
+
+/// [`Proc::broadcast`]: the root deposits its value as an `Option<Arc<T>>`
+/// (`None` when it has none to send) and every other member `None`; every
+/// message carries the value whole, and every member takes home the shared
+/// `Option<Arc<T>>`.
+struct Shared<T> {
+    root: usize,
+    members: usize,
+    value: Option<Arc<T>>,
+    len: Option<usize>,
+}
+
+impl<T> Shared<T> {
+    fn new(schedule: Schedule, values: Vec<Option<Arc<T>>>) -> Self {
+        let (root, members) = (schedule.meet.root(), values.len());
+        let value = values.into_iter().nth(root).flatten();
+        Shared { root, members, value, len: None }
+    }
+}
+
+impl<T: Wire + Send + Sync + 'static> Values for Shared<T> {
+    fn healthy(&self, r: usize) -> bool {
+        r != self.root || self.value.is_some()
+    }
+
+    fn message(&mut self, _s: usize, _to: usize, _k: usize) -> usize {
+        let value = self.value.as_ref().expect("a healthy root's value");
+        *self.len.get_or_insert_with(|| value.encoded_len())
+    }
+
+    fn results(self) -> Vec<Payload> {
+        (0..self.members).map(|_| Box::new(self.value.clone()) as Payload).collect()
+    }
 }
 
 /// [`Proc::all_to_all`]: each member deposits a `Vec<Option<T>>` of one
@@ -984,18 +900,8 @@ struct Exchange<T> {
     parts: Vec<Vec<Option<T>>>,
 }
 
-impl<T: Wire + Send + 'static> Exchange<T> {
-    fn new(values: Vec<Payload>) -> Self {
-        let parts = values
-            .into_iter()
-            .map(|v| *v.downcast::<Vec<Option<T>>>().expect("all_to_all parts"))
-            .collect();
-        Exchange { parts }
-    }
-}
-
 impl<T: Wire + Send + 'static> Values for Exchange<T> {
-    fn len(&mut self, s: usize, to: usize, _k: usize) -> usize {
+    fn message(&mut self, s: usize, to: usize, _k: usize) -> usize {
         self.parts[s][to].as_ref().expect("a part per destination").encoded_len()
     }
 
@@ -1010,58 +916,101 @@ impl<T: Wire + Send + 'static> Values for Exchange<T> {
     }
 }
 
-/// [`Proc::all_gather`]: each member deposits its `T` and takes home one
-/// shared `Arc<[T]>` of every value. A message is the
-/// `Vec<(u64, Vec<u8>)>` of the encoded values the sender holds: 8 bytes of
-/// count, then 16 of framing per value.
+/// [`Proc::exscan`]'s shift and the scatter of a non-power-of-two
+/// [`Proc::reduce_scatter_blocks`]: each member deposits an
+/// `Option<Vec<T>>` of the parts it sends, in step order (`None` when it
+/// has none to send), and takes home a `Vec<T>` of the parts it receives.
+struct Relay<T> {
+    outbox: Vec<Option<std::vec::IntoIter<T>>>,
+    inbox: Vec<Vec<T>>,
+}
+
+impl<T> Relay<T> {
+    fn new(_: Schedule, values: Vec<Option<Vec<T>>>) -> Self {
+        let inbox = values.iter().map(|_| Vec::new()).collect();
+        let outbox = values.into_iter().map(|v| v.map(Vec::into_iter)).collect();
+        Relay { outbox, inbox }
+    }
+}
+
+impl<T: Wire + Send + 'static> Values for Relay<T> {
+    fn healthy(&self, r: usize) -> bool {
+        self.outbox[r].is_some()
+    }
+
+    fn message(&mut self, s: usize, to: usize, _k: usize) -> usize {
+        let part = self.outbox[s].as_mut().and_then(Iterator::next).expect("a part per send");
+        let len = part.encoded_len();
+        self.inbox[to].push(part);
+        len
+    }
+
+    fn results(self) -> Vec<Payload> {
+        self.inbox.into_iter().map(|parts| Box::new(parts) as Payload).collect()
+    }
+}
+
+/// [`Proc::all_gather`] and [`Proc::gather`]: each member deposits its `T`.
+/// A message is the `Vec<(u64, Vec<u8>)>` of the encoded values the sender
+/// holds: 8 bytes of count, then 16 of framing per value. Each member of an
+/// all-gather takes home one shared `Arc<[T]>` of every value; the root of
+/// a gather takes home `Some(Vec<T>)`, the others `None`.
 struct Gather<T> {
     schedule: Schedule,
     framed: Vec<usize>,
     values: Vec<T>,
 }
 
-impl<T: Wire + Send + Sync + 'static> Gather<T> {
-    fn new(values: Vec<Payload>) -> Self {
-        let schedule = Schedule::of(Meet::AllGather, values.len());
-        let values: Vec<T> = values
-            .into_iter()
-            .map(|v| *v.downcast::<T>().expect("all_gather value"))
-            .collect();
+impl<T: Wire> Gather<T> {
+    fn new(schedule: Schedule, values: Vec<T>) -> Self {
         let framed = values.iter().map(|v| 16 + v.encoded_len()).collect();
         Gather { schedule, framed, values }
     }
 }
 
 impl<T: Wire + Send + Sync + 'static> Values for Gather<T> {
-    fn len(&mut self, s: usize, _to: usize, k: usize) -> usize {
-        match self.schedule {
-            // The aligned block of 2^k ranks the sender has gathered.
-            Schedule::Doubling(_) => {
-                let block = s & !((1 << k) - 1);
-                8 + self.framed[block..block + (1 << k)].iter().sum::<usize>()
+    fn message(&mut self, s: usize, _to: usize, k: usize) -> usize {
+        let p = self.values.len();
+        match self.schedule.shape {
+            // The block of up to 2^k ranks, aligned relative to the root,
+            // that the sender has gathered.
+            Shape::Doubling | Shape::Up => {
+                let start = self.schedule.rel(s) & !((1 << k) - 1);
+                let end = (start + (1 << k)).min(p);
+                8 + (start..end).map(|q| self.framed[self.schedule.abs(q)]).sum::<usize>()
             }
             // The value that started `k` ranks back.
-            Schedule::Ring(p) => 8 + self.framed[(s + p - k) % p],
-            _ => unreachable!("an all-gather schedule"),
+            Shape::Ring => 8 + self.framed[(s + p - k) % p],
+            _ => unreachable!("a gather schedule"),
         }
     }
 
     fn results(self) -> Vec<Payload> {
         let p = self.values.len();
+        if self.schedule.shape == Shape::Up {
+            let root = self.schedule.meet.root();
+            let mut values = Some(self.values);
+            return (0..p)
+                .map(|r| Box::new(if r == root { values.take() } else { None }) as Payload)
+                .collect();
+        }
         let shared: Arc<[T]> = Arc::from(self.values);
         (0..p).map(|_| Box::new(Arc::clone(&shared)) as Payload).collect()
     }
 }
 
-/// [`Proc::allreduce`] by recursive doubling: each member deposits its `T`
-/// and takes home one shared `Option<Arc<T>>` of the result. Before step
-/// `k` every healthy rank of an aligned block of `2^k` ranks holds the same
-/// partial — the block's combine — so each block is combined once per
-/// step, lower half's operand first, where both partners of the messages
-/// would combine it.
+/// [`Proc::allreduce`] by recursive doubling and [`Proc::reduce`] up the
+/// binomial tree: each member deposits its `T`, and each member of an
+/// allreduce — or the root of a reduce — takes home one shared
+/// `Option<Arc<T>>` of the result. Before step `k` every rank of an
+/// aligned block of `2^k` ranks (relative to the root) that holds a
+/// partial holds the block's combine: every healthy rank of the block in
+/// the doubling, the block's lowest rank in the tree. Each block is
+/// combined once per step, lower half's operand first — or kept, when no
+/// upper half exists — where the messages' receivers would combine it.
 struct Combining<'a, T, F> {
     combine: &'a F,
-    members: usize,
+    schedule: Schedule,
     /// Per block of the current step, its partial while a healthy rank
     /// holds it.
     blocks: Vec<Option<T>>,
@@ -1069,33 +1018,40 @@ struct Combining<'a, T, F> {
     lens: Vec<Option<usize>>,
 }
 
-impl<'a, T: Wire + Send + Sync + 'static, F: Fn(T, T) -> T> Combining<'a, T, F> {
-    fn new(values: Vec<Payload>, combine: &'a F) -> Self {
-        let blocks: Vec<Option<T>> = values
-            .into_iter()
-            .map(|v| Some(*v.downcast::<T>().expect("allreduce value")))
-            .collect();
-        let members = blocks.len();
-        let lens = vec![None; members];
-        Combining { combine, members, blocks, lens }
+impl<'a, T, F> Combining<'a, T, F> {
+    fn new(schedule: Schedule, values: Vec<T>, combine: &'a F) -> Self {
+        let mut blocks: Vec<Option<T>> = values.into_iter().map(Some).collect();
+        blocks.rotate_left(schedule.meet.root());
+        let lens = vec![None; blocks.len()];
+        Combining { combine, schedule, blocks, lens }
     }
 }
 
 impl<T: Wire + Send + Sync + 'static, F: Fn(T, T) -> T> Values for Combining<'_, T, F> {
-    fn len(&mut self, s: usize, _to: usize, k: usize) -> usize {
-        let block = s >> k;
+    fn message(&mut self, s: usize, _to: usize, k: usize) -> usize {
+        let block = self.schedule.rel(s) >> k;
         let partial = self.blocks[block].as_ref().expect("a healthy rank's partial");
         *self.lens[block].get_or_insert_with(|| partial.encoded_len())
     }
 
     fn combine(&mut self, k: usize, healthy: &[bool]) {
+        let (p, schedule) = (healthy.len(), self.schedule);
         let mut halves = std::mem::take(&mut self.blocks).into_iter();
-        self.blocks = healthy
-            .chunks(2 << k)
-            .map(|ranks| {
+        self.blocks = (0..p)
+            .step_by(2 << k)
+            .map(|start| {
                 let (lo, hi) = (halves.next().flatten(), halves.next().flatten());
-                ranks.iter().any(|&h| h).then(|| {
-                    (self.combine)(lo.expect("lower partial"), hi.expect("upper partial"))
+                let holds = match schedule.shape {
+                    Shape::Up => healthy[schedule.abs(start)],
+                    _ => healthy[start..start + (2 << k)].iter().any(|&h| h),
+                };
+                let lone = start + (1 << k) >= p;
+                holds.then(|| {
+                    let lo = lo.expect("lower partial");
+                    match lone {
+                        true => lo,
+                        false => (self.combine)(lo, hi.expect("upper partial")),
+                    }
                 })
             })
             .collect();
@@ -1104,7 +1060,11 @@ impl<T: Wire + Send + Sync + 'static, F: Fn(T, T) -> T> Values for Combining<'_,
 
     fn results(mut self) -> Vec<Payload> {
         let shared = self.blocks.pop().flatten().map(Arc::new);
-        (0..self.members).map(|_| Box::new(shared.clone()) as Payload).collect()
+        let root = self.schedule.meet.root();
+        let up = self.schedule.shape == Shape::Up;
+        (0..self.schedule.p)
+            .map(|r| Box::new(shared.clone().filter(|_| !up || r == root)) as Payload)
+            .collect()
     }
 }
 
@@ -1118,18 +1078,8 @@ struct Halving<'a, T, F> {
     entries: Vec<Vec<Vec<T>>>,
 }
 
-impl<'a, T: Wire + Send + 'static, F: Fn(T, T) -> T> Halving<'a, T, F> {
-    fn new(values: Vec<Payload>, combine: &'a F) -> Self {
-        let entries = values
-            .into_iter()
-            .map(|v| *v.downcast::<Vec<Vec<T>>>().expect("reduce_scatter blocks"))
-            .collect();
-        Halving { combine, entries }
-    }
-}
-
 impl<T: Wire + Send + 'static, F: Fn(T, T) -> T> Values for Halving<'_, T, F> {
-    fn len(&mut self, s: usize, _to: usize, k: usize) -> usize {
+    fn message(&mut self, s: usize, _to: usize, k: usize) -> usize {
         // The half bound for the peer's side: the upper half from the
         // lower rank of the pair, the lower half from the upper one.
         let mask = self.entries.len() >> (k + 1);
@@ -1178,31 +1128,62 @@ fn split_at<T>(mut v: Vec<T>, at: usize) -> (Vec<T>, Vec<T>) {
     (v, rest)
 }
 
+/// [`Proc::scan`] by Hillis–Steele: each member deposits its `T`, sends its
+/// partial each step, and takes home its inclusive prefix.
+struct Prefix<'a, T, F> {
+    combine: &'a F,
+    /// Per rank, its partial: the combine of the up to `2^k` values ending
+    /// at it before step `k`.
+    partials: Vec<Option<T>>,
+}
+
+impl<T: Wire + Clone + Send + 'static, F: Fn(T, T) -> T> Values for Prefix<'_, T, F> {
+    fn message(&mut self, s: usize, _to: usize, _k: usize) -> usize {
+        self.partials[s].as_ref().expect("a partial per rank").encoded_len()
+    }
+
+    fn combine(&mut self, k: usize, healthy: &[bool]) {
+        // Downward, so each rank still reads the partial its sender held
+        // before the step.
+        let d = 1 << k;
+        for r in (d..self.partials.len()).rev().filter(|&r| healthy[r]) {
+            let own = self.partials[r].take().expect("own partial");
+            let lower = self.partials[r - d].clone().expect("sender's partial");
+            self.partials[r] = Some((self.combine)(lower, own));
+        }
+    }
+
+    fn results(self) -> Vec<Payload> {
+        let partials = self.partials.into_iter().map(|v| v.expect("a partial per rank"));
+        partials.map(|v| Box::new(v) as Payload).collect()
+    }
+}
+
 /// Resolve a full board: run the collective's schedule over every member
 /// in virtual time — the same `message_cost`, link-fault draws, poison
 /// tombstones and `max(clock, arrival)` receive rule a message gets, step
 /// by step (a step's sends depend only on the step before), each data
 /// message sized by `values` — and hand each member its hops and its value.
-fn resolve<V: Values>(
+fn resolve<D: 'static, V: Values>(
     shared: &SharedMachine,
     members: &[usize],
     schedule: Schedule,
     deposits: Vec<Deposit>,
-    values: impl FnOnce(Vec<Payload>) -> V,
+    values: impl FnOnce(Schedule, Vec<D>) -> V,
 ) -> Vec<Outcome> {
     let p = members.len();
     let mut clock: Vec<f64> = Vec::with_capacity(p);
     let mut link_seq: Vec<Vec<u64>> = Vec::with_capacity(p);
-    let mut payloads: Vec<Payload> = Vec::with_capacity(p);
+    let mut payloads: Vec<D> = Vec::with_capacity(p);
     for d in deposits {
         clock.push(d.clock);
         link_seq.push(d.link_seq);
-        payloads.push(d.value);
+        payloads.push(*d.value.downcast().expect("members deposit the same type"));
     }
-    let mut values = values(payloads);
+    let mut values = values(schedule, payloads);
     let link = &shared.faults.link;
     let link_faults = shared.link_faults();
-    let fallible = schedule.fallible();
+    let fallible = schedule.meet.fallible();
     let poison_cost = shared.cost.network.message_cost(0);
     let mut hops: Vec<Vec<Hop>> = (0..p)
         .map(|_| Vec::with_capacity(schedule.steps()))
@@ -1211,7 +1192,7 @@ fn resolve<V: Values>(
     // while it holds its partial and sends data; a fallible schedule's
     // rank runs to the end, sending poison once it is not healthy.
     let mut running = vec![true; p];
-    let mut healthy = vec![true; p];
+    let mut healthy: Vec<bool> = (0..p).map(|r| values.healthy(r)).collect();
     // Per sender, the step's message: arrival, poisoned, length.
     let mut sent: Vec<Option<Arrival>> = vec![None; p];
     for k in 0..schedule.steps() {
@@ -1220,14 +1201,16 @@ fn resolve<V: Values>(
             if !running[s] {
                 continue;
             }
-            let to = schedule.peers(s, k).0;
-            if !healthy[s] {
-                clock[s] += poison_cost;
+            let (to, _) = schedule.peers(s, k);
+            let Some(to) = to.filter(|_| healthy[s]) else {
+                if to.is_some() {
+                    clock[s] += poison_cost;
+                    sent[s] = Some(Arrival { at: clock[s], poisoned: true, len: 0 });
+                }
                 hops[s].push(Hop { sent: None, arrival: None });
-                sent[s] = Some(Arrival { at: clock[s], poisoned: true, len: 0 });
                 continue;
-            }
-            let len = values.len(s, to, k);
+            };
+            let len = values.message(s, to, k);
             let transit = if link_faults {
                 let seq = &mut link_seq[s][to];
                 *seq += 1;
@@ -1246,10 +1229,10 @@ fn resolve<V: Values>(
             }
         }
         for r in 0..p {
-            if !running[r] {
+            let Some(from) = schedule.peers(r, k).1.filter(|_| running[r]) else {
                 continue;
-            }
-            let arrival = sent[schedule.peers(r, k).1];
+            };
+            let arrival = sent[from];
             hops[r][k].arrival = arrival;
             match arrival {
                 Some(Arrival { at, poisoned, .. }) => {
@@ -1261,7 +1244,10 @@ fn resolve<V: Values>(
                         running[r] = fallible;
                     }
                 }
-                None => running[r] = false,
+                None => {
+                    healthy[r] = false;
+                    running[r] = false;
+                }
             }
         }
         values.combine(k, &healthy);

@@ -5,24 +5,23 @@
 //! Every rank's SPMD closure runs on its own carrier thread. Two operations
 //! can physically block on another rank — device waits and I/O stalls are
 //! pure virtual-time arithmetic — and both park the rank on its own
-//! [`Mailbox`]:
+//! mailbox:
 //!
-//! * a **receive** (and everything built on it: `barrier`, `broadcast`,
-//!   `reduce`, `scan`, `gather`, and the reductions on a communicator whose
-//!   size is not a power of two) waits for the message it matches, one lock
-//!   per message and nothing shared between ranks on that path. Receives
-//!   match per `(src, tag)` in sender program order.
-//! * a **meeting** at a communicator's board (`all_to_all`, `all_gather`,
-//!   and on a power of two `allreduce` and `reduce_scatter_blocks`): every
-//!   member deposits its entry clock and its typed value or parts, and the
-//!   last to arrive resolves the collective's whole message schedule in
-//!   virtual time — moving the values and running a reduction's combines,
-//!   never encoding a byte — and hands each member its outcome: one park
-//!   per rank per call instead of one per message. Each rank then replays
-//!   its own sends and receives through the same accounting a message gets
-//!   (see [`crate::collectives`]). A communicator is its ascending list of
-//!   physical ranks, so disjoint subgroups meet on different boards, and a
-//!   board is dropped once full, so the next call starts a fresh one.
+//! * a point-to-point **receive** waits for the message it matches, one
+//!   lock per message and nothing shared between ranks on that path.
+//!   Receives match per `(src, tag)` in sender program order.
+//! * a **meeting** at a communicator's board, which is how every collective
+//!   runs: every member deposits its entry clock and its typed value or
+//!   parts, and the last to arrive resolves the collective's whole message
+//!   schedule in virtual time — moving the values and running a
+//!   reduction's combines, never encoding a byte — and hands each member
+//!   its outcome: one park per rank per call instead of one per message.
+//!   Each rank then replays its own sends and receives through the same
+//!   accounting a message gets (see [`crate::collectives`]). A
+//!   communicator is its ascending list of physical ranks, so disjoint
+//!   subgroups meet on different boards, and a board is dropped once full,
+//!   so the next call starts a fresh one. Members that bring different
+//!   calls — another collective, or another root — are refused.
 //!
 //! Every virtual-time quantity is a pure function of the matched messages
 //! and the deposits, so how the host schedules the carriers cannot leak
@@ -179,7 +178,7 @@ impl Exec {
     /// The member whose deposit fills the board runs `resolve` on every
     /// deposit, in local-rank order, and delivers each other member its
     /// outcome; the others park until theirs arrives. Panics when members
-    /// meet for different collectives (an SPMD violation).
+    /// meet for different collectives or roots (an SPMD violation).
     pub(crate) fn meet(
         &self,
         members: &Arc<[usize]>,
@@ -198,8 +197,8 @@ impl Exec {
             assert!(
                 board.meet == deposit.meet,
                 "cgm: rank {rank} entered {} while its communicator's other members are in {}",
-                deposit.meet.name(),
-                board.meet.name()
+                deposit.meet,
+                board.meet
             );
             debug_assert!(
                 board.deposits[local].is_none(),

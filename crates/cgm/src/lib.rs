@@ -19,9 +19,11 @@
 //!   threads; *time* is charged by the [`cost::CostModel`]: `alpha + beta*m`
 //!   per message, per-operation compute rates, per-request disk costs and a
 //!   cache model. Receives complete at
-//!   `max(receiver clock, sender send-completion time)`, so collective costs
-//!   (Table 1 of the paper) *emerge* from the p2p model instead of being
-//!   asserted.
+//!   `max(receiver clock, sender send-completion time)`. A collective runs
+//!   its schedule of point-to-point messages by that rule, resolved once per
+//!   call on its communicator's board (see [`collectives`]), so collective
+//!   costs (Table 1 of the paper) *emerge* from the p2p model instead of
+//!   being asserted.
 //!
 //! Determinism: for a fixed machine configuration and SPMD program, the
 //! virtual clocks are bit-for-bit reproducible — scheduling of the
@@ -54,13 +56,13 @@ pub mod gauge;
 pub mod group;
 pub mod hist;
 pub mod json;
-pub mod mailbox;
+mod mailbox;
 pub mod metrics;
 pub mod proc;
 pub mod replay;
 pub mod report;
 pub mod span;
-pub mod topology;
+mod topology;
 pub mod trace;
 pub mod wire;
 

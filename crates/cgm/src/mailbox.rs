@@ -21,7 +21,8 @@ use crate::exec::Wait;
 pub struct Message {
     /// Sending processor's rank.
     pub src: usize,
-    /// Message tag (collectives use the reserved range `>= 0xF000_0000`).
+    /// Message tag (the range from `RESERVED_TAG_BASE` up is the
+    /// collectives', whose boards charge their steps without a message).
     pub tag: u32,
     /// Encoded payload.
     pub payload: Vec<u8>,

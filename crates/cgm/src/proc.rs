@@ -8,10 +8,10 @@
 //! * computation via [`Proc::charge`] / [`Proc::charge_ws`];
 //! * local disk traffic via [`Proc::disk_read`] / [`Proc::disk_write`];
 //! * communication implicitly via [`Proc::send`] / [`Proc::recv`] and the
-//!   collectives built on them.
+//!   collectives, whose schedules are charged as those messages.
 //!
-//! Messages physically move real bytes between OS threads (the all-to-all
-//! and all-gather hand theirs over on a board and replay the messages'
+//! Messages physically move real bytes between OS threads (a collective
+//! hands typed values over on its board and replays its messages'
 //! accounting; see [`crate::collectives`]); only *time* is simulated. A
 //! receive completes at `max(receiver clock, sender clock at send
 //! completion)` which yields the usual `alpha + beta * m` point-to-point
@@ -885,9 +885,9 @@ impl Proc {
     }
 
     /// Deliver a poison tombstone to `dst` without any fault modeling —
-    /// the fallible collectives use this to propagate an upstream failure
-    /// so every rank unblocks and surfaces an error, and fault-aware code
-    /// with a schedule of its own can do the same. The receiver's
+    /// fault-aware code with a schedule of its own uses this to propagate
+    /// an upstream failure so every rank unblocks and surfaces an error, as
+    /// the fallible collectives do on their boards. The receiver's
     /// [`Proc::try_recv_bytes`] returns [`FaultError::Poisoned`]. Charges
     /// the startup cost `alpha`.
     pub fn send_poison(&mut self, dst: usize, tag: u32) {

@@ -18,12 +18,6 @@ pub fn log2ceil(p: usize) -> u32 {
     usize::BITS - (p - 1).leading_zeros()
 }
 
-/// `floor(log2(p))`.
-pub fn log2floor(p: usize) -> u32 {
-    assert!(p > 0, "log2floor of zero");
-    usize::BITS - 1 - p.leading_zeros()
-}
-
 /// The hypercube neighbour of `rank` along dimension `dim`.
 pub fn partner(rank: usize, dim: u32) -> usize {
     rank ^ (1usize << dim)
@@ -52,15 +46,6 @@ mod tests {
         assert_eq!(log2ceil(5), 3);
         assert_eq!(log2ceil(16), 4);
         assert_eq!(log2ceil(17), 5);
-    }
-
-    #[test]
-    fn log2floor_values() {
-        assert_eq!(log2floor(1), 0);
-        assert_eq!(log2floor(2), 1);
-        assert_eq!(log2floor(3), 1);
-        assert_eq!(log2floor(16), 4);
-        assert_eq!(log2floor(31), 4);
     }
 
     #[test]

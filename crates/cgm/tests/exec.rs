@@ -300,6 +300,51 @@ fn members_that_meet_for_different_collectives_are_refused() {
 }
 
 #[test]
+fn members_that_name_different_roots_are_refused_with_both_roots() {
+    // World rank 2 names root 1 where ranks 0 and 1 name root 0: whoever
+    // reaches the board second is refused, and the message names both
+    // calls, so neither root is resolved silently.
+    for which in ["broadcast", "reduce", "gather"] {
+        let msg = run_panic_message(3, MachineConfig::default(), |proc| {
+            let root = usize::from(proc.rank() == 2);
+            match which {
+                "broadcast" => drop(proc.broadcast(root, (proc.rank() == root).then_some(7u64))),
+                "reduce" => drop(proc.reduce(root, 1u64, |a, b| a + b)),
+                _ => drop(proc.gather(root, 1u64)),
+            }
+        });
+        for root in [0, 1] {
+            let call = format!("{which}(root {root})");
+            assert!(msg.contains(&call), "{which}: want {call:?} in {msg}");
+        }
+        assert!(msg.contains("while its communicator's other members are in"), "{msg}");
+    }
+}
+
+#[test]
+fn a_rank_that_skips_a_barrier_is_named_by_the_board() {
+    // In the upper half (world ranks 3, 4, 5) world rank 4 returns without
+    // entering the barrier that 3 and 5 wait in; the lower half passes its
+    // own. The report names the barrier and the world rank that never came.
+    let msg = run_panic_message(6, MachineConfig::default(), |proc| {
+        let group = halves(proc);
+        let world = proc.rank();
+        proc.scoped(&group, |sub| {
+            if world != 4 {
+                sub.barrier();
+            }
+        });
+    });
+    assert_eq!(blocked_lines(&msg).len(), 2, "{msg}");
+    for r in [3, 5] {
+        let line =
+            format!("  rank {r} <- barrier(3 ranks); never arrived: 4 (which already finished)\n");
+        assert!(msg.contains(&line), "want {line:?} in {msg}");
+    }
+    assert!(msg.contains("no wait-for cycle"), "{msg}");
+}
+
+#[test]
 fn rank_panic_with_parked_peers_returns_the_root_cause() {
     // Rank 1 panics with its own message while ranks 0 and 2 are parked in
     // a barrier. The run must end — nothing will ever wake them otherwise —
@@ -389,9 +434,9 @@ fn a_span_left_open_at_run_end_is_reported_while_peers_are_parked() {
 }
 
 /// One rank of a message-dense body: `send`/`recv` in the shapes the
-/// message collectives bottom out in — a ring, a dissemination barrier and
-/// a pairwise exchange — then an all-to-all and an all-gather, which meet
-/// on a board. Before every send, every receive and every board the rank
+/// collectives' schedules take — a ring, a dissemination barrier and a
+/// pairwise exchange — then an all-to-all and an all-gather, which meet on
+/// a board. Before every send, every receive and every board the rank
 /// lets `perturb` disturb the host's schedule. Returns an FNV-1a digest of
 /// every payload in the order the program received it.
 fn dense_body(proc: &mut Proc, mut perturb: impl FnMut()) -> u64 {

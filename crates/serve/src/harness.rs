@@ -259,11 +259,12 @@ pub fn serve_ensemble(
 }
 
 /// The generic serving pipeline behind [`serve`] and [`serve_ensemble`]:
-/// any [`Predictor`] that is also [`Wire`]-encodable (for the broadcast
-/// deploy) and `Clone` (rank 0 seeds the broadcast with a copy) can be
-/// served. `cfg.layout` is carried into the report as the layout the model
-/// was compiled into.
-pub fn serve_model<M: Predictor + Wire + Clone + Sync>(
+/// any [`Predictor`] that is also [`Wire`]-encodable (the broadcast deploy
+/// is sized by its encoding), `Clone` (rank 0 seeds the broadcast with a
+/// copy, and every other rank clones the shared value) and shareable
+/// across ranks can be served. `cfg.layout` is carried into the report as
+/// the layout the model was compiled into.
+pub fn serve_model<M: Predictor + Wire + Clone + Send + Sync + 'static>(
     cluster: &Cluster,
     farm: &DiskFarm,
     model: &M,
