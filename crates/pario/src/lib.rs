@@ -13,6 +13,9 @@
 //! * [`Rec`] / [`RecChunk`] / [`RecBuf`] — records have one fixed byte
 //!   layout, a page read from a file *is* the records, and passes walk
 //!   borrowed views of it instead of decoding into a `Vec` of structs;
+//! * [`deal_stream`] — the uncharged initial load: a record stream dealt
+//!   round-robin or in contiguous shares onto the disks, generated on a
+//!   helper thread while the caller visits and appends;
 //! * [`fn@redistribute`] — compute-dependent parallel I/O: read → personalized
 //!   all-to-all → write, the operation that moves a subtask's data to its
 //!   assigned processor group;
@@ -45,6 +48,7 @@
 
 pub mod backend;
 pub mod cache;
+pub mod deal;
 pub mod disk;
 pub mod engine;
 pub mod farm;
@@ -53,6 +57,7 @@ pub mod redistribute;
 
 pub use backend::{BackendKind, Store, EXTENT_BYTES};
 pub use cache::BufferPool;
+pub use deal::{deal_stream, Deal, BATCH_RECORDS};
 pub use disk::{BufferedWriter, ChunkedReader, NodeDisk, TypedFile};
 pub use engine::{EngineConfig, IoEngine};
 pub use farm::DiskFarm;

@@ -235,6 +235,14 @@ impl<R: Rec> RecBuf<R> {
         Self::default()
     }
 
+    /// Empty buffer with room for `records` records.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        RecBuf {
+            bytes: Vec::with_capacity(records * R::ENCODED_BYTES),
+            _marker: PhantomData,
+        }
+    }
+
     /// Buffer holding the encoding of `records`.
     pub fn from_records(records: &[R]) -> Self {
         let mut bytes = vec![0; records.len() * R::ENCODED_BYTES];

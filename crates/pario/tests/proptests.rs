@@ -3,15 +3,16 @@
 //! the fixed record layout round-trips every `Rec` type, equals its `Wire`
 //! bytes, and hostile buffers are refused with an error, never a panic; an
 //! engine driven by the same operations speculates only beside its dirty
-//! pages.
+//! pages; a dealt stream lands where a plain loop would put it.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pdc_cgm::{Cluster, Proc, Wire};
 use pdc_pario::{
-    redistribute, BackendKind, DiskFarm, EngineConfig, IoEngine, NodeDisk, RaggedChunk, Rec, RecBuf,
-    RecChunk, EXTENT_BYTES,
+    deal_stream, redistribute, BackendKind, Deal, DiskFarm, EngineConfig, IoEngine, NodeDisk,
+    RaggedChunk, Rec, RecBuf, RecChunk, BATCH_RECORDS, EXTENT_BYTES,
 };
 use proptest::prelude::*;
 
@@ -383,4 +384,51 @@ fn out_of_range_reads_panic_on_both_kinds_of_disk() {
         }
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A dealt stream leaves each rank the records, and visits them in the
+    /// order, that a plain loop over the stream would: round-robin, and
+    /// contiguous shares whose sum is below, at or above the stream's
+    /// length, which is read no further than the deal needs.
+    #[test]
+    fn a_dealt_stream_equals_a_plain_loop(
+        n in 0usize..3 * BATCH_RECORDS + 9,
+        p in 1usize..70,
+        raw_shares in proptest::collection::vec(0u64..40_000, 70),
+    ) {
+        let shares = &raw_shares[..p];
+        for deal in [Deal::RoundRobin, Deal::Shares(shares)] {
+            let mut want = vec![Vec::new(); p];
+            let mut start = 0;
+            match deal {
+                Deal::RoundRobin => (0..n as u64).for_each(|i| want[i as usize % p].push(i)),
+                Deal::Shares(shares) => {
+                    for (rank, &share) in shares.iter().enumerate() {
+                        let end = (start + share).min(n as u64);
+                        want[rank].extend(start.min(end)..end);
+                        start += share;
+                    }
+                }
+            }
+            let read = want.iter().map(Vec::len).sum::<usize>();
+            let pulled = AtomicUsize::new(0);
+            let stream = (0..n as u64).inspect(|_| {
+                pulled.fetch_add(1, Ordering::Relaxed);
+            });
+            let farm = DiskFarm::in_memory(p);
+            let mut visited = Vec::new();
+            let dealt = deal_stream(&farm, "dealt", stream, deal, |x| visited.push(x));
+            prop_assert_eq!(pulled.load(Ordering::Relaxed), read, "{:?}: records pulled", deal);
+            prop_assert_eq!(visited, (0..read as u64).collect::<Vec<_>>(), "{:?}: visit order", deal);
+            for (rank, want) in want.iter().enumerate() {
+                prop_assert_eq!(dealt[rank], want.len() as u64);
+                let mut disk = farm.lock(rank);
+                let file = disk.open::<u64>("dealt");
+                prop_assert_eq!(&disk.read_all_uncharged(&file), want, "{:?}: rank {}", deal, rank);
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@ use pdc_cgm::{Cluster, RunOutput};
 use pdc_clouds::{class_counts, ClassCounts, DecisionTree, Reservoir};
 use pdc_datagen::Record;
 use pdc_dnc::{run, DncReport, Strategy};
-use pdc_pario::{DiskFarm, RecBuf};
+use pdc_pario::{deal_stream, Deal, DiskFarm};
 
 use crate::config::PcloudsConfig;
 use crate::problem::{NodeMeta, PcloudsProblem};
@@ -39,38 +39,28 @@ pub fn load_dataset(
     load_dataset_stream(farm, records.iter().copied(), sample_size, sample_seed)
 }
 
-/// Streaming loader for data sets that never fit in memory: records are
-/// written to the disks in chunks while a reservoir draws the sample.
+/// Streaming loader for data sets that never fit in memory: the records
+/// are dealt round-robin onto the disks by [`deal_stream`], in two lanes. A
+/// helper thread pulls the stream (for a generated data set, the generator
+/// runs there) and encodes each record into its rank's buffer; this thread
+/// reads each batch back in stream order into the class counts and the
+/// sample's reservoir, and appends the batch to the disks. Two batches of
+/// [`pdc_pario::BATCH_RECORDS`] records alternate, so memory stays bounded
+/// whatever the stream's length. The result is that of a plain loop over
+/// the stream: the same file bytes, counts and sample.
 pub fn load_dataset_stream(
     farm: &DiskFarm,
-    records: impl IntoIterator<Item = Record>,
+    records: impl IntoIterator<Item = Record, IntoIter: Send>,
     sample_size: usize,
     sample_seed: u64,
 ) -> RootInfo {
-    let p = farm.nprocs();
-    let mut files = Vec::with_capacity(p);
-    for rank in 0..p {
-        let mut disk = farm.lock(rank);
-        files.push(disk.create::<Record>(&PcloudsProblem::node_file(1)));
-    }
     let mut reservoir = Reservoir::new(sample_size, sample_seed);
     let mut counts = vec![0u64; pdc_datagen::NUM_CLASSES];
-    // Each record is encoded once, into its rank's buffer of file bytes.
-    let mut buffers: Vec<RecBuf<Record>> = vec![RecBuf::new(); p];
-    const FLUSH: usize = 8_192;
-    for (i, r) in records.into_iter().enumerate() {
+    let node_file = PcloudsProblem::node_file(1);
+    deal_stream(farm, &node_file, records, Deal::RoundRobin, |r: Record| {
         counts[r.class as usize] += 1;
         reservoir.offer(r);
-        let rank = i % p;
-        buffers[rank].push(&r);
-        if buffers[rank].len() >= FLUSH {
-            farm.lock(rank).append_chunk_uncharged(&files[rank], buffers[rank].view());
-            buffers[rank].clear();
-        }
-    }
-    for rank in 0..p {
-        farm.lock(rank).append_chunk_uncharged(&files[rank], buffers[rank].view());
-    }
+    });
     RootInfo {
         counts,
         sample: reservoir.into_sample(),

@@ -30,7 +30,7 @@
 use pdc_cgm::{Cluster, Histogram, HistogramSpec, ProcStats, Wire};
 use pdc_clouds::DecisionTree;
 use pdc_datagen::{GeneratorConfig, Record, RecordStream};
-use pdc_pario::{DiskFarm, Rec, RecBuf};
+use pdc_pario::{deal_stream, Deal, DiskFarm, Rec};
 
 use crate::ensemble::EnsemblePredictor;
 use crate::model::Layout;
@@ -170,29 +170,15 @@ pub struct ServeReport {
 /// Stage `total` generated request records onto the farm as contiguous
 /// per-rank shards (file [`REQUESTS_FILE`] on each disk), uncharged — like
 /// the training data, requests are assumed resident before the run starts.
-/// Returns the number of records staged on each rank.
+/// Rank `r` holds the `r`-th of `p` near-equal contiguous slices of the
+/// stream. [`deal_stream`] generates the requests on a helper thread while
+/// this thread appends them, in two alternating batches of at most
+/// `BATCH_RECORDS / p` records ([`pdc_pario::BATCH_RECORDS`]). Returns the
+/// number of records staged on each rank.
 pub fn stage_requests(farm: &DiskFarm, total: u64, config: GeneratorConfig) -> Vec<u64> {
-    let p = farm.nprocs();
-    let mut stream = RecordStream::new(config);
-    let mut shares = Vec::with_capacity(p);
-    for rank in 0..p {
-        let share = total / p as u64 + u64::from((rank as u64) < total % p as u64);
-        let mut disk = farm.lock(rank);
-        let file = disk.create::<Record>(REQUESTS_FILE);
-        let mut left = share as usize;
-        let mut buf = RecBuf::new();
-        while left > 0 {
-            let take = left.min(8_192);
-            buf.clear();
-            for r in stream.by_ref().take(take) {
-                buf.push(&r);
-            }
-            disk.append_chunk_uncharged(&file, buf.view());
-            left -= take;
-        }
-        shares.push(share);
-    }
-    shares
+    let p = farm.nprocs() as u64;
+    let shares: Vec<u64> = (0..p).map(|rank| total / p + u64::from(rank < total % p)).collect();
+    deal_stream(farm, REQUESTS_FILE, RecordStream::new(config), Deal::Shares(&shares), |_| {})
 }
 
 /// Run one serving experiment: compile `tree` into `cfg.layout`, broadcast
@@ -454,19 +440,33 @@ mod tests {
         assert_eq!(empty.max, 0.0);
     }
 
+    /// Rank `r`'s shard is the `r`-th of `p` near-equal contiguous slices
+    /// of the stream, across batch boundaries and for shares of zero.
     #[test]
     fn stage_requests_shards_evenly() {
         let farm = DiskFarm::in_memory(3);
         let shares = stage_requests(&farm, 1_001, GeneratorConfig::default());
         assert_eq!(shares, vec![334, 334, 333]);
-        let total: usize = (0..3)
-            .map(|r| {
-                let disk = farm.lock(r);
-                let f = disk.open::<Record>(REQUESTS_FILE);
-                disk.num_records(&f)
-            })
-            .sum();
-        assert_eq!(total, 1_001);
+        let b = pdc_pario::BATCH_RECORDS as u64;
+        let config = GeneratorConfig::default();
+        for p in [1u64, 3, 4] {
+            for total in [0, 2, 1_001, b - 1, b + 1, 2 * b + 7] {
+                let farm = DiskFarm::in_memory(p as usize);
+                let shares = stage_requests(&farm, total, config);
+                let want: Vec<u64> = (0..p).map(|r| total / p + u64::from(r < total % p)).collect();
+                assert_eq!(shares, want, "total {total}, p {p}");
+                let mut stream = RecordStream::new(config);
+                for (rank, &share) in shares.iter().enumerate() {
+                    let mut disk = farm.lock(rank);
+                    let f = disk.open::<Record>(REQUESTS_FILE);
+                    let slice: Vec<Record> = stream.by_ref().take(share as usize).collect();
+                    assert!(
+                        disk.read_all_uncharged(&f) == slice,
+                        "total {total}, p {p}: rank {rank}'s shard is not its slice"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,20 +47,22 @@ macro_rules! impl_int_range {
         impl SampleRange<$t> for core::ops::Range<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128);
-                // Multiply-shift bounded sampling; the modulo bias over a
-                // 64-bit draw is < 2^-32 for all spans used here.
-                let draw = rng.next_u64() as u128 % span;
-                (self.start as u128 + draw) as $t
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                // One 64-bit draw reduced modulo the span; the modulo bias
+                // is < 2^-32 for all spans used here.
+                let draw = rng.next_u64() % span;
+                (self.start as u64 + draw) as $t
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty range");
-                let span = (end as u128).wrapping_sub(start as u128) + 1;
-                let draw = rng.next_u64() as u128 % span;
-                (start as u128 + draw) as $t
+                // Only `0..=u64::MAX` has a span of 2^64, past `u64`.
+                match (end as u64).wrapping_sub(start as u64).checked_add(1) {
+                    Some(span) => (start as u64 + rng.next_u64() % span) as $t,
+                    None => (start as u128 + rng.next_u64() as u128 % (1u128 << 64)) as $t,
+                }
             }
         }
     )*};
