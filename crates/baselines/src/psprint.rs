@@ -26,6 +26,7 @@
 //! leaves behind.
 
 use pdc_cgm::{OpKind, Proc};
+use pdc_clouds::categorical::EXHAUSTIVE_LIMIT;
 use pdc_clouds::gini::{split_gini, sub, ClassCounts};
 use pdc_clouds::{Candidate, CloudsParams, CountMatrix, DecisionTree, Node, NodeId, Splitter};
 use pdc_datagen::{Record, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
@@ -235,7 +236,7 @@ pub fn build_tree_psprint(
             });
             for (g, m) in combined.into_iter().enumerate() {
                 proc.charge(OpKind::GiniEval, card as u64);
-                if let Some(c) = m.best_split(&totals_of[g], params.cat_exhaustive_limit) {
+                if let Some(c) = m.best_split(&totals_of[g], EXHAUSTIVE_LIMIT) {
                     local_best.push((g as u64, c));
                 }
             }

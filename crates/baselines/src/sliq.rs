@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use pdc_clouds::categorical::EXHAUSTIVE_LIMIT;
 use pdc_clouds::gini::{split_gini, sub, ClassCounts};
 use pdc_clouds::{Candidate, CloudsParams, CountMatrix, DecisionTree, Node, NodeId, Splitter};
 use pdc_datagen::{Record, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
@@ -164,7 +165,7 @@ pub fn build_tree_sliq(records: &[Record], params: &CloudsParams) -> (DecisionTr
             }
             stats.list_scans += class_list.len() as u64;
             for (leaf, m) in matrices {
-                if let Some(c) = m.best_split(&totals[&leaf], params.cat_exhaustive_limit) {
+                if let Some(c) = m.best_split(&totals[&leaf], EXHAUSTIVE_LIMIT) {
                     consider(leaf, c);
                 }
             }

@@ -9,6 +9,7 @@
 //! that motivates CLOUDS' interval sampling. We count that work
 //! ([`SprintStats`]) so benches can compare against CLOUDS.
 
+use pdc_clouds::categorical::EXHAUSTIVE_LIMIT;
 use pdc_clouds::gini::{split_gini, sub, ClassCounts};
 use pdc_clouds::{CountMatrix, Candidate, CloudsParams, DecisionTree, Splitter};
 use pdc_datagen::{Record, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
@@ -94,7 +95,7 @@ pub fn build_tree_sprint(records: &[Record], params: &CloudsParams) -> (Decision
         if params.should_stop(&counts, depth) {
             continue;
         }
-        let Some(cand) = best_split(&data, &counts, params, &mut stats) else {
+        let Some(cand) = best_split(&data, &counts, &mut stats) else {
             continue;
         };
         let (left, right) = partition(&data, &cand.splitter, &mut stats);
@@ -114,7 +115,6 @@ pub fn build_tree_sprint(records: &[Record], params: &CloudsParams) -> (Decision
 fn best_split(
     data: &NodeData,
     node_total: &ClassCounts,
-    params: &CloudsParams,
     stats: &mut SprintStats,
 ) -> Option<Candidate> {
     let mut best: Option<Candidate> = None;
@@ -149,7 +149,7 @@ fn best_split(
             m.add_value(r.cat(attr), r.class);
         }
         stats.list_scans += data.records.len() as u64;
-        if let Some(c) = m.best_split(node_total, params.cat_exhaustive_limit) {
+        if let Some(c) = m.best_split(node_total, EXHAUSTIVE_LIMIT) {
             best = Candidate::better(best, c);
         }
     }
@@ -254,7 +254,7 @@ mod tests {
             records: records.iter().enumerate().map(|(i, r)| (i as u32, *r)).collect(),
         };
         let total = data.class_counts();
-        let sprint = best_split(&data, &total, &params(), &mut stats).unwrap();
+        let sprint = best_split(&data, &total, &mut stats).unwrap();
         assert!(
             (sprint.gini - direct.gini).abs() < 1e-12,
             "sprint {} vs direct {}",

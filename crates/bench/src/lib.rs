@@ -1,4 +1,4 @@
-//! # pdc-bench — figure/table harnesses and micro-benchmarks
+//! # pdc-bench — figure/table harnesses
 //!
 //! Harness binaries for the paper's tables and figures (see DESIGN.md §5):
 //!

@@ -7,6 +7,10 @@
 //! bit. [`check`] is that contract for one cell; each cell is trained at most
 //! once in this binary. (That a disabled engine equals no engine is pinned in
 //! `pario/tests/engine.rs`; `Experiment::new` *is* the disabled-engine run.)
+//! The derived views of two further runs are pinned to fixtures in
+//! [`golden_views`].
+
+mod golden_views;
 
 use std::sync::OnceLock;
 

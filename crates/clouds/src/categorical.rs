@@ -18,6 +18,11 @@ use crate::split::{Candidate, Splitter};
 /// Largest categorical cardinality: value subsets are `u64` bitmasks.
 const MAX_CARDINALITY: usize = 64;
 
+/// Categorical attributes with cardinality up to this limit are split by
+/// exhaustive subset enumeration (at most `2^11 − 1` partitions); the
+/// limit every builder passes to [`CountMatrix::best_split`].
+pub const EXHAUSTIVE_LIMIT: u32 = 12;
+
 /// Count matrix of one categorical attribute at one node: row `v`, column
 /// `k` = records with attribute value `v` and class `k`.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,7 +252,7 @@ mod tests {
         // Values {0,1} are pure class 0; {2,3} pure class 1.
         let m = matrix(&[[5, 0], [3, 0], [0, 4], [0, 6]]);
         let total = m.totals();
-        let best = m.best_split(&total, 12).unwrap();
+        let best = m.best_split(&total, EXHAUSTIVE_LIMIT).unwrap();
         assert!(best.gini.abs() < 1e-12, "gini = {}", best.gini);
         let Splitter::Categorical { left_values, .. } = best.splitter else {
             panic!()
@@ -290,14 +295,14 @@ mod tests {
     fn degenerate_single_value_returns_none() {
         let m = matrix(&[[5, 5], [0, 0], [0, 0]]);
         let total = m.totals();
-        assert!(m.best_split(&total, 12).is_none());
+        assert!(m.best_split(&total, EXHAUSTIVE_LIMIT).is_none());
     }
 
     #[test]
     fn cardinality_one_returns_none() {
         let m = matrix(&[[5, 5]]);
         let total = m.totals();
-        assert!(m.best_split(&total, 12).is_none());
+        assert!(m.best_split(&total, EXHAUSTIVE_LIMIT).is_none());
     }
 
     #[test]
@@ -317,7 +322,7 @@ mod tests {
     fn splits_never_have_empty_sides() {
         let m = matrix(&[[5, 0], [0, 0], [0, 5]]);
         let total = m.totals();
-        let best = m.best_split(&total, 12).unwrap();
+        let best = m.best_split(&total, EXHAUSTIVE_LIMIT).unwrap();
         let Splitter::Categorical { left_values, .. } = best.splitter else {
             panic!()
         };

@@ -5,7 +5,7 @@
 
 use pdc_datagen::{Record, RecordBatch, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
 
-use crate::categorical::CountMatrix;
+use crate::categorical::{CountMatrix, EXHAUSTIVE_LIMIT};
 use crate::gini::ClassCounts;
 use crate::numeric::{
     exact_interval_scan, AliveInterval, AliveRouter, AttrAccumulator, AttrIntervalStats,
@@ -95,7 +95,7 @@ impl NodeStats {
 
     /// Best split over interval boundaries and categorical attributes — the
     /// SS method's answer, and SSE's `gini_min` starting point.
-    pub fn best_ss_split(&self, params: &CloudsParams) -> Option<Candidate> {
+    pub fn best_ss_split(&self) -> Option<Candidate> {
         let mut best: Option<Candidate> = None;
         for stats in &self.numeric {
             if let Some(c) = stats.best_boundary(&self.total) {
@@ -103,7 +103,7 @@ impl NodeStats {
             }
         }
         for m in &self.categorical {
-            if let Some(c) = m.best_split(&self.total, params.cat_exhaustive_limit) {
+            if let Some(c) = m.best_split(&self.total, EXHAUSTIVE_LIMIT) {
                 best = Candidate::better(best, c);
             }
         }
@@ -176,8 +176,9 @@ pub fn evaluate_alive_in_memory(
 
 /// The direct (exact) method: sort every numeric attribute and evaluate the
 /// gini index at each distinct point; categorical attributes via their count
-/// matrices. Used for small nodes and as the reference method.
-pub fn direct_best_split(records: &[Record], params: &CloudsParams) -> Option<Candidate> {
+/// matrices. Used for small nodes and as the reference method. No
+/// parameter tunes it, so `_params` is unread.
+pub fn direct_best_split(records: &[Record], _params: &CloudsParams) -> Option<Candidate> {
     if records.is_empty() {
         return None;
     }
@@ -207,7 +208,7 @@ pub fn direct_best_split(records: &[Record], params: &CloudsParams) -> Option<Ca
         for r in records {
             m.add_value(r.cat(attr), r.class);
         }
-        if let Some(c) = m.best_split(&total, params.cat_exhaustive_limit) {
+        if let Some(c) = m.best_split(&total, EXHAUSTIVE_LIMIT) {
             best = Candidate::better(best, c);
         }
     }
@@ -225,11 +226,11 @@ pub fn derive_split_in_memory(
         SplitMethod::Direct => direct_best_split(records, params),
         SplitMethod::SS => {
             let stats = accumulate(records, sample, q);
-            stats.best_ss_split(params)
+            stats.best_ss_split()
         }
         SplitMethod::SSE => {
             let stats = accumulate(records, sample, q);
-            let ss_best = stats.best_ss_split(params);
+            let ss_best = stats.best_ss_split();
             let gini_min = ss_best.as_ref().map_or(f64::INFINITY, |c| c.gini);
             let alive = stats.alive_intervals(gini_min);
             evaluate_alive_in_memory(records, &alive, &stats.total, ss_best)
@@ -325,8 +326,7 @@ mod tests {
         let records = dataset(5_000);
         let sample = draw_sample(&records, 1_000, 5);
         let stats = accumulate_stats(&records, &sample, 100);
-        let params = CloudsParams::default();
-        let gini_min = stats.best_ss_split(&params).unwrap().gini;
+        let gini_min = stats.best_ss_split().unwrap().gini;
         let alive = stats.alive_intervals(gini_min);
         let ratio = stats.survival_ratio(&alive);
         assert!(ratio < 0.5, "survival ratio {ratio} suspiciously high");

@@ -35,9 +35,6 @@ pub struct CloudsParams {
     pub purity_threshold: f64,
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
-    /// Categorical attributes with cardinality up to this limit are split by
-    /// exhaustive subset enumeration.
-    pub cat_exhaustive_limit: u32,
 }
 
 impl Default for CloudsParams {
@@ -51,7 +48,6 @@ impl Default for CloudsParams {
             min_node_size: 8,
             purity_threshold: 0.995,
             max_depth: 24,
-            cat_exhaustive_limit: 12,
         }
     }
 }

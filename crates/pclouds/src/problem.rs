@@ -42,6 +42,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pdc_cgm::{Group, OpKind, Proc};
+use pdc_clouds::categorical::EXHAUSTIVE_LIMIT;
 use pdc_clouds::derive::{NodeAccumulator, NodeStats};
 use pdc_clouds::gini::total;
 use pdc_clouds::{
@@ -199,7 +200,7 @@ impl PcloudsProblem<'_> {
             }
             HistMsg::Categorical(matrix) => {
                 proc.charge(OpKind::GiniEval, matrix.counts().rows() as u64);
-                let cand = matrix.best_split(node_total, self.params().cat_exhaustive_limit);
+                let cand = matrix.best_split(node_total, EXHAUSTIVE_LIMIT);
                 (cand, None)
             }
         }

@@ -19,7 +19,6 @@
 //!
 //! proptest! {
 //!     #![proptest_config(ProptestConfig::with_cases(16))]
-//!     #[test]
 //!     fn addition_commutes(a in 0u64..1000, b in 0u64..1000) {
 //!         prop_assert_eq!(a + b, b + a);
 //!     }
@@ -201,7 +200,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Admissible size arguments for [`vec`]: an exact `usize` or a range.
+    /// Admissible size arguments for [`vec()`]: an exact `usize` or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -282,7 +281,8 @@ macro_rules! prop_assert_eq {
 }
 
 /// Define property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over `cases` generated inputs.
+/// becomes a plain `fn name()` running the body over `cases` generated
+/// inputs, carrying the attributes written above it (`#[test]`, usually).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
