@@ -50,8 +50,8 @@ pub const EXTENT_BYTES: usize = 1 << 18;
 const SPARE_EXTENTS: usize = 4;
 
 /// Heap-backed file: a list of fixed-size extents. Appending never moves
-/// bytes already stored — a file that grows allocates one more extent where
-/// a single `Vec` would reallocate and copy everything written so far.
+/// the bytes of a full extent — a file that grows allocates one more extent
+/// where a single `Vec` would reallocate and copy everything written so far.
 #[derive(Default)]
 struct InMemory {
     /// Every extent but the last holds exactly [`EXTENT_BYTES`]; those
@@ -75,15 +75,11 @@ impl InMemory {
             let first = self.extents.len() == 1;
             let tail = self.extents.last_mut().expect("pushed above");
             let (head, rest) = bytes.split_at(bytes.len().min(EXTENT_BYTES - at));
-            // A file's first extent grows with what arrives (most files of
-            // a wide machine are a few kB); once it is full the file is
-            // large and every further extent is cut whole.
-            let capacity = if first {
-                (at + head.len()).next_power_of_two().min(EXTENT_BYTES)
-            } else {
-                EXTENT_BYTES
-            };
-            tail.reserve_exact(capacity - at);
+            // A file's first extent holds exactly what arrived (most files
+            // of a wide machine are a few kB, written in a few whole
+            // chunks); once it is full the file is large and every further
+            // extent is cut whole.
+            tail.reserve_exact(if first { head.len() } else { EXTENT_BYTES - at });
             tail.extend_from_slice(head);
             self.len += head.len();
             bytes = rest;
@@ -397,6 +393,30 @@ mod tests {
         b.append(&vec![2; 2 * EXTENT_BYTES], &mut Vec::new());
         assert!(b.extents[..2].iter().all(|e| e.len() == EXTENT_BYTES));
         assert_eq!(b.extents[2].len(), 100);
+    }
+
+    #[test]
+    fn in_memory_first_extent_holds_exactly_the_bytes_it_stores() {
+        // A p = 64 loader's 512-record chunks (52 B a record) and its last
+        // 382 records, byte-sized steps, an odd spread, one that fills the
+        // extent exactly.
+        let mut sequences: Vec<Vec<usize>> = vec![
+            vec![26_624, 26_624, 19_864],
+            vec![1, 1, 2, 3, 5, 8, 13],
+            vec![100, 4_096, 65_537, 7, 30_000],
+            vec![EXTENT_BYTES - 1, 1],
+        ];
+        // And a scatter of 40 sizes that stays below one extent.
+        sequences.push((0..40).map(|k| k * 7_919 % (EXTENT_BYTES / 40)).collect());
+        for sizes in &sequences {
+            let mut b = InMemory::default();
+            for &size in sizes {
+                b.append(&vec![5; size], &mut Vec::new());
+                assert_eq!(b.extents.len(), usize::from(b.len > 0), "{sizes:?}");
+                let held = b.extents.first().map_or(0, Vec::capacity);
+                assert_eq!(held, b.len, "capacity after appends {sizes:?}");
+            }
+        }
     }
 
     #[test]

@@ -57,30 +57,6 @@ use crate::comm::{HistMsg, PerTask};
 use crate::config::PcloudsConfig;
 use crate::state::SharedBuild;
 
-/// Move a numeric attribute's statistics out of `stats` for the
-/// contributing path of a combine, leaving a cheap placeholder — the
-/// statistics are consumed by the collective, so cloning them would only
-/// duplicate the allocation.
-fn take_numeric(stats: &mut NodeStats, a: usize) -> pdc_clouds::AttrIntervalStats {
-    std::mem::replace(
-        &mut stats.numeric[a],
-        pdc_clouds::AttrIntervalStats::new(
-            a,
-            pdc_clouds::IntervalSet::from_boundaries(Vec::new()),
-            0,
-        ),
-    )
-}
-
-/// Move a categorical attribute's count matrix out of `stats` (see
-/// [`take_numeric`]).
-fn take_categorical(stats: &mut NodeStats, a: usize) -> pdc_clouds::CountMatrix {
-    std::mem::replace(
-        &mut stats.categorical[a],
-        pdc_clouds::CountMatrix::new(a, 0, 0),
-    )
-}
-
 /// The better of the boundary (SS) candidate and the exact-pass candidate,
 /// either of which may be absent.
 fn better_of(ss: Option<Candidate>, exact: Option<Candidate>) -> Option<Candidate> {
@@ -163,17 +139,20 @@ impl PcloudsProblem<'_> {
     /// attributes. Returns this rank's block: its owned attributes in
     /// ascending global order, `stats.len()` consecutive entries per
     /// attribute, in `stats` order.
-    fn combine_statistics(&self, proc: &mut Proc, stats: &mut [NodeStats]) -> Vec<HistMsg> {
+    fn combine_statistics(&self, proc: &mut Proc, stats: Vec<NodeStats>) -> Vec<HistMsg> {
         let p = proc.nprocs();
         let mut blocks: Vec<Vec<HistMsg>> = vec![Vec::new(); p];
-        for a in 0..NUM_NUMERIC {
-            for s in stats.iter_mut() {
-                blocks[a % p].push(HistMsg::Numeric(take_numeric(s, a)));
-            }
-        }
-        for a in 0..NUM_CATEGORICAL {
-            for s in stats.iter_mut() {
-                blocks[(NUM_NUMERIC + a) % p].push(HistMsg::Categorical(take_categorical(s, a)));
+        // Each task's attributes in global order: numeric, then categorical.
+        let mut per_task: Vec<_> = stats
+            .into_iter()
+            .map(|s| {
+                let numeric = s.numeric.into_iter().map(HistMsg::Numeric);
+                numeric.chain(s.categorical.into_iter().map(HistMsg::Categorical))
+            })
+            .collect();
+        for a in 0..NUM_NUMERIC + NUM_CATEGORICAL {
+            for task in &mut per_task {
+                blocks[a % p].push(task.next().expect("statistics of every attribute"));
             }
         }
         proc.reduce_scatter_blocks(blocks, HistMsg::merged)
@@ -557,7 +536,7 @@ impl OocProblem for PcloudsProblem<'_> {
         let derive_span = proc.span("pclouds.derive", &attrs(false));
         let mut local = vec![None; active.len()];
         let mut owned = Vec::new();
-        for (k, msg) in self.combine_statistics(proc, &mut stats).into_iter().enumerate() {
+        for (k, msg) in self.combine_statistics(proc, stats).into_iter().enumerate() {
             let j = k % active.len();
             let (cand, attr_stats) = self.evaluate_owned(proc, msg, totals[j]);
             if let Some(cand) = cand {

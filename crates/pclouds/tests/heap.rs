@@ -1,16 +1,19 @@
-//! The host holds the training data once: a partition pass consumes the
-//! node file it reads while it writes the children, so on a RAM farm the
-//! live heap during `train` exceeds the heap before it by well under the
-//! data size (a node file beside both children in full would be 1×).
+//! The host holds the training data once. A load holds the data it stores
+//! and the sample beside it, and little more: a file's first extent is no
+//! larger than what the file holds. A partition pass consumes the node file
+//! it reads while it writes the children, so on a RAM farm the live heap
+//! during `train` exceeds the heap before it by well under the data size (a
+//! node file beside both children in full would be 1×).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 use pdc_cgm::Cluster;
 use pdc_clouds::CloudsParams;
-use pdc_datagen::{ClassifyFn, GeneratorConfig, RecordStream};
+use pdc_datagen::{ClassifyFn, GeneratorConfig, Record, RecordStream};
 use pdc_dnc::Strategy;
-use pdc_pario::{DiskFarm, EXTENT_BYTES};
+use pdc_pario::{DiskFarm, Rec, EXTENT_BYTES};
 use pdc_pclouds::{load_dataset_stream, train, PcloudsConfig};
 
 /// The system allocator, counting live bytes and their peak.
@@ -52,8 +55,32 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// The counters see every thread of the process: one test measures at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+#[test]
+fn a_load_at_p64_holds_the_data_and_the_sample() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // A wide machine's root files are a few extents' worth or less each:
+    // 1 407 or 1 406 records, appended in chunks of 512.
+    let (p, n, sample) = (64, 90_000, 4_500);
+    let farm = DiskFarm::in_memory(p);
+    let generator = GeneratorConfig { function: ClassifyFn::F6, ..GeneratorConfig::default() };
+    let records = RecordStream::new(generator).take(n);
+    let before = LIVE.load(Relaxed);
+    let root = load_dataset_stream(&farm, records, sample, 1);
+    let held = LIVE.load(Relaxed) - before;
+    let data = farm.used_bytes() as usize;
+    assert_eq!((data, root.sample.len()), (n * Record::ENCODED_BYTES, sample));
+    // Per disk, its namespace entry and extent list: well below a kB.
+    let allowance = p * 1024;
+    let bound = data + sample * std::mem::size_of::<Record>() + allowance;
+    assert!(held <= bound, "a load holds {held} bytes for {data} bytes of data ({bound} allowed)");
+}
+
 #[test]
 fn train_on_a_ram_farm_holds_the_data_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (p, n) = (4, 360_000);
     let farm = DiskFarm::in_memory(p);
     let mut config = PcloudsConfig::paper_scaled(n as u64);
